@@ -38,7 +38,8 @@ from .sim import (
     Switch,
     SwitchConfig,
 )
-from .telemetry import Recorder, set_default_recorder
+from .probe import installed
+from .telemetry import Recorder
 from .topology import fat_tree, leaf_spine, multi_rack, star
 from .transport import DEFAULT_MTU, Flow, FlowSender
 
@@ -79,6 +80,6 @@ __all__ = [
     "leaf_spine",
     "multi_rack",
     "Recorder",
-    "set_default_recorder",
+    "installed",
     "__version__",
 ]

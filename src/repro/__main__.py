@@ -56,25 +56,11 @@ from typing import Callable, Dict
 from . import api
 from .client import ServeError
 from .experiments.common import REGISTRY
-from .obs import (
-    ChannelInspector,
-    EngineProfiler,
-    PacketTracer,
-    TimeSeriesSampler,
-    set_default_inspector,
-    set_default_profiler,
-    set_default_sampler,
-    set_default_tracer,
-)
+from .obs import ChannelInspector, EngineProfiler, PacketTracer, TimeSeriesSampler
+from .probe import installed
 from .runner import RunnerError, run_bench, write_bench
 from .runner.cache import json_safe
-from .telemetry import (
-    JsonlEventStream,
-    Recorder,
-    set_default_recorder,
-    write_events_jsonl,
-    write_perfetto,
-)
+from .telemetry import JsonlEventStream, Recorder, write_events_jsonl, write_perfetto
 
 REGISTRY.load_all()
 
@@ -396,23 +382,19 @@ def main(argv=None) -> int:
     if args.trace or args.events or args.metrics:
         # event lists are only needed when a trace/event dump was requested
         recorder = Recorder(events=bool(args.trace or args.events))
-        set_default_recorder(recorder)
         if args.events and not args.trace:
             # no in-memory consumer: stream events to disk as they happen
             stream = JsonlEventStream(recorder, args.events)
     tracer = inspector = sampler = profiler = None
     if args.trace_packets:
         tracer = PacketTracer(sample_every=max(1, args.trace_every))
-        set_default_tracer(tracer)
     if args.inspect:
         inspector = ChannelInspector()
-        set_default_inspector(inspector)
     if args.sample:
         sampler = TimeSeriesSampler(stride_ns=max(1, args.sample_stride))
-        set_default_sampler(sampler)
     if args.profile:
         profiler = EngineProfiler()
-        set_default_profiler(profiler)
+    sinks = [s for s in (recorder, tracer, inspector, sampler, profiler) if s is not None]
     try:
         if args.server:
             def _remote_progress(point, source):
@@ -428,33 +410,22 @@ def main(argv=None) -> int:
                 progress=_remote_progress if args.progress else False,
             )
         else:
-            result = api.run(
-                experiment,
-                jobs=args.jobs,
-                cache=args.cache,
-                progress=args.progress,
-                faults=args.faults,
-                audit=args.audit,
-            )
+            with installed(*sinks):
+                result = api.run(
+                    experiment,
+                    jobs=args.jobs,
+                    cache=args.cache,
+                    progress=args.progress,
+                    faults=args.faults,
+                    audit=args.audit,
+                )
     except (RunnerError, ServeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if recorder is not None:
-            set_default_recorder(None)
-        if stream is not None:
-            stream.finalize()
-        if tracer is not None:
-            set_default_tracer(None)
-            tracer.finalize()
-        if inspector is not None:
-            set_default_inspector(None)
-        if sampler is not None:
-            set_default_sampler(None)
-            sampler.finalize()
-        if profiler is not None:
-            set_default_profiler(None)
-            profiler.finalize()
+        for sink in (stream, tracer, sampler, profiler):
+            if sink is not None:
+                sink.finalize()
     if recorder is not None:
         if args.trace:
             n = write_perfetto(recorder, args.trace, tracer=tracer)

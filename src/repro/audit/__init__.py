@@ -5,7 +5,7 @@ Usage::
     from repro.audit import audit_scope
 
     with audit_scope("strict") as aud:
-        sim = Simulator(seed=1)       # adopts the auditor
+        sim = Simulator(seed=1)       # adopts a probe carrying the auditor
         ...build topology, run...
     assert aud.report.ok
 
@@ -17,12 +17,8 @@ from .auditor import (
     AuditReport,
     AuditViolation,
     Auditor,
-    NULL_AUDITOR,
-    NullAuditor,
     audit_scope,
     current_auditor,
-    default_auditor,
-    set_default_auditor,
 )
 
 __all__ = [
@@ -30,10 +26,6 @@ __all__ = [
     "AuditReport",
     "AuditViolation",
     "Auditor",
-    "NULL_AUDITOR",
-    "NullAuditor",
     "audit_scope",
     "current_auditor",
-    "default_auditor",
-    "set_default_auditor",
 ]

@@ -3,18 +3,10 @@
 The auditor is the runtime counterpart of the golden-result battery: the
 battery proves *that* behaviour is unchanged, the auditor explains *why* a
 run is trustworthy by checking conservation and accounting invariants while
-the simulation executes.  It follows the same zero-overhead-when-off design
-as :mod:`repro.telemetry`: every hook site reads one attribute and checks one
-flag::
-
-    aud = self.audit
-    if aud.enabled:
-        aud.packet_dropped("buffer_shared", size)
-
-Components snapshot ``sim.audit`` at construction time and :class:`Simulator`
-adopts the module default, so the disabled path costs a single attribute
-check (and the engine's event loop is not touched at all — the audited loop
-is a separate method selected once per ``run()`` call).
+the simulation executes.  It is a :mod:`repro.probe` sink: installed (via
+:func:`audit_scope`) *before* simulators are built, it subscribes to the
+packet, buffer, PFC and sender events of the one probe every component reads,
+and to the engine's per-dispatch hook for the clock check.
 
 Invariants (see docs/AUDIT.md for the full semantics):
 
@@ -32,7 +24,7 @@ Invariants (see docs/AUDIT.md for the full semantics):
    sent-unacked payloads after every ACK/RTO/go-back-N event, and a sender
    with pending (re)transmissions always has a timer armed.
 5. **Clock monotonicity** — no event executes at a time before the clock
-   (checked per-event on the fused scheduling path by the audited run loop).
+   (checked per event through the engine's dispatch hook).
 
 The auditor never feeds back into the simulation: it schedules no events,
 draws from no RNG and mutates no component state, so an audited run produces
@@ -45,17 +37,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
+from ..probe import current, installed
+from ..sim.packet import PACKET_POOL, Packet
+
 __all__ = [
     "AuditError",
     "AuditReport",
     "AuditViolation",
     "Auditor",
-    "NULL_AUDITOR",
-    "NullAuditor",
     "audit_scope",
     "current_auditor",
-    "default_auditor",
-    "set_default_auditor",
 ]
 
 #: drop reasons the ledger recognises (free-form strings are still accepted;
@@ -121,21 +112,8 @@ class AuditReport:
         }
 
 
-class NullAuditor:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullAuditor>"
-
-
-#: the process-wide disabled auditor (safe to share: it holds no state)
-NULL_AUDITOR = NullAuditor()
-
-
 class Auditor:
-    """Collects invariant checks from simulator hook sites.
+    """Collects invariant checks from the probe's hook sites.
 
     Parameters
     ----------
@@ -150,8 +128,6 @@ class Auditor:
         Optional :class:`repro.telemetry.Recorder`; violations are mirrored
         onto its ``audit`` event channel so they land in JSONL exports.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -184,14 +160,14 @@ class Auditor:
         self._pfc_paused: Dict[Tuple[str, int, int], Tuple[int, str, str]] = {}
         self._deadlocks_reported = 0
 
-        # registered components, walked by finalize()
+        # registered components by kind, walked by finalize()
         self._ports: List[object] = []
         self._switches: List[object] = []
         self._sims: List[object] = []
+        self._registry = {"port": self._ports, "switch": self._switches, "sim": self._sims}
 
-        # pool counters snapshot (leak detection baseline)
-        self._pool = None
-        self._pool_live0 = 0
+        # the process packet pool's live count now: the leak baseline
+        self._pool_live0 = PACKET_POOL.live
 
     # ------------------------------------------------------------------
     # violation plumbing
@@ -203,7 +179,7 @@ class Auditor:
         if len(report.violations) < AuditReport.MAX_RECORDED:
             report.violations.append(AuditViolation(t, invariant, message))
         rec = self.recorder
-        if rec is not None and rec.enabled:
+        if rec is not None:
             rec.audit_violation(t, invariant, message)
         if self.mode == "strict":
             raise AuditError(f"[audit:{invariant}] t={t}: {message}")
@@ -213,21 +189,12 @@ class Auditor:
         checks[invariant] = checks.get(invariant, 0) + n
 
     # ------------------------------------------------------------------
-    # component registration (called from constructors when audit is on)
+    # component registration (probe event, emitted from constructors)
     # ------------------------------------------------------------------
-    def register_sim(self, sim) -> None:
-        self._sims.append(sim)
-
-    def register_port(self, port) -> None:
-        self._ports.append(port)
-
-    def register_switch(self, switch) -> None:
-        self._switches.append(switch)
-
-    def attach_pool(self, pool) -> None:
-        """Snapshot the packet pool's live count as the leak baseline."""
-        self._pool = pool
-        self._pool_live0 = pool.live
+    def register(self, kind: str, obj) -> None:
+        group = self._registry.get(kind)
+        if group is not None:
+            group.append(obj)
 
     # ------------------------------------------------------------------
     # (1) packet conservation ledger
@@ -238,15 +205,15 @@ class Auditor:
     def packet_released(self) -> None:
         self.released += 1
 
-    def packet_delivered(self, size: int) -> None:
+    def pkt_delivered(self, t: int, pkt) -> None:
         self.delivered += 1
-        self.delivered_bytes += size
+        self.delivered_bytes += pkt.size
 
-    def packet_dropped(self, reason: str, size: int) -> None:
+    def pkt_dropped(self, t: int, pkt, reason: str) -> None:
         self.dropped[reason] = self.dropped.get(reason, 0) + 1
         self.dropped_total += 1
 
-    def packet_corrupted(self, size: int) -> None:
+    def pkt_corrupted(self, t: int, pkt) -> None:
         self.corrupted += 1
 
     # ------------------------------------------------------------------
@@ -263,19 +230,11 @@ class Auditor:
             self._buffers.append(buf)
         return shadow
 
-    def buffer_admit(self, t: int, buf, headroom: bool, size: int) -> None:
-        """Called *after* a successful admit of ``size`` bytes."""
+    def buffer(self, t: int, buf, headroom: bool, delta: int) -> None:
+        """Called *after* ``delta`` bytes were admitted to (positive) or
+        returned from (negative) the shared or headroom pool."""
         self._count("buffer_bytes")
-        d_shared, d_headroom = (0, size) if headroom else (size, 0)
-        shadow = self._buffer_shadow(buf, d_shared, d_headroom)
-        shadow[0] += d_shared
-        shadow[1] += d_headroom
-        self._buffer_check(t, buf, shadow)
-
-    def buffer_release(self, t: int, buf, headroom: bool, size: int) -> None:
-        """Called *after* ``size`` bytes were returned to a pool."""
-        self._count("buffer_bytes")
-        d_shared, d_headroom = (0, -size) if headroom else (-size, 0)
+        d_shared, d_headroom = (0, delta) if headroom else (delta, 0)
         shadow = self._buffer_shadow(buf, d_shared, d_headroom)
         shadow[0] += d_shared
         shadow[1] += d_headroom
@@ -428,9 +387,9 @@ class Auditor:
     # ------------------------------------------------------------------
     def sender_event(self, t: int, sender) -> None:
         """Reconcile ``inflight_bytes`` after an ACK/RTO/go-back-N event."""
-        self._count("sender_window")
         if sender.completed:
             return
+        self._count("sender_window")
         sent = sender.sent
         acked = sender.acked
         mtu = sender.mtu
@@ -473,8 +432,16 @@ class Auditor:
                     f"armed (RTO wrongly disarmed — the flow can stall)",
                 )
 
-    def prioplus_relinquish(self, t: int, sender) -> None:
+    #: probe events that end in a window reconciliation
+    rto = sender_event
+
+    def ack(self, t: int, sender, acked_bytes: int, delay_ns: int, is_probe: bool) -> None:
+        self.sender_event(t, sender)
+
+    def flow_state(self, t: int, flow_id: int, state: str, sender) -> None:
         """A relinquished flow must own a probe (its only path back)."""
+        if state != "relinquished":
+            return
         self._count("prioplus_probe")
         if sender._probe_ev is None and not sender.probe_outstanding:
             self.violation(
@@ -485,17 +452,19 @@ class Auditor:
             )
 
     # ------------------------------------------------------------------
-    # (5) clock monotonicity (called from Simulator._run_instrumented)
+    # (5) clock monotonicity (the engine's per-dispatch hook)
     # ------------------------------------------------------------------
-    def clock_violation(self, event_time: int, now: int) -> None:
-        self.violation(
-            now,
-            "clock",
-            f"event scheduled at t={event_time} executed after the clock "
-            f"reached {now} (events-in-past / heap corruption)",
-        )
+    def pre_dispatch(self, sim, event_time: int) -> None:
+        now = sim.now
+        if event_time < now:
+            self.violation(
+                now,
+                "clock",
+                f"event scheduled at t={event_time} executed after the clock "
+                f"reached {now} (events-in-past / heap corruption)",
+            )
 
-    def clock_checked(self, n: int) -> None:
+    def run_end(self, sim, n: int) -> None:
         self._count("clock", n)
 
     # ------------------------------------------------------------------
@@ -503,10 +472,6 @@ class Auditor:
     # ------------------------------------------------------------------
     def _resident_packets(self) -> Tuple[int, int]:
         """(packets in registered port queues, packets in pending events)."""
-        try:
-            from ..sim.packet import Packet
-        except ImportError:  # pragma: no cover - audit used standalone
-            return 0, 0
         queued = 0
         for port in self._ports:
             for queue in port.queues:
@@ -555,17 +520,14 @@ class Auditor:
                 f"in queues and {in_events} in pending events — "
                 f"{residual - queued - in_events} leaked",
             )
-        pool = self._pool
-        pool_live = None
-        if pool is not None and pool.enabled:
-            pool_live = pool.live - self._pool_live0
-            if pool_live != residual:
-                self.violation(
-                    t,
-                    "packet_ledger",
-                    f"pool live-count delta ({pool_live}) disagrees with ledger "
-                    f"residual ({residual}) — packets bypassed the pool",
-                )
+        pool_live = PACKET_POOL.live - self._pool_live0
+        if pool_live != residual:
+            self.violation(
+                t,
+                "packet_ledger",
+                f"pool live-count delta ({pool_live}) disagrees with ledger "
+                f"residual ({residual}) — packets bypassed the pool",
+            )
         self.report.ledger = {
             "acquired": self.acquired,
             "released": self.released,
@@ -696,58 +658,24 @@ class Auditor:
         return report
 
 
-# ----------------------------------------------------------------------
-# process-wide default auditor, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_AUDITOR
-
-
-def set_default_auditor(auditor) -> None:
-    """Install ``auditor`` as the default every new :class:`Simulator` (and
-    the process packet pool) adopts.  Pass ``None`` to restore the inert
-    :data:`NULL_AUDITOR`.  Install *before* building simulators/topologies:
-    components snapshot the auditor at construction time."""
-    global _default
-    _default = auditor if auditor is not None else NULL_AUDITOR
-    try:
-        from ..sim.packet import PACKET_POOL
-    except ImportError:  # pragma: no cover - during partial imports
-        return
-    PACKET_POOL.audit = _default
-    if isinstance(_default, Auditor):
-        _default.attach_pool(PACKET_POOL)
-
-
-def default_auditor():
-    """The auditor new simulators adopt (the null auditor when disabled)."""
-    return _default
-
-
 def current_auditor() -> Optional[Auditor]:
-    """The active default :class:`Auditor`, or ``None`` when auditing is off."""
-    return _default if getattr(_default, "enabled", False) else None
+    """The installed :class:`Auditor`, or ``None`` when auditing is off."""
+    return current(Auditor)
 
 
 @contextmanager
 def audit_scope(mode: str = "strict", **kwargs):
     """Install a fresh :class:`Auditor` for the ``with`` block.
 
-    On clean exit the auditor is finalized (strict mode re-raises any
-    reconciliation failure) and the previous default is restored::
+    On clean exit the previous probe is restored and the auditor finalized
+    (strict mode re-raises any reconciliation failure)::
 
         with audit_scope("strict") as aud:
-            sim = Simulator(seed=1)   # adopts aud
+            sim = Simulator(seed=1)   # adopts a probe carrying aud
             ...
         assert aud.report.ok
     """
-    prev = _default if _default is not NULL_AUDITOR else None
     aud = Auditor(mode=mode, **kwargs)
-    set_default_auditor(aud)
-    try:
+    with installed(aud):
         yield aud
-    except BaseException:
-        set_default_auditor(prev)
-        raise
-    else:
-        set_default_auditor(prev)
-        aud.finalize()
+    aud.finalize()

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..audit.auditor import NULL_AUDITOR
-from ..obs.inspector import NULL_INSPECTOR
-from ..telemetry.recorder import NULL_RECORDER
+from ..probe import INERT
 from ..transport.flow import AckInfo
 from .channels import ChannelConfig
 
@@ -109,9 +107,7 @@ class PrioPlusCC:
         self.relinquish_count = 0
         self.linear_start_steps = 0
         self.adaptive_increases = 0
-        self._tel = NULL_RECORDER
-        self._aud = NULL_AUDITOR
-        self._insp = NULL_INSPECTOR
+        self._probe = INERT
 
     # ------------------------------------------------------------------
     # window delegation: the sender reads PrioPlusCC.cwnd
@@ -131,8 +127,6 @@ class PrioPlusCC:
     # ------------------------------------------------------------------
     def attach(self, sender) -> None:
         self.sender = sender
-        self._tel = getattr(sender.sim, "telemetry", NULL_RECORDER)
-        self._aud = getattr(sender, "audit", NULL_AUDITOR)
         self.inner.attach(sender)
         self.base_rtt = sender.base_rtt
         self.base_bdp = sender.bdp_bytes
@@ -154,18 +148,9 @@ class PrioPlusCC:
         self.inner.set_target_scaling(False)
         self._set_inner_target(self.d_target)
         self.w_ai_origin = self.inner.ai_bytes
-        insp = getattr(sender.sim, "inspector", NULL_INSPECTOR)
-        self._insp = insp
-        if insp.enabled:
-            flow = sender.flow
-            insp.register_flow(
-                flow.flow_id,
-                self.vpriority,
-                self.d_target,
-                self.d_limit,
-                self.tier,
-                [p.name for p in sender.net.path_ports(flow.src, flow.dst)],
-            )
+        self._probe = sender.probe
+        if self._probe.on:
+            self._probe.register("prioplus", self)
 
     def _set_inner_target(self, target_ns: int) -> None:
         self.inner.target_delay_ns = target_ns
@@ -178,23 +163,24 @@ class PrioPlusCC:
     # ------------------------------------------------------------------
     def on_start(self) -> None:
         self.countdown = self._countdown_reset_value()
-        tel = self._tel
-        insp = self._insp
+        self._flow_state(self.sender.sim.now, "probe_wait" if self.probe_first else "linear_start")
         if self.probe_first:
-            if tel.enabled:
-                tel.flow_state(self.sender.sim.now, self.sender.flow.flow_id, "probe_wait")
-            if insp.enabled:
-                insp.transition(self.sender.sim.now, self.sender.flow.flow_id, "probe_wait")
             self.sender.stop_sending()
             self.sender.send_probe_after(0)
         else:
             # linear start from W_LS without probing (§4.4)
-            if tel.enabled:
-                tel.flow_state(self.sender.sim.now, self.sender.flow.flow_id, "linear_start")
-            if insp.enabled:
-                insp.transition(self.sender.sim.now, self.sender.flow.flow_id, "linear_start")
             self.inner.cwnd = max(self.w_ls, self.inner.min_cwnd)
             self.inner.clamp()
+
+    def _flow_state(self, now: int, state: str) -> None:
+        p = self._probe
+        if p.on:
+            p.flow_state(now, self.sender.flow.flow_id, state, self.sender)
+
+    def _cc_event(self, now: int, kind: str) -> None:
+        p = self._probe
+        if p.on:
+            p.cc_event(now, self.sender.flow.flow_id, kind)
 
     def _countdown_reset_value(self) -> int:
         return max(1, int(self.base_bdp / max(self.w_ls, 1.0)))
@@ -230,12 +216,7 @@ class PrioPlusCC:
                 # linear start step (lines 13-16)
                 self.inner.cwnd += self.w_ls / self.nflow
                 self.linear_start_steps += 1
-                tel = self._tel
-                if tel.enabled:
-                    tel.cc_event(info.now, self.sender.flow.flow_id, "linear_start_step")
-                insp = self._insp
-                if insp.enabled:
-                    insp.cc_event(info.now, self.sender.flow.flow_id, "linear_start_step")
+                self._cc_event(info.now, "linear_start_step")
                 self._countdown_tick()
                 self.rtt_pass = False
             elif self.dual_rtt_pass or not self.dual_rtt:
@@ -247,12 +228,7 @@ class PrioPlusCC:
                 if step > 0:
                     self.inner.ai_bytes = self.inner.ai_bytes + step
                     self.adaptive_increases += 1
-                    tel = self._tel
-                    if tel.enabled:
-                        tel.cc_event(info.now, self.sender.flow.flow_id, "adaptive_increase")
-                    insp = self._insp
-                    if insp.enabled:
-                        insp.cc_event(info.now, self.sender.flow.flow_id, "adaptive_increase")
+                    self._cc_event(info.now, "adaptive_increase")
                 self.rtt_pass = False
         self.inner.on_ack(info)
 
@@ -277,19 +253,11 @@ class PrioPlusCC:
         self.countdown = self._countdown_reset_value()
         self.relinquish_count += 1
         self.consec = 0
-        tel = self._tel
-        if tel.enabled:
-            tel.flow_state(self.sender.sim.now, self.sender.flow.flow_id, "relinquished")
-        insp = self._insp
-        if insp.enabled:
-            insp.transition(self.sender.sim.now, self.sender.flow.flow_id, "relinquished")
         self.sender.stop_sending()
         self._schedule_probe(delay)
-        aud = self._aud
-        if aud.enabled:
-            # a relinquished flow must always hold a pending probe (or an
-            # outstanding one): that probe is its only path back to sending
-            aud.prioplus_relinquish(self.sender.sim.now, self.sender)
+        # emitted with the probe armed: the auditor checks that a relinquished
+        # flow holds one (its only path back to sending)
+        self._flow_state(self.sender.sim.now, "relinquished")
 
     def _schedule_probe(self, delay: int) -> None:
         if self.collision_avoidance:
@@ -304,27 +272,20 @@ class PrioPlusCC:
     # ------------------------------------------------------------------
     def on_probe_ack(self, info: AckInfo) -> None:
         delay = info.delay_ns
-        insp = self._insp
         if delay >= self.d_limit:
-            if insp.enabled:
-                insp.cc_event(info.now, self.sender.flow.flow_id, "probe_rejected")
+            p = self._probe
+            if p.on:
+                p.probe_rejected(info.now, self.sender.flow.flow_id)
             self._schedule_probe(delay)
             return
-        tel = self._tel
         if delay <= self.base_rtt + self.empty_eps:
-            if tel.enabled:
-                tel.flow_state(info.now, self.sender.flow.flow_id, "linear_start")
-            if insp.enabled:
-                insp.transition(info.now, self.sender.flow.flow_id, "linear_start")
+            self._flow_state(info.now, "linear_start")
             self.inner.cwnd = max(self.w_ls / self.nflow, self.inner.min_cwnd)
             self._countdown_tick()
         else:
             # one delay sample between base RTT and D_limit: be conservative,
             # adaptive increase will take over within a couple of RTTs (§4.4)
-            if tel.enabled:
-                tel.flow_state(info.now, self.sender.flow.flow_id, "cautious_restart")
-            if insp.enabled:
-                insp.transition(info.now, self.sender.flow.flow_id, "cautious_restart")
+            self._flow_state(info.now, "cautious_restart")
             self.inner.cwnd = float(self.inner.mtu)
         self.inner.clamp()
         self.consec = 0

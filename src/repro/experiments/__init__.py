@@ -8,8 +8,4 @@ way to run one is the stable facade::
     import repro.api as api
 
     result = api.run("fig10c", jobs=4)
-
-The historical ``run_figX*`` functions are deprecated shims over the same
-code and emit :class:`DeprecationWarning`; they will be removed once nothing
-imports them (see docs/RUNNER.md).
 """

@@ -17,9 +17,7 @@ Every figure/table runner builds on three pieces:
 
 from __future__ import annotations
 
-import functools
 import importlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -54,7 +52,6 @@ __all__ = [
     "register",
     "get_experiment",
     "experiment_names",
-    "deprecated_alias",
 ]
 
 
@@ -486,32 +483,6 @@ REGISTRY = ExperimentRegistry()
 register = REGISTRY.register
 get_experiment = REGISTRY.get
 experiment_names = REGISTRY.names
-
-
-def deprecated_alias(impl: Callable[..., object], experiment: str, name: Optional[str] = None):
-    """A deprecated public ``run_figX`` shim delegating to its impl function.
-
-    The historical per-figure ``run_figX()`` entry points predate the
-    experiment registry; the supported surface is ``repro.api.run(name)``
-    (or ``REGISTRY.get(name)`` + the runner).  These shims keep old call
-    sites working while steering them there via :class:`DeprecationWarning`.
-    """
-    alias = name or impl.__name__.lstrip("_")
-
-    @functools.wraps(impl)
-    def shim(*args, **kwargs):
-        warnings.warn(
-            f"{alias}() is deprecated; use repro.api.run({experiment!r}) — the "
-            f"registered experiment runs the same code with caching, sharding "
-            f"and serving support",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    shim.__name__ = alias
-    shim.__qualname__ = alias
-    return shim
 
 
 # ----------------------------------------------------------------------

@@ -26,10 +26,8 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import DelaySampler, FunctionExperiment, Mode, RateSampler, deprecated_alias, register
+from .common import DelaySampler, FunctionExperiment, Mode, RateSampler, register
 from .fig8_testbed import run_staircase
-
-__all__ = ["run_fig10a", "run_fig10b", "run_fig10c", "run_fig10d"]
 
 
 def _run_fig10a(
@@ -258,9 +256,3 @@ register(
         reduce_fn=_merge_fig10d,
     )
 )
-
-
-run_fig10a = deprecated_alias(_run_fig10a, "fig10a")
-run_fig10b = deprecated_alias(_run_fig10b, "fig10b")
-run_fig10c = deprecated_alias(_run_fig10c, "fig10c")
-run_fig10d = deprecated_alias(_run_fig10d, "fig10d")

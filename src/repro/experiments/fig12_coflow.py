@@ -29,15 +29,12 @@ from .coflow_scenario import (
     run_coflow_mode,
     speedup_summary,
 )
-from .common import Experiment, Mode, Point, deprecated_alias, register
+from .common import Experiment, Mode, Point, register
 
 __all__ = [
     "ci_config",
     "ci_config_kwargs",
     "paper_config_kwargs",
-    "run_fig12ab",
-    "run_fig17",
-    "run_fig18",
     "CoflowComparisonExperiment",
     "PaperCoflowComparisonExperiment",
 ]
@@ -249,8 +246,3 @@ register(
         ),
     )
 )
-
-
-run_fig12ab = deprecated_alias(_run_fig12ab, "fig12")
-run_fig17 = deprecated_alias(_run_fig17, "fig17")
-run_fig18 = deprecated_alias(_run_fig18, "fig18")

@@ -24,9 +24,9 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import Experiment, Point, deprecated_alias, register
+from .common import Experiment, Point, register
 
-__all__ = ["run_fig13_point", "run_fig13"]
+__all__ = ["run_fig13_point"]
 
 _PRIORITIES = (1, 2, 3, 4)
 
@@ -187,6 +187,3 @@ class Fig13Experiment(Experiment):
 
 
 register(Fig13Experiment())
-
-
-run_fig13 = deprecated_alias(_run_fig13, "fig13")

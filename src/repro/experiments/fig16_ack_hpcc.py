@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .common import Experiment, Mode, Point, deprecated_alias, register
+from .common import Experiment, Mode, Point, register
 from .flowsched import FlowSchedConfig, run_flowsched
 
-__all__ = ["run_fig16", "FIG16_MODES", "Fig16Experiment"]
+__all__ = ["FIG16_MODES", "Fig16Experiment"]
 
 FIG16_MODES = (Mode.PRIOPLUS, Mode.PRIOPLUS_SAME_ACK, Mode.HPCC)
 
@@ -71,6 +71,3 @@ class Fig16Experiment(Experiment):
 
 
 register(Fig16Experiment())
-
-
-run_fig16 = deprecated_alias(_run_fig16, "fig16")

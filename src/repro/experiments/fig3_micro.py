@@ -27,9 +27,7 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import FunctionExperiment, RateSampler, deprecated_alias, register, run_until_flows_done
-
-__all__ = ["run_fig3a", "run_fig3b", "run_fig3c", "run_fig3d"]
+from .common import FunctionExperiment, RateSampler, register, run_until_flows_done
 
 _RATE = 100e9
 _DELAY = 1500  # per-link propagation, ns (base RTT lands near 12 us)
@@ -183,9 +181,3 @@ for _name, _fn, _desc in (
     ("fig3d", _run_fig3d, "Swift w/o scaling: min-rate floor and slow reclaim"),
 ):
     register(FunctionExperiment(_name, {_name: (_fn, {"seed": 1})}, description=_desc))
-
-
-run_fig3a = deprecated_alias(_run_fig3a, "fig3a")
-run_fig3b = deprecated_alias(_run_fig3b, "fig3b")
-run_fig3c = deprecated_alias(_run_fig3c, "fig3c")
-run_fig3d = deprecated_alias(_run_fig3d, "fig3d")

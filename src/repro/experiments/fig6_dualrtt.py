@@ -18,9 +18,7 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import FunctionExperiment, deprecated_alias, register
-
-__all__ = ["run_fig6"]
+from .common import FunctionExperiment, register
 
 
 class _FixedWindow(CongestionControl):
@@ -107,6 +105,3 @@ register(
         description="window increase shows up in the delay two RTTs later",
     )
 )
-
-
-run_fig6 = deprecated_alias(_run_fig6, "fig6")

@@ -24,9 +24,9 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import FunctionExperiment, Mode, RateSampler, deprecated_alias, register
+from .common import FunctionExperiment, Mode, RateSampler, register
 
-__all__ = ["run_fig8", "run_staircase"]
+__all__ = ["run_staircase"]
 
 _PRIORITIES = (3, 4, 5, 6)
 
@@ -175,6 +175,3 @@ register(
         description="testbed staircase: takeover/reclaim latency, PrioPlus vs Swift targets",
     )
 )
-
-
-run_fig8 = deprecated_alias(_run_fig8, "fig8")

@@ -24,9 +24,7 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import DelaySampler, FunctionExperiment, Mode, deprecated_alias, register
-
-__all__ = ["run_fig9"]
+from .common import DelaySampler, FunctionExperiment, Mode, register
 
 
 def _run_fig9(
@@ -104,6 +102,3 @@ register(
         description="delay-fluctuation management via flow-cardinality estimation",
     )
 )
-
-
-run_fig9 = deprecated_alias(_run_fig9, "fig9")

@@ -83,18 +83,18 @@ class FaultInjector:
         dropped = entry.actor.inject()
         self.injected += 1
         self.dropped_at_inject += dropped
-        tel = self.sim.telemetry
-        if tel.enabled:
-            tel.fault(self.sim.now, entry.spec.kind, entry.spec.label(), "inject")
+        p = self.sim.probe
+        if p.on:
+            p.fault(self.sim.now, entry.spec.kind, entry.spec.label(), "inject")
         if entry.actor.reroutes:
             self._schedule_reconverge()
 
     def _clear(self, entry: _Armed) -> None:
         entry.actor.clear()
         self.cleared += 1
-        tel = self.sim.telemetry
-        if tel.enabled:
-            tel.fault(self.sim.now, entry.spec.kind, entry.spec.label(), "clear")
+        p = self.sim.probe
+        if p.on:
+            p.fault(self.sim.now, entry.spec.kind, entry.spec.label(), "clear")
         if entry.actor.reroutes:
             self._schedule_reconverge()
 
@@ -114,9 +114,9 @@ class FaultInjector:
             return  # superseded by a later edge inside the detection window
         self.net.rebuild_routes()
         self.reconverges += 1
-        tel = self.sim.telemetry
-        if tel.enabled:
-            tel.fault(self.sim.now, "routes", "fabric", "reconverge")
+        p = self.sim.probe
+        if p.on:
+            p.fault(self.sim.now, "routes", "fabric", "reconverge")
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:

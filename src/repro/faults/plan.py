@@ -13,8 +13,8 @@ concrete down/up windows *once*, at arm time, from a dedicated
 across repeat runs, worker counts, and telemetry on/off (the expansion never
 interleaves with simulation-driven draws).
 
-The process-wide *default plan* mirrors ``repro.telemetry``'s default
-recorder: :func:`set_default_fault_plan` installs a plan that every
+The process-wide *default plan* works like ``repro.probe.installed``:
+:func:`set_default_fault_plan` installs a plan that every
 subsequently built :class:`~repro.sim.network.Network` arms automatically in
 ``build_routes()``.  This is how ``--faults`` applies to any experiment
 without per-experiment plumbing.
@@ -291,9 +291,8 @@ _default_plan: Optional[FaultPlan] = None
 def set_default_fault_plan(plan: Optional[FaultPlan]) -> None:
     """Install ``plan`` so every subsequently built Network arms it.
 
-    Pass ``None`` to disarm.  Mirrors ``telemetry.set_default_recorder``:
-    install *before* building topologies — arming happens inside
-    ``Network.build_routes()``.
+    Pass ``None`` to disarm.  As with probe sinks, install *before*
+    building topologies — arming happens inside ``Network.build_routes()``.
     """
     global _default_plan
     _default_plan = plan

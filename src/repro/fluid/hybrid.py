@@ -371,12 +371,9 @@ class HybridDriver:
         self._pending_admits = []
         self._held = []
         self.stats["fluid_epochs"] += 1
-        tel = sim.telemetry
-        if tel.enabled:
-            tel.regime(sim.now, "fluid", "quiescent", len(self._flows))
-        smp = getattr(sim, "sampler", None)
-        if smp is not None and smp.enabled:
-            smp.record_regime(sim.now, "fluid", "quiescent")
+        p = sim.probe
+        if p.on:
+            p.regime(sim.now, "fluid", "quiescent", len(self._flows))
 
     def admit(self, sender) -> None:
         """A flow started while the fabric is drained/fluid: absorb it.
@@ -385,12 +382,9 @@ class HybridDriver:
         instead of the packet-mode start path.
         """
         sim = self.sim
-        tel = sender.telemetry
-        if tel.enabled:
-            tel.flow_state(sim.now, sender.flow.flow_id, "running")
-        insp = sender.inspector
-        if insp.enabled:
-            insp.transition(sim.now, sender.flow.flow_id, "running")
+        p = sender.probe
+        if p.on:
+            p.flow_state(sim.now, sender.flow.flow_id, "running", sender)
         sender.fluid_held = True
         self.stats["admitted_in_fluid"] += 1
         if self.phase == _FLUID:
@@ -597,9 +591,6 @@ class HybridDriver:
         for s in survivors:
             if not s.completed:
                 self._release_or_start(s)
-        tel = sim.telemetry
-        if tel.enabled:
-            tel.regime(now, "packet", reason, len(survivors))
-        smp = getattr(sim, "sampler", None)
-        if smp is not None and smp.enabled:
-            smp.record_regime(now, "packet", reason)
+        p = sim.probe
+        if p.on:
+            p.regime(now, "packet", reason, len(survivors))

@@ -1,8 +1,8 @@
 """Introspection layer: packet tracing, channel inspection, sampling, profiling.
 
-Four independent subsystems, each following the Recorder/Auditor contract —
-process-global default, snapshot-at-construction adoption, zero overhead when
-off, and no feedback into simulation results:
+Four :mod:`repro.probe` sinks, each installed by its ``*_scope`` context
+manager (or together through ``repro.probe.installed``) *before* simulators
+are built, and none feeding back into simulation results:
 
 * :mod:`repro.obs.tracer` — causal packet tracing with per-hop latency
   breakdown (queueing vs PFC pause vs serialization vs propagation),
@@ -17,74 +17,21 @@ off, and no feedback into simulation results:
 static HTML dashboard (``python -m repro report``).
 """
 
-from .inspector import (
-    ChannelInspector,
-    NULL_INSPECTOR,
-    NullInspector,
-    current_inspector,
-    default_inspector,
-    inspect_scope,
-    set_default_inspector,
-)
-from .profiler import (
-    EngineProfiler,
-    NULL_PROFILER,
-    NullProfiler,
-    current_profiler,
-    default_profiler,
-    profile_scope,
-    set_default_profiler,
-)
-from .sampler import (
-    NULL_SAMPLER,
-    NullSampler,
-    TimeSeriesSampler,
-    current_sampler,
-    default_sampler,
-    sample_scope,
-    set_default_sampler,
-)
-from .tracer import (
-    HopRecord,
-    NULL_TRACER,
-    NullTracer,
-    PacketTrace,
-    PacketTracer,
-    current_tracer,
-    default_tracer,
-    set_default_tracer,
-    trace_scope,
-)
+from .inspector import ChannelInspector, inspect_scope
+from .profiler import EngineProfiler, current_profiler, profile_scope
+from .sampler import TimeSeriesSampler, sample_scope
+from .tracer import HopRecord, PacketTrace, PacketTracer, trace_scope
 
 __all__ = [
     "ChannelInspector",
     "EngineProfiler",
     "HopRecord",
-    "NULL_INSPECTOR",
-    "NULL_PROFILER",
-    "NULL_SAMPLER",
-    "NULL_TRACER",
-    "NullInspector",
-    "NullProfiler",
-    "NullSampler",
-    "NullTracer",
     "PacketTrace",
     "PacketTracer",
     "TimeSeriesSampler",
-    "current_inspector",
     "current_profiler",
-    "current_sampler",
-    "current_tracer",
-    "default_inspector",
-    "default_profiler",
-    "default_sampler",
-    "default_tracer",
     "inspect_scope",
     "profile_scope",
     "sample_scope",
-    "set_default_inspector",
-    "set_default_profiler",
-    "set_default_sampler",
-    "set_default_tracer",
     "trace_scope",
 ]

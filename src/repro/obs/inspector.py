@@ -10,9 +10,10 @@ time and flag **virtual-priority inversions** — a window in which a
 lower-channel flow moved more bytes than a higher-channel flow that was
 actively sending on a shared bottleneck.
 
-Same contract as the Recorder/Auditor/PacketTracer: hook sites are one
-attribute read plus one flag check, and the inspector never schedules events
-or draws from the simulation RNG, so enabling it leaves results
+A :mod:`repro.probe` sink like the Recorder/Auditor/PacketTracer: it
+subscribes to the same ``flow_state`` / ``cc_event`` / ``ack`` events the
+recorder does (one collection path, two consumers) and never schedules events
+or draws from the simulation RNG, so installing it leaves results
 byte-identical (golden battery ``--obs inspect``).
 """
 
@@ -22,15 +23,10 @@ import json
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-__all__ = [
-    "ChannelInspector",
-    "NULL_INSPECTOR",
-    "NullInspector",
-    "current_inspector",
-    "default_inspector",
-    "inspect_scope",
-    "set_default_inspector",
-]
+from ..probe import installed
+from ..sim.packet import PROBE
+
+__all__ = ["ChannelInspector", "inspect_scope"]
 
 #: states in which a flow is actively pushing data into its channel
 ACTIVE_STATES = frozenset(("running", "linear_start", "cautious_restart"))
@@ -64,19 +60,6 @@ class _FlowRecord:
         return state
 
 
-class NullInspector:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullInspector>"
-
-
-#: the process-wide disabled inspector (safe to share: it holds no state)
-NULL_INSPECTOR = NullInspector()
-
-
 class ChannelInspector:
     """Records PrioPlus channel behaviour for a structured post-run report.
 
@@ -86,8 +69,6 @@ class ChannelInspector:
         Width of the fixed windows acked bytes are binned into; occupancy and
         the inversion detector both operate at this granularity.
     """
-
-    enabled = True
 
     def __init__(self, window_ns: int = 100_000):
         if window_ns < 1:
@@ -103,8 +84,19 @@ class ChannelInspector:
         self.max_ts = 0
 
     # ------------------------------------------------------------------
-    # hooks (called from PrioPlusCC / FlowSender when enabled)
+    # probe event handlers (PrioPlusCC / FlowSender sites)
     # ------------------------------------------------------------------
+    def register(self, kind: str, cc) -> None:
+        """A :class:`PrioPlusCC` attached to its sender: record its channel."""
+        if kind != "prioplus":
+            return
+        sender = cc.sender
+        flow = sender.flow
+        self.register_flow(
+            flow.flow_id, cc.vpriority, cc.d_target, cc.d_limit, cc.tier,
+            [p.name for p in sender.net.path_ports(flow.src, flow.dst)],
+        )
+
     def register_flow(self, flow_id: int, vpriority: int, d_target_ns: int,
                       d_limit_ns: int, tier: str, path_ports) -> None:
         self.flows[flow_id] = _FlowRecord(
@@ -118,7 +110,7 @@ class ChannelInspector:
             rec = self.flows[flow_id] = _FlowRecord(flow_id, 0, 0, 0, "", ())
         return rec
 
-    def transition(self, t: int, flow_id: int, state: str) -> None:
+    def flow_state(self, t: int, flow_id: int, state: str, sender=None) -> None:
         if t > self.max_ts:
             self.max_ts = t
         self._flow(flow_id).transitions.append((t, state))
@@ -131,14 +123,28 @@ class ChannelInspector:
         counts[kind] = counts.get(kind, 0) + 1
         self.cc_events.append((t, flow_id, kind))
 
-    def probe(self, t: int, flow_id: int, kind: str) -> None:
+    def probe_rejected(self, t: int, flow_id: int) -> None:
+        self.cc_event(t, flow_id, "probe_rejected")
+
+    def _probe(self, t: int, flow_id: int, kind: str) -> None:
         """``kind`` is ``"send"`` or ``"ack"`` (mirrors the telemetry channel)."""
         if t > self.max_ts:
             self.max_ts = t
         probes = self._flow(flow_id).probes
         probes[kind] = probes.get(kind, 0) + 1
 
-    def ack(self, t: int, flow_id: int, acked_bytes: int) -> None:
+    def pkt_sent(self, t: int, pkt) -> None:
+        if pkt.kind == PROBE:
+            self._probe(t, pkt.flow_id, "send")
+
+    def ack(self, t: int, sender, acked_bytes: int, delay_ns: int, is_probe: bool) -> None:
+        if is_probe:
+            self._probe(t, sender.flow.flow_id, "ack")
+        else:
+            self.acked(t, sender.flow.flow_id, acked_bytes)
+
+    def acked(self, t: int, flow_id: int, acked_bytes: int) -> None:
+        """Bin ``acked_bytes`` of ``flow_id`` into the window holding ``t``."""
         if not acked_bytes:
             return
         if t > self.max_ts:
@@ -246,37 +252,9 @@ class ChannelInspector:
             json.dump(self.report(), fh, indent=1, sort_keys=True)
 
 
-# ----------------------------------------------------------------------
-# process-wide default inspector, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_INSPECTOR
-
-
-def set_default_inspector(inspector) -> None:
-    """Install ``inspector`` as the default every new :class:`Simulator`
-    adopts.  Pass ``None`` to restore the inert :data:`NULL_INSPECTOR`.
-    Install *before* building simulators/topologies."""
-    global _default
-    _default = inspector if inspector is not None else NULL_INSPECTOR
-
-
-def default_inspector():
-    """The inspector new simulators adopt (the null one when disabled)."""
-    return _default
-
-
-def current_inspector() -> Optional[ChannelInspector]:
-    """The active default :class:`ChannelInspector`, or ``None`` when off."""
-    return _default if getattr(_default, "enabled", False) else None
-
-
 @contextmanager
 def inspect_scope(window_ns: int = 100_000, **kwargs):
     """Install a fresh :class:`ChannelInspector` for the ``with`` block."""
-    prev = _default if _default is not NULL_INSPECTOR else None
     insp = ChannelInspector(window_ns=window_ns, **kwargs)
-    set_default_inspector(insp)
-    try:
+    with installed(insp):
         yield insp
-    finally:
-        set_default_inspector(prev)

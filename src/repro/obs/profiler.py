@@ -1,7 +1,8 @@
 """Engine self-profiler: wall-time and event counts per callback.
 
-When enabled, the instrumented engine loop wraps every event dispatch in a
-``perf_counter()`` pair and attributes the elapsed wall time to the
+A :mod:`repro.probe` sink that subscribes to no site event, only to the
+engine's dispatch hook: every event dispatch is wrapped in a
+``perf_counter()`` pair and the elapsed wall time attributed to the
 callback's qualified name (``Port._tx_done``, ``FlowSender._send_seq``, ...).
 The result is a cheap flat profile of where a run's real time goes —
 answering "which event type dominates?" without an external profiler.
@@ -16,34 +17,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-__all__ = [
-    "EngineProfiler",
-    "NULL_PROFILER",
-    "NullProfiler",
-    "current_profiler",
-    "default_profiler",
-    "profile_scope",
-    "set_default_profiler",
-]
+from ..probe import current, installed
 
-
-class NullProfiler:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullProfiler>"
-
-
-#: the process-wide disabled profiler (safe to share: it holds no state)
-NULL_PROFILER = NullProfiler()
+__all__ = ["EngineProfiler", "current_profiler", "profile_scope"]
 
 
 class EngineProfiler:
     """Accumulates per-callback event counts and wall time."""
-
-    enabled = True
 
     def __init__(self):
         #: qualname -> [count, total_seconds]
@@ -89,38 +69,17 @@ class EngineProfiler:
         return [(name, int(c), t) for name, (c, t) in ranked[:n]]
 
 
-# ----------------------------------------------------------------------
-# process-wide default profiler, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_PROFILER
-
-
-def set_default_profiler(profiler) -> None:
-    """Install ``profiler`` as the default every new :class:`Simulator`
-    adopts.  Pass ``None`` to restore the inert :data:`NULL_PROFILER`.
-    Install *before* building simulators/topologies."""
-    global _default
-    _default = profiler if profiler is not None else NULL_PROFILER
-
-
-def default_profiler():
-    """The profiler new simulators adopt (the null one when disabled)."""
-    return _default
-
-
 def current_profiler() -> Optional[EngineProfiler]:
-    """The active default :class:`EngineProfiler`, or ``None`` when off."""
-    return _default if getattr(_default, "enabled", False) else None
+    """The installed :class:`EngineProfiler`, or ``None`` when off."""
+    return current(EngineProfiler)
 
 
 @contextmanager
 def profile_scope(**kwargs):
     """Install a fresh :class:`EngineProfiler` for the ``with`` block."""
-    prev = _default if _default is not NULL_PROFILER else None
     prof = EngineProfiler(**kwargs)
-    set_default_profiler(prof)
     try:
-        yield prof
+        with installed(prof):
+            yield prof
     finally:
-        set_default_profiler(prev)
         prof.finalize()

@@ -3,12 +3,11 @@
 A :class:`TimeSeriesSampler` takes periodic snapshots of simulation state —
 per-port queue depth/backlog, per-buffer occupancy, per-flow rate and delay
 estimates — at a fixed virtual-time stride, without scheduling a single
-simulator event.  The instrumented engine loop (see
-``Simulator._run_instrumented``) checks the sampler's next due time between
-events and snapshots exactly when virtual time crosses a stride boundary.
-Because the snapshot happens *between* events and the stride arithmetic is
-pure, sampling leaves results byte-identical (golden battery ``--obs
-sample``).
+simulator event.  As a :mod:`repro.probe` sink it is handed every dispatch
+before the clock advances (``pre_dispatch``) and snapshots exactly when
+virtual time crosses a stride boundary.  Because the snapshot happens
+*between* events and the stride arithmetic is pure, sampling leaves results
+byte-identical (golden battery ``--obs sample``).
 
 Rows accumulate into fixed-capacity ring buffers (oldest rows are dropped
 and counted, so long runs can't exhaust memory) and export as CSV or JSONL.
@@ -20,15 +19,9 @@ import json
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-__all__ = [
-    "NULL_SAMPLER",
-    "NullSampler",
-    "TimeSeriesSampler",
-    "current_sampler",
-    "default_sampler",
-    "sample_scope",
-    "set_default_sampler",
-]
+from ..probe import installed
+
+__all__ = ["TimeSeriesSampler", "sample_scope"]
 
 
 class _Ring:
@@ -53,19 +46,6 @@ class _Ring:
         return len(self.rows)
 
 
-class NullSampler:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullSampler>"
-
-
-#: the process-wide disabled sampler (safe to share: it holds no state)
-NULL_SAMPLER = NullSampler()
-
-
 class TimeSeriesSampler:
     """Periodic state snapshots at a fixed virtual-time stride.
 
@@ -79,8 +59,6 @@ class TimeSeriesSampler:
         Per-ring row budget (ports, buffers and flows each get their own
         ring); the oldest rows are dropped (and counted) beyond it.
     """
-
-    enabled = True
 
     def __init__(self, stride_ns: int = 100_000, capacity: int = 4096):
         if stride_ns < 1:
@@ -100,29 +78,39 @@ class TimeSeriesSampler:
         self._ports: List[object] = []
         self._buffers: List[object] = []
         self._senders: List[object] = []
+        #: next stride boundary to snapshot at (re-anchored per registered sim)
+        self._due = self.next_due(0)
         #: last acked_payload per flow, for windowed goodput rates
         self._last_acked: Dict[int, int] = {}
         self._last_t: Optional[int] = None
         self.finalized = False
 
     # ------------------------------------------------------------------
-    # registration (components self-register at construction when enabled)
+    # registration (probe event, emitted from constructors)
     # ------------------------------------------------------------------
-    def register_sim(self, sim) -> None:  # symmetry with the auditor; no-op
-        pass
-
-    def register_port(self, port) -> None:
-        self._ports.append(port)
-
-    def register_buffer(self, buffer) -> None:
-        self._buffers.append(buffer)
-
-    def register_sender(self, sender) -> None:
-        self._senders.append(sender)
+    def register(self, kind: str, obj) -> None:
+        if kind == "port":
+            self._ports.append(obj)
+        elif kind == "buffer":
+            self._buffers.append(obj)
+        elif kind == "sender":
+            self._senders.append(obj)
+        elif kind == "sim":
+            self._due = self.next_due(obj.now)
 
     # ------------------------------------------------------------------
-    # sampling (driven by the instrumented engine loop)
+    # sampling (driven by the engine's dispatch hook)
     # ------------------------------------------------------------------
+    def pre_dispatch(self, sim, time: int) -> None:
+        """Snapshot before the first event at or past the due boundary."""
+        if time >= self._due:
+            self._due = self.sample(time)
+
+    def run_end(self, sim, n: int) -> None:
+        # the horizon advance may cross boundaries with no events in between
+        if sim.now >= self._due:
+            self._due = self.sample(sim.now)
+
     def next_due(self, now: int) -> int:
         """First stride boundary strictly after ``now``."""
         return ((now // self.stride_ns) + 1) * self.stride_ns
@@ -187,7 +175,7 @@ class TimeSeriesSampler:
         self._last_t = boundary
         return boundary + self.stride_ns
 
-    def record_regime(self, t: int, mode: str, reason: str) -> None:
+    def regime(self, t: int, mode: str, reason: str, n_flows: int) -> None:
         """One hybrid-core regime switch (:mod:`repro.fluid.hybrid`).
 
         Event-driven, not stride-driven: switches are rare and their exact
@@ -268,38 +256,12 @@ class TimeSeriesSampler:
         return len(rows)
 
 
-# ----------------------------------------------------------------------
-# process-wide default sampler, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_SAMPLER
-
-
-def set_default_sampler(sampler) -> None:
-    """Install ``sampler`` as the default every new :class:`Simulator`
-    adopts.  Pass ``None`` to restore the inert :data:`NULL_SAMPLER`.
-    Install *before* building simulators/topologies."""
-    global _default
-    _default = sampler if sampler is not None else NULL_SAMPLER
-
-
-def default_sampler():
-    """The sampler new simulators adopt (the null one when disabled)."""
-    return _default
-
-
-def current_sampler() -> Optional[TimeSeriesSampler]:
-    """The active default :class:`TimeSeriesSampler`, or ``None`` when off."""
-    return _default if getattr(_default, "enabled", False) else None
-
-
 @contextmanager
 def sample_scope(stride_ns: int = 100_000, **kwargs):
     """Install a fresh :class:`TimeSeriesSampler` for the ``with`` block."""
-    prev = _default if _default is not NULL_SAMPLER else None
     smp = TimeSeriesSampler(stride_ns=stride_ns, **kwargs)
-    set_default_sampler(smp)
     try:
-        yield smp
+        with installed(smp):
+            yield smp
     finally:
-        set_default_sampler(prev)
         smp.finalize()

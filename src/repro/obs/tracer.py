@@ -15,16 +15,12 @@ next hop happens in the same event that delivers it), the per-hop components
 of a delivered packet sum *exactly* to its end-to-end latency — pinned by
 ``tests/test_obs.py``.
 
-Design rules (shared with :mod:`repro.telemetry` and :mod:`repro.audit`):
-
-1. **Zero overhead when off.**  Hook sites read one attribute and check one
-   flag; the per-packet guard is ``trc.enabled and pkt.trace is not None``,
-   so untraced packets cost one extra comparison only while tracing is on
-   and nothing at all when it is off.
-2. **No feedback into the simulation.**  The tracer schedules no events and
-   draws from no simulation RNG; packets are selected by a *deterministic
-   hash* of ``(flow_id, seq)``, so enabling tracing leaves results
-   byte-identical (golden battery ``--obs trace``).
+The tracer is a :mod:`repro.probe` sink (install with :func:`trace_scope`
+*before* building simulators).  It schedules no events and draws from no
+simulation RNG; packets are selected by a *deterministic hash* of
+``(flow_id, seq)`` and every handler ignores packets without a ``pkt.trace``
+tag, so tracing leaves results byte-identical (golden battery ``--obs
+trace``).
 
 Only sender-originated packets (DATA and PROBE) are traced; ACKs are control
 traffic created inside the receiver and are not sampled.
@@ -36,17 +32,9 @@ import json
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-__all__ = [
-    "HopRecord",
-    "NULL_TRACER",
-    "NullTracer",
-    "PacketTrace",
-    "PacketTracer",
-    "current_tracer",
-    "default_tracer",
-    "set_default_tracer",
-    "trace_scope",
-]
+from ..probe import installed
+
+__all__ = ["HopRecord", "PacketTrace", "PacketTracer", "trace_scope"]
 
 _HASH_A = 2654435761  # Knuth multiplicative hash constants
 _HASH_B = 2246822519
@@ -133,19 +121,6 @@ class PacketTrace:
         }
 
 
-class NullTracer:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullTracer>"
-
-
-#: the process-wide disabled tracer (safe to share: it holds no state)
-NULL_TRACER = NullTracer()
-
-
 class PacketTracer:
     """Deterministically samples packets and records per-hop latency spans.
 
@@ -159,8 +134,6 @@ class PacketTracer:
         Completed traces kept verbatim; beyond this only counters grow, so a
         long traced run cannot exhaust memory.
     """
-
-    enabled = True
 
     def __init__(self, sample_every: int = 16, max_traces: int = 100_000):
         if sample_every < 1:
@@ -182,9 +155,9 @@ class PacketTracer:
         self.finalized = False
 
     # ------------------------------------------------------------------
-    # packet lifecycle (called from sender / port / switch / host hooks)
+    # packet lifecycle (probe event handlers)
     # ------------------------------------------------------------------
-    def maybe_start(self, pkt, now: int) -> None:
+    def pkt_sent(self, now: int, pkt) -> None:
         """Attach a trace tag to ``pkt`` if its (flow, seq) hash is sampled."""
         h = (pkt.flow_id * _HASH_A) ^ ((pkt.seq + 1) * _HASH_B)
         h ^= h >> 13
@@ -196,24 +169,44 @@ class PacketTracer:
         self._live[trace.trace_id] = trace
         self.started += 1
 
-    def enqueued(self, trace: PacketTrace, port: str, queue: int, now: int) -> None:
+    def enqueue(self, now, port, queue, qbytes, total, ecn_marked, pkt) -> None:
         """The packet entered an egress queue: a new hop opens."""
-        trace.open_hop = HopRecord(port, queue, now)
+        if pkt.trace is not None:
+            pkt.trace.open_hop = HopRecord(port, queue, now)
 
-    def start_tx(self, trace: PacketTrace, now: int, tx_ns: int, prop_ns: int,
-                 phys_prio: int) -> None:
+    def dequeue(self, now, port, queue, qbytes, total, pkt, tx_ns, prop_ns) -> None:
         """The packet started serialising: close the open hop's breakdown."""
-        hop = trace.open_hop
-        if hop is None:  # packet was enqueued before tracing began
+        trace = pkt.trace
+        if trace is None or trace.open_hop is None:  # untraced, or enqueued before tracing
             return
+        hop = trace.open_hop
         hop.t_start_tx = now
         hop.tx_ns = tx_ns
         hop.prop_ns = prop_ns
-        hop.pause_ns = self._pause_overlap(hop.port, phys_prio, hop.t_enq, now)
+        hop.pause_ns = self._pause_overlap(hop.port, pkt.priority, hop.t_enq, now)
         trace.hops.append(hop)
         trace.open_hop = None
 
-    def finish(self, trace: PacketTrace, now: int, disposition: str) -> None:
+    def wire_delay(self, pkt, prop_ns: int) -> None:
+        """An impaired link stretched this hop's propagation component."""
+        if pkt.trace is not None and pkt.trace.hops:
+            pkt.trace.hops[-1].prop_ns = prop_ns
+
+    def pkt_delivered(self, now: int, pkt) -> None:
+        if pkt.trace is not None:
+            self._finish(pkt.trace, now, "delivered")
+
+    def pkt_dropped(self, now: int, pkt, reason: str) -> None:
+        if pkt.trace is not None:
+            self._finish(pkt.trace, now, "dropped:" + reason)
+
+    def pkt_corrupted(self, now: int, pkt) -> None:
+        """Lost on the wire at end of serialisation: it never propagated."""
+        if pkt.trace is not None:
+            self.wire_delay(pkt, 0)
+            self._finish(pkt.trace, now, "corrupted")
+
+    def _finish(self, trace: PacketTrace, now: int, disposition: str) -> None:
         """Terminal event: delivery, drop or wire corruption."""
         trace.end_ns = now
         trace.disposition = disposition
@@ -230,9 +223,9 @@ class PacketTracer:
             self.overflow += 1
 
     # ------------------------------------------------------------------
-    # PFC pause ledger (called from Port.set_paused — control path)
+    # PFC pause ledger (probe event from Port.set_paused — control path)
     # ------------------------------------------------------------------
-    def pause_change(self, port: str, prio: int, paused: bool, now: int) -> None:
+    def pause(self, now: int, port: str, prio: int, paused: bool) -> None:
         key = (port, prio)
         if paused:
             self._pause_open.setdefault(key, now)
@@ -315,48 +308,20 @@ class PacketTracer:
         return lines
 
 
-# ----------------------------------------------------------------------
-# process-wide default tracer, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_TRACER
-
-
-def set_default_tracer(tracer) -> None:
-    """Install ``tracer`` as the default every new :class:`Simulator` adopts.
-
-    Pass ``None`` to restore the inert :data:`NULL_TRACER`.  Install *before*
-    building simulators/topologies: components snapshot it at construction.
-    """
-    global _default
-    _default = tracer if tracer is not None else NULL_TRACER
-
-
-def default_tracer():
-    """The tracer new simulators adopt (the null tracer when disabled)."""
-    return _default
-
-
-def current_tracer() -> Optional[PacketTracer]:
-    """The active default :class:`PacketTracer`, or ``None`` when off."""
-    return _default if getattr(_default, "enabled", False) else None
-
-
 @contextmanager
 def trace_scope(sample_every: int = 16, **kwargs):
     """Install a fresh :class:`PacketTracer` for the ``with`` block.
 
-    The tracer is finalized on exit and the previous default restored::
+    The previous probe is restored and the tracer finalized on exit::
 
         with trace_scope(sample_every=1) as trc:
-            sim = Simulator(seed=1)   # adopts trc
+            sim = Simulator(seed=1)   # adopts a probe carrying trc
             ...
         breakdown = trc.traces[0].hops
     """
-    prev = _default if _default is not NULL_TRACER else None
     trc = PacketTracer(sample_every=sample_every, **kwargs)
-    set_default_tracer(trc)
     try:
-        yield trc
+        with installed(trc):
+            yield trc
     finally:
-        set_default_tracer(prev)
         trc.finalize()

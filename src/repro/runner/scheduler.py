@@ -30,16 +30,10 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional
 
+from .. import probe
 from ..audit import audit_scope
 from ..experiments.common import Experiment, Point
 from ..faults.plan import FaultPlan, current_fault_plan, set_default_fault_plan
-from ..obs import (
-    set_default_inspector,
-    set_default_profiler,
-    set_default_sampler,
-    set_default_tracer,
-)
-from ..telemetry import set_default_recorder
 
 __all__ = ["RunnerError", "WorkerFleet", "execute_point", "worker_init"]
 
@@ -49,15 +43,12 @@ class RunnerError(RuntimeError):
 
 
 def worker_init() -> None:
-    # Workers never trace: the parent's recorder (inherited on fork) would
-    # otherwise collect per-child data nobody can read back, and point
-    # runners that embed telemetry would poison the result cache.  The same
-    # goes for every introspection default from repro.obs.
-    set_default_recorder(None)
-    set_default_tracer(None)
-    set_default_inspector(None)
-    set_default_sampler(None)
-    set_default_profiler(None)
+    # Workers never observe: the sinks of the parent's probe (inherited on
+    # fork) would otherwise collect per-child data nobody can read back, and
+    # point runners that embed telemetry would poison the result cache.  One
+    # reset covers every sink — a per-point auditor is installed afresh by
+    # execute_point.
+    probe.reset()
 
 
 def execute_point(

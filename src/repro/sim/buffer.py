@@ -16,9 +16,7 @@ priorities — headroom is assumed to live outside the chip buffer.
 
 from __future__ import annotations
 
-from ..audit.auditor import default_auditor
-from ..obs.sampler import NULL_SAMPLER
-from ..telemetry.recorder import NULL_RECORDER
+from .. import probe as _probe
 
 __all__ = ["SharedBuffer", "BufferStats"]
 
@@ -77,20 +75,18 @@ class SharedBuffer:
         self.shared_used = 0
         self.headroom_used = 0
         self.stats = BufferStats()
-        # telemetry binding (see bind_telemetry): unbound buffers stay silent
-        self.telemetry = NULL_RECORDER
+        # clock + identity arrive with bind_telemetry; until then the buffer
+        # reports to the active probe at t=0 under an empty name, so the audit
+        # shadow ledger sees a standalone buffer's admits/releases too
         self.sim = None
         self.name = ""
-        # byte-reconciliation auditor; adopted from the process default so the
-        # shadow ledger sees admits/releases even before bind_telemetry
-        self.audit = default_auditor()
+        self.probe = _probe.active
 
     def bind_telemetry(self, sim, name: str) -> None:
-        """Attach a clock + identity so occupancy/drop events can be emitted.
+        """Attach the owning simulator's clock, probe and a switch identity.
 
-        Fails fast on a clock-less binding: emission sites dereference
-        ``self.sim.now``, so accepting a ``None``/clock-less sim here would
-        defer the crash to the first admitted packet.
+        Fails fast on a clock-less binding instead of deferring the crash to
+        the first admitted packet.
         """
         if sim is None or not hasattr(sim, "now"):
             raise ValueError(
@@ -98,14 +94,12 @@ class SharedBuffer:
             )
         self.sim = sim
         self.name = name
-        self.telemetry = getattr(sim, "telemetry", NULL_RECORDER)
-        self.audit = getattr(sim, "audit", self.audit)
-        smp = getattr(sim, "sampler", NULL_SAMPLER)
-        if smp.enabled:
-            smp.register_buffer(self)
+        self.probe = sim.probe
+        if self.probe.on:
+            self.probe.register("buffer", self)
 
     def _now(self) -> int:
-        """Clock for emission sites; 0 while unbound (audit-only use)."""
+        """Clock for emission sites; 0 while unbound."""
         sim = self.sim
         return sim.now if sim is not None else 0
 
@@ -150,17 +144,9 @@ class SharedBuffer:
         stats.admitted_shared += 1
         if new_used > stats.peak_shared:
             stats.peak_shared = new_used
-        tel = self.telemetry
-        if tel.enabled:
-            if self.sim is None:
-                raise RuntimeError(
-                    "SharedBuffer has an enabled recorder but no clock: "
-                    "call bind_telemetry(sim, name) before admitting packets"
-                )
-            tel.buffer_occupancy(self.sim.now, self.name, new_used, self.headroom_used)
-        aud = self.audit
-        if aud.enabled:
-            aud.buffer_admit(self._now(), self, False, size)
+        p = self.probe
+        if p.on:
+            p.buffer(self._now(), self, False, size)
         return True
 
     def try_admit_headroom(self, size: int) -> bool:
@@ -171,17 +157,9 @@ class SharedBuffer:
         self.stats.admitted_headroom += 1
         if self.headroom_used > self.stats.peak_headroom:
             self.stats.peak_headroom = self.headroom_used
-        tel = self.telemetry
-        if tel.enabled:
-            if self.sim is None:
-                raise RuntimeError(
-                    "SharedBuffer has an enabled recorder but no clock: "
-                    "call bind_telemetry(sim, name) before admitting packets"
-                )
-            tel.buffer_occupancy(self.sim.now, self.name, self.shared_used, self.headroom_used)
-        aud = self.audit
-        if aud.enabled:
-            aud.buffer_admit(self._now(), self, True, size)
+        p = self.probe
+        if p.on:
+            p.buffer(self._now(), self, True, size)
         return True
 
     def release(self, size: int, from_headroom: bool) -> None:
@@ -194,17 +172,9 @@ class SharedBuffer:
             self.shared_used -= size
             if self.shared_used < 0:
                 raise AssertionError("shared-pool accounting went negative")
-        tel = self.telemetry
-        if tel.enabled:
-            if self.sim is None:
-                raise RuntimeError(
-                    "SharedBuffer has an enabled recorder but no clock: "
-                    "call bind_telemetry(sim, name) before releasing packets"
-                )
-            tel.buffer_occupancy(self.sim.now, self.name, self.shared_used, self.headroom_used)
-        aud = self.audit
-        if aud.enabled:
-            aud.buffer_release(self._now(), self, from_headroom, size)
+        p = self.probe
+        if p.on:
+            p.buffer(self._now(), self, from_headroom, -size)
 
     def record_drop(self, size: int = 0, priority: int = -1, reason: str = "buffer_shared") -> None:
         """Count one rejected packet under ``reason``.
@@ -217,11 +187,6 @@ class SharedBuffer:
         stats.dropped += 1
         by_reason = stats.dropped_by_reason
         by_reason[reason] = by_reason.get(reason, 0) + 1
-        tel = self.telemetry
-        if tel.enabled:
-            if self.sim is None:
-                raise RuntimeError(
-                    "SharedBuffer has an enabled recorder but no clock: "
-                    "call bind_telemetry(sim, name) before recording drops"
-                )
-            tel.buffer_drop(self.sim.now, self.name, size, priority, reason)
+        p = self.probe
+        if p.on:
+            p.buffer_drop(self._now(), self.name, size, priority, reason)

@@ -25,15 +25,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from time import perf_counter
 from typing import Any, Callable, List, Optional
 
-from ..audit.auditor import default_auditor
-from ..obs.inspector import default_inspector
-from ..obs.profiler import default_profiler
-from ..obs.sampler import default_sampler
-from ..obs.tracer import default_tracer
-from ..telemetry.recorder import default_recorder
+from .. import probe as _probe
 
 __all__ = ["Simulator", "EventHandle", "SECOND", "MILLISECOND", "MICROSECOND"]
 
@@ -100,24 +94,12 @@ class Simulator:
         self.events_processed = 0
         self._live = 0  # scheduled, not yet fired or cancelled
         self._cancelled = 0  # cancelled entries still polluting the heap
-        #: telemetry recorder adopted at construction (see repro.telemetry);
-        #: components snapshot this, keeping the disabled path to one check
-        self.telemetry = default_recorder()
-        #: invariant auditor adopted at construction (see repro.audit); the
-        #: audited run loop is selected once per run() call, so the audit-off
-        #: hot loop is byte-for-byte the one below
-        self.audit = default_auditor()
-        if self.audit.enabled:
-            self.audit.register_sim(self)
-        #: introspection subsystems adopted at construction (see repro.obs);
-        #: each is the inert null singleton unless explicitly installed, and
-        #: none of them ever schedules events or touches the RNG
-        self.tracer = default_tracer()
-        self.inspector = default_inspector()
-        self.sampler = default_sampler()
-        self.profiler = default_profiler()
-        if self.sampler.enabled:
-            self.sampler.register_sim(self)
+        #: instrumentation seam adopted at construction and kept for life
+        #: (see repro.probe); components read this one attribute, and the
+        #: sink-less default keeps every hook site to a single flag test
+        self.probe = _probe.active
+        if self.probe.on:
+            self.probe.register("sim", self)
         #: hybrid fluid/packet driver hook (see repro.fluid.hybrid); ``None``
         #: keeps the packet path byte-identical — senders check this single
         #: attribute at flow start and nowhere on the per-packet hot path
@@ -209,8 +191,12 @@ class Simulator:
         """Run events until the heap is empty, ``until`` is reached, or
         ``max_events`` have fired.  Returns the number of events processed.
         """
-        if self.audit.enabled or self.sampler.enabled or self.profiler.enabled:
-            return self._run_instrumented(until, max_events)
+        probe = self.probe
+        # None unless a sink asked for per-dispatch control (audit clock
+        # check, sampler stride boundary, profiler timing): the hook then
+        # advances the clock and runs the callback in place of the two
+        # inline statements, so there is one loop whatever is installed
+        hook = probe.dispatch_hook(self)
         heap = self._heap
         processed = 0
         exhausted = True  # no more events at or before `until`
@@ -233,8 +219,11 @@ class Simulator:
                         exhausted = False
                         break
                     pop(heap)
-                    self.now = time
-                    entry[2](*entry[3])
+                    if hook is None:
+                        self.now = time
+                        entry[2](*entry[3])
+                    else:
+                        hook(time, entry[2], entry[3])
                     processed += 1
                     continue
                 ev = entry[2]
@@ -249,13 +238,16 @@ class Simulator:
                     exhausted = False
                     break
                 pop(heap)
-                self.now = time
                 fn = ev.fn
                 args = ev.args
                 # mark fired so a late cancel() is a no-op for the counters
                 ev.cancelled = True
                 ev.sim = None
-                fn(*args)
+                if hook is None:
+                    self.now = time
+                    fn(*args)
+                else:
+                    hook(time, fn, args)
                 processed += 1
         finally:
             self._running = False
@@ -268,106 +260,8 @@ class Simulator:
             # beyond it — callers poll in run(until=...) loops
             self.now = until
         self.events_processed += processed
-        tel = self.telemetry
-        if processed and tel.enabled:
-            tel.sim_events(self.now, processed)
-        return processed
-
-    def _run_instrumented(
-        self, until: Optional[int] = None, max_events: Optional[int] = None
-    ) -> int:
-        """Instrumented twin of :meth:`run` (audit, sampling, profiling).
-
-        Identical control flow plus, per enabled subsystem: a per-event
-        clock-monotonicity check on both heap entry shapes (auditor), a
-        stride-boundary state snapshot taken *between* events — before the
-        first event at or past the boundary, so it can never perturb event
-        order (sampler) — and a ``perf_counter`` pair around each dispatch
-        (profiler).  Kept separate so the all-off hot loop above carries
-        zero extra work.
-        """
-        aud = self.audit
-        aud_on = aud.enabled
-        smp = self.sampler
-        smp_on = smp.enabled
-        prof = self.profiler
-        prof_on = prof.enabled
-        heap = self._heap
-        processed = 0
-        exhausted = True
-        self._running = True
-        pop = heapq.heappop
-        horizon = (1 << 63) if until is None else until
-        limit = (1 << 63) if max_events is None else max_events
-        # int sentinel keeps the per-event compare int-vs-int when not sampling
-        next_sample = smp.next_due(self.now) if smp_on else (1 << 63)
-        try:
-            while heap:
-                entry = heap[0]
-                if len(entry) == 4:
-                    time = entry[0]
-                    if time > horizon:
-                        break
-                    if processed >= limit:
-                        exhausted = False
-                        break
-                    pop(heap)
-                    if time >= next_sample:
-                        next_sample = smp.sample(time)
-                    if aud_on and time < self.now:
-                        aud.clock_violation(time, self.now)
-                    self.now = time
-                    if prof_on:
-                        fn = entry[2]
-                        t0 = perf_counter()
-                        fn(*entry[3])
-                        prof.record(fn, perf_counter() - t0)
-                    else:
-                        entry[2](*entry[3])
-                    processed += 1
-                    continue
-                ev = entry[2]
-                if ev.cancelled:
-                    pop(heap)
-                    self._cancelled -= 1
-                    continue
-                time = entry[0]
-                if time > horizon:
-                    break
-                if processed >= limit:
-                    exhausted = False
-                    break
-                pop(heap)
-                if time >= next_sample:
-                    next_sample = smp.sample(time)
-                if aud_on and time < self.now:
-                    aud.clock_violation(time, self.now)
-                self.now = time
-                fn = ev.fn
-                args = ev.args
-                ev.cancelled = True
-                ev.sim = None
-                if prof_on:
-                    t0 = perf_counter()
-                    fn(*args)
-                    prof.record(fn, perf_counter() - t0)
-                else:
-                    fn(*args)
-                processed += 1
-        finally:
-            self._running = False
-            self._live -= processed
-        if exhausted and until is not None and self.now < until:
-            self.now = until
-        if smp_on and self.now >= next_sample:
-            # the horizon advance crossed boundaries with no events in between
-            smp.sample(self.now)
-        self.events_processed += processed
-        if aud_on:
-            aud.clock_checked(processed)
-        tel = self.telemetry
-        if processed and tel.enabled:
-            tel.sim_events(self.now, processed)
+        if probe.on:
+            probe.run_end(self, processed)
         return processed
 
     def peek_time(self) -> Optional[int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..obs.tracer import NULL_TRACER
 from .engine import Simulator
 from .packet import ACK, DATA, PACKET_POOL, PROBE, PROBE_ACK, Packet
 from .port import Port
@@ -32,8 +31,7 @@ class Host:
         "receivers",
         "rx_bytes",
         "rx_packets",
-        "audit",
-        "tracer",
+        "probe",
     )
 
     def __init__(self, sim: Simulator, node_id: int, n_queues: int = 8, name: str = ""):
@@ -48,8 +46,7 @@ class Host:
         self.receivers: Dict[int, object] = {}
         self.rx_bytes = 0
         self.rx_packets = 0
-        self.audit = sim.audit
-        self.tracer = getattr(sim, "tracer", NULL_TRACER)
+        self.probe = sim.probe
 
     #: host NIC queue count: room for 16 virtual priorities plus an ACK queue
     NIC_QUEUES = 18
@@ -97,12 +94,9 @@ class Host:
             raise RuntimeError(f"{self.name}: unknown packet kind {kind}")
         if endpoint is not None:
             endpoint.on_packet(pkt)
-        aud = self.audit
-        if aud.enabled:
-            aud.packet_delivered(pkt.size)
-        trc = self.tracer
-        if trc.enabled and pkt.trace is not None:
-            trc.finish(pkt.trace, self.sim.now, "delivered")
+        p = self.probe
+        if p.on:
+            p.pkt_delivered(self.sim.now, pkt)
         # the host is the packet's terminal owner: endpoints read fields
         # synchronously in on_packet and never retain the object
         PACKET_POOL.release(pkt)

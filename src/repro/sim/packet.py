@@ -10,10 +10,9 @@ the MAC layer and never enter the switching pipeline.
 
 from __future__ import annotations
 
-import os
 from typing import Any, List, Optional, Tuple
 
-from ..audit.auditor import NULL_AUDITOR
+from .. import probe as _probe
 
 __all__ = [
     "Packet",
@@ -119,7 +118,7 @@ class Packet:
         #: carry as a separate ``(pkt, ctx)`` queue-entry tuple)
         self.ctx: Any = None
         #: causal-tracing tag (see repro.obs.tracer); None unless this packet
-        #: was deterministically sampled by an enabled PacketTracer
+        #: was deterministically sampled by an installed PacketTracer
         self.trace: Any = None
         self._in_pool = False
 
@@ -151,21 +150,17 @@ class PacketPool:
     release would corrupt the free list, so it raises via the ``_in_pool``
     guard flag.
 
-    Debug mode: set ``enabled = False`` (or export ``REPRO_PACKET_POOL=0``
-    before import) to make ``acquire`` always construct and ``release`` a
-    no-op — useful to rule the pool out when chasing aliasing bugs.
+    The pool is process-wide, so its two ledger events go to the *active*
+    probe (:data:`repro.probe.active`) rather than to any one simulator's.
     """
 
-    __slots__ = ("enabled", "_free", "allocated", "reused", "released", "audit")
+    __slots__ = ("_free", "allocated", "reused", "released")
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._free: List[Packet] = []
         self.allocated = 0  # fresh constructions through acquire()
         self.reused = 0  # acquisitions served from the free list
         self.released = 0
-        #: set by repro.audit.set_default_auditor; feeds the conservation ledger
-        self.audit = NULL_AUDITOR
 
     def acquire(
         self,
@@ -180,9 +175,9 @@ class PacketPool:
         send_ts: int = 0,
     ) -> Packet:
         """A fully-reset packet: recycled when possible, fresh otherwise."""
-        aud = self.audit
-        if aud.enabled:
-            aud.packet_acquired()
+        p = _probe.active
+        if p.on:
+            p.packet_acquired()
         free = self._free
         if free:
             pkt = free.pop()
@@ -213,13 +208,9 @@ class PacketPool:
 
     def release(self, pkt: Packet) -> None:
         """Recycle a packet whose last owner is done with it."""
-        # ledger hook sits above the enabled early-out so packet conservation
-        # is tracked even in REPRO_PACKET_POOL=0 debug mode
-        aud = self.audit
-        if aud.enabled:
-            aud.packet_released()
-        if not self.enabled:
-            return
+        p = _probe.active
+        if p.on:
+            p.packet_released()
         if pkt._in_pool:
             raise AssertionError(f"double release of pooled packet {pkt!r}")
         pkt._in_pool = True
@@ -243,4 +234,4 @@ class PacketPool:
 
 #: process-wide pool used by the transport endpoints; per-process state, so
 #: parallel runner workers each get their own
-PACKET_POOL = PacketPool(enabled=os.environ.get("REPRO_PACKET_POOL", "1") != "0")
+PACKET_POOL = PacketPool()

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from ..audit.auditor import NULL_AUDITOR
-from ..telemetry.recorder import NULL_RECORDER
 from .buffer import SharedBuffer
 from .engine import Simulator
 
@@ -57,8 +55,7 @@ class PfcIngressState:
         "pauses_sent",
         "resumes_sent",
         "key",
-        "telemetry",
-        "audit",
+        "probe",
     )
 
     def __init__(
@@ -78,10 +75,9 @@ class PfcIngressState:
         self.send_signal = send_signal
         self.pauses_sent = 0
         self.resumes_sent = 0
-        #: (switch name, ingress index, priority) — telemetry identity
+        #: (switch name, ingress index, priority) — identity in probe events
         self.key = key
-        self.telemetry = getattr(sim, "telemetry", NULL_RECORDER)
-        self.audit = getattr(sim, "audit", NULL_AUDITOR)
+        self.probe = sim.probe
 
     def _xoff(self) -> float:
         cfg = self.cfg
@@ -91,9 +87,9 @@ class PfcIngressState:
 
     def on_enqueue(self, size: int) -> None:
         self.bytes += size
-        aud = self.audit
-        if aud.enabled:
-            aud.pfc_backlog(self.sim.now, self.key, self.bytes)
+        p = self.probe
+        if p.on:
+            p.pfc_backlog(self.sim.now, self.key, self.bytes)
         cfg = self.cfg
         if not cfg.enabled or self.pause_sent:
             return
@@ -107,22 +103,20 @@ class PfcIngressState:
         if self.bytes > xoff:
             self.pause_sent = True
             self.pauses_sent += 1
-            tel = self.telemetry
-            if tel.enabled:
-                tel.pfc(self.sim.now, self.key[0], self.key[1], self.key[2], True, self.bytes)
+            if p.on:
+                p.pfc(self.sim.now, self.key[0], self.key[1], self.key[2], True, self.bytes)
             self.send_signal(True)
 
     def on_dequeue(self, size: int) -> None:
         self.bytes -= size
         if self.bytes < 0:
             raise AssertionError("PFC ingress accounting went negative")
-        aud = self.audit
-        if aud.enabled:
-            aud.pfc_backlog(self.sim.now, self.key, self.bytes)
+        p = self.probe
+        if p.on:
+            p.pfc_backlog(self.sim.now, self.key, self.bytes)
         if self.pause_sent and self.bytes <= min(self.cfg.xon_bytes, self._xoff()):
             self.pause_sent = False
             self.resumes_sent += 1
-            tel = self.telemetry
-            if tel.enabled:
-                tel.pfc(self.sim.now, self.key[0], self.key[1], self.key[2], False, self.bytes)
+            if p.on:
+                p.pfc(self.sim.now, self.key[0], self.key[1], self.key[2], False, self.bytes)
             self.send_signal(False)

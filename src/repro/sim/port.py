@@ -28,9 +28,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, List, Optional
 
-from ..obs.sampler import NULL_SAMPLER
-from ..obs.tracer import NULL_TRACER
-from ..telemetry.recorder import NULL_RECORDER
 from .engine import Simulator
 from .packet import PACKET_POOL, IntHop, Packet
 
@@ -40,8 +37,9 @@ __all__ = ["Port"]
 class Port:
     """Egress port: priority queues + strict-priority scheduler + one link."""
 
-    #: class-level switch used by tests/benchmarks to compare the fused
-    #: delivery schedule against the classic two-step (deliver from t1)
+    #: ``False`` selects the classic two-step schedule (``_tx_done`` delivers
+    #: from t1).  Its sole purpose is the differential oracle in
+    #: ``tests/test_hot_path.py``, which proves the fused schedule equivalent.
     FUSED = True
 
     __slots__ = (
@@ -70,9 +68,7 @@ class Port:
         "down",
         "dropped_on_cut",
         "impairment",
-        "telemetry",
-        "audit",
-        "tracer",
+        "probe",
     )
 
     def __init__(
@@ -127,18 +123,10 @@ class Port:
         #: on the wire.  ``None`` (the default) keeps the hot path to a
         #: single attribute check.
         self.impairment = None
-        #: telemetry hook (see repro.telemetry); disabled path is one check
-        self.telemetry = getattr(sim, "telemetry", NULL_RECORDER)
-        #: invariant auditor snapshot (see repro.audit)
-        self.audit = sim.audit
-        if self.audit.enabled:
-            self.audit.register_port(self)
-        #: causal packet tracer snapshot (see repro.obs.tracer); the untraced
-        #: path is one flag check per hook site
-        self.tracer = getattr(sim, "tracer", NULL_TRACER)
-        smp = getattr(sim, "sampler", NULL_SAMPLER)
-        if smp.enabled:
-            smp.register_port(self)
+        #: the simulator's instrumentation seam (see repro.probe)
+        self.probe = sim.probe
+        if self.probe.on:
+            self.probe.register("port", self)
 
     # ------------------------------------------------------------------
     @property
@@ -229,16 +217,10 @@ class Port:
         self._active |= 1 << q
         qbytes[q] += size
         self.total_bytes += size
-        tel = self.telemetry
-        if tel.enabled:
-            now = self.sim.now
-            if marked:
-                tel.ecn_mark(now, self.name, q)
-            tel.queue_depth(now, self.name, q, qbytes[q], self.total_bytes)
-        trc = self.tracer
-        if trc.enabled and pkt.trace is not None:
+        p = self.probe
+        if p.on:
             # before the kick: _kick may start transmitting this very packet
-            trc.enqueued(pkt.trace, self.name, q, self.sim.now)
+            p.enqueue(self.sim.now, self.name, q, qbytes[q], self.total_bytes, marked, pkt)
         if not self.busy:
             self._kick()
 
@@ -249,9 +231,9 @@ class Port:
                 f"{self.name}: PFC priority {prio} out of range [0, {len(self.paused)})"
             )
         self.paused[prio] = paused
-        trc = self.tracer
-        if trc.enabled:
-            trc.pause_change(self.name, prio, paused, self.sim.now)
+        p = self.probe
+        if p.on:
+            p.pause(self.sim.now, self.name, prio, paused)
         if not paused and not self.busy:
             self._kick()
 
@@ -297,8 +279,8 @@ class Port:
         self.down = True
         dropped = 0
         drained: List[int] = []
-        aud = self.audit
-        trc = self.tracer
+        p = self.probe
+        now = self.sim.now
         for q in range(self.n_queues):
             queue = self.queues[q]
             if not queue:
@@ -310,23 +292,19 @@ class Port:
                 self.total_bytes -= pkt.size
                 if self.on_dequeue is not None:
                     self.on_dequeue(pkt, pkt.ctx)
-                if aud.enabled:
-                    aud.packet_dropped("link_cut", pkt.size)
-                if trc.enabled and pkt.trace is not None:
-                    trc.finish(pkt.trace, self.sim.now, "dropped:link_cut")
+                if p.on:
+                    p.pkt_dropped(now, pkt, "link_cut")
                 PACKET_POOL.release(pkt)
                 dropped += 1
         self._active = 0
         self.dropped_on_cut += dropped
-        tel = self.telemetry
-        if tel.enabled:
-            now = self.sim.now
+        if p.on:
             for q in drained:
-                tel.queue_depth(now, self.name, q, self.qbytes[q], self.total_bytes)
+                p.queue_depth(now, self.name, q, self.qbytes[q], self.total_bytes)
             if was_busy:
                 # the wire goes dead mid-serialisation: report idle from the
                 # cut instant instead of the never-reached end of tx
-                tel.link(now, self.name, False)
+                p.link(now, self.name, False)
         return dropped
 
     def restore(self) -> int:
@@ -376,10 +354,10 @@ class Port:
         tx = cache.get(size)
         if tx is None:
             tx = cache[size] = max(1, int(size * self._ns_per_byte))
-        tel = self.telemetry
-        if tel.enabled:
-            tel.queue_depth(now, self.name, q, qbytes[q], total)
-            tel.link(now, self.name, True)
+        p = self.probe
+        if p.on:
+            # the nominal propagation delay; an impaired link corrects it below
+            p.dequeue(now, self.name, q, qbytes[q], total, pkt, tx, self.prop_delay_ns)
         if self.stamp_int and pkt.int_hops is not None:
             pkt.int_hops.append(IntHop(total, self.tx_bytes_total, now, self.rate_bps))
         if self.on_dequeue is not None:
@@ -399,21 +377,15 @@ class Port:
                 # delivered) or delivered late (delay spike)
                 t2 = imp.transmit(t2)
                 if t2 < 0:
-                    aud = self.audit
-                    if aud.enabled:
-                        aud.packet_corrupted(pkt.size)
-                    trc = self.tracer
-                    if trc.enabled and pkt.trace is not None:
-                        trc.start_tx(pkt.trace, now, tx, 0, pkt.priority)
-                        trc.finish(pkt.trace, t1, "corrupted")
+                    if p.on:
+                        p.pkt_corrupted(t1, pkt)
                     PACKET_POOL.release(pkt)
                     sim.call_at(t1, self._tx_wake)
                     return
-            trc = self.tracer
-            if trc.enabled and pkt.trace is not None:
-                # prop is measured t2 - t1 so impairment delay spikes land in
-                # the propagation component and spans keep summing to e2e
-                trc.start_tx(pkt.trace, now, tx, t2 - t1, pkt.priority)
+                if p.on:
+                    # delay spikes land in the propagation component, so
+                    # traced spans keep summing to e2e
+                    p.wire_delay(pkt, t2 - t1)
             # fused: delivery at t2 scheduled up front, wake-up frees the port
             sim.call_at2(
                 t2,
@@ -424,48 +396,37 @@ class Port:
                 (),
             )
         else:
-            trc = self.tracer
-            if trc.enabled and pkt.trace is not None:
-                trc.start_tx(pkt.trace, now, tx, self.prop_delay_ns, pkt.priority)
             sim.call_after(tx, self._tx_done, pkt)
 
     def _tx_wake(self) -> None:
         """End-of-transmission: free the port and re-arm the scheduler."""
         self.busy = False
-        tel = self.telemetry
-        if tel.enabled and not self.down:
-            tel.link(self.sim.now, self.name, False)
+        p = self.probe
+        if p.on and not self.down:
+            p.link(self.sim.now, self.name, False)
         self._kick()
 
     def _tx_done(self, pkt: Packet) -> None:
-        """Classic two-step end-of-tx (``FUSED = False`` debug mode)."""
+        """Classic two-step end-of-tx (``FUSED = False``, the test oracle)."""
         peer = self.peer
         if peer is None:
             raise RuntimeError(f"{self.name}: transmitting on an unconnected port")
         sim = self.sim
+        p = self.probe
         imp = self.impairment
         if imp is not None:
             t2 = imp.transmit(sim.now + self.prop_delay_ns)
-            trc = self.tracer
             if t2 < 0:
-                aud = self.audit
-                if aud.enabled:
-                    aud.packet_corrupted(pkt.size)
-                if trc.enabled and pkt.trace is not None:
-                    if pkt.trace.hops:
-                        pkt.trace.hops[-1].prop_ns = 0
-                    trc.finish(pkt.trace, sim.now, "corrupted")
+                if p.on:
+                    p.pkt_corrupted(sim.now, pkt)
                 PACKET_POOL.release(pkt)
             else:
-                if trc.enabled and pkt.trace is not None and pkt.trace.hops:
-                    # _kick recorded the nominal propagation delay; correct it
-                    # for the impairment so spans still sum to e2e
-                    pkt.trace.hops[-1].prop_ns = t2 - sim.now
+                if p.on:
+                    p.wire_delay(pkt, t2 - sim.now)
                 sim.call_at(t2, peer.receive, pkt, self.peer_in_idx)
         else:
             sim.call_after(self.prop_delay_ns, peer.receive, pkt, self.peer_in_idx)
         self.busy = False
-        tel = self.telemetry
-        if tel.enabled and not self.down:
-            tel.link(sim.now, self.name, False)
+        if p.on and not self.down:
+            p.link(sim.now, self.name, False)
         self._kick()

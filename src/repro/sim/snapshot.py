@@ -15,24 +15,22 @@ Why deep copy works here:
 * determinism never depends on object identity: heap order is decided by
   the integer ``(time, seq)`` prefix, and dict iteration order (insertion
   order) is preserved by ``deepcopy``;
-* the inert observability singletons (:data:`NULL_RECORDER` and friends)
-  are pinned in the deep-copy memo so clones share them instead of
-  dragging useless copies around — they hold no state by construction;
+* the inert probe (:data:`repro.probe.INERT`) deep-copies to itself, so
+  clones share it instead of dragging useless copies around;
 * the process-wide :data:`PACKET_POOL` free list is intentionally *not*
   part of the world: cloned in-flight packets are distinct objects, and
   releasing them into the shared pool is safe (the pool guards against
   double-release per object).
 
-**Live observability hooks are rejected by default.**  A world whose
-simulator carries an *enabled* telemetry recorder / auditor / tracer /
-inspector / sampler / profiler would deep-copy the hook's recorder rings
-along with it — the fork then appends to a private copy while callers
-holding the original hook object see nothing, which reads as silent data
-loss.  Until a hook-aware restore exists, snapshotting such a world raises
-:class:`SnapshotHookError` naming the live hooks; pass ``allow_hooks=True``
-to copy them anyway (each fork gets an independent deep-copied hook — the
-right call when the fork *should* record into its own buffers, as
-:mod:`repro.tune` environments do).
+**Live sinks are rejected by default.**  A world whose simulator's probe
+carries sinks (recorder, auditor, tracer, inspector, sampler, profiler)
+would deep-copy their buffers along with it — the fork then appends to a
+private copy while callers holding the original sink see nothing, which
+reads as silent data loss.  Snapshotting such a world raises
+:class:`SnapshotHookError` naming the live sinks; pass ``allow_hooks=True``
+to copy them anyway (each fork gets a probe over independent deep-copied
+sinks — the right call when the fork *should* record into its own buffers,
+as :mod:`repro.tune` environments do).
 
 This is also the cheap ``reset()`` path ROADMAP item 3 asks for: snapshot
 a freshly-built topology once, then materialise per run instead of
@@ -50,50 +48,20 @@ from typing import Tuple
 
 __all__ = ["WorldSnapshot", "SnapshotHookError", "snapshot_world", "fork_world"]
 
-#: Simulator attributes that may carry live observability hooks.
-_HOOK_ATTRS = ("telemetry", "audit", "tracer", "inspector", "sampler", "profiler")
-
-
 class SnapshotHookError(RuntimeError):
-    """A world with live observability hooks was snapshotted without opting in."""
+    """A world with live probe sinks was snapshotted without opting in."""
 
 
 def _check_hooks(sim) -> None:
-    live = [
-        name
-        for name in _HOOK_ATTRS
-        if getattr(getattr(sim, name, None), "enabled", False)
-    ]
+    live = [type(sink).__name__ for sink in sim.probe.sinks]
     if live:
         raise SnapshotHookError(
-            f"simulator has live observability hooks ({', '.join(live)}): a "
+            f"simulator's probe has live sinks ({', '.join(live)}): a "
             f"deep-copied fork would record into private copies of their "
-            f"buffers, invisible to holders of the originals. Detach the "
-            f"hooks before snapshotting, or pass allow_hooks=True to give "
-            f"each fork its own independent copy."
+            f"buffers, invisible to holders of the originals. Build the "
+            f"world outside the install scope, or pass allow_hooks=True to "
+            f"give each fork its own independent copy."
         )
-
-
-def _singleton_memo() -> dict:
-    """Deep-copy memo pre-seeded so null observability singletons stay shared."""
-    from ..audit.auditor import NULL_AUDITOR
-    from ..obs.inspector import NULL_INSPECTOR
-    from ..obs.profiler import NULL_PROFILER
-    from ..obs.sampler import NULL_SAMPLER
-    from ..obs.tracer import NULL_TRACER
-    from ..telemetry.recorder import NULL_RECORDER
-
-    memo = {}
-    for singleton in (
-        NULL_RECORDER,
-        NULL_AUDITOR,
-        NULL_TRACER,
-        NULL_INSPECTOR,
-        NULL_SAMPLER,
-        NULL_PROFILER,
-    ):
-        memo[id(singleton)] = singleton
-    return memo
 
 
 class WorldSnapshot:
@@ -104,7 +72,7 @@ class WorldSnapshot:
     def __init__(self, sim, *roots, allow_hooks: bool = False):
         if not allow_hooks:
             _check_hooks(sim)
-        self._world = copy.deepcopy((sim, roots), _singleton_memo())
+        self._world = copy.deepcopy((sim, roots))
 
     def materialize(self) -> Tuple:
         """Return ``(sim, *roots)`` clones, independent and runnable.
@@ -113,7 +81,7 @@ class WorldSnapshot:
         number of times — each call is one fresh world at the captured
         instant.
         """
-        sim, roots = copy.deepcopy(self._world, _singleton_memo())
+        sim, roots = copy.deepcopy(self._world)
         return (sim,) + tuple(roots)
 
 
@@ -126,5 +94,5 @@ def fork_world(sim, *roots, allow_hooks: bool = False) -> Tuple:
     """One-shot snapshot+materialize: a single deep copy, returned directly."""
     if not allow_hooks:
         _check_hooks(sim)
-    sim2, roots2 = copy.deepcopy((sim, roots), _singleton_memo())
+    sim2, roots2 = copy.deepcopy((sim, roots))
     return (sim2,) + tuple(roots2)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..obs.tracer import NULL_TRACER
 from .buffer import SharedBuffer
 from .engine import Simulator
 from .packet import PACKET_POOL, Packet
@@ -91,8 +90,7 @@ class Switch:
         "drops",
         "forwarded",
         "pfc_listeners",
-        "audit",
-        "tracer",
+        "probe",
     )
 
     def __init__(self, sim: Simulator, node_id: int, cfg: SwitchConfig, name: str = ""):
@@ -128,10 +126,9 @@ class Switch:
         #: traffic has started (unlike the old ``_make_signal_sender``
         #: monkey-patching, which silently missed already-created state).
         self.pfc_listeners: List[Callable[[int, int, int, bool], None]] = []
-        self.audit = sim.audit
-        if self.audit.enabled:
-            self.audit.register_switch(self)
-        self.tracer = getattr(sim, "tracer", NULL_TRACER)
+        self.probe = sim.probe
+        if self.probe.on:
+            self.probe.register("switch", self)
 
     # ------------------------------------------------------------------
     # topology wiring
@@ -185,16 +182,7 @@ class Switch:
         if self._dead:
             # frames already on the wire when the switch went down arrive at
             # a dark port and are lost (see :meth:`reboot`)
-            self.drops += 1
-            if self.buffer is not None:
-                self.buffer.record_drop(pkt.size, pkt.priority, "switch_dead")
-            aud = self.audit
-            if aud.enabled:
-                aud.packet_dropped("switch_dead", pkt.size)
-            trc = self.tracer
-            if trc.enabled and pkt.trace is not None:
-                trc.finish(pkt.trace, self.sim.now, "dropped:switch_dead")
-            PACKET_POOL.release(pkt)
+            self._drop(pkt, "switch_dead")
             return
         try:
             routes = self.routes[pkt.dst]
@@ -216,15 +204,7 @@ class Switch:
             # routes still point at a dead interface (the detection window
             # before reconvergence): the frame blackholes here — parking it
             # on a port that cannot drain would freeze the fabric via PFC
-            self.drops += 1
-            self.buffer.record_drop(pkt.size, pkt.priority, "blackhole")
-            aud = self.audit
-            if aud.enabled:
-                aud.packet_dropped("blackhole", pkt.size)
-            trc = self.tracer
-            if trc.enabled and pkt.trace is not None:
-                trc.finish(pkt.trace, self.sim.now, "dropped:blackhole")
-            PACKET_POOL.release(pkt)
+            self._drop(pkt, "blackhole")
             return
 
         prio = pkt.priority
@@ -238,16 +218,7 @@ class Switch:
             else:
                 # one packet, one drop — the reason is the pool that made the
                 # final call (headroom for lossless traffic, shared otherwise)
-                reason = "buffer_headroom" if lossless else "buffer_shared"
-                buf.record_drop(size, prio, reason)
-                self.drops += 1
-                aud = self.audit
-                if aud.enabled:
-                    aud.packet_dropped(reason, size)
-                trc = self.tracer
-                if trc.enabled and pkt.trace is not None:
-                    trc.finish(pkt.trace, self.sim.now, "dropped:" + reason)
-                PACKET_POOL.release(pkt)
+                self._drop(pkt, "buffer_headroom" if lossless else "buffer_shared")
                 return
         if lossless:
             key = in_idx * self._nq + prio
@@ -258,6 +229,16 @@ class Switch:
         self.forwarded += 1
         # ctx packs (in_idx, from_headroom) into one int: in_idx << 1 | flag
         port.enqueue(pkt, in_idx << 1 | from_headroom)
+
+    def _drop(self, pkt: Packet, reason: str) -> None:
+        """The packet dies here: count it once, under one reason."""
+        self.drops += 1
+        if self.buffer is not None:
+            self.buffer.record_drop(pkt.size, pkt.priority, reason)
+        p = self.probe
+        if p.on:
+            p.pkt_dropped(self.sim.now, pkt, reason)
+        PACKET_POOL.release(pkt)
 
     def _on_port_dequeue(self, pkt: Packet, ctx: int) -> None:
         prio = pkt.priority
@@ -292,9 +273,9 @@ class Switch:
         delay = self._ingress_delay[in_idx]
 
         def send(paused: bool) -> None:
-            aud = self.audit
-            if aud.enabled:
-                aud.pfc_signal(
+            p = self.probe
+            if p.on:
+                p.pfc_signal(
                     self.sim.now,
                     self.name,
                     upstream.name if upstream is not None else None,

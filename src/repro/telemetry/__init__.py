@@ -2,42 +2,27 @@
 
 Quick taste::
 
-    from repro import Simulator
-    from repro.telemetry import Recorder, set_default_recorder, write_perfetto
+    from repro import Simulator, installed
+    from repro.telemetry import Recorder, write_perfetto
 
     rec = Recorder()
-    set_default_recorder(rec)       # BEFORE building simulators/topologies
-    try:
-        sim = Simulator(seed=1)     # adopts the recorder
+    with installed(rec):            # BEFORE building simulators/topologies
+        sim = Simulator(seed=1)     # adopts the probe carrying the recorder
         ...build topology, run...
-    finally:
-        set_default_recorder(None)
     write_perfetto(rec, "run.json")  # open in ui.perfetto.dev
     print(rec.snapshot()["metrics"]["counters"])
 
-See ``docs/OBSERVABILITY.md`` for the hook points and event taxonomy.
+See ``docs/OBSERVABILITY.md`` for the probe events and channel taxonomy.
 """
 
 from .export import JsonlEventStream, to_perfetto, write_events_jsonl, write_perfetto
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .recorder import (
-    CHANNELS,
-    NULL_RECORDER,
-    NullRecorder,
-    Recorder,
-    current_recorder,
-    default_recorder,
-    set_default_recorder,
-)
+from .recorder import CHANNELS, Recorder, current_recorder
 
 __all__ = [
     "CHANNELS",
-    "NULL_RECORDER",
-    "NullRecorder",
     "Recorder",
     "current_recorder",
-    "default_recorder",
-    "set_default_recorder",
     "Counter",
     "Gauge",
     "Histogram",

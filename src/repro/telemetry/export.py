@@ -132,8 +132,7 @@ class JsonlEventStream:
     and closes the file, and restores fresh in-memory channel lists)::
 
         rec = Recorder()
-        with JsonlEventStream(rec, "events.jsonl"):
-            set_default_recorder(rec)
+        with JsonlEventStream(rec, "events.jsonl"), installed(rec):
             ...run...
     """
 

@@ -1,21 +1,13 @@
 """Flight recorder: typed event channels + aggregate metrics.
 
-Design constraints (in priority order):
+A :class:`Recorder` is a :mod:`repro.probe` sink: install it with
+``repro.probe.installed(rec)`` *before* building simulators and it receives
+the probe events it defines a handler for.  Design constraints:
 
-1. **Zero overhead when off.**  Every hook site in the simulator reads one
-   attribute and checks one flag::
-
-       tel = self.telemetry
-       if tel.enabled:
-           tel.queue_depth(...)
-
-   Components snapshot ``sim.telemetry`` at construction time, and
-   :class:`Simulator` adopts the module-level default recorder, so the
-   disabled path never allocates, formats or branches further.
-2. **No feedback into the simulation.**  The recorder never touches the
-   event heap or the simulation RNG; enabling it must leave results
-   byte-identical (tested in ``tests/test_telemetry.py``).
-3. **Structured, not stringly.**  Each channel stores fixed-shape tuples
+1. **No feedback into the simulation.**  The recorder never touches the
+   event heap or the simulation RNG; installing it must leave results
+   byte-identical (tested in ``tests/test_probe.py``).
+2. **Structured, not stringly.**  Each channel stores fixed-shape tuples
    (documented per method) that the exporters and metrics consume without
    parsing.
 
@@ -45,17 +37,11 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from ..probe import current
+from ..sim.packet import PROBE
 from .metrics import Gauge, MetricsRegistry
 
-__all__ = [
-    "CHANNELS",
-    "NULL_RECORDER",
-    "NullRecorder",
-    "Recorder",
-    "current_recorder",
-    "default_recorder",
-    "set_default_recorder",
-]
+__all__ = ["CHANNELS", "Recorder", "current_recorder"]
 
 #: every event channel a :class:`Recorder` can populate
 CHANNELS: Tuple[str, ...] = (
@@ -75,19 +61,6 @@ CHANNELS: Tuple[str, ...] = (
 )
 
 
-class NullRecorder:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullRecorder>"
-
-
-#: the process-wide disabled recorder (safe to share: it holds no state)
-NULL_RECORDER = NullRecorder()
-
-
 class Recorder:
     """Collects structured events and aggregate metrics from a simulation.
 
@@ -102,7 +75,6 @@ class Recorder:
     """
 
     def __init__(self, events: bool = True, channels: Optional[Iterable[str]] = None):
-        self.enabled = True
         self.keep_events = events
         if channels is None:
             chans: FrozenSet[str] = frozenset(CHANNELS)
@@ -131,24 +103,14 @@ class Recorder:
         self._port_gauges: Dict[str, Gauge] = {}
         self._buffer_gauges: Dict[str, Gauge] = {}
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def pause(self) -> None:
-        """Stop recording without detaching from components."""
-        self.enabled = False
-
-    def resume(self) -> None:
-        self.enabled = True
-
     def _note(self, t: int) -> None:
         if t > self.max_ts:
             self.max_ts = t
 
     # ------------------------------------------------------------------
-    # typed channels (called from simulator hook points)
+    # typed channels (probe event handlers, plus the writers they share)
     # ------------------------------------------------------------------
-    def flow_state(self, t: int, flow_id: int, state: str) -> None:
+    def flow_state(self, t: int, flow_id: int, state: str, sender=None) -> None:
         if "flow_state" not in self.channels:
             return
         self._note(t)
@@ -172,6 +134,16 @@ class Recorder:
         if self.keep_events:
             self.events["probe"].append((t, flow_id, kind))
         (self._c_probe_send if kind == "send" else self._c_probe_ack).inc()
+
+    def ack(self, t: int, sender, acked_bytes: int, delay_ns: int, is_probe: bool) -> None:
+        flow_id = sender.flow.flow_id
+        if is_probe:
+            self.probe(t, flow_id, "ack")
+        self.cwnd_update(t, flow_id, sender.cc.cwnd, delay_ns)
+
+    def pkt_sent(self, t: int, pkt) -> None:
+        if pkt.kind == PROBE:
+            self.probe(t, pkt.flow_id, "send")
 
     def cc_event(self, t: int, flow_id: int, kind: str) -> None:
         if "cc" not in self.channels:
@@ -208,6 +180,15 @@ class Recorder:
             g = self._port_gauges[port] = self.metrics.gauge(f"queue_bytes.{port}")
         g.set(t, total)
 
+    def enqueue(self, t, port, queue, qbytes, total, ecn_marked, pkt) -> None:
+        if ecn_marked:
+            self.ecn_mark(t, port, queue)
+        self.queue_depth(t, port, queue, qbytes, total)
+
+    def dequeue(self, t, port, queue, qbytes, total, pkt, tx_ns, prop_ns) -> None:
+        self.queue_depth(t, port, queue, qbytes, total)
+        self.link(t, port, True)
+
     def link(self, t: int, port: str, busy: bool) -> None:
         if "link" not in self.channels:
             return
@@ -215,10 +196,17 @@ class Recorder:
         if self.keep_events:
             self.events["link"].append((t, port, busy))
 
-    def buffer_occupancy(self, t: int, switch: str, shared_used: int, headroom_used: int) -> None:
+    def buffer(self, t: int, buf, from_headroom: bool, delta: int) -> None:
+        """``buf``'s occupancy after an admit/release of ``delta`` bytes."""
         if "buffer" not in self.channels:
             return
+        if buf.sim is None:
+            raise RuntimeError(
+                "SharedBuffer reports to a live recorder but has no clock or "
+                "name: call bind_telemetry(sim, name) before admitting packets"
+            )
         self._note(t)
+        switch, shared_used, headroom_used = buf.name, buf.shared_used, buf.headroom_used
         if self.keep_events:
             self.events["buffer"].append((t, switch, shared_used, headroom_used))
         g = self._buffer_gauges.get(switch)
@@ -226,14 +214,14 @@ class Recorder:
             g = self._buffer_gauges[switch] = self.metrics.gauge(f"buffer_bytes.{switch}")
         g.set(t, shared_used + headroom_used)
 
-    def sim_events(self, t: int, n: int) -> None:
-        """``n`` engine events executed up to time ``t`` (one call per
-        :meth:`Simulator.run`).  Metrics-only — no event channel — so the
-        counter ``sim.events`` cheaply answers "did any simulation run?",
-        which is how the runner's cache tests prove a warm rerun skips the
-        simulator entirely."""
-        self._note(t)
-        self._c_sim_events.inc(n)
+    def run_end(self, sim, n: int) -> None:
+        """``n`` engine events executed by one :meth:`Simulator.run`.
+        Metrics-only — no event channel — so the counter ``sim.events``
+        cheaply answers "did any simulation run?", which is how the runner's
+        cache tests prove a warm rerun skips the simulator entirely."""
+        if n:
+            self._note(sim.now)
+            self._c_sim_events.inc(n)
 
     def fault(self, t: int, kind: str, target: str, phase: str) -> None:
         """One fault-injection lifecycle transition (see :mod:`repro.faults`).
@@ -308,28 +296,6 @@ class Recorder:
             evs.clear()
 
 
-# ----------------------------------------------------------------------
-# process-wide default recorder, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_RECORDER
-
-
-def set_default_recorder(recorder) -> None:
-    """Install ``recorder`` as the default every new :class:`Simulator` adopts.
-
-    Pass ``None`` to restore the inert :data:`NULL_RECORDER`.  Install the
-    recorder *before* building simulators/topologies: components snapshot it
-    at construction time.
-    """
-    global _default
-    _default = recorder if recorder is not None else NULL_RECORDER
-
-
-def default_recorder():
-    """The recorder new simulators adopt (the null recorder when disabled)."""
-    return _default
-
-
 def current_recorder() -> Optional[Recorder]:
-    """The active default :class:`Recorder`, or ``None`` when telemetry is off."""
-    return _default if getattr(_default, "enabled", False) else None
+    """The installed :class:`Recorder`, or ``None`` when telemetry is off."""
+    return current(Recorder)

@@ -17,13 +17,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from ..obs.inspector import NULL_INSPECTOR
-from ..obs.sampler import NULL_SAMPLER
-from ..obs.tracer import NULL_TRACER
 from ..sim.engine import Simulator
 from ..sim.network import Network
 from ..sim.packet import DATA, HEADER_BYTES, MIN_PACKET_BYTES, PACKET_POOL, PROBE, PROBE_ACK, Packet
-from ..telemetry.recorder import NULL_RECORDER
 from .flow import AckInfo, Flow
 from .receiver import FlowReceiver
 
@@ -58,13 +54,9 @@ class FlowSender:
         self.mtu = mtu
         self.noise = noise
         self.on_done = on_done
-        self.telemetry = getattr(sim, "telemetry", NULL_RECORDER)
-        self.audit = sim.audit
-        self.tracer = getattr(sim, "tracer", NULL_TRACER)
-        self.inspector = getattr(sim, "inspector", NULL_INSPECTOR)
-        smp = getattr(sim, "sampler", NULL_SAMPLER)
-        if smp.enabled:
-            smp.register_sender(self)
+        self.probe = sim.probe
+        if self.probe.on:
+            self.probe.register("sender", self)
 
         self.n_packets = (flow.size_bytes + mtu - 1) // mtu
         self._last_payload = flow.size_bytes - (self.n_packets - 1) * mtu
@@ -129,24 +121,18 @@ class FlowSender:
             # fluid model until the next packet handoff
             fd.admit(self)
             return
-        tel = self.telemetry
-        if tel.enabled:
-            tel.flow_state(self.sim.now, self.flow.flow_id, "running")
-        insp = self.inspector
-        if insp.enabled:
-            insp.transition(self.sim.now, self.flow.flow_id, "running")
+        p = self.probe
+        if p.on:
+            p.flow_state(self.sim.now, self.flow.flow_id, "running", self)
         self.cc.on_start()
         self.try_send()
 
     def _finish(self) -> None:
         self.completed = True
         self.flow.sender_done_ns = self.sim.now
-        tel = self.telemetry
-        if tel.enabled:
-            tel.flow_state(self.sim.now, self.flow.flow_id, "done")
-        insp = self.inspector
-        if insp.enabled:
-            insp.transition(self.sim.now, self.flow.flow_id, "done")
+        p = self.probe
+        if p.on:
+            p.flow_state(self.sim.now, self.flow.flow_id, "done", self)
         for ev_name in ("_pace_ev", "_rto_ev", "_probe_ev"):
             ev = getattr(self, ev_name)
             if ev is not None:
@@ -226,9 +212,9 @@ class FlowSender:
             self.inflight_bytes += payload
         if self.flow.first_tx_ns is None:
             self.flow.first_tx_ns = self.sim.now
-        trc = self.tracer
-        if trc.enabled:
-            trc.maybe_start(pkt, self.sim.now)
+        p = self.probe
+        if p.on:
+            p.pkt_sent(self.sim.now, pkt)
         self.flow.src.send(pkt)
         self._arm_rto()
 
@@ -261,16 +247,9 @@ class FlowSender:
             self._disarm_rto_if_idle()
             info = AckInfo(self.sim.now, delay, pkt.ecn_echo, 0, pkt.seq, pkt.int_hops, is_probe=True)
             self.cc.on_probe_ack(info)
-            tel = self.telemetry
-            if tel.enabled:
-                tel.probe(self.sim.now, self.flow.flow_id, "ack")
-                tel.cwnd_update(self.sim.now, self.flow.flow_id, self.cc.cwnd, delay)
-            insp = self.inspector
-            if insp.enabled:
-                insp.probe(self.sim.now, self.flow.flow_id, "ack")
-            aud = self.audit
-            if aud.enabled:
-                aud.sender_event(self.sim.now, self)
+            p = self.probe
+            if p.on:
+                p.ack(self.sim.now, self, 0, delay, True)
             return
 
         seq = pkt.seq
@@ -289,20 +268,16 @@ class FlowSender:
             self.sim.now, delay, pkt.ecn_echo, newly, seq, pkt.int_hops, cum_seq=pkt.ack_seq
         )
         self.cc.on_ack(info)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.cwnd_update(self.sim.now, self.flow.flow_id, self.cc.cwnd, delay)
-        insp = self.inspector
-        if insp.enabled:
-            insp.ack(self.sim.now, self.flow.flow_id, newly)
         if self.acked_count == self.n_packets:
             self._finish()
-            return
-        self._arm_rto()
-        self.try_send()
-        aud = self.audit
-        if aud.enabled:
-            aud.sender_event(self.sim.now, self)
+        else:
+            self._arm_rto()
+            self.try_send()
+        # after the sends this ACK released: window accounting is reconciled
+        # against the post-send state, and the CC window is already final
+        p = self.probe
+        if p.on:
+            p.ack(self.sim.now, self, newly, delay, False)
 
     def _fast_retx_check(self, pkt: Packet) -> None:
         cum = pkt.ack_seq
@@ -396,9 +371,9 @@ class FlowSender:
                 self._send_seq_force(self._retx_scan)
                 self.try_send()
         self._arm_rto()
-        aud = self.audit
-        if aud.enabled:
-            aud.sender_event(self.sim.now, self)
+        p = self.probe
+        if p.on:
+            p.rto(self.sim.now, self)
 
     def _send_seq_force(self, seq: int) -> None:
         """Retransmit immediately, bypassing the window check."""
@@ -513,15 +488,9 @@ class FlowSender:
         pkt.local_prio = self.flow.src.local_data_queue(self.flow.vpriority)
         self.probe_outstanding = True
         self.flow.probes_sent += 1
-        tel = self.telemetry
-        if tel.enabled:
-            tel.probe(self.sim.now, self.flow.flow_id, "send")
-        insp = self.inspector
-        if insp.enabled:
-            insp.probe(self.sim.now, self.flow.flow_id, "send")
-        trc = self.tracer
-        if trc.enabled:
-            trc.maybe_start(pkt, self.sim.now)
+        p = self.probe
+        if p.on:
+            p.pkt_sent(self.sim.now, pkt)
         self.flow.src.send(pkt)
         self._arm_rto()
 

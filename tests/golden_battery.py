@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cc import Hpcc, Swift, SwiftParams
 from repro.cc.base import CongestionControl
@@ -229,70 +229,59 @@ def run_battery() -> Dict[str, object]:
     return {name: json_safe(fn()) for name, fn in BATTERY}
 
 
-def run_battery_audited(mode: str = "strict") -> Tuple[Dict[str, object], Dict[str, dict]]:
-    """Run every scenario under a fresh :class:`repro.audit.Auditor`.
-
-    Returns ``(results, audit_reports)``.  The results must be byte-identical
-    to an unaudited run (the auditor must not feed back into the simulation);
-    ``tests/test_audit.py`` and the CI ``audit-smoke`` job pin both halves.
-    """
-    from repro.audit import audit_scope
-    from repro.runner.cache import json_safe
-
-    results: Dict[str, object] = {}
-    reports: Dict[str, dict] = {}
-    for name, fn in BATTERY:
-        with audit_scope(mode) as aud:
-            results[name] = json_safe(fn())
-        reports[name] = aud.report.to_dict()
-    return results, reports
-
-
-#: the --obs modes and the scope each installs around every scenario
+#: the --obs kinds and the scope each installs around every scenario
 _OBS_KINDS = ("trace", "sample", "profile", "inspect")
 
 
-def run_battery_obs(kind: str) -> Tuple[Dict[str, object], Dict[str, dict]]:
-    """Run every scenario with one ``repro.obs`` subsystem live.
+def run_battery_instrumented(
+    audit: Optional[str] = None, obs: Optional[str] = None
+) -> Tuple[Dict[str, object], Dict[str, dict], Dict[str, dict]]:
+    """Run every scenario with probe sinks live on one shared probe.
 
-    ``kind`` is one of ``trace`` (packet tracer, sample_every=1), ``sample``
-    (time-series sampler), ``profile`` (engine self-profiler), ``inspect``
-    (PrioPlus channel inspector) or ``all`` (all four at once).  Returns
-    ``(results, obs_stats)``; the results must be byte-identical to the
-    committed goldens — introspection must not feed back into the simulation.
+    ``audit`` (``"strict"`` / ``"warn"``) installs a fresh
+    :class:`repro.audit.Auditor` per scenario; ``obs`` is one of ``trace``
+    (packet tracer, sample_every=1), ``sample`` (time-series sampler),
+    ``profile`` (engine self-profiler), ``inspect`` (PrioPlus channel
+    inspector) or ``all`` (all four at once).  Both may be given: every sink
+    then fans out from the same hook sites.  Returns ``(results,
+    audit_reports, obs_stats)``; the results must be byte-identical to the
+    committed goldens — sinks must not feed back into the simulation
+    (``tests/test_probe.py`` and the CI ``audit-smoke`` / ``obs-smoke`` jobs).
     """
     from contextlib import ExitStack
 
+    from repro.audit import audit_scope
     from repro.obs import inspect_scope, profile_scope, sample_scope, trace_scope
     from repro.runner.cache import json_safe
 
-    kinds = _OBS_KINDS if kind == "all" else (kind,)
+    kinds = _OBS_KINDS if obs == "all" else (obs,)
     results: Dict[str, object] = {}
+    reports: Dict[str, dict] = {}
     stats: Dict[str, dict] = {}
     for name, fn in BATTERY:
         with ExitStack() as stack:
-            row: Dict[str, object] = {}
-            if "trace" in kinds:
-                tracer = stack.enter_context(trace_scope(sample_every=1))
-            if "sample" in kinds:
-                sampler = stack.enter_context(sample_scope(stride_ns=100_000))
-            if "profile" in kinds:
-                profiler = stack.enter_context(profile_scope())
-            if "inspect" in kinds:
-                inspector = stack.enter_context(inspect_scope())
+            enter = stack.enter_context
+            tracer = enter(trace_scope(sample_every=1)) if "trace" in kinds else None
+            sampler = enter(sample_scope(stride_ns=100_000)) if "sample" in kinds else None
+            profiler = enter(profile_scope()) if "profile" in kinds else None
+            inspector = enter(inspect_scope()) if "inspect" in kinds else None
+            auditor = enter(audit_scope(audit)) if audit else None
             results[name] = json_safe(fn())
-        if "trace" in kinds:
+        if auditor is not None:
+            reports[name] = auditor.report.to_dict()
+        row: Dict[str, int] = {}
+        if tracer is not None:
             row["traced"] = tracer.snapshot()["recorded"]
-        if "sample" in kinds:
+        if sampler is not None:
             row["samples"] = sampler.samples_taken
-        if "profile" in kinds:
+        if profiler is not None:
             row["events_profiled"] = profiler.events
-        if "inspect" in kinds:
+        if inspector is not None:
             row["transitions"] = sum(
                 len(rec["transitions"]) for rec in inspector.report()["flows"].values()
             )
         stats[name] = row
-    return results, stats
+    return results, reports, stats
 
 
 def canonical(results: Dict[str, object]) -> str:
@@ -312,33 +301,23 @@ def main() -> int:
         default=None,
         help="run under the invariant auditor; fails on any violation and on "
         "any divergence from the committed goldens (proves audit-on is "
-        "byte-identical)",
+        "byte-identical); combines with --obs",
     )
     parser.add_argument(
         "--obs",
         choices=("trace", "sample", "profile", "inspect", "all"),
         default=None,
-        help="run with a repro.obs introspection subsystem live; fails on any "
-        "divergence from the committed goldens (proves introspection-on is "
-        "byte-identical)",
+        help="run with a repro.obs sink live; fails on any divergence from "
+        "the committed goldens (proves introspection-on is byte-identical); "
+        "combines with --audit",
     )
     args = parser.parse_args()
-    if args.obs:
-        results, stats = run_battery_obs(args.obs)
-        text = canonical(results)
-        with open(GOLDEN_PATH, encoding="utf-8") as fh:
-            golden = fh.read().rstrip("\n")
-        if text != golden:
-            print(f"OBS FAILED: results with --obs {args.obs} diverge from the "
-                  "committed goldens (introspection fed back into the simulation)")
-            return 1
-        touched = sum(sum(row.values()) for row in stats.values())
-        print(f"obs OK ({args.obs}): {len(results)} scenarios, "
-              f"{touched} introspection records, results byte-identical to goldens")
-        return 0
-    if args.audit:
-        results, reports = run_battery_audited(args.audit)
-        text = canonical(results)
+    if args.audit or args.obs:
+        results, reports, stats = run_battery_instrumented(args.audit, args.obs)
+        what = " ".join(
+            ([f"--audit={args.audit}"] if args.audit else [])
+            + ([f"--obs {args.obs}"] if args.obs else [])
+        )
         bad = {name: rep for name, rep in reports.items() if rep["violation_count"]}
         if bad:
             print(json.dumps(bad, indent=1))
@@ -346,13 +325,18 @@ def main() -> int:
             return 1
         with open(GOLDEN_PATH, encoding="utf-8") as fh:
             golden = fh.read().rstrip("\n")
-        if text != golden:
-            print("AUDIT FAILED: audited results diverge from committed goldens "
-                  "(the auditor fed back into the simulation)")
+        if canonical(results) != golden:
+            print(f"FAILED: results with {what} diverge from the committed "
+                  "goldens (a probe sink fed back into the simulation)")
             return 1
-        checks = sum(sum(rep["checks"].values()) for rep in reports.values())
-        print(f"audit OK: {len(results)} scenarios, {checks} checks, 0 violations, "
-              f"results byte-identical to goldens")
+        if args.audit:
+            checks = sum(sum(rep["checks"].values()) for rep in reports.values())
+            print(f"audit OK: {len(results)} scenarios, {checks} checks, 0 violations, "
+                  f"results byte-identical to goldens")
+        if args.obs:
+            touched = sum(sum(row.values()) for row in stats.values())
+            print(f"obs OK ({args.obs}): {len(results)} scenarios, "
+                  f"{touched} introspection records, results byte-identical to goldens")
         return 0
     results = run_battery()
     text = canonical(results)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
+from repro.probe import INERT
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
 from repro.topology import star
@@ -34,6 +35,7 @@ class FakeSender:
         line_rate_bps: float = 100e9,
     ):
         self.sim = FakeSim()
+        self.probe = INERT
         self.mtu = mtu
         self.base_rtt = base_rtt
         self.line_rate_bps = line_rate_bps

@@ -163,16 +163,3 @@ def test_ecn_priority_smoke():
     r = run_ecn_priority(True, duration_ns=600_000)
     assert 0 <= r["hi_share"] <= 1.1
 
-
-def test_run_figx_wrappers_are_deprecated_but_working():
-    """The historical serial entry points warn and delegate to the same impl."""
-    import warnings
-
-    from repro.experiments.fig3_micro import run_fig3a
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        r = run_fig3a(size_bytes=200_000, rate=25e9)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    assert "repro.api.run('fig3a')" in str(caught[0].message)
-    assert r == _run_fig3a(size_bytes=200_000, rate=25e9)

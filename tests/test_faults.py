@@ -31,7 +31,8 @@ from repro.faults import (
 from repro.runner import cache_key, run_experiment
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
-from repro.telemetry import Recorder, set_default_recorder
+from repro.probe import installed
+from repro.telemetry import Recorder
 from repro.topology import leaf_spine, star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
@@ -328,11 +329,8 @@ def test_parallel_matches_serial_with_faults():
 def test_telemetry_on_off_identical_with_faults():
     baseline = run_experiment(MINI_FAULTS, jobs=1, faults=_MINI_PLAN)
     rec = Recorder(events=True)
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         traced = run_experiment(MINI_FAULTS, jobs=1, faults=_MINI_PLAN)
-    finally:
-        set_default_recorder(None)
     assert _canon(baseline) == _canon(traced)
     # the recorder saw the fault channel
     assert rec.events["fault"]

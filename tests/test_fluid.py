@@ -258,17 +258,15 @@ def test_fluid_admission_is_gated_by_pipe_fill_delay():
 
 def test_regime_telemetry_and_sampler_rows():
     from repro.obs.sampler import sample_scope
-    from repro.telemetry import Recorder, set_default_recorder
+    from repro.probe import installed
+    from repro.telemetry import Recorder
 
     rec = Recorder(events=True)
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         with sample_scope(stride_ns=100_000) as smp:
             sim, net, flows = _star_world(3, 300_000, 600_000)
             driver = HybridDriver(sim, net)
             assert driver.run_until_flows_done(flows, 2_000_000_000)
-    finally:
-        set_default_recorder(None)
     modes = [ev[1] for ev in rec.events["regime"]]
     assert "fluid" in modes and "packet" in modes
     assert rec.metrics.counter("regime.fluid").value >= 1

@@ -14,7 +14,8 @@ from repro.sim.packet import DATA, PACKET_POOL, IntHop, Packet, PacketPool
 from repro.sim.pfc import PfcConfig
 from repro.sim.port import Port
 from repro.sim.switch import SwitchConfig
-from repro.telemetry import Recorder, set_default_recorder
+from repro.probe import installed
+from repro.telemetry import Recorder
 from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
@@ -239,15 +240,12 @@ def test_set_paused_out_of_range_raises():
 # ----------------------------------------------------------------------
 def test_cut_reports_only_drained_queues_and_link_idle():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         sim, port, sink = make_port(n_queues=4)
         port.enqueue(pkt(size=500, seq=1, prio=1))
         port.enqueue(pkt(size=500, seq=2, prio=1))
         sim.at(200, port.cut)  # mid-transmission of seq 1
         sim.run()
-    finally:
-        set_default_recorder(None)
     cut_queue_events = [e for e in rec.events["queue"] if e[0] == 200]
     # only queue 1 held packets: untouched queues must not be reported
     assert cut_queue_events == [(200, "p", 1, 0, 0)]
@@ -256,15 +254,12 @@ def test_cut_reports_only_drained_queues_and_link_idle():
 
 def test_cut_when_idle_emits_no_link_event():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         sim, port, sink = make_port(n_queues=4)
         port.enqueue(pkt(size=100, seq=1))  # tx ends at 100, delivery at 200
         sim.run()  # drain completely: port idle again
         assert not port.busy
         port.cut()
-    finally:
-        set_default_recorder(None)
     # idle-at-cut: the only idle link event is the end-of-tx one at t=100
     assert [e for e in rec.events["link"] if e[2] is False] == [(100, "p", False)]
 
@@ -273,7 +268,7 @@ def test_cut_when_idle_emits_no_link_event():
 # packet pool
 # ----------------------------------------------------------------------
 def test_pool_acquire_resets_every_slot():
-    pool = PacketPool(enabled=True)
+    pool = PacketPool()
     p = pool.acquire(DATA, 1000, src=1, dst=2, flow_id=3, seq=4, priority=5)
     p.ecn = True
     p.ecn_echo = True
@@ -296,7 +291,7 @@ def test_pool_acquire_resets_every_slot():
 
 
 def test_pool_release_clears_reference_slots():
-    pool = PacketPool(enabled=True)
+    pool = PacketPool()
     p = pool.acquire(DATA, 1000, src=1, dst=2, flow_id=3)
     p.int_hops = [IntHop(1, 2, 3, 4.0)]
     p.ctx = object()
@@ -307,27 +302,16 @@ def test_pool_release_clears_reference_slots():
 
 
 def test_pool_double_release_raises():
-    pool = PacketPool(enabled=True)
+    pool = PacketPool()
     p = pool.acquire(DATA, 1000, src=1, dst=2, flow_id=3)
     pool.release(p)
     with pytest.raises(AssertionError):
         pool.release(p)
 
 
-def test_pool_disabled_mode_constructs_and_ignores_release():
-    pool = PacketPool(enabled=False)
-    p = pool.acquire(DATA, 1000, src=1, dst=2, flow_id=3)
-    pool.release(p)
-    q = pool.acquire(DATA, 1000, src=1, dst=2, flow_id=3)
-    assert q is not p
-    assert pool.reused == 0 and pool.released == 0
-
-
 def test_port_cut_returns_queued_pooled_packets_to_free_list():
     """Port-level pin of the cut contract: queued pooled packets go back to
     the free list at cut time, the in-flight one still delivers."""
-    if not PACKET_POOL.enabled:
-        pytest.skip("pool disabled via REPRO_PACKET_POOL=0")
     live_before = PACKET_POOL.live
     sim, port, sink = make_port()
     for i in range(5):
@@ -343,8 +327,6 @@ def test_port_cut_returns_queued_pooled_packets_to_free_list():
 
 
 def test_end_to_end_run_leaks_no_packets():
-    if not PACKET_POOL.enabled:
-        pytest.skip("pool disabled via REPRO_PACKET_POOL=0")
     live_before = PACKET_POOL.live
     sim = Simulator(11)
     cfg = SwitchConfig(n_queues=2, pfc=PfcConfig(enabled=False))

@@ -70,8 +70,6 @@ def test_flow_survives_core_link_failure_on_fat_tree():
 def test_cut_mid_flight_leaks_no_packets_both_directions():
     """Cut a link with packets queued in *both* directions: every dropped
     packet must return to the pool, and RTO recovery completes all flows."""
-    if not PACKET_POOL.enabled:
-        pytest.skip("pool disabled via REPRO_PACKET_POOL=0")
     live_before = PACKET_POOL.live
     sim = Simulator(3)
     cfg = SwitchConfig(n_queues=2, buffer_bytes=8 * 1024 * 1024)

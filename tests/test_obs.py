@@ -1,6 +1,7 @@
 """Introspection layer (repro.obs): tracer exactness, inspector transcript
-fidelity, sampler determinism, profiler attribution, and the on/off
-byte-identity contract all four subsystems share with the Recorder/Auditor."""
+fidelity, sampler determinism and profiler attribution.  The on/off
+byte-identity contract all four sinks share with the Recorder/Auditor is
+pinned once, over sink sets, in ``tests/test_probe.py``."""
 
 import json
 
@@ -9,44 +10,22 @@ import pytest
 from repro.cc import Swift, SwiftParams
 from repro.cc.base import CongestionControl
 from repro.core import ChannelConfig, PrioPlusCC, StartTier
-from repro.experiments.quickstart import run_quickstart
+from repro import probe
 from repro.obs import (
     ChannelInspector,
-    EngineProfiler,
-    NULL_INSPECTOR,
-    NULL_PROFILER,
-    NULL_SAMPLER,
-    NULL_TRACER,
     PacketTracer,
-    TimeSeriesSampler,
-    current_tracer,
     inspect_scope,
     profile_scope,
     sample_scope,
-    set_default_inspector,
-    set_default_profiler,
-    set_default_sampler,
-    set_default_tracer,
     trace_scope,
 )
+from repro.probe import installed
 from repro.sim.engine import Simulator
-from repro.sim.pfc import PfcConfig
 from repro.sim.switch import SwitchConfig
-from repro.telemetry import JsonlEventStream, Recorder, set_default_recorder
+from repro.telemetry import JsonlEventStream, Recorder
 from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
-
-
-@pytest.fixture(autouse=True)
-def _reset_obs_defaults():
-    """Never leak an installed obs subsystem into other tests."""
-    yield
-    set_default_tracer(None)
-    set_default_inspector(None)
-    set_default_sampler(None)
-    set_default_profiler(None)
-    set_default_recorder(None)
 
 
 def _quickstart_scenario(sim):
@@ -70,33 +49,23 @@ def _quickstart_scenario(sim):
 # ----------------------------------------------------------------------
 def test_null_defaults_adopted():
     sim = Simulator(1)
-    assert sim.tracer is NULL_TRACER
-    assert sim.inspector is NULL_INSPECTOR
-    assert sim.sampler is NULL_SAMPLER
-    assert sim.profiler is NULL_PROFILER
-    for null in (NULL_TRACER, NULL_INSPECTOR, NULL_SAMPLER, NULL_PROFILER):
-        assert null.enabled is False
-    assert current_tracer() is None
+    assert sim.probe is probe.INERT
+    assert not probe.INERT.on and probe.INERT.sinks == ()
+    assert probe.INERT.dispatch_hook(sim) is None
+    assert probe.current(PacketTracer) is None
 
 
 def test_scopes_install_and_restore():
     with trace_scope(sample_every=4) as trc:
-        assert current_tracer() is trc
+        assert probe.current(PacketTracer) is trc
         sim = Simulator(1)
-        assert sim.tracer is trc
-    assert current_tracer() is None
+        assert sim.probe.sinks == (trc,)
+        with inspect_scope() as insp:  # scopes compose on the one probe
+            assert probe.active.sinks == (trc, insp)
+        assert probe.active.sinks == (trc,)
+    assert probe.current(PacketTracer) is None
+    assert probe.active is probe.INERT
     assert trc.finalized
-
-
-# ----------------------------------------------------------------------
-# byte-identity: all four subsystems on at once change nothing
-# ----------------------------------------------------------------------
-def test_results_byte_identical_with_all_obs_on():
-    base = run_quickstart(low_bytes=600_000, high_bytes=200_000)
-    with trace_scope(sample_every=1), inspect_scope(), sample_scope(
-            stride_ns=50_000), profile_scope():
-        instrumented = run_quickstart(low_bytes=600_000, high_bytes=200_000)
-    assert instrumented == base
 
 
 # ----------------------------------------------------------------------
@@ -187,14 +156,11 @@ def test_perfetto_gains_packet_process():
     from repro.telemetry import to_perfetto
 
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         with trace_scope(sample_every=8) as trc:
             sim = Simulator(1)
             _net, _flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
-    finally:
-        set_default_recorder(None)
     plain = to_perfetto(rec)
     traced = to_perfetto(rec, tracer=trc)
     packets = [e for e in traced["traceEvents"] if e.get("pid") == 6]
@@ -215,14 +181,11 @@ def test_perfetto_gains_packet_process():
 # ----------------------------------------------------------------------
 def test_inspector_matches_telemetry_flow_state():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         with inspect_scope() as insp:
             sim = Simulator(1)
             _net, flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
-    finally:
-        set_default_recorder(None)
     assert all(f.done for f in flows)
     # the inspector's global transcript is exactly the flow_state channel
     assert insp.transitions == rec.events["flow_state"]
@@ -271,15 +234,15 @@ def test_inversion_detector_positive_and_negative():
                        path_ports=["sw.p0"])
     insp.register_flow(2, vpriority=6, d_target_ns=0, d_limit_ns=0, tier="high",
                        path_ports=["sw.p0"])
-    insp.transition(0, 1, "running")
-    insp.transition(0, 2, "running")
+    insp.flow_state(0, 1, "running")
+    insp.flow_state(0, 2, "running")
     # window [100, 200): the low-channel flow moves more bytes
-    insp.ack(150, 1, 9_000)
-    insp.ack(150, 2, 1_000)
+    insp.acked(150, 1, 9_000)
+    insp.acked(150, 2, 1_000)
     # high flow relinquishes after that window closes; the low flow keeps
     # moving bytes, but outpacing an inactive flow is not an inversion
-    insp.transition(201, 2, "relinquished")
-    insp.ack(350, 1, 9_000)
+    insp.flow_state(201, 2, "relinquished")
+    insp.acked(350, 1, 9_000)
     found = insp.inversions()
     assert len(found) == 1
     inv = found[0]
@@ -291,10 +254,10 @@ def test_inversion_detector_positive_and_negative():
     other = ChannelInspector(window_ns=100)
     other.register_flow(1, 1, 0, 0, "low", ["sw.p0"])
     other.register_flow(2, 6, 0, 0, "high", ["sw.p1"])
-    other.transition(0, 1, "running")
-    other.transition(0, 2, "running")
-    other.ack(150, 1, 9_000)
-    other.ack(150, 2, 1_000)
+    other.flow_state(0, 1, "running")
+    other.flow_state(0, 2, "running")
+    other.acked(150, 1, 9_000)
+    other.acked(150, 2, 1_000)
     assert other.inversions() == []
 
 
@@ -302,11 +265,11 @@ def test_occupancy_steps():
     insp = ChannelInspector(window_ns=100)
     insp.register_flow(1, 3, 0, 0, "low", ["p"])
     insp.register_flow(2, 3, 0, 0, "low", ["p"])
-    insp.transition(0, 1, "running")
-    insp.transition(10, 1, "probe_wait")    # vacates
-    insp.transition(20, 1, "linear_start")  # re-enters
-    insp.transition(30, 2, "running")
-    insp.transition(50, 1, "done")
+    insp.flow_state(0, 1, "running")
+    insp.flow_state(10, 1, "probe_wait")    # vacates
+    insp.flow_state(20, 1, "linear_start")  # re-enters
+    insp.flow_state(30, 2, "running")
+    insp.flow_state(50, 1, "done")
     occ = insp.occupancy()
     assert occ == {3: [(0, 1), (10, 0), (20, 1), (30, 2), (50, 1)]}
 
@@ -405,13 +368,10 @@ def test_jsonl_event_stream(tmp_path):
     path = tmp_path / "events.jsonl"
     rec = Recorder()
     with JsonlEventStream(rec, str(path)) as stream:
-        set_default_recorder(rec)
-        try:
+        with installed(rec):
             sim = Simulator(1)
             _net, _flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
-        finally:
-            set_default_recorder(None)
         # counts work while streaming; iteration is refused loudly
         counts = rec.event_counts()
         assert counts and list(counts) == sorted(counts)

@@ -25,7 +25,8 @@ from repro.experiments.fig8_testbed import run_staircase
 from repro.experiments.fig10_micro import _run_fig10c
 from repro.experiments.quickstart import run_quickstart
 from repro.runner import ResultCache, RunnerError, cache_key, json_safe, run_experiment
-from repro.telemetry import Recorder, set_default_recorder
+from repro.probe import installed
+from repro.telemetry import Recorder
 
 
 # ----------------------------------------------------------------------
@@ -109,11 +110,8 @@ def test_cache_hit_skips_simulation(tmp_path):
     cache = tmp_path / "cache"
 
     rec_cold = Recorder(events=False)
-    set_default_recorder(rec_cold)
-    try:
+    with installed(rec_cold):
         cold = run_experiment(exp, cache=str(cache))
-    finally:
-        set_default_recorder(None)
     counters = rec_cold.snapshot()["metrics"]["counters"]
     assert counters["runner.points"] == 2
     assert counters["runner.cache_misses"] == 2
@@ -121,11 +119,8 @@ def test_cache_hit_skips_simulation(tmp_path):
     assert counters["sim.events"] > 0
 
     rec_warm = Recorder(events=False)
-    set_default_recorder(rec_warm)
-    try:
+    with installed(rec_warm):
         warm = run_experiment(exp, cache=str(cache))
-    finally:
-        set_default_recorder(None)
     counters = rec_warm.snapshot()["metrics"]["counters"]
     assert counters["runner.cache_hits"] == 2
     assert counters["sim.events"] == 0  # no simulator ran at all
@@ -212,11 +207,8 @@ def test_worker_crash_retried(tmp_path):
     marker = str(tmp_path / "crashed_once")
     exp = FunctionExperiment("crashy", {"p": (_crash_once, {"marker": marker, "seed": 0})})
     rec = Recorder(events=False)
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         result = run_experiment(exp, jobs=2, retry_backoff_s=0.01)
-    finally:
-        set_default_recorder(None)
     assert result == {"ok": True}
     assert os.path.exists(marker)
     assert rec.snapshot()["metrics"]["counters"]["runner.worker_crashes"] == 1

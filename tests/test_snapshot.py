@@ -115,40 +115,40 @@ def test_snapshot_as_topology_reset_cache():
 def test_snapshot_with_live_recorder_fails_fast():
     import pytest
 
+    from repro.probe import installed
     from repro.sim.snapshot import SnapshotHookError
-    from repro.telemetry.recorder import Recorder, set_default_recorder
+    from repro.telemetry import Recorder
 
-    set_default_recorder(Recorder())
-    try:
+    with installed(Recorder()):
         sim, net, flows, snds = _world(1, 10, 0)
-    finally:
-        set_default_recorder(None)
-    assert sim.telemetry.enabled
-    with pytest.raises(SnapshotHookError, match="telemetry"):
+    assert sim.probe.on
+    with pytest.raises(SnapshotHookError, match="Recorder"):
         snapshot_world(sim, net, flows, snds)
     with pytest.raises(SnapshotHookError, match="allow_hooks=True"):
         fork_world(sim, net, flows, snds)
 
 
 def test_snapshot_allow_hooks_gives_forks_independent_recorders():
-    from repro.telemetry.recorder import Recorder, set_default_recorder
+    from repro.probe import installed
+    from repro.telemetry import Recorder
 
-    set_default_recorder(Recorder())
-    try:
+    rec = Recorder()
+    with installed(rec):
         sim, net, flows, snds = _world(1, 10, 0)
-    finally:
-        set_default_recorder(None)
-    sim2, _net2, _flows2, _snds2 = fork_world(sim, net, flows, snds, allow_hooks=True)
-    assert sim2.telemetry is not sim.telemetry  # private copy, not a shared ring
+    sim2, _net2, _flows2, snds2 = fork_world(sim, net, flows, snds, allow_hooks=True)
+    (rec2,) = sim2.probe.sinks
+    assert rec2 is not rec  # private copy, not a shared ring
+    assert snds2[0].probe is sim2.probe  # components follow the fork's probe
     _run_out(sim2)
-    assert sim2.telemetry.enabled
-    # the original's recorder saw none of the fork's activity
+    # the fork recorded into its own copy; the original's recorder saw none of it
+    assert rec2.event_counts()["cwnd"] > 0
+    assert rec.event_counts().get("cwnd", 0) == 0
     assert sim.events_processed == 0
 
 
 def test_snapshot_with_inert_hooks_needs_no_opt_in():
     sim, net, flows, snds = _world(1, 10, 0)
-    snap = snapshot_world(sim, net, flows, snds)  # all hooks are NULL singletons
+    snap = snapshot_world(sim, net, flows, snds)  # the inert probe has no sinks
     sim2, _net2, flows2, snds2 = snap.materialize()
     _run_out(sim2)
     assert all(f.done for f in flows2)

@@ -9,6 +9,7 @@ import pytest
 from repro.analysis import PfcLogger, PortTracer
 from repro.cc.base import CongestionControl
 from repro.experiments.quickstart import run_quickstart
+from repro.probe import INERT, installed
 from repro.sim.engine import Simulator
 from repro.sim.pfc import PfcConfig
 from repro.sim.switch import SwitchConfig
@@ -20,7 +21,6 @@ from repro.telemetry import (
     MetricsRegistry,
     Recorder,
     current_recorder,
-    set_default_recorder,
     to_perfetto,
     write_events_jsonl,
     write_perfetto,
@@ -28,13 +28,6 @@ from repro.telemetry import (
 from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
-
-
-@pytest.fixture(autouse=True)
-def _reset_default_recorder():
-    """Never leak an installed recorder into other tests."""
-    yield
-    set_default_recorder(None)
 
 
 def _pfc_heavy_scenario(seed=3):
@@ -56,30 +49,12 @@ def _pfc_heavy_scenario(seed=3):
 
 
 # ----------------------------------------------------------------------
-# recorder on/off parity
+# recorder on/off parity (result byte-identity: tests/test_probe.py)
 # ----------------------------------------------------------------------
-def test_results_identical_with_and_without_recorder():
-    base = run_quickstart(low_bytes=300_000, high_bytes=100_000)
-    rec = Recorder()
-    set_default_recorder(rec)
-    try:
-        traced = run_quickstart(low_bytes=300_000, high_bytes=100_000)
-    finally:
-        set_default_recorder(None)
-    snap = traced.pop("telemetry")
-    assert json.dumps(base, sort_keys=True) == json.dumps(traced, sort_keys=True)
-    assert snap["event_counts"]["cwnd"] > 0
-    assert snap["metrics"]["counters"]["probe.sent"] >= 1
-
-
 def test_recorder_does_not_consume_rng_or_schedule_events():
     def run(with_recorder):
-        if with_recorder:
-            set_default_recorder(Recorder())
-        try:
+        with installed(*([Recorder()] if with_recorder else [])):
             sim, f = _pfc_heavy_scenario()
-        finally:
-            set_default_recorder(None)
         return f.fct_ns(), sim.rng.random(), sim.events_processed
 
     assert run(False) == run(True)
@@ -87,15 +62,12 @@ def test_recorder_does_not_consume_rng_or_schedule_events():
 
 def test_default_recorder_adopted_by_new_simulators():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         sim = Simulator()
-        assert sim.telemetry is rec
+        assert sim.probe.sinks == (rec,)
         assert current_recorder() is rec
-    finally:
-        set_default_recorder(None)
     assert current_recorder() is None
-    assert Simulator().telemetry.enabled is False
+    assert Simulator().probe is INERT
 
 
 def test_channel_filtering_and_unknown_channel():
@@ -111,11 +83,8 @@ def test_channel_filtering_and_unknown_channel():
 
 def test_metrics_only_mode_keeps_no_events():
     rec = Recorder(events=False)
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         _pfc_heavy_scenario()
-    finally:
-        set_default_recorder(None)
     assert rec.event_counts() == {}
     assert rec.metrics.counters["pfc.pauses"].value >= 1
 
@@ -125,11 +94,8 @@ def test_metrics_only_mode_keeps_no_events():
 # ----------------------------------------------------------------------
 def _record_quickstart():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         run_quickstart(low_bytes=300_000, high_bytes=100_000)
-    finally:
-        set_default_recorder(None)
     return rec
 
 
@@ -167,11 +133,8 @@ def test_perfetto_trace_is_valid_and_ordered(tmp_path):
 
 def test_perfetto_trace_contains_pfc_pause_spans():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with installed(rec):
         _pfc_heavy_scenario()
-    finally:
-        set_default_recorder(None)
     trace = to_perfetto(rec)
     pauses = [e for e in trace["traceEvents"] if e.get("ph") == "B" and e["name"] == "PAUSE"]
     assert pauses, "PFC pause spans missing from trace"
