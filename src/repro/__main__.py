@@ -36,14 +36,6 @@ event and metric dumps:
     python -m repro quickstart --trace run.json      # open in ui.perfetto.dev
     python -m repro fig6 --events run.jsonl          # JSONL event dump
     python -m repro fig8 --metrics                   # embed metrics in output
-
-The runner itself can be benchmarked (serial vs parallel wall time), and the
-simulation core has its own microbenchmark suite with a CI regression gate
-(see docs/PERFORMANCE.md):
-
-    python -m repro bench --quick --out BENCH_runner.json
-    python -m repro bench --core --out BENCH_core.json
-    python -m repro bench --core --quick --check benchmarks/baseline_core.json
 """
 
 from __future__ import annotations
@@ -51,123 +43,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict
 
 from . import api
 from .client import ServeError
 from .experiments.common import REGISTRY
 from .obs import ChannelInspector, EngineProfiler, PacketTracer, TimeSeriesSampler
 from .probe import installed
-from .runner import RunnerError, run_bench, write_bench
+from .runner import RunnerError
 from .runner.cache import json_safe
 from .telemetry import JsonlEventStream, Recorder, write_events_jsonl, write_perfetto
 
 REGISTRY.load_all()
-
-#: Deprecated compatibility surface: experiment name -> zero-argument callable.
-#: Prefer ``REGISTRY.get(name)`` + :func:`repro.runner.run_experiment`.
-EXPERIMENTS: Dict[str, Callable[[], object]] = {
-    name: REGISTRY.get(name).run_serial for name in REGISTRY.names()
-}
-
-
-def _bench_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description=(
-            "Benchmark the parallel runner (serial vs sharded wall time), or the "
-            "simulation core itself with --core."
-        ),
-    )
-    parser.add_argument("--quick", action="store_true", help="small CI-scale suite")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel worker count")
-    parser.add_argument(
-        "--core",
-        action="store_true",
-        help="run the simulation-core microbenchmarks instead of the runner bench",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N repeats per core bench (default: 3)"
-    )
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare normalized core events/sec against a committed baseline "
-        "snapshot; exit 1 on a >20%% regression (implies --core)",
-    )
-    parser.add_argument(
-        "--scale",
-        action="store_true",
-        help="run the hybrid fluid/packet scale benchmark (320-host k=6 "
-        "speedup + mid-scale agreement) instead of the runner bench",
-    )
-    parser.add_argument(
-        "--longtrace",
-        action="store_true",
-        help="run the multi-second paper-scale smoke (streaming admission + "
-        "hybrid core on 320 hosts; gates peak RSS and long-run liveness)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH", help="benchmark artifact path"
-    )
-    args = parser.parse_args(argv)
-
-    if args.longtrace:
-        from .runner.bench_longtrace import (
-            check_longtrace,
-            run_longtrace_bench,
-            write_longtrace_bench,
-        )
-
-        snapshot = run_longtrace_bench(quick=args.quick)
-        out = args.out or "BENCH_longtrace.json"
-        write_longtrace_bench(snapshot, out)
-        print(json.dumps(json_safe(snapshot), indent=2))
-        failures = check_longtrace(snapshot)
-        for failure in failures:
-            print(f"LONGTRACE GATE: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("long-trace gates passed (bounded RSS + liveness)", file=sys.stderr)
-        return 0
-
-    if args.scale:
-        from .runner.bench_scale import check_scale, run_scale_bench, write_scale_bench
-
-        snapshot = run_scale_bench(quick=args.quick)
-        out = args.out or "BENCH_scale.json"
-        write_scale_bench(snapshot, out)
-        print(json.dumps(json_safe(snapshot), indent=2))
-        failures = check_scale(snapshot)
-        for failure in failures:
-            print(f"SCALE GATE: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("scale gates passed (speedup + agreement)", file=sys.stderr)
-        return 0
-
-    if args.core or args.check:
-        from .runner.bench_core import check_regression, run_core_bench, write_core_bench
-
-        snapshot = run_core_bench(quick=args.quick, repeats=args.repeats)
-        out = args.out or "BENCH_core.json"
-        write_core_bench(snapshot, out)
-        print(json.dumps(json_safe(snapshot), indent=2))
-        if args.check:
-            failures = check_regression(snapshot, args.check)
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            if failures:
-                return 1
-            print(f"no regression vs {args.check}", file=sys.stderr)
-        return 0
-
-    snapshot = run_bench(quick=args.quick, jobs=args.jobs)
-    out = args.out or "BENCH_runner.json"
-    write_bench(snapshot, out)
-    print(f"wrote {out}", file=sys.stderr)
-    print(json.dumps(json_safe(snapshot), indent=2))
-    return 0
 
 
 def _submit_main(argv) -> int:
@@ -216,8 +102,6 @@ def _status_main(argv) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
     if argv and argv[0] == "serve":
         from .serve import serve_main
 

@@ -363,16 +363,6 @@ class Experiment:
         """
         return self
 
-    def run_serial(self) -> dict:
-        """Run every point in-process, in order, and reduce.
-
-        This is the compatibility path behind the deprecated ``run_figX*``
-        CLI entries; prefer ``repro.runner.run_experiment`` which adds
-        sharding, caching and crash retry on top of the same points.
-        """
-        results = {p.name: self.run_point(p) for p in self.points()}
-        return self.reduce(results)
-
 
 class FunctionExperiment(Experiment):
     """Adapter porting plain ``run_*`` functions onto :class:`Experiment`.

@@ -16,7 +16,8 @@ physical strict-priority queues) converge to:
 Because every allocation is capacity-feasible, queues stay empty by
 construction throughout a fluid epoch; the error envelope this buys is
 documented in docs/PERFORMANCE.md and bounded empirically by the
-hybrid-vs-packet agreement scenario in ``runner/bench_scale.py``.
+hybrid-vs-packet agreement scenario in
+``tests/test_fluid.py::test_hybrid_midscale_agreement``.
 
 This module imports numpy at module level and must only be imported after
 :func:`repro.fluid.require_numpy` has vetted the install.

@@ -13,7 +13,6 @@ See ``docs/RUNNER.md`` for the sharding model, the cache-key scheme and the
 crash-retry semantics.
 """
 
-from .bench import bench_suite, run_bench, write_bench
 from .cache import ResultCache, cache_key, canonical_json, json_safe
 from .pool import RunnerError, run_experiment
 
@@ -24,7 +23,4 @@ __all__ = [
     "cache_key",
     "canonical_json",
     "json_safe",
-    "bench_suite",
-    "run_bench",
-    "write_bench",
 ]

@@ -1,71 +1,26 @@
-"""``python -m repro bench --core``: simulation-core hot-path microbenchmarks.
+"""Machine-speed calibration for the perf ledger — nothing else lives here.
 
-Where ``bench.py`` times the *runner* (process-pool sharding of whole
-experiments), this module times the *simulation core itself* — the per-event
-and per-packet costs every experiment pays millions of times.  Four benches:
-
-``event_loop``
-    Raw engine throughput: self-rescheduling no-op callbacks through the
-    allocation-free ``call_after`` fast path plus a cancellable ``after``
-    mix, isolating heap + dispatch cost from any packet machinery.
-``single_link``
-    One window-limited flow saturating a 100 Gbps link: the minimal
-    port/host/transport round trip (DATA out, ACK back).
-``fat_tree_incast``
-    A k=4 fat-tree with a 15-to-1 incast under Swift + PFC: the paper's
-    worst-case hot path (deep queues, multi-hop forwarding, ECMP, PFC
-    pause/resume).  This is the headline number.
-``prioplus_mix``
-    Eight PrioPlus flows in two virtual-priority classes sharing one
-    physical queue: probes, relinquish/resume and channel logic on top of
-    the packet path.
-
-Each bench reports wall time, engine events processed, delivered packets and
-the derived ``events_per_sec`` / ``packets_per_sec``.  Because wall-clock
-numbers are machine-bound, the snapshot also embeds a pure-Python
-``calibration`` score (ops/sec of a fixed spin loop); the CI regression gate
-compares ``events_per_sec / calibration`` against the committed
-``benchmarks/baseline_core.json`` so it ports across runner generations.
-
-CLI::
-
-    python -m repro bench --core --out BENCH_core.json           # full
-    python -m repro bench --core --quick                         # CI scale
-    python -m repro bench --core --quick --check benchmarks/baseline_core.json
+``benchmarks/perf/run.py`` (the only place this repo measures speed, see
+``benchmarks/perf/README.md``) imports ``calibrate`` from exactly this path
+to report ``machine.calib_mops`` beside every run; that directory is frozen
+between benchmark PRs, so the name and the module stay put.  The timing
+harnesses that used to sit next to it are gone: add workloads to the ledger,
+not benches to ``src/repro``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = [
-    "BENCH_CORE_SCHEMA",
-    "calibrate",
-    "run_core_bench",
-    "write_core_bench",
-    "check_regression",
-]
-
-BENCH_CORE_SCHEMA = "repro-bench-core/1"
-
-#: regression gate: normalised events/sec may drop at most this fraction
-REGRESSION_TOLERANCE = 0.20
+__all__ = ["calibrate"]
 
 
-# ----------------------------------------------------------------------
-# machine calibration
-# ----------------------------------------------------------------------
 def calibrate(n: int = 2_000_000) -> float:
     """Ops/sec of a fixed pure-Python loop (attribute walks + int math).
 
     The loop shape intentionally resembles the simulator's instruction mix
-    (method calls, attribute loads, small-int arithmetic) so the ratio
-    ``events_per_sec / calibrate()`` stays roughly machine-independent.
+    (method calls, attribute loads, small-int arithmetic), so wall-clock
+    numbers taken on different machines can be compared through it.
     """
 
     class _Cell:
@@ -85,249 +40,3 @@ def calibrate(n: int = 2_000_000) -> float:
         bump(i)
     dt = time.perf_counter() - t0
     return n / dt if dt > 0 else float("inf")
-
-
-# ----------------------------------------------------------------------
-# the benches
-# ----------------------------------------------------------------------
-def _measure(build: Callable[[], Tuple[object, Callable[[], int]]]) -> dict:
-    """Build a scenario outside the timed region, run it inside."""
-    sim, run = build()
-    t0 = time.perf_counter()
-    packets = run()
-    wall_s = time.perf_counter() - t0
-    events = sim.events_processed
-    return {
-        "wall_s": round(wall_s, 4),
-        "events": events,
-        "packets": packets,
-        "sim_ns": sim.now,
-        "events_per_sec": round(events / wall_s, 1) if wall_s > 0 else None,
-        "packets_per_sec": round(packets / wall_s, 1) if wall_s > 0 else None,
-    }
-
-
-def bench_event_loop(n_events: int = 300_000) -> dict:
-    """Engine-only: chained no-op events, fast path + cancellable mix."""
-    from ..sim.engine import Simulator
-
-    def build():
-        sim = Simulator(0)
-        n_fast = n_events * 9 // 10
-        n_slow = n_events - n_fast
-        # degrade to the classic handle path on pre-fast-path engines so the
-        # same bench measures before/after an upgrade
-        fast_after = getattr(sim, "call_after", sim.after)
-
-        state = {"left": n_fast}
-
-        def tick() -> None:
-            left = state["left"]
-            if left > 0:
-                state["left"] = left - 1
-                fast_after(10, tick)
-
-        def slow_tick() -> None:
-            pass
-
-        def run() -> int:
-            fast_after(1, tick)
-            # a cancel-heavy sprinkle through the classic handle path
-            for i in range(n_slow):
-                h = sim.after(5 + i, slow_tick)
-                if i % 4 == 0:
-                    h.cancel()
-            sim.run()
-            return 0
-
-        return sim, run
-
-    return _measure(build)
-
-
-def bench_single_link(size_bytes: int = 12_000_000) -> dict:
-    """One window-limited flow saturating a 100 Gbps link."""
-    from ..cc.base import CongestionControl
-    from ..sim.engine import Simulator
-    from ..sim.pfc import PfcConfig
-    from ..sim.switch import SwitchConfig
-    from ..topology import star
-    from ..transport.flow import Flow
-    from ..transport.sender import FlowSender
-
-    def build():
-        sim = Simulator(1)
-        cfg = SwitchConfig(n_queues=2, pfc=PfcConfig(enabled=False))
-        net, senders, recv = star(sim, 1, rate_bps=100e9, link_delay_ns=1_000, switch_cfg=cfg)
-        flow = Flow(1, senders[0], recv, size_bytes)
-        FlowSender(sim, net, flow, CongestionControl(init_cwnd_bytes=200_000), rto_ns=10**12)
-
-        def run() -> int:
-            sim.run(until=10_000_000_000)
-            assert flow.done
-            return recv.rx_packets
-
-        return sim, run
-
-    return _measure(build)
-
-
-def bench_fat_tree_incast(flow_bytes: int = 600_000) -> dict:
-    """15-to-1 incast across a k=4 fat-tree under Swift + PFC (headline)."""
-    from ..cc import Swift, SwiftParams
-    from ..sim.engine import Simulator
-    from ..sim.switch import SwitchConfig
-    from ..topology import fat_tree
-    from ..transport.flow import Flow
-    from ..transport.sender import FlowSender
-
-    def build():
-        sim = Simulator(2)
-        cfg = SwitchConfig(n_queues=3, buffer_bytes=4 * 1024 * 1024)
-        net, hosts = fat_tree(sim, k=4, rate_bps=100e9, switch_cfg=cfg)
-        sink = hosts[-1]
-        flows = []
-        for i, h in enumerate(hosts[:-1]):
-            f = Flow(i + 1, h, sink, flow_bytes, priority=i % 2)
-            flows.append(f)
-            FlowSender(sim, net, f, Swift(SwiftParams(target_scaling=False)), rto_ns=10**10)
-
-        def run() -> int:
-            sim.run(until=60_000_000_000)
-            assert all(f.done for f in flows)
-            return sink.rx_packets
-
-        return sim, run
-
-    return _measure(build)
-
-
-def bench_prioplus_mix(flow_bytes: int = 400_000) -> dict:
-    """Eight PrioPlus flows in two virtual-priority classes, one queue."""
-    from ..cc import Swift, SwiftParams
-    from ..core import ChannelConfig, PrioPlusCC, StartTier
-    from ..sim.engine import Simulator
-    from ..sim.switch import SwitchConfig
-    from ..topology import star
-    from ..transport.flow import Flow
-    from ..transport.sender import FlowSender
-
-    def build():
-        sim = Simulator(4)
-        cfg = SwitchConfig(n_queues=2)
-        net, senders, recv = star(sim, 8, rate_bps=100e9, link_delay_ns=1_000, switch_cfg=cfg)
-        channels = ChannelConfig(n_priorities=2)
-        flows = []
-        for i, h in enumerate(senders):
-            vprio = 1 + (i % 2)
-            f = Flow(i + 1, h, recv, flow_bytes, vpriority=vprio, start_ns=i * 5_000)
-            flows.append(f)
-            cc = PrioPlusCC(
-                Swift(SwiftParams(target_scaling=False)),
-                channels,
-                vpriority=vprio,
-                tier=StartTier.LOW if vprio == 1 else StartTier.HIGH,
-            )
-            FlowSender(sim, net, f, cc, rto_ns=10**10)
-
-        def run() -> int:
-            sim.run(until=60_000_000_000)
-            assert all(f.done for f in flows)
-            return recv.rx_packets
-
-        return sim, run
-
-    return _measure(build)
-
-
-#: name -> (full kwargs, quick kwargs)
-_BENCHES: Dict[str, Tuple[Callable[..., dict], dict, dict]] = {
-    "event_loop": (bench_event_loop, {"n_events": 300_000}, {"n_events": 60_000}),
-    "single_link": (bench_single_link, {"size_bytes": 12_000_000}, {"size_bytes": 2_000_000}),
-    "fat_tree_incast": (bench_fat_tree_incast, {"flow_bytes": 600_000}, {"flow_bytes": 120_000}),
-    "prioplus_mix": (bench_prioplus_mix, {"flow_bytes": 400_000}, {"flow_bytes": 100_000}),
-}
-
-#: the acceptance-headline bench
-HEADLINE = "fat_tree_incast"
-
-
-def run_core_bench(
-    quick: bool = False,
-    repeats: int = 3,
-    only: Optional[List[str]] = None,
-) -> dict:
-    """Run each bench ``repeats`` times, keep the best (least-noisy) run."""
-    from .. import __version__  # noqa: F401  (import proves the package wiring)
-
-    names = [n for n in _BENCHES if only is None or n in only]
-    calibration = calibrate()
-    benches: Dict[str, dict] = {}
-    for name in names:
-        fn, full_kw, quick_kw = _BENCHES[name]
-        kw = quick_kw if quick else full_kw
-        best: Optional[dict] = None
-        for _ in range(max(1, repeats)):
-            result = fn(**kw)
-            if best is None or (result["wall_s"] or 0) < (best["wall_s"] or 0):
-                best = result
-        best["config"] = dict(kw)
-        best["normalized"] = (
-            round(best["events_per_sec"] / calibration, 4)
-            if best["events_per_sec"] and calibration
-            else None
-        )
-        benches[name] = best
-    return {
-        "schema": BENCH_CORE_SCHEMA,
-        "quick": quick,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "unix_s": time.time(),
-        "calibration_ops_per_sec": round(calibration, 1),
-        "benches": benches,
-    }
-
-
-def write_core_bench(snapshot: dict, path: str = "BENCH_core.json") -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote core bench snapshot to {path}", file=sys.stderr)
-    return path
-
-
-def check_regression(
-    snapshot: dict, baseline_path: str, tolerance: float = REGRESSION_TOLERANCE
-) -> List[str]:
-    """Compare calibration-normalised events/sec against a committed baseline.
-
-    Returns a list of human-readable failures (empty = pass).  A bench present
-    in the baseline but missing from the snapshot is a failure; new benches
-    absent from the baseline are ignored so the gate never blocks additions.
-    """
-    with open(baseline_path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    failures: List[str] = []
-    for name, base in baseline.get("benches", {}).items():
-        base_norm = base.get("normalized")
-        if base_norm is None:
-            continue
-        current = snapshot.get("benches", {}).get(name)
-        if current is None:
-            failures.append(f"{name}: missing from current run")
-            continue
-        cur_norm = current.get("normalized")
-        if cur_norm is None:
-            failures.append(f"{name}: no normalized events/sec in current run")
-            continue
-        floor = base_norm * (1.0 - tolerance)
-        if cur_norm < floor:
-            failures.append(
-                f"{name}: normalized events/sec {cur_norm:.4f} is "
-                f"{(1 - cur_norm / base_norm) * 100:.1f}% below baseline "
-                f"{base_norm:.4f} (tolerance {tolerance * 100:.0f}%)"
-            )
-    return failures

@@ -45,7 +45,7 @@ import signal
 import sys
 import threading
 import time
-from typing import AsyncIterator, Dict, List, Optional
+from typing import AsyncIterator, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..experiments.common import REGISTRY, Experiment, Point
@@ -68,6 +68,24 @@ from .protocol import (
 __all__ = ["ExperimentServer", "BackgroundServer", "serve_main"]
 
 _TERMINAL = ("done", "error")
+
+#: largest request body the daemon buffers.  The only body it accepts is a
+#: SubmitRequest (a few kB even with an inline fault plan), so 1 MiB is
+#: generous; anything larger is refused before a byte of it is read.
+MAX_BODY_BYTES = 1 << 20
+
+#: seconds a client gets to deliver request line + headers + body; a
+#: connection that stays silent longer is answered 408 and closed instead of
+#: pinning a task forever.
+REQUEST_READ_TIMEOUT_S = 10.0
+
+
+class _RequestRejected(Exception):
+    """A request refused while being read; carries the HTTP status."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class Job:
@@ -372,14 +390,37 @@ class ExperimentServer:
                 pass
 
     async def _handle_request(self, reader, writer) -> None:
+        try:
+            request = await asyncio.wait_for(
+                self._read_request(reader), REQUEST_READ_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            await self._respond_json(writer, 408, {"error": "request read timed out"})
+            return
+        except _RequestRejected as rejected:
+            await self._respond_json(writer, rejected.status, {"error": str(rejected)})
+            return
+        if request is None:
+            return
+        method, target, body = request
+        parts = urlsplit(target)
+        params = {k: v[-1] for k, v in parse_qs(parts.query).items()}
+        await self._route(writer, method.upper(), parts.path, params, body)
+
+    async def _read_request(self, reader) -> Optional[Tuple[str, str, bytes]]:
+        """Request line + headers + body; ``None`` when the client sent nothing.
+
+        The only part of a connection whose pace and size the *client* sets,
+        hence the one place the read timeout and body cap apply (responses
+        and event streams are paced by the daemon).
+        """
         request_line = (await reader.readline()).decode("latin-1").strip()
         if not request_line:
-            return
+            return None
         try:
             method, target, _ = request_line.split(" ", 2)
         except ValueError:
-            await self._respond_json(writer, 400, {"error": "malformed request line"})
-            return
+            raise _RequestRejected(400, "malformed request line") from None
         content_length = 0
         while True:
             line = (await reader.readline()).decode("latin-1").strip()
@@ -390,12 +431,15 @@ class ExperimentServer:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
-                    await self._respond_json(writer, 400, {"error": "bad content-length"})
-                    return
+                    raise _RequestRejected(400, "bad content-length") from None
+        if content_length < 0:
+            raise _RequestRejected(400, "negative content-length")
+        if content_length > MAX_BODY_BYTES:
+            raise _RequestRejected(
+                413, f"body of {content_length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         body = await reader.readexactly(content_length) if content_length else b""
-        parts = urlsplit(target)
-        params = {k: v[-1] for k, v in parse_qs(parts.query).items()}
-        await self._route(writer, method.upper(), parts.path, params, body)
+        return method, target, body
 
     async def _route(self, writer, method: str, path: str, params: Dict[str, str], body: bytes):
         if method == "GET" and path == "/v1/health":
@@ -499,7 +543,8 @@ class ExperimentServer:
     async def _respond_json(self, writer, status: int, payload: dict) -> None:
         body = (json.dumps(json_safe(payload)) + "\n").encode("utf-8")
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-                  409: "Conflict", 500: "Internal Server Error"}.get(status, "OK")
+                  408: "Request Timeout", 409: "Conflict", 413: "Payload Too Large",
+                  500: "Internal Server Error"}.get(status, "OK")
         writer.write(
             (
                 f"HTTP/1.1 {status} {reason}\r\n"

@@ -1,6 +1,6 @@
 """``python -m repro tune`` — the channel-tuning command line.
 
-Three modes:
+Two modes:
 
 * **search** (default): one deterministic CEM/random search over a named
   workload, optionally fleet-parallel and checkpointed::
@@ -14,11 +14,6 @@ Three modes:
 
       python -m repro tune --experiment --quick
       python -m repro tune --experiment --server /tmp/repro.sock
-
-* **bench** (``--bench``): emit ``BENCH_tune.json`` (env steps/sec,
-  serial-vs-fleet rollout throughput)::
-
-      python -m repro tune --bench --quick --out BENCH_tune.json
 """
 
 from __future__ import annotations
@@ -68,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run the registered tune_channels experiment instead")
     parser.add_argument("--server", metavar="ADDR",
                         help="with --experiment: run on a repro serve daemon")
-    parser.add_argument("--bench", action="store_true",
-                        help="measure env/rollout throughput (BENCH_tune.json)")
     return parser
 
 
@@ -86,13 +79,6 @@ def _emit(payload: dict, out: str | None) -> None:
 def tune_main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     say = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-
-    if args.bench:
-        from .bench import run_tune_bench
-
-        payload = run_tune_bench(quick=args.quick, jobs=max(2, args.jobs), log=say)
-        _emit(payload, args.out)
-        return 0
 
     if args.experiment:
         from .. import api

@@ -5,8 +5,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
+from repro.experiments.common import REGISTRY
 
 
 def test_list_experiments(capsys):
@@ -32,8 +34,10 @@ def test_run_fig6_via_cli(capsys):
 
 
 def test_every_registered_experiment_is_callable():
-    for name, fn in EXPERIMENTS.items():
-        assert callable(fn), name
+    assert REGISTRY.names()
+    for name in REGISTRY.names():
+        exp = REGISTRY.get(name)
+        assert exp.name == name and callable(exp.run_point), name
 
 
 def test_module_invocation_subprocess():
@@ -78,26 +82,15 @@ def test_cache_flag_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == cold
 
 
-def test_experiments_compat_dict_runs_serially():
-    result = EXPERIMENTS["fig6"]()
-    assert result["lag_rtts"] == 2.0
+def test_retired_bench_entry_points_stay_retired(capsys):
+    """Speed is measured in benchmarks/perf only: no stub, no forwarding flag."""
+    from repro.tune.cli import tune_main
 
-
-def test_bench_with_tiny_suite(tmp_path):
-    from repro.experiments.common import FunctionExperiment
-    from repro.runner import run_bench, write_bench
-    from repro.runner.bench import BENCH_SCHEMA
-    from tests.test_runner import _echo
-
-    suite = [FunctionExperiment("tiny", {"a": (_echo, {"x": 1, "seed": 0}),
-                                         "b": (_echo, {"x": 2, "seed": 0})})]
-    snapshot = run_bench(suite=suite, jobs=2)
-    assert snapshot["schema"] == BENCH_SCHEMA
-    assert snapshot["experiments"]["tiny"]["points"] == 2
-    assert snapshot["totals"]["serial_s"] >= 0
-    out = tmp_path / "BENCH_runner.json"
-    write_bench(snapshot, str(out))
-    assert json.loads(out.read_text())["schema"] == BENCH_SCHEMA
+    assert main(["bench"]) == 2  # falls through to "unknown experiment"
+    assert "unknown experiment 'bench'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        tune_main(["--bench"])
+    assert exit_info.value.code == 2
 
 
 def test_run_all_experiments_script(tmp_path):

@@ -2,7 +2,8 @@
 
 Pins what every consumer of the seam relies on:
 
-* the dependency points sinks -> probe <- core (import boundary);
+* the dependency points sinks -> probe <- core (import boundary), and
+  ``runner/`` names no figure module;
 * the engine's per-dispatch hook is selected apart from ``probe.on``, and the
   profiler contract ``benchmarks/perf/tracing.py`` builds on holds;
 * snapshot-at-construction: a simulator keeps the probe it was built with;
@@ -70,6 +71,24 @@ def test_core_imports_no_sink_package():
             for module in _imported_modules(path):
                 if module.startswith(sinks):
                     offenders.append(f"{path.relative_to(SRC)} imports {module}")
+    assert not offenders, offenders
+
+
+def test_runner_imports_no_figure_module():
+    """``runner/`` dispatches experiments; it never names one.
+
+    Its only door into ``repro.experiments`` is ``common`` (the Experiment /
+    Point types).  Importing a figure module is how a timing harness would
+    grow back inside ``src/repro``; speed is measured in ``benchmarks/perf``.
+    """
+    allowed = ("repro.experiments", "repro.experiments.common")
+    offenders = []
+    for path in sorted((SRC / "runner").rglob("*.py")):
+        for module in _imported_modules(path):
+            if module.startswith("repro.experiments") and not (
+                module in allowed or module.startswith("repro.experiments.common.")
+            ):
+                offenders.append(f"{path.relative_to(SRC)} imports {module}")
     assert not offenders, offenders
 
 

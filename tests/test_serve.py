@@ -358,6 +358,68 @@ def _raise_point(seed=0):
 
 
 # ----------------------------------------------------------------------
+# the request read is bounded: the client sets its pace and size, so the
+# daemon caps both (raw socket: the public client never sends these)
+# ----------------------------------------------------------------------
+def _raw_request(address, data: bytes):
+    """Send ``data`` verbatim, read to EOF; returns (status, JSON body)."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(5.0)
+        sock.connect(address)
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def test_negative_content_length_is_a_400(tmp_path):
+    with _make_server(tmp_path, []) as srv:
+        status, payload = _raw_request(
+            srv.address, b"POST /v1/submit HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        )
+        assert status == 400 and "content-length" in payload["error"]
+
+
+def test_oversized_body_is_refused_before_it_is_read(tmp_path):
+    from repro.serve.server import MAX_BODY_BYTES
+
+    with _make_server(tmp_path, []) as srv:
+        # headers only: the 413 must arrive without a single body byte sent
+        status, payload = _raw_request(
+            srv.address,
+            f"POST /v1/submit HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
+        )
+        assert status == 413 and str(MAX_BODY_BYTES) in payload["error"]
+        assert connect(srv.address).health()["ok"] is True
+
+
+def test_silent_client_is_timed_out(tmp_path, monkeypatch):
+    from repro.serve import server as server_mod
+
+    monkeypatch.setattr(server_mod, "REQUEST_READ_TIMEOUT_S", 0.2)
+    with _make_server(tmp_path, []) as srv:
+        status, _ = _raw_request(srv.address, b"")
+        assert status == 408
+        # a request that stalls half way through its headers is cut off too
+        status, _ = _raw_request(srv.address, b"GET /v1/health HTTP/1.1\r\n")
+        assert status == 408
+
+
+def test_raw_submit_within_the_bounds_round_trips(tmp_path):
+    exp = FunctionExperiment("tiny", {"p": (_quick_point, {"value": 9, "seed": 0})})
+    with _make_server(tmp_path, [exp]) as srv:
+        body = json.dumps(SubmitRequest(experiment="tiny").to_dict()).encode()
+        status, payload = _raw_request(
+            srv.address,
+            b"POST /v1/submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body,
+        )
+        assert status == 202
+        assert connect(srv.address).result(payload["job_id"]) == {"value": 9, "seed": 0}
+
+
+# ----------------------------------------------------------------------
 # the repro.api facade
 # ----------------------------------------------------------------------
 def test_api_local_and_remote_agree(tmp_path):
