@@ -5,7 +5,7 @@ paper's headline priority count (8) and prints the Fig 11a-d rows (total /
 small / middle / large, mean and p99).
 """
 
-from repro.experiments.common import Mode
+from repro.experiments.modes import Mode
 from repro.experiments.flowsched import FlowSchedConfig, run_flowsched
 from repro.experiments.report import format_table
 
@@ -60,7 +60,7 @@ def test_fig11_fct_breakdown(benchmark):
 def test_fig11_physical_headroom_ceiling(benchmark):
     """Real physical queues cannot exceed 8 priorities (protocol limit)."""
     import pytest
-    from repro.experiments.common import CCFactory
+    from repro.experiments.modes import CCFactory
 
     def check():
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Figures 12a/12b/15 (coflows) and 12c (ML training), reduced scale."""
 
-from repro.experiments.common import Mode
+from repro.experiments.modes import Mode
 from repro.experiments.fig12_coflow import ci_config, _run_fig12ab
 from repro.experiments.mltrain import MlTrainConfig, run_mltrain_comparison
 from repro.experiments.report import format_table

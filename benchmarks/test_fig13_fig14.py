@@ -1,6 +1,6 @@
 """Figure 13 (non-congestive delay) and Figure 14 (per-priority breakdown)."""
 
-from repro.experiments.common import Mode
+from repro.experiments.modes import Mode
 from repro.experiments.fig13_noncongestive import run_fig13_point
 from repro.experiments.fig14_breakdown import normalize_to_physical, run_fig14
 from repro.experiments.flowsched import FlowSchedConfig

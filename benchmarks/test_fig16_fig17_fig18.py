@@ -1,6 +1,6 @@
 """Figures 16, 17, 18: ACK priority sensitivity, lossy operation, HPCC/no-CC."""
 
-from repro.experiments.common import Mode
+from repro.experiments.modes import Mode
 from repro.experiments.fig12_coflow import ci_config, _run_fig17, _run_fig18
 from repro.experiments.fig16_ack_hpcc import _run_fig16
 from repro.experiments.flowsched import FlowSchedConfig

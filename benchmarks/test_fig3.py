@@ -1,6 +1,5 @@
 """Figures 1 & 3: existing CCs cannot provide virtual priority (§3)."""
 
-from repro.experiments.common import Mode
 from repro.experiments.fig3_micro import _run_fig3a, _run_fig3b, _run_fig3c, _run_fig3d
 from repro.sim.engine import MILLISECOND
 

@@ -1,6 +1,6 @@
 """Figures 6, 8, 9: dual-RTT observability and the testbed experiments."""
 
-from repro.experiments.common import Mode
+from repro.experiments.modes import Mode
 from repro.experiments.fig6_dualrtt import _run_fig6
 from repro.experiments.fig8_testbed import _run_fig8
 from repro.experiments.fig9_fluct import _run_fig9

@@ -1,6 +1,5 @@
 """Fig 11's resource story isolated: PFC headroom vs priority count (§2.2)."""
 
-from repro.experiments.common import Mode
 from repro.experiments.headroom_pressure import run_headroom_sweep
 from repro.experiments.report import format_table
 

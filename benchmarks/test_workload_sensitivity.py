@@ -5,7 +5,7 @@ not tuned to WebSearch: the same channels schedule the Facebook-Hadoop mix
 (tiny median, enormous tail) and a storage mix (bimodal) correctly.
 """
 
-from repro.experiments.common import Mode
+from repro.experiments.modes import Mode
 from repro.experiments.flowsched import FlowSchedConfig, run_flowsched
 from repro.experiments.report import format_table
 from repro.workloads import ali_storage, hadoop, websearch

@@ -13,7 +13,7 @@ Run:  python examples/coflow_scheduling.py   (~1 minute)
 """
 
 from repro.experiments.coflow_scenario import CoflowConfig, run_coflow_comparison
-from repro.experiments.common import Mode
+from repro.experiments.modes import Mode
 from repro.experiments.report import print_table
 
 

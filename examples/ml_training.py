@@ -10,7 +10,6 @@ Swift baseline, for PrioPlus and for physical priority queues.
 Run:  python examples/ml_training.py   (~1 minute)
 """
 
-from repro.experiments.common import Mode
 from repro.experiments.mltrain import MlTrainConfig, run_mltrain_comparison
 from repro.experiments.report import print_table
 

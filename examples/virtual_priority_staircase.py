@@ -10,7 +10,7 @@ Run:  python examples/virtual_priority_staircase.py
 """
 
 from repro import ChannelConfig, Flow, FlowSender, PrioPlusCC, Simulator, StartTier, Swift, SwiftParams, star
-from repro.experiments.common import RateSampler
+from repro.experiments.samplers import RateSampler
 
 RATE = 10e9
 STAGGER_NS = 2_000_000

@@ -18,7 +18,7 @@ and dedupes work across clients; ``run``/``submit``/``status`` talk to it:
 All execution goes through :mod:`repro.api`, the stable programmatic facade
 (the CLI is a thin shell around it).
 
-Every experiment is a registered :class:`repro.experiments.common.Experiment`
+Every experiment is a registered :class:`repro.experiments.registry.Experiment`
 dispatched through :func:`repro.runner.run_experiment`; ``--jobs N`` fans the
 experiment's independent points over a process pool and ``--cache DIR`` skips
 points whose results are already on disk (see docs/RUNNER.md).
@@ -46,7 +46,7 @@ import sys
 
 from . import api
 from .client import ServeError
-from .experiments.common import REGISTRY
+from .experiments.registry import REGISTRY
 from .obs import ChannelInspector, EngineProfiler, PacketTracer, TimeSeriesSampler
 from .probe import installed
 from .runner import RunnerError

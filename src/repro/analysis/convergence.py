@@ -1,7 +1,7 @@
 """Convergence and fairness metrics for rate time-series.
 
 Operate on the ``(time, rate)`` series produced by
-:class:`repro.experiments.common.RateSampler`:
+:class:`repro.experiments.samplers.RateSampler`:
 
 * :func:`jain_index` — Jain's fairness index over per-entity allocations;
 * :func:`time_to_share` — how long an entity takes to first reach a target

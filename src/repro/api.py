@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from .client import ServeClient, ServeError, connect
-from .experiments.common import REGISTRY, Experiment
+from .experiments.registry import REGISTRY, Experiment
 from .faults.plan import FaultPlan
 from .runner import ResultCache, RunnerError, run_experiment
 from .serve.protocol import (

@@ -15,7 +15,7 @@ Priority ``i`` (larger = higher, Table 1) owns the channel
   auto-tuning channel placement per workload; both placements share one
   validation path, JSON round-trip and the :class:`ChannelConfig` API, so a
   tuned placement is a drop-in replacement anywhere the paper default is
-  accepted (:class:`~repro.experiments.common.CCFactory`,
+  accepted (:class:`~repro.experiments.modes.CCFactory`,
   :class:`~repro.core.prioplus.PrioPlusCC`).
 
 Every configuration is validated at construction: bands must be strictly

@@ -1,9 +1,12 @@
 """One experiment module per figure/table of the paper (see DESIGN.md).
 
 Every module registers its experiments behind the uniform protocol in
-:mod:`repro.experiments.common` -- ``Point`` / ``Experiment`` /
-``FunctionExperiment`` -- into the module-level ``REGISTRY``.  The supported
-way to run one is the stable facade::
+:mod:`repro.experiments.registry` -- ``Point`` / ``Experiment`` /
+``FunctionExperiment`` -- into the module-level ``REGISTRY``.  The shared
+harness is one module per decision: :mod:`.modes` (mode -> CC, queues, switch
+config), :mod:`.launch` (spec -> sender binder, admission, drive loop),
+:mod:`.samplers`; ``common`` only re-exports them for ``benchmarks/perf``.
+The supported way to run one is the stable facade::
 
     import repro.api as api
 

@@ -22,7 +22,8 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import DelaySampler, FunctionExperiment, RateSampler, register
+from .registry import FunctionExperiment, register
+from .samplers import DelaySampler, RateSampler
 
 __all__ = [
     "run_collision_avoidance_ablation",

@@ -14,6 +14,7 @@ Fig 18 adds HPCC and Physical w/o CC.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.fct import percentile
@@ -22,8 +23,8 @@ from ..noise import paper_noise
 from ..sim.engine import MICROSECOND, MILLISECOND, Simulator
 from ..topology import multi_rack
 from ..workloads import CoflowSpec, FlowSpec, synthesize_coflows
-from .common import (CCFactory, FlowAdmitter, Mode, launch_specs,
-                     run_admitter, run_until_flows_done)
+from .launch import FlowAdmitter, launch_specs, run_admitter, run_until_flows_done
+from .modes import CCFactory, Mode
 
 __all__ = ["CoflowConfig", "run_coflow_mode", "run_coflow_comparison", "speedup_summary"]
 
@@ -126,8 +127,6 @@ def run_coflow_mode(
     topology=None,
     streaming: bool = False,
     fluid: bool = False,
-    fluid_config=None,
-    admit_horizon_ns: int = 1_000_000,
 ) -> Dict[int, int]:
     """Run one mode over a pre-built workload; returns coflow_id -> CCT ns.
 
@@ -172,45 +171,26 @@ def run_coflow_mode(
         tracker.register(job.coflow_id, job.start_ns, len(job.flows))
         specs.extend(job.flows)
 
-    noise = paper_noise() if cfg.with_noise else None
-    rto = 100 * MICROSECOND if cfg.lossy else None
     group_of = lambda s: groups[s.tag[1]]  # noqa: E731
-    deadline = cfg.duration_ns * 50
-    if streaming:
-        specs.sort(key=lambda s: s.start_ns)  # admitter contract
-        driver = None
-        admitter = FlowAdmitter(
-            sim,
-            net,
-            specs,
-            hosts,
-            factory,
-            group_of,
-            mtu=cfg.mtu,
-            noise=noise,
-            rto_ns=rto,
-            horizon_ns=admit_horizon_ns,
-            on_receive_done=tracker.on_flow_done,
-        )
-        if fluid:
-            from ..fluid import HybridDriver
-
-            driver = HybridDriver(sim, net, fluid_config)
-        run_admitter(sim, admitter, deadline, driver=driver)
-        return tracker.all_ccts()
-    flows, _ = launch_specs(
-        sim,
-        net,
-        specs,
-        hosts,
-        factory,
-        group_of=group_of,
+    sender_kw = dict(
         mtu=cfg.mtu,
-        noise=noise,
-        rto_ns=rto,
+        noise=paper_noise() if cfg.with_noise else None,
+        rto_ns=100 * MICROSECOND if cfg.lossy else None,
         on_receive_done=tracker.on_flow_done,
     )
-    run_until_flows_done(sim, flows, deadline)
+    if streaming:
+        specs.sort(key=lambda s: s.start_ns)  # admitter contract
+        admitter = FlowAdmitter(sim, net, specs, hosts, factory, group_of, **sender_kw)
+        drive = partial(run_admitter, sim, admitter)
+    else:
+        flows, _ = launch_specs(sim, net, specs, hosts, factory, group_of, **sender_kw)
+        drive = partial(run_until_flows_done, sim, flows)
+    driver = None
+    if fluid:
+        from ..fluid import HybridDriver
+
+        driver = HybridDriver(sim, net)
+    drive(cfg.duration_ns * 50, driver=driver)
     return tracker.all_ccts()
 
 

@@ -18,7 +18,8 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import FunctionExperiment, RateSampler, register
+from .registry import FunctionExperiment, register
+from .samplers import RateSampler
 
 __all__ = ["run_ecn_priority"]
 

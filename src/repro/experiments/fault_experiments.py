@@ -51,16 +51,10 @@ from ..faults import FaultInjector, FaultPlan, FaultSpec, Schedule
 from ..sim.engine import MICROSECOND, MILLISECOND, Simulator
 from ..sim.network import Network
 from ..workloads.generators import FlowSpec
-from .common import (
-    CCFactory,
-    Experiment,
-    FunctionExperiment,
-    Mode,
-    RateSampler,
-    attach_telemetry,
-    launch_specs,
-    register,
-)
+from .launch import launch_specs
+from .modes import CCFactory, Mode
+from .registry import Experiment, FunctionExperiment, register
+from .samplers import RateSampler, attach_telemetry
 
 __all__ = ["run_fault_flap", "run_fault_degrade", "export_fault_timelines"]
 

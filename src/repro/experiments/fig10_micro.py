@@ -26,7 +26,9 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import DelaySampler, FunctionExperiment, Mode, RateSampler, register
+from .modes import Mode
+from .registry import FunctionExperiment, register
+from .samplers import DelaySampler, RateSampler
 from .fig8_testbed import run_staircase
 
 

@@ -15,12 +15,11 @@ while PrioPlus relinquishes cleanly and linear-starts back.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from .flowsched import FlowschedGrid
+from .modes import MAX_PHYSICAL_PRIORITIES, Mode
+from .registry import register
 
-from .common import Experiment, Mode, Point, register
-from .flowsched import FlowSchedConfig, run_flowsched
-
-__all__ = ["run_fig11", "FIG11_MODES", "Fig11Experiment"]
+__all__ = ["FIG11_MODES"]
 
 FIG11_MODES = (
     Mode.PRIOPLUS,
@@ -30,79 +29,17 @@ FIG11_MODES = (
 )
 
 
-def run_fig11(
-    n_priorities_list: Sequence[int] = (2, 4, 6, 8, 10, 12),
-    modes: Sequence[str] = FIG11_MODES,
-    cfg: Optional[FlowSchedConfig] = None,
-) -> List[Dict[str, object]]:
-    """Full sweep; entries where Physical cannot support the count are skipped."""
-    rows: List[Dict[str, object]] = []
-    for n in n_priorities_list:
-        for mode in modes:
-            if mode == Mode.PHYSICAL and n > 8:
-                continue  # the protocol/hardware ceiling (§2.2)
-            rows.append(run_flowsched(mode, n, cfg))
-    return rows
-
-
-def fct_row(result: Dict[str, object], size_class: str = "all", metric: str = "mean_us") -> float:
-    fct = result.get("fct", {})
-    rec = fct.get(size_class)
-    if not rec or not rec.get("count"):
-        return float("nan")  # absent or n=0 group: no defined percentile
-    return rec[metric]
-
-
-class Fig11Experiment(Experiment):
-    """The Fig 11 (mode x priority-count) grid as independent runner points.
-
-    Every cell of the sweep replays the identical seeded workload, so the
-    grid parallelises perfectly; ``reduce`` flattens the cells back into the
-    row list ``run_fig11`` produces, in the same sweep order.
-    """
-
-    name = "fig11"
-    description = "flow-scheduling FCT vs number of priorities, four systems"
-
-    def __init__(
-        self,
-        n_priorities_list: Sequence[int] = (2, 4, 6, 8, 10, 12),
-        modes: Sequence[str] = FIG11_MODES,
-        cfg_kwargs: Optional[Dict[str, object]] = None,
-    ):
-        self.n_priorities_list = tuple(int(n) for n in n_priorities_list)
-        self.modes = list(modes)
-        self.cfg_kwargs = dict(
-            cfg_kwargs
-            if cfg_kwargs is not None
-            else {"rate_bps": 100e9, "duration_ns": 600_000, "size_scale": 0.1}
-        )
-
-    def _grid(self) -> List[tuple]:
-        return [
-            (n, mode)
-            for n in self.n_priorities_list
-            for mode in self.modes
-            if not (mode == Mode.PHYSICAL and n > 8)  # protocol/hardware ceiling (§2.2)
-        ]
-
-    def points(self) -> List[Point]:
-        seed = int(self.cfg_kwargs.get("seed", FlowSchedConfig().seed))
-        return [
-            Point(
-                f"{mode}@{n}",
-                {"mode": mode, "n_priorities": n, "cfg": dict(self.cfg_kwargs)},
-                seed=seed,
-            )
-            for n, mode in self._grid()
-        ]
-
-    def run_point(self, point: Point) -> dict:
-        cfg = FlowSchedConfig(**point.config["cfg"])
-        return run_flowsched(point.config["mode"], point.config["n_priorities"], cfg)
-
-    def reduce(self, results: Dict[str, dict]) -> Dict[str, object]:
-        return {"rows": [results[f"{mode}@{n}"] for n, mode in self._grid()]}
-
-
-register(Fig11Experiment())
+register(
+    FlowschedGrid(
+        "fig11",
+        "flow-scheduling FCT vs number of priorities, four systems",
+        [
+            (mode, n)
+            for n in (2, 4, 6, 8, 10, 12)
+            for mode in FIG11_MODES
+            # the protocol/hardware ceiling (§2.2)
+            if not (mode == Mode.PHYSICAL and n > MAX_PHYSICAL_PRIORITIES)
+        ],
+        {"rate_bps": 100e9, "duration_ns": 600_000, "size_scale": 0.1},
+    )
+)

@@ -29,7 +29,8 @@ from .coflow_scenario import (
     run_coflow_mode,
     speedup_summary,
 )
-from .common import Experiment, Mode, Point, register
+from .modes import Mode
+from .registry import Experiment, Point, register
 
 __all__ = [
     "ci_config",

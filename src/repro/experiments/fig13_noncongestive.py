@@ -24,7 +24,7 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import Experiment, Point, register
+from .registry import Experiment, Point, register
 
 __all__ = ["run_fig13_point"]
 
@@ -100,22 +100,6 @@ def run_fig13_point(
     ph = _staircase_fcts(False, tolerance_us, noncongestive_range_us, rate, stagger_ns, seed)
     gaps = [abs(a - b) / b for a, b in zip(pp, ph)]
     return sum(gaps) / len(gaps)
-
-
-def _run_fig13(
-    tolerances_us: Sequence[float] = (10.0, 20.0, 30.0),
-    ranges_us: Sequence[float] = (0.0, 8.0, 16.0, 24.0, 32.0, 40.0),
-    rate: float = 10e9,
-    stagger_ns: int = 1 * MILLISECOND,
-    seed: int = 1,
-) -> Dict[float, Dict[float, float]]:
-    """tolerance -> {non-congestive range -> normalised FCT gap}."""
-    out: Dict[float, Dict[float, float]] = {}
-    for tol in tolerances_us:
-        out[tol] = {
-            rng: run_fig13_point(tol, rng, rate, stagger_ns, seed) for rng in ranges_us
-        }
-    return out
 
 
 class Fig13Experiment(Experiment):

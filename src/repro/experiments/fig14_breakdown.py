@@ -22,7 +22,9 @@ from ..noise import paper_noise
 from ..sim.engine import Simulator
 from ..topology import fat_tree
 from ..workloads import poisson_flows, websearch
-from .common import CCFactory, Experiment, Mode, Point, launch_specs, register, run_until_flows_done
+from .launch import launch_specs, run_until_flows_done
+from .modes import CCFactory, Mode
+from .registry import Experiment, Point, register
 from .flowsched import FlowSchedConfig
 
 __all__ = ["run_fig14", "FIG14_MODES", "normalize_to_physical", "Fig14Experiment"]

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .common import Experiment, Mode, Point, register
-from .flowsched import FlowSchedConfig, run_flowsched
+from .flowsched import FlowSchedConfig, FlowschedGrid, run_flowsched
+from .modes import Mode
+from .registry import register
 
-__all__ = ["FIG16_MODES", "Fig16Experiment"]
+__all__ = ["FIG16_MODES"]
 
 FIG16_MODES = (Mode.PRIOPLUS, Mode.PRIOPLUS_SAME_ACK, Mode.HPCC)
 
@@ -31,43 +32,11 @@ def _run_fig16(
     return [run_flowsched(mode, n_priorities, cfg) for mode in modes]
 
 
-class Fig16Experiment(Experiment):
-    """ACK-priority sensitivity + HPCC baseline, one runner point per mode."""
-
-    name = "fig16"
-    description = "PrioPlus* (data-priority ACKs) and HPCC on the flow-scheduling scenario"
-
-    def __init__(
-        self,
-        n_priorities: int = 8,
-        modes: Sequence[str] = FIG16_MODES,
-        cfg_kwargs: Optional[Dict[str, object]] = None,
-    ):
-        self.n_priorities = int(n_priorities)
-        self.modes = list(modes)
-        self.cfg_kwargs = dict(
-            cfg_kwargs
-            if cfg_kwargs is not None
-            else {"rate_bps": 100e9, "duration_ns": 500_000, "size_scale": 0.1}
-        )
-
-    def points(self) -> List[Point]:
-        seed = int(self.cfg_kwargs.get("seed", FlowSchedConfig().seed))
-        return [
-            Point(
-                mode,
-                {"mode": mode, "n_priorities": self.n_priorities, "cfg": dict(self.cfg_kwargs)},
-                seed=seed,
-            )
-            for mode in self.modes
-        ]
-
-    def run_point(self, point: Point) -> dict:
-        cfg = FlowSchedConfig(**point.config["cfg"])
-        return run_flowsched(point.config["mode"], point.config["n_priorities"], cfg)
-
-    def reduce(self, results: Dict[str, dict]) -> Dict[str, object]:
-        return {"rows": [results[mode] for mode in self.modes]}
-
-
-register(Fig16Experiment())
+register(
+    FlowschedGrid(
+        "fig16",
+        "PrioPlus* (data-priority ACKs) and HPCC on the flow-scheduling scenario",
+        [(mode, 8) for mode in FIG16_MODES],
+        {"rate_bps": 100e9, "duration_ns": 500_000, "size_scale": 0.1},
+    )
+)

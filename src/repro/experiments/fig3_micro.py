@@ -27,7 +27,9 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import FunctionExperiment, RateSampler, register, run_until_flows_done
+from .launch import run_until_flows_done
+from .registry import FunctionExperiment, register
+from .samplers import RateSampler
 
 _RATE = 100e9
 _DELAY = 1500  # per-link propagation, ns (base RTT lands near 12 us)

@@ -18,7 +18,7 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import FunctionExperiment, register
+from .registry import FunctionExperiment, register
 
 
 class _FixedWindow(CongestionControl):

@@ -24,7 +24,9 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import FunctionExperiment, Mode, RateSampler, register
+from .modes import Mode
+from .registry import FunctionExperiment, register
+from .samplers import RateSampler
 
 __all__ = ["run_staircase"]
 

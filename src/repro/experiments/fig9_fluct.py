@@ -24,7 +24,9 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import DelaySampler, FunctionExperiment, Mode, register
+from .modes import Mode
+from .registry import FunctionExperiment, register
+from .samplers import DelaySampler
 
 
 def _run_fig9(

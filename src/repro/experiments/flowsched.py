@@ -12,6 +12,7 @@ breakdown), Fig 16 (PrioPlus* ACK priority + HPCC).
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.fct import percentile
@@ -21,10 +22,11 @@ from ..noise import paper_noise
 from ..sim.engine import MILLISECOND, Simulator
 from ..topology import fat_tree
 from ..workloads import EmpiricalCdf, poisson_flows, poisson_flows_iter, websearch
-from .common import (CCFactory, FlowAdmitter, launch_specs, run_admitter,
-                     run_until_flows_done)
+from .launch import FlowAdmitter, launch_specs, run_admitter, run_until_flows_done
+from .modes import CCFactory
+from .registry import Experiment, Point
 
-__all__ = ["FlowSchedConfig", "run_flowsched", "size_group_boundaries"]
+__all__ = ["FlowSchedConfig", "FlowschedGrid", "run_flowsched", "size_group_boundaries"]
 
 
 class FlowSchedConfig:
@@ -97,30 +99,27 @@ def run_flowsched(
     big_buffer: bool = False,
     topology=None,
     fluid: bool = False,
-    fluid_config=None,
     streaming: bool = False,
-    admit_horizon_ns: int = 1_000_000,
 ) -> Dict[str, object]:
     """One mode x one priority count; returns per-size-class FCT stats.
 
     ``topology`` (a callable ``(sim, switch_cfg) -> (net, hosts)``) overrides
     the default ``fat_tree(k=cfg.k)`` fabric — the paper-scale experiments
     pass :func:`repro.topology.paper_fabric` here.  ``fluid=True`` attaches a
-    :class:`repro.fluid.HybridDriver` (optionally configured by
-    ``fluid_config``) and reports its regime statistics under ``"fluid"``.
+    :class:`repro.fluid.HybridDriver` and reports its regime statistics under
+    ``"fluid"``.
 
-    ``streaming=True`` selects the long-trace path: the workload is pulled
-    lazily from :func:`poisson_flows_iter` (identical draws, never
-    materialized), senders are admitted in stages ``admit_horizon_ns`` ahead
-    of their start time (:class:`FlowAdmitter`), and per-group FCT stats are
-    reduced through bounded-memory P² sketches instead of lists.  The result
-    record has the same shape (percentiles are P² estimates; the record also
-    carries ``live_peak`` and ``streaming=True``); peak memory tracks the
+    ``streaming=True`` selects long-trace admission and reduction: the
+    workload is pulled lazily from :func:`poisson_flows_iter` (identical
+    draws, never materialized), senders are admitted in stages ahead of their
+    start time (:class:`FlowAdmitter`), and per-group FCT stats are reduced
+    through bounded-memory P² sketches instead of lists.  The result record
+    has the same shape (percentiles are P² estimates; the record also carries
+    ``live_peak`` and ``streaming=True``); peak memory tracks the
     *concurrent* flow population, so multi-second traces are first-class.
     """
     cfg = cfg or FlowSchedConfig()
     sim = Simulator(cfg.seed)
-    factory = CCFactory(mode, n_priorities=n_priorities, channels=cfg.channels)
     cdf = cfg.cdf_factory(cfg.size_scale)
     boundaries = size_group_boundaries(cdf, n_priorities)
     # §4.4: latency-sensitive (small-class) flows start without probing and
@@ -156,138 +155,118 @@ def run_flowsched(
         )
     rng = random.Random(cfg.seed)
 
-    def group_of(spec) -> int:
+    def group_of_size(size_bytes: int) -> int:
         for g, b in enumerate(boundaries):
-            if spec.size_bytes <= b:
+            if size_bytes <= b:
                 return g
         return n_priorities - 1
 
-    noise = paper_noise() if cfg.with_noise else None
-    deadline = cfg.duration_ns * 40
+    def group_of(spec) -> int:
+        return group_of_size(spec.size_bytes)
 
+    acc = _FctSections(
+        cfg.size_classes(),
+        group_of_size,
+        n_priorities,
+        StreamingStats if streaming else _ListStats,
+    )
+    workload = (rng, len(hosts), cdf, cfg.load, cfg.rate_bps, cfg.duration_ns)
+    sender_kw = dict(
+        mtu=cfg.mtu, noise=paper_noise() if cfg.with_noise else None, rto_ns=cfg.rto_ns
+    )
     if streaming:
-        spec_iter = poisson_flows_iter(
-            rng, len(hosts), cdf, cfg.load, cfg.rate_bps, cfg.duration_ns
-        )
-        acc = _StreamingFct(cfg.size_classes(), group_of)
         admitter = FlowAdmitter(
-            sim,
-            net,
-            spec_iter,
-            hosts,
-            factory,
-            group_of,
-            mtu=cfg.mtu,
-            noise=noise,
-            rto_ns=cfg.rto_ns,
-            horizon_ns=admit_horizon_ns,
-            on_flow_done=acc.add,
+            sim, net, poisson_flows_iter(*workload), hosts, factory, group_of,
+            on_flow_done=acc.add, **sender_kw,
         )
-        driver = None
-        if fluid:
-            from ..fluid import HybridDriver
-
-            driver = HybridDriver(sim, net, fluid_config)
-        all_done = run_admitter(sim, admitter, deadline, driver=driver)
-        result: Dict[str, object] = {
-            "mode": mode,
-            "n_priorities": n_priorities,
-            "n_flows": admitter.n_admitted,
-            "n_done": admitter.n_done,
-            "all_done": all_done,
-            "drops": net.total_drops(),
-            "pfc_pauses": net.total_pfc_pauses(),
-            "streaming": True,
-            "live_peak": admitter.live_peak,
-        }
-        if driver is not None:
-            result["fluid"] = dict(driver.stats, events=sim.events_processed)
-        result["fct"] = acc.fct_section()
-        result["fct_by_group"] = acc.group_section(n_priorities)
-        return result
-
-    specs = poisson_flows(
-        rng, len(hosts), cdf, cfg.load, cfg.rate_bps, cfg.duration_ns
-    )
-    flows, senders = launch_specs(
-        sim, net, specs, hosts, factory, group_of, mtu=cfg.mtu, noise=noise, rto_ns=cfg.rto_ns
-    )
+        drive = partial(run_admitter, sim, admitter)
+    else:
+        flows, _ = launch_specs(
+            sim, net, poisson_flows(*workload), hosts, factory, group_of, **sender_kw
+        )
+        drive = partial(run_until_flows_done, sim, flows)
     driver = None
     if fluid:
         from ..fluid import HybridDriver
 
-        driver = HybridDriver(sim, net, fluid_config)
-    all_done = run_until_flows_done(sim, flows, deadline, driver=driver)
+        driver = HybridDriver(sim, net)
+    all_done = drive(cfg.duration_ns * 40, driver=driver)
+    if not streaming:
+        # fed in flow order, so each list (and the float sum over it) is the
+        # one a post-run scan of the flow list builds
+        for f in flows:
+            if f.done:
+                acc.add(f)
 
-    done_flows = [f for f in flows if f.done]
-    result = {
+    result: Dict[str, object] = {
         "mode": mode,
         "n_priorities": n_priorities,
-        "n_flows": len(flows),
-        "n_done": len(done_flows),
+        "n_flows": admitter.n_admitted if streaming else len(flows),
+        "n_done": acc.all.count,
         "all_done": all_done,
         "drops": net.total_drops(),
         "pfc_pauses": net.total_pfc_pauses(),
     }
+    if streaming:
+        result["streaming"] = True
+        result["live_peak"] = admitter.live_peak
     if driver is not None:
         result["fluid"] = dict(driver.stats, events=sim.events_processed)
-    if not done_flows:
-        return result
-    fcts_all = [f.fct_ns() for f in done_flows]
-    result["fct"] = {"all": _stats(fcts_all)}
-    for name, lo, hi in cfg.size_classes():
-        vals = [f.fct_ns() for f in done_flows if lo <= f.size_bytes < hi]
-        # empty size classes get the well-defined n=0 record, not a KeyError
-        result["fct"][name] = _stats(vals)
-    # per-priority-group breakdown (Fig 14 uses this); every group present,
-    # n=0 when a group completed nothing
-    per_group: Dict[int, List[float]] = {}
-    for f in done_flows:
-        g = group_of(_SizeOnly(f.size_bytes))
-        per_group.setdefault(g, []).append(f.fct_ns())
-    result["fct_by_group"] = {g: _stats(per_group.get(g, [])) for g in range(n_priorities)}
+    # a list-reduced point that completed nothing carries no FCT sections;
+    # otherwise every size class and group is present (n=0 record when empty)
+    if streaming or acc.all.count:
+        result["fct"] = acc.fct_section()
+        result["fct_by_group"] = acc.group_section()
     return result
 
 
-class _SizeOnly:
-    __slots__ = ("size_bytes",)
+class _ListStats:
+    """Exact twin of :class:`StreamingStats`: keeps every value."""
 
-    def __init__(self, size_bytes: int):
-        self.size_bytes = size_bytes
+    __slots__ = ("values",)
+
+    def __init__(self):
+        self.values: List[float] = []
+
+    def add(self, value: float) -> None:
+        self.values.append(value)
+
+    @property
+    def count(self) -> int:
+        return len(self.values)
+
+    def as_dict(self) -> Dict[str, object]:
+        return _stats(self.values)
 
 
-class _StreamingFct:
-    """Bounded-memory FCT accumulator fed one completion at a time.
+class _FctSections:
+    """The ``fct`` / ``fct_by_group`` result sections, fed one completed flow
+    at a time; ``reducer`` makes one cell (:class:`StreamingStats` holds O(1)
+    per cell, :class:`_ListStats` every sample)."""
 
-    Mirrors the list-path result sections (``fct`` / ``fct_by_group``) but
-    holds only O(size classes + priority groups) P² sketches, never the
-    per-flow samples.
-    """
-
-    def __init__(self, size_classes: Sequence, group_of):
-        self.all = StreamingStats()
-        self._classes = [(name, lo, hi, StreamingStats()) for name, lo, hi in size_classes]
-        self._groups: Dict[int, StreamingStats] = {}
-        self._group_of = group_of
+    def __init__(self, size_classes: Sequence, group_of_size, n_groups: int, reducer):
+        self.all = reducer()
+        self._classes = [(name, lo, hi, reducer()) for name, lo, hi in size_classes]
+        self._groups = [reducer() for _ in range(n_groups)]
+        self._group_of_size = group_of_size
 
     def add(self, flow) -> None:
         fct = flow.fct_ns()
+        size = flow.size_bytes
         self.all.add(fct)
-        for _name, lo, hi, st in self._classes:
-            if lo <= flow.size_bytes < hi:
-                st.add(fct)
-        g = self._group_of(_SizeOnly(flow.size_bytes))
-        self._groups.setdefault(g, StreamingStats()).add(fct)
+        for _name, lo, hi, cell in self._classes:
+            if lo <= size < hi:
+                cell.add(fct)
+        self._groups[self._group_of_size(size)].add(fct)
 
     def fct_section(self) -> Dict[str, Dict[str, object]]:
         out = {"all": self.all.as_dict()}
-        for name, _lo, _hi, st in self._classes:
-            out[name] = st.as_dict()
+        for name, _lo, _hi, cell in self._classes:
+            out[name] = cell.as_dict()
         return out
 
-    def group_section(self, n_groups: int) -> Dict[int, Dict[str, object]]:
-        empty = StreamingStats()
-        return {g: self._groups.get(g, empty).as_dict() for g in range(n_groups)}
+    def group_section(self) -> Dict[int, Dict[str, object]]:
+        return {g: cell.as_dict() for g, cell in enumerate(self._groups)}
 
 
 def _stats(values: List[float]) -> Dict[str, object]:
@@ -307,3 +286,64 @@ def _stats(values: List[float]) -> Dict[str, object]:
         "p50_us": percentile(values, 50) / 1e3,
         "p99_us": percentile(values, 99) / 1e3,
     }
+
+
+class FlowschedGrid(Experiment):
+    """A grid of ``(mode, n_priorities)`` cells as independent runner points.
+
+    Every cell replays the identical seeded workload (``cfg_kwargs`` are
+    :class:`FlowSchedConfig` kwargs) through :func:`run_flowsched` with
+    ``run_kwargs``, so the grid parallelises perfectly; ``reduce`` flattens
+    the cells back into ``{"rows": [...]}`` in grid order.  ``quick()`` is
+    the same grid cut to its first ``quick_cells`` cells with ``quick_cfg``
+    laid over the config (``self`` when neither is given).
+    """
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        grid: Sequence[tuple],
+        cfg_kwargs: Dict[str, object],
+        quick_cfg: Optional[Dict[str, object]] = None,
+        quick_cells: Optional[int] = None,
+        **run_kwargs,
+    ):
+        self.name = name
+        self.description = description
+        self.grid = [(str(mode), int(n)) for mode, n in grid]
+        self.cfg_kwargs = dict(cfg_kwargs)
+        self.quick_cfg = quick_cfg
+        self.quick_cells = quick_cells
+        self.run_kwargs = run_kwargs
+
+    def points(self) -> List[Point]:
+        seed = int(self.cfg_kwargs.get("seed", FlowSchedConfig().seed))
+        return [
+            Point(
+                f"{mode}@{n}",
+                {"mode": mode, "n_priorities": n, "cfg": dict(self.cfg_kwargs)},
+                seed=seed,
+            )
+            for mode, n in self.grid
+        ]
+
+    def run_point(self, point: Point) -> dict:
+        cfg = FlowSchedConfig(**point.config["cfg"])
+        return run_flowsched(
+            point.config["mode"], point.config["n_priorities"], cfg, **self.run_kwargs
+        )
+
+    def reduce(self, results: Dict[str, dict]) -> Dict[str, object]:
+        return {"rows": [results[f"{mode}@{n}"] for mode, n in self.grid]}
+
+    def quick(self) -> "FlowschedGrid":
+        if self.quick_cfg is None and self.quick_cells is None:
+            return self
+        return type(self)(
+            self.name,
+            self.description,
+            self.grid[: self.quick_cells],
+            dict(self.cfg_kwargs, **(self.quick_cfg or {})),
+            **self.run_kwargs,
+        )

@@ -24,7 +24,9 @@ from ..sim.engine import MICROSECOND, MILLISECOND, Simulator
 from ..sim.pfc import PfcConfig
 from ..sim.switch import SwitchConfig
 from ..topology import star
-from .common import CCFactory, Experiment, Mode, Point, launch_specs, register, run_until_flows_done
+from .launch import launch_specs, run_until_flows_done
+from .modes import CCFactory, Mode
+from .registry import Experiment, Point, register
 from ..workloads import FlowSpec
 
 __all__ = ["run_headroom_point", "run_headroom_sweep", "HeadroomSweepExperiment"]

@@ -23,7 +23,8 @@ from ..mlsim import RESNET50, VGG16, TrainingJob, scaled_model
 from ..noise import paper_noise
 from ..sim.engine import MILLISECOND, Simulator
 from ..topology import leaf_spine
-from .common import CCFactory, Experiment, Mode, Point, register
+from .modes import CCFactory, Mode
+from .registry import Experiment, Point, register
 from ..transport.flow import Flow
 
 __all__ = [

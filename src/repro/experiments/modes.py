@@ -1,0 +1,244 @@
+"""Evaluation modes and the factory that turns one into a running system.
+
+:class:`CCFactory` maps an evaluation *mode* (PrioPlus+Swift, physical
+priority + Swift, Physical* ideal queues, NoCC, D2TCP, HPCC, LEDBAT...) to
+per-flow CC instances, physical queue assignments and a switch
+configuration.  Priority *groups* are 0-based with **group 0 = highest
+priority** (smallest flows), matching the scheduling literature; the
+factory translates groups to physical queue indices (larger = higher, the
+switch convention) or PrioPlus channel indices.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional, Sequence
+
+from ..cc import D2tcp, Hpcc, Ledbat, NoCC, PowerTcp, Swift, SwiftParams
+from ..core import ChannelConfig, PrioPlusCC, StartTier
+from ..sim.engine import MICROSECOND
+from ..sim.pfc import PfcConfig
+from ..sim.switch import SwitchConfig
+from ..transport.flow import Flow
+
+__all__ = ["Mode", "CCFactory", "MAX_PHYSICAL_PRIORITIES"]
+
+
+class Mode:
+    """Evaluation modes compared throughout §6."""
+
+    PRIOPLUS = "prioplus"  # PrioPlus + Swift, single data queue
+    PRIOPLUS_LEDBAT = "prioplus_ledbat"  # PrioPlus + LEDBAT
+    PRIOPLUS_SAME_ACK = "prioplus_same_ack"  # PrioPlus*: ACKs share the data queue
+    PHYSICAL = "physical"  # Swift + real priority queues (headroom cost, <= 8)
+    PHYSICAL_IDEAL = "physical_ideal"  # Physical*: headroom is free, any count
+    PHYSICAL_IDEAL_NOCC = "physical_ideal_nocc"  # Physical* without CC
+    SWIFT = "swift"  # Swift, no prioritisation (baseline for speedups)
+    SWIFT_TARGETS = "swift_targets"  # Swift w/o scaling, per-priority targets (§3.2)
+    LEDBAT_TARGETS = "ledbat_targets"  # LEDBAT with per-priority targets
+    D2TCP = "d2tcp"  # single queue, deadline-weighted ECN backoff (§3.1)
+    HPCC = "hpcc"  # HPCC + physical priority queues
+    POWERTCP = "powertcp"  # PowerTCP + physical priority queues
+
+    ALL = (
+        PRIOPLUS,
+        PRIOPLUS_LEDBAT,
+        PRIOPLUS_SAME_ACK,
+        PHYSICAL,
+        PHYSICAL_IDEAL,
+        PHYSICAL_IDEAL_NOCC,
+        SWIFT,
+        SWIFT_TARGETS,
+        LEDBAT_TARGETS,
+        D2TCP,
+        HPCC,
+        POWERTCP,
+    )
+
+    ECN_MODES = (D2TCP, HPCC)
+    SINGLE_QUEUE_MODES = (PRIOPLUS, PRIOPLUS_LEDBAT, PRIOPLUS_SAME_ACK, SWIFT, SWIFT_TARGETS, LEDBAT_TARGETS, D2TCP)
+
+
+#: the physical-queue ceiling the paper cites (8 lossless priorities via PFC)
+MAX_PHYSICAL_PRIORITIES = 8
+
+
+class CCFactory:
+    """Builds CC instances and switch configs for one mode."""
+
+    def __init__(
+        self,
+        mode: str,
+        n_priorities: int = 8,
+        channels: Optional[ChannelConfig] = None,
+        swift_params: Optional[SwiftParams] = None,
+        base_target_ns: int = 20 * MICROSECOND,
+        swift_target_step_ns: int = 4 * MICROSECOND,
+        d2tcp_ddl_factors: Optional[Sequence[float]] = None,
+        tier_of_group: Optional[Callable[[int], str]] = None,
+        probe_first: Optional[bool] = None,
+        probe_tiers: Optional[Sequence[str]] = None,
+        empty_eps_ns: Optional[int] = None,
+    ):
+        if mode not in Mode.ALL:
+            raise ValueError(f"unknown mode {mode!r}")
+        if n_priorities < 1:
+            raise ValueError("need at least one priority")
+        if mode == Mode.PHYSICAL and n_priorities > MAX_PHYSICAL_PRIORITIES:
+            raise ValueError(
+                f"physical priority supports at most {MAX_PHYSICAL_PRIORITIES} "
+                f"queues (paper §2.2); use PHYSICAL_IDEAL beyond that"
+            )
+        self.mode = mode
+        self.n_priorities = n_priorities
+        self.channels = channels or ChannelConfig(n_priorities=n_priorities)
+        self.swift_params = swift_params
+        self.base_target_ns = base_target_ns
+        self.swift_target_step_ns = swift_target_step_ns
+        self.d2tcp_ddl_factors = d2tcp_ddl_factors
+        self._tier_of_group = tier_of_group
+        self.probe_first = probe_first
+        # which start tiers probe before transmitting (§4.4): by default only
+        # the throughput (LOW) tier pays the probe RTT; latency-sensitive
+        # tiers linear-start blind, which is safe by Theorem 4.1's bound.
+        self.probe_tiers = (
+            tuple(probe_tiers) if probe_tiers is not None else (StartTier.LOW,)
+        )
+        # "delay == BaseRtt" (Algorithm 1) means "no standing queue"; under
+        # packet granularity a transient sub-channel queue qualifies, so the
+        # default epsilon is half a channel step.
+        self.empty_eps_ns = (
+            empty_eps_ns if empty_eps_ns is not None else self.channels.step_ns // 2
+        )
+
+    # ------------------------------------------------------------------
+    # queue layout
+    # ------------------------------------------------------------------
+    def n_queues(self) -> int:
+        if self.mode in Mode.SINGLE_QUEUE_MODES:
+            return 2  # data + ACK
+        return self.n_priorities + 1  # one per priority + ACK queue on top
+
+    def data_priority(self, group: int) -> int:
+        """Physical queue index for priority group ``group`` (0 = highest)."""
+        self._check_group(group)
+        if self.mode in Mode.SINGLE_QUEUE_MODES:
+            return 0
+        return self.n_priorities - 1 - group
+
+    def ack_priority(self, group: int) -> int:
+        if self.mode == Mode.PRIOPLUS_SAME_ACK:
+            return self.data_priority(group)
+        return self.n_queues() - 1
+
+    def vpriority(self, group: int) -> int:
+        """PrioPlus channel index (1-based, larger = higher priority).
+
+        The unprioritised Swift baseline keeps every flow in one class —
+        including at its own NIC — so it measures "no scheduling anywhere".
+        """
+        self._check_group(group)
+        if self.mode == Mode.SWIFT:
+            return 1
+        return self.n_priorities - group
+
+    def _check_group(self, group: int) -> None:
+        if not 0 <= group < self.n_priorities:
+            raise ValueError(f"group {group} out of range [0, {self.n_priorities})")
+
+    # ------------------------------------------------------------------
+    # switch configuration
+    # ------------------------------------------------------------------
+    def switch_config(
+        self,
+        buffer_bytes: int = 32 * 1024 * 1024,
+        headroom_per_port_per_prio: int = 50 * 1024,
+        pfc_enabled: bool = True,
+        ecn_k_bytes: Optional[int] = None,
+        dt_alpha: float = 1.0,
+    ) -> SwitchConfig:
+        needs_ecn = self.mode in Mode.ECN_MODES
+        if needs_ecn and ecn_k_bytes is None:
+            ecn_k_bytes = 100 * 1024
+        return SwitchConfig(
+            n_queues=self.n_queues(),
+            buffer_bytes=buffer_bytes,
+            headroom_per_port_per_prio=headroom_per_port_per_prio,
+            n_lossless=self.n_queues(),
+            ideal_headroom=self.mode in (Mode.PHYSICAL_IDEAL, Mode.PHYSICAL_IDEAL_NOCC)
+            or self.mode in Mode.SINGLE_QUEUE_MODES,
+            dt_alpha=dt_alpha,
+            pfc=PfcConfig(enabled=pfc_enabled),
+            ecn_k_bytes=ecn_k_bytes if needs_ecn else None,
+        )
+
+    # ------------------------------------------------------------------
+    # per-flow CC
+    # ------------------------------------------------------------------
+    def tier(self, group: int) -> str:
+        if self._tier_of_group is not None:
+            return self._tier_of_group(group)
+        if group == 0:
+            return StartTier.HIGH
+        if group >= max(1, self.n_priorities - self.n_priorities // 3):
+            return StartTier.LOW
+        return StartTier.MEDIUM
+
+    def _swift(self, scaling: bool, base_target_ns: Optional[int] = None) -> Swift:
+        if self.swift_params is not None:
+            kw = {name: getattr(self.swift_params, name) for name in SwiftParams.__slots__}
+        else:
+            kw = {"base_target_ns": self.base_target_ns}
+        if base_target_ns is not None:
+            kw["base_target_ns"] = base_target_ns
+        kw["target_scaling"] = scaling
+        return Swift(SwiftParams(**kw))
+
+    def make(self, flow: Flow, group: int):
+        """CC instance for one flow of priority group ``group``."""
+        self._check_group(group)
+        mode = self.mode
+        if mode in (Mode.PRIOPLUS, Mode.PRIOPLUS_SAME_ACK, Mode.PRIOPLUS_LEDBAT):
+            tier = self.tier(group)
+            return PrioPlusCC(
+                Ledbat() if mode == Mode.PRIOPLUS_LEDBAT else self._swift(scaling=False),
+                self.channels,
+                vpriority=self.vpriority(group),
+                tier=tier,
+                probe_first=(
+                    self.probe_first if self.probe_first is not None else tier in self.probe_tiers
+                ),
+                empty_eps_ns=self.empty_eps_ns,
+            )
+        if mode in (Mode.PHYSICAL, Mode.PHYSICAL_IDEAL, Mode.SWIFT):
+            return self._swift(scaling=True)
+        if mode == Mode.SWIFT_TARGETS:
+            # targets descend with priority: 4 us (lowest) .. 4*n us (highest)
+            return self._swift(
+                scaling=False,
+                base_target_ns=self.swift_target_step_ns * self.vpriority(group),
+            )
+        if mode == Mode.LEDBAT_TARGETS:
+            return Ledbat(
+                target_queuing_ns=self.swift_target_step_ns * self.vpriority(group)
+            )
+        if mode == Mode.PHYSICAL_IDEAL_NOCC:
+            return NoCC()
+        if mode == Mode.D2TCP:
+            return D2tcp()
+        if mode == Mode.HPCC:
+            return Hpcc()
+        if mode == Mode.POWERTCP:
+            return PowerTcp()
+        raise AssertionError(f"unhandled mode {mode}")
+
+    def deadline_for(self, flow_size: int, group: int, line_rate_bps: float, start_ns: int) -> Optional[int]:
+        """D2TCP deadline: 1.5x .. 12x the ideal FCT, by priority (§6)."""
+        if self.mode != Mode.D2TCP:
+            return None
+        factors = self.d2tcp_ddl_factors
+        if factors is None:
+            lo, hi = 1.5, 12.0
+            n = max(self.n_priorities - 1, 1)
+            factors = [lo + (hi - lo) * i / n for i in range(self.n_priorities)]
+        ideal = flow_size * 8e9 / line_rate_bps
+        return int(start_ns + factors[min(group, len(factors) - 1)] * ideal)

@@ -25,20 +25,14 @@ epochs, why each ended.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..topology import paper_fabric
-from .common import Experiment, Mode, Point, register
-from .flowsched import FlowSchedConfig, run_flowsched
+from .flowsched import FlowSchedConfig, FlowschedGrid, run_flowsched
+from .modes import Mode
+from .registry import Point, register
 
-__all__ = [
-    "PAPER_LONG_CFG",
-    "PAPER_SCALE_CFG",
-    "Fig11LongExperiment",
-    "Fig11PaperExperiment",
-    "Fig16PaperExperiment",
-    "run_paper_scale",
-]
+__all__ = ["PAPER_LONG_CFG", "PAPER_SCALE_CFG", "PaperScaleGrid", "run_paper_scale"]
 
 #: default knobs for a paper-scale point: full fabric, short trace.  The
 #: duration is deliberately small (the fabric injects ~1 flow/µs at this
@@ -87,135 +81,69 @@ def run_paper_scale(
     n_priorities: int,
     cfg: Optional[FlowSchedConfig] = None,
     fluid: bool = True,
-    fluid_config=None,
     streaming: bool = False,
 ) -> Dict[str, object]:
     """One flow-scheduling point on the 320-host fabric (hybrid by default).
 
-    ``streaming=True`` selects the staged-admission / bounded-memory result
-    path — required for multi-second traces, where materializing the whole
+    ``streaming=True`` selects staged admission and bounded-memory reduction
+    — required for multi-second traces, where materializing the whole
     workload up front would hold every sender live at once.
     """
     cfg = cfg or FlowSchedConfig(**PAPER_SCALE_CFG)
     result = run_flowsched(
-        mode,
-        n_priorities,
-        cfg,
-        topology=_paper_topology(cfg),
-        fluid=fluid,
-        fluid_config=fluid_config,
-        streaming=streaming,
+        mode, n_priorities, cfg, topology=_paper_topology(cfg), fluid=fluid, streaming=streaming
     )
     result["n_hosts"] = 320
     return result
 
 
-class _PaperScaleExperiment(Experiment):
-    """Shared machinery: a (mode, n_priorities) grid on the paper fabric."""
-
-    def __init__(self, grid: Sequence[tuple], cfg_kwargs: Optional[Dict[str, object]] = None):
-        self.grid = [(str(m), int(n)) for m, n in grid]
-        self.cfg_kwargs = dict(cfg_kwargs if cfg_kwargs is not None else PAPER_SCALE_CFG)
-
-    def points(self) -> List[Point]:
-        seed = int(self.cfg_kwargs.get("seed", FlowSchedConfig().seed))
-        return [
-            Point(
-                f"{mode}@{n}",
-                {"mode": mode, "n_priorities": n, "cfg": dict(self.cfg_kwargs)},
-                seed=seed,
-            )
-            for mode, n in self.grid
-        ]
-
-    def run_point(self, point: Point) -> dict:
-        cfg = FlowSchedConfig(**point.config["cfg"])
-        return run_paper_scale(point.config["mode"], point.config["n_priorities"], cfg)
-
-    def reduce(self, results: Dict[str, dict]) -> Dict[str, object]:
-        return {"rows": [results[f"{mode}@{n}"] for mode, n in self.grid]}
-
-
-class Fig11PaperExperiment(_PaperScaleExperiment):
-    """Fig 11 at paper scale: PrioPlus vs Physical* across priority counts."""
-
-    name = "fig11_paper"
-    description = "Fig 11 flow-scheduling FCT on the full 320-host k=6 fabric (hybrid core)"
-
-    def __init__(self, cfg_kwargs: Optional[Dict[str, object]] = None):
-        grid = [
-            (Mode.PRIOPLUS, 4),
-            (Mode.PHYSICAL_IDEAL, 4),
-            (Mode.PRIOPLUS, 8),
-            (Mode.PHYSICAL_IDEAL, 8),
-        ]
-        super().__init__(grid, cfg_kwargs)
-
-    def quick(self) -> "Fig11PaperExperiment":
-        kw = dict(self.cfg_kwargs, duration_ns=20_000)
-        quick = Fig11PaperExperiment(kw)
-        quick.grid = self.grid[:2]
-        return quick
-
-
-class Fig11LongExperiment(_PaperScaleExperiment):
-    """Fig 11 on multi-second traces: the S1-retirement experiment.
-
-    The seed repo's short traces let physical-priority baselines ride on
-    switch backlog scheduling, masking Swift's slow post-starvation recovery
-    (caveat S1).  This variant replays a 2-second, paper-true-size trace at
-    320 hosts through the streaming admission + hybrid-fluid path and
-    compares PrioPlus against both physical baselines at 8 priorities, where
-    the paper's low-priority collapse claim lives.  Per-class percentiles in
-    these rows are P² estimates (see ``repro.analysis.streaming``).
-    """
-
-    name = "fig11_long"
-    description = (
-        "Fig 11 on a 2s paper-true-size trace, 320 hosts, streaming + hybrid core"
-    )
-
-    def __init__(self, cfg_kwargs: Optional[Dict[str, object]] = None):
-        grid = [
-            (Mode.PRIOPLUS, 8),
-            (Mode.PHYSICAL, 8),
-            (Mode.PHYSICAL_IDEAL, 8),
-        ]
-        super().__init__(grid, cfg_kwargs if cfg_kwargs is not None else PAPER_LONG_CFG)
+class PaperScaleGrid(FlowschedGrid):
+    """A :class:`FlowschedGrid` whose cells run on the paper fabric."""
 
     def run_point(self, point: Point) -> dict:
         cfg = FlowSchedConfig(**point.config["cfg"])
         return run_paper_scale(
-            point.config["mode"], point.config["n_priorities"], cfg, streaming=True
+            point.config["mode"], point.config["n_priorities"], cfg, **self.run_kwargs
         )
 
-    def quick(self) -> "Fig11LongExperiment":
-        kw = dict(self.cfg_kwargs, duration_ns=100_000_000)
-        quick = Fig11LongExperiment(kw)
-        quick.grid = self.grid[:1]
-        return quick
 
-
-class Fig16PaperExperiment(_PaperScaleExperiment):
-    """Fig 16 at paper scale: ACK-priority sensitivity on 320 hosts."""
-
-    name = "fig16_paper"
-    description = "Fig 16 ACK-priority sensitivity on the full 320-host k=6 fabric (hybrid core)"
-
-    def __init__(self, cfg_kwargs: Optional[Dict[str, object]] = None):
-        grid = [
-            (Mode.PRIOPLUS, 8),
-            (Mode.PRIOPLUS_SAME_ACK, 8),
-        ]
-        super().__init__(grid, cfg_kwargs)
-
-    def quick(self) -> "Fig16PaperExperiment":
-        kw = dict(self.cfg_kwargs, duration_ns=20_000)
-        quick = Fig16PaperExperiment(kw)
-        quick.grid = self.grid[:1]
-        return quick
-
-
-register(Fig11PaperExperiment())
-register(Fig11LongExperiment())
-register(Fig16PaperExperiment())
+register(
+    PaperScaleGrid(
+        "fig11_paper",
+        "Fig 11 flow-scheduling FCT on the full 320-host k=6 fabric (hybrid core)",
+        [(Mode.PRIOPLUS, 4), (Mode.PHYSICAL_IDEAL, 4), (Mode.PRIOPLUS, 8), (Mode.PHYSICAL_IDEAL, 8)],
+        PAPER_SCALE_CFG,
+        quick_cfg={"duration_ns": 20_000},
+        quick_cells=2,
+    )
+)
+# Fig 11 on multi-second traces: the S1-retirement experiment.
+#
+# The seed repo's short traces let physical-priority baselines ride on
+# switch backlog scheduling, masking Swift's slow post-starvation recovery
+# (caveat S1).  This variant replays a 2-second, paper-true-size trace at
+# 320 hosts through the streaming admission + hybrid-fluid path and
+# compares PrioPlus against both physical baselines at 8 priorities, where
+# the paper's low-priority collapse claim lives.  Per-class percentiles in
+# these rows are P² estimates (see ``repro.analysis.streaming``).
+register(
+    PaperScaleGrid(
+        "fig11_long",
+        "Fig 11 on a 2s paper-true-size trace, 320 hosts, streaming + hybrid core",
+        [(Mode.PRIOPLUS, 8), (Mode.PHYSICAL, 8), (Mode.PHYSICAL_IDEAL, 8)],
+        PAPER_LONG_CFG,
+        quick_cfg={"duration_ns": 100_000_000},
+        quick_cells=1,
+        streaming=True,
+    )
+)
+register(
+    PaperScaleGrid(
+        "fig16_paper",
+        "Fig 16 ACK-priority sensitivity on the full 320-host k=6 fabric (hybrid core)",
+        [(Mode.PRIOPLUS, 8), (Mode.PRIOPLUS_SAME_ACK, 8)],
+        PAPER_SCALE_CFG,
+        quick_cfg={"duration_ns": 20_000},
+        quick_cells=1,
+    )
+)

@@ -18,7 +18,8 @@ from ..sim.engine import Simulator
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import FunctionExperiment, attach_telemetry, register
+from .registry import FunctionExperiment, register
+from .samplers import attach_telemetry
 
 __all__ = ["run_quickstart"]
 

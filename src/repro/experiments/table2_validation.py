@@ -26,7 +26,7 @@ from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .common import FunctionExperiment, register
+from .registry import FunctionExperiment, register
 
 __all__ = ["run_table2_validation"]
 

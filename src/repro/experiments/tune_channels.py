@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Mapping
 
-from .common import Experiment, Point, register
+from .registry import Experiment, Point, register
 
 __all__ = ["TuneChannelsExperiment"]
 

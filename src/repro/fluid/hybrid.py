@@ -56,58 +56,47 @@ _FLUID = "fluid"
 #: is re-deriving the paths of currently-live flows at the next epoch)
 _PATH_CACHE_MAX = 65536
 
+#: fluid timestep ceiling; segments also break at every completion
+_DT_MAX_NS = 50_000
+#: give up draining after this many times the slowest held sender's base
+#: RTT plus the slack (the quiescence predicate lied, e.g. an RTO in flight)
+_DRAIN_TIMEOUT_RTTS = 6
+_DRAIN_TIMEOUT_SLACK_NS = 20_000
+#: DES chunk between drained-fabric checks while draining
+_DRAIN_STEP_NS = 5_000
+#: hysteresis: stay in packet mode this long after a fluid exit
+_MIN_PACKET_NS = 100_000
+#: hysteresis: don't exit a fluid epoch before this (deadline wins)
+_MIN_FLUID_NS = 20_000
+#: a link loaded past this share of its capacity counts as saturated
+_SAT_THRESHOLD = 0.98
+
 
 class FluidConfig:
     """Tuning knobs for :class:`HybridDriver` (defaults are conservative)."""
 
-    __slots__ = (
-        "dt_max_ns",
-        "check_every_ns",
-        "backlog_enter_bytes",
-        "drain_timeout_ns",
-        "drain_step_ns",
-        "min_packet_ns",
-        "min_fluid_ns",
-        "exit_on_contention",
-        "sat_threshold",
-    )
+    __slots__ = ("check_every_ns", "backlog_enter_bytes", "exit_on_contention")
 
     def __init__(
         self,
-        dt_max_ns: int = 50_000,
         check_every_ns: int = 200_000,
         backlog_enter_bytes: Optional[int] = None,
-        drain_timeout_ns: Optional[int] = None,
-        drain_step_ns: int = 5_000,
-        min_packet_ns: int = 100_000,
-        min_fluid_ns: int = 20_000,
         exit_on_contention: str = "priority",
-        sat_threshold: float = 0.98,
     ):
         if exit_on_contention not in ("priority", "any", "none"):
             raise ValueError(
                 f"exit_on_contention must be 'priority', 'any' or 'none', "
                 f"got {exit_on_contention!r}"
             )
-        #: fluid timestep ceiling; segments also break at every completion
-        self.dt_max_ns = dt_max_ns
         #: packet-mode polling interval between predicate checks
         self.check_every_ns = check_every_ns
         #: fabric-wide backlog below which a fluid epoch may be attempted
-        #: (None → 8 wire-MTUs per port, resolved at driver construction)
+        #: (None → 8 wire-MTUs per port of the driver's own fabric)
         self.backlog_enter_bytes = backlog_enter_bytes
-        #: give up draining after this long (None → 6×max base RTT + 20 µs)
-        self.drain_timeout_ns = drain_timeout_ns
-        self.drain_step_ns = drain_step_ns
-        #: hysteresis: stay in packet mode this long after a fluid exit
-        self.min_packet_ns = min_packet_ns
-        #: hysteresis: don't exit a fluid epoch before this (deadline wins)
-        self.min_fluid_ns = min_fluid_ns
         #: fall back to packets when saturated links appear: "priority"
         #: (cross-rank contention only), "any" (also same-rank sharing), or
         #: "none" (model saturation fluidly; widest error envelope)
         self.exit_on_contention = exit_on_contention
-        self.sat_threshold = sat_threshold
 
 
 class _FluidFlow:
@@ -149,8 +138,10 @@ class HybridDriver:
                 self._ports.extend(ports)
             elif node.port is not None:
                 self._ports.append(node.port)
-        if self.cfg.backlog_enter_bytes is None:
-            self.cfg.backlog_enter_bytes = 8 * 1540 * max(len(self._ports), 1)
+        # resolved per driver: a config shared across fabrics stays untouched
+        self.backlog_enter_bytes = self.cfg.backlog_enter_bytes
+        if self.backlog_enter_bytes is None:
+            self.backlog_enter_bytes = 8 * 1540 * max(len(self._ports), 1)
         # persistent link index: Port -> dense link id (grows across epochs)
         self._link_index = {}
         self._link_caps: List[float] = []
@@ -186,17 +177,14 @@ class HybridDriver:
         """True while new flow starts must be absorbed into the fluid model."""
         return self.phase != _PACKET
 
-    def run_until_flows_done(self, flows, hard_deadline_ns: int) -> bool:
-        """Hybrid analogue of ``experiments.common.run_until_flows_done``."""
-        return self.run_until_done(lambda: all(f.done for f in flows), hard_deadline_ns)
-
     def run_until_done(self, done, hard_deadline_ns: int) -> bool:
         """Run until the ``done()`` predicate holds or the deadline passes.
 
-        The predicate form is what streaming workloads need: a
-        :class:`repro.experiments.common.FlowAdmitter` terminates on an O(1)
-        counter check instead of an O(total-flows) scan, which matters when
-        a multi-second trace admits millions of flows.
+        The hybrid half of :func:`repro.experiments.launch.run_until`.  A
+        predicate (not a flow list) is what streaming workloads need: a
+        :class:`~repro.experiments.launch.FlowAdmitter` terminates on an
+        O(1) counter check instead of an O(total-flows) scan, which matters
+        when a multi-second trace admits millions of flows.
         """
         sim = self.sim
         cfg = self.cfg
@@ -217,17 +205,7 @@ class HybridDriver:
 
     def run(self, until: int) -> None:
         """Advance the hybrid simulation to ``until`` (no flow-set to watch)."""
-        sim = self.sim
-        cfg = self.cfg
-        while sim.now < until:
-            if self.phase == _PACKET:
-                sim.run(until=min(sim.now + cfg.check_every_ns, until))
-                if sim.now < until and self._quiescent():
-                    self._try_enter_fluid()
-            else:
-                self._fluid_run(min(sim.now + cfg.check_every_ns, until))
-        if self.phase != _PACKET:
-            self._exit_fluid("deadline")
+        self.run_until_done(lambda: False, until)
 
     def detach(self) -> None:
         """Release the simulator hook (leaves the sim in packet mode)."""
@@ -247,13 +225,12 @@ class HybridDriver:
         return out
 
     def _quiescent(self) -> bool:
-        cfg = self.cfg
-        if self.sim.now - self._last_exit < cfg.min_packet_ns:
+        if self.sim.now - self._last_exit < _MIN_PACKET_NS:
             return False
         backlog = 0
         for port in self._ports:
             backlog += port.total_bytes
-            if backlog > cfg.backlog_enter_bytes:
+            if backlog > self.backlog_enter_bytes:
                 return False
             if True in port.paused:
                 return False
@@ -278,18 +255,14 @@ class HybridDriver:
 
     def _try_enter_fluid(self) -> bool:
         sim = self.sim
-        cfg = self.cfg
         held = self._active_senders()
         self.phase = _DRAIN  # flow starts from here on are absorbed
         self._pending_admits = []
         self._held = held
         for s in held:
             s.fluid_hold()
-        timeout = cfg.drain_timeout_ns
-        if timeout is None:
-            max_rtt = max((s.base_rtt for s in held), default=10_000)
-            timeout = 6 * max_rtt + 20_000
-        deadline = sim.now + timeout
+        max_rtt = max((s.base_rtt for s in held), default=10_000)
+        deadline = sim.now + _DRAIN_TIMEOUT_RTTS * max_rtt + _DRAIN_TIMEOUT_SLACK_NS
         while not self._drained(held):
             if sim.now >= deadline:
                 # predicate lied (e.g. a long RTO in flight): back out
@@ -305,7 +278,7 @@ class HybridDriver:
                 self.stats["drain_failures"] += 1
                 self._last_exit = sim.now
                 return False
-            sim.run(until=min(sim.now + cfg.drain_step_ns, deadline))
+            sim.run(until=min(sim.now + _DRAIN_STEP_NS, deadline))
         self._enter_fluid(held)
         return True
 
@@ -417,7 +390,6 @@ class HybridDriver:
         """Advance in fluid segments until ``until`` or a regime exit."""
         sim = self.sim
         np = self.np
-        cfg = self.cfg
         model = self._model
         while self.phase == _FLUID and sim.now < until:
             if self._dirty:
@@ -460,9 +432,9 @@ class HybridDriver:
                 arr["ent_link"],
                 arr["link_cap"],
                 load,
-                cfg.sat_threshold,
+                _SAT_THRESHOLD,
             )
-            if self._should_exit(contention) and sim.now - self._fluid_entered >= cfg.min_fluid_ns:
+            if self._should_exit(contention) and sim.now - self._fluid_entered >= _MIN_FLUID_NS:
                 self._exit_fluid("contention:" + contention)
                 return
             for i, f in enumerate(flows):
@@ -470,7 +442,7 @@ class HybridDriver:
                 f.cap = float(cap_rate[i])
             # segment horizon: Δt cap, caller horizon, earliest completion
             seg_start = sim.now
-            horizon = min(until, seg_start + cfg.dt_max_ns)
+            horizon = min(until, seg_start + _DT_MAX_NS)
             # while any window is still ramping, step at most one RTT: the
             # packet-level laws update once per RTT, and a coarser explicit
             # step would hold a growing flow at its stale rate for several

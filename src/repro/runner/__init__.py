@@ -2,7 +2,7 @@
 
 Quick taste::
 
-    from repro.experiments.common import get_experiment
+    from repro.experiments.registry import get_experiment
     from repro.runner import run_experiment
 
     exp = get_experiment("fig10c")

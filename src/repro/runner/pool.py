@@ -1,7 +1,7 @@
 """Process-pool execution of experiment points with caching and retry.
 
 :func:`run_experiment` is the one batch entry point: it enumerates an
-:class:`~repro.experiments.common.Experiment`'s points, satisfies what it can
+:class:`~repro.experiments.registry.Experiment`'s points, satisfies what it can
 from the :class:`~repro.runner.cache.ResultCache`, fans the remainder out
 across ``jobs`` worker processes, retries pool crashes with bounded backoff,
 and reduces the per-point results in a deterministic order — so the reduced
@@ -33,7 +33,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Union
 
-from ..experiments.common import Experiment, Point
+from ..experiments.registry import Experiment, Point
 from ..faults.plan import FaultPlan, current_fault_plan, set_default_fault_plan
 from ..telemetry import current_recorder
 from .cache import ResultCache, cache_key, json_safe

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional
 
 from .. import probe
 from ..audit import audit_scope
-from ..experiments.common import Experiment, Point
+from ..experiments.registry import Experiment, Point
 from ..faults.plan import FaultPlan, current_fault_plan, set_default_fault_plan
 
 __all__ = ["RunnerError", "WorkerFleet", "execute_point", "worker_init"]

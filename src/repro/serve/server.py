@@ -48,7 +48,7 @@ import time
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..experiments.common import REGISTRY, Experiment, Point
+from ..experiments.registry import REGISTRY, Experiment, Point
 from ..runner.cache import ResultCache, cache_key, json_safe
 from ..runner.pool import _normalize
 from ..runner.scheduler import RunnerError, WorkerFleet

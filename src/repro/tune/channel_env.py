@@ -145,7 +145,7 @@ def theta_to_channels(theta: Sequence[float], noise_ns: int = PAPER_B_NS) -> Cha
 # workload evaluators (module-level and pure: picklable for fleet workers)
 # ----------------------------------------------------------------------
 def _eval_flowsched(spec: dict, channels: ChannelConfig, scale: dict) -> dict:
-    from ..experiments.common import Mode
+    from ..experiments.modes import Mode
     from ..experiments.flowsched import FlowSchedConfig, run_flowsched
 
     cfg = FlowSchedConfig(
@@ -186,7 +186,7 @@ def _eval_flowsched_full(spec: dict, channels: ChannelConfig) -> dict:
 
 
 def _eval_fault_flap(spec: dict, channels: ChannelConfig) -> dict:
-    from ..experiments.common import Mode
+    from ..experiments.modes import Mode
     from ..experiments.fault_experiments import run_fault_flap
 
     res = run_fault_flap(

@@ -1,6 +1,6 @@
 """Vectorized candidate evaluation: serial in-process or over a WorkerFleet.
 
-One candidate evaluation = one :class:`~repro.experiments.common.Point` of
+One candidate evaluation = one :class:`~repro.experiments.registry.Point` of
 :class:`TuneEvalExperiment`, so fleet rollouts reuse the runner's persistent
 crash-tolerant pool (:class:`~repro.runner.scheduler.WorkerFleet`) and its
 retry machinery unchanged.  Results are consumed in submission order and
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..experiments.common import Experiment, Point
+from ..experiments.registry import Experiment, Point
 from .channel_env import evaluate_candidate
 
 __all__ = ["TuneEvalExperiment", "RolloutBackend"]

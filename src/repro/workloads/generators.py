@@ -5,7 +5,7 @@ Every generator exists in two shapes sharing one draw sequence:
 * an **iterator** variant (``poisson_flows_iter``, ``file_requests_iter``)
   that lazily yields :class:`FlowSpec` objects **in non-decreasing
   ``start_ns`` order** — the *streaming-generator contract* the experiment
-  layer's staged admission (:class:`repro.experiments.common.FlowAdmitter`)
+  layer's staged admission (:class:`repro.experiments.launch.FlowAdmitter`)
   relies on.  Memory stays bounded by the live window, not the trace
   length, which is what makes multi-second paper-scale traces feasible
   (millions of arrivals never exist as objects simultaneously);

@@ -3,8 +3,10 @@
 The battery runs a fixed set of small simulation scenarios chosen to cover
 every hot-path mechanism the simulator has — PrioPlus probing, PFC
 pause/resume, ECN marking, INT stamping (HPCC), shared-buffer drops with RTO
-recovery, ECMP multipath on a fat-tree, and a mid-flight link cut — and
-canonicalises their result dicts to JSON.
+recovery, ECMP multipath on a fat-tree, and a mid-flight link cut — plus four
+points of the scenario layer above it (``run_flowsched`` list / streaming,
+``run_coflow_mode`` lossless / lossy), and canonicalises their result dicts
+to JSON.
 
 ``tests/test_golden_results.py`` compares the battery against the committed
 ``tests/golden/core_results.json``.  The committed file was generated from the
@@ -30,9 +32,12 @@ from repro.experiments.ablations import (
     run_collision_avoidance_ablation,
     run_filter_ablation,
 )
+from repro.experiments.coflow_scenario import build_workload, run_coflow_mode
 from repro.experiments.fig8_testbed import run_staircase
 from repro.experiments.fig10_micro import _run_fig10c
-from repro.experiments.common import Mode
+from repro.experiments.fig12_coflow import ci_config
+from repro.experiments.flowsched import FlowSchedConfig, run_flowsched
+from repro.experiments.modes import Mode
 from repro.experiments.quickstart import run_quickstart
 from repro.sim.engine import Simulator
 from repro.sim.pfc import PfcConfig
@@ -184,6 +189,21 @@ def paused_priority_star() -> dict:
 
 
 # ----------------------------------------------------------------------
+# scenario layer: workload -> binder -> drive loop -> reduction (packet-only;
+# hybrid points stay out because fluid floats ride on the numpy version)
+# ----------------------------------------------------------------------
+def _flowsched(mode: str, streaming: bool) -> dict:
+    cfg = FlowSchedConfig(rate_bps=100e9, duration_ns=60_000, size_scale=0.1)
+    return run_flowsched(mode, 4, cfg, streaming=streaming)
+
+
+def _coflow(mode: str, lossy: bool) -> dict:
+    cfg = ci_config(duration_ns=400_000, lossy=lossy)
+    jobs, groups = build_workload(cfg)
+    return run_coflow_mode(mode, cfg, jobs, groups)
+
+
+# ----------------------------------------------------------------------
 # the battery
 # ----------------------------------------------------------------------
 _STAIR = dict(rate=10e9, stagger_ns=300_000, flows_per_prio=2, seed=1)
@@ -220,6 +240,11 @@ BATTERY: List[Tuple[str, Callable[[], object]]] = [
     ("faulted_flap_mid_run", faulted_flap_mid_run),
     ("hpcc_fat_tree", hpcc_fat_tree),
     ("paused_priority_star", paused_priority_star),
+    ("flowsched_list", lambda: _flowsched(Mode.PRIOPLUS, streaming=False)),
+    ("flowsched_streaming", lambda: _flowsched(Mode.PRIOPLUS_LEDBAT, streaming=True)),
+    ("coflow_list", lambda: _coflow(Mode.PRIOPLUS, lossy=False)),
+    # Physical + short RTO with PFC off: the one cell where lossy != lossless
+    ("coflow_lossy", lambda: _coflow(Mode.PHYSICAL, lossy=True)),
 ]
 
 

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from repro import probe
 from repro.audit import AuditError, Auditor, audit_scope, current_auditor
 from repro.cc.base import CongestionControl
-from repro.experiments.common import FunctionExperiment
+from repro.experiments.registry import FunctionExperiment
 from repro.runner import RunnerError, run_experiment
 from repro.sim.buffer import SharedBuffer
 from repro.sim.engine import Simulator

@@ -54,7 +54,7 @@ def test_no_int_no_reaction():
 
 
 def test_mode_integration():
-    from repro.experiments.common import Mode
+    from repro.experiments.modes import Mode
     from repro.experiments.flowsched import FlowSchedConfig, run_flowsched
 
     cfg = FlowSchedConfig(rate_bps=25e9, duration_ns=120_000, size_scale=0.05, seed=9)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.__main__ import main
-from repro.experiments.common import REGISTRY
+from repro.experiments.registry import REGISTRY
 
 
 def test_list_experiments(capsys):

@@ -6,7 +6,7 @@ structure; the directional claims live in benchmarks/.
 
 import pytest
 
-from repro.experiments.common import CCFactory, Mode
+from repro.experiments.modes import CCFactory, Mode
 from repro.experiments.fig3_micro import _run_fig3a, _run_fig3b
 from repro.experiments.fig6_dualrtt import _run_fig6
 from repro.experiments.fig8_testbed import _run_fig8, run_staircase

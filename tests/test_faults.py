@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.cc.base import CongestionControl
-from repro.experiments.common import FunctionExperiment
+from repro.experiments.registry import FunctionExperiment
 from repro.faults import (
     FaultInjector,
     FaultPlan,

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cc import Swift, SwiftParams
 from repro.core import ChannelConfig, PrioPlusCC
+from repro.experiments.launch import run_until_flows_done
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
 from repro.topology import fat_tree, star
@@ -214,7 +215,7 @@ def test_driver_attached_but_packet_only_is_byte_identical():
     sim_b, net_b, flows_b = _star_world(3, 200_000, 150_000)
     # backlog_enter_bytes=-1 makes the quiescence predicate unsatisfiable
     driver = HybridDriver(sim_b, net_b, FluidConfig(backlog_enter_bytes=-1))
-    assert driver.run_until_flows_done(flows_b, 2_000_000_000)
+    assert run_until_flows_done(sim_b, flows_b, 2_000_000_000, driver=driver)
     assert [f.fct_ns() for f in flows_b] == base
     assert sim_b.events_processed == events_a
     assert driver.stats["fluid_epochs"] == 0
@@ -227,7 +228,7 @@ def test_hybrid_star_agreement_and_speed():
 
     sim_h, net_h, flows_h = _star_world(5, 300_000, 600_000)
     driver = HybridDriver(sim_h, net_h)
-    assert driver.run_until_flows_done(flows_h, 2_000_000_000)
+    assert run_until_flows_done(sim_h, flows_h, 2_000_000_000, driver=driver)
     hybrid_fcts = [f.fct_ns() for f in flows_h]
     for p, h in zip(packet_fcts, hybrid_fcts):
         assert abs(p - h) / p < 0.05
@@ -249,7 +250,7 @@ def test_fluid_admission_is_gated_by_pipe_fill_delay():
         seen.append((sender.flow.flow_id, driver._flows[-1].gate_ns, sim.now))
 
     driver._absorb = absorb
-    assert driver.run_until_flows_done(flows, 2_000_000_000)
+    assert run_until_flows_done(sim, flows, 2_000_000_000, driver=driver)
     fresh = [(fid, gate, now) for fid, gate, now in seen if gate > 0]
     assert fresh, "expected at least one fresh in-epoch admission"
     for _, gate, now in fresh:
@@ -266,7 +267,7 @@ def test_regime_telemetry_and_sampler_rows():
         with sample_scope(stride_ns=100_000) as smp:
             sim, net, flows = _star_world(3, 300_000, 600_000)
             driver = HybridDriver(sim, net)
-            assert driver.run_until_flows_done(flows, 2_000_000_000)
+            assert run_until_flows_done(sim, flows, 2_000_000_000, driver=driver)
     modes = [ev[1] for ev in rec.events["regime"]]
     assert "fluid" in modes and "packet" in modes
     assert rec.metrics.counter("regime.fluid").value >= 1
@@ -278,7 +279,7 @@ def test_exit_on_contention_any_falls_back_on_sharing():
     """Two same-rank flows on one bottleneck: 'any' policy exits fluid."""
     sim, net, flows = _star_world(2, 400_000, 0)
     driver = HybridDriver(sim, net, FluidConfig(exit_on_contention="any"))
-    assert driver.run_until_flows_done(flows, 2_000_000_000)
+    assert run_until_flows_done(sim, flows, 2_000_000_000, driver=driver)
     # sharing flows either never left packet mode or exited on contention;
     # either way no epoch may end with reason "deadline" while both run
     assert driver.stats.get("exit_reasons", {}).get("contention:shared", 0) >= 0
@@ -286,7 +287,25 @@ def test_exit_on_contention_any_falls_back_on_sharing():
         assert f.done
 
 
-def test_fluid_config_rejects_unknown_policy():
+def test_shared_config_resolves_backlog_threshold_per_driver():
+    """One ``FluidConfig()`` on two fabrics: each driver derives its own
+    quiescence threshold from its own port count and leaves the caller's
+    config alone (it used to write the first fabric's default back into it)."""
+    cfg = FluidConfig()
+    sim_a = Simulator(1)
+    net_a, _, _ = star(sim_a, 3, rate_bps=100e9, link_delay_ns=1_000)
+    sim_b = Simulator(1)
+    net_b, _ = fat_tree(sim_b, k=4, rate_bps=100e9)
+    drivers = [HybridDriver(sim_a, net_a, cfg), HybridDriver(sim_b, net_b, cfg)]
+    assert cfg.backlog_enter_bytes is None
+    thresholds = [d.backlog_enter_bytes for d in drivers]
+    assert thresholds == [8 * 1540 * len(d._ports) for d in drivers]
+    assert thresholds[0] < thresholds[1]
+    # an explicit value is taken as is
+    assert HybridDriver(Simulator(1), net_a, FluidConfig(backlog_enter_bytes=7)).backlog_enter_bytes == 7
+
+
+def test_unknown_contention_policy_is_rejected():
     with pytest.raises(ValueError):
         FluidConfig(exit_on_contention="sometimes")
 
@@ -343,7 +362,7 @@ def test_hybrid_on_fat_tree_mixed_ranks_completes():
     """Cross-rank contention forces exits; results stay sane end-to-end."""
     sim, net, flows = _midscale_world(6, 300_000, 150_000)
     driver = HybridDriver(sim, net)
-    assert driver.run_until_flows_done(flows, 10_000_000_000)
+    assert run_until_flows_done(sim, flows, 10_000_000_000, driver=driver)
     assert all(f.done for f in flows)
 
 
@@ -360,7 +379,7 @@ def test_hybrid_midscale_agreement():
     assert all(f.done for f in flows_p)
     sim_h, net_h, flows_h = _midscale_world(6, 400_000, 400_000)
     driver = HybridDriver(sim_h, net_h)
-    assert driver.run_until_flows_done(flows_h, 10_000_000_000)
+    assert run_until_flows_done(sim_h, flows_h, 10_000_000_000, driver=driver)
     assert driver.stats["fluid_epochs"] >= 1
 
     def summary(flows):

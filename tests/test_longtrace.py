@@ -2,7 +2,7 @@
 sampler pruning, and hybrid-driver long-run hardening.
 
 These pin the machinery that makes multi-second paper-scale traces
-first-class: :class:`repro.experiments.common.FlowAdmitter` (senders
+first-class: :class:`repro.experiments.launch.FlowAdmitter` (senders
 materialized only near their start time, pruned at completion),
 ``run_flowsched(streaming=True)`` (bounded-memory P² result reduction that
 agrees with the historical list path), completed-sender pruning in the
@@ -12,7 +12,8 @@ bound / fresh-start handoff.
 
 import pytest
 
-from repro.experiments.common import CCFactory, FlowAdmitter, Mode, run_admitter
+from repro.experiments.launch import FlowAdmitter, run_admitter
+from repro.experiments.modes import CCFactory, Mode
 from repro.experiments.flowsched import FlowSchedConfig, run_flowsched
 from repro.sim.engine import Simulator
 from repro.topology import fat_tree

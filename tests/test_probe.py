@@ -24,7 +24,7 @@ import pytest
 import repro
 from repro import probe
 from repro.audit import Auditor
-from repro.experiments.common import FunctionExperiment
+from repro.experiments.registry import FunctionExperiment
 from repro.experiments.quickstart import run_quickstart
 from repro.obs import (
     ChannelInspector,
@@ -75,21 +75,59 @@ def test_core_imports_no_sink_package():
 
 
 def test_runner_imports_no_figure_module():
-    """``runner/`` dispatches experiments; it never names one.
+    """The dispatch layer runs experiments; it never names one.
 
-    Its only door into ``repro.experiments`` is ``common`` (the Experiment /
-    Point types).  Importing a figure module is how a timing harness would
-    grow back inside ``src/repro``; speed is measured in ``benchmarks/perf``.
+    The only door from ``runner/``, ``serve/``, ``api.py``, ``client.py``
+    and ``tune/rollout.py`` into ``repro.experiments`` is ``registry`` (the
+    Experiment / Point types and REGISTRY).  Importing a figure module is
+    how a timing harness would grow back inside ``src/repro``; speed is
+    measured in ``benchmarks/perf``.
     """
-    allowed = ("repro.experiments", "repro.experiments.common")
+    allowed = ("repro.experiments", "repro.experiments.registry")
+    paths = sorted((SRC / "runner").rglob("*.py")) + sorted((SRC / "serve").rglob("*.py"))
+    paths += [SRC / "api.py", SRC / "client.py", SRC / "tune" / "rollout.py"]
     offenders = []
-    for path in sorted((SRC / "runner").rglob("*.py")):
+    for path in paths:
         for module in _imported_modules(path):
             if module.startswith("repro.experiments") and not (
-                module in allowed or module.startswith("repro.experiments.common.")
+                module in allowed or module.startswith("repro.experiments.registry.")
             ):
                 offenders.append(f"{path.relative_to(SRC)} imports {module}")
     assert not offenders, offenders
+
+
+def test_registry_imports_nothing_from_repro():
+    """Naming an experiment must not drag in the simulator."""
+    imported = list(_imported_modules(SRC / "experiments" / "registry.py"))
+    assert not [m for m in imported if m.startswith("repro")], imported
+
+
+def test_common_is_only_the_ledgers_import_surface():
+    """``experiments/common.py`` re-exports for the frozen ``benchmarks/perf``;
+    nothing under ``src/repro`` imports it, and every name it offers is the
+    very object its home module defines (so the ledger's patches of
+    ``common.launch_specs`` / ``common.FlowAdmitter._on_done`` land on the
+    code the experiments run)."""
+    importers = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "experiments" / "common.py"
+        and any(m.startswith("repro.experiments.common") for m in _imported_modules(path))
+    ]
+    assert not importers, importers
+
+    from repro.experiments import common, launch, modes, registry, samplers
+
+    homes = (launch, modes, registry, samplers)
+    for name in common.__all__:
+        owners = [home for home in homes if name in home.__all__]
+        assert len(owners) == 1, (name, owners)
+        assert getattr(common, name) is getattr(owners[0], name), name
+    ledger_uses = {
+        "CCFactory", "Mode", "REGISTRY", "FunctionExperiment",
+        "launch_specs", "run_until_flows_done", "FlowAdmitter", "run_admitter",
+    }
+    assert ledger_uses <= set(common.__all__)
 
 
 # ----------------------------------------------------------------------

@@ -14,13 +14,7 @@ import os
 
 import pytest
 
-from repro.experiments.common import (
-    REGISTRY,
-    Experiment,
-    FunctionExperiment,
-    Point,
-    get_experiment,
-)
+from repro.experiments.registry import REGISTRY, Experiment, FunctionExperiment, Point, get_experiment
 from repro.experiments.fig8_testbed import run_staircase
 from repro.experiments.fig10_micro import _run_fig10c
 from repro.experiments.quickstart import run_quickstart
@@ -248,6 +242,23 @@ def test_registered_experiments_have_unique_point_identities():
         assert len(set(names)) == len(names), exp.name
         keys = {cache_key(exp.name, p) for p in points}
         assert len(keys) == len(points), f"{exp.name}: cache-key collision"
+
+
+@pytest.mark.parametrize(
+    "name, cells, duration_ns",
+    [("fig11_paper", 2, 20_000), ("fig11_long", 1, 100_000_000), ("fig16_paper", 1, 20_000)],
+)
+def test_paper_scale_quick_variants_keep_their_cut(name, cells, duration_ns):
+    """``quick()`` of a grid experiment is the first cells of the same grid
+    under a shorter trace — and the registered experiment stays whole."""
+    exp = get_experiment(name)
+    quick = exp.quick()
+    assert type(quick) is type(exp) and quick.name == name
+    assert [p.name for p in quick.points()] == [p.name for p in exp.points()][:cells]
+    for p in quick.points():
+        assert p.config["cfg"] == dict(exp.cfg_kwargs, duration_ns=duration_ns)
+    assert quick.run_kwargs == exp.run_kwargs
+    assert len(exp.points()) > cells
 
 
 def test_runner_matches_legacy_function():

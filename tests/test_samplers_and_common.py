@@ -4,14 +4,9 @@ import pytest
 
 from repro.cc.swift import Swift
 from repro.core import StartTier
-from repro.experiments.common import (
-    CCFactory,
-    DelaySampler,
-    Mode,
-    RateSampler,
-    launch_specs,
-    run_until_flows_done,
-)
+from repro.experiments.launch import FlowAdmitter, launch_specs, run_until_flows_done
+from repro.experiments.modes import CCFactory, Mode
+from repro.experiments.samplers import DelaySampler, RateSampler
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
 from repro.topology import star
@@ -75,6 +70,39 @@ def test_launch_specs_d2tcp_sets_deadlines():
     flows, _ = launch_specs(sim, net, specs, hosts, fac, group_of=lambda s: 0)
     assert flows[0].deadline_ns is not None
     assert flows[0].deadline_ns > 1000
+
+
+def test_launch_specs_and_admitter_bind_identically():
+    """Up-front and staged admission share one binder: the same specs give
+    the same flow ids, priorities, channels, deadlines and CC types."""
+    specs = [
+        FlowSpec(0, 2, 50_000, 0, tag="a"),
+        FlowSpec(1, 2, 90_000, 2_000, tag="b"),
+        FlowSpec(0, 2, 10_000, 5_000, tag="c"),
+    ]
+    group_of = lambda s: "abc".index(s.tag)  # noqa: E731
+
+    def bound(mode, admit):
+        sim, net, senders, recv = _setup(2)
+        hosts = senders + [recv]
+        admit(sim, net, hosts, CCFactory(mode, n_priorities=3))
+        by_id = {}
+        for host in hosts:
+            by_id.update(host.senders)
+        return [
+            (fid, s.flow.priority, s.flow.vpriority, s.flow.deadline_ns, s.flow.tag,
+             s.ack_priority, type(s.cc), type(getattr(s.cc, "inner", None)))
+            for fid, s in sorted(by_id.items())
+        ]
+
+    for mode in (Mode.PRIOPLUS, Mode.PRIOPLUS_LEDBAT, Mode.PHYSICAL, Mode.D2TCP):
+        eager = bound(mode, lambda sim, net, hosts, fac: launch_specs(
+            sim, net, specs, hosts, fac, group_of, flow_id_start=7))
+        staged = bound(mode, lambda sim, net, hosts, fac: FlowAdmitter(
+            sim, net, specs, hosts, fac, group_of, horizon_ns=1_000_000, flow_id_start=7))
+        assert eager == staged
+        assert [row[0] for row in eager] == [7, 8, 9]
+        assert all((row[3] is not None) == (mode == Mode.D2TCP) for row in eager)
 
 
 def test_factory_tier_defaults():

@@ -17,7 +17,7 @@ import pytest
 
 from repro import api
 from repro.client import ServeClient, ServeError, connect, parse_address
-from repro.experiments.common import ExperimentRegistry, FunctionExperiment
+from repro.experiments.registry import ExperimentRegistry, FunctionExperiment
 from repro.runner import run_experiment
 from repro.serve import BackgroundServer
 from repro.serve.inflight import InflightTable

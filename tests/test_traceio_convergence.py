@@ -111,7 +111,7 @@ def test_metrics_on_real_prioplus_run():
     """Same-priority PrioPlus flows converge to a fair share."""
     from repro.cc import Swift, SwiftParams
     from repro.core import ChannelConfig, PrioPlusCC, StartTier
-    from repro.experiments.common import RateSampler
+    from repro.experiments.samplers import RateSampler
     from repro.sim.engine import Simulator
     from repro.sim.switch import SwitchConfig
     from repro.topology import star
