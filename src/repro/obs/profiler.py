@@ -3,7 +3,7 @@
 A :mod:`repro.probe` sink that subscribes to no site event, only to the
 engine's dispatch hook: every event dispatch is wrapped in a
 ``perf_counter()`` pair and the elapsed wall time attributed to the
-callback's qualified name (``Port._tx_done``, ``FlowSender._send_seq``, ...).
+callback's qualified name (``Port._tx_wake``, ``FlowSender._send_seq``, ...).
 The result is a cheap flat profile of where a run's real time goes —
 answering "which event type dominates?" without an external profiler.
 

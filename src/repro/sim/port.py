@@ -11,11 +11,21 @@ convention used by ns-3's qbb model).
 
 Hot-path design (see docs/PERFORMANCE.md): starting a transmission at ``t0``
 schedules the peer's ``receive`` directly at ``t2 = t0 + tx + prop`` as one
-fused, allocation-free event (:meth:`Simulator.call_at`) instead of chaining
-``_tx_done`` at ``t1 = t0 + tx`` into a second ``receive`` event.  The ``t1``
-end-of-transmission wake-up remains (it frees the port and re-arms the
+fused, allocation-free event (:meth:`Simulator.call_at2`) instead of chaining
+an end-of-transmission event at ``t1 = t0 + tx`` into a second ``receive``
+event.  The ``t1`` wake-up remains (it frees the port and re-arms the
 scheduler) but is also allocation-free, so a packet hop costs two bare heap
 tuples and zero ``EventHandle`` objects.
+
+A packet that finds the port idle and empty is queued and dequeued within one
+event for no net queue change.  With no site-subscribing sink on the probe
+(``probe.on`` false) that case skips the queues: :meth:`_cut_through` starts
+the transmission directly, from :meth:`enqueue` on an un-owned port (a host
+NIC) and from :meth:`Switch.receive <repro.sim.switch.Switch.receive>` on a
+switch port, whose inline common case also appends to ``queues`` and keeps
+``qbytes`` / ``_active`` / ``total_bytes`` itself when the packet has to wait.
+With a sink installed every packet takes ``enqueue`` → ``_kick``, which is the
+reference the common case is tested against (``tests/test_hot_path.py``).
 
 PFC/cut semantics are unchanged: a pause or ``cut()`` landing between
 start-of-tx and delivery still only gates the *next* dequeue (the in-flight
@@ -36,11 +46,6 @@ __all__ = ["Port"]
 
 class Port:
     """Egress port: priority queues + strict-priority scheduler + one link."""
-
-    #: ``False`` selects the classic two-step schedule (``_tx_done`` delivers
-    #: from t1).  Its sole purpose is the differential oracle in
-    #: ``tests/test_hot_path.py``, which proves the fused schedule equivalent.
-    FUSED = True
 
     __slots__ = (
         "sim",
@@ -69,6 +74,8 @@ class Port:
         "dropped_on_cut",
         "impairment",
         "probe",
+        "_deliver",
+        "_wake",
     )
 
     def __init__(
@@ -100,6 +107,11 @@ class Port:
         self.prop_delay_ns = 0
         self.peer = None  # receiving node
         self.peer_in_idx = 0  # index of this link at the peer's ingress
+        #: ``peer.receive`` and ``self._tx_wake``, bound once: every
+        #: transmission schedules both, and binding per packet is two
+        #: allocations a hop (measured: docs/PERFORMANCE.md)
+        self._deliver = None
+        self._wake = self._tx_wake
         #: per-queue ECN marking threshold in bytes (None disables marking)
         self.ecn_k = ecn_k
         self.tx_bytes_total = 0
@@ -142,6 +154,7 @@ class Port:
     def connect(self, peer, prop_delay_ns: int, peer_in_idx: int = 0) -> None:
         """Attach the downstream node reached through this port."""
         self.peer = peer
+        self._deliver = peer.receive
         self.prop_delay_ns = int(prop_delay_ns)
         self.peer_in_idx = peer_in_idx
 
@@ -185,11 +198,6 @@ class Port:
             "tx_packets_total": self.tx_packets_total,
         }
 
-    def queue_index(self, pkt: Packet) -> int:
-        if self.local_queues and pkt.local_prio >= 0:
-            return min(pkt.local_prio, self.n_queues - 1)
-        return pkt.priority
-
     def enqueue(self, pkt: Packet, ctx: Any = None) -> None:
         """Queue a packet for transmission (admission already decided).
 
@@ -203,6 +211,26 @@ class Port:
         else:
             q = pkt.priority
         size = pkt.size
+        p = self.probe
+        if (
+            not self.busy
+            and not self.total_bytes
+            and self.on_dequeue is None
+            and not p.on
+            and self.ecn_marker is None
+            and self.impairment is None
+            and not self.down
+        ):
+            # idle, empty, un-owned port (a host NIC): the packet would be
+            # queued and dequeued right here for no net queue change
+            phys = pkt.priority
+            paused = self.paused
+            if phys >= len(paused) or not paused[phys]:
+                if self.ecn_k is not None and size > self.ecn_k:
+                    pkt.ecn = True
+                pkt.ctx = ctx
+                self._cut_through(pkt, size)
+                return
         qbytes = self.qbytes
         marked = False
         if self.ecn_marker is not None:
@@ -217,7 +245,6 @@ class Port:
         self._active |= 1 << q
         qbytes[q] += size
         self.total_bytes += size
-        p = self.probe
         if p.on:
             # before the kick: _kick may start transmitting this very packet
             p.enqueue(self.sim.now, self.name, q, qbytes[q], self.total_bytes, marked, pkt)
@@ -243,21 +270,6 @@ class Port:
             self._kick()
 
     # ------------------------------------------------------------------
-    def _select_queue(self) -> int:
-        """Highest non-empty queue whose head's physical class isn't paused."""
-        queues = self.queues
-        paused = self.paused
-        n_paused = len(paused)
-        for q in range(self.n_queues - 1, -1, -1):
-            queue = queues[q]
-            if not queue:
-                continue
-            phys = queue[0].priority
-            if phys < n_paused and paused[phys]:
-                continue
-            return q
-        return -1
-
     def cut(self) -> int:
         """Take the link down, dropping everything queued (a fibre cut).
 
@@ -324,7 +336,7 @@ class Port:
     def _kick(self) -> None:
         if self.down or not self.total_bytes:
             return
-        # inline _select_queue over the non-empty bitmask: highest queue whose
+        # strict priority over the non-empty bitmask: highest queue whose
         # head's physical class isn't paused
         queues = self.queues
         paused = self.paused
@@ -365,38 +377,58 @@ class Port:
         self.tx_bytes_total += size
         self.tx_packets_total += 1
         t1 = now + tx
-        if self.FUSED:
-            peer = self.peer
-            if peer is None:
-                raise RuntimeError(f"{self.name}: transmitting on an unconnected port")
-            t2 = t1 + self.prop_delay_ns
-            imp = self.impairment
-            if imp is not None:
-                # degraded link: the packet still occupies the wire for its
-                # full serialisation time, but may be corrupted (never
-                # delivered) or delivered late (delay spike)
-                t2 = imp.transmit(t2)
-                if t2 < 0:
-                    if p.on:
-                        p.pkt_corrupted(t1, pkt)
-                    PACKET_POOL.release(pkt)
-                    sim.call_at(t1, self._tx_wake)
-                    return
+        deliver = self._deliver
+        if deliver is None:
+            raise RuntimeError(f"{self.name}: transmitting on an unconnected port")
+        t2 = t1 + self.prop_delay_ns
+        imp = self.impairment
+        if imp is not None:
+            # degraded link: the packet still occupies the wire for its
+            # full serialisation time, but may be corrupted (never
+            # delivered) or delivered late (delay spike)
+            t2 = imp.transmit(t2)
+            if t2 < 0:
                 if p.on:
-                    # delay spikes land in the propagation component, so
-                    # traced spans keep summing to e2e
-                    p.wire_delay(pkt, t2 - t1)
-            # fused: delivery at t2 scheduled up front, wake-up frees the port
-            sim.call_at2(
-                t2,
-                peer.receive,
-                (pkt, self.peer_in_idx),
-                t1,
-                self._tx_wake,
-                (),
-            )
-        else:
-            sim.call_after(tx, self._tx_done, pkt)
+                    p.pkt_corrupted(t1, pkt)
+                PACKET_POOL.release(pkt)
+                sim.call_at(t1, self._wake)
+                return
+            if p.on:
+                # delay spikes land in the propagation component, so
+                # traced spans keep summing to e2e
+                p.wire_delay(pkt, t2 - t1)
+        # fused: delivery at t2 scheduled up front, wake-up frees the port
+        sim.call_at2(t2, deliver, (pkt, self.peer_in_idx), t1, self._wake, ())
+
+    def _cut_through(self, pkt: Packet, size: int) -> None:
+        """Start transmitting ``pkt`` on an idle, empty port, past the queues.
+
+        What ``enqueue`` → ``_kick`` come to when the caller has established:
+        ``probe.on`` false, port up and not busy, nothing queued, the
+        packet's class not paused, no impairment — and has done the ECN mark,
+        ``pkt.ctx`` and (for a switch port) the owner's accounting itself.
+        The ``t1`` wake-up is scheduled like for any other transmission.
+        (The model stays store-and-forward — the frame has fully arrived;
+        what is cut is the trip through the queues, not the switching.)
+        """
+        deliver = self._deliver
+        if deliver is None:
+            raise RuntimeError(f"{self.name}: transmitting on an unconnected port")
+        self.busy = True
+        sim = self.sim
+        now = sim.now
+        cache = self._tx_cache
+        tx = cache.get(size)
+        if tx is None:
+            tx = cache[size] = max(1, int(size * self._ns_per_byte))
+        if self.stamp_int and pkt.int_hops is not None:
+            pkt.int_hops.append(IntHop(0, self.tx_bytes_total, now, self.rate_bps))
+        self.tx_bytes_total += size
+        self.tx_packets_total += 1
+        t1 = now + tx
+        sim.call_at2(
+            t1 + self.prop_delay_ns, deliver, (pkt, self.peer_in_idx), t1, self._wake, ()
+        )
 
     def _tx_wake(self) -> None:
         """End-of-transmission: free the port and re-arm the scheduler."""
@@ -404,29 +436,5 @@ class Port:
         p = self.probe
         if p.on and not self.down:
             p.link(self.sim.now, self.name, False)
-        self._kick()
-
-    def _tx_done(self, pkt: Packet) -> None:
-        """Classic two-step end-of-tx (``FUSED = False``, the test oracle)."""
-        peer = self.peer
-        if peer is None:
-            raise RuntimeError(f"{self.name}: transmitting on an unconnected port")
-        sim = self.sim
-        p = self.probe
-        imp = self.impairment
-        if imp is not None:
-            t2 = imp.transmit(sim.now + self.prop_delay_ns)
-            if t2 < 0:
-                if p.on:
-                    p.pkt_corrupted(sim.now, pkt)
-                PACKET_POOL.release(pkt)
-            else:
-                if p.on:
-                    p.wire_delay(pkt, t2 - sim.now)
-                sim.call_at(t2, peer.receive, pkt, self.peer_in_idx)
-        else:
-            sim.call_after(self.prop_delay_ns, peer.receive, pkt, self.peer_in_idx)
-        self.busy = False
-        if p.on and not self.down:
-            p.link(sim.now, self.name, False)
-        self._kick()
+        if self.total_bytes:
+            self._kick()

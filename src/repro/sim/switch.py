@@ -15,6 +15,12 @@ __all__ = ["Switch", "SwitchConfig", "ecmp_hash"]
 _GOLDEN = 0x9E3779B1
 _MIX = 0x85EBCA77
 
+#: bound on a switch's memoised ECMP picks: a key is one flow and direction,
+#: and a long trace brings millions of flow ids past one multipath switch.
+#: At the cap the cache is cleared wholesale — ``ecmp_hash`` is pure, so the
+#: only cost is re-deriving the picks of the flows still live
+_ROUTE_CACHE_MAX = 65536
+
 
 def ecmp_hash(flow_id: int, node_id: int, salt: int = 0) -> int:
     """Deterministic per-flow hash used for ECMP next-hop selection."""
@@ -113,6 +119,7 @@ class Switch:
         self._nq = cfg.n_queues
         #: (dst, flow_id, salt) -> egress index; ecmp_hash is pure, routes are
         #: fixed after topology build, so the pick per flow never changes
+        #: (at most ``_ROUTE_CACHE_MAX`` entries)
         self._route_cache: Dict[tuple, int] = {}
         #: mid-reboot: every arriving frame dies at the dark port
         self._dead = False
@@ -198,6 +205,8 @@ class Switch:
                 out_idx = routes[
                     ecmp_hash(pkt.flow_id, self.node_id, pkt.hash_salt) % len(routes)
                 ]
+                if len(self._route_cache) >= _ROUTE_CACHE_MAX:
+                    self._route_cache.clear()
                 self._route_cache[rkey] = out_idx
         port = self.ports[out_idx]
         if port.down:
@@ -211,6 +220,61 @@ class Switch:
         size = pkt.size
         lossless = self._pfc_on and prio < self._n_lossless
         buf = self.buffer
+        if not self.probe.on and port.ecn_marker is None:
+            # Common case (docs/PERFORMANCE.md, "One call per hop"): the
+            # shared pool admits and no PFC threshold is crossed.  Decided
+            # before anything is mutated, so every other outcome — DT
+            # refusal, headroom, drop, PAUSE, a paused ingress — falls
+            # through to the general path below with no state touched.
+            used = buf.shared_used
+            cap = buf.shared_capacity
+            new_used = used + size
+            qb = port.qbytes[prio]
+            clear = new_used <= cap and qb < buf.dt_alpha * (cap - used)
+            state = None
+            if clear and lossless:
+                state = self._pfc.get(in_idx * self._nq + prio)
+                if state is None or state.pause_sent:
+                    clear = False
+                else:
+                    pfc = state.cfg
+                    xoff = pfc.xoff_bytes
+                    if pfc.dynamic:
+                        # against the pool *after* admission, as
+                        # PfcIngressState.on_enqueue reads it
+                        dyn = pfc.dyn_alpha * (cap - new_used)
+                        if dyn < xoff:
+                            xoff = dyn
+                    clear = state.bytes + size <= xoff
+            if clear:
+                stats = buf.stats
+                stats.admitted_shared += 1
+                if new_used > stats.peak_shared:
+                    stats.peak_shared = new_used
+                self.forwarded += 1
+                if port.ecn_k is not None and qb + size > port.ecn_k:
+                    pkt.ecn = True
+                pkt.ctx = in_idx << 1
+                if (
+                    not port.busy
+                    and not port.total_bytes
+                    and not port.paused[prio]
+                    and port.impairment is None
+                ):
+                    # admitted and released within this event: pool and PFC
+                    # backlog are net unchanged
+                    port._cut_through(pkt, size)
+                    return
+                buf.shared_used = new_used
+                if state is not None:
+                    state.bytes += size
+                port.queues[prio].append(pkt)
+                port._active |= 1 << prio
+                port.qbytes[prio] = qb + size
+                port.total_bytes += size
+                if not port.busy:
+                    port._kick()
+                return
         from_headroom = 0
         if not buf.try_admit_shared(port.qbytes[prio], size):
             if lossless and buf.try_admit_headroom(size):
@@ -242,14 +306,28 @@ class Switch:
 
     def _on_port_dequeue(self, pkt: Packet, ctx: int) -> None:
         prio = pkt.priority
-        self.buffer.release(pkt.size, ctx & 1)
+        size = pkt.size
+        state = None
         if self._pfc_on and prio < self._n_lossless:
             in_idx = ctx >> 1
-            key = in_idx * self._nq + prio
-            state = self._pfc.get(key)
+            state = self._pfc.get(in_idx * self._nq + prio)
             if state is None:
                 state = self._pfc_state(in_idx, prio)
-            state.on_dequeue(pkt.size)
+        if ctx & 1 or self.probe.on or (state is not None and state.pause_sent):
+            self.buffer.release(size, ctx & 1)
+            if state is not None:
+                state.on_dequeue(size)
+            return
+        # common case: a shared-pool packet, no sink listening and no RESUME
+        # that could be due — two subtractions, same accounting assertions
+        buf = self.buffer
+        buf.shared_used -= size
+        if buf.shared_used < 0:
+            raise AssertionError("shared-pool accounting went negative")
+        if state is not None:
+            state.bytes -= size
+            if state.bytes < 0:
+                raise AssertionError("PFC ingress accounting went negative")
 
     # ------------------------------------------------------------------
     # PFC

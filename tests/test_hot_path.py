@@ -1,22 +1,34 @@
-"""Hot-path overhaul tests: engine fast path, fused tx/delivery, packet pool.
+"""Hot-path tests: engine fast path, fused tx/delivery, the per-hop common
+case, packet pool.
 
 Covers the allocation-free scheduling API (`call_at` / `call_after` /
-`call_at2`), the fused transmission+propagation event on `Port`, the packet
-free-list pool, and the satellite fixes that rode along (float clamping in
-`Simulator.at`, `set_paused` range validation, `cut()` telemetry).
+`call_at2`), the fused transmission+propagation event on `Port`, the inline
+common case of `Switch.receive` / `_on_port_dequeue` / `Port.enqueue` against
+the general path every hop takes once a sink listens (`probe.on`), the
+calls-per-event budget that common case buys, the packet free-list pool, and
+the satellite fixes that rode along (float clamping in `Simulator.at`,
+`set_paused` range validation, `cut()` telemetry, the ECMP pick cache bound).
 """
 
-import pytest
+import random
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cc import Hpcc, Swift, SwiftParams
 from repro.cc.base import CongestionControl
+from repro.faults.actors import LinkImpairment
+from repro.sim import switch as switch_mod
 from repro.sim.engine import Simulator
 from repro.sim.packet import DATA, PACKET_POOL, IntHop, Packet, PacketPool
 from repro.sim.pfc import PfcConfig
 from repro.sim.port import Port
-from repro.sim.switch import SwitchConfig
+from repro.sim.switch import SwitchConfig, ecmp_hash
 from repro.probe import installed
 from repro.telemetry import Recorder
-from repro.topology import star
+from repro.topology import fat_tree, star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
 
@@ -209,18 +221,282 @@ def test_run_until_between_tx_end_and_delivery():
     assert sim.now == 600
 
 
-def test_fused_and_classic_modes_agree(monkeypatch):
-    def deliveries():
-        sim, port, sink = make_port()
-        for i in range(4):
-            port.enqueue(pkt(size=200 + 100 * i, seq=i, prio=i % 2))
-        sim.run()
-        return [(p.seq, sim.now) for p, _ in sink.received], sim.events_processed
+# ----------------------------------------------------------------------
+# the per-hop common case vs the general path (the one differential oracle)
+# ----------------------------------------------------------------------
+class _Listener:
+    """Hears one site event and does nothing: ``probe.on`` turns true, so
+    every hop takes receive -> try_admit_shared -> on_enqueue -> enqueue ->
+    _kick -> _on_port_dequeue -> release -> on_dequeue."""
 
-    fused, _ = deliveries()
-    monkeypatch.setattr(Port, "FUSED", False)
-    classic, _ = deliveries()
-    assert fused == classic
+    def regime(self, t, mode, reason, n_flows):  # a pure-packet run never emits it
+        pass
+
+
+class _RecordingHpcc(Hpcc):
+    """HPCC that keeps the ECN echo and the INT stack of every ACK."""
+
+    def __init__(self, seen):
+        super().__init__()
+        self._seen = seen
+
+    def on_ack(self, info):
+        hops = [(h.qlen, h.tx_bytes, h.ts, h.rate_bps) for h in info.int_hops or ()]
+        self._seen.append((info.ecn, hops))
+        super().on_ack(info)
+
+
+_WORLDS = st.fixed_dictionaries(
+    {
+        "topo": st.sampled_from(["star", "fat_tree"]),
+        "n_queues": st.integers(2, 3),
+        "n_lossless": st.integers(1, 2),
+        "buffer_bytes": st.integers(24_000, 90_000),
+        "headroom": st.integers(1_000, 6_000),
+        "dt_alpha": st.sampled_from([0.125, 0.5, 1.0]),
+        "xoff": st.integers(2_500, 9_000),
+        "dynamic": st.booleans(),
+        "ecn_k": st.integers(1_500, 12_000),
+        "n_flows": st.integers(2, 5),
+        "flow_kb": st.integers(8, 60),
+        "seed": st.integers(0, 2**16),
+        "fault_hop": st.integers(0, 7),
+        "t_fault": st.integers(5_000, 120_000),
+    }
+)
+
+#: a world that crosses every threshold the common case routes away from
+_PINNED_WORLD = {
+    "topo": "star", "n_queues": 2, "n_lossless": 1, "buffer_bytes": 30_000, "headroom": 2_000,
+    "dt_alpha": 0.5, "xoff": 4_000, "dynamic": False, "ecn_k": 3_000, "n_flows": 4,
+    "flow_kb": 40, "seed": 5, "fault_hop": 1, "t_fault": 40_000,
+}
+
+
+def _run_world(w):
+    """Build the world ``w`` describes, run it 3 ms, return what it left behind."""
+    live_before = PACKET_POOL.live
+    sim = Simulator(w["seed"])
+    cfg = SwitchConfig(
+        n_queues=w["n_queues"],
+        buffer_bytes=w["buffer_bytes"],
+        headroom_per_port_per_prio=w["headroom"],
+        n_lossless=w["n_lossless"],
+        dt_alpha=w["dt_alpha"],
+        pfc=PfcConfig(enabled=True, xoff_bytes=w["xoff"], dynamic=w["dynamic"]),
+        ecn_k_bytes=w["ecn_k"],
+    )
+    n = w["n_flows"]
+    if w["topo"] == "star":
+        net, srcs, sink = star(sim, n, rate_bps=10e9, link_delay_ns=500, switch_cfg=cfg)
+    else:
+        net, hosts = fat_tree(sim, k=4, rate_bps=10e9, link_delay_ns=500, switch_cfg=cfg)
+        srcs, sink = [hosts[3 * i] for i in range(n)], hosts[-1]
+    acks_seen = []  # flow 1's (ecn echo, INT hops) per ACK
+    flows = []
+    for i, src in enumerate(srcs):
+        flow = Flow(i + 1, src, sink, w["flow_kb"] * 1000 + 37 * i, priority=i % (w["n_queues"] - 1),
+                    start_ns=700 * i)
+        cc = (
+            _RecordingHpcc(acks_seen),
+            CongestionControl(init_cwnd_bytes=30_000),
+            Swift(SwiftParams(target_scaling=False)),
+        )[i % 3]
+        FlowSender(sim, net, flow, cc, rto_ns=150_000)
+        flows.append(flow)
+    # one class paused and resumed, one cut/restore, one impaired link — on
+    # flow 1's path, host NIC (an un-owned port) included
+    path = net.path_ports(srcs[0], sink, flow_id=1)
+    victim = path[w["fault_hop"] % len(path)]
+    lossy_wire = path[(w["fault_hop"] + 1) % len(path)]
+    lossy_wire.impairment = LinkImpairment(random.Random(w["seed"]), drop_prob=0.03, delay_spike_ns=3_000)
+    t = w["t_fault"]
+    sim.at(t, victim.set_paused, 0, True)
+    sim.at(t + 20_000, victim.set_paused, 0, False)
+    sim.at(t + 30_000, victim.cut)
+    sim.at(t + 45_000, victim.restore)
+    sim.at(t + 60_000, setattr, lossy_wire, "impairment", None)
+    sim.run(until=3_000_000)
+    ports = [h.port for h in net.hosts] + [p for sw in net.switches for p in sw.ports]
+    return sim.probe.on, {
+        "now": sim.now,
+        "events": sim.events_processed,
+        "flows": [(f.fct_ns() if f.done else None, f.retransmits, f.probes_sent) for f in flows],
+        "hosts": [(h.rx_bytes, h.rx_packets) for h in net.hosts],
+        "switches": [
+            {
+                "drops": sw.drops,
+                "forwarded": sw.forwarded,
+                "stats": {k: getattr(sw.buffer.stats, k) for k in type(sw.buffer.stats).__slots__},
+                "shared_used": sw.buffer.shared_used,
+                "headroom_used": sw.buffer.headroom_used,
+                "pfc": sorted(
+                    (key, s.bytes, s.pause_sent, s.pauses_sent, s.resumes_sent)
+                    for key, s in sw._pfc.items()
+                ),
+            }
+            for sw in net.switches
+        ],
+        "ports": [
+            (p.name, p.tx_bytes_total, p.tx_packets_total, list(p.qbytes), p.total_bytes, p.busy,
+             p.dropped_on_cut)
+            for p in ports
+        ],
+        "corrupted": lossy_wire.impairment.corrupted if lossy_wire.impairment else None,
+        "acks": acks_seen,
+        "pool_live": PACKET_POOL.live - live_before,
+    }
+
+
+def _both_paths(world):
+    on, fast = _run_world(world)
+    assert not on  # inert probe: the inline common case
+    with installed(_Listener()):
+        on, general = _run_world(world)
+    assert on  # a site subscriber: every hop through the general path
+    assert fast == general
+    return fast
+
+
+@given(_WORLDS)
+@settings(max_examples=30, deadline=None)
+def test_common_case_and_general_path_agree(world):
+    _both_paths(world)
+
+
+def test_common_case_and_general_path_agree_across_every_threshold():
+    """The pinned world is not vacuous: PAUSE/RESUME, headroom admission, DT
+    refusal with drops, retransmits, ECN marks and INT all happen in it."""
+    seen = _both_paths(_PINNED_WORLD)
+    sw = seen["switches"][0]
+    assert sw["stats"]["admitted_shared"] > 0
+    assert sw["stats"]["admitted_headroom"] > 0
+    assert sw["stats"]["dropped"] > 0
+    assert sum(p[3] for p in sw["pfc"]) > 0 and sum(p[4] for p in sw["pfc"]) > 0
+    assert any(f[1] for f in seen["flows"])
+    qlens = {hop[0] > 0 for _, hops in seen["acks"] for hop in hops}
+    assert qlens == {False, True}  # INT stamped by cut-through and by queued hops
+    assert {ecn for ecn, _ in seen["acks"]} == {False, True}
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3_000), st.integers(0, 2), st.integers(64, 1_500)),
+        min_size=1,
+        max_size=30,
+    ),
+    st.integers(0, 3_000),
+)
+@settings(max_examples=50, deadline=None)
+def test_unowned_port_cut_through_agrees_with_enqueue_and_kick(arrivals, t_pause):
+    """A host-NIC-like port on its own: ECN threshold, INT and a pause window."""
+
+    def run():
+        sim, port, sink = make_port(n_queues=3, ecn_k=700, stamp_int=True)
+        for seq, (t, prio, size) in enumerate(arrivals):
+            packet = pkt(size=size, prio=prio, seq=seq)
+            packet.int_hops = []
+            sim.at(t, port.enqueue, packet)
+        sim.at(t_pause, port.set_paused, 0, True)
+        sim.at(t_pause + 400, port.set_paused, 0, False)
+        sim.run()
+        sent = [
+            (p.seq, p.ecn, [(h.qlen, h.tx_bytes, h.ts) for h in p.int_hops])
+            for p, _ in sink.received
+        ]
+        return sent, sim.now, sim.events_processed, port.tx_bytes_total
+
+    fast = run()
+    with installed(_Listener()):
+        general = run()
+    assert fast == general
+
+
+def _two_packets_one_queued(**pfc):
+    """A star switch with one packet on the wire and one queued behind it."""
+    sim = Simulator(1)
+    cfg = SwitchConfig(n_queues=2, buffer_bytes=1_000_000, pfc=PfcConfig(**pfc))
+    net, senders, recv = star(sim, 1, rate_bps=10e9, link_delay_ns=500, switch_cfg=cfg)
+    sw = net.switches[0]
+    for seq in range(2):
+        sw.receive(Packet(DATA, 1000, senders[0].node_id, recv.node_id, flow_id=1, seq=seq), 0)
+    assert sw.buffer.shared_used == 1000  # the first cut through, the second waits
+    return sim, sw
+
+
+def test_inline_release_keeps_the_shared_pool_assertion():
+    sim, sw = _two_packets_one_queued(enabled=False)
+    sw.buffer.shared_used = 999
+    with pytest.raises(AssertionError, match="shared-pool accounting went negative"):
+        sim.run()
+
+
+def test_inline_release_keeps_the_pfc_backlog_assertion():
+    sim, sw = _two_packets_one_queued(enabled=True)
+    (state,) = sw._pfc.values()
+    assert state.bytes == 1000
+    state.bytes = 999
+    with pytest.raises(AssertionError, match="PFC ingress accounting went negative"):
+        sim.run()
+
+
+#: Python-level calls per engine event on the run below: 3.45 with the inline
+#: common case, 5.94 through the general path.  One call re-added per switch
+#: hop costs ~0.4, so the budget sits closer to today's figure than that.
+_HOP_CALL_BUDGET = 3.7
+
+
+def test_hop_call_budget():
+    """A count, not a timing: it reads the same on every machine."""
+    sim = Simulator(3)
+    cfg = SwitchConfig(n_queues=3, buffer_bytes=4 * 1024 * 1024)
+    net, hosts = fat_tree(sim, k=4, rate_bps=10e9, link_delay_ns=1_000, switch_cfg=cfg)
+    flows = [
+        Flow(i + 1, hosts[i], hosts[(i + 5) % len(hosts)], 60_000, priority=i % 2, start_ns=900 * i)
+        for i in range(len(hosts))
+    ]
+    for f in flows:
+        FlowSender(sim, net, f, Swift(SwiftParams(target_scaling=False)), rto_ns=10**10)
+    assert not sim.probe.on
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        sim.run(until=50_000_000)
+    finally:
+        sys.setprofile(None)
+    assert all(f.done for f in flows)
+    assert calls / sim.events_processed <= _HOP_CALL_BUDGET
+
+
+# ----------------------------------------------------------------------
+# satellite: the ECMP pick cache is bounded
+# ----------------------------------------------------------------------
+def test_route_cache_is_bounded_and_picks_stay_the_hash(monkeypatch):
+    cap = 16
+    monkeypatch.setattr(switch_mod, "_ROUTE_CACHE_MAX", cap)
+    sim = Simulator(1)
+    net, hosts = fat_tree(sim, k=4, rate_bps=10e9, switch_cfg=SwitchConfig(n_queues=2))
+    src, dst = hosts[0], hosts[-1]
+    edge = src.port.peer
+    routes = edge.routes[dst.node_id]
+    assert len(routes) > 1  # a multipath switch
+    want = [0] * len(edge.ports)
+    for fid in range(1, 10 * cap):
+        packet = Packet(DATA, 100, src.node_id, dst.node_id, flow_id=fid)
+        packet.hash_salt = salt = fid % 3
+        edge.receive(packet, 0)
+        pick = routes[ecmp_hash(fid, edge.node_id, salt) % len(routes)]
+        want[pick] += 1
+        assert edge._route_cache[(dst.node_id, fid, salt)] == pick
+        assert len(edge._route_cache) <= cap
+    got = [p.tx_packets_total + p.export_state()["queued_packets"] for p in edge.ports]
+    assert got == want
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ Pins what every consumer of the seam relies on:
 from __future__ import annotations
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -209,6 +210,31 @@ def test_profiler_alone_keeps_site_hooks_cold():
     with installed(Recorder()):
         sim = Simulator(1)
     assert sim.probe.on and sim.probe.dispatch_hook(sim) is None
+
+
+def test_ledger_tracer_targets_resolve():
+    """Every entry point the ledger's tracer patches is where it looks.
+
+    ``benchmarks/perf/tracing.py`` (frozen between benchmark PRs; loaded here
+    by path, read-only) takes ``vars(owner)[attr]`` on a class, so a rename —
+    or a method moved to a base class — crashes ``--trace 1`` before it
+    prints a result.  This fails first.
+    """
+    path = SRC.parents[1] / "benchmarks" / "perf" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_ledger_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets, _ = tracing._targets()
+    assert len(targets) > 20
+    missing = []
+    for owner, attr, layer in targets:
+        try:
+            found = tracing._raw(owner, attr)
+        except (KeyError, AttributeError):
+            found = None
+        if not callable(getattr(found, "__func__", found)) or layer not in tracing.LAYERS:
+            missing.append((getattr(owner, "__name__", owner), attr, layer))
+    assert not missing, missing
 
 
 # ----------------------------------------------------------------------
