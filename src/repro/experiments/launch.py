@@ -242,9 +242,15 @@ def run_until_flows_done(
     driver=None,
 ) -> bool:
     """:func:`run_until` every flow of ``flows`` completed."""
-    return run_until(
-        sim, lambda: all(f.done for f in flows), hard_deadline_ns, check_every_ns, driver
-    )
+    cursor = 0  # flows[:cursor] are done; completion is monotone, so they stay done
+
+    def done() -> bool:
+        nonlocal cursor
+        while cursor < len(flows) and flows[cursor].done:
+            cursor += 1
+        return cursor == len(flows)
+
+    return run_until(sim, done, hard_deadline_ns, check_every_ns, driver)
 
 
 def run_admitter(

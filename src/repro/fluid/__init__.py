@@ -1,52 +1,15 @@
-"""Numpy-vectorised fluid fast path (optional extra, ``repro[fluid]``).
-
-The core packet-level simulator is stdlib-only and never imports numpy.
-This package holds the hybrid fluid/packet simulation core:
+"""The hybrid fluid/packet simulation core (stdlib-only, like the rest of ``repro``).
 
 * :mod:`repro.fluid.model` — strict-priority max-min water-filling rate
-  solver over the flow/link incidence matrix (needs numpy);
+  solver over per-flow link lists;
 * :mod:`repro.fluid.laws` — per-scheme fluid rate laws (window ramp and
-  ceiling for Swift / DCQCN / PrioPlus; stdlib-only);
+  ceiling for Swift / DCQCN / PrioPlus);
 * :mod:`repro.fluid.hybrid` — :class:`HybridDriver`, which alternates
   packet-level DES with fixed-Δt fluid epochs under a quiescence predicate.
-
-Everything numpy-dependent is imported lazily so that merely importing
-``repro.fluid`` (e.g. for :func:`fluid_available`) works on a core-only
-install.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "FluidConfig",
-    "HybridDriver",
-    "fluid_available",
-    "require_numpy",
-]
+from .hybrid import FluidConfig, HybridDriver
 
-_NUMPY_HINT = (
-    "the fluid fast path requires numpy, which is an optional extra; "
-    "install it with `pip install repro[fluid]` (or `pip install numpy`). "
-    "The core packet-level simulator stays stdlib-only and is unaffected."
-)
-
-
-def fluid_available() -> bool:
-    """True when numpy is importable (i.e. ``repro[fluid]`` is installed)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def require_numpy():
-    """Import and return numpy, or raise a clean actionable ImportError."""
-    try:
-        import numpy
-    except ImportError as exc:
-        raise ImportError(_NUMPY_HINT) from exc
-    return numpy
-
-
-from .hybrid import FluidConfig, HybridDriver  # noqa: E402
+__all__ = ["FluidConfig", "HybridDriver"]

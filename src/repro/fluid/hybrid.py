@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from . import require_numpy
+from . import model
 from .laws import law_for
 
 __all__ = ["FluidConfig", "HybridDriver"]
@@ -123,10 +123,6 @@ class HybridDriver:
     """Alternates packet-level DES with fluid epochs on one fabric."""
 
     def __init__(self, sim, net, config: Optional[FluidConfig] = None):
-        self.np = require_numpy()
-        from . import model  # deferred: imports numpy
-
-        self._model = model
         self.sim = sim
         self.net = net
         self.cfg = config if config is not None else FluidConfig()
@@ -150,8 +146,13 @@ class HybridDriver:
         self._flows: List[_FluidFlow] = []
         self._pending_admits: List = []
         self._held: List = []
+        # per-flow solver inputs, rebuilt when the flow set changed (_dirty),
+        # and the last (cap_rate, rate, contention) solved on that set
         self._dirty = True
-        self._arrays = None
+        self._ranks: List[int] = []
+        self._paths: List[List[int]] = []
+        self._rtts: List[float] = []
+        self._solved = None
         self._fluid_entered = 0
         self._last_exit = -(1 << 62)
         self.stats = {
@@ -365,97 +366,66 @@ class HybridDriver:
         else:
             self._pending_admits.append(sender)
 
-    def _rebuild_arrays(self) -> None:
-        np = self.np
+    def _allocate(self, now: int):
+        """This segment's ``(cap_rate, rate, contention)`` for ``self._flows``."""
         flows = self._flows
-        n = len(flows)
-        ent_flow: List[int] = []
-        ent_link: List[int] = []
-        for i, f in enumerate(flows):
-            for link in f.links:
-                ent_flow.append(i)
-                ent_link.append(link)
-        self._arrays = {
-            "ranks": np.array([f.rank for f in flows], dtype=np.int64),
-            "ceil": np.array([f.ceil for f in flows], dtype=np.float64),
-            "rtt": np.array([float(f.sender.base_rtt) for f in flows], dtype=np.float64),
-            "ent_flow": np.array(ent_flow, dtype=np.int64),
-            "ent_link": np.array(ent_link, dtype=np.int64),
-            "link_cap": np.array(self._link_caps, dtype=np.float64),
-            "n": n,
-        }
-        self._dirty = False
+        if self._dirty:
+            self._ranks = [f.rank for f in flows]
+            self._paths = [f.links for f in flows]
+            self._rtts = [float(f.sender.base_rtt) for f in flows]
+            self._solved = None
+            self._dirty = False
+        # a freshly started flow's bytes only begin landing after one
+        # one-way delay; until its gate passes it holds no capacity,
+        # does not ramp, and its whole trajectory shifts by ~RTT/2
+        cap_rate = [0.0 if f.gate_ns > now else f.cwnd / rtt for f, rtt in zip(flows, self._rtts)]
+        # same flows, same caps (ceiling-bound or network-limited flows
+        # between two check boundaries): the last allocation still holds
+        if self._solved is None or cap_rate != self._solved[0]:
+            ranks, paths, link_caps = self._ranks, self._paths, self._link_caps
+            # looked up on the module per call: the perf ledger's tracer
+            # wraps these two names from outside
+            rate, load = model.solve_rates(cap_rate, ranks, paths, link_caps)
+            contention = model.classify_contention(
+                rate, cap_rate, ranks, paths, link_caps, load, _SAT_THRESHOLD
+            )
+            self._solved = (cap_rate, rate, contention)
+        return self._solved
 
     def _fluid_run(self, until: int) -> None:
         """Advance in fluid segments until ``until`` or a regime exit."""
         sim = self.sim
-        np = self.np
-        model = self._model
         while self.phase == _FLUID and sim.now < until:
-            if self._dirty:
-                self._rebuild_arrays()
-            arr = self._arrays
-            n = arr["n"]
-            if n == 0:
+            flows = self._flows
+            if not flows:
                 # empty fabric: no rates to solve.  Step to the next event
                 # (not to the horizon!) so a flow start that admits into the
                 # epoch resumes fluid integration immediately instead of
                 # sitting frozen until the caller's next check boundary.
                 nxt = sim.peek_time()
-                if nxt is None or nxt >= until:
-                    sim.run(until=until)
-                else:
-                    sim.run(until=nxt)
-                if self._flows or self._dirty:
-                    continue
-                if sim.now >= until:
-                    break
+                sim.run(until=until if nxt is None or nxt >= until else nxt)
                 continue
-            flows = self._flows
-            cwnd = np.array([f.cwnd for f in flows], dtype=np.float64)
-            cap_rate = cwnd / arr["rtt"]
-            # a freshly started flow's bytes only begin landing after one
-            # one-way delay; until its gate passes it holds no capacity,
-            # does not ramp, and its whole trajectory shifts by ~RTT/2
-            gates = np.array([f.gate_ns for f in flows], dtype=np.int64)
-            gated = gates > sim.now
-            if gated.any():
-                cap_rate = np.where(gated, 0.0, cap_rate)
-            rate, load = model.solve_rates(
-                cap_rate, arr["ranks"], arr["ent_flow"], arr["ent_link"], arr["link_cap"]
-            )
-            contention = model.classify_contention(
-                rate,
-                cap_rate,
-                arr["ranks"],
-                arr["ent_flow"],
-                arr["ent_link"],
-                arr["link_cap"],
-                load,
-                _SAT_THRESHOLD,
-            )
-            if self._should_exit(contention) and sim.now - self._fluid_entered >= _MIN_FLUID_NS:
+            seg_start = sim.now
+            cap_rate, rate, contention = self._allocate(seg_start)
+            if self._should_exit(contention) and seg_start - self._fluid_entered >= _MIN_FLUID_NS:
                 self._exit_fluid("contention:" + contention)
                 return
-            for i, f in enumerate(flows):
-                f.rate = float(rate[i])
-                f.cap = float(cap_rate[i])
-            # segment horizon: Δt cap, caller horizon, earliest completion
-            seg_start = sim.now
+            # segment horizon: Δt cap, caller horizon, and per flow the
+            # earliest of gate expiry (re-solve as soon as a pipe fills), one
+            # RTT while its window is still ramping (the packet-level laws
+            # update once per RTT; a coarser explicit step would hold a
+            # growing flow at its stale rate for several) and completion
             horizon = min(until, seg_start + _DT_MAX_NS)
-            # while any window is still ramping, step at most one RTT: the
-            # packet-level laws update once per RTT, and a coarser explicit
-            # step would hold a growing flow at its stale rate for several
-            ramping = (rate >= cap_rate * 0.999) & (cwnd < arr["ceil"]) & ~gated
-            if ramping.any():
-                horizon = min(horizon, seg_start + max(int(arr["rtt"][ramping].min()), 1))
-            if gated.any():
-                # re-solve as soon as the earliest pipe-fill gate expires
-                horizon = min(horizon, int(gates[gated].min()))
-            for f in flows:
-                if f.rate > 0.0:
+            for f, cap, r, rtt in zip(flows, cap_rate, rate, self._rtts):
+                f.rate = r
+                f.cap = cap
+                if f.gate_ns > seg_start:
+                    horizon = min(horizon, f.gate_ns)
+                elif r >= cap * 0.999 and f.cwnd < f.ceil:
+                    horizon = min(horizon, seg_start + max(int(rtt), 1))
+                if r > 0.0:
                     left = f.sender.remaining_bytes - f.credit
-                    t_done = seg_start + int(left / f.rate) + 1
+                    t_done = seg_start + int(left / r) + 1
                     if t_done < horizon:
                         horizon = t_done
             if horizon <= seg_start:

@@ -1,4 +1,4 @@
-"""Per-scheme fluid rate laws (stdlib-only; no numpy needed here).
+"""Per-scheme fluid rate laws.
 
 Inside a fluid epoch the allocation is capacity-feasible, so queues are
 empty and every scheme sits in its *additive-increase* region (no ECN

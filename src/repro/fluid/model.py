@@ -1,11 +1,10 @@
 """Fluid rate solver: strict-priority ordered max-min water-filling.
 
-The fabric is reduced to a link-capacity vector and a sparse flow→link
-incidence (COO entry arrays ``ent_flow`` / ``ent_link``, one entry per
-(flow, traversed link) pair).  Rates are solved rank by rank in descending
-priority — higher ranks fill first, lower ranks share whatever capacity
-remains — which is exactly the steady state PrioPlus's delay channels (and
-physical strict-priority queues) converge to:
+The fabric is reduced to per-link capacities and, per flow, the list of
+link ids it traverses (a link listed twice counts twice).  Rates are solved
+rank by rank in descending priority — higher ranks fill first, lower ranks
+share whatever capacity remains — which is exactly the steady state
+PrioPlus's delay channels (and physical strict-priority queues) converge to:
 
 * within one rank, progressive-filling max-min with per-flow rate caps
   (the window-limited rate ``cwnd / base_rtt``);
@@ -19,15 +18,18 @@ documented in docs/PERFORMANCE.md and bounded empirically by the
 hybrid-vs-packet agreement scenario in
 ``tests/test_fluid.py::test_hybrid_midscale_agreement``.
 
-This module imports numpy at module level and must only be imported after
-:func:`repro.fluid.require_numpy` has vetted the install.
+Plain Python on the lists the driver already holds: the solves this repo
+issues are 1–120 flows wide, where array dispatch costs more than the
+arithmetic.  The numpy solver this replaced is the oracle in
+``tests/fluid_reference.py``, and the two agree **bit for bit** because
+they perform the same IEEE-754 operations in the same order.  The comments
+below mark the ordering rules that make it so; docs/PERFORMANCE.md ("The
+solver") states them as the contract and the differential test pins them.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["solve_rates", "classify_contention"]
 
@@ -37,96 +39,116 @@ _CAP_SLACK = 0.999
 
 
 def solve_rates(
-    cap_rate: "np.ndarray",
-    ranks: "np.ndarray",
-    ent_flow: "np.ndarray",
-    ent_link: "np.ndarray",
-    link_cap: "np.ndarray",
-) -> Tuple["np.ndarray", "np.ndarray"]:
+    cap_rate: Sequence[float],
+    ranks: Sequence[int],
+    flow_links: Sequence[Sequence[int]],
+    link_cap: Sequence[float],
+) -> Tuple[List[float], Dict[int, float]]:
     """Solve per-flow rates; returns ``(rates, link_load)``.
 
     Parameters
     ----------
     cap_rate:
-        float64[n_flows] — per-flow rate cap in bytes/ns (``cwnd/base_rtt``).
+        per-flow rate cap in bytes/ns (``cwnd/base_rtt``; ``0.0`` holds a
+        flow at zero).
     ranks:
-        int64[n_flows] — priority rank, **higher fills first**.
-    ent_flow, ent_link:
-        int64[nnz] — COO incidence: flow ``ent_flow[i]`` traverses link
-        ``ent_link[i]``.
+        per-flow priority rank, **higher fills first**.
+    flow_links:
+        per-flow list of the link ids it traverses (empty: the flow is
+        purely window-limited and gets its cap).
     link_cap:
-        float64[n_links] — link capacities in bytes/ns.
+        link capacities in bytes/ns, indexed by link id.
+
+    ``link_load`` maps every link some flow traverses to its allocated
+    load; a link no flow crosses carries nothing and is absent.
     """
-    n = int(cap_rate.shape[0])
-    n_links = int(link_cap.shape[0])
-    rate = np.zeros(n, dtype=np.float64)
-    residual = link_cap.astype(np.float64).copy()
-    if n == 0:
-        return rate, np.zeros(n_links, dtype=np.float64)
+    rate = [0.0] * len(cap_rate)
+    residual: Dict[int, float] = {}
+    by_rank: Dict[int, List[int]] = {}
+    for f, r in enumerate(ranks):
+        by_rank.setdefault(r, []).append(f)
 
-    ent_rank = ranks[ent_flow]
-    crossed = np.zeros(n, dtype=bool)
-    crossed[ent_flow] = True
+    for r in sorted(by_rank, reverse=True):
+        # link -> the rank's flows on it, ascending (one entry per traversal)
+        on_link: Dict[int, List[int]] = {}
+        live: List[int] = []
+        for f in by_rank[r]:
+            path = flow_links[f]
+            if not path:
+                rate[f] = cap_rate[f]
+                continue
+            live.append(f)
+            for link in path:
+                on_link.setdefault(link, []).append(f)
+        # per-link state, kept only while live flows remain on the link
+        count = {link: len(fs) for link, fs in on_link.items()}
+        fair = {
+            link: residual.setdefault(link, link_cap[link]) / cnt for link, cnt in count.items()
+        }
+        # live (unfixed) flow -> water level: the tightest fair share on its path
+        level = {f: min(map(fair.__getitem__, flow_links[f])) for f in live}
 
-    for r in np.unique(ranks)[::-1]:
-        members = ranks == r
-        # a flow that traverses no modelled link is purely window-limited
-        free = members & ~crossed
-        rate[free] = cap_rate[free]
-        unfixed = members & crossed
-        sel = ent_rank == r
-        sef = ent_flow[sel]
-        sel_links = ent_link[sel]
-
-        # progressive filling: every pass fixes at least one flow, so the
-        # guard below can only trip on a logic error — fail safe to zero
-        for _ in range(n + 2):
-            if not unfixed.any():
-                break
-            act = unfixed[sef]
-            aef = sef[act]
-            ael = sel_links[act]
-            cnt = np.bincount(ael, minlength=n_links)
-            fair = np.where(cnt > 0, residual / np.maximum(cnt, 1), np.inf)
-            fair = np.maximum(fair, 0.0)
-            # water level per flow: the tightest fair share along its path
-            level = np.full(n, np.inf)
-            np.minimum.at(level, aef, fair[ael])
-            capped = unfixed & (cap_rate <= level)
-            if capped.any():
-                fix = capped
-                rate[fix] = cap_rate[fix]
+        # progressive filling: every pass fixes at least one live flow.
+        # `level` iterates in ascending flow id (insertion order), which is
+        # the order the subtractions below must keep
+        while level:
+            fix = [f for f, lv in level.items() if cap_rate[f] <= lv]
+            if fix:
+                for f in fix:
+                    rate[f] = cap_rate[f]
             else:
-                used = np.unique(ael)
-                lmin = used[np.argmin(fair[used])]
-                fix = np.zeros(n, dtype=bool)
-                fix[aef[ael == lmin]] = True
-                fix &= unfixed
-                rate[fix] = fair[lmin]
-            unfixed &= ~fix
-            fsel = fix[sef]
-            np.subtract.at(residual, sel_links[fsel], rate[sef[fsel]])
-            np.maximum(residual, 0.0, out=residual)
-        else:  # pragma: no cover - progressive filling always terminates
-            rate[unfixed] = 0.0
+                # the single tightest link (its share is the lowest water
+                # level: every live link carries a live flow), ties to the
+                # smallest id; never several links in one pass — that would
+                # reorder the subtractions on the links they share
+                share = min(level.values())
+                lmin = min([link for link, s in fair.items() if s == share])
+                fix = [f for f in dict.fromkeys(on_link[lmin]) if f in level]
+                for f in fix:
+                    rate[f] = share
+            touched = set()
+            for f in fix:
+                del level[f]
+                x = rate[f]
+                path = flow_links[f]
+                touched.update(path)
+                for link in path:
+                    residual[link] -= x
+                    count[link] -= 1
+            # clip after the pass, not between subtractions; then refresh
+            # only what the fixed flows could have changed: the fair share
+            # of the links they crossed and the level of live flows there
+            stale = set()
+            for link in touched:
+                res = residual[link]
+                if res < 0.0:
+                    res = residual[link] = 0.0
+                cnt = count[link]
+                if cnt:
+                    fair[link] = res / cnt
+                    stale.update(on_link[link])
+                else:
+                    del fair[link]
+            for f in stale:
+                if f in level:
+                    level[f] = min(map(fair.__getitem__, flow_links[f]))
 
-    load = link_cap - residual
-    return rate, load
+    return rate, {link: link_cap[link] - res for link, res in residual.items()}
 
 
 def classify_contention(
-    rate: "np.ndarray",
-    cap_rate: "np.ndarray",
-    ranks: "np.ndarray",
-    ent_flow: "np.ndarray",
-    ent_link: "np.ndarray",
-    link_cap: "np.ndarray",
-    link_load: "np.ndarray",
+    rate: Sequence[float],
+    cap_rate: Sequence[float],
+    ranks: Sequence[int],
+    flow_links: Sequence[Sequence[int]],
+    link_cap: Sequence[float],
+    link_load: Dict[int, float],
     sat_threshold: float = 0.98,
 ) -> str:
     """Classify link contention in the current allocation.
 
-    Returns one of:
+    ``link_load`` is :func:`solve_rates`'s; ``sat_threshold`` is a positive
+    share of capacity.  Returns one of:
 
     * ``"none"``     — no saturated link carries a network-limited flow;
     * ``"single"``   — saturated links exist but each is filled by one flow
@@ -137,23 +159,25 @@ def classify_contention(
     * ``"priority"`` — network-limited flows of *different* ranks meet on a
       saturated link (PrioPlus preemption / delay-channel dynamics active).
     """
-    if rate.shape[0] == 0 or ent_flow.shape[0] == 0:
+    hot = {
+        link
+        for link, load in link_load.items()
+        if link_cap[link] > 0 and load / link_cap[link] >= sat_threshold
+    }
+    if not hot:
         return "none"
-    netlim = rate < cap_rate * _CAP_SLACK
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(link_cap > 0, link_load / link_cap, 0.0)
-    hot = util[ent_link] >= sat_threshold
-    sel = hot & netlim[ent_flow]
-    if not sel.any():
-        # saturated links may still exist with a lone cap-limited filler
-        return "single" if (util >= sat_threshold).any() else "none"
-    links = ent_link[sel]
-    rks = ranks[ent_flow[sel]]
-    stride = int(rks.max()) + 2
-    pairs = np.unique(links.astype(np.int64) * stride + (rks + 1))
-    per_link_ranks = np.bincount(pairs // stride)
-    if (per_link_ranks > 1).any():
-        return "priority"
-    if (np.bincount(links) > 1).any():
-        return "shared"
-    return "single"
+    rank_on: Dict[int, int] = {}  # hot link -> rank of a network-limited flow on it
+    shared = False
+    for f, path in enumerate(flow_links):
+        if rate[f] < cap_rate[f] * _CAP_SLACK:
+            r = ranks[f]
+            for link in path:
+                if link in hot:
+                    seen = rank_on.get(link)
+                    if seen is None:
+                        rank_on[link] = r
+                    elif seen != r:
+                        return "priority"
+                    else:
+                        shared = True
+    return "shared" if shared else "single"

@@ -24,9 +24,9 @@ info``).  The pieces:
 * **Rewards**: goodput, negative-FCT, or fairness-weighted goodput
   utilities (:data:`REWARDS`).
 
-``gymnasium`` is an optional extra (like numpy for ``repro[fluid]``):
-:func:`make_gymnasium_env` returns a ``gymnasium.Env`` adapter when the
-package is importable and raises a clear error otherwise.
+``gymnasium`` is an optional extra: :func:`make_gymnasium_env` returns a
+``gymnasium.Env`` adapter when the package is importable and raises a clear
+error otherwise.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Minimal stdlib space descriptions for :mod:`repro.tune`.
 
 Gym-style environments describe their observation/action interfaces with
-*spaces*.  The real ``gymnasium`` package is an optional extra (like numpy
-for :mod:`repro.fluid`), so the core carries its own tiny, dependency-free
+*spaces*.  The real ``gymnasium`` package is an optional extra, so the
+core carries its own tiny, dependency-free
 space classes with the same three operations everything here needs:
 ``contains``, ``sample`` and ``clip``.  The gymnasium adapter in
 :mod:`repro.tune.env` converts these to ``gymnasium.spaces`` objects when

@@ -151,7 +151,6 @@ def test_sampler_prunes_completed_senders():
 # hybrid driver long-run hardening
 # ----------------------------------------------------------------------
 def _hybrid_streaming_run(n_flows: int, gap_ns: int, path_cache_max=None):
-    pytest.importorskip("numpy")
     from repro.fluid import FluidConfig, HybridDriver
     from repro.fluid import hybrid as hybrid_mod
 
@@ -207,7 +206,6 @@ def test_hybrid_path_cache_bounded():
 def test_hybrid_fresh_start_handoff_runs_cc_start():
     """A flow admitted during a fluid epoch but handed back to packets
     before moving a byte must go through the real cc.on_start() path."""
-    pytest.importorskip("numpy")
     from repro.fluid import FluidConfig, HybridDriver
 
     sim, net, hosts, factory = _small_world(seed=21)

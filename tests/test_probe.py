@@ -75,6 +75,19 @@ def test_core_imports_no_sink_package():
     assert not offenders, offenders
 
 
+def test_src_never_imports_numpy():
+    """``src/repro`` is stdlib-only.  numpy lives in ``tests/fluid_reference.py``
+    (the solver oracle) and nowhere under ``src``; the dynamic half is
+    ``tests/test_fluid.py::test_hybrid_world_runs_with_numpy_blocked``."""
+    offenders = [
+        f"{path.relative_to(SRC)} imports {module}"
+        for path in sorted(SRC.rglob("*.py"))
+        for module in _imported_modules(path)
+        if module.split(".")[0] == "numpy"
+    ]
+    assert not offenders, offenders
+
+
 def test_runner_imports_no_figure_module():
     """The dispatch layer runs experiments; it never names one.
 

@@ -145,3 +145,30 @@ def test_run_until_flows_done_deadline():
     ok = run_until_flows_done(sim, [flow], hard_deadline_ns=200_000)
     assert not ok
     assert sim.now <= 210_000
+
+
+def test_run_until_flows_done_reads_each_completion_once():
+    """The done-predicate keeps a cursor past the finished prefix: flows that
+    complete in list order cost one read each plus one per check, not a
+    re-walk of the whole prefix at every check (quadratic in the flow count)."""
+
+    class CountingFlow:
+        done = Flow.done  # the real predicate, over a completion_ns that counts
+
+        def __init__(self):
+            self.finished_at = None
+            self.reads = 0
+
+        @property
+        def completion_ns(self):
+            self.reads += 1
+            return self.finished_at
+
+    sim = Simulator(1)
+    flows = [CountingFlow() for _ in range(200)]
+    for i, flow in enumerate(flows):
+        sim.at((i + 1) * 1_000, setattr, flow, "finished_at", (i + 1) * 1_000)
+    check_every_ns = 2_000
+    assert run_until_flows_done(sim, flows, 10_000_000, check_every_ns=check_every_ns)
+    checks = sim.now // check_every_ns + 1
+    assert sum(f.reads for f in flows) <= len(flows) + checks
