@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""ROADMAP item 2, step 0: would *regional* regimes have anything to regionalise?
+
+Runs one ``fig11_long`` point (PrioPlus x 8 on the 320-host fabric, hybrid
+core, streaming admission) and, at every contention exit of a fluid epoch,
+looks at the flows the whole fabric is about to drop to packets for:
+connected components of their flow-link graph, and which component holds
+the saturated link that flows of different ranks meet on.  Flows outside
+that component are the *bystanders* a per-component regime would keep fluid.
+
+Measured from outside ``src/`` by wrapping ``HybridDriver._exit_fluid``.
+
+Usage:
+    python scripts/regime_components.py --load 0.002 --ms 200
+    python scripts/regime_components.py --load 0.01 --ms 40
+    python scripts/regime_components.py --load 0.05 --ms 4
+
+docs/PERFORMANCE.md ("Step 0: regime components") holds the table.
+"""
+
+from __future__ import annotations
+
+import argparse
+from collections import Counter
+
+from repro.experiments.flowsched import FlowSchedConfig
+from repro.experiments.modes import Mode
+from repro.experiments.paper_scale import PAPER_LONG_CFG, run_paper_scale
+from repro.fluid import hybrid, model
+
+
+def _component_sizes(flows, rate, cap_rate, link_caps):
+    """``(sizes, hot)``: flows per connected component (keyed by its root
+    link), and the roots of the components holding a saturated link that
+    network-limited flows of two ranks meet on."""
+    root = {}  # link -> representative link of its component
+
+    def find(link):
+        while root.setdefault(link, link) != link:
+            root[link] = link = root[root[link]]
+        return link
+
+    load, limited_ranks = {}, {}
+    for f, r, cap in zip(flows, rate, cap_rate):
+        for link in f.links:
+            root[find(link)] = find(f.links[0])
+            load[link] = load.get(link, 0.0) + r
+            if r < cap * model._CAP_SLACK:  # network-limited, as classify_contention reads it
+                limited_ranks.setdefault(link, set()).add(f.rank)
+    sizes = Counter(find(f.links[0]) for f in flows)
+    hot = {
+        find(link)
+        for link, ranks in limited_ranks.items()
+        if len(ranks) > 1 and load[link] >= hybrid._SAT_THRESHOLD * link_caps[link]
+    }
+    return sizes, hot
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--load", type=float, default=0.002)
+    ap.add_argument("--ms", type=float, default=20.0, help="trace length in ms of sim-time")
+    args = ap.parse_args()
+
+    exits = []  # per contention exit: (live flows, in a hot component, in the largest one)
+    exit_fluid = hybrid.HybridDriver._exit_fluid
+
+    def measuring_exit(driver, reason):
+        if reason.startswith("contention"):
+            cap_rate, rate, _ = driver._solved  # the allocation that forced this exit
+            sizes, hot = _component_sizes(driver._flows, rate, cap_rate, driver._link_caps)
+            exits.append(
+                (len(driver._flows), sum(sizes[c] for c in hot), max(sizes.values()))
+            )
+        exit_fluid(driver, reason)
+
+    hybrid.HybridDriver._exit_fluid = measuring_exit
+    cfg = FlowSchedConfig(**dict(PAPER_LONG_CFG, load=args.load, duration_ns=int(args.ms * 1e6)))
+    result = run_paper_scale(Mode.PRIOPLUS, 8, cfg, streaming=True)
+
+    live = sum(e[0] for e in exits)
+    print("load     ms  flows  epochs  contention_exits  live_mean  live_max  hot_share  largest_share")
+    print(
+        f"{args.load:<6g} {args.ms:>4g} {result['n_flows']:>6} {result['fluid']['fluid_epochs']:>7}"
+        f" {len(exits):>17} {live / max(len(exits), 1):>10.2f} {max((e[0] for e in exits), default=0):>9}"
+        f" {sum(e[1] for e in exits) / max(live, 1):>10.2f} {sum(e[2] for e in exits) / max(live, 1):>14.2f}"
+    )
+
+
+if __name__ == "__main__":
+    main()

@@ -3,11 +3,14 @@
 The :class:`HybridDriver` wraps the packet-level DES and alternates two
 regimes per epoch:
 
-**packet** — the simulator runs exactly as without the driver, polled in
-``check_every_ns`` chunks.  After each chunk the *quiescence predicate* is
-evaluated: fabric backlog below a threshold, no PFC pause asserted, and no
-flow inside a PrioPlus transition window (stopped / probe outstanding /
-``consec > 0``) or loss recovery.
+**packet** — the simulator runs exactly as without the driver.  After a
+fluid exit it runs straight through the ``_MIN_PACKET_NS`` hysteresis
+floor; from then on it is stepped on the ``_DRAIN_STEP_NS`` grid and the
+*quiescence predicate* is evaluated after every step: fabric backlog below
+a threshold, no PFC pause asserted, and no flow inside a PrioPlus
+transition window (stopped / probe outstanding / ``consec > 0``) or loss
+recovery.  A packet phase therefore lasts as long as the fabric is busy,
+not until a polling boundary.
 
 **drain → fluid** — when the predicate holds, every active sender is
 parked (``fluid_hold``, window state untouched) and the DES runs on until
@@ -62,7 +65,8 @@ _DT_MAX_NS = 50_000
 #: RTT plus the slack (the quiescence predicate lied, e.g. an RTO in flight)
 _DRAIN_TIMEOUT_RTTS = 6
 _DRAIN_TIMEOUT_SLACK_NS = 20_000
-#: DES chunk between drained-fabric checks while draining
+#: the one packet-side step: DES chunk between "quiet?" checks in a packet
+#: phase and between "drained?" checks while draining
 _DRAIN_STEP_NS = 5_000
 #: hysteresis: stay in packet mode this long after a fluid exit
 _MIN_PACKET_NS = 100_000
@@ -88,7 +92,9 @@ class FluidConfig:
                 f"exit_on_contention must be 'priority', 'any' or 'none', "
                 f"got {exit_on_contention!r}"
             )
-        #: packet-mode polling interval between predicate checks
+        #: how often ``done()`` and the deadline are looked at from inside a
+        #: fluid epoch (the segment loop's outer horizon).  Not the length of
+        #: a packet phase: those end when the fabric goes quiet
         self.check_every_ns = check_every_ns
         #: fabric-wide backlog below which a fluid epoch may be attempted
         #: (None → 8 wire-MTUs per port of the driver's own fabric)
@@ -193,7 +199,12 @@ class HybridDriver:
             if done():
                 break
             if self.phase == _PACKET:
-                sim.run(until=min(sim.now + cfg.check_every_ns, hard_deadline_ns))
+                # hysteresis: a check before the floor could only say no, so
+                # run straight to it; past it, ask on the drain grid — resumed
+                # flows are back at line rate, the expensive way to wait
+                floor = self._last_exit + _MIN_PACKET_NS
+                until = floor if sim.now < floor else sim.now + _DRAIN_STEP_NS
+                sim.run(until=min(until, hard_deadline_ns))
                 if sim.now >= hard_deadline_ns or done():
                     break
                 if self._quiescent():
@@ -226,8 +237,6 @@ class HybridDriver:
         return out
 
     def _quiescent(self) -> bool:
-        if self.sim.now - self._last_exit < _MIN_PACKET_NS:
-            return False
         backlog = 0
         for port in self._ports:
             backlog += port.total_bytes
