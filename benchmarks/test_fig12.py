@@ -1,10 +1,10 @@
 """Figures 12a/12b/15 (coflows) and 12c (ML training), reduced scale."""
 
 from repro.experiments.modes import Mode
-from repro.experiments.fig12_coflow import ci_config, _run_fig12ab
-from repro.experiments.mltrain import MlTrainConfig, run_mltrain_comparison
+from repro.experiments.fig12_coflow import ci_config_kwargs, coflow_spec
+from repro.experiments.registry import FunctionExperiment, get_experiment
 from repro.experiments.report import format_table
-from repro.sim.engine import MILLISECOND
+from repro.runner import run_experiment
 
 
 def _print_speedups(title, result):
@@ -23,8 +23,14 @@ def _print_speedups(title, result):
 
 
 def test_fig12a_coflow_speedup_load40(benchmark):
-    cfg = ci_config(load=0.4, duration_ns=1_500_000)
-    result = benchmark.pedantic(_run_fig12ab, kwargs={"cfg": cfg}, rounds=1, iterations=1)
+    # the registered fig12 declaration at 40 % load
+    exp = FunctionExperiment(
+        "fig12a",
+        **coflow_spec(
+            [Mode.PRIOPLUS, Mode.PHYSICAL], ci_config_kwargs(load=0.4, duration_ns=1_500_000)
+        ),
+    )
+    result = benchmark.pedantic(run_experiment, args=(exp,), rounds=1, iterations=1)
     _print_speedups("Fig 12a: coflow CCT speedup vs Swift baseline (40% load)", result)
     s = result["speedups"]
     # priority scheduling accelerates the small (high-priority) coflows for
@@ -34,8 +40,9 @@ def test_fig12a_coflow_speedup_load40(benchmark):
 
 
 def test_fig12b_coflow_speedup_load70(benchmark):
-    cfg = ci_config(load=0.7, duration_ns=1_500_000)
-    result = benchmark.pedantic(_run_fig12ab, kwargs={"cfg": cfg}, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_experiment, args=(get_experiment("fig12"),), rounds=1, iterations=1
+    )
     _print_speedups("Fig 12b/15: coflow CCT speedup vs Swift baseline (70% load)", result)
     s = result["speedups"]
     assert s[Mode.PRIOPLUS]["high4"] > 1.0
@@ -45,9 +52,8 @@ def test_fig12b_coflow_speedup_load70(benchmark):
 
 
 def test_fig12c_mltrain_speedup(benchmark):
-    cfg = MlTrainConfig(duration_ns=8 * MILLISECOND)
     result = benchmark.pedantic(
-        run_mltrain_comparison, kwargs={"cfg": cfg}, rounds=1, iterations=1
+        run_experiment, args=(get_experiment("fig12c"),), rounds=1, iterations=1
     )
     rows = []
     for mode, s in result["speedups"].items():

@@ -1,10 +1,12 @@
 """Figures 16, 17, 18: ACK priority sensitivity, lossy operation, HPCC/no-CC."""
 
 from repro.experiments.modes import Mode
-from repro.experiments.fig12_coflow import ci_config, _run_fig17, _run_fig18
+from repro.experiments.fig12_coflow import ci_config_kwargs, coflow_spec
 from repro.experiments.fig16_ack_hpcc import _run_fig16
 from repro.experiments.flowsched import FlowSchedConfig
+from repro.experiments.registry import FunctionExperiment, get_experiment
 from repro.experiments.report import format_table
+from repro.runner import run_experiment
 
 
 def test_fig16_ack_priority_and_hpcc(benchmark):
@@ -34,15 +36,14 @@ def test_fig16_ack_priority_and_hpcc(benchmark):
 
 
 def test_fig17_lossy_environment(benchmark):
-    lossless = ci_config(load=0.7, duration_ns=1_200_000)
-    lossy = ci_config(load=0.7, duration_ns=1_200_000, lossy=True)
+    # fig17 is the lossy declaration; its lossless twin differs in one knob
+    lossless = FunctionExperiment(
+        "fig17-lossless",
+        **coflow_spec([Mode.PRIOPLUS], ci_config_kwargs(load=0.7, duration_ns=1_200_000)),
+    )
 
     def both():
-        a = _run_fig17(lossy)
-        from repro.experiments.coflow_scenario import run_coflow_comparison
-
-        b = run_coflow_comparison([Mode.PRIOPLUS], lossless)
-        return a, b
+        return run_experiment(get_experiment("fig17")), run_experiment(lossless)
 
     lossy_res, lossless_res = benchmark.pedantic(both, rounds=1, iterations=1)
     s_lossy = lossy_res["speedups"][Mode.PRIOPLUS]
@@ -57,8 +58,9 @@ def test_fig17_lossy_environment(benchmark):
 
 
 def test_fig18_hpcc_and_nocc_coflows(benchmark):
-    cfg = ci_config(load=0.7, duration_ns=1_200_000)
-    result = benchmark.pedantic(_run_fig18, kwargs={"cfg": cfg}, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_experiment, args=(get_experiment("fig18"),), rounds=1, iterations=1
+    )
     rows = []
     for mode, s in result["speedups"].items():
         rows.append([mode, round(s["overall"], 3), round(s.get("high4", float("nan")), 3),

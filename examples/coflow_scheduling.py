@@ -12,13 +12,15 @@ priority), and compares coflow completion times under
 Run:  python examples/coflow_scheduling.py   (~1 minute)
 """
 
-from repro.experiments.coflow_scenario import CoflowConfig, run_coflow_comparison
+from repro import api
+from repro.experiments.fig12_coflow import coflow_spec
 from repro.experiments.modes import Mode
+from repro.experiments.registry import FunctionExperiment
 from repro.experiments.report import print_table
 
 
 def main() -> None:
-    cfg = CoflowConfig(
+    cfg = dict(  # CoflowConfig kwargs
         n_racks=2,
         hosts_per_rack=3,
         host_rate_bps=25e9,
@@ -28,7 +30,9 @@ def main() -> None:
         mean_flow_bytes=500_000,
         request_piece_bytes=300_000,
     )
-    result = run_coflow_comparison([Mode.PRIOPLUS, Mode.PHYSICAL], cfg)
+    # baseline + one point per mode, each replaying the identical workload
+    exp = FunctionExperiment("coflow-example", **coflow_spec([Mode.PRIOPLUS, Mode.PHYSICAL], cfg))
+    result = api.run(exp)
     rows = []
     for mode, s in result["speedups"].items():
         rows.append([

@@ -10,13 +10,13 @@ Swift baseline, for PrioPlus and for physical priority queues.
 Run:  python examples/ml_training.py   (~1 minute)
 """
 
-from repro.experiments.mltrain import MlTrainConfig, run_mltrain_comparison
+from repro import api
 from repro.experiments.report import print_table
 
 
 def main() -> None:
-    cfg = MlTrainConfig(duration_ns=8_000_000)
-    result = run_mltrain_comparison(cfg=cfg)
+    # the registered Fig 12c declaration: one point per mode, baseline first
+    result = api.run("fig12c")
     base = result["baseline"]["iters_per_job"]
     print("baseline iterations/window:",
           {k: round(v, 2) for k, v in base.items()})

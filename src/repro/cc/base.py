@@ -95,28 +95,6 @@ class CongestionControl:
         self.clamp()
 
     # ------------------------------------------------------------------
-    def external_override(
-        self, cwnd_bytes: Optional[float] = None, rate_bps: Optional[float] = None
-    ) -> float:
-        """``cc.external`` hook: adopt an externally commanded operating point.
-
-        This is the action surface of :mod:`repro.tune`'s gym-style
-        environment (and any out-of-band controller): a learned or scripted
-        policy overrides the flow's window directly, or expresses the
-        override as a rate which is converted through the base-RTT BDP
-        (``cwnd = rate * BaseRtt``).  When both are given the explicit
-        window wins.  The result is clamped to the CC's own
-        ``[min_cwnd, max_cwnd]`` — an external policy cannot command a
-        window the CC itself could never reach.  Returns the adopted window.
-        """
-        if cwnd_bytes is None and rate_bps is not None:
-            cwnd_bytes = rate_bps * self.base_rtt / 8e9
-        if cwnd_bytes is not None:
-            self.cwnd = float(cwnd_bytes)
-            self.clamp()
-        return self.cwnd
-
-    # ------------------------------------------------------------------
     def fluid_sync(self, cwnd_bytes: float) -> None:
         """Adopt the window a fluid epoch converged to (:mod:`repro.fluid`).
 

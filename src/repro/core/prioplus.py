@@ -313,27 +313,6 @@ class PrioPlusCC:
         self.inner.ai_bytes = self.w_ai_origin / self.nflow
 
     # ------------------------------------------------------------------
-    def external_override(self, cwnd_bytes=None, rate_bps=None) -> float:
-        """``cc.external`` hook (:mod:`repro.tune`): adopt a commanded window.
-
-        PrioPlus wraps an inner CC, so the override lands on the inner
-        window and the same Algorithm-1 re-anchoring as :meth:`fluid_sync`
-        applies — the commanded window says nothing about where we are in
-        the current RTT or about past delay samples, so the relinquish
-        filter and RTT-boundary bookkeeping restart clean.
-        """
-        if cwnd_bytes is None and rate_bps is not None:
-            cwnd_bytes = rate_bps * self.base_rtt / 8e9
-        if cwnd_bytes is not None:
-            self.inner.cwnd = float(cwnd_bytes)
-            self.inner.clamp()
-            self.consec = 0
-            self.rtt_end_seq = self.sender.snd_nxt
-            self.rtt_pass = False
-            self.dual_rtt_pass = False
-        return self.inner.cwnd
-
-    # ------------------------------------------------------------------
     def on_timeout(self) -> None:
         self.inner.on_timeout()
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.fct import percentile
 from ..coflow import CoflowTracker, assign_coflow_groups
@@ -24,9 +24,9 @@ from ..sim.engine import MICROSECOND, MILLISECOND, Simulator
 from ..topology import multi_rack
 from ..workloads import CoflowSpec, FlowSpec, synthesize_coflows
 from .launch import FlowAdmitter, launch_specs, run_admitter, run_until_flows_done
-from .modes import CCFactory, Mode
+from .modes import CCFactory
 
-__all__ = ["CoflowConfig", "run_coflow_mode", "run_coflow_comparison", "speedup_summary"]
+__all__ = ["CoflowConfig", "build_workload", "run_coflow_mode", "speedup_summary"]
 
 N_GROUPS = 8
 
@@ -192,24 +192,6 @@ def run_coflow_mode(
         driver = HybridDriver(sim, net)
     drive(cfg.duration_ns * 50, driver=driver)
     return tracker.all_ccts()
-
-
-def run_coflow_comparison(
-    modes: Sequence[str],
-    cfg: Optional[CoflowConfig] = None,
-    baseline: str = Mode.SWIFT,
-) -> Dict[str, object]:
-    """Run baseline + modes on the identical workload; return speedups."""
-    cfg = cfg or CoflowConfig()
-    jobs, groups = build_workload(cfg)
-    base_cct = run_coflow_mode(baseline, cfg, jobs, groups)
-    out: Dict[str, object] = {"config": cfg, "n_jobs": len(jobs), "baseline": baseline}
-    results = {}
-    for mode in modes:
-        cct = run_coflow_mode(mode, cfg, jobs, groups)
-        results[mode] = speedup_summary(base_cct, cct, groups)
-    out["speedups"] = results
-    return out
 
 
 def speedup_summary(

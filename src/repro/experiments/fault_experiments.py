@@ -53,7 +53,7 @@ from ..sim.network import Network
 from ..workloads.generators import FlowSpec
 from .launch import launch_specs
 from .modes import CCFactory, Mode
-from .registry import Experiment, FunctionExperiment, register
+from .registry import FunctionExperiment, register
 from .samplers import RateSampler, attach_telemetry
 
 __all__ = ["run_fault_flap", "run_fault_degrade", "export_fault_timelines"]
@@ -332,21 +332,6 @@ def _reduce_fault(results: Mapping[str, dict]) -> dict:
     }
 
 
-class FaultExperiment(FunctionExperiment):
-    """A fault scenario sweep with a cheaper CI-scale ``--quick`` variant."""
-
-    def __init__(self, name, spec, description="", reduce_fn=None, quick_spec=None):
-        super().__init__(name, spec, description=description, reduce_fn=reduce_fn)
-        self._quick_spec = quick_spec
-
-    def quick(self) -> Experiment:
-        if self._quick_spec is None:
-            return self
-        return FaultExperiment(
-            self.name, self._quick_spec, description=self.description, reduce_fn=self._reduce_fn
-        )
-
-
 def export_fault_timelines(result: dict, out_dir, experiment: str = "fault") -> List[str]:
     """Write each mode's per-priority goodput timeline as long-format CSV.
 
@@ -369,7 +354,7 @@ def export_fault_timelines(result: dict, out_dir, experiment: str = "fault") -> 
 
 
 register(
-    FaultExperiment(
+    FunctionExperiment(
         "fault_flap",
         {m: (run_fault_flap, {"mode": m, "seed": 1}) for m in FAULT_MODES},
         description="per-priority goodput through a flapping spine link (50% residual capacity)",
@@ -379,7 +364,7 @@ register(
 )
 
 register(
-    FaultExperiment(
+    FunctionExperiment(
         "fault_degrade",
         {m: (run_fault_degrade, {"mode": m, "seed": 1}) for m in FAULT_MODES},
         description="per-priority goodput through a half-rate, lossy, delay-spiking bottleneck",

@@ -15,9 +15,9 @@ while PrioPlus relinquishes cleanly and linear-starts back.
 
 from __future__ import annotations
 
-from .flowsched import FlowschedGrid
+from .flowsched import grid_spec
 from .modes import MAX_PHYSICAL_PRIORITIES, Mode
-from .registry import register
+from .registry import FunctionExperiment, register
 
 __all__ = ["FIG11_MODES"]
 
@@ -30,16 +30,18 @@ FIG11_MODES = (
 
 
 register(
-    FlowschedGrid(
+    FunctionExperiment(
         "fig11",
-        "flow-scheduling FCT vs number of priorities, four systems",
-        [
-            (mode, n)
-            for n in (2, 4, 6, 8, 10, 12)
-            for mode in FIG11_MODES
-            # the protocol/hardware ceiling (§2.2)
-            if not (mode == Mode.PHYSICAL and n > MAX_PHYSICAL_PRIORITIES)
-        ],
-        {"rate_bps": 100e9, "duration_ns": 600_000, "size_scale": 0.1},
+        description="flow-scheduling FCT vs number of priorities, four systems",
+        **grid_spec(
+            [
+                (mode, n)
+                for n in (2, 4, 6, 8, 10, 12)
+                for mode in FIG11_MODES
+                # the protocol/hardware ceiling (§2.2)
+                if not (mode == Mode.PHYSICAL and n > MAX_PHYSICAL_PRIORITIES)
+            ],
+            {"rate_bps": 100e9, "duration_ns": 600_000, "size_scale": 0.1},
+        ),
     )
 )

@@ -1,13 +1,15 @@
 """Figures 12a/12b/15/17/18: the coflow-scheduling comparisons.
 
-Thin wrappers over :mod:`repro.experiments.coflow_scenario`:
+Declarations over :mod:`repro.experiments.coflow_scenario`, each one
+:func:`coflow_spec` (baseline + modes on the identical workload):
 
-* :func:`_run_fig12ab` — PrioPlus+Swift vs Physical+Swift at 40 % and 70 %
-  load (speedup over the no-priority Swift baseline, high-4/low-4 split);
-  the same result dict carries the p99 tail numbers used by Fig 15.
-* :func:`_run_fig17` — the 70 % point with PFC disabled and IRN-style loss
-  recovery (fast retransmit + short RTO).
-* :func:`_run_fig18` — adds HPCC and Physical* w/o CC.
+* ``fig12`` — PrioPlus+Swift vs Physical+Swift at 70 % load (speedup over
+  the no-priority Swift baseline, high-4/low-4 split); the same result dict
+  carries the p99 tail numbers used by Fig 15.
+* ``fig17`` — the 70 % point with PFC disabled and IRN-style loss recovery
+  (fast retransmit + short RTO).
+* ``fig18`` — adds HPCC and Physical* w/o CC.
+* ``fig12_paper`` / ``fig18_paper`` — the same on the 320-host fabric.
 
 Scale note (documented in EXPERIMENTS.md): at CI scale the physical-priority
 baseline benefits from deep-buffer backlog scheduling that masks Swift's
@@ -19,25 +21,22 @@ lossless vs lossy parity for PrioPlus) are asserted instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, Mapping, Sequence
 
 from ..sim.engine import MILLISECOND
-from .coflow_scenario import (
-    CoflowConfig,
-    build_workload,
-    run_coflow_comparison,
-    run_coflow_mode,
-    speedup_summary,
-)
+from .coflow_scenario import CoflowConfig, build_workload, run_coflow_mode, speedup_summary
 from .modes import Mode
-from .registry import Experiment, Point, register
+from .paper_scale import paper_topology
+from .registry import FunctionExperiment, register
 
 __all__ = [
     "ci_config",
     "ci_config_kwargs",
     "paper_config_kwargs",
-    "CoflowComparisonExperiment",
-    "PaperCoflowComparisonExperiment",
+    "coflow_point",
+    "coflow_speedups",
+    "coflow_spec",
 ]
 
 
@@ -96,154 +95,118 @@ def paper_config_kwargs(**overrides) -> Dict[str, object]:
     return params
 
 
-def _run_fig12ab(
-    load: float = 0.7, cfg: Optional[CoflowConfig] = None
-) -> Dict[str, object]:
-    cfg = cfg or ci_config(load=load)
-    return run_coflow_comparison([Mode.PRIOPLUS, Mode.PHYSICAL], cfg)
+def coflow_point(mode: str, cfg: Dict[str, object], paper_scale: bool = False) -> dict:
+    """One CC mode over the workload rebuilt deterministically from ``cfg``.
 
-
-def _run_fig17(cfg: Optional[CoflowConfig] = None) -> Dict[str, object]:
-    cfg = cfg or ci_config(load=0.7, lossy=True)
-    return run_coflow_comparison([Mode.PRIOPLUS, Mode.PHYSICAL], cfg)
-
-
-def _run_fig18(cfg: Optional[CoflowConfig] = None) -> Dict[str, object]:
-    cfg = cfg or ci_config(load=0.7)
-    return run_coflow_comparison(
-        [Mode.PRIOPLUS, Mode.HPCC, Mode.PHYSICAL_IDEAL_NOCC], cfg
-    )
-
-
-class CoflowComparisonExperiment(Experiment):
-    """One coflow comparison, sharded per CC mode.
-
-    Each mode (baseline included) replays the identical pre-built workload in
-    its own simulation, so the modes are embarrassingly parallel.  The
-    workload itself is rebuilt deterministically from the config seed both in
-    the points and in ``reduce`` — it is never shipped between processes.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        modes: Sequence[str],
-        cfg_kwargs: Dict[str, object],
-        baseline: str = Mode.SWIFT,
-        description: str = "",
-    ):
-        self.name = name
-        self.modes = list(modes)
-        self.cfg_kwargs = dict(cfg_kwargs)
-        self.baseline = baseline
-        self.description = description
-
-    def points(self) -> List[Point]:
-        seed = int(self.cfg_kwargs.get("seed", CoflowConfig().seed))
-        return [
-            Point(mode, {"mode": mode, "cfg": dict(self.cfg_kwargs)}, seed=seed)
-            for mode in [self.baseline, *self.modes]
-        ]
-
-    def run_point(self, point: Point) -> dict:
-        cfg = CoflowConfig(**point.config["cfg"])
-        jobs, groups = build_workload(cfg)
-        cct = run_coflow_mode(point.config["mode"], cfg, jobs, groups)
-        return {"cct": {str(cid): ns for cid, ns in cct.items()}}
-
-    def reduce(self, results: Dict[str, dict]) -> Dict[str, object]:
-        cfg = CoflowConfig(**self.cfg_kwargs)
-        jobs, groups = build_workload(cfg)
-        ccts = {
-            pname: {int(cid): ns for cid, ns in res["cct"].items()}
-            for pname, res in results.items()
-        }
-        base_cct = ccts[self.baseline]
-        return {
-            "config": dict(self.cfg_kwargs),
-            "n_jobs": len(jobs),
-            "baseline": self.baseline,
-            "speedups": {
-                mode: speedup_summary(base_cct, ccts[mode], groups) for mode in self.modes
-            },
-        }
-
-
-class PaperCoflowComparisonExperiment(CoflowComparisonExperiment):
-    """A coflow comparison on the 320-host paper fabric, multi-second trace.
-
-    Identical sharding and reduction to the parent; every point runs through
-    staged admission + the hybrid fluid core on
-    :func:`repro.topology.paper_fabric` instead of the reduced multi-rack
+    ``paper_scale`` runs it through staged admission + the hybrid fluid core
+    on :func:`repro.topology.paper_fabric` instead of the reduced multi-rack
     CI fabric.
     """
-
-    def run_point(self, point: Point) -> dict:
-        from ..topology import paper_fabric
-
-        cfg = CoflowConfig(**point.config["cfg"])
-
-        def topology(sim, switch_cfg):
-            return paper_fabric(
-                sim,
-                rate_bps=cfg.host_rate_bps,
-                link_delay_ns=cfg.link_delay_ns,
-                switch_cfg=switch_cfg,
-            )
-
-        jobs, groups = build_workload(cfg)
-        cct = run_coflow_mode(
-            point.config["mode"],
-            cfg,
-            jobs,
-            groups,
-            topology=topology,
+    cfg = CoflowConfig(**cfg)
+    run_kwargs = {}
+    if paper_scale:
+        run_kwargs = dict(
+            topology=paper_topology(cfg.host_rate_bps, cfg.link_delay_ns),
             streaming=True,
             fluid=True,
         )
-        return {"cct": {str(cid): ns for cid, ns in cct.items()}}
+    jobs, groups = build_workload(cfg)
+    cct = run_coflow_mode(mode, cfg, jobs, groups, **run_kwargs)
+    return {"cct": {str(cid): ns for cid, ns in cct.items()}}
+
+
+def coflow_speedups(
+    results: Mapping[str, dict], cfg_kwargs: Dict[str, object], baseline: str = Mode.SWIFT
+) -> Dict[str, object]:
+    """Per-mode speedup summaries over the ``baseline`` point's CCTs."""
+    jobs, groups = build_workload(CoflowConfig(**cfg_kwargs))
+    ccts = {
+        pname: {int(cid): ns for cid, ns in res["cct"].items()}
+        for pname, res in results.items()
+    }
+    base_cct = ccts.pop(baseline)
+    return {
+        "config": dict(cfg_kwargs),
+        "n_jobs": len(jobs),
+        "baseline": baseline,
+        "speedups": {
+            mode: speedup_summary(base_cct, cct, groups) for mode, cct in ccts.items()
+        },
+    }
+
+
+def coflow_spec(
+    modes: Sequence[str],
+    cfg_kwargs: Dict[str, object],
+    baseline: str = Mode.SWIFT,
+    paper_scale: bool = False,
+) -> Dict[str, object]:
+    """One coflow comparison, sharded per CC mode, as
+    :class:`FunctionExperiment` keywords (``spec``, ``reduce_fn``).
+
+    Each mode (baseline included) replays the identical workload in its own
+    simulation, so the modes are embarrassingly parallel.  The workload is
+    rebuilt from the config seed both in the points and in the reduction —
+    it is never shipped between processes.
+    """
+    point = partial(coflow_point, paper_scale=paper_scale)
+    return {
+        "spec": {
+            mode: (point, {"mode": mode, "cfg": dict(cfg_kwargs)})
+            for mode in [baseline, *modes]
+        },
+        "reduce_fn": partial(coflow_speedups, cfg_kwargs=dict(cfg_kwargs), baseline=baseline),
+    }
 
 
 register(
-    CoflowComparisonExperiment(
+    FunctionExperiment(
         "fig12",
-        [Mode.PRIOPLUS, Mode.PHYSICAL],
-        ci_config_kwargs(load=0.7, duration_ns=1_500_000),
         description="coflow speedups over the no-priority Swift baseline (70% load)",
+        **coflow_spec(
+            [Mode.PRIOPLUS, Mode.PHYSICAL],
+            ci_config_kwargs(load=0.7, duration_ns=1_500_000),
+        ),
     )
 )
 register(
-    CoflowComparisonExperiment(
+    FunctionExperiment(
         "fig17",
-        [Mode.PRIOPLUS, Mode.PHYSICAL],
-        ci_config_kwargs(load=0.7, duration_ns=1_200_000, lossy=True),
         description="coflow speedups with PFC off and IRN-style loss recovery",
+        **coflow_spec(
+            [Mode.PRIOPLUS, Mode.PHYSICAL],
+            ci_config_kwargs(load=0.7, duration_ns=1_200_000, lossy=True),
+        ),
     )
 )
 register(
-    CoflowComparisonExperiment(
+    FunctionExperiment(
         "fig18",
-        [Mode.PRIOPLUS, Mode.HPCC, Mode.PHYSICAL_IDEAL_NOCC],
-        ci_config_kwargs(load=0.7, duration_ns=1_200_000),
         description="coflow speedups incl. HPCC and Physical* without CC",
+        **coflow_spec(
+            [Mode.PRIOPLUS, Mode.HPCC, Mode.PHYSICAL_IDEAL_NOCC],
+            ci_config_kwargs(load=0.7, duration_ns=1_200_000),
+        ),
     )
 )
 register(
-    PaperCoflowComparisonExperiment(
+    FunctionExperiment(
         "fig12_paper",
-        [Mode.PRIOPLUS, Mode.PHYSICAL],
-        paper_config_kwargs(),
         description="coflow speedups on the 320-host paper fabric, 2s trace",
+        **coflow_spec([Mode.PRIOPLUS, Mode.PHYSICAL], paper_config_kwargs(), paper_scale=True),
     )
 )
 register(
-    PaperCoflowComparisonExperiment(
+    FunctionExperiment(
         "fig18_paper",
-        [Mode.PRIOPLUS, Mode.HPCC, Mode.PHYSICAL_IDEAL_NOCC],
-        paper_config_kwargs(),
         description=(
             "coflow speedups incl. HPCC and Physical* w/o CC on the "
             "320-host paper fabric, 2s trace"
+        ),
+        **coflow_spec(
+            [Mode.PRIOPLUS, Mode.HPCC, Mode.PHYSICAL_IDEAL_NOCC],
+            paper_config_kwargs(),
+            paper_scale=True,
         ),
     )
 )

@@ -14,31 +14,31 @@ configured tolerance (within a few µs), then grows — tolerances of 10/20/30
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from ..cc import Swift, SwiftParams
 from ..core import ChannelConfig, PrioPlusCC, StartTier
 from ..noise import CompositeNoise, UniformNoise, paper_noise
-from ..sim.engine import MILLISECOND, Simulator
+from ..sim.engine import Simulator
 from ..sim.switch import SwitchConfig
 from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
-from .registry import Experiment, Point, register
+from .registry import FunctionExperiment, register
 
-__all__ = ["run_fig13_point"]
+__all__ = ["staircase_fcts", "fig13_gaps", "fig13_spec"]
 
 _PRIORITIES = (1, 2, 3, 4)
 
 
-def _staircase_fcts(
+def staircase_fcts(
     use_prioplus: bool,
     tolerance_us: float,
     noncongestive_range_us: float,
     rate: float,
     stagger_ns: int,
     seed: int,
-) -> List[int]:
+) -> Dict[str, List[int]]:
     """FCTs of the Fig 8-style staircase under extra uniform delay."""
     sim = Simulator(seed)
     n_prios = len(_PRIORITIES)
@@ -85,89 +85,57 @@ def _staircase_fcts(
             flows.append(f)
     total = 2 * n_prios * stagger_ns
     sim.run(until=total * 6)
-    return [f.fct_ns() if f.done else total * 6 for f in flows]
+    return {"fcts": [f.fct_ns() if f.done else total * 6 for f in flows]}
 
 
-def run_fig13_point(
-    tolerance_us: float,
-    noncongestive_range_us: float,
+def fig13_gaps(results: Mapping[str, dict]) -> Dict[str, float]:
+    """Pair each range's two stacks back up into ``{"gap@<range>us": gap}``."""
+    out: Dict[str, float] = {}
+    for pname, res in results.items():
+        kind, _, rng = pname.partition("@")
+        if kind != "prioplus":
+            continue
+        ph = results[f"physical@{rng}"]["fcts"]
+        gaps = [abs(a - b) / b for a, b in zip(res["fcts"], ph)]
+        out[f"gap@{rng}"] = sum(gaps) / len(gaps)
+    return out
+
+
+def fig13_spec(
+    tolerance_us: float = 10.0,
+    ranges_us: Sequence[float] = (6.0, 40.0),
     rate: float = 10e9,
-    stagger_ns: int = 1 * MILLISECOND,
+    stagger_ns: int = 500_000,
     seed: int = 1,
-) -> float:
-    """Normalised FCT gap for one (tolerance, range) point."""
-    pp = _staircase_fcts(True, tolerance_us, noncongestive_range_us, rate, stagger_ns, seed)
-    ph = _staircase_fcts(False, tolerance_us, noncongestive_range_us, rate, stagger_ns, seed)
-    gaps = [abs(a - b) / b for a, b in zip(pp, ph)]
-    return sum(gaps) / len(gaps)
-
-
-class Fig13Experiment(Experiment):
+) -> Dict[str, tuple]:
     """Normalised FCT gap, sharded per (stack, non-congestive range).
 
-    Each ``run_fig13_point`` call hides two full staircase simulations
-    (PrioPlus and the physical baseline); splitting them into separate points
-    lets the runner schedule all four simulations concurrently.  ``reduce``
-    pairs them back up into the legacy ``{"gap@<range>us": gap}`` dict.
+    Each gap hides two full staircase simulations (PrioPlus and the physical
+    baseline); as separate points the runner schedules all of them
+    concurrently, and :func:`fig13_gaps` pairs them back up.
     """
-
-    name = "fig13"
-    description = "FCT gap vs non-congestive delay range (tolerance 10 us)"
-
-    def __init__(
-        self,
-        tolerance_us: float = 10.0,
-        ranges_us: Sequence[float] = (6.0, 40.0),
-        rate: float = 10e9,
-        stagger_ns: int = 500_000,
-        seed: int = 1,
-    ):
-        self.tolerance_us = float(tolerance_us)
-        self.ranges_us = tuple(float(r) for r in ranges_us)
-        self.rate = rate
-        self.stagger_ns = stagger_ns
-        self.seed = seed
-
-    def points(self) -> List[Point]:
-        pts = []
-        for rng in self.ranges_us:
-            for kind, use_prioplus in (("prioplus", True), ("physical", False)):
-                pts.append(
-                    Point(
-                        f"{kind}@{rng:g}us",
-                        {
-                            "use_prioplus": use_prioplus,
-                            "tolerance_us": self.tolerance_us,
-                            "noncongestive_range_us": rng,
-                            "rate": self.rate,
-                            "stagger_ns": self.stagger_ns,
-                            "seed": self.seed,
-                        },
-                        seed=self.seed,
-                    )
-                )
-        return pts
-
-    def run_point(self, point: Point) -> dict:
-        c = point.config
-        fcts = _staircase_fcts(
-            c["use_prioplus"],
-            c["tolerance_us"],
-            c["noncongestive_range_us"],
-            c["rate"],
-            c["stagger_ns"],
-            c["seed"],
+    return {
+        f"{kind}@{float(rng):g}us": (
+            staircase_fcts,
+            {
+                "use_prioplus": use_prioplus,
+                "tolerance_us": float(tolerance_us),
+                "noncongestive_range_us": float(rng),
+                "rate": rate,
+                "stagger_ns": stagger_ns,
+                "seed": seed,
+            },
         )
-        return {"fcts": fcts}
-
-    def reduce(self, results: Dict[str, dict]) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for rng in self.ranges_us:
-            pp = results[f"prioplus@{rng:g}us"]["fcts"]
-            ph = results[f"physical@{rng:g}us"]["fcts"]
-            gaps = [abs(a - b) / b for a, b in zip(pp, ph)]
-            out[f"gap@{rng:g}us"] = sum(gaps) / len(gaps)
-        return out
+        for rng in ranges_us
+        for kind, use_prioplus in (("prioplus", True), ("physical", False))
+    }
 
 
-register(Fig13Experiment())
+register(
+    FunctionExperiment(
+        "fig13",
+        fig13_spec(),
+        description="FCT gap vs non-congestive delay range (tolerance 10 us)",
+        reduce_fn=fig13_gaps,
+    )
+)

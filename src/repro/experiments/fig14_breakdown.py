@@ -14,7 +14,7 @@ Results are normalised by Physical*+Swift per (priority tier x size bucket).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..analysis.fct import percentile
 from ..core import StartTier
@@ -24,10 +24,10 @@ from ..topology import fat_tree
 from ..workloads import poisson_flows, websearch
 from .launch import launch_specs, run_until_flows_done
 from .modes import CCFactory, Mode
-from .registry import Experiment, Point, register
+from .registry import FunctionExperiment, register
 from .flowsched import FlowSchedConfig
 
-__all__ = ["run_fig14", "FIG14_MODES", "normalize_to_physical", "Fig14Experiment"]
+__all__ = ["run_fig14", "FIG14_MODES", "fig14_point", "fig14_normalized"]
 
 FIG14_MODES = (Mode.PRIOPLUS, Mode.PHYSICAL_IDEAL, Mode.PHYSICAL_IDEAL_NOCC, Mode.D2TCP)
 
@@ -123,78 +123,37 @@ def run_fig14(
     }
 
 
-def normalize_to_physical(
-    results: Dict[str, Dict[str, object]], baseline_mode: str = Mode.PHYSICAL_IDEAL
-) -> Dict[str, Dict[Tuple[str, str], float]]:
-    """mode -> {(tier, bucket): mean FCT / baseline mean FCT}."""
-    base = results[baseline_mode]["cells"]
-    out: Dict[str, Dict[Tuple[str, str], float]] = {}
+def fig14_point(mode: str, n_priorities: int, cfg: Dict[str, object]) -> dict:
+    """:func:`run_fig14` with cell keys flattened to ``"tier/bucket"`` strings
+    so the result survives the runner's JSON normalisation."""
+    res = run_fig14(mode, n_priorities, FlowSchedConfig(**cfg))
+    res["cells"] = {f"{tier}/{bucket}": v for (tier, bucket), v in res["cells"].items()}
+    return res
+
+
+def fig14_normalized(results: Mapping[str, dict]) -> Dict[str, object]:
+    """Per-mode cells plus each cell's mean FCT over Physical*+Swift's."""
+    base = results[Mode.PHYSICAL_IDEAL]["cells"]
+    normalized: Dict[str, Dict[str, float]] = {}
     for mode, res in results.items():
         norm = {}
         for key, stats in res["cells"].items():
             if key in base and base[key]["mean_us"] > 0:
                 norm[key] = stats["mean_us"] / base[key]["mean_us"]
-        out[mode] = norm
-    return out
+        normalized[mode] = norm
+    return {"results": dict(results), "normalized_to_physical": normalized}
 
 
-class Fig14Experiment(Experiment):
-    """Per-priority-level FCT breakdown, one runner point per mode.
+_CFG = {"rate_bps": 100e9, "duration_ns": 700_000, "size_scale": 0.1, "load": 0.5}
 
-    Cell keys are flattened to ``"tier/bucket"`` strings so point results
-    survive the runner's JSON normalisation; ``reduce`` recomputes the
-    Physical*-normalised ratios from the per-mode cells.
-    """
-
-    name = "fig14"
-    description = "FCT breakdown by priority level and size, normalised to Physical*"
-
-    def __init__(
-        self,
-        modes: Sequence[str] = FIG14_MODES,
-        n_priorities: int = 12,
-        cfg_kwargs: Optional[Dict[str, object]] = None,
-        baseline: str = Mode.PHYSICAL_IDEAL,
-    ):
-        self.modes = list(modes)
-        self.n_priorities = int(n_priorities)
-        self.cfg_kwargs = dict(
-            cfg_kwargs
-            if cfg_kwargs is not None
-            else {"rate_bps": 100e9, "duration_ns": 700_000, "size_scale": 0.1, "load": 0.5}
-        )
-        self.baseline = baseline
-
-    def points(self) -> List[Point]:
-        seed = int(self.cfg_kwargs.get("seed", FlowSchedConfig().seed))
-        return [
-            Point(
-                mode,
-                {"mode": mode, "n_priorities": self.n_priorities, "cfg": dict(self.cfg_kwargs)},
-                seed=seed,
-            )
-            for mode in self.modes
-        ]
-
-    def run_point(self, point: Point) -> dict:
-        cfg = FlowSchedConfig(**point.config["cfg"])
-        res = run_fig14(point.config["mode"], point.config["n_priorities"], cfg)
-        res["cells"] = {f"{tier}/{bucket}": v for (tier, bucket), v in res["cells"].items()}
-        return res
-
-    def reduce(self, results: Dict[str, dict]) -> Dict[str, object]:
-        base = results[self.baseline]["cells"]
-        normalized: Dict[str, Dict[str, float]] = {}
-        for mode in self.modes:
-            norm = {}
-            for key, stats in results[mode]["cells"].items():
-                if key in base and base[key]["mean_us"] > 0:
-                    norm[key] = stats["mean_us"] / base[key]["mean_us"]
-            normalized[mode] = norm
-        return {
-            "results": {mode: results[mode] for mode in self.modes},
-            "normalized_to_physical": normalized,
-        }
-
-
-register(Fig14Experiment())
+register(
+    FunctionExperiment(
+        "fig14",
+        {
+            mode: (fig14_point, {"mode": mode, "n_priorities": 12, "cfg": _CFG})
+            for mode in FIG14_MODES
+        },
+        description="FCT breakdown by priority level and size, normalised to Physical*",
+        reduce_fn=fig14_normalized,
+    )
+)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .flowsched import FlowSchedConfig, FlowschedGrid, run_flowsched
+from .flowsched import FlowSchedConfig, grid_spec, run_flowsched
 from .modes import Mode
-from .registry import register
+from .registry import FunctionExperiment, register
 
 __all__ = ["FIG16_MODES"]
 
@@ -33,10 +33,12 @@ def _run_fig16(
 
 
 register(
-    FlowschedGrid(
+    FunctionExperiment(
         "fig16",
-        "PrioPlus* (data-priority ACKs) and HPCC on the flow-scheduling scenario",
-        [(mode, 8) for mode in FIG16_MODES],
-        {"rate_bps": 100e9, "duration_ns": 500_000, "size_scale": 0.1},
+        description="PrioPlus* (data-priority ACKs) and HPCC on the flow-scheduling scenario",
+        **grid_spec(
+            [(mode, 8) for mode in FIG16_MODES],
+            {"rate_bps": 100e9, "duration_ns": 500_000, "size_scale": 0.1},
+        ),
     )
 )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.fct import percentile
 from ..analysis.streaming import StreamingStats
@@ -24,9 +24,8 @@ from ..topology import fat_tree
 from ..workloads import EmpiricalCdf, poisson_flows, poisson_flows_iter, websearch
 from .launch import FlowAdmitter, launch_specs, run_admitter, run_until_flows_done
 from .modes import CCFactory
-from .registry import Experiment, Point
 
-__all__ = ["FlowSchedConfig", "FlowschedGrid", "run_flowsched", "size_group_boundaries"]
+__all__ = ["FlowSchedConfig", "grid_rows", "grid_spec", "run_flowsched", "size_group_boundaries"]
 
 
 class FlowSchedConfig:
@@ -288,62 +287,42 @@ def _stats(values: List[float]) -> Dict[str, object]:
     }
 
 
-class FlowschedGrid(Experiment):
-    """A grid of ``(mode, n_priorities)`` cells as independent runner points.
+def _grid_point(run, mode: str, n_priorities: int, cfg: Dict[str, object], **run_kwargs) -> dict:
+    return run(mode, n_priorities, FlowSchedConfig(**cfg), **run_kwargs)
+
+
+def grid_rows(results: Mapping[str, dict]) -> Dict[str, object]:
+    """Grid cells back into ``{"rows": [...]}``, in point order."""
+    return {"rows": list(results.values())}
+
+
+def grid_spec(
+    grid: Sequence[tuple],
+    cfg_kwargs: Dict[str, object],
+    quick_cfg: Optional[Dict[str, object]] = None,
+    quick_cells: Optional[int] = None,
+    run=run_flowsched,
+    **run_kwargs,
+) -> Dict[str, object]:
+    """A grid of ``(mode, n_priorities)`` cells as :class:`FunctionExperiment`
+    keywords (``spec``, ``quick_spec``, ``reduce_fn``).
 
     Every cell replays the identical seeded workload (``cfg_kwargs`` are
-    :class:`FlowSchedConfig` kwargs) through :func:`run_flowsched` with
-    ``run_kwargs``, so the grid parallelises perfectly; ``reduce`` flattens
-    the cells back into ``{"rows": [...]}`` in grid order.  ``quick()`` is
-    the same grid cut to its first ``quick_cells`` cells with ``quick_cfg``
-    laid over the config (``self`` when neither is given).
+    :class:`FlowSchedConfig` kwargs) through ``run`` with ``run_kwargs``, so
+    the grid parallelises perfectly; the reduction flattens the cells back
+    into ``{"rows": [...]}`` in grid order.  The quick spec is the same grid
+    cut to its first ``quick_cells`` cells with ``quick_cfg`` laid over the
+    config (none when neither is given).
     """
+    point = partial(_grid_point, run, **run_kwargs)
 
-    def __init__(
-        self,
-        name: str,
-        description: str,
-        grid: Sequence[tuple],
-        cfg_kwargs: Dict[str, object],
-        quick_cfg: Optional[Dict[str, object]] = None,
-        quick_cells: Optional[int] = None,
-        **run_kwargs,
-    ):
-        self.name = name
-        self.description = description
-        self.grid = [(str(mode), int(n)) for mode, n in grid]
-        self.cfg_kwargs = dict(cfg_kwargs)
-        self.quick_cfg = quick_cfg
-        self.quick_cells = quick_cells
-        self.run_kwargs = run_kwargs
+    def spec(cells, cfg):
+        return {
+            f"{mode}@{n}": (point, {"mode": str(mode), "n_priorities": int(n), "cfg": dict(cfg)})
+            for mode, n in cells
+        }
 
-    def points(self) -> List[Point]:
-        seed = int(self.cfg_kwargs.get("seed", FlowSchedConfig().seed))
-        return [
-            Point(
-                f"{mode}@{n}",
-                {"mode": mode, "n_priorities": n, "cfg": dict(self.cfg_kwargs)},
-                seed=seed,
-            )
-            for mode, n in self.grid
-        ]
-
-    def run_point(self, point: Point) -> dict:
-        cfg = FlowSchedConfig(**point.config["cfg"])
-        return run_flowsched(
-            point.config["mode"], point.config["n_priorities"], cfg, **self.run_kwargs
-        )
-
-    def reduce(self, results: Dict[str, dict]) -> Dict[str, object]:
-        return {"rows": [results[f"{mode}@{n}"] for mode, n in self.grid]}
-
-    def quick(self) -> "FlowschedGrid":
-        if self.quick_cfg is None and self.quick_cells is None:
-            return self
-        return type(self)(
-            self.name,
-            self.description,
-            self.grid[: self.quick_cells],
-            dict(self.cfg_kwargs, **(self.quick_cfg or {})),
-            **self.run_kwargs,
-        )
+    quick_spec = None
+    if quick_cfg is not None or quick_cells is not None:
+        quick_spec = spec(grid[:quick_cells], dict(cfg_kwargs, **(quick_cfg or {})))
+    return {"spec": spec(grid, cfg_kwargs), "quick_spec": quick_spec, "reduce_fn": grid_rows}

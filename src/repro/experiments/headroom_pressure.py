@@ -16,7 +16,7 @@ configuration degrades as the priority count grows.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..analysis.fct import percentile
 from ..noise import paper_noise
@@ -24,12 +24,13 @@ from ..sim.engine import MICROSECOND, MILLISECOND, Simulator
 from ..sim.pfc import PfcConfig
 from ..sim.switch import SwitchConfig
 from ..topology import star
+from .flowsched import grid_rows
 from .launch import launch_specs, run_until_flows_done
 from .modes import CCFactory, Mode
-from .registry import Experiment, Point, register
+from .registry import FunctionExperiment, register
 from ..workloads import FlowSpec
 
-__all__ = ["run_headroom_point", "run_headroom_sweep", "HeadroomSweepExperiment"]
+__all__ = ["run_headroom_point"]
 
 
 def _workload(rng: random.Random, n_senders: int, duration_ns: int, rate: float) -> List[FlowSpec]:
@@ -80,7 +81,8 @@ def run_headroom_point(
     def group_of(spec) -> int:
         if spec.tag == "bg":
             return n_priorities - 1
-        return hash(spec.tag) % max(1, n_priorities - 1)
+        # the wave index, not hash(tag): str hashing is salted per process
+        return spec.tag[1] % max(1, n_priorities - 1)
 
     flows, _ = launch_specs(sim, net, specs, hosts, factory, group_of, noise=paper_noise())
     run_until_flows_done(sim, flows, duration_ns * 40)
@@ -99,67 +101,25 @@ def run_headroom_point(
     }
 
 
-def run_headroom_sweep(
-    n_priorities_list: Sequence[int] = (2, 4, 6, 8),
-    **kwargs,
-) -> List[Dict[str, float]]:
-    """Physical at each priority count + the flat PrioPlus reference."""
-    rows = [run_headroom_point(Mode.PRIOPLUS, max(n_priorities_list), **kwargs)]
-    for n in n_priorities_list:
-        rows.append(run_headroom_point(Mode.PHYSICAL, n, **kwargs))
-    return rows
+#: the sweep's shared knobs: a buffer small enough that headroom bites
+_POINT_KWARGS = {
+    "n_senders": 32,
+    "buffer_mb_per_tbps": 2.0,
+    "headroom_bytes": 12_000,
+    "duration_ns": 2_000_000,
+    "seed": 13,
+}
 
-
-class HeadroomSweepExperiment(Experiment):
-    """The headroom-vs-shared-pool sweep, one runner point per (mode, count).
-
-    Point order mirrors :func:`run_headroom_sweep`: the flat PrioPlus
-    reference first, then Physical at each lossless-priority count.
-    """
-
-    name = "headroom"
-    description = "PFC headroom vs shared buffer: physical degradation sweep"
-
-    def __init__(
-        self,
-        n_priorities_list: Sequence[int] = (2, 4, 6, 8),
-        point_kwargs: Dict[str, object] = None,
-    ):
-        self.n_priorities_list = tuple(int(n) for n in n_priorities_list)
-        self.point_kwargs = dict(
-            point_kwargs
-            if point_kwargs is not None
-            else {
-                "n_senders": 32,
-                "buffer_mb_per_tbps": 2.0,
-                "headroom_bytes": 12_000,
-                "duration_ns": 2_000_000,
-            }
-        )
-
-    def _grid(self) -> List[tuple]:
-        return [(Mode.PRIOPLUS, max(self.n_priorities_list))] + [
-            (Mode.PHYSICAL, n) for n in self.n_priorities_list
-        ]
-
-    def points(self) -> List[Point]:
-        seed = int(self.point_kwargs.get("seed", 13))
-        return [
-            Point(
-                f"{mode}@{n}",
-                {"mode": mode, "n_priorities": n, "kwargs": dict(self.point_kwargs)},
-                seed=seed,
-            )
-            for mode, n in self._grid()
-        ]
-
-    def run_point(self, point: Point) -> dict:
-        return run_headroom_point(
-            point.config["mode"], point.config["n_priorities"], **point.config["kwargs"]
-        )
-
-    def reduce(self, results: Dict[str, dict]) -> Dict[str, object]:
-        return {"rows": [results[f"{mode}@{n}"] for mode, n in self._grid()]}
-
-
-register(HeadroomSweepExperiment())
+register(
+    FunctionExperiment(
+        "headroom",
+        # the flat PrioPlus reference first, then Physical at each
+        # lossless-priority count
+        {
+            f"{mode}@{n}": (run_headroom_point, {"mode": mode, "n_priorities": n, **_POINT_KWARGS})
+            for mode, n in [(Mode.PRIOPLUS, 8)] + [(Mode.PHYSICAL, n) for n in (2, 4, 6, 8)]
+        },
+        description="PFC headroom vs shared buffer: physical degradation sweep",
+        reduce_fn=grid_rows,
+    )
+)

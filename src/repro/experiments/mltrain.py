@@ -17,22 +17,17 @@ avoids thanks to fast reclaim of leftover bandwidth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..mlsim import RESNET50, VGG16, TrainingJob, scaled_model
 from ..noise import paper_noise
 from ..sim.engine import MILLISECOND, Simulator
 from ..topology import leaf_spine
 from .modes import CCFactory, Mode
-from .registry import Experiment, Point, register
+from .registry import FunctionExperiment, register
 from ..transport.flow import Flow
 
-__all__ = [
-    "MlTrainConfig",
-    "run_mltrain_mode",
-    "run_mltrain_comparison",
-    "MlTrainComparisonExperiment",
-]
+__all__ = ["MlTrainConfig", "run_mltrain_mode", "mltrain_point", "mltrain_speedups"]
 
 
 class MlTrainConfig:
@@ -154,17 +149,17 @@ def run_mltrain_mode(mode: str, cfg: Optional[MlTrainConfig] = None) -> Dict[str
     }
 
 
-def run_mltrain_comparison(
-    modes: Sequence[str] = (Mode.PRIOPLUS, Mode.PHYSICAL),
-    cfg: Optional[MlTrainConfig] = None,
-    baseline: str = Mode.SWIFT,
-) -> Dict[str, object]:
-    cfg = cfg or MlTrainConfig()
-    base = run_mltrain_mode(baseline, cfg)
-    out: Dict[str, object] = {"baseline": base}
+def mltrain_point(mode: str, cfg: Dict[str, object]) -> dict:
+    return run_mltrain_mode(mode, MlTrainConfig(**cfg))
+
+
+def mltrain_speedups(results: Mapping[str, dict]) -> Dict[str, object]:
+    """Per-family and overall iteration speedups over the Swift baseline."""
+    base = results[Mode.SWIFT]
     speedups: Dict[str, Dict[str, float]] = {}
-    for mode in modes:
-        res = run_mltrain_mode(mode, cfg)
+    for mode, res in results.items():
+        if mode == Mode.SWIFT:
+            continue
         per = {}
         for fam, iters in res["iters_per_job"].items():
             base_iters = base["iters_per_job"].get(fam, 0.0)
@@ -173,59 +168,18 @@ def run_mltrain_comparison(
             res["total_iters"] / base["total_iters"] if base["total_iters"] > 0 else float("nan")
         )
         speedups[mode] = per
-    out["speedups"] = speedups
-    return out
+    return {"baseline": base, "speedups": speedups}
 
 
-class MlTrainComparisonExperiment(Experiment):
-    """Fig 12c's mode comparison, one runner point per mode.
-
-    ``reduce`` recomputes the per-family and overall speedups exactly like
-    :func:`run_mltrain_comparison`, so the experiment's output matches the
-    legacy wrapper's shape.
-    """
-
-    name = "fig12c"
-    description = "ML-training iteration speedups in a shared cluster"
-
-    def __init__(
-        self,
-        modes: Sequence[str] = (Mode.PRIOPLUS, Mode.PHYSICAL),
-        cfg_kwargs: Dict[str, object] = None,
-        baseline: str = Mode.SWIFT,
-    ):
-        self.modes = list(modes)
-        self.cfg_kwargs = dict(cfg_kwargs) if cfg_kwargs is not None else {}
-        self.baseline = baseline
-
-    def points(self) -> List[Point]:
-        seed = int(self.cfg_kwargs.get("seed", MlTrainConfig().seed))
-        return [
-            Point(mode, {"mode": mode, "cfg": dict(self.cfg_kwargs)}, seed=seed)
-            for mode in [self.baseline, *self.modes]
-        ]
-
-    def run_point(self, point: Point) -> dict:
-        return run_mltrain_mode(point.config["mode"], MlTrainConfig(**point.config["cfg"]))
-
-    def reduce(self, results: Dict[str, dict]) -> Dict[str, object]:
-        base = results[self.baseline]
-        out: Dict[str, object] = {"baseline": base}
-        speedups: Dict[str, Dict[str, float]] = {}
-        for mode in self.modes:
-            res = results[mode]
-            per = {}
-            for fam, iters in res["iters_per_job"].items():
-                base_iters = base["iters_per_job"].get(fam, 0.0)
-                per[fam] = iters / base_iters if base_iters > 0 else float("nan")
-            per["overall"] = (
-                res["total_iters"] / base["total_iters"]
-                if base["total_iters"] > 0
-                else float("nan")
-            )
-            speedups[mode] = per
-        out["speedups"] = speedups
-        return out
-
-
-register(MlTrainComparisonExperiment())
+register(
+    FunctionExperiment(
+        "fig12c",
+        # baseline first, then the compared modes
+        {
+            mode: (mltrain_point, {"mode": mode, "cfg": {}})
+            for mode in (Mode.SWIFT, Mode.PRIOPLUS, Mode.PHYSICAL)
+        },
+        description="ML-training iteration speedups in a shared cluster",
+        reduce_fn=mltrain_speedups,
+    )
+)

@@ -28,11 +28,11 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..topology import paper_fabric
-from .flowsched import FlowSchedConfig, FlowschedGrid, run_flowsched
+from .flowsched import FlowSchedConfig, grid_spec, run_flowsched
 from .modes import Mode
-from .registry import Point, register
+from .registry import FunctionExperiment, register
 
-__all__ = ["PAPER_LONG_CFG", "PAPER_SCALE_CFG", "PaperScaleGrid", "run_paper_scale"]
+__all__ = ["PAPER_LONG_CFG", "PAPER_SCALE_CFG", "paper_topology", "run_paper_scale"]
 
 #: default knobs for a paper-scale point: full fabric, short trace.  The
 #: duration is deliberately small (the fabric injects ~1 flow/µs at this
@@ -64,13 +64,13 @@ PAPER_LONG_CFG: Dict[str, object] = {
 }
 
 
-def _paper_topology(cfg: FlowSchedConfig):
+def paper_topology(rate_bps: float, link_delay_ns: int):
+    """The ``topology=`` hook of ``run_flowsched`` / ``run_coflow_mode`` for
+    :func:`repro.topology.paper_fabric` at the given link speed and delay."""
+
     def build(sim, switch_cfg):
         return paper_fabric(
-            sim,
-            rate_bps=cfg.rate_bps,
-            link_delay_ns=cfg.link_delay_ns,
-            switch_cfg=switch_cfg,
+            sim, rate_bps=rate_bps, link_delay_ns=link_delay_ns, switch_cfg=switch_cfg
         )
 
     return build
@@ -91,30 +91,28 @@ def run_paper_scale(
     """
     cfg = cfg or FlowSchedConfig(**PAPER_SCALE_CFG)
     result = run_flowsched(
-        mode, n_priorities, cfg, topology=_paper_topology(cfg), fluid=fluid, streaming=streaming
+        mode,
+        n_priorities,
+        cfg,
+        topology=paper_topology(cfg.rate_bps, cfg.link_delay_ns),
+        fluid=fluid,
+        streaming=streaming,
     )
     result["n_hosts"] = 320
     return result
 
 
-class PaperScaleGrid(FlowschedGrid):
-    """A :class:`FlowschedGrid` whose cells run on the paper fabric."""
-
-    def run_point(self, point: Point) -> dict:
-        cfg = FlowSchedConfig(**point.config["cfg"])
-        return run_paper_scale(
-            point.config["mode"], point.config["n_priorities"], cfg, **self.run_kwargs
-        )
-
-
 register(
-    PaperScaleGrid(
+    FunctionExperiment(
         "fig11_paper",
-        "Fig 11 flow-scheduling FCT on the full 320-host k=6 fabric (hybrid core)",
-        [(Mode.PRIOPLUS, 4), (Mode.PHYSICAL_IDEAL, 4), (Mode.PRIOPLUS, 8), (Mode.PHYSICAL_IDEAL, 8)],
-        PAPER_SCALE_CFG,
-        quick_cfg={"duration_ns": 20_000},
-        quick_cells=2,
+        description="Fig 11 flow-scheduling FCT on the full 320-host k=6 fabric (hybrid core)",
+        **grid_spec(
+            [(Mode.PRIOPLUS, 4), (Mode.PHYSICAL_IDEAL, 4), (Mode.PRIOPLUS, 8), (Mode.PHYSICAL_IDEAL, 8)],
+            PAPER_SCALE_CFG,
+            quick_cfg={"duration_ns": 20_000},
+            quick_cells=2,
+            run=run_paper_scale,
+        ),
     )
 )
 # Fig 11 on multi-second traces: the S1-retirement experiment.
@@ -127,23 +125,29 @@ register(
 # the paper's low-priority collapse claim lives.  Per-class percentiles in
 # these rows are P² estimates (see ``repro.analysis.streaming``).
 register(
-    PaperScaleGrid(
+    FunctionExperiment(
         "fig11_long",
-        "Fig 11 on a 2s paper-true-size trace, 320 hosts, streaming + hybrid core",
-        [(Mode.PRIOPLUS, 8), (Mode.PHYSICAL, 8), (Mode.PHYSICAL_IDEAL, 8)],
-        PAPER_LONG_CFG,
-        quick_cfg={"duration_ns": 100_000_000},
-        quick_cells=1,
-        streaming=True,
+        description="Fig 11 on a 2s paper-true-size trace, 320 hosts, streaming + hybrid core",
+        **grid_spec(
+            [(Mode.PRIOPLUS, 8), (Mode.PHYSICAL, 8), (Mode.PHYSICAL_IDEAL, 8)],
+            PAPER_LONG_CFG,
+            quick_cfg={"duration_ns": 100_000_000},
+            quick_cells=1,
+            run=run_paper_scale,
+            streaming=True,
+        ),
     )
 )
 register(
-    PaperScaleGrid(
+    FunctionExperiment(
         "fig16_paper",
-        "Fig 16 ACK-priority sensitivity on the full 320-host k=6 fabric (hybrid core)",
-        [(Mode.PRIOPLUS, 8), (Mode.PRIOPLUS_SAME_ACK, 8)],
-        PAPER_SCALE_CFG,
-        quick_cfg={"duration_ns": 20_000},
-        quick_cells=1,
+        description="Fig 16 ACK-priority sensitivity on the full 320-host k=6 fabric (hybrid core)",
+        **grid_spec(
+            [(Mode.PRIOPLUS, 8), (Mode.PRIOPLUS_SAME_ACK, 8)],
+            PAPER_SCALE_CFG,
+            quick_cfg={"duration_ns": 20_000},
+            quick_cells=1,
+            run=run_paper_scale,
+        ),
     )
 )

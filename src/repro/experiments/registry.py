@@ -84,26 +84,34 @@ class Experiment:
         return self
 
 
+#: point name -> (module-level function, its kwargs)
+Spec = Mapping[str, Tuple[Callable[..., dict], Dict[str, object]]]
+
+
 class FunctionExperiment(Experiment):
     """Adapter porting plain ``run_*`` functions onto :class:`Experiment`.
 
     ``spec`` maps point name -> ``(function, kwargs)``.  The kwargs become the
     point's config verbatim (plus its cache identity); ``kwargs["seed"]`` is
     mirrored into :attr:`Point.seed` when present.  Functions must be
-    module-level (picklable by reference) for process-pool execution.
+    module-level (picklable by reference) for process-pool execution; bind
+    experiment-level parameters with :func:`functools.partial`.
+    ``quick_spec``, when given, is the spec of the ``--quick`` variant.
     """
 
     def __init__(
         self,
         name: str,
-        spec: Mapping[str, Tuple[Callable[..., dict], Dict[str, object]]],
+        spec: Spec,
         description: str = "",
         reduce_fn: Optional[Callable[[Mapping[str, dict]], dict]] = None,
+        quick_spec: Optional[Spec] = None,
     ):
         self.name = name
         self.description = description
         self._spec = {pname: (fn, dict(kwargs)) for pname, (fn, kwargs) in spec.items()}
         self._reduce_fn = reduce_fn
+        self._quick_spec = quick_spec
 
     def points(self) -> List[Point]:
         return [
@@ -119,6 +127,13 @@ class FunctionExperiment(Experiment):
         if self._reduce_fn is not None:
             return self._reduce_fn(results)
         return super().reduce(results)
+
+    def quick(self) -> Experiment:
+        if self._quick_spec is None:
+            return self
+        return FunctionExperiment(
+            self.name, self._quick_spec, description=self.description, reduce_fn=self._reduce_fn
+        )
 
 
 #: experiment modules imported by :meth:`ExperimentRegistry.load_all`; each

@@ -14,102 +14,79 @@ generations of a single search.
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import Mapping
 
-from .registry import Experiment, Point, register
+from .registry import FunctionExperiment, register
 
-__all__ = ["TuneChannelsExperiment"]
-
-_FULL = {"workloads": ("flowsched", "fault_flap"), "budget": 24, "pop_size": 6}
-_QUICK = {"workloads": ("flowsched_micro", "fault_flap"), "budget": 12, "pop_size": 4}
+__all__ = ["tune_point", "tune_verdicts"]
 
 
-class TuneChannelsExperiment(Experiment):
-    name = "tune_channels"
-    description = "black-box search over PrioPlus [D_target, D_limit] bands vs paper default"
+def tune_point(
+    workload: str, optimizer: str, budget: int, pop_size: int, seed: int, quick: bool
+) -> dict:
+    from ..tune import make_spec, run_search
 
-    def __init__(
-        self,
-        workloads=_FULL["workloads"],
-        budget: int = _FULL["budget"],
-        pop_size: int = _FULL["pop_size"],
-        optimizer: str = "cem",
-        seed: int = 0,
-        quick_eval: bool = False,
-    ):
-        self.workloads = tuple(workloads)
-        self.budget = budget
-        self.pop_size = pop_size
-        self.optimizer = optimizer
-        self.seed = seed
-        self.quick_eval = quick_eval
+    res = run_search(
+        make_spec(workload, seed=seed, quick=quick),
+        optimizer=optimizer,
+        budget=budget,
+        pop_size=pop_size,
+        seed=seed,
+        jobs=1,
+    )
+    res.pop("history", None)  # keep cached results compact
+    return res
 
-    def points(self) -> List[Point]:
-        return [
-            Point(
-                workload,
-                {
-                    "workload": workload,
-                    "optimizer": self.optimizer,
-                    "budget": self.budget,
-                    "pop_size": self.pop_size,
-                    "seed": self.seed,
-                    "quick": self.quick_eval,
-                },
-                seed=self.seed,
-            )
-            for workload in self.workloads
-        ]
 
-    def run_point(self, point: Point) -> dict:
-        from ..tune import make_spec, run_search
-
-        cfg = point.config
-        spec = make_spec(cfg["workload"], seed=cfg["seed"], quick=cfg["quick"])
-        res = run_search(
-            spec,
-            optimizer=cfg["optimizer"],
-            budget=cfg["budget"],
-            pop_size=cfg["pop_size"],
-            seed=cfg["seed"],
-            jobs=1,
-        )
-        res.pop("history", None)  # keep cached results compact
-        return res
-
-    def reduce(self, results: Mapping[str, dict]) -> dict:
-        verdicts = {}
-        for workload, res in results.items():
-            default_u = res["default"]["utility"]
-            best_u = res["best"]["utility"]
-            verdicts[workload] = {
-                "tuned_beats_default": bool(res["improved"]),
-                "default_utility": default_u,
-                "tuned_utility": best_u,
-                "improvement_pct": (
-                    100.0 * (best_u - default_u) / abs(default_u) if default_u else None
-                ),
-                "tuned_bands_ns": res["best"]["bands"],
-                "default_bands_ns": res["default"]["bands"],
-                "evaluations": res["evaluations"],
-            }
-        return {
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-            "verdict": all(v["tuned_beats_default"] for v in verdicts.values()),
-            "workloads": verdicts,
-            "searches": dict(results),
+def tune_verdicts(results: Mapping[str, dict]) -> dict:
+    first = next(iter(results.values()))  # every search shares optimizer and seed
+    verdicts = {}
+    for workload, res in results.items():
+        default_u = res["default"]["utility"]
+        best_u = res["best"]["utility"]
+        verdicts[workload] = {
+            "tuned_beats_default": bool(res["improved"]),
+            "default_utility": default_u,
+            "tuned_utility": best_u,
+            "improvement_pct": (
+                100.0 * (best_u - default_u) / abs(default_u) if default_u else None
+            ),
+            "tuned_bands_ns": res["best"]["bands"],
+            "default_bands_ns": res["default"]["bands"],
+            "evaluations": res["evaluations"],
         }
+    return {
+        "optimizer": first["optimizer"],
+        "seed": first["seed"],
+        "verdict": all(v["tuned_beats_default"] for v in verdicts.values()),
+        "workloads": verdicts,
+        "searches": dict(results),
+    }
 
-    def quick(self) -> "TuneChannelsExperiment":
-        return TuneChannelsExperiment(
-            workloads=_QUICK["workloads"],
-            budget=_QUICK["budget"],
-            pop_size=_QUICK["pop_size"],
-            optimizer=self.optimizer,
-            seed=self.seed,
-            quick_eval=True,
+
+def _spec(workloads, budget: int, pop_size: int, quick: bool) -> dict:
+    return {
+        workload: (
+            tune_point,
+            {
+                "workload": workload,
+                "optimizer": "cem",
+                "budget": budget,
+                "pop_size": pop_size,
+                "seed": 0,
+                "quick": quick,
+            },
         )
+        for workload in workloads
+    }
 
 
-register(TuneChannelsExperiment())
+register(
+    FunctionExperiment(
+        "tune_channels",
+        _spec(("flowsched", "fault_flap"), budget=24, pop_size=6, quick=False),
+        description="black-box search over PrioPlus [D_target, D_limit] bands vs paper default",
+        reduce_fn=tune_verdicts,
+        quick_spec=_spec(("flowsched_micro", "fault_flap"), budget=12, pop_size=4, quick=True),
+    )
+)

@@ -1,11 +1,5 @@
-"""Gym-style CC environment and black-box auto-tuning (ROADMAP item 3).
+"""Black-box auto-tuning of PrioPlus delay channels (docs/TUNING.md).
 
-Three layers:
-
-* :mod:`repro.tune.env` — :class:`CCEnv`, a gym-style environment stepping
-  the DES between ACK batches / fixed strides, with snapshot-backed
-  byte-identical ``reset()``, per-flow cwnd/rate actions through the
-  ``cc.external`` hook, and goodput/FCT/fairness rewards.
 * :mod:`repro.tune.channel_env` + :mod:`repro.tune.optim` — the channel
   tuner: PrioPlus ``[D_target, D_limit]`` placement as a black-box search
   problem (CEM / random search, stdlib RNG, deterministic).
@@ -24,22 +18,12 @@ from .channel_env import (
     make_spec,
     theta_to_bands,
 )
-from .env import REWARDS, CCEnv, World, jain_index, make_gymnasium_env
-from .builders import star_builder, star_world
 from .optim import CEM, OPTIMIZERS, RandomSearch
 from .search import run_search
-from .spaces import BoxSpace, DictSpace
+from .spaces import BoxSpace
 
 __all__ = [
-    "CCEnv",
-    "World",
-    "REWARDS",
-    "jain_index",
-    "make_gymnasium_env",
     "BoxSpace",
-    "DictSpace",
-    "star_world",
-    "star_builder",
     "TuneSpec",
     "WORKLOADS",
     "ChannelTuningEnv",

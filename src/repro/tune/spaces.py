@@ -1,20 +1,17 @@
-"""Minimal stdlib space descriptions for :mod:`repro.tune`.
+"""The search-space description of :mod:`repro.tune`.
 
-Gym-style environments describe their observation/action interfaces with
-*spaces*.  The real ``gymnasium`` package is an optional extra, so the
-core carries its own tiny, dependency-free
-space classes with the same three operations everything here needs:
-``contains``, ``sample`` and ``clip``.  The gymnasium adapter in
-:mod:`repro.tune.env` converts these to ``gymnasium.spaces`` objects when
-the package is present.
+:class:`BoxSpace` is the bounded box the optimizers (:mod:`.optim`) sample
+and clip candidates in and :class:`~repro.tune.channel_env.ChannelTuningEnv`
+declares its theta bounds with: ``contains``, ``sample`` and ``clip``,
+stdlib only.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-__all__ = ["BoxSpace", "DictSpace"]
+__all__ = ["BoxSpace"]
 
 
 class BoxSpace:
@@ -30,14 +27,6 @@ class BoxSpace:
                 raise ValueError(f"dimension {i}: low {lo} > high {hi}")
         self.low = [float(x) for x in low]
         self.high = [float(x) for x in high]
-
-    @classmethod
-    def scalar_bounds(cls, low: float, high: float, n: int) -> "BoxSpace":
-        return cls([low] * n, [high] * n)
-
-    @property
-    def shape(self):
-        return (len(self.low),)
 
     def contains(self, x: Sequence[float]) -> bool:
         if len(x) != len(self.low):
@@ -55,23 +44,3 @@ class BoxSpace:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"BoxSpace(n={len(self.low)})"
-
-
-class DictSpace:
-    """Named sub-spaces; observations/actions are plain dicts of lists."""
-
-    __slots__ = ("spaces",)
-
-    def __init__(self, spaces: Dict[str, BoxSpace]):
-        self.spaces = dict(spaces)
-
-    def contains(self, x: dict) -> bool:
-        if set(x) != set(self.spaces):
-            return False
-        return all(space.contains(x[name]) for name, space in self.spaces.items())
-
-    def sample(self, rng: random.Random) -> dict:
-        return {name: space.sample(rng) for name, space in self.spaces.items()}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"DictSpace({sorted(self.spaces)})"

@@ -4,6 +4,11 @@ These run at deliberately tiny scale — they check plumbing and result
 structure; the directional claims live in benchmarks/.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments.modes import CCFactory, Mode
@@ -12,11 +17,13 @@ from repro.experiments.fig6_dualrtt import _run_fig6
 from repro.experiments.fig8_testbed import _run_fig8, run_staircase
 from repro.experiments.fig9_fluct import _run_fig9
 from repro.experiments.fig10_micro import _run_fig10b, _run_fig10c
-from repro.experiments.fig13_noncongestive import run_fig13_point
+from repro.experiments.fig13_noncongestive import fig13_gaps, fig13_spec
 from repro.experiments.flowsched import FlowSchedConfig, run_flowsched, size_group_boundaries
 from repro.experiments.coflow_scenario import CoflowConfig, build_workload, run_coflow_mode
 from repro.experiments.mltrain import MlTrainConfig, run_mltrain_mode
+from repro.experiments.registry import FunctionExperiment
 from repro.experiments.report import format_table
+from repro.runner import run_experiment
 from repro.workloads import websearch
 
 
@@ -68,8 +75,33 @@ def test_fig10c_smoke_both_arms():
 
 
 def test_fig13_point_smoke():
-    gap = run_fig13_point(10.0, 0.0, rate=10e9, stagger_ns=200_000)
-    assert gap >= 0.0
+    exp = FunctionExperiment(
+        "fig13-smoke", fig13_spec(10.0, [0.0], stagger_ns=200_000), reduce_fn=fig13_gaps
+    )
+    assert [p.name for p in exp.points()] == ["prioplus@0us", "physical@0us"]
+    assert run_experiment(exp)["gap@0us"] >= 0.0
+
+
+def test_headroom_point_is_independent_of_the_hash_seed():
+    """A point's result is a function of its config: the wave → priority-group
+    map once went through ``hash(("wave", k))``, which is salted per process."""
+    code = (
+        "import json\n"
+        "from repro.experiments.headroom_pressure import run_headroom_point\n"
+        "print(json.dumps(run_headroom_point('prioplus', 8, n_senders=8, duration_ns=400_000)))"
+    )
+    results = []
+    for hash_seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+        )
+        assert out.returncode == 0, out.stderr
+        results.append(json.loads(out.stdout))
+    assert results[0] == results[1]
+    assert results[0]["done"] == results[0]["total"]
 
 
 def test_flowsched_smoke_all_modes():

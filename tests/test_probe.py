@@ -144,6 +144,36 @@ def test_common_is_only_the_ledgers_import_surface():
     assert ledger_uses <= set(common.__all__)
 
 
+def test_registry_holds_the_only_experiment_class():
+    """Figure modules declare ``FunctionExperiment(name, {point: (fn, kwargs)})``
+    as data; a second ``class X(Experiment)`` is how eleven ways to say one
+    shape grew last time."""
+    subclasses = [
+        f"{path.name}: {node.name}"
+        for path in sorted((SRC / "experiments").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any("Experiment" in ast.unparse(base) for base in node.bases)
+    ]
+    assert subclasses == ["registry.py: FunctionExperiment"], subclasses
+
+
+def test_no_builtin_hash_where_results_are_made():
+    """``hash()`` of a str is salted per process (``PYTHONHASHSEED``): a result
+    computed from it differs between a serial run and a worker, and a cached
+    entry stops being the result of its key."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for layer in ("experiments", "workloads", "mlsim")
+        for path in sorted((SRC / layer).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "hash"
+    ]
+    assert not offenders, offenders
+
+
 # ----------------------------------------------------------------------
 # subscription: a sink is whatever defines a method named after an event
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ The hard guarantees under test:
 
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -21,6 +22,8 @@ from repro.experiments.quickstart import run_quickstart
 from repro.runner import ResultCache, RunnerError, cache_key, json_safe, run_experiment
 from repro.probe import installed
 from repro.telemetry import Recorder
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +247,27 @@ def test_registered_experiments_have_unique_point_identities():
         assert len(keys) == len(points), f"{exp.name}: cache-key collision"
 
 
+def test_every_registered_experiment_is_a_function_experiment():
+    """One way to declare an experiment: name -> (function, kwargs) as data."""
+    experiments = REGISTRY.experiments()
+    assert len(experiments) == 32
+    for exp in experiments:
+        assert type(exp) is FunctionExperiment, exp.name
+        assert type(exp.quick()) is FunctionExperiment, exp.name
+
+
+def test_point_names_match_the_golden():
+    """Registry names, point names and point order, full and ``quick()``."""
+    golden = json.loads((GOLDEN / "experiment_points.json").read_text())
+    assert {
+        exp.name: {
+            "full": [p.name for p in exp.points()],
+            "quick": [p.name for p in exp.quick().points()],
+        }
+        for exp in REGISTRY.experiments()
+    } == golden
+
+
 @pytest.mark.parametrize(
     "name, cells, duration_ns",
     [("fig11_paper", 2, 20_000), ("fig11_long", 1, 100_000_000), ("fig16_paper", 1, 20_000)],
@@ -253,12 +277,13 @@ def test_paper_scale_quick_variants_keep_their_cut(name, cells, duration_ns):
     under a shorter trace — and the registered experiment stays whole."""
     exp = get_experiment(name)
     quick = exp.quick()
-    assert type(quick) is type(exp) and quick.name == name
-    assert [p.name for p in quick.points()] == [p.name for p in exp.points()][:cells]
-    for p in quick.points():
-        assert p.config["cfg"] == dict(exp.cfg_kwargs, duration_ns=duration_ns)
-    assert quick.run_kwargs == exp.run_kwargs
-    assert len(exp.points()) > cells
+    assert quick.name == name
+    full = exp.points()
+    assert [p.name for p in quick.points()] == [p.name for p in full][:cells]
+    for q, p in zip(quick.points(), full):
+        assert q.config == dict(p.config, cfg=dict(p.config["cfg"], duration_ns=duration_ns))
+        assert p.config["cfg"]["duration_ns"] > duration_ns
+    assert len(full) > cells
 
 
 def test_runner_matches_legacy_function():
