@@ -8,7 +8,9 @@ connected components of their flow-link graph, and which component holds
 the saturated link that flows of different ranks meet on.  Flows outside
 that component are the *bystanders* a per-component regime would keep fluid.
 
-Measured from outside ``src/`` by wrapping ``HybridDriver._exit_fluid``.
+Measured from outside ``src/`` by wrapping ``HybridDriver._exit_fluid``; the
+components are :func:`repro.fluid.model.components`, the same definition the
+driver allocates by.
 
 Usage:
     python scripts/regime_components.py --load 0.002 --ms 200
@@ -21,7 +23,6 @@ docs/PERFORMANCE.md ("Step 0: regime components") holds the table.
 from __future__ import annotations
 
 import argparse
-from collections import Counter
 
 from repro.experiments.flowsched import FlowSchedConfig
 from repro.experiments.modes import Mode
@@ -30,30 +31,32 @@ from repro.fluid import hybrid, model
 
 
 def _component_sizes(flows, rate, cap_rate, link_caps):
-    """``(sizes, hot)``: flows per connected component (keyed by its root
-    link), and the roots of the components holding a saturated link that
-    network-limited flows of two ranks meet on."""
-    root = {}  # link -> representative link of its component
-
-    def find(link):
-        while root.setdefault(link, link) != link:
-            root[link] = link = root[root[link]]
-        return link
-
+    """``(sizes, hot)``: flows per connected component, and the indices of
+    the components holding a saturated link that network-limited flows of
+    two ranks meet on."""
+    comps = model.components([f.links for f in flows])
+    comp_of = {  # link -> index of its component
+        link: c for c, members in enumerate(comps) for i in members for link in flows[i].links
+    }
     load, limited_ranks = {}, {}
     for f, r, cap in zip(flows, rate, cap_rate):
         for link in f.links:
-            root[find(link)] = find(f.links[0])
             load[link] = load.get(link, 0.0) + r
             if r < cap * model._CAP_SLACK:  # network-limited, as classify_contention reads it
                 limited_ranks.setdefault(link, set()).add(f.rank)
-    sizes = Counter(find(f.links[0]) for f in flows)
     hot = {
-        find(link)
+        comp_of[link]
         for link, ranks in limited_ranks.items()
         if len(ranks) > 1 and load[link] >= hybrid._SAT_THRESHOLD * link_caps[link]
     }
-    return sizes, hot
+    return [len(members) for members in comps], hot
+
+
+def _exit_allocation(driver):
+    """``(cap_rate, rate)`` over ``driver._flows``: the allocation each group
+    holds at the exit, i.e. the one that forced it."""
+    held = {f: (cap, r) for g in driver._groups for f, cap, r in zip(g.flows, g.caps, g.rates)}
+    return [held[f][0] for f in driver._flows], [held[f][1] for f in driver._flows]
 
 
 def main() -> None:
@@ -67,11 +70,9 @@ def main() -> None:
 
     def measuring_exit(driver, reason):
         if reason.startswith("contention"):
-            cap_rate, rate, _ = driver._solved  # the allocation that forced this exit
+            cap_rate, rate = _exit_allocation(driver)
             sizes, hot = _component_sizes(driver._flows, rate, cap_rate, driver._link_caps)
-            exits.append(
-                (len(driver._flows), sum(sizes[c] for c in hot), max(sizes.values()))
-            )
+            exits.append((len(driver._flows), sum(sizes[c] for c in hot), max(sizes)))
         exit_fluid(driver, reason)
 
     hybrid.HybridDriver._exit_fluid = measuring_exit

@@ -18,8 +18,10 @@ the last in-flight packet and ACK has landed.  From that point *no packet
 exists anywhere in the fabric*, and the driver advances the whole fabric
 in fluid timesteps: per-flow rates come from strict-priority max-min
 water-filling over the link-capacity matrix (:mod:`repro.fluid.model`),
-windows ramp per the scheme's fluid law (:mod:`repro.fluid.laws`), and
-delivered bytes are credited in bulk against the real sender/receiver
+solved per connected component of the flow–link graph and only for the
+components whose members or caps moved, windows ramp per the scheme's fluid
+law (:mod:`repro.fluid.laws`), and delivered bytes are credited in bulk
+against the real sender/receiver
 sequence state (``FlowSender.fluid_advance``), so completions, telemetry
 and results read exactly as if the packets had flown.  The wall clock of
 the DES still advances through :meth:`Simulator.run`, so residual timers
@@ -42,7 +44,7 @@ driver falls back to packets when saturated links appear.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import model
 from .laws import law_for
@@ -74,6 +76,8 @@ _MIN_PACKET_NS = 100_000
 _MIN_FLUID_NS = 20_000
 #: a link loaded past this share of its capacity counts as saturated
 _SAT_THRESHOLD = 0.98
+#: contention labels, least to most severe: a segment reads its worst group's
+_SEVERITY = {"none": 0, "single": 1, "shared": 2, "priority": 3}
 
 
 class FluidConfig:
@@ -92,6 +96,9 @@ class FluidConfig:
                 f"exit_on_contention must be 'priority', 'any' or 'none', "
                 f"got {exit_on_contention!r}"
             )
+        if not isinstance(check_every_ns, int) or check_every_ns <= 0:
+            # a non-advancing horizon would spin the drive loop forever
+            raise ValueError(f"check_every_ns must be a positive int, got {check_every_ns!r}")
         #: how often ``done()`` and the deadline are looked at from inside a
         #: fluid epoch (the segment loop's outer horizon).  Not the length of
         #: a packet phase: those end when the fabric goes quiet
@@ -109,7 +116,8 @@ class _FluidFlow:
     """One sender absorbed into the fluid model."""
 
     __slots__ = (
-        "sender", "links", "rank", "cwnd", "ramp", "ceil", "credit", "rate", "cap", "gate_ns"
+        "sender", "links", "rank", "cwnd", "ramp", "ceil", "rtt", "credit", "rate", "cap",
+        "gate_ns", "group",
     )
 
     def __init__(self, sender, links: List[int], rank: int, cwnd: float, ramp: float, ceil: float):
@@ -119,10 +127,26 @@ class _FluidFlow:
         self.cwnd = cwnd
         self.ramp = ramp
         self.ceil = ceil
+        self.rtt = float(sender.base_rtt)
         self.credit = 0.0  # fractional payload bytes not yet a whole packet
-        self.rate = 0.0  # bytes/ns, last solve
-        self.cap = 0.0  # bytes/ns, window-limited cap at last solve
+        self.rate = 0.0  # bytes/ns, in force this segment
+        self.cap = 0.0  # bytes/ns, window-limited cap this segment
         self.gate_ns = 0  # no credit before this time (pipe-fill delay)
+        self.group = None  # the _Group holding it while live
+
+
+class _Group:
+    """Live flows forming one connected component of the flow–link graph,
+    in ``_flows`` (absorb) order, and the allocation last solved for them."""
+
+    __slots__ = ("flows", "caps", "rates", "label", "split")
+
+    def __init__(self, flows: List[_FluidFlow]):
+        self.flows = flows
+        self.caps: Optional[List[float]] = None  # None: solve at the next segment
+        self.rates: List[float] = []
+        self.label = "none"
+        self.split = False  # a member completed: re-split before the next solve
 
 
 class HybridDriver:
@@ -148,17 +172,15 @@ class HybridDriver:
         self._link_index = {}
         self._link_caps: List[float] = []
         self._path_cache = {}
-        # fluid-epoch state
+        # fluid-epoch state: the live flows in absorb order, the same flows
+        # as connected components (a dict used as an ordered set), and each
+        # link a live flow crosses -> its group (stale entries name groups
+        # no longer in _groups)
         self._flows: List[_FluidFlow] = []
+        self._groups: Dict[_Group, None] = {}
+        self._link_group: Dict[int, _Group] = {}
         self._pending_admits: List = []
         self._held: List = []
-        # per-flow solver inputs, rebuilt when the flow set changed (_dirty),
-        # and the last (cap_rate, rate, contention) solved on that set
-        self._dirty = True
-        self._ranks: List[int] = []
-        self._paths: List[List[int]] = []
-        self._rtts: List[float] = []
-        self._solved = None
         self._fluid_entered = 0
         self._last_exit = -(1 << 62)
         self.stats = {
@@ -337,14 +359,47 @@ class HybridDriver:
             # so delivery (and therefore completion) starts ~RTT/2 late
             flow.gate_ns = self.sim.now + sender.base_rtt // 2
         self._flows.append(flow)
-        self._dirty = True
+        self._join(flow)
+
+    def _join(self, flow: _FluidFlow) -> None:
+        """Group a newly absorbed flow with every live group it shares a link
+        with (merged, members in ``_flows`` order), or alone."""
+        groups, link_group = self._groups, self._link_group
+        met = {}
+        for link in flow.links:
+            g = link_group.get(link)
+            if g is not None and g in groups:
+                met[g] = None
+        if not met:
+            g = _Group([])
+            groups[g] = None
+        else:
+            # the largest group absorbs the others: fewer flows re-pointed
+            g = max(met, key=lambda m: len(m.flows))
+        flow.group = g
+        if len(met) > 1:
+            for m in met:
+                if m is not g:
+                    del groups[m]
+                    g.split = g.split or m.split
+                    for f in m.flows:
+                        f.group = g
+                        for link in f.links:
+                            link_group[link] = g
+            g.flows = [f for f in self._flows if f.group is g]
+        else:
+            g.flows.append(flow)  # the newest flow is last in absorb order
+        for link in flow.links:
+            link_group[link] = g
+        g.caps = None
 
     def _enter_fluid(self, held) -> None:
         sim = self.sim
         self.phase = _FLUID
         self._fluid_entered = sim.now
         self._flows = []
-        self._dirty = True
+        self._groups = {}
+        self._link_group = {}
         for s in held:
             if not s.completed:
                 self._absorb(s)
@@ -375,31 +430,53 @@ class HybridDriver:
         else:
             self._pending_admits.append(sender)
 
-    def _allocate(self, now: int):
-        """This segment's ``(cap_rate, rate, contention)`` for ``self._flows``."""
-        flows = self._flows
-        if self._dirty:
-            self._ranks = [f.rank for f in flows]
-            self._paths = [f.links for f in flows]
-            self._rtts = [float(f.sender.base_rtt) for f in flows]
-            self._solved = None
-            self._dirty = False
-        # a freshly started flow's bytes only begin landing after one
-        # one-way delay; until its gate passes it holds no capacity,
-        # does not ramp, and its whole trajectory shifts by ~RTT/2
-        cap_rate = [0.0 if f.gate_ns > now else f.cwnd / rtt for f, rtt in zip(flows, self._rtts)]
-        # same flows, same caps (ceiling-bound or network-limited flows
-        # between two check boundaries): the last allocation still holds
-        if self._solved is None or cap_rate != self._solved[0]:
-            ranks, paths, link_caps = self._ranks, self._paths, self._link_caps
-            # looked up on the module per call: the perf ledger's tracer
-            # wraps these two names from outside
-            rate, load = model.solve_rates(cap_rate, ranks, paths, link_caps)
-            contention = model.classify_contention(
-                rate, cap_rate, ranks, paths, link_caps, load, _SAT_THRESHOLD
-            )
-            self._solved = (cap_rate, rate, contention)
-        return self._solved
+    def _split(self, g: _Group) -> None:
+        """Replace a group a completion may have disconnected by its
+        components (fresh groups: links only the finished flows crossed
+        are left naming ``g``, which is gone)."""
+        groups, link_group, flows = self._groups, self._link_group, g.flows
+        del groups[g]
+        for members in model.components([f.links for f in flows]):
+            part = _Group([flows[i] for i in members])
+            groups[part] = None
+            for f in part.flows:
+                f.group = part
+                for link in f.links:
+                    link_group[link] = part
+
+    def _allocate(self, now: int) -> str:
+        """Solve each group whose members or caps changed; returns the
+        segment's contention label, the most severe of the groups'.
+
+        Max-min filling never moves capacity between components, so every
+        group's ``rates`` equal a solve of all live flows at once, bit for bit
+        (docs/PERFORMANCE.md, "One solve per component").
+        """
+        groups, link_caps = self._groups, self._link_caps
+        for g in [g for g in groups if g.split]:
+            self._split(g)
+        worst = "none"
+        for g in groups:
+            flows = g.flows
+            # a freshly started flow's bytes only begin landing after one
+            # one-way delay; until its gate passes it holds no capacity,
+            # does not ramp, and its whole trajectory shifts by ~RTT/2
+            caps = [0.0 if f.gate_ns > now else f.cwnd / f.rtt for f in flows]
+            # same members, same caps (ceiling-bound or network-limited
+            # flows between two check boundaries): the last allocation holds
+            if caps != g.caps:
+                ranks = [f.rank for f in flows]
+                paths = [f.links for f in flows]
+                # looked up on the module per call: the perf ledger's tracer
+                # wraps these two names from outside
+                rates, load = model.solve_rates(caps, ranks, paths, link_caps)
+                g.label = model.classify_contention(
+                    rates, caps, ranks, paths, link_caps, load, _SAT_THRESHOLD
+                )
+                g.caps, g.rates = caps, rates
+            if _SEVERITY[g.label] > _SEVERITY[worst]:
+                worst = g.label
+        return worst
 
     def _fluid_run(self, until: int) -> None:
         """Advance in fluid segments until ``until`` or a regime exit."""
@@ -415,7 +492,9 @@ class HybridDriver:
                 sim.run(until=until if nxt is None or nxt >= until else nxt)
                 continue
             seg_start = sim.now
-            cap_rate, rate, contention = self._allocate(seg_start)
+            contention = self._allocate(seg_start)
+            # the exit hands back the previous segment's f.rate / f.cap, so
+            # this segment's are written only once it is known to run
             if self._should_exit(contention) and seg_start - self._fluid_entered >= _MIN_FLUID_NS:
                 self._exit_fluid("contention:" + contention)
                 return
@@ -425,18 +504,19 @@ class HybridDriver:
             # update once per RTT; a coarser explicit step would hold a
             # growing flow at its stale rate for several) and completion
             horizon = min(until, seg_start + _DT_MAX_NS)
-            for f, cap, r, rtt in zip(flows, cap_rate, rate, self._rtts):
-                f.rate = r
-                f.cap = cap
-                if f.gate_ns > seg_start:
-                    horizon = min(horizon, f.gate_ns)
-                elif r >= cap * 0.999 and f.cwnd < f.ceil:
-                    horizon = min(horizon, seg_start + max(int(rtt), 1))
-                if r > 0.0:
-                    left = f.sender.remaining_bytes - f.credit
-                    t_done = seg_start + int(left / r) + 1
-                    if t_done < horizon:
-                        horizon = t_done
+            for g in self._groups:
+                for f, cap, r in zip(g.flows, g.caps, g.rates):
+                    f.rate = r
+                    f.cap = cap
+                    if f.gate_ns > seg_start:
+                        horizon = min(horizon, f.gate_ns)
+                    elif r >= cap * 0.999 and f.cwnd < f.ceil:
+                        horizon = min(horizon, seg_start + max(int(f.rtt), 1))
+                    if r > 0.0:
+                        left = f.sender.remaining_bytes - f.credit
+                        t_done = seg_start + int(left / r) + 1
+                        if t_done < horizon:
+                            horizon = t_done
             if horizon <= seg_start:
                 horizon = seg_start + 1
             sim.run(until=horizon)  # fires timers; may admit new flows
@@ -484,8 +564,15 @@ class HybridDriver:
                 f.cwnd = min(f.cwnd + f.ramp * dt / f.sender.base_rtt, f.ceil)
         self.stats["fluid_bytes"] += delivered
         if done:
-            self._flows = [f for f in self._flows if not f.sender.completed]
-            self._dirty = True
+            live = []
+            for f in self._flows:
+                if f.sender.completed:
+                    g = f.group
+                    g.flows.remove(f)
+                    g.split = True
+                else:
+                    live.append(f)
+            self._flows = live
 
     # ------------------------------------------------------------------
     # handoff back to packets
@@ -532,9 +619,10 @@ class HybridDriver:
                 s.cc.fluid_sync(cwnd_out)
         self.phase = _PACKET
         self._flows = []
+        self._groups = {}
+        self._link_group = {}
         self._pending_admits = []
         self._held = []
-        self._dirty = True
         self._last_exit = now
         self.stats["fluid_ns"] += epoch_ns
         reasons = self.stats["exit_reasons"]

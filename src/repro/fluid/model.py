@@ -25,13 +25,18 @@ arithmetic.  The numpy solver this replaced is the oracle in
 they perform the same IEEE-754 operations in the same order.  The comments
 below mark the ordering rules that make it so; docs/PERFORMANCE.md ("The
 solver") states them as the contract and the differential test pins them.
+
+Capacity never moves between the connected :func:`components` of the
+flow–link graph, so solving each component on its own (members in ascending
+index) and scattering back is the same computation, bit for bit, as one
+solve of the whole set; the driver allocates per component.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["solve_rates", "classify_contention"]
+__all__ = ["solve_rates", "classify_contention", "components"]
 
 #: a flow is "network-limited" when its allocation sits measurably below
 #: its window-limited cap (i.e. a link, not the window, is the bottleneck)
@@ -181,3 +186,34 @@ def classify_contention(
                     else:
                         shared = True
     return "shared" if shared else "single"
+
+
+def components(flow_links: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Connected components of the flow–link graph, all ranks together.
+
+    Two flows are connected when they cross a common link.  Returns one list
+    of flow indices per component, members ascending, components ordered by
+    their smallest member; a flow with an empty path is a component alone.
+    """
+    parent = list(range(len(flow_links)))
+
+    def root(f: int) -> int:
+        while parent[f] != f:
+            parent[f] = f = parent[parent[f]]
+        return f
+
+    first: Dict[int, int] = {}  # link -> the first flow seen on it
+    for f, path in enumerate(flow_links):
+        rf = f  # root of f's set, kept in hand: the smaller root wins a union
+        for link in path:
+            g = first.setdefault(link, f)
+            if g != f:
+                rg = root(g)
+                if rg < rf:
+                    parent[rf] = rf = rg
+                elif rg > rf:
+                    parent[rg] = rf
+    groups: Dict[int, List[int]] = {}
+    for f in range(len(flow_links)):
+        groups.setdefault(root(f), []).append(f)
+    return list(groups.values())

@@ -1,9 +1,11 @@
 """Hybrid fluid/packet core: solver, laws, gating, parity and agreement."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,11 +18,12 @@ from repro.experiments.launch import run_until_flows_done
 from repro.experiments.modes import Mode
 from repro.experiments.paper_scale import PAPER_LONG_CFG, run_paper_scale
 from repro.fluid import FluidConfig, HybridDriver, model
+from repro.fluid.hybrid import _SAT_THRESHOLD, _FluidFlow
 from repro.fluid.laws import law_for
 from repro.fluid.model import classify_contention, solve_rates
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
-from repro.topology import fat_tree, star
+from repro.topology import fat_tree, paper_fabric, star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
 
@@ -177,6 +180,68 @@ def _solver_inputs(draw):
 @example(([0.98 * 17.3125], [0], [[0]], [17.3125]))
 def test_solver_matches_numpy_oracle_bit_for_bit(oracle, inputs):
     _assert_matches_oracle(oracle, *inputs)
+
+
+# ----------------------------------------------------------------------
+# one solve per component equals one solve of everything, bit for bit
+# ----------------------------------------------------------------------
+#: contention labels, least to most severe
+_LABEL_ORDER = ["none", "single", "shared", "priority"]
+
+
+def _solve_per_component(cap_rate, ranks, paths, link_cap):
+    """``(rates, link_load, label)`` composed from one solve per
+    ``model.components`` group, scattered back: the most severe label wins."""
+    rate = [None] * len(cap_rate)
+    load = {}
+    labels = ["none"]
+    for members in model.components(paths):
+        sub = [[column[i] for i in members] for column in (cap_rate, ranks, paths)]
+        sub_rate, sub_load = solve_rates(*sub, link_cap)
+        labels.append(classify_contention(sub_rate, *sub, link_cap, sub_load))
+        for i, r in zip(members, sub_rate):
+            rate[i] = r
+        assert not sub_load.keys() & load.keys()  # a link lies in one component
+        load.update(sub_load)
+    return rate, load, max(labels, key=_LABEL_ORDER.index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_solver_inputs())
+# three components: two ranks meet on link 0, one rank shares link 1 (listed
+# twice by flow 2), and an empty path
+@example(([10.0, 10.0, 10.0, 10.0, 0.5], [2, 1, 1, 1, 0], [[0], [0], [1, 1], [1], []], [1.0, 1.0]))
+# the tied-links example above, beside a component of its own
+@example(([0.1, 0.1, 5.0], [0, 0, 1], [[1, 1], [0, 0, 0, 1], [2]], [0.1, 0.1, 3.0]))
+def test_solving_per_component_equals_one_solve(inputs):
+    cap_rate, ranks, paths, link_cap = inputs
+    rate, load = solve_rates(cap_rate, ranks, paths, link_cap)
+    label = classify_contention(rate, cap_rate, ranks, paths, link_cap, load)
+    # ==, not approx: the same operations in the same order per link
+    assert _solve_per_component(cap_rate, ranks, paths, link_cap) == (rate, load, label)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_solver_inputs())
+def test_components_partition_the_flows_into_connected_groups(inputs):
+    paths = inputs[2]
+    comps = model.components(paths)
+    # every flow once; members ascending; groups ordered by smallest member
+    assert sorted(f for members in comps for f in members) == list(range(len(paths)))
+    assert all(members == sorted(members) for members in comps)
+    assert [members[0] for members in comps] == sorted(members[0] for members in comps)
+    for members in comps:
+        # no link crosses two groups, and each group is connected
+        outside = {link for f in range(len(paths)) if f not in members for link in paths[f]}
+        assert not outside & {link for f in members for link in paths[f]}
+        reached, frontier = {members[0]}, [members[0]]
+        while frontier:
+            links = set(paths[frontier.pop()])
+            for f in members:
+                if f not in reached and links & set(paths[f]):
+                    reached.add(f)
+                    frontier.append(f)
+        assert reached == set(members)
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +416,15 @@ def test_unknown_contention_policy_is_rejected():
         FluidConfig(exit_on_contention="sometimes")
 
 
+@pytest.mark.parametrize("every", [0, -50_000, 50_000.0, None])
+def test_check_interval_must_be_a_positive_int(every):
+    """A horizon of ``now + 0`` (or less) never advances the fluid loop, and
+    the drive loop used to spin on it forever."""
+    with pytest.raises(ValueError):
+        FluidConfig(check_every_ns=every)
+    assert FluidConfig(check_every_ns=1).check_every_ns == 1
+
+
 def test_prioplus_fluid_sync_resets_transition_state():
     from tests.helpers import FakeSender
 
@@ -399,6 +473,34 @@ def _midscale_world(n_flows, flow_bytes, stagger_ns):
     return sim, net, flows
 
 
+def _bulk_waves_world(waves=20, per_wave=8, flow_bytes=2_000_000, gap_ns=50_000):
+    """Waves of ``per_wave`` ~2 MB single-rank transfers on the 320-host
+    paper fabric, each host to the host half the fabric away (always across
+    the core).  Several waves overlap and hash onto different core links,
+    so the live flows fall into several connected components."""
+    sim = Simulator(7)
+    rng = random.Random(42)
+    net, hosts = paper_fabric(sim)
+    channels = ChannelConfig(n_priorities=1)
+    half = len(hosts) // 2
+    wave_span_ns = int(flow_bytes * 8e9 / 100e9) + gap_ns
+    flows = []
+    for w in range(waves):
+        for j in range(per_wave):
+            slot = (w * per_wave + j) % half
+            size = flow_bytes + rng.randrange(-flow_bytes // 100, flow_bytes // 100 + 1)
+            f = Flow(
+                len(flows) + 1, hosts[slot], hosts[half + slot], size,
+                vpriority=1, start_ns=w * wave_span_ns,
+            )
+            cc = PrioPlusCC(
+                Swift(SwiftParams(target_scaling=False)), channels, vpriority=1, probe_first=False
+            )
+            FlowSender(sim, net, f, cc, rto_ns=10**10)
+            flows.append(f)
+    return sim, net, flows
+
+
 def test_hybrid_on_fat_tree_mixed_ranks_completes():
     """Cross-rank contention forces exits; results stay sane end-to-end."""
     sim, net, flows = _midscale_world(6, 300_000, 150_000)
@@ -437,52 +539,146 @@ def test_hybrid_midscale_agreement():
 
 
 # ----------------------------------------------------------------------
-# one solve per segment at most, and a reused allocation is the fresh one
+# one solve per component, and only where members or caps moved; the rates
+# in force are always those of one fresh solve of every live flow
 # ----------------------------------------------------------------------
 def _count_solves(world, monkeypatch):
-    """Run ``world`` hybrid; returns ``(segments, solves)``, checking on every
-    segment that the allocation in force is what a fresh solve returns."""
+    """Run ``world`` hybrid; returns per-segment sums of live flows, of flows
+    solved (the sizes of the groups solved) and of connected components of
+    the live set, checking on every segment that the groups are exactly
+    those components and that the rates and label in force ``==`` one
+    monolithic solve of the whole live set."""
     sim, net, flows = world
     driver = HybridDriver(sim, net)
-    fresh_solve = model.solve_rates
-    counts = {"segments": 0, "solves": 0}
+    fresh_solve, fresh_classify = model.solve_rates, model.classify_contention
+    counts = dict.fromkeys(("segments", "live", "solved", "components"), 0)
 
-    def counting_solve(*args):  # wrapped from outside, as the ledger's tracer does
-        counts["solves"] += 1
-        return fresh_solve(*args)
+    def counting_solve(cap_rate, *args):  # wrapped from outside, as the ledger's tracer does
+        counts["solved"] += len(cap_rate)
+        return fresh_solve(cap_rate, *args)
 
     allocate = driver._allocate
 
     def checked_allocate(now):
-        counts["segments"] += 1
-        cap_rate, rate, contention = allocate(now)
-        live = driver._flows
-        want_caps = [0.0 if f.gate_ns > now else f.cwnd / f.sender.base_rtt for f in live]
-        want_rate, _ = fresh_solve(
-            want_caps, [f.rank for f in live], [f.links for f in live], driver._link_caps
+        contention = allocate(now)
+        live, link_caps = driver._flows, driver._link_caps
+        caps = [0.0 if f.gate_ns > now else f.cwnd / f.sender.base_rtt for f in live]
+        ranks, paths = [f.rank for f in live], [f.links for f in live]
+        rate, load = fresh_solve(caps, ranks, paths, link_caps)
+        groups = driver._groups
+        pos = {f: i for i, f in enumerate(live)}
+        comps = model.components(paths)
+        assert sorted([pos[f] for f in g.flows] for g in groups) == comps
+        held = sorted(
+            (pos[f], cap, r) for g in groups for f, cap, r in zip(g.flows, g.caps, g.rates)
         )
-        assert cap_rate == want_caps
-        assert rate == want_rate
-        return cap_rate, rate, contention
+        assert held == list(zip(range(len(live)), caps, rate))
+        want = fresh_classify(rate, caps, ranks, paths, link_caps, load, _SAT_THRESHOLD)
+        assert contention == want
+        counts["segments"] += 1
+        counts["live"] += len(live)
+        counts["components"] += len(comps)
+        return contention
 
     monkeypatch.setattr(model, "solve_rates", counting_solve)
     monkeypatch.setattr(driver, "_allocate", checked_allocate)
     assert run_until_flows_done(sim, flows, 10_000_000_000, driver=driver)
     assert driver.stats["fluid_epochs"] >= 1
-    return counts["segments"], counts["solves"]
+    return counts
 
 
 def test_solves_never_exceed_segments_midscale(monkeypatch):
-    segments, solves = _count_solves(_midscale_world(6, 400_000, 400_000), monkeypatch)
-    assert 0 < solves <= segments
+    counts = _count_solves(_midscale_world(6, 400_000, 400_000), monkeypatch)
+    assert 0 < counts["solved"] <= counts["live"]
 
 
 def test_unchanged_inputs_reuse_the_last_allocation(monkeypatch):
     """Staggered single-rank bulk flows sit against their window ceiling:
     between two check boundaries they re-present the same cap rates on the
     same flow set, and those segments must not solve again."""
-    segments, solves = _count_solves(_star_world(5, 300_000, 600_000), monkeypatch)
-    assert 0 < solves < segments
+    counts = _count_solves(_star_world(5, 300_000, 600_000), monkeypatch)
+    assert 0 < counts["solved"] < counts["live"]
+
+
+def test_bulk_waves_split_into_components(monkeypatch):
+    """The golden ``bulk_waves`` world exercises the split: on average a
+    segment's live flows form at least two components, and far fewer flows
+    are solved than are live."""
+    counts = _count_solves(_bulk_waves_world(), monkeypatch)
+    assert counts["components"] >= 2 * counts["segments"]
+    assert counts["solved"] < counts["live"] / 2
+
+
+def _bare_driver(n_links):
+    """A driver whose groups are driven by hand: ``absorb(*links)`` adds one
+    window-limited flow with that path (unit link capacities)."""
+    sim = Simulator(1)
+    net, _, _ = star(sim, 2, rate_bps=10e9, link_delay_ns=1_000)
+    driver = HybridDriver(sim, net)
+    driver._link_caps = [1.0] * n_links
+
+    def absorb(*links):
+        sender = SimpleNamespace(base_rtt=8_000, completed=False)
+        flow = _FluidFlow(sender, list(links), 0, 800.0, 0.0, 800.0)
+        driver._flows.append(flow)
+        driver._join(flow)
+        return flow
+
+    return driver, absorb
+
+
+def _group_members(driver):
+    """Each group as positions in ``driver._flows``, in the group's order."""
+    pos = {f: i for i, f in enumerate(driver._flows)}
+    return sorted([pos[f] for f in g.flows] for g in driver._groups)
+
+
+def test_admission_bridging_groups_merges_them_in_absorb_order():
+    driver, absorb = _bare_driver(8)
+    for path in ([0, 1], [5], [1, 2], [6], [5, 4], [7]):
+        absorb(*path)
+    assert _group_members(driver) == [[0, 2], [1, 4], [3], [5]]
+    absorb(2, 6, 5)  # bridges the first three groups; [7] stays apart
+    assert _group_members(driver) == [[0, 1, 2, 3, 4, 6], [5]]
+    assert all(f.group is g for g in driver._groups for f in g.flows)
+    absorb(4)  # a link of a merged-away group, off the bridge's path
+    assert _group_members(driver) == [[0, 1, 2, 3, 4, 6, 7], [5]]
+
+
+def test_completion_that_disconnects_a_group_splits_it(monkeypatch):
+    driver, absorb = _bare_driver(8)
+    solved = []  # sizes of the groups solved
+    solve = model.solve_rates
+
+    def counting_solve(cap_rate, *args):
+        solved.append(len(cap_rate))
+        return solve(cap_rate, *args)
+
+    monkeypatch.setattr(model, "solve_rates", counting_solve)
+    left, bridge, right, other = absorb(0), absorb(0, 1, 2), absorb(1), absorb(4)
+    driver._allocate(driver.sim.now)
+    assert _group_members(driver) == [[0, 1, 2], [3]]
+    assert sorted(solved) == [1, 3]
+
+    bridge.sender.completed = True
+    driver._credit(1)
+    # removed at once, marked, and re-split before the next solve
+    assert _group_members(driver) == [[0, 1], [2]]
+    assert sorted(g.split for g in driver._groups) == [False, True]
+    solved.clear()
+    driver._allocate(driver.sim.now)
+    assert _group_members(driver) == [[0], [1], [2]]
+    assert solved == [1, 1]  # the two halves; `other` kept its allocation
+    assert len({left.group, right.group, other.group}) == 3
+
+    # a cap that moves re-solves only its own group
+    solved.clear()
+    other.cwnd = 400.0
+    driver._allocate(driver.sim.now)
+    assert solved == [1] and other.group.caps == [400.0 / 8_000]
+    # link 2 was the finished flow's alone: a flow there joins nobody
+    absorb(2)
+    assert _group_members(driver) == [[0], [1], [2], [3]]
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +698,7 @@ def _hybrid_point(world, deadline_ns):
 
 _LONG_20MS_CFG = FlowSchedConfig(**dict(PAPER_LONG_CFG, duration_ns=20_000_000))
 
-#: the four golden worlds, each a thunk that builds, runs and reports
+#: the five golden worlds, each a thunk that builds, runs and reports
 _HYBRID_WORLDS = {
     "star": lambda: _hybrid_point(_star_world(3, 200_000, 150_000), 2_000_000_000),
     "midscale": lambda: _hybrid_point(_midscale_world(6, 400_000, 400_000), 10_000_000_000),
@@ -512,6 +708,7 @@ _HYBRID_WORLDS = {
     "paper_long_20ms": lambda: run_paper_scale(
         Mode.PRIOPLUS, 8, _LONG_20MS_CFG, streaming=True
     ),
+    "bulk_waves": lambda: _hybrid_point(_bulk_waves_world(), 100_000_000),
 }
 
 
@@ -520,7 +717,7 @@ def _hybrid_canonical():
 
 
 def test_hybrid_runs_match_committed_golden_results():
-    """Per-flow FCTs, clock, event count and every driver counter of four
+    """Per-flow FCTs, clock, event count and every driver counter of five
     hybrid worlds, byte for byte.
 
     ``tests/golden/hybrid_results.json`` was first written at d78b1bc, when
@@ -529,8 +726,10 @@ def test_hybrid_runs_match_committed_golden_results():
     regenerated once since, when packet phases stopped ending on the
     ``check_every_ns`` grid and started ending when the fabric goes quiet
     (every world enters fluid earlier; CHANGES.md PR 21 has the per-world
-    diff).  Regenerate (only for a *deliberate* change of the fluid model or
-    of when the regimes switch) with
+    diff).  ``bulk_waves``, the one world whose live set splits into several
+    components, was written by the monolithic solve at 3e68ed8 and holds
+    under the per-component one.  Regenerate (only for a *deliberate* change
+    of the fluid model or of when the regimes switch) with
     ``HYBRID_GOLDEN_PATH.write_text(_hybrid_canonical())``.
     """
     expected = HYBRID_GOLDEN_PATH.read_text()
