@@ -2,19 +2,16 @@
 
 from repro.experiments.modes import Mode
 from repro.experiments.fig12_coflow import ci_config_kwargs, coflow_spec
-from repro.experiments.fig16_ack_hpcc import _run_fig16
-from repro.experiments.flowsched import FlowSchedConfig
 from repro.experiments.registry import FunctionExperiment, get_experiment
 from repro.experiments.report import format_table
 from repro.runner import run_experiment
 
 
 def test_fig16_ack_priority_and_hpcc(benchmark):
-    cfg = FlowSchedConfig(rate_bps=100e9, duration_ns=400_000, size_scale=0.1)
-    results = benchmark.pedantic(
-        _run_fig16, kwargs={"n_priorities": 8, "cfg": cfg}, rounds=1, iterations=1
+    result = benchmark.pedantic(
+        run_experiment, args=(get_experiment("fig16"),), rounds=1, iterations=1
     )
-    by_mode = {r["mode"]: r for r in results}
+    by_mode = {r["mode"]: r for r in result["rows"]}
     rows = [
         [m, round(r["fct"]["all"]["mean_us"], 1), round(r["fct"]["all"]["p99_us"], 1)]
         for m, r in by_mode.items()

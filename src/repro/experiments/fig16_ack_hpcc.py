@@ -13,23 +13,13 @@ keep queues empty, starving medium/large flows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-from .flowsched import FlowSchedConfig, grid_spec, run_flowsched
+from .flowsched import grid_spec
 from .modes import Mode
 from .registry import FunctionExperiment, register
 
 __all__ = ["FIG16_MODES"]
 
 FIG16_MODES = (Mode.PRIOPLUS, Mode.PRIOPLUS_SAME_ACK, Mode.HPCC)
-
-
-def _run_fig16(
-    n_priorities: int = 8,
-    modes: Sequence[str] = FIG16_MODES,
-    cfg: Optional[FlowSchedConfig] = None,
-) -> List[Dict[str, object]]:
-    return [run_flowsched(mode, n_priorities, cfg) for mode in modes]
 
 
 register(

@@ -4,12 +4,15 @@ The :class:`HybridDriver` wraps the packet-level DES and alternates two
 regimes per epoch:
 
 **packet** — the simulator runs exactly as without the driver.  After a
-fluid exit it runs straight through the ``_MIN_PACKET_NS`` hysteresis
-floor; from then on it is stepped on the ``_DRAIN_STEP_NS`` grid and the
-*quiescence predicate* is evaluated after every step: fabric backlog below
-a threshold, no PFC pause asserted, and no flow inside a PrioPlus
-transition window (stopped / probe outstanding / ``consec > 0``) or loss
-recovery.  A packet phase therefore lasts as long as the fabric is busy,
+fluid exit it runs straight through the hysteresis floor in force.  The
+floor is short (``_MIN_PACKET_NS``) and backs off: a contention exit from an
+epoch shorter than ``_SHORT_EPOCH_NS``, or a drain failure, doubles it up to
+``_MAX_PACKET_NS``, so persistent contention is not re-entered every few
+tens of µs; any other exit resets it.  Past the floor the phase is stepped
+on the ``_DRAIN_STEP_NS`` grid and the *quiescence predicate* is evaluated
+after every step: fabric backlog below a threshold, no PFC pause asserted,
+and no flow inside a PrioPlus transition window (stopped / probe
+outstanding / ``consec > 0``) or loss recovery.  A packet phase therefore lasts as long as the fabric is busy,
 not until a polling boundary.
 
 **drain → fluid** — when the predicate holds, every active sender is
@@ -70,8 +73,14 @@ _DRAIN_TIMEOUT_SLACK_NS = 20_000
 #: the one packet-side step: DES chunk between "quiet?" checks in a packet
 #: phase and between "drained?" checks while draining
 _DRAIN_STEP_NS = 5_000
-#: hysteresis: stay in packet mode this long after a fluid exit
-_MIN_PACKET_NS = 100_000
+#: hysteresis: after a fluid exit stay in packet mode at least the floor in
+#: force (``HybridDriver._floor_ns``), which starts and resets at this base
+_MIN_PACKET_NS = 15_000
+#: a contention exit (or drain failure) from an epoch shorter than this
+#: doubles the next floor: the contention outlived the last one
+_SHORT_EPOCH_NS = 100_000
+#: the floor backs off no further than this
+_MAX_PACKET_NS = 800_000
 #: hysteresis: don't exit a fluid epoch before this (deadline wins)
 _MIN_FLUID_NS = 20_000
 #: a link loaded past this share of its capacity counts as saturated
@@ -183,6 +192,7 @@ class HybridDriver:
         self._held: List = []
         self._fluid_entered = 0
         self._last_exit = -(1 << 62)
+        self._floor_ns = _MIN_PACKET_NS  # the packet-phase floor in force
         self.stats = {
             "fluid_epochs": 0,
             "fluid_ns": 0,
@@ -224,7 +234,7 @@ class HybridDriver:
                 # hysteresis: a check before the floor could only say no, so
                 # run straight to it; past it, ask on the drain grid — resumed
                 # flows are back at line rate, the expensive way to wait
-                floor = self._last_exit + _MIN_PACKET_NS
+                floor = self._last_exit + self._floor_ns
                 until = floor if sim.now < floor else sim.now + _DRAIN_STEP_NS
                 sim.run(until=min(until, hard_deadline_ns))
                 if sim.now >= hard_deadline_ns or done():
@@ -309,6 +319,7 @@ class HybridDriver:
                 self._held = []
                 self.stats["drain_failures"] += 1
                 self._last_exit = sim.now
+                self._back_off(True)
                 return False
             sim.run(until=min(sim.now + _DRAIN_STEP_NS, deadline))
         self._enter_fluid(held)
@@ -594,6 +605,12 @@ class HybridDriver:
         else:
             s.fluid_release()
 
+    def _back_off(self, short: bool) -> None:
+        """Set the floor of the packet phase that starts now: doubled (up to
+        ``_MAX_PACKET_NS``) after a ``short`` try at fluid — the contention
+        outlived the last floor — else back to the base."""
+        self._floor_ns = min(2 * self._floor_ns, _MAX_PACKET_NS) if short else _MIN_PACKET_NS
+
     def _exit_fluid(self, reason: str) -> None:
         sim = self.sim
         now = sim.now
@@ -624,6 +641,7 @@ class HybridDriver:
         self._pending_admits = []
         self._held = []
         self._last_exit = now
+        self._back_off(reason.startswith("contention") and epoch_ns < _SHORT_EPOCH_NS)
         self.stats["fluid_ns"] += epoch_ns
         reasons = self.stats["exit_reasons"]
         reasons[reason] = reasons.get(reason, 0) + 1

@@ -29,16 +29,12 @@ private copy while callers holding the original sink see nothing, which
 reads as silent data loss.  Snapshotting such a world raises
 :class:`SnapshotHookError` naming the live sinks; pass ``allow_hooks=True``
 to copy them anyway (each fork gets a probe over independent deep-copied
-sinks — the right call when the fork *should* record into its own buffers,
-as :mod:`repro.tune` environments do).
+sinks — the right call when the fork *should* record into its own buffers).
 
-This is also the cheap ``reset()`` path ROADMAP item 3 asks for: snapshot
-a freshly-built topology once, then materialise per run instead of
-rebuilding hosts/switches/routes from scratch.
-
-Uses for the hybrid fluid core (:mod:`repro.fluid`): epoch boundaries can
-be checkpointed so a fluid epoch whose tolerance check fails could be
-replayed at packet level from the handoff point.
+Nothing in ``repro`` snapshots a world yet.  The intended consumer is the
+hybrid fluid core (:mod:`repro.fluid`): a world checkpointed at a fluid
+epoch's entry can be replayed at packet level from the same instant, which
+measures that epoch's error against a packet twin (ROADMAP item 8).
 """
 
 from __future__ import annotations

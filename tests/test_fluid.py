@@ -746,17 +746,18 @@ def test_hybrid_runs_match_committed_golden_results():
 # ----------------------------------------------------------------------
 def test_packet_phase_ends_when_the_fabric_goes_quiet():
     """After a fluid exit the driver asks "quiet?" first at the hysteresis
-    floor, then on the drain grid, and parks the senders within one step of
-    the first grid instant past the floor at which the predicate holds — not
-    at a polling boundary.
+    floor in force for that phase, then on the drain grid, and parks the
+    senders within one step of the first grid instant past the floor at
+    which the predicate holds — not at a polling boundary.
 
     The test evaluates the predicate itself, from a timer chain on the same
     grid started at each floor, and compares with what the driver did."""
-    from repro.fluid.hybrid import _DRAIN_STEP_NS, _MIN_PACKET_NS
+    from repro.fluid.hybrid import _DRAIN_STEP_NS
     from repro.probe import installed
 
     exits = []  # fluid → packet instants
     entries = []  # packet → fluid instants
+    floors = {}  # exit instant → the floor in force for the phase it opened
     first_quiet = {}  # exit instant → first grid instant past the floor the predicate held
     asked = []  # (instant, answer) of every _quiescent() the driver made
 
@@ -774,7 +775,8 @@ def test_packet_phase_ends_when_the_fabric_goes_quiet():
                 entries.append(now)
             else:
                 exits.append(now)
-                sim.at(now + _MIN_PACKET_NS, watch, now)
+                floors[now] = driver._floor_ns
+                sim.at(now + driver._floor_ns, watch, now)
 
     with installed(Regimes()):
         sim, net, flows = _midscale_world(12, 1_000_000, 50_000)
@@ -793,8 +795,9 @@ def test_packet_phase_ends_when_the_fabric_goes_quiet():
 
     followed = list(zip(exits, entries[1:]))  # entries[0] opened the first epoch
     assert len(followed) >= 2
+    assert len({floors[exit_ns] for exit_ns, _ in followed}) >= 2  # the floor moved
     for exit_ns, entry_ns in followed:
-        floor = exit_ns + _MIN_PACKET_NS
+        floor = exit_ns + floors[exit_ns]
         phase = [(t, yes) for t, yes in asked if exit_ns < t <= entry_ns]
         # never asked before the floor, first asked exactly at it, then on
         # the grid; the one yes is the last: the senders are held there and
@@ -803,6 +806,49 @@ def test_packet_phase_ends_when_the_fabric_goes_quiet():
         assert all(b - a == _DRAIN_STEP_NS for (a, _), (b, _) in zip(phase, phase[1:]))
         assert [yes for _, yes in phase] == [False] * (len(phase) - 1) + [True]
         assert floor <= first_quiet[exit_ns] <= phase[-1][0] <= first_quiet[exit_ns] + _DRAIN_STEP_NS
+
+
+def test_packet_floor_backs_off_after_short_contention_epochs(monkeypatch):
+    """On ``midscale_contended`` each contention exit from an epoch shorter
+    than ``_SHORT_EPOCH_NS`` doubles the floor, which then holds at the cap;
+    the long last epoch (ended when every flow is done) resets it."""
+    from repro.fluid import hybrid
+
+    base, cap = hybrid._MIN_PACKET_NS, 4 * hybrid._MIN_PACKET_NS
+    monkeypatch.setattr(hybrid, "_MAX_PACKET_NS", cap)
+    sim, net, flows = _midscale_world(12, 1_000_000, 50_000)
+    driver = HybridDriver(sim, net)
+    exits = []  # per fluid exit: (reason, epoch length, floor before, floor after)
+    exit_fluid = driver._exit_fluid
+
+    def recording_exit(reason):
+        before, entered = driver._floor_ns, driver._fluid_entered
+        exit_fluid(reason)
+        exits.append((reason, sim.now - entered, before, driver._floor_ns))
+
+    driver._exit_fluid = recording_exit
+    assert run_until_flows_done(sim, flows, 10_000_000_000, driver=driver)
+    assert driver.stats["drain_failures"] == 0
+    for reason, epoch_ns, before, after in exits:
+        short = reason.startswith("contention") and epoch_ns < hybrid._SHORT_EPOCH_NS
+        assert after == (min(2 * before, cap) if short else base)
+    assert [after for _, _, _, after in exits][:3] == [2 * base, cap, cap]
+    reason, epoch_ns, before, after = exits[-1]
+    assert epoch_ns >= hybrid._SHORT_EPOCH_NS and before == cap and after == base
+
+
+def test_midscale_contended_mean_fct_against_its_packet_twin():
+    """Persistent two-rank contention: re-entering fluid every ~20 µs made
+    the hybrid mean FCT read +25.6 % against the packet twin under a fixed
+    100 µs floor (+58 % under a fixed 25 µs one); the back-off must keep it
+    below that."""
+    sim_p, _, flows_p = _midscale_world(12, 1_000_000, 50_000)
+    _run_packet(sim_p, flows_p, deadline=10_000_000_000)
+    result = _HYBRID_WORLDS["midscale_contended"]()
+    packet_mean = sum(f.fct_ns() for f in flows_p) / len(flows_p)
+    hybrid_mean = sum(result["fct_ns"]) / len(result["fct_ns"])
+    assert all(f.done for f in flows_p)
+    assert hybrid_mean / packet_mean - 1 < 0.25
 
 
 @pytest.mark.parametrize("world", sorted(_HYBRID_WORLDS))
