@@ -5,7 +5,6 @@ from .streaming import P2Quantile, StreamingStats
 from .export import flatten_result, write_rows_csv, write_series_csv
 from .convergence import jain_index, stability, time_to_share, utilization
 from .switch_chips import SWITCH_CHIPS, buffer_bandwidth_ratios
-from .trace import PfcLogger, PortTracer, occupancy_stats
 from .theory import (
     channel_width_ns,
     linear_start_is_optimal,
@@ -33,9 +32,6 @@ __all__ = [
     "time_to_share",
     "utilization",
     "stability",
-    "PortTracer",
-    "PfcLogger",
-    "occupancy_stats",
     "start_strategy_costs",
     "potential_backlog",
     "linear_start_is_optimal",

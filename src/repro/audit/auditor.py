@@ -280,8 +280,9 @@ class Auditor:
         # "switch3.p2" / "host0.nic" -> owning node name
         return port_name.rsplit(".", 1)[0] if "." in port_name else port_name
 
-    def pfc_signal(
-        self, t: int, switch: str, upstream: str, in_idx: int, prio: int, paused: bool
+    def pfc(
+        self, t: int, switch: str, upstream: str, in_idx: int, prio: int, paused: bool,
+        backlog_bytes: int,
     ) -> None:
         """One PAUSE/RESUME emission by ``switch`` against ingress ``in_idx``."""
         self._count("pfc_causality")

@@ -75,10 +75,6 @@ class ChannelInspector:
             raise ValueError(f"window_ns must be >= 1, got {window_ns}")
         self.window_ns = window_ns
         self.flows: Dict[int, _FlowRecord] = {}
-        #: global transition log in simulation order: (t, flow_id, state)
-        self.transitions: List[Tuple[int, int, str]] = []
-        #: global CC-event log in simulation order: (t, flow_id, kind)
-        self.cc_events: List[Tuple[int, int, str]] = []
         #: (flow_id, window_index) -> acked bytes in that window
         self._bins: Dict[Tuple[int, int], int] = {}
         self.max_ts = 0
@@ -114,14 +110,12 @@ class ChannelInspector:
         if t > self.max_ts:
             self.max_ts = t
         self._flow(flow_id).transitions.append((t, state))
-        self.transitions.append((t, flow_id, state))
 
     def cc_event(self, t: int, flow_id: int, kind: str) -> None:
         if t > self.max_ts:
             self.max_ts = t
         counts = self._flow(flow_id).cc_counts
         counts[kind] = counts.get(kind, 0) + 1
-        self.cc_events.append((t, flow_id, kind))
 
     def probe_rejected(self, t: int, flow_id: int) -> None:
         self.cc_event(t, flow_id, "probe_rejected")
@@ -243,7 +237,7 @@ class ChannelInspector:
             "flows": flows,
             "occupancy": occupancy,
             "inversions": self.inversions(),
-            "transition_count": len(self.transitions),
+            "transition_count": sum(len(r.transitions) for r in self.flows.values()),
             "max_ts": self.max_ts,
         }
 

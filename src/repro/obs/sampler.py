@@ -16,8 +16,9 @@ and counted, so long runs can't exhaust memory) and export as CSV or JSONL.
 from __future__ import annotations
 
 import json
+from collections import deque
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..probe import installed
 
@@ -27,19 +28,16 @@ __all__ = ["TimeSeriesSampler", "sample_scope"]
 class _Ring:
     """Append-only bounded ring; keeps the most recent ``capacity`` rows."""
 
-    __slots__ = ("capacity", "rows", "dropped", "_start")
+    __slots__ = ("capacity", "rows", "dropped")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.rows: List[dict] = []
+        self.rows: Deque[dict] = deque(maxlen=capacity)
         self.dropped = 0
-        self._start = 0  # logical index of rows[0] within the full series
 
     def append(self, row: dict) -> None:
-        if len(self.rows) >= self.capacity:
-            self.rows.pop(0)
-            self.dropped += 1
-            self._start += 1
+        if len(self.rows) == self.capacity:
+            self.dropped += 1  # the deque evicts the oldest row itself
         self.rows.append(row)
 
     def __len__(self) -> int:

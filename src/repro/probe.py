@@ -63,8 +63,7 @@ EVENTS = {
     # shared buffer + PFC
     "buffer": "(t, buf, from_headroom, delta_bytes)",
     "buffer_drop": "(t, switch, size, priority, reason)",
-    "pfc": "(t, switch, in_idx, prio, paused, backlog_bytes)",
-    "pfc_signal": "(t, switch, upstream_port, in_idx, prio, paused)",
+    "pfc": "(t, switch, upstream_port, in_idx, prio, paused, backlog_bytes)",
     "pfc_backlog": "(t, key, backlog_bytes)",
     # transport + PrioPlus
     "flow_state": "(t, flow_id, state, sender)",

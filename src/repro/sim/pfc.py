@@ -72,6 +72,7 @@ class PfcIngressState:
         self.bytes = 0
         self.pause_sent = False
         #: callable(paused: bool) delivering PAUSE/RESUME to the upstream port
+        #: (the switch's sender is also where the ``pfc`` probe event fires)
         self.send_signal = send_signal
         self.pauses_sent = 0
         self.resumes_sent = 0
@@ -103,8 +104,6 @@ class PfcIngressState:
         if self.bytes > xoff:
             self.pause_sent = True
             self.pauses_sent += 1
-            if p.on:
-                p.pfc(self.sim.now, self.key[0], self.key[1], self.key[2], True, self.bytes)
             self.send_signal(True)
 
     def on_dequeue(self, size: int) -> None:
@@ -117,6 +116,4 @@ class PfcIngressState:
         if self.pause_sent and self.bytes <= min(self.cfg.xon_bytes, self._xoff()):
             self.pause_sent = False
             self.resumes_sent += 1
-            if p.on:
-                p.pfc(self.sim.now, self.key[0], self.key[1], self.key[2], False, self.bytes)
             self.send_signal(False)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .buffer import SharedBuffer
 from .engine import Simulator
@@ -95,7 +95,6 @@ class Switch:
         "reboots",
         "drops",
         "forwarded",
-        "pfc_listeners",
         "probe",
     )
 
@@ -127,12 +126,6 @@ class Switch:
         self.reboots = 0
         self.drops = 0
         self.forwarded = 0
-        #: observers called as ``cb(time_ns, in_idx, prio, paused)`` whenever a
-        #: PFC PAUSE/RESUME signal is emitted.  The list is consulted at signal
-        #: time, so listeners may register at any point — including after
-        #: traffic has started (unlike the old ``_make_signal_sender``
-        #: monkey-patching, which silently missed already-created state).
-        self.pfc_listeners: List[Callable[[int, int, int, bool], None]] = []
         self.probe = sim.probe
         if self.probe.on:
             self.probe.register("switch", self)
@@ -353,18 +346,17 @@ class Switch:
         def send(paused: bool) -> None:
             p = self.probe
             if p.on:
-                p.pfc_signal(
+                # every PAUSE/RESUME leaves through here, the reboot's too;
+                # the sending state machine is still in ``_pfc`` at this point
+                p.pfc(
                     self.sim.now,
                     self.name,
                     upstream.name if upstream is not None else None,
                     in_idx,
                     prio,
                     paused,
+                    self._pfc[in_idx * self._nq + prio].bytes,
                 )
-            if self.pfc_listeners:
-                now = self.sim.now
-                for cb in self.pfc_listeners:
-                    cb(now, in_idx, prio, paused)
             if upstream is not None:
                 self.sim.after(delay, upstream.set_paused, prio, paused)
 

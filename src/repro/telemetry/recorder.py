@@ -35,7 +35,7 @@ regime     ``(t, mode, reason, n_flows)`` — hybrid-core regime switches
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..probe import current
 from ..sim.packet import PROBE
@@ -69,21 +69,10 @@ class Recorder:
     events:
         Keep per-channel event lists (required for trace export).  Disable
         to collect aggregate metrics only, at much lower memory cost.
-    channels:
-        Optional subset of :data:`CHANNELS` to record; ``None`` means all.
-        Filtering happens inside the recorder, so hook sites stay branchless.
     """
 
-    def __init__(self, events: bool = True, channels: Optional[Iterable[str]] = None):
+    def __init__(self, events: bool = True):
         self.keep_events = events
-        if channels is None:
-            chans: FrozenSet[str] = frozenset(CHANNELS)
-        else:
-            chans = frozenset(channels)
-            unknown = chans - set(CHANNELS)
-            if unknown:
-                raise ValueError(f"unknown telemetry channels: {sorted(unknown)}")
-        self.channels = chans
         #: channel name -> list of event tuples (see module docstring)
         self.events: Dict[str, List[tuple]] = {ch: [] for ch in CHANNELS}
         self.metrics = MetricsRegistry()
@@ -111,16 +100,12 @@ class Recorder:
     # typed channels (probe event handlers, plus the writers they share)
     # ------------------------------------------------------------------
     def flow_state(self, t: int, flow_id: int, state: str, sender=None) -> None:
-        if "flow_state" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["flow_state"].append((t, flow_id, state))
         self.metrics.counter(f"flow_state.{state}").inc()
 
     def cwnd_update(self, t: int, flow_id: int, cwnd_bytes: float, delay_ns: int) -> None:
-        if "cwnd" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["cwnd"].append((t, flow_id, cwnd_bytes, delay_ns))
@@ -128,8 +113,6 @@ class Recorder:
         self._h_cwnd.observe(cwnd_bytes)
 
     def probe(self, t: int, flow_id: int, kind: str) -> None:
-        if "probe" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["probe"].append((t, flow_id, kind))
@@ -146,32 +129,29 @@ class Recorder:
             self.probe(t, pkt.flow_id, "send")
 
     def cc_event(self, t: int, flow_id: int, kind: str) -> None:
-        if "cc" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["cc"].append((t, flow_id, kind))
         self.metrics.counter(f"cc.{kind}").inc()
 
     def ecn_mark(self, t: int, port: str, queue: int) -> None:
-        if "ecn" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["ecn"].append((t, port, queue))
         self._c_ecn.inc()
 
-    def pfc(self, t: int, switch: str, in_idx: int, prio: int, paused: bool, backlog: int) -> None:
-        if "pfc" not in self.channels:
-            return
+    def pfc(
+        self, t: int, switch: str, upstream_port, in_idx: int, prio: int, paused: bool,
+        backlog: int,
+    ) -> None:
+        """One PAUSE/RESUME; ``upstream_port`` feeds the auditor's wait
+        graph and is not part of the channel tuple."""
         self._note(t)
         if self.keep_events:
             self.events["pfc"].append((t, switch, in_idx, prio, paused, backlog))
         (self._c_pause if paused else self._c_resume).inc()
 
     def queue_depth(self, t: int, port: str, queue: int, qbytes: int, total: int) -> None:
-        if "queue" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["queue"].append((t, port, queue, qbytes, total))
@@ -190,16 +170,12 @@ class Recorder:
         self.link(t, port, True)
 
     def link(self, t: int, port: str, busy: bool) -> None:
-        if "link" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["link"].append((t, port, busy))
 
     def buffer(self, t: int, buf, from_headroom: bool, delta: int) -> None:
         """``buf``'s occupancy after an admit/release of ``delta`` bytes."""
-        if "buffer" not in self.channels:
-            return
         if buf.sim is None:
             raise RuntimeError(
                 "SharedBuffer reports to a live recorder but has no clock or "
@@ -230,8 +206,6 @@ class Recorder:
         ``switch_reboot`` / ``pfc_storm``), ``target`` the affected link or
         node, ``phase`` one of ``inject`` / ``clear`` / ``reconverge``.
         """
-        if "fault" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["fault"].append((t, kind, target, phase))
@@ -243,8 +217,6 @@ class Recorder:
         """One rejected packet; ``reason`` matches the audit ledger's taxonomy
         (``buffer_shared`` / ``buffer_headroom`` / ``switch_dead`` /
         ``blackhole``)."""
-        if "drop" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["drop"].append((t, switch, size, priority, reason))
@@ -254,8 +226,6 @@ class Recorder:
 
     def audit_violation(self, t: int, invariant: str, message: str) -> None:
         """One invariant violation surfaced by :mod:`repro.audit` (warn mode)."""
-        if "audit" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["audit"].append((t, invariant, message))
@@ -269,8 +239,6 @@ class Recorder:
         ``"contention:..."``, ``"deadline"``, ...), ``n_flows`` the number of
         flows handed across the boundary.
         """
-        if "regime" not in self.channels:
-            return
         self._note(t)
         if self.keep_events:
             self.events["regime"].append((t, mode, reason, n_flows))

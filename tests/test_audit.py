@@ -179,22 +179,22 @@ def test_buffer_auditor_strict_raises_in_place():
 # ----------------------------------------------------------------------
 def test_pfc_pause_resume_pair_is_clean():
     aud = Auditor(mode="warn")
-    aud.pfc_signal(10, "sw", "host0.nic", 0, 1, True)
-    aud.pfc_signal(20, "sw", "host0.nic", 0, 1, False)
+    aud.pfc(10, "sw", "host0.nic", 0, 1, True, 0)
+    aud.pfc(20, "sw", "host0.nic", 0, 1, False, 0)
     assert aud.report.ok
 
 
 def test_pfc_resume_without_pause_detected():
     aud = Auditor(mode="warn")
-    aud.pfc_signal(10, "sw", "host0.nic", 0, 1, False)
+    aud.pfc(10, "sw", "host0.nic", 0, 1, False, 0)
     bad = _violations(aud, "pfc_causality")
     assert bad and "RESUME without a" in bad[0].message
 
 
 def test_pfc_double_pause_detected():
     aud = Auditor(mode="warn")
-    aud.pfc_signal(10, "sw", "host0.nic", 0, 1, True)
-    aud.pfc_signal(20, "sw", "host0.nic", 0, 1, True)
+    aud.pfc(10, "sw", "host0.nic", 0, 1, True, 0)
+    aud.pfc(20, "sw", "host0.nic", 0, 1, True, 0)
     bad = _violations(aud, "pfc_causality")
     assert bad and "double pause" in bad[0].message
 
@@ -210,11 +210,11 @@ def test_pfc_deadlock_cycle_detected_past_horizon():
     aud = Auditor(mode="warn", deadlock_horizon_ns=1_000)
     # A pauses its ingress from B, B pauses its ingress from A: a cycle —
     # but young edges are not a deadlock yet
-    aud.pfc_signal(0, "A", "B.p0", 0, 0, True)
-    aud.pfc_signal(0, "B", "A.p1", 1, 0, True)
+    aud.pfc(0, "A", "B.p0", 0, 0, True, 0)
+    aud.pfc(0, "B", "A.p1", 1, 0, True, 0)
     assert aud.report.ok
     # any later PFC activity re-runs the watchdog; the cycle is now stale
-    aud.pfc_signal(5_000, "C", "D.p0", 0, 0, True)
+    aud.pfc(5_000, "C", "D.p0", 0, 0, True, 0)
     dead = _violations(aud, "pfc_deadlock")
     assert len(dead) == 1
     assert "pause cycle" in dead[0].message and "pause graph" in dead[0].message
@@ -222,8 +222,8 @@ def test_pfc_deadlock_cycle_detected_past_horizon():
 
 def test_pfc_no_deadlock_without_cycle():
     aud = Auditor(mode="warn", deadlock_horizon_ns=1_000)
-    aud.pfc_signal(0, "A", "B.p0", 0, 0, True)  # one-way wait, no cycle
-    aud.pfc_signal(5_000, "C", "D.p0", 0, 0, True)
+    aud.pfc(0, "A", "B.p0", 0, 0, True, 0)  # one-way wait, no cycle
+    aud.pfc(5_000, "C", "D.p0", 0, 0, True, 0)
     assert not _violations(aud, "pfc_deadlock")
 
 

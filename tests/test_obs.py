@@ -187,8 +187,10 @@ def test_inspector_matches_telemetry_flow_state():
             _net, flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
     assert all(f.done for f in flows)
-    # the inspector's global transcript is exactly the flow_state channel
-    assert insp.transitions == rec.events["flow_state"]
+    # the inspector's per-flow transcripts, flattened, are exactly the
+    # flow_state channel
+    flat = [(t, fid, s) for fid, r in insp.flows.items() for t, s in r.transitions]
+    assert sorted(flat) == sorted(rec.events["flow_state"])
 
 
 def test_inspector_quickstart_transcript():

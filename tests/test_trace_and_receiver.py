@@ -1,13 +1,13 @@
-"""Telemetry-tracer tests and receiver edge cases (reordering, duplicates)."""
+"""PFC pause accounting on the recorder's ``pfc`` channel, and receiver edge
+cases (reordering, duplicates, probe echoes)."""
 
-import pytest
-
-from repro.analysis import PfcLogger, PortTracer, occupancy_stats
 from repro.cc.base import CongestionControl
+from repro.probe import installed
 from repro.sim.engine import Simulator
 from repro.sim.packet import ACK, DATA, PROBE, PROBE_ACK, Packet
 from repro.sim.pfc import PfcConfig
 from repro.sim.switch import SwitchConfig
+from repro.telemetry import Recorder
 from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.receiver import FlowReceiver
@@ -15,37 +15,12 @@ from repro.transport.sender import FlowSender
 
 
 # ----------------------------------------------------------------------
-# tracer
+# PFC pause counts and paused time
 # ----------------------------------------------------------------------
-def test_port_tracer_sees_queue_buildup():
-    sim = Simulator(1)
-    cfg = SwitchConfig(n_queues=2, buffer_bytes=8 * 1024 * 1024)
-    net, senders, recv = star(sim, 2, rate_bps=10e9, link_delay_ns=1000, switch_cfg=cfg)
-    bottleneck = net.path_ports(senders[0], recv)[-1]
-    tracer = PortTracer(sim, bottleneck, interval_ns=5_000)
-    for i in range(2):
-        f = Flow(i + 1, senders[i], recv, 300_000)
-        FlowSender(sim, net, f, CongestionControl(init_cwnd_bytes=300_000))
-    sim.run(until=2_000_000)
-    assert tracer.peak_bytes() > 0
-    assert tracer.mean_bytes() <= tracer.peak_bytes()
-    series = tracer.occupancy_series(queue=0)
-    assert len(series) > 10
-    stats = occupancy_stats(tracer, bdp_bytes=10e9 * 6_000 / 8e9)
-    assert stats["peak_bdp"] > 0
-    with pytest.raises(ValueError):
-        occupancy_stats(tracer, 0)
-
-
-def test_port_tracer_validates_interval():
-    sim = Simulator()
-    net, senders, recv = star(sim, 1, switch_cfg=SwitchConfig(n_queues=2))
-    with pytest.raises(ValueError):
-        PortTracer(sim, senders[0].port, interval_ns=0)
-
-
 def test_pfc_logger_counts_and_duration():
-    sim = Simulator(3)
+    rec = Recorder()
+    with installed(rec):
+        sim = Simulator(3)
     cfg = SwitchConfig(
         n_queues=2,
         buffer_bytes=64_000,
@@ -53,18 +28,26 @@ def test_pfc_logger_counts_and_duration():
         pfc=PfcConfig(enabled=True, xoff_bytes=4_000, dynamic=False),
     )
     net, senders, recv = star(sim, 2, rate_bps=100e9, link_delay_ns=100, switch_cfg=cfg)
-    # install BEFORE traffic
-    logger = PfcLogger(sim, net.switches[0])
     # slow the switch's egress toward the receiver to force sustained pause
     net.path_ports(senders[0], recv)[-1].ns_per_byte = 8.0  # ~1 Gbps
     f = Flow(1, senders[0], recv, 100_000)
     FlowSender(sim, net, f, CongestionControl(init_cwnd_bytes=100_000))
     sim.run(until=2_000_000_000)
     assert f.done
-    assert logger.pause_count() >= 1
-    assert logger.resume_count() >= 1
-    assert logger.pause_count() >= logger.resume_count()
-    assert logger.paused_duration_ns(sim.now) > 0
+    records = rec.events["pfc"]  # (t, switch, in_idx, prio, paused, backlog)
+    pauses = sum(1 for r in records if r[4])
+    resumes = len(records) - pauses
+    assert pauses >= 1
+    assert resumes >= 1
+    assert pauses >= resumes
+    since, paused_ns = {}, 0
+    for t, switch, in_idx, prio, paused, _backlog in records:
+        if paused:
+            since[(switch, in_idx, prio)] = t
+        else:
+            paused_ns += t - since.pop((switch, in_idx, prio))
+    paused_ns += sum(sim.now - t for t in since.values())
+    assert paused_ns > 0
 
 
 # ----------------------------------------------------------------------
