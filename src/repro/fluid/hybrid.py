@@ -23,21 +23,24 @@ in fluid timesteps: per-flow rates come from strict-priority max-min
 water-filling over the link-capacity matrix (:mod:`repro.fluid.model`),
 solved per connected component of the flow–link graph and only for the
 components whose members or caps moved, windows ramp per the scheme's fluid
-law (:mod:`repro.fluid.laws`), and delivered bytes are credited in bulk
-against the real sender/receiver
-sequence state (``FlowSender.fluid_advance``), so completions, telemetry
-and results read exactly as if the packets had flown.  The wall clock of
+law (:mod:`repro.fluid.laws`), and delivered bytes are credited as whole
+packets to a per-flow byte ledger.  Only the senders' acked counters move
+per segment; each flow's sender/receiver sequence state is written back
+once (``FlowSender.fluid_advance``), when its last packet is credited or
+at the epoch's exit, so completions, telemetry and results read exactly
+as if the packets had flown.  The wall clock of
 the DES still advances through :meth:`Simulator.run`, so residual timers
 (RTOs, experiment samplers) fire normally; flows that *start* during a
 fluid epoch are absorbed directly into the fluid model.
 
 **handoff** — on exit (contention, deadline, or drain failure) each
-surviving flow's congestion window is re-synchronised to its fluid state
-(``cc.fluid_sync``), capped near ``rate × base_rtt`` for network-limited
-flows so the resumed DES does not burst, and the senders are released.
-Re-materialised packet state is exact by construction: in fluid mode the
-network is empty, so the only state to restore is sequence/window state,
-which was maintained in place.
+surviving flow's ledger is written back, its congestion window is
+re-synchronised to its fluid state (``cc.fluid_sync``), capped near
+``rate × base_rtt`` for network-limited flows so the resumed DES does not
+burst, and the senders are released.  Re-materialised packet state is
+exact by construction: in fluid mode the network is empty, so the only
+state to restore is sequence/window state, which the write-back sets to
+what per-segment credit would have left.
 
 Error envelope (documented in docs/PERFORMANCE.md): fluid epochs model
 steady-state scheduling but approximate away standing-queue delay and
@@ -122,11 +125,13 @@ class FluidConfig:
 
 
 class _FluidFlow:
-    """One sender absorbed into the fluid model."""
+    """One sender absorbed into the fluid model, with the epoch's byte
+    ledger: whole packets credited since ``first`` run to ``seq``, and the
+    sender's sequence state catches up once (``FlowSender.fluid_advance``)."""
 
     __slots__ = (
         "sender", "links", "rank", "cwnd", "ramp", "ceil", "rtt", "credit", "rate", "cap",
-        "gate_ns", "group",
+        "gate_ns", "group", "seq", "first", "scan", "t_adv", "left",
     )
 
     def __init__(self, sender, links: List[int], rank: int, cwnd: float, ramp: float, ceil: float):
@@ -142,6 +147,11 @@ class _FluidFlow:
         self.cap = 0.0  # bytes/ns, window-limited cap this segment
         self.gate_ns = 0  # no credit before this time (pipe-fill delay)
         self.group = None  # the _Group holding it while live
+        # the ledger: packets [first, seq) credited this epoch, the last
+        # segment that credited any began at packet scan, at time t_adv
+        self.seq = self.first = self.scan = sender.next_new_seq
+        self.t_adv = 0
+        self.left = sender.remaining_bytes  # payload bytes not yet credited
 
 
 class _Group:
@@ -524,7 +534,7 @@ class HybridDriver:
                     elif r >= cap * 0.999 and f.cwnd < f.ceil:
                         horizon = min(horizon, seg_start + max(int(f.rtt), 1))
                     if r > 0.0:
-                        left = f.sender.remaining_bytes - f.credit
+                        left = f.left - f.credit
                         t_done = seg_start + int(left / r) + 1
                         if t_done < horizon:
                             horizon = t_done
@@ -545,7 +555,11 @@ class HybridDriver:
         return policy == "any" and contention == "shared"
 
     def _credit(self, dt: int) -> None:
-        """Apply one segment: deliver bytes, ramp windows, reap completions."""
+        """Apply one segment: deliver bytes, ramp windows, reap completions.
+
+        Whole packets go on each flow's ledger; of the sender only the acked
+        counters (read by samplers mid-epoch) move.  A flow whose last packet
+        is credited is written back and completes here, in flow order."""
         sim = self.sim
         now = sim.now
         done = False
@@ -559,15 +573,29 @@ class HybridDriver:
                 if s.flow.first_tx_ns is None:
                     s.flow.first_tx_ns = now - dt
                 eff_dt = dt if f.gate_ns <= now - dt else max(now - f.gate_ns, 0)
-                f.credit += f.rate * eff_dt
-                if f.credit >= s.mtu or f.credit >= s.remaining_bytes:
-                    consumed = s.fluid_advance(f.credit, now)
-                    f.credit -= consumed
-                    delivered += consumed
-                    if s.completed:
-                        self.stats["fluid_completions"] += 1
-                        done = True
-                        continue
+                credit = f.credit + f.rate * eff_dt
+                mtu = s.mtu
+                if credit >= mtu or credit >= f.left:
+                    a = f.seq
+                    last = s.n_packets - 1
+                    b = min(last, a + int(credit // mtu))
+                    consumed = (b - a) * mtu
+                    if b == last and credit - consumed >= s._last_payload:
+                        consumed += s._last_payload
+                        b += 1
+                    credit -= consumed
+                    if b > a:
+                        f.seq, f.scan, f.t_adv = b, a, now
+                        f.left -= consumed
+                        s.acked_count += b - a
+                        s.acked_payload += consumed
+                        delivered += consumed
+                        if b > last:
+                            s.fluid_advance(f.first, b, a, now)
+                            self.stats["fluid_completions"] += 1
+                            done = True
+                            continue
+                f.credit = credit
             # window ramp: only cap-limited flows grow (a network-limited
             # flow would be sitting at its scheme's delay target instead);
             # gated flows (cap forced to 0) hold their window too
@@ -624,6 +652,8 @@ class HybridDriver:
                 s = f.sender
                 if s.completed:
                     continue
+                if f.seq > f.first:
+                    s.fluid_advance(f.first, f.seq, f.scan, f.t_adv)
                 if s.flow.first_tx_ns is None and s.acked_payload == 0:
                     # fresh flow: restarted via the packet start path below,
                     # its fluid window was never real — don't sync it back

@@ -61,11 +61,6 @@ class EventHandle:
         if self.sim is not None:
             self.sim._note_cancel()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time} seq={self.seq} {state}>"
@@ -88,7 +83,7 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: int = 0
         self.rng = random.Random(seed)
-        self._heap: List[EventHandle] = []
+        self._heap: List[tuple] = []  # (time, seq, handle) or (time, seq, fn, args)
         self._seq = 0
         self._running = False
         self.events_processed = 0

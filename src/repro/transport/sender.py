@@ -405,50 +405,42 @@ class FlowSender:
         if not self.completed and not self.stopped:
             self.try_send()
 
-    def fluid_advance(self, payload_budget: float, now: int) -> int:
-        """Credit whole packets as sent-and-acked in one bulk step.
+    def fluid_advance(self, first: int, end: int, scan: int, now: int) -> None:
+        """Write back one fluid epoch's delivery: packets ``[first, end)``
+        sent and acked.
 
-        Called by the fluid driver at each segment boundary while the
-        network is empty and this sender is held: sequence state has no
-        holes, so delivery is a contiguous slice extension on both
-        endpoints.  Returns the payload bytes consumed (whole packets
-        only — the fractional remainder stays with the driver).  Handles
-        flow completion exactly like the packet path (receiver completion
-        callback first, then sender finish).
+        Called by the fluid driver once per flow per epoch, at the flow's
+        completion or at the epoch's exit, while the network is empty and
+        this sender is held: sequence state has no holes, so delivery is a
+        contiguous slice extension on both endpoints.  The driver kept
+        ``acked_count`` / ``acked_payload`` current segment by segment;
+        ``scan`` is where its last non-empty segment began and ``now`` that
+        segment's time.  Handles flow completion exactly like the packet
+        path (receiver completion callback first, then sender finish).
         """
-        a = self.next_new_seq
-        n = self.n_packets
-        if self.completed or a >= n:
-            return 0
-        last = n - 1
-        b = min(last, a + int(payload_budget // self.mtu))
-        consumed = (b - a) * self.mtu
-        if b == last and payload_budget - consumed >= self._last_payload:
-            consumed += self._last_payload
-            b += 1
-        if b == a:
-            return 0
-        ones = b"\x01" * (b - a)
-        self.sent[a:b] = ones
-        self.acked[a:b] = ones
-        self.acked_count += b - a
-        self.acked_payload += consumed
-        self.next_new_seq = b
-        self._cum_watch = b
-        self._retx_scan = max(self._retx_scan, a)
+        if self.completed:
+            raise AssertionError(f"flow {self.flow.flow_id}: fluid write-back to a completed sender")
+        ones = b"\x01" * (end - first)
+        self.sent[first:end] = ones
+        self.acked[first:end] = ones
+        self.next_new_seq = self._cum_watch = end
+        self._retx_scan = max(self._retx_scan, scan)
         self._last_activity = now
         rcv = self.receiver
-        rcv.received[a:b] = ones
-        rcv.rx_count += b - a
-        rcv.cum_seq = b
-        if self.acked_count == n:
+        rcv.received[first:end] = ones
+        rcv.rx_count += end - first
+        rcv.cum_seq = end
+        if self.acked_count != end:
+            raise AssertionError(
+                f"flow {self.flow.flow_id}: {self.acked_count} packets acked, fluid ledger ends at {end}"
+            )
+        if end == self.n_packets:
             flow = self.flow
             if flow.completion_ns is None:
                 flow.completion_ns = now
                 if rcv.on_complete is not None:
                     rcv.on_complete(flow)
             self._finish()
-        return consumed
 
     # ------------------------------------------------------------------
     # PrioPlus hooks

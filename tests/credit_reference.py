@@ -1,0 +1,92 @@
+"""The per-segment fluid credit, kept as the byte ledger's oracle.
+
+Before each fluid flow kept a byte ledger, ``HybridDriver._credit`` wrote
+every segment's whole packets straight into the sender and receiver with
+``FlowSender.fluid_advance(payload_budget, now)``.  Both are here as they
+stood at c78cbd9, as plain functions: ``credit`` is that ``_credit``, and
+``fluid_advance`` that method.  Patched in as ``HybridDriver._credit``,
+``credit`` runs a fluid epoch the old way.  It moves no flow's ledger
+sequence (only its remaining bytes, which the segment horizon reads), so
+the driver's exit finds nothing to write back.  ``tests/test_fluid.py``
+holds the shipped write-back to it: every survivor's sequence state must
+be equal at every handoff.
+"""
+
+from __future__ import annotations
+
+
+def fluid_advance(s, payload_budget: float, now: int) -> int:
+    """Credit whole packets as sent-and-acked in one bulk step; returns the
+    payload bytes consumed (the fractional remainder stays with the driver)."""
+    a = s.next_new_seq
+    n = s.n_packets
+    if s.completed or a >= n:
+        return 0
+    last = n - 1
+    b = min(last, a + int(payload_budget // s.mtu))
+    consumed = (b - a) * s.mtu
+    if b == last and payload_budget - consumed >= s._last_payload:
+        consumed += s._last_payload
+        b += 1
+    if b == a:
+        return 0
+    ones = b"\x01" * (b - a)
+    s.sent[a:b] = ones
+    s.acked[a:b] = ones
+    s.acked_count += b - a
+    s.acked_payload += consumed
+    s.next_new_seq = b
+    s._cum_watch = b
+    s._retx_scan = max(s._retx_scan, a)
+    s._last_activity = now
+    rcv = s.receiver
+    rcv.received[a:b] = ones
+    rcv.rx_count += b - a
+    rcv.cum_seq = b
+    if s.acked_count == n:
+        flow = s.flow
+        if flow.completion_ns is None:
+            flow.completion_ns = now
+            if rcv.on_complete is not None:
+                rcv.on_complete(flow)
+        s._finish()
+    return consumed
+
+
+def credit(driver, dt: int) -> None:
+    """Apply one segment: deliver bytes, ramp windows, reap completions."""
+    now = driver.sim.now
+    done = False
+    delivered = 0
+    for f in driver._flows:
+        s = f.sender
+        if s.completed:  # finished by a stray packet-path event
+            done = True
+            continue
+        if f.rate > 0.0:
+            if s.flow.first_tx_ns is None:
+                s.flow.first_tx_ns = now - dt
+            eff_dt = dt if f.gate_ns <= now - dt else max(now - f.gate_ns, 0)
+            f.credit += f.rate * eff_dt
+            if f.credit >= s.mtu or f.credit >= s.remaining_bytes:
+                consumed = fluid_advance(s, f.credit, now)
+                f.credit -= consumed
+                f.left -= consumed
+                delivered += consumed
+                if s.completed:
+                    driver.stats["fluid_completions"] += 1
+                    done = True
+                    continue
+        if f.cap > 0.0 and f.rate >= f.cap * 0.999 and f.cwnd < f.ceil:
+            f.cwnd = min(f.cwnd + f.ramp * dt / f.sender.base_rtt, f.ceil)
+    driver.stats["fluid_bytes"] += delivered
+    if done:
+        live = []
+        for f in driver._flows:
+            if f.sender.completed:
+                g = f.group
+                g.flows.remove(f)
+                g.split = True
+            else:
+                live.append(f)
+        driver._flows = live

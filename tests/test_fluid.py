@@ -618,7 +618,10 @@ def _bare_driver(n_links):
     driver._link_caps = [1.0] * n_links
 
     def absorb(*links):
-        sender = SimpleNamespace(base_rtt=8_000, completed=False)
+        # the fields _FluidFlow's byte ledger opens from: a fresh flow
+        sender = SimpleNamespace(
+            base_rtt=8_000, completed=False, next_new_seq=0, remaining_bytes=1_000_000
+        )
         flow = _FluidFlow(sender, list(links), 0, 800.0, 0.0, 800.0)
         driver._flows.append(flow)
         driver._join(flow)
@@ -856,15 +859,21 @@ def test_bytes_are_conserved_across_handoffs(world, monkeypatch):
     """Per flow, bytes credited in fluid + bytes acked in packets = flow size
     (a flow counted in two regimes would exceed it), the driver's
     ``fluid_bytes`` is the sum of the credits, and the receiver holds every
-    packet.  The test-level half of ROADMAP item 4a."""
-    credited = {}  # sender → payload credited by fluid_advance
+    packet.  Fluid credit is counted where it reaches the sender, at the
+    write-back, and no sender is written back twice in one epoch.  The
+    test-level half of ROADMAP item 4a."""
+    credited = {}  # sender → payload written back by fluid_advance
+    written = set()  # (sender, epoch) of every write-back
     packet_acked = {}  # sender → payload acked on the packet path
     fluid_advance, on_packet = FlowSender.fluid_advance, FlowSender.on_packet
 
-    def counting_advance(self, payload_budget, now):
-        consumed = fluid_advance(self, payload_budget, now)
-        credited[self] = credited.get(self, 0) + consumed
-        return consumed
+    def counting_advance(self, first, end, scan, now):
+        key = (self, self.sim.fluid_driver.stats["fluid_epochs"])
+        assert key not in written, f"flow {self.flow.flow_id} written back twice in one epoch"
+        written.add(key)
+        payload = sum(self.payload_of(seq) for seq in range(first, end))
+        credited[self] = credited.get(self, 0) + payload
+        fluid_advance(self, first, end, scan, now)
 
     def counting_on_packet(self, pkt):
         before = self.acked_payload
@@ -889,3 +898,89 @@ def test_bytes_are_conserved_across_handoffs(world, monkeypatch):
     assert sum(credited.values()) == stats["fluid_bytes"]
     if any(reason.startswith("contention") for reason in stats["exit_reasons"]):
         assert crossed > 0  # live flows were handed back: the sum had two terms
+
+
+def test_write_back_checks_its_own_ledger():
+    """The write-back raises when the sender's acked count (kept by the driver
+    segment by segment) disagrees with where the ledger ends, and when the
+    sender has already finished."""
+    sim, _, (flow,) = _star_world(1, 10_000, 0)
+    s = flow.src.senders[flow.flow_id]
+    s.acked_count = 3
+    with pytest.raises(AssertionError, match="3 packets acked, fluid ledger ends at 2"):
+        s.fluid_advance(0, 2, 0, 700)
+    s.acked_count = s.n_packets
+    s.fluid_advance(2, s.n_packets, 9, 900)
+    assert s.completed and flow.completion_ns == 900 and s._last_activity == 900
+    with pytest.raises(AssertionError, match="write-back to a completed sender"):
+        s.fluid_advance(s.n_packets, s.n_packets, 9, 900)
+
+
+def _state_log(world, reference):
+    """Run ``world`` hybrid; returns the run's result, its number of sender
+    write-backs, and a log of every fluid exit ``(now, reason)``, every
+    sender handed back (with the sequence state it holds before it sends
+    again) and every sender finishing (with its state then).
+    ``reference`` runs every epoch with the per-segment credit of
+    ``tests/credit_reference.py``."""
+    from tests import credit_reference
+
+    log = []
+    writes = [0]
+    exit_fluid, release = HybridDriver._exit_fluid, HybridDriver._release_or_start
+    finish = FlowSender._finish
+    fluid_advance = credit_reference.fluid_advance if reference else FlowSender.fluid_advance
+
+    def log_state(event, s):
+        rcv = s.receiver
+        log.append((
+            event, s.sim.now, s.flow.flow_id, bytes(s.sent), bytes(s.acked), bytes(rcv.received),
+            s.acked_count, s.acked_payload, s.next_new_seq, s._cum_watch, s._retx_scan,
+            s._last_activity, rcv.rx_count, rcv.cum_seq, s.flow.completion_ns,
+        ))
+
+    def recording_exit(self, reason):
+        log.append((self.sim.now, reason))
+        exit_fluid(self, reason)
+
+    def recording_release(self, s):
+        log_state("release", s)
+        release(self, s)
+
+    def recording_finish(self):
+        log_state("finish", self)
+        finish(self)
+
+    def counting_advance(*args):
+        writes[0] += 1
+        return fluid_advance(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(HybridDriver, "_exit_fluid", recording_exit)
+        m.setattr(HybridDriver, "_release_or_start", recording_release)
+        m.setattr(FlowSender, "_finish", recording_finish)
+        if reference:
+            m.setattr(HybridDriver, "_credit", credit_reference.credit)
+            m.setattr(credit_reference, "fluid_advance", counting_advance)
+        else:
+            m.setattr(FlowSender, "fluid_advance", counting_advance)
+        result = _HYBRID_WORLDS[world]()
+    return result, writes[0], log
+
+
+@pytest.mark.parametrize("world", sorted(_HYBRID_WORLDS))
+def test_one_write_back_leaves_the_state_per_segment_credit_did(world):
+    """Differential against the per-segment credit the ledger replaced: at
+    every fluid exit each survivor, and at every completion the finishing
+    sender, holds the same ``sent`` / ``acked`` / ``received`` arrays,
+    counters and cursors, and the run ends on the same results.  Every
+    write-back is a fluid completion or a handoff, where the reference
+    wrote once per crediting segment."""
+    result, writes, log = _state_log(world, reference=False)
+    ref_result, ref_writes, ref_log = _state_log(world, reference=True)
+    assert writes > 0, "the ledger was never written back"
+    assert log == ref_log
+    assert canonical(result) == canonical(ref_result)
+    stats = result["driver"] if "driver" in result else result["fluid"]
+    handed_back = sum(entry[0] == "release" for entry in log)
+    assert writes <= stats["fluid_completions"] + handed_back < ref_writes
