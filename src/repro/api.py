@@ -27,8 +27,7 @@ Remote (against ``python -m repro serve``)::
     result = api.result(job_id, server="/tmp/repro.sock")
 
 The remote path produces byte-identical results to the local serial path:
-the daemon executes points through the very same
-``execute_point`` → normalize → cache pipeline as the batch runner.
+the daemon runs the batch runner's own plan, settle and reduce steps.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from .client import ServeClient, ServeError, connect
 from .experiments.registry import REGISTRY, Experiment
-from .faults.plan import FaultPlan
+from .faults.plan import FaultPlan, plan_dict
 from .runner import ResultCache, RunnerError, run_experiment
 from .serve.protocol import (
     PROTOCOL_VERSION,
@@ -120,7 +119,7 @@ def run(
     ``(point_name, source)`` callable; remotely the sources are
     ``"cache"``/``"inflight"``/``"run"``, locally ``"cache"``/``"run"``.
     """
-    plan_dict = _faults_dict(faults)
+    faults = plan_dict(faults)
     if server is not None:
         if jobs != 1 or cache is not None:
             raise ValueError(
@@ -136,7 +135,7 @@ def run(
         return ServeClient(server).run(
             experiment,
             quick=quick,
-            faults=plan_dict,
+            faults=faults,
             audit=audit,
             tag=tag,
             on_progress=on_progress,
@@ -151,7 +150,7 @@ def run(
         max_retries=max_retries,
         retry_backoff_s=retry_backoff_s,
         report=report,
-        faults=FaultPlan.from_dict(plan_dict) if plan_dict is not None else None,
+        faults=faults,
         audit=audit,
     )
 
@@ -166,7 +165,7 @@ def submit(
 ) -> str:
     """Submit an experiment to a daemon without waiting; returns the job id."""
     return ServeClient(server).submit(
-        experiment, quick=quick, faults=_faults_dict(faults), audit=audit, tag=tag
+        experiment, quick=quick, faults=plan_dict(faults), audit=audit, tag=tag
     )
 
 
@@ -200,16 +199,3 @@ def cache_info(
         return None
     store = cache if isinstance(cache, ResultCache) else ResultCache(cache)
     return store.info()
-
-
-def _faults_dict(faults: Union[str, FaultPlan, dict, None]) -> Optional[dict]:
-    """Canonicalize any accepted faults form into a JSON-safe plan dict."""
-    if faults is None:
-        return None
-    if isinstance(faults, str):
-        faults = FaultPlan.load(faults)
-    if isinstance(faults, FaultPlan):
-        return faults.to_dict()
-    if isinstance(faults, dict):
-        return FaultPlan.from_dict(faults).to_dict()  # validate early
-    raise TypeError(f"faults must be a plan, dict, path or None, got {type(faults).__name__}")

@@ -34,6 +34,7 @@ __all__ = [
     "FaultSpec",
     "Schedule",
     "current_fault_plan",
+    "plan_dict",
     "set_default_fault_plan",
 ]
 
@@ -280,6 +281,27 @@ class FaultPlan:
     def load(cls, path: str) -> "FaultPlan":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def plan_dict(faults: Union[str, FaultPlan, dict, None]) -> Optional[dict]:
+    """Canonicalise any accepted faults form into a validated plan dict.
+
+    A path is loaded, a dict is parsed (so a malformed plan fails here, with
+    ``ValueError``, not later inside a worker) and everything comes back as
+    ``to_dict()`` — the form cache keys, workers and the wire all carry.
+    """
+    if faults is None:
+        return None
+    if isinstance(faults, str):
+        faults = FaultPlan.load(faults)
+    if isinstance(faults, dict):
+        try:
+            faults = FaultPlan.from_dict(faults)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed fault plan: {exc!r}") from exc
+    if isinstance(faults, FaultPlan):
+        return faults.to_dict()
+    raise TypeError(f"faults must be a plan, dict, path or None, got {type(faults).__name__}")
 
 
 # ----------------------------------------------------------------------

@@ -8,10 +8,15 @@ and reduces the per-point results in a deterministic order — so the reduced
 output is byte-identical no matter how many workers ran, which points were
 cached, or in what order they finished.
 
+Around execution every point passes through three steps, each implemented
+once here and run by :mod:`repro.serve`'s daemon too: :func:`plan_points`
+(names and cache keys), :func:`settle_point` (audit report out, JSON-normalise,
+cache) and :func:`reduce_points` (fold in ``points()`` order, audit block).
+A failing point is reported through :func:`point_error`.
+
 The execution core (worker bootstrap, per-point execution, the crash-retrying
 :class:`~repro.runner.scheduler.WorkerFleet`) lives in
-:mod:`repro.runner.scheduler`; this module adds the batch orchestration, and
-:mod:`repro.serve` builds the long-running daemon on the same core.
+:mod:`repro.runner.scheduler`.
 
 Determinism contract:
 
@@ -28,26 +33,95 @@ Determinism contract:
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..experiments.registry import Experiment, Point
-from ..faults.plan import FaultPlan, current_fault_plan, set_default_fault_plan
+from ..faults.plan import FaultPlan, current_fault_plan, plan_dict
 from ..telemetry import current_recorder
 from .cache import ResultCache, cache_key, json_safe
 from .scheduler import RunnerError, WorkerFleet, execute_point
 
-__all__ = ["RunnerError", "run_experiment"]
+__all__ = [
+    "RunnerError", "run_experiment", "plan_points", "settle_point", "reduce_points", "point_error",
+]
 
-# retained as aliases: these were importable from here before the scheduler split
-_execute_point = execute_point
+
+def plan_points(exp: Experiment,
+                faults_dict: Optional[dict] = None) -> Tuple[List[Point], Dict[str, str]]:
+    """The plan step: ``exp``'s points and their cache keys, checked distinct.
+
+    ``faults_dict`` (a :func:`~repro.faults.plan.plan_dict`) enters every
+    key, so faulted and healthy runs never alias.
+    """
+    points = list(exp.points())
+    names = [p.name for p in points]
+    if len(set(names)) != len(names):
+        raise RunnerError(f"{exp.name}: duplicate point names in points()")
+    extra = {"faults": faults_dict} if faults_dict is not None else None
+    keys = {p.name: cache_key(exp.name, p, extra=extra) for p in points}
+    if len(set(keys.values())) != len(points):
+        raise RunnerError(
+            f"{exp.name}: two points share a cache key — every point needs a "
+            f"distinct (config, seed)"
+        )
+    return points, keys
 
 
-def _normalize(result: dict) -> dict:
-    """JSON round-trip so fresh results equal their future cached selves."""
-    return json.loads(json.dumps(json_safe(result)))
+def settle_point(exp: Experiment, point: Point, key: str, raw: dict,
+                 store: Optional[ResultCache], audit_reports: Dict[str, dict]) -> dict:
+    """The settle step for one executed point: returns the result to reduce.
+
+    Pops the audit report into ``audit_reports``, JSON-normalizes the rest
+    (so a fresh result equals its future cached self) and stores it.
+    """
+    rep = raw.pop("audit", None) if isinstance(raw, dict) else None
+    if rep is not None:
+        audit_reports[point.name] = rep
+    result = json.loads(json.dumps(json_safe(raw)))
+    if store is not None:
+        store.put(exp.name, key, point, result)
+    return result
+
+
+def reduce_points(exp: Experiment, points: List[Point], results: Mapping[str, dict], executed: int,
+                  audit: Optional[str] = None, audit_reports: Optional[Mapping[str, dict]] = None,
+                  report: Optional[dict] = None) -> dict:
+    """The reduce step: fold ``results`` in ``points()`` order.
+
+    Under ``audit`` the per-point reports become ``reduced["audit"]``
+    (points not executed here count as cached) and their violation total
+    ``report["audit_violations"]``.
+    """
+    reduced = exp.reduce({p.name: results[p.name] for p in points})
+    if audit is None:
+        return reduced
+    audited = {p.name: audit_reports[p.name] for p in points if p.name in audit_reports}
+    violations = sum(r["violation_count"] for r in audited.values())
+    if isinstance(reduced, dict):
+        reduced["audit"] = {
+            "mode": audit,
+            "ok": violations == 0,
+            "violation_count": violations,
+            "points_audited": len(audited),
+            "points_cached": len(points) - executed,
+            "points": audited,
+        }
+    if report is not None:
+        report["audit_violations"] = violations
+    return reduced
+
+
+def point_error(exp: Experiment, point: Point, exc: Exception) -> RunnerError:
+    """The one wording of a failed point (a :class:`RunnerError` passes as is)."""
+    if isinstance(exc, RunnerError):
+        return exc
+    err = RunnerError(f"{exp.name}:{point.name} raised {type(exc).__name__}: {exc}")
+    err.__cause__ = exc
+    return err
 
 
 class _Counters:
@@ -93,52 +167,43 @@ def _progress_printer(exp_name: str, total: int) -> Callable[[str, str], None]:
     return tick
 
 
-def _run_parallel(
-    exp: Experiment,
-    points: List[Point],
-    jobs: int,
-    max_retries: int,
-    retry_backoff_s: float,
-    counters: _Counters,
-    on_done: Callable[[str, str], None],
-    faults_dict: Optional[dict] = None,
-    audit_mode: Optional[str] = None,
-) -> Dict[str, dict]:
-    """Fan ``points`` out over a one-shot :class:`WorkerFleet`.
+def _executed(exp: Experiment, points: List[Point], jobs: int, audit: Optional[str],
+              faults_dict: Optional[dict], max_retries: int, retry_backoff_s: float,
+              counters: _Counters) -> Iterator[Tuple[Point, dict]]:
+    """Yield ``(point, raw result)`` as points finish.
 
-    Retry semantics are the fleet's: when a worker process dies (segfault,
-    OOM-kill, ``os._exit``), the pool is rebuilt and each affected point is
-    resubmitted with exponential backoff, up to ``max_retries`` times per
-    point.  Points that raise an ordinary exception fail the run
-    immediately — a deterministic error will not succeed on retry.
+    ``jobs <= 1`` runs them inline, in order; otherwise they fan out over a
+    one-shot :class:`WorkerFleet`, whose retry semantics apply: a dying
+    worker (segfault, OOM-kill, ``os._exit``) rebuilds the pool and its
+    points are resubmitted with exponential backoff, up to ``max_retries``
+    times each.  A point that raises ends the run at once — a
+    deterministic error will not succeed on retry.
     """
+    if jobs <= 1 or not points:
+        for p in points:
+            try:
+                raw = execute_point(exp, p, audit, faults_dict)
+            except Exception as exc:
+                raise point_error(exp, p, exc)
+            yield p, raw
+        return
     fleet = WorkerFleet(
         min(jobs, len(points)),
         max_retries=max_retries,
         retry_backoff_s=retry_backoff_s,
         on_crash=lambda: counters.inc("runner.worker_crashes"),
     )
-    out: Dict[str, dict] = {}
     try:
-        futures = {
-            fleet.submit(exp, p, audit_mode, faults_dict): p for p in points
-        }
+        futures = {fleet.submit(exp, p, audit, faults_dict): p for p in points}
         for fut in concurrent.futures.as_completed(futures):
-            point = futures[fut]
+            p = futures[fut]
             try:
-                result = fut.result()
-            except RunnerError:
-                raise
+                raw = fut.result()
             except Exception as exc:
-                raise RunnerError(
-                    f"{exp.name}:{point.name} raised {type(exc).__name__}: {exc}"
-                ) from exc
-            out[point.name] = result
-            counters.inc("runner.points_executed")
-            on_done(point.name, "run")
+                raise point_error(exp, p, exc)
+            yield p, raw
     finally:
         fleet.shutdown(wait=True, cancel_futures=True)
-    return out
 
 
 def run_experiment(
@@ -149,7 +214,7 @@ def run_experiment(
     max_retries: int = 2,
     retry_backoff_s: float = 0.25,
     report: Optional[dict] = None,
-    faults: Union[str, FaultPlan, None] = None,
+    faults: Union[str, FaultPlan, dict, None] = None,
     audit: Optional[str] = None,
 ) -> dict:
     """Run every point of ``exp`` and return its reduced result.
@@ -172,9 +237,9 @@ def run_experiment(
         Optional dict filled in place with run statistics
         (``points``, ``cache_hits``, ``executed``, ``jobs``, ``wall_s``).
     faults:
-        A :class:`~repro.faults.plan.FaultPlan` (or a path to its JSON)
-        applied to every point — shipped to workers as plain data and
-        installed for the duration of each point, so each point's
+        A :class:`~repro.faults.plan.FaultPlan` (or its dict, or a path to
+        its JSON) applied to every point — shipped to workers as plain data
+        and installed for the duration of each point, so each point's
         ``Network.build_routes()`` arms it, in workers and in the serial
         path alike.  The plan enters every point's cache key, so faulted
         and healthy runs never alias.  ``None`` inherits whatever default
@@ -190,24 +255,9 @@ def run_experiment(
     if audit is not None and audit not in ("strict", "warn"):
         raise RunnerError(f"audit must be 'strict', 'warn' or None, got {audit!r}")
     t0 = time.monotonic()
-    points = list(exp.points())
-    names = [p.name for p in points]
-    if len(set(names)) != len(names):
-        raise RunnerError(f"{exp.name}: duplicate point names in points()")
-
-    if isinstance(faults, str):
-        faults = FaultPlan.load(faults)
-    plan = faults if faults is not None else current_fault_plan()
-    faults_dict = plan.to_dict() if plan is not None else None
-    extra = {"faults": faults_dict} if faults_dict is not None else None
-
+    faults_dict = plan_dict(faults if faults is not None else current_fault_plan())
+    points, keys = plan_points(exp, faults_dict)
     store = ResultCache(cache) if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__") else cache
-    keys = {p.name: cache_key(exp.name, p, extra=extra) for p in points}
-    if len(set(keys.values())) != len(points):
-        raise RunnerError(
-            f"{exp.name}: two points share a cache key — every point needs a "
-            f"distinct (config, seed)"
-        )
 
     counters = _Counters()
     counters.inc("runner.points", len(points))
@@ -232,58 +282,23 @@ def run_experiment(
             pending.append(p)
     counters.inc("runner.cache_misses", len(pending))
 
-    if pending:
-        if jobs <= 1:
-            fresh = {}
-            for p in pending:
-                try:
-                    fresh[p.name] = execute_point(exp, p, audit, faults_dict)
-                except RunnerError:
-                    raise
-                except Exception as exc:
-                    raise RunnerError(
-                        f"{exp.name}:{p.name} raised {type(exc).__name__}: {exc}"
-                    ) from exc
-                counters.inc("runner.points_executed")
-                on_done(p.name, "run")
-        else:
-            fresh = _run_parallel(
-                exp, pending, jobs, max_retries, retry_backoff_s, counters, on_done,
-                faults_dict=faults_dict, audit_mode=audit,
-            )
-        for p in pending:
-            raw = fresh[p.name]
-            rep = raw.pop("audit", None) if isinstance(raw, dict) else None
-            if rep is not None:
-                audit_reports[p.name] = rep
-            result = _normalize(raw)
-            results[p.name] = result
-            if store is not None:
-                store.put(exp.name, keys[p.name], p, result)
+    executed = _executed(
+        exp, pending, jobs, audit, faults_dict, max_retries, retry_backoff_s, counters
+    )
+    with contextlib.closing(executed):  # a failing settle still shuts the pool down
+        for p, raw in executed:
+            results[p.name] = settle_point(exp, p, keys[p.name], raw, store, audit_reports)
+            counters.inc("runner.points_executed")
+            on_done(p.name, "run")
 
-    ordered = {p.name: results[p.name] for p in points}
-    reduced = exp.reduce(ordered)
-    if audit is not None and isinstance(reduced, dict):
-        total_violations = sum(r["violation_count"] for r in audit_reports.values())
-        reduced["audit"] = {
-            "mode": audit,
-            "ok": total_violations == 0,
-            "violation_count": total_violations,
-            "points_audited": len(audit_reports),
-            "points_cached": len(points) - len(pending),
-            "points": audit_reports,
-        }
-    if report is not None:
-        report.update(
-            experiment=exp.name,
-            points=len(points),
-            cache_hits=len(points) - len(pending),
-            executed=len(pending),
-            jobs=jobs,
-            wall_s=time.monotonic() - t0,
-        )
-        if audit is not None:
-            report["audit_violations"] = sum(
-                r["violation_count"] for r in audit_reports.values()
-            )
+    stats = report if report is not None else {}
+    reduced = reduce_points(exp, points, results, len(pending), audit, audit_reports, stats)
+    stats.update(
+        experiment=exp.name,
+        points=len(points),
+        cache_hits=len(points) - len(pending),
+        executed=len(pending),
+        jobs=jobs,
+        wall_s=time.monotonic() - t0,
+    )
     return reduced

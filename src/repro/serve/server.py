@@ -24,9 +24,8 @@ Endpoints (all JSON; streams are ``application/x-ndjson``, close-delimited):
 ``POST /v1/shutdown``             stop the daemon
 ================================  =============================================
 
-Determinism: a point executed here goes through exactly the same
-``execute_point`` → JSON-normalize → cache pipeline as the batch runner, and
-``reduce`` folds results in ``points()`` order — so a served result is
+Determinism: a job runs the batch runner's own plan, settle and reduce steps
+(:mod:`repro.runner.pool`) around ``execute_point`` — so a served result is
 byte-identical to ``run_experiment(exp, jobs=1)``.  The event *order* within
 a stream reflects completion order and is not deterministic; the result is.
 
@@ -49,8 +48,9 @@ from typing import AsyncIterator, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..experiments.registry import REGISTRY, Experiment, Point
-from ..runner.cache import ResultCache, cache_key, json_safe
-from ..runner.pool import _normalize
+from ..faults.plan import plan_dict
+from ..runner.cache import ResultCache, json_safe
+from ..runner.pool import plan_points, point_error, reduce_points, settle_point
 from ..runner.scheduler import RunnerError, WorkerFleet
 from .inflight import InflightTable
 from .protocol import (
@@ -91,11 +91,14 @@ class _RequestRejected(Exception):
 class Job:
     """One accepted submit request and its replayable event log."""
 
-    def __init__(self, job_id: str, request: SubmitRequest, exp: Experiment, points: List[Point]):
+    def __init__(self, job_id: str, request: SubmitRequest, exp: Experiment, points: List[Point],
+                 keys: Dict[str, str], faults_dict: Optional[dict]):
         self.job_id = job_id
         self.request = request
         self.exp = exp
         self.points = points
+        self.keys = keys
+        self.faults_dict = faults_dict
         self.state = "running"
         self.result: Optional[dict] = None
         self.report: Dict[str, object] = {}
@@ -230,15 +233,17 @@ class ExperimentServer:
     # job execution
     # ------------------------------------------------------------------
     def _make_job(self, request: SubmitRequest) -> Job:
+        """Resolve, canonicalise and plan a request; a bad one never becomes a job."""
         exp = self.registry.get(request.experiment)  # KeyError -> 404 upstream
         if request.quick:
             exp = exp.quick()
-        points = list(exp.points())
-        names = [p.name for p in points]
-        if len(set(names)) != len(names):
-            raise RunnerError(f"{exp.name}: duplicate point names in points()")
+        try:
+            faults_dict = plan_dict(request.faults)
+        except ValueError as exc:
+            raise RunnerError(f"{exp.name}: {exc}") from None
+        points, keys = plan_points(exp, faults_dict)
         self._job_seq += 1
-        job = Job(f"job-{self._job_seq:06d}", request, exp, points)
+        job = Job(f"job-{self._job_seq:06d}", request, exp, points, keys, faults_dict)
         self.jobs[job.job_id] = job
         return job
 
@@ -256,7 +261,7 @@ class ExperimentServer:
 
     async def _execute_job(self, job: Job) -> None:
         try:
-            result, report = await self._run_points(job)
+            result, report = await self._execute(job)
             job.result = result
             job.report = report
             job.state = "done"
@@ -268,22 +273,13 @@ class ExperimentServer:
             job.wall_s = time.monotonic() - job.t0
             await job.append(error_event(job.job_id, job.error))
 
-    async def _run_points(self, job: Job):
-        """The daemon-side twin of ``run_experiment``: cache → inflight → fleet.
+    async def _execute(self, job: Job):
+        """Resolve every point through cache → inflight table → fleet.
 
-        Must preserve the batch runner's determinism contract: every fresh
-        result is JSON-normalized before it is cached, shared or reduced,
-        and ``reduce`` sees the per-point results in ``points()`` order.
+        The runner's settle and reduce steps do the rest, so the result is
+        the one ``run_experiment`` gives.
         """
-        exp, request = job.exp, job.request
-        faults_dict = json_safe(request.faults) if request.faults is not None else None
-        extra = {"faults": faults_dict} if faults_dict is not None else None
-        keys = {p.name: cache_key(exp.name, p, extra=extra) for p in job.points}
-        if len(set(keys.values())) != len(job.points):
-            raise RunnerError(
-                f"{exp.name}: two points share a cache key — every point needs "
-                f"a distinct (config, seed)"
-            )
+        exp, audit = job.exp, job.request.audit
         results: Dict[str, dict] = {}
         audit_reports: Dict[str, dict] = {}
 
@@ -303,7 +299,7 @@ class ExperimentServer:
             )
 
         async def one(point: Point) -> None:
-            key = keys[point.name]
+            key = job.keys[point.name]
             entry = self.cache.get(exp.name, key) if self.cache is not None else None
             if entry is not None:
                 await record(point, "cache", entry["result"])
@@ -315,47 +311,21 @@ class ExperimentServer:
                 return
             try:
                 raw = await asyncio.wrap_future(
-                    self.fleet.submit(exp, point, request.audit, faults_dict)
+                    self.fleet.submit(exp, point, audit, job.faults_dict)
                 )
-            except RunnerError as exc:
-                fut.set_exception(exc)
-                fut.exception()  # mark retrieved: followers may or may not exist
-                raise
             except Exception as exc:
-                wrapped = RunnerError(
-                    f"{exp.name}:{point.name} raised {type(exc).__name__}: {exc}"
-                )
-                wrapped.__cause__ = exc
-                fut.set_exception(wrapped)
-                fut.exception()
-                raise wrapped
+                err = point_error(exp, point, exc)
+                fut.set_exception(err)
+                fut.exception()  # mark retrieved: followers may or may not exist
+                raise err
             finally:
                 self.inflight.release(key)
-            rep = raw.pop("audit", None) if isinstance(raw, dict) else None
-            if rep is not None:
-                audit_reports[point.name] = rep
-            result = _normalize(raw)
-            if self.cache is not None:
-                self.cache.put(exp.name, key, point, result)
+            result = settle_point(exp, point, key, raw, self.cache, audit_reports)
             fut.set_result(result)
             await record(point, "run", result)
 
         await asyncio.gather(*(one(p) for p in job.points))
 
-        ordered = {p.name: results[p.name] for p in job.points}
-        reduced = exp.reduce(ordered)
-        if request.audit is not None and isinstance(reduced, dict):
-            total_violations = sum(
-                r["violation_count"] for r in audit_reports.values()
-            )
-            reduced["audit"] = {
-                "mode": request.audit,
-                "ok": total_violations == 0,
-                "violation_count": total_violations,
-                "points_audited": len(audit_reports),
-                "points_cached": len(job.points) - job.sources["run"],
-                "points": audit_reports,
-            }
         report = {
             "experiment": exp.name,
             "points": len(job.points),
@@ -363,8 +333,11 @@ class ExperimentServer:
             "inflight_hits": job.sources["inflight"],
             "executed": job.sources["run"],
             "jobs": self.fleet.jobs,
-            "wall_s": time.monotonic() - job.t0,
         }
+        reduced = reduce_points(
+            exp, job.points, results, job.sources["run"], audit, audit_reports, report
+        )
+        report["wall_s"] = time.monotonic() - job.t0
         return reduced, report
 
     # ------------------------------------------------------------------

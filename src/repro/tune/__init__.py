@@ -3,15 +3,14 @@
 * :mod:`repro.tune.channel_env` + :mod:`repro.tune.optim` — the channel
   tuner: PrioPlus ``[D_target, D_limit]`` placement as a black-box search
   problem (CEM / random search, stdlib RNG, deterministic).
-* :mod:`repro.tune.search` + :mod:`repro.tune.rollout` — checkpointed
-  search loops with serial or :class:`~repro.runner.scheduler.WorkerFleet`
-  rollouts; surfaced as ``python -m repro tune`` and the registered
+* :mod:`repro.tune.search` — the checkpointed search loop; each generation
+  runs through :func:`repro.runner.run_experiment` (serial or ``jobs``
+  workers).  Surfaced as ``python -m repro tune`` and the registered
   ``tune_channels`` experiment.
 """
 
 from .channel_env import (
     WORKLOADS,
-    ChannelTuningEnv,
     TuneSpec,
     default_theta,
     evaluate_candidate,
@@ -26,7 +25,6 @@ __all__ = [
     "BoxSpace",
     "TuneSpec",
     "WORKLOADS",
-    "ChannelTuningEnv",
     "make_spec",
     "default_theta",
     "theta_to_bands",

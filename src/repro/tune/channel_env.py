@@ -15,7 +15,7 @@ theta (``gap_1 = A+B``, ``width = A/2+B``, ``gap_{i>1} = A/2``), which
 search loops use as the incumbent seed.
 
 **Evaluation.**  :func:`evaluate_candidate` is a module-level pure
-function of ``(spec_dict, theta)`` — picklable, so fleet workers evaluate
+function of ``(spec_dict, theta)`` — picklable, so pool workers evaluate
 candidates bit-identically to the serial path.  Workloads:
 
 * ``flowsched_micro`` — tiny fig11-style WebSearch run (~1 s/eval), the
@@ -40,7 +40,6 @@ __all__ = [
     "theta_to_bands",
     "theta_to_channels",
     "evaluate_candidate",
-    "ChannelTuningEnv",
 ]
 
 #: per-dimension bounds (ns): inter-channel gap and channel width
@@ -219,8 +218,8 @@ def evaluate_candidate(spec_dict: dict, theta: Sequence[float]) -> dict:
     """Score one placement: ``{"utility", "metrics", "bands"}`` (higher is better).
 
     Pure function of its arguments (all JSON-serialisable), evaluated
-    identically in-process and in fleet workers — the serial-vs-fleet
-    determinism test in ``tests/test_tune_optim.py`` relies on this.
+    identically in-process and in pool workers — the ``jobs=1`` vs
+    ``jobs=2`` search test in ``tests/test_tune_optim.py`` relies on this.
     """
     workload = WORKLOADS[spec_dict["workload"]]
     channels = theta_to_channels(theta)
@@ -228,28 +227,3 @@ def evaluate_candidate(spec_dict: dict, theta: Sequence[float]) -> dict:
     out["bands"] = channels.bands()
     return out
 
-
-class ChannelTuningEnv:
-    """Gym-style view of the search problem: one episode = one evaluation.
-
-    ``reset()`` returns the incumbent (paper-default) theta as the
-    observation; ``step(theta)`` evaluates the candidate and terminates
-    with ``reward = utility``.  This makes the channel tuner pluggable
-    into any bandit/RL harness, while :mod:`repro.tune.search` drives the
-    same evaluator directly for CEM/random search.
-    """
-
-    def __init__(self, spec: TuneSpec):
-        self.spec = spec
-        self.space = spec.space()
-        self._last = None
-
-    def reset(self, *, seed=None, options=None):
-        obs = default_theta(self.spec.n_priorities)
-        return obs, {"spec": self.spec.to_dict()}
-
-    def step(self, theta: Sequence[float]):
-        theta = self.space.clip(theta)
-        result = evaluate_candidate(self.spec.to_dict(), theta)
-        self._last = result
-        return list(theta), result["utility"], True, False, result

@@ -1,10 +1,15 @@
-"""The checkpointed search loop tying spec + optimizer + rollouts together.
+"""The checkpointed search loop tying spec + optimizer + runner together.
 
 :func:`run_search` drives ask/tell generations until the evaluation budget
 is spent, checkpointing the complete search state (optimizer distribution,
 RNG, history, incumbent) to JSON after every generation — a killed search
 resumes bit-identically from its checkpoint (pinned by
 ``tests/test_tune_optim.py``).
+
+Each generation is one :class:`FunctionExperiment` of
+:func:`~repro.tune.channel_env.evaluate_candidate` points run by
+:func:`~repro.runner.run_experiment`: inline at ``jobs=1``, over a one-shot
+pool of ``jobs`` workers otherwise, with the same result.
 
 Generation 0 always evaluates the paper-default placement first (the
 optimizer's ``init_theta`` incumbent), so the reported best can never be
@@ -15,11 +20,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
+from ..experiments.registry import FunctionExperiment
+from ..runner import run_experiment
 from .channel_env import TuneSpec, default_theta, evaluate_candidate, theta_to_bands
 from .optim import OPTIMIZERS
-from .rollout import RolloutBackend
 
 __all__ = ["run_search", "load_checkpoint"]
 
@@ -29,6 +35,24 @@ def _atomic_write_json(path: str, payload: dict) -> None:
     with open(tmp, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
     os.replace(tmp, path)
+
+
+def _candidate(spec: dict, theta: List[float], slot: int) -> dict:
+    """One population member; ``slot`` keeps two equal clipped samples two points."""
+    return evaluate_candidate(spec, theta)
+
+
+def _generation(spec_dict: dict, pop: List[List[float]], generation: int) -> FunctionExperiment:
+    return FunctionExperiment(
+        "tune_eval",
+        {
+            f"g{generation}c{slot}": (
+                _candidate,
+                {"spec": spec_dict, "theta": [float(v) for v in theta], "slot": slot},
+            )
+            for slot, theta in enumerate(pop)
+        },
+    )
 
 
 def load_checkpoint(path: str) -> Optional[dict]:
@@ -47,15 +71,13 @@ def run_search(
     jobs: int = 1,
     checkpoint_path: Optional[str] = None,
     resume: bool = True,
-    fleet=None,
     log: Optional[Callable[[str], None]] = None,
 ) -> dict:
     """Tune channel placement for ``spec``; returns the tuned-vs-default report.
 
     ``budget`` counts candidate evaluations (generations are
-    ``ceil(budget / pop_size)``).  ``jobs > 1`` fans each generation over a
-    :class:`~repro.runner.scheduler.WorkerFleet`; ``fleet`` reuses an
-    existing one (e.g. the serve daemon's).
+    ``ceil(budget / pop_size)``).  ``jobs > 1`` fans each generation over
+    ``jobs`` worker processes.
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; choose from {sorted(OPTIMIZERS)}")
@@ -83,46 +105,46 @@ def run_search(
         history = []
         default_record = None
 
-    with RolloutBackend(spec_dict, jobs=jobs, fleet=fleet) as backend:
-        while opt.evaluations < budget:
-            generation = opt.generation
-            pop = opt.ask()
-            results = backend.evaluate(pop, generation)
-            utilities = [r["utility"] for r in results]
-            if generation == 0 and default_record is None:
-                # ask() put the incumbent (paper default) at slot 0
-                default_record = {
-                    "theta": pop[0],
-                    "utility": utilities[0],
-                    "metrics": results[0]["metrics"],
-                }
-            opt.tell(pop, utilities)
-            gen_best = max(range(len(pop)), key=lambda i: utilities[i])
-            history.append(
+    while opt.evaluations < budget:
+        generation = opt.generation
+        pop = opt.ask()
+        # pop_size >= 2, so the default reduce is {point: result} in slot order
+        results = list(run_experiment(_generation(spec_dict, pop, generation), jobs=jobs).values())
+        utilities = [r["utility"] for r in results]
+        if generation == 0 and default_record is None:
+            # ask() put the incumbent (paper default) at slot 0
+            default_record = {
+                "theta": pop[0],
+                "utility": utilities[0],
+                "metrics": results[0]["metrics"],
+            }
+        opt.tell(pop, utilities)
+        gen_best = max(range(len(pop)), key=lambda i: utilities[i])
+        history.append(
+            {
+                "generation": generation,
+                "utilities": utilities,
+                "gen_best_utility": utilities[gen_best],
+                "best_utility": opt.best_utility,
+            }
+        )
+        say(
+            f"gen {generation}: best {utilities[gen_best]:.4f}, "
+            f"overall {opt.best_utility:.4f} "
+            f"({opt.evaluations}/{budget} evaluations)"
+        )
+        if checkpoint_path:
+            _atomic_write_json(
+                checkpoint_path,
                 {
-                    "generation": generation,
-                    "utilities": utilities,
-                    "gen_best_utility": utilities[gen_best],
-                    "best_utility": opt.best_utility,
-                }
+                    "spec": spec_dict,
+                    "budget": budget,
+                    "seed": seed,
+                    "optimizer_state": opt.state(),
+                    "history": history,
+                    "default": default_record,
+                },
             )
-            say(
-                f"gen {generation}: best {utilities[gen_best]:.4f}, "
-                f"overall {opt.best_utility:.4f} "
-                f"({opt.evaluations}/{budget} evaluations)"
-            )
-            if checkpoint_path:
-                _atomic_write_json(
-                    checkpoint_path,
-                    {
-                        "spec": spec_dict,
-                        "budget": budget,
-                        "seed": seed,
-                        "optimizer_state": opt.state(),
-                        "history": history,
-                        "default": default_record,
-                    },
-                )
 
     if default_record is None:
         # zero-budget edge case: report the incumbent unevaluated

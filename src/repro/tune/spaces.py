@@ -1,9 +1,8 @@
 """The search-space description of :mod:`repro.tune`.
 
 :class:`BoxSpace` is the bounded box the optimizers (:mod:`.optim`) sample
-and clip candidates in and :class:`~repro.tune.channel_env.ChannelTuningEnv`
-declares its theta bounds with: ``contains``, ``sample`` and ``clip``,
-stdlib only.
+and clip candidates in, and :meth:`~repro.tune.channel_env.TuneSpec.space`
+declares the theta bounds with: ``sample`` and ``clip``, stdlib only.
 """
 
 from __future__ import annotations
@@ -27,11 +26,6 @@ class BoxSpace:
                 raise ValueError(f"dimension {i}: low {lo} > high {hi}")
         self.low = [float(x) for x in low]
         self.high = [float(x) for x in high]
-
-    def contains(self, x: Sequence[float]) -> bool:
-        if len(x) != len(self.low):
-            return False
-        return all(lo <= v <= hi for v, lo, hi in zip(x, self.low, self.high))
 
     def clip(self, x: Sequence[float]) -> List[float]:
         return [

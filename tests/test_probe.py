@@ -92,14 +92,14 @@ def test_runner_imports_no_figure_module():
     """The dispatch layer runs experiments; it never names one.
 
     The only door from ``runner/``, ``serve/``, ``api.py``, ``client.py``
-    and ``tune/rollout.py`` into ``repro.experiments`` is ``registry`` (the
+    and ``tune/search.py`` into ``repro.experiments`` is ``registry`` (the
     Experiment / Point types and REGISTRY).  Importing a figure module is
     how a timing harness would grow back inside ``src/repro``; speed is
     measured in ``benchmarks/perf``.
     """
     allowed = ("repro.experiments", "repro.experiments.registry")
     paths = sorted((SRC / "runner").rglob("*.py")) + sorted((SRC / "serve").rglob("*.py"))
-    paths += [SRC / "api.py", SRC / "client.py", SRC / "tune" / "rollout.py"]
+    paths += [SRC / "api.py", SRC / "client.py", SRC / "tune" / "search.py"]
     offenders = []
     for path in paths:
         for module in _imported_modules(path):
@@ -145,17 +145,17 @@ def test_common_is_only_the_ledgers_import_surface():
 
 
 def test_registry_holds_the_only_experiment_class():
-    """Figure modules declare ``FunctionExperiment(name, {point: (fn, kwargs)})``
-    as data; a second ``class X(Experiment)`` is how eleven ways to say one
-    shape grew last time."""
+    """Experiments are declared as ``FunctionExperiment(name, {point: (fn,
+    kwargs)})`` data, anywhere in the package; a second ``class
+    X(Experiment)`` is how eleven ways to say one shape grew last time."""
     subclasses = [
-        f"{path.name}: {node.name}"
-        for path in sorted((SRC / "experiments").glob("*.py"))
+        f"{path.relative_to(SRC)}: {node.name}"
+        for path in sorted(SRC.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ClassDef)
         and any("Experiment" in ast.unparse(base) for base in node.bases)
     ]
-    assert subclasses == ["registry.py: FunctionExperiment"], subclasses
+    assert subclasses == ["experiments/registry.py: FunctionExperiment"], subclasses
 
 
 def test_no_builtin_hash_where_results_are_made():

@@ -18,7 +18,7 @@ import pytest
 from repro import api
 from repro.client import ServeClient, ServeError, connect, parse_address
 from repro.experiments.registry import ExperimentRegistry, FunctionExperiment
-from repro.runner import run_experiment
+from repro.runner import RunnerError, run_experiment
 from repro.serve import BackgroundServer
 from repro.serve.inflight import InflightTable
 from repro.serve.protocol import (
@@ -358,6 +358,36 @@ def _raise_point(seed=0):
 
 
 # ----------------------------------------------------------------------
+# one point pipeline: the daemon runs the runner's plan/settle/reduce steps
+# ----------------------------------------------------------------------
+def test_a_failing_point_reads_the_same_everywhere(tmp_path):
+    exp = FunctionExperiment("raiser", {"p": (_raise_point, {"seed": 0})})
+    texts = []
+    for jobs in (1, 2):
+        with pytest.raises(RunnerError) as err:
+            run_experiment(exp, jobs=jobs)
+        texts.append(str(err.value))
+    with _make_server(tmp_path, [exp]) as srv:
+        client = ServeClient(srv.address)
+        job_id = client.submit("raiser")
+        with pytest.raises(ServeError):
+            client.result(job_id)
+        served = client.job_status(job_id).error
+    assert texts == ["raiser:p raised ValueError: deterministic failure"] * 2
+    assert served == f"RunnerError: {texts[0]}"
+
+
+def test_served_audit_block_identical_to_local(tmp_path):
+    local_report, served_report = {}, {}
+    local = api.run("quickstart", audit="warn", report=local_report)
+    with BackgroundServer(unix_path=str(tmp_path / "serve.sock"), jobs=2) as srv:
+        served = api.run("quickstart", audit="warn", server=srv.address, report=served_report)
+    assert local["audit"]["points_audited"] >= 1
+    assert json.dumps(served["audit"], sort_keys=True) == json.dumps(local["audit"], sort_keys=True)
+    assert served_report["audit_violations"] == local_report["audit_violations"]
+
+
+# ----------------------------------------------------------------------
 # the request read is bounded: the client sets its pace and size, so the
 # daemon caps both (raw socket: the public client never sends these)
 # ----------------------------------------------------------------------
@@ -417,6 +447,19 @@ def test_raw_submit_within_the_bounds_round_trips(tmp_path):
         )
         assert status == 202
         assert connect(srv.address).result(payload["job_id"]) == {"value": 9, "seed": 0}
+
+
+def test_raw_submit_with_a_malformed_fault_plan_is_a_400(tmp_path):
+    exp = FunctionExperiment("tiny", {"p": (_quick_point, {"value": 9, "seed": 0})})
+    with _make_server(tmp_path, [exp]) as srv:
+        plan = {"specs": [{"kind": "link_down", "target": ["tor0", "spine0"]}]}  # no schedule
+        body = json.dumps(SubmitRequest(experiment="tiny", faults=plan).to_dict()).encode()
+        status, payload = _raw_request(
+            srv.address,
+            b"POST /v1/submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body,
+        )
+        assert status == 400 and "fault plan" in payload["error"]
+        assert connect(srv.address).server_status().jobs_total == 0
 
 
 # ----------------------------------------------------------------------
