@@ -320,13 +320,13 @@ def main(argv=None) -> int:
             else:
                 n = write_events_jsonl(recorder, args.events)
             print(f"wrote {n} events to {args.events}", file=sys.stderr)
-        if args.metrics and isinstance(result, dict) and "telemetry" not in result:
+        if args.metrics and isinstance(result, dict):
             result = dict(result)
             result["telemetry"] = recorder.snapshot()
     if tracer is not None:
         n = tracer.write_spans_jsonl(args.trace_packets)
         print(f"wrote {n} span lines to {args.trace_packets}", file=sys.stderr)
-        if isinstance(result, dict) and "packet_traces" not in result:
+        if isinstance(result, dict):
             result = dict(result)
             result["packet_traces"] = tracer.snapshot()
     if inspector is not None:
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     if sampler is not None:
         n = sampler.write(args.sample)
         print(f"wrote {n} sample rows to {args.sample}", file=sys.stderr)
-    if profiler is not None and isinstance(result, dict) and "profile" not in result:
+    if profiler is not None and isinstance(result, dict):
         result = dict(result)
         result["profile"] = profiler.snapshot()
     print(json.dumps(json_safe(result), indent=2))

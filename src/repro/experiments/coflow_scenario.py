@@ -29,6 +29,8 @@ from .modes import CCFactory
 __all__ = ["CoflowConfig", "build_workload", "run_coflow_mode", "speedup_summary"]
 
 N_GROUPS = 8
+#: payload bytes per packet
+_MTU = 1000
 
 
 class CoflowConfig:
@@ -46,11 +48,8 @@ class CoflowConfig:
         request_fanout: int = 4,
         request_piece_bytes: int = 40_000,
         seed: int = 7,
-        mtu: int = 1000,
         link_delay_ns: int = 300,
-        pfc_enabled: bool = True,
         lossy: bool = False,
-        with_noise: bool = True,
     ):
         self.n_racks = n_racks
         self.hosts_per_rack = hosts_per_rack
@@ -62,11 +61,9 @@ class CoflowConfig:
         self.request_fanout = request_fanout
         self.request_piece_bytes = request_piece_bytes
         self.seed = seed
-        self.mtu = mtu
         self.link_delay_ns = link_delay_ns
-        self.pfc_enabled = pfc_enabled
+        #: PFC off and IRN-style loss recovery (Fig 17)
         self.lossy = lossy
-        self.with_noise = with_noise
 
     @property
     def n_hosts(self) -> int:
@@ -145,8 +142,8 @@ def run_coflow_mode(
     link_bdp = cfg.host_rate_bps * 1000 / 8e9
     switch_cfg = factory.switch_config(
         buffer_bytes=32 * 1024 * 1024,  # §6.2: 32 MB to not starve physical prio
-        headroom_per_port_per_prio=int(2 * link_bdp + 5 * cfg.mtu),
-        pfc_enabled=cfg.pfc_enabled and not cfg.lossy,
+        headroom_per_port_per_prio=int(2 * link_bdp + 5 * _MTU),
+        pfc_enabled=not cfg.lossy,
     )
     if topology is not None:
         net, hosts = topology(sim, switch_cfg)
@@ -173,8 +170,8 @@ def run_coflow_mode(
 
     group_of = lambda s: groups[s.tag[1]]  # noqa: E731
     sender_kw = dict(
-        mtu=cfg.mtu,
-        noise=paper_noise() if cfg.with_noise else None,
+        mtu=_MTU,
+        noise=paper_noise(),
         rto_ns=100 * MICROSECOND if cfg.lossy else None,
         on_receive_done=tracker.on_flow_done,
     )

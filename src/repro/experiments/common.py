@@ -32,7 +32,7 @@ from .registry import (
     get_experiment,
     register,
 )
-from .samplers import DelaySampler, RateSampler, attach_telemetry, telemetry_section
+from .samplers import DelaySampler, RateSampler
 
 __all__ = [
     "Mode",
@@ -43,8 +43,6 @@ __all__ = [
     "RateSampler",
     "DelaySampler",
     "run_until_flows_done",
-    "telemetry_section",
-    "attach_telemetry",
     "Point",
     "Experiment",
     "FunctionExperiment",

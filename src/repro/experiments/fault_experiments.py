@@ -46,7 +46,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Tuple
 
 from ..analysis.export import write_series_csv
-from ..cc import Dcqcn
 from ..faults import FaultInjector, FaultPlan, FaultSpec, Schedule
 from ..sim.engine import MICROSECOND, MILLISECOND, Simulator
 from ..sim.network import Network
@@ -54,7 +53,7 @@ from ..workloads.generators import FlowSpec
 from .launch import launch_specs
 from .modes import CCFactory, Mode
 from .registry import FunctionExperiment, register
-from .samplers import RateSampler, attach_telemetry
+from .samplers import RateSampler
 
 __all__ = ["run_fault_flap", "run_fault_degrade", "export_fault_timelines"]
 
@@ -62,31 +61,13 @@ _LINK_DELAY_NS = 1_000
 _SAMPLE_NS = 50 * MICROSECOND
 
 #: modes every fault point sweeps: PrioPlus vs the paper's deployable baselines
-FAULT_MODES = ("prioplus", "swift_targets", "dcqcn")
-
-
-class _DcqcnFactory(CCFactory):
-    """DCQCN on the single-queue layout: ECN switch config, no deadlines."""
-
-    def __init__(self, n_priorities: int = 2):
-        # D2TCP's layout gives us a single ECN-marked data queue + ACK queue;
-        # only the CC instance itself is swapped out.
-        super().__init__(Mode.D2TCP, n_priorities=n_priorities)
-
-    def make(self, flow, group):
-        self._check_group(group)
-        return Dcqcn()
-
-    def deadline_for(self, flow_size, group, line_rate_bps, start_ns):
-        return None
+FAULT_MODES = (Mode.PRIOPLUS, Mode.SWIFT_TARGETS, Mode.DCQCN)
 
 
 def _factory(mode: str, channels=None) -> CCFactory:
-    if mode == "dcqcn":
-        return _DcqcnFactory(n_priorities=2)
-    if mode in (Mode.PRIOPLUS, Mode.SWIFT_TARGETS):
-        return CCFactory(mode, n_priorities=2, channels=channels)
-    raise ValueError(f"fault experiments compare {FAULT_MODES}, got {mode!r}")
+    if mode not in FAULT_MODES:
+        raise ValueError(f"fault experiments compare {FAULT_MODES}, got {mode!r}")
+    return CCFactory(mode, n_priorities=2, channels=channels)
 
 
 def _launch_two_groups(
@@ -156,7 +137,7 @@ def _result(
     plan: FaultPlan,
 ) -> dict:
     rates = _window_rates(sampler, windows)
-    result = {
+    return {
         "mode": mode,
         "rate_bps": rate,
         "residual_bps": residual_bps,
@@ -167,7 +148,6 @@ def _result(
         "faults": injector.stats(),
         "plan": plan.to_dict(),
     }
-    return attach_telemetry(result)
 
 
 # ----------------------------------------------------------------------

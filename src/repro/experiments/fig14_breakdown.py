@@ -21,7 +21,7 @@ from ..core import StartTier
 from ..noise import paper_noise
 from ..sim.engine import Simulator
 from ..topology import fat_tree
-from ..workloads import poisson_flows, websearch
+from ..workloads import poisson_flows
 from .launch import launch_specs, run_until_flows_done
 from .modes import CCFactory, Mode
 from .registry import FunctionExperiment, register
@@ -63,13 +63,12 @@ def run_fig14(
         sim, k=cfg.k, rate_bps=cfg.rate_bps, link_delay_ns=cfg.link_delay_ns, switch_cfg=switch_cfg
     )
     rng = random.Random(cfg.seed)
-    cdf = websearch(cfg.size_scale)
+    cdf = cfg.cdf_factory(cfg.size_scale)
     specs = poisson_flows(rng, len(hosts), cdf, cfg.load, cfg.rate_bps, cfg.duration_ns)
     # assign a priority level uniformly: every level sees the same workload
     levels = [rng.randrange(n_priorities) for _ in specs]
     level_of = dict(zip([id(s) for s in specs], levels))
 
-    noise = paper_noise() if cfg.with_noise else None
     flows, senders = launch_specs(
         sim,
         net,
@@ -78,7 +77,7 @@ def run_fig14(
         factory,
         group_of=lambda s: level_of[id(s)],
         mtu=cfg.mtu,
-        noise=noise,
+        noise=paper_noise(),
     )
     for f, lvl in zip(flows, levels):
         f.tag = ("level", n_priorities - 1 - lvl)  # paper labels: larger = higher

@@ -31,35 +31,29 @@ __all__ = ["FlowSchedConfig", "grid_rows", "grid_spec", "run_flowsched", "size_g
 class FlowSchedConfig:
     """Scale knobs for the flow-scheduling scenario."""
 
+    #: fat-tree arity of the default fabric
+    k = 4
+    #: payload bytes per packet
+    mtu = 1000
+    pfc_enabled = True
+
     def __init__(
         self,
-        k: int = 4,
         rate_bps: float = 10e9,
         link_delay_ns: int = 1000,
         load: float = 0.7,
         duration_ns: int = 3 * MILLISECOND,
         size_scale: float = 0.1,
-        buffer_mb_per_tbps: float = 4.4,
         seed: int = 42,
-        mtu: int = 1000,
-        with_noise: bool = True,
-        pfc_enabled: bool = True,
-        rto_ns: Optional[int] = None,
         cdf_factory=websearch,
         channels=None,
     ):
-        self.k = k
         self.rate_bps = rate_bps
         self.link_delay_ns = link_delay_ns
         self.load = load
         self.duration_ns = duration_ns
         self.size_scale = size_scale
-        self.buffer_mb_per_tbps = buffer_mb_per_tbps
         self.seed = seed
-        self.mtu = mtu
-        self.with_noise = with_noise
-        self.pfc_enabled = pfc_enabled
-        self.rto_ns = rto_ns
         #: callable(scale) -> EmpiricalCdf; swap in hadoop()/ali_storage()
         self.cdf_factory = cdf_factory
         #: ChannelConfig override for delay-channel modes (repro.tune places
@@ -70,7 +64,7 @@ class FlowSchedConfig:
         """Chip buffer from the paper's 4.4 MB/Tbps Tomahawk4 ratio."""
         ports = self.k + self.k  # edge/agg switch port count upper bound
         capacity_tbps = ports * self.rate_bps / 1e12
-        return max(int(self.buffer_mb_per_tbps * 1024 * 1024 * capacity_tbps), 256 * 1024)
+        return max(int(4.4 * 1024 * 1024 * capacity_tbps), 256 * 1024)
 
     def headroom_bytes(self) -> int:
         """Per-port per-priority PFC headroom: ~2 link BDP + a few MTUs."""
@@ -95,7 +89,6 @@ def run_flowsched(
     mode: str,
     n_priorities: int,
     cfg: Optional[FlowSchedConfig] = None,
-    big_buffer: bool = False,
     topology=None,
     fluid: bool = False,
     streaming: bool = False,
@@ -138,7 +131,7 @@ def run_flowsched(
         mode, n_priorities=n_priorities, channels=cfg.channels, tier_of_group=tier_of_group
     )
     switch_cfg = factory.switch_config(
-        buffer_bytes=cfg.buffer_bytes() if not big_buffer else 32 * 1024 * 1024,
+        buffer_bytes=cfg.buffer_bytes(),
         headroom_per_port_per_prio=cfg.headroom_bytes(),
         pfc_enabled=cfg.pfc_enabled,
     )
@@ -170,9 +163,7 @@ def run_flowsched(
         StreamingStats if streaming else _ListStats,
     )
     workload = (rng, len(hosts), cdf, cfg.load, cfg.rate_bps, cfg.duration_ns)
-    sender_kw = dict(
-        mtu=cfg.mtu, noise=paper_noise() if cfg.with_noise else None, rto_ns=cfg.rto_ns
-    )
+    sender_kw = dict(mtu=cfg.mtu, noise=paper_noise())
     if streaming:
         admitter = FlowAdmitter(
             sim, net, poisson_flows_iter(*workload), hosts, factory, group_of,

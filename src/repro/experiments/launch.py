@@ -34,6 +34,9 @@ __all__ = [
     "run_admitter",
 ]
 
+#: the packet drive loop asks ``done()`` once per this much simulated time
+_CHECK_EVERY_NS = 1_000_000
+
 
 def bind_flow(
     sim: Simulator,
@@ -86,15 +89,14 @@ def launch_specs(
     noise=None,
     rto_ns: Optional[int] = None,
     on_receive_done=None,
-    flow_id_start: int = 1,
 ) -> Tuple[List[Flow], List[FlowSender]]:
-    """Bind every workload spec up front, flow ids counting from ``flow_id_start``."""
+    """Bind every workload spec up front, flow ids counting from 1."""
     senders = [
         bind_flow(
             sim, net, spec, fid, hosts, factory, group_of,
             mtu=mtu, noise=noise, rto_ns=rto_ns, on_receive_done=on_receive_done,
         )
-        for fid, spec in enumerate(specs, flow_id_start)
+        for fid, spec in enumerate(specs, 1)
     ]
     return [s.flow for s in senders], senders
 
@@ -133,7 +135,6 @@ class FlowAdmitter:
         horizon_ns: int = 1_000_000,
         on_flow_done: Optional[Callable[[Flow], None]] = None,
         on_receive_done: Optional[Callable[[Flow], None]] = None,
-        flow_id_start: int = 1,
     ):
         if horizon_ns < 0:
             raise ValueError("horizon_ns must be >= 0")
@@ -146,7 +147,7 @@ class FlowAdmitter:
         )
         self._iter = iter(spec_iter)
         self._next_spec: Optional[FlowSpec] = None
-        self._next_fid = flow_id_start
+        self._next_fid = 1
         self._last_start_ns = -(1 << 62)
         self.exhausted = False
         self.n_admitted = 0
@@ -214,7 +215,6 @@ def run_until(
     sim: Simulator,
     done: Callable[[], bool],
     hard_deadline_ns: int,
-    check_every_ns: int = 1_000_000,
     driver=None,
 ) -> bool:
     """Run until ``done()`` holds or the deadline passes; returns ``done()``.
@@ -226,7 +226,7 @@ def run_until(
     if driver is not None:
         return driver.run_until_done(done, hard_deadline_ns)
     while sim.now < hard_deadline_ns:
-        sim.run(until=min(sim.now + check_every_ns, hard_deadline_ns))
+        sim.run(until=min(sim.now + _CHECK_EVERY_NS, hard_deadline_ns))
         if done():
             return True
         if sim.peek_time() is None:
@@ -238,7 +238,6 @@ def run_until_flows_done(
     sim: Simulator,
     flows: Sequence[Flow],
     hard_deadline_ns: int,
-    check_every_ns: int = 1_000_000,
     driver=None,
 ) -> bool:
     """:func:`run_until` every flow of ``flows`` completed."""
@@ -250,15 +249,14 @@ def run_until_flows_done(
             cursor += 1
         return cursor == len(flows)
 
-    return run_until(sim, done, hard_deadline_ns, check_every_ns, driver)
+    return run_until(sim, done, hard_deadline_ns, driver)
 
 
 def run_admitter(
     sim: Simulator,
     admitter: FlowAdmitter,
     hard_deadline_ns: int,
-    check_every_ns: int = 1_000_000,
     driver=None,
 ) -> bool:
     """:func:`run_until` the admitter's O(1) counter predicate holds."""
-    return run_until(sim, lambda: admitter.all_done, hard_deadline_ns, check_every_ns, driver)
+    return run_until(sim, lambda: admitter.all_done, hard_deadline_ns, driver)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..cc import D2tcp, Hpcc, Ledbat, NoCC, PowerTcp, Swift, SwiftParams
+from ..cc import D2tcp, Dcqcn, Hpcc, Ledbat, NoCC, PowerTcp, Swift, SwiftParams
 from ..core import ChannelConfig, PrioPlusCC, StartTier
 from ..sim.engine import MICROSECOND
 from ..sim.pfc import PfcConfig
@@ -36,6 +36,7 @@ class Mode:
     SWIFT_TARGETS = "swift_targets"  # Swift w/o scaling, per-priority targets (§3.2)
     LEDBAT_TARGETS = "ledbat_targets"  # LEDBAT with per-priority targets
     D2TCP = "d2tcp"  # single queue, deadline-weighted ECN backoff (§3.1)
+    DCQCN = "dcqcn"  # single ECN-marked queue, no deadlines (fault experiments)
     HPCC = "hpcc"  # HPCC + physical priority queues
     POWERTCP = "powertcp"  # PowerTCP + physical priority queues
 
@@ -50,16 +51,27 @@ class Mode:
         SWIFT_TARGETS,
         LEDBAT_TARGETS,
         D2TCP,
+        DCQCN,
         HPCC,
         POWERTCP,
     )
 
-    ECN_MODES = (D2TCP, HPCC)
-    SINGLE_QUEUE_MODES = (PRIOPLUS, PRIOPLUS_LEDBAT, PRIOPLUS_SAME_ACK, SWIFT, SWIFT_TARGETS, LEDBAT_TARGETS, D2TCP)
+    ECN_MODES = (D2TCP, DCQCN, HPCC)
+    SINGLE_QUEUE_MODES = (
+        PRIOPLUS, PRIOPLUS_LEDBAT, PRIOPLUS_SAME_ACK, SWIFT, SWIFT_TARGETS, LEDBAT_TARGETS,
+        D2TCP, DCQCN,
+    )
 
 
 #: the physical-queue ceiling the paper cites (8 lossless priorities via PFC)
 MAX_PHYSICAL_PRIORITIES = 8
+
+#: per-priority target step of the SWIFT_TARGETS / LEDBAT_TARGETS baselines
+_TARGET_STEP_NS = 4 * MICROSECOND
+#: D2TCP deadlines span this multiple of the ideal FCT, highest to lowest group
+_DDL_FACTOR_RANGE = (1.5, 12.0)
+#: ECN marking threshold of the ECN modes' switch queues
+_ECN_K_BYTES = 100 * 1024
 
 
 class CCFactory:
@@ -70,14 +82,8 @@ class CCFactory:
         mode: str,
         n_priorities: int = 8,
         channels: Optional[ChannelConfig] = None,
-        swift_params: Optional[SwiftParams] = None,
-        base_target_ns: int = 20 * MICROSECOND,
-        swift_target_step_ns: int = 4 * MICROSECOND,
-        d2tcp_ddl_factors: Optional[Sequence[float]] = None,
         tier_of_group: Optional[Callable[[int], str]] = None,
-        probe_first: Optional[bool] = None,
         probe_tiers: Optional[Sequence[str]] = None,
-        empty_eps_ns: Optional[int] = None,
     ):
         if mode not in Mode.ALL:
             raise ValueError(f"unknown mode {mode!r}")
@@ -91,23 +97,12 @@ class CCFactory:
         self.mode = mode
         self.n_priorities = n_priorities
         self.channels = channels or ChannelConfig(n_priorities=n_priorities)
-        self.swift_params = swift_params
-        self.base_target_ns = base_target_ns
-        self.swift_target_step_ns = swift_target_step_ns
-        self.d2tcp_ddl_factors = d2tcp_ddl_factors
         self._tier_of_group = tier_of_group
-        self.probe_first = probe_first
         # which start tiers probe before transmitting (§4.4): by default only
         # the throughput (LOW) tier pays the probe RTT; latency-sensitive
         # tiers linear-start blind, which is safe by Theorem 4.1's bound.
         self.probe_tiers = (
             tuple(probe_tiers) if probe_tiers is not None else (StartTier.LOW,)
-        )
-        # "delay == BaseRtt" (Algorithm 1) means "no standing queue"; under
-        # packet granularity a transient sub-channel queue qualifies, so the
-        # default epsilon is half a channel step.
-        self.empty_eps_ns = (
-            empty_eps_ns if empty_eps_ns is not None else self.channels.step_ns // 2
         )
 
     # ------------------------------------------------------------------
@@ -153,12 +148,7 @@ class CCFactory:
         buffer_bytes: int = 32 * 1024 * 1024,
         headroom_per_port_per_prio: int = 50 * 1024,
         pfc_enabled: bool = True,
-        ecn_k_bytes: Optional[int] = None,
-        dt_alpha: float = 1.0,
     ) -> SwitchConfig:
-        needs_ecn = self.mode in Mode.ECN_MODES
-        if needs_ecn and ecn_k_bytes is None:
-            ecn_k_bytes = 100 * 1024
         return SwitchConfig(
             n_queues=self.n_queues(),
             buffer_bytes=buffer_bytes,
@@ -166,9 +156,8 @@ class CCFactory:
             n_lossless=self.n_queues(),
             ideal_headroom=self.mode in (Mode.PHYSICAL_IDEAL, Mode.PHYSICAL_IDEAL_NOCC)
             or self.mode in Mode.SINGLE_QUEUE_MODES,
-            dt_alpha=dt_alpha,
             pfc=PfcConfig(enabled=pfc_enabled),
-            ecn_k_bytes=ecn_k_bytes if needs_ecn else None,
+            ecn_k_bytes=_ECN_K_BYTES if self.mode in Mode.ECN_MODES else None,
         )
 
     # ------------------------------------------------------------------
@@ -183,15 +172,8 @@ class CCFactory:
             return StartTier.LOW
         return StartTier.MEDIUM
 
-    def _swift(self, scaling: bool, base_target_ns: Optional[int] = None) -> Swift:
-        if self.swift_params is not None:
-            kw = {name: getattr(self.swift_params, name) for name in SwiftParams.__slots__}
-        else:
-            kw = {"base_target_ns": self.base_target_ns}
-        if base_target_ns is not None:
-            kw["base_target_ns"] = base_target_ns
-        kw["target_scaling"] = scaling
-        return Swift(SwiftParams(**kw))
+    def _swift(self, scaling: bool, base_target_ns: int = 20 * MICROSECOND) -> Swift:
+        return Swift(SwiftParams(base_target_ns=base_target_ns, target_scaling=scaling))
 
     def make(self, flow: Flow, group: int):
         """CC instance for one flow of priority group ``group``."""
@@ -204,27 +186,27 @@ class CCFactory:
                 self.channels,
                 vpriority=self.vpriority(group),
                 tier=tier,
-                probe_first=(
-                    self.probe_first if self.probe_first is not None else tier in self.probe_tiers
-                ),
-                empty_eps_ns=self.empty_eps_ns,
+                probe_first=tier in self.probe_tiers,
+                # "delay == BaseRtt" (Algorithm 1) means "no standing queue";
+                # under packet granularity a transient sub-channel queue
+                # qualifies, so the epsilon is half a channel step
+                empty_eps_ns=self.channels.step_ns // 2,
             )
         if mode in (Mode.PHYSICAL, Mode.PHYSICAL_IDEAL, Mode.SWIFT):
             return self._swift(scaling=True)
         if mode == Mode.SWIFT_TARGETS:
             # targets descend with priority: 4 us (lowest) .. 4*n us (highest)
             return self._swift(
-                scaling=False,
-                base_target_ns=self.swift_target_step_ns * self.vpriority(group),
+                scaling=False, base_target_ns=_TARGET_STEP_NS * self.vpriority(group)
             )
         if mode == Mode.LEDBAT_TARGETS:
-            return Ledbat(
-                target_queuing_ns=self.swift_target_step_ns * self.vpriority(group)
-            )
+            return Ledbat(target_queuing_ns=_TARGET_STEP_NS * self.vpriority(group))
         if mode == Mode.PHYSICAL_IDEAL_NOCC:
             return NoCC()
         if mode == Mode.D2TCP:
             return D2tcp()
+        if mode == Mode.DCQCN:
+            return Dcqcn()
         if mode == Mode.HPCC:
             return Hpcc()
         if mode == Mode.POWERTCP:
@@ -235,10 +217,7 @@ class CCFactory:
         """D2TCP deadline: 1.5x .. 12x the ideal FCT, by priority (§6)."""
         if self.mode != Mode.D2TCP:
             return None
-        factors = self.d2tcp_ddl_factors
-        if factors is None:
-            lo, hi = 1.5, 12.0
-            n = max(self.n_priorities - 1, 1)
-            factors = [lo + (hi - lo) * i / n for i in range(self.n_priorities)]
+        lo, hi = _DDL_FACTOR_RANGE
+        factor = lo + (hi - lo) * group / max(self.n_priorities - 1, 1)
         ideal = flow_size * 8e9 / line_rate_bps
-        return int(start_ns + factors[min(group, len(factors) - 1)] * ideal)
+        return int(start_ns + factor * ideal)

@@ -19,7 +19,6 @@ from ..topology import star
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
 from .registry import FunctionExperiment, register
-from .samplers import attach_telemetry
 
 __all__ = ["run_quickstart"]
 
@@ -52,14 +51,13 @@ def run_quickstart(
     sim.run(until=50_000_000)
 
     ideal_high = high.size_bytes * 8e9 / rate_bps + s_high.base_rtt
-    result = {
+    return {
         "high_fct_ns": high.fct_ns() if high.done else None,
         "low_fct_ns": low.fct_ns() if low.done else None,
         "high_fct_over_ideal": (high.fct_ns() / ideal_high) if high.done else None,
         "low_probes_sent": low.probes_sent,
         "all_done": low.done and high.done,
     }
-    return attach_telemetry(result)
 
 
 register(

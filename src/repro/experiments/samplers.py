@@ -1,5 +1,4 @@
-"""Time-series probes of the micro-benchmark figures, and the telemetry
-snapshot experiments embed in their results.
+"""Time-series probes of the micro-benchmark figures.
 
 :class:`RateSampler` / :class:`DelaySampler` schedule their own tick events,
 so results (and goldens) depend on them being attached.
@@ -7,33 +6,12 @@ so results (and goldens) depend on them being attached.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..sim.engine import MICROSECOND, Simulator
-from ..telemetry import current_recorder
 from ..transport.sender import FlowSender
 
-__all__ = ["RateSampler", "DelaySampler", "telemetry_section", "attach_telemetry"]
-
-
-def telemetry_section() -> Optional[dict]:
-    """Snapshot of the active flight recorder, or ``None`` when telemetry is
-    off.  Experiments embed this in their result dicts so every run carries
-    its own observability data (event counts + metrics)."""
-    rec = current_recorder()
-    return rec.snapshot() if rec is not None else None
-
-
-def attach_telemetry(result: dict) -> dict:
-    """Add a ``"telemetry"`` key to ``result`` when a recorder is active.
-
-    A no-op (and no new keys) when telemetry is disabled, so enabling the
-    recorder never perturbs the simulation-facing part of a result dict.
-    """
-    snap = telemetry_section()
-    if snap is not None:
-        result["telemetry"] = snap
-    return result
+__all__ = ["RateSampler", "DelaySampler"]
 
 
 class RateSampler:

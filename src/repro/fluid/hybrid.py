@@ -44,8 +44,9 @@ what per-segment credit would have left.
 
 Error envelope (documented in docs/PERFORMANCE.md): fluid epochs model
 steady-state scheduling but approximate away standing-queue delay and
-O(RTT) transition dynamics; ``exit_on_contention`` selects how eagerly the
-driver falls back to packets when saturated links appear.
+O(RTT) transition dynamics.  The driver falls back to packets only when
+flows of different ranks meet on a saturated link (``contention:priority``);
+same-rank sharing stays fluid.
 """
 
 from __future__ import annotations
@@ -93,21 +94,11 @@ _SEVERITY = {"none": 0, "single": 1, "shared": 2, "priority": 3}
 
 
 class FluidConfig:
-    """Tuning knobs for :class:`HybridDriver` (defaults are conservative)."""
+    """Tuning knob for :class:`HybridDriver`."""
 
-    __slots__ = ("check_every_ns", "backlog_enter_bytes", "exit_on_contention")
+    __slots__ = ("check_every_ns",)
 
-    def __init__(
-        self,
-        check_every_ns: int = 200_000,
-        backlog_enter_bytes: Optional[int] = None,
-        exit_on_contention: str = "priority",
-    ):
-        if exit_on_contention not in ("priority", "any", "none"):
-            raise ValueError(
-                f"exit_on_contention must be 'priority', 'any' or 'none', "
-                f"got {exit_on_contention!r}"
-            )
+    def __init__(self, check_every_ns: int = 200_000):
         if not isinstance(check_every_ns, int) or check_every_ns <= 0:
             # a non-advancing horizon would spin the drive loop forever
             raise ValueError(f"check_every_ns must be a positive int, got {check_every_ns!r}")
@@ -115,13 +106,6 @@ class FluidConfig:
         #: fluid epoch (the segment loop's outer horizon).  Not the length of
         #: a packet phase: those end when the fabric goes quiet
         self.check_every_ns = check_every_ns
-        #: fabric-wide backlog below which a fluid epoch may be attempted
-        #: (None → 8 wire-MTUs per port of the driver's own fabric)
-        self.backlog_enter_bytes = backlog_enter_bytes
-        #: fall back to packets when saturated links appear: "priority"
-        #: (cross-rank contention only), "any" (also same-rank sharing), or
-        #: "none" (model saturation fluidly; widest error envelope)
-        self.exit_on_contention = exit_on_contention
 
 
 class _FluidFlow:
@@ -183,10 +167,9 @@ class HybridDriver:
                 self._ports.extend(ports)
             elif node.port is not None:
                 self._ports.append(node.port)
-        # resolved per driver: a config shared across fabrics stays untouched
-        self.backlog_enter_bytes = self.cfg.backlog_enter_bytes
-        if self.backlog_enter_bytes is None:
-            self.backlog_enter_bytes = 8 * 1540 * max(len(self._ports), 1)
+        #: fabric-wide backlog below which a fluid epoch may be attempted:
+        #: 8 wire-MTUs per port of this driver's own fabric
+        self.quiet_backlog_bytes = 8 * 1540 * max(len(self._ports), 1)
         # persistent link index: Port -> dense link id (grows across epochs)
         self._link_index = {}
         self._link_caps: List[float] = []
@@ -198,7 +181,8 @@ class HybridDriver:
         self._flows: List[_FluidFlow] = []
         self._groups: Dict[_Group, None] = {}
         self._link_group: Dict[int, _Group] = {}
-        self._pending_admits: List = []
+        # senders parked by the drain in progress, then those admitted
+        # during it, in that order
         self._held: List = []
         self._fluid_entered = 0
         self._last_exit = -(1 << 62)
@@ -261,12 +245,6 @@ class HybridDriver:
         """Advance the hybrid simulation to ``until`` (no flow-set to watch)."""
         self.run_until_done(lambda: False, until)
 
-    def detach(self) -> None:
-        """Release the simulator hook (leaves the sim in packet mode)."""
-        if self.phase != _PACKET:
-            self._exit_fluid("detach")
-        self.sim.fluid_driver = None
-
     # ------------------------------------------------------------------
     # quiescence predicate + drain
     # ------------------------------------------------------------------
@@ -282,7 +260,7 @@ class HybridDriver:
         backlog = 0
         for port in self._ports:
             backlog += port.total_bytes
-            if backlog > self.backlog_enter_bytes:
+            if backlog > self.quiet_backlog_bytes:
                 return False
             if True in port.paused:
                 return False
@@ -309,7 +287,6 @@ class HybridDriver:
         sim = self.sim
         held = self._active_senders()
         self.phase = _DRAIN  # flow starts from here on are absorbed
-        self._pending_admits = []
         self._held = held
         for s in held:
             s.fluid_hold()
@@ -322,10 +299,6 @@ class HybridDriver:
                 for s in held:
                     if not s.completed:
                         self._release_or_start(s)
-                for s in self._pending_admits:
-                    if not s.completed:
-                        self._release_or_start(s)
-                self._pending_admits = []
                 self._held = []
                 self.stats["drain_failures"] += 1
                 self._last_exit = sim.now
@@ -424,10 +397,6 @@ class HybridDriver:
         for s in held:
             if not s.completed:
                 self._absorb(s)
-        for s in self._pending_admits:
-            if not s.completed:
-                self._absorb(s)
-        self._pending_admits = []
         self._held = []
         self.stats["fluid_epochs"] += 1
         p = sim.probe
@@ -449,7 +418,7 @@ class HybridDriver:
         if self.phase == _FLUID:
             self._absorb(sender)
         else:
-            self._pending_admits.append(sender)
+            self._held.append(sender)
 
     def _split(self, g: _Group) -> None:
         """Replace a group a completion may have disconnected by its
@@ -516,7 +485,7 @@ class HybridDriver:
             contention = self._allocate(seg_start)
             # the exit hands back the previous segment's f.rate / f.cap, so
             # this segment's are written only once it is known to run
-            if self._should_exit(contention) and seg_start - self._fluid_entered >= _MIN_FLUID_NS:
+            if contention == "priority" and seg_start - self._fluid_entered >= _MIN_FLUID_NS:
                 self._exit_fluid("contention:" + contention)
                 return
             # segment horizon: Δt cap, caller horizon, and per flow the
@@ -545,14 +514,6 @@ class HybridDriver:
             if dt <= 0:
                 break
             self._credit(dt)
-
-    def _should_exit(self, contention: str) -> bool:
-        policy = self.cfg.exit_on_contention
-        if policy == "none":
-            return False
-        if contention == "priority":
-            return True
-        return policy == "any" and contention == "shared"
 
     def _credit(self, dt: int) -> None:
         """Apply one segment: deliver bytes, ramp windows, reap completions.
@@ -643,33 +604,27 @@ class HybridDriver:
         sim = self.sim
         now = sim.now
         epoch_ns = now - self._fluid_entered
-        if self.phase == _DRAIN:  # defensive: exit requested mid-drain
-            survivors = self._held + self._pending_admits
-            epoch_ns = 0
-        else:
-            survivors = [f.sender for f in self._flows]
-            for f in self._flows:
-                s = f.sender
-                if s.completed:
-                    continue
-                if f.seq > f.first:
-                    s.fluid_advance(f.first, f.seq, f.scan, f.t_adv)
-                if s.flow.first_tx_ns is None and s.acked_payload == 0:
-                    # fresh flow: restarted via the packet start path below,
-                    # its fluid window was never real — don't sync it back
-                    continue
-                cwnd_out = f.cwnd
-                if f.rate < f.cap * 0.999:
-                    # network-limited: hand back a window matched to the
-                    # allocated rate so the resumed DES does not burst
-                    cwnd_out = min(cwnd_out, f.rate * s.base_rtt + 2.0 * s.mtu)
-                s.cc.fluid_sync(cwnd_out)
+        survivors = [f.sender for f in self._flows]
+        for f in self._flows:
+            s = f.sender
+            if s.completed:
+                continue
+            if f.seq > f.first:
+                s.fluid_advance(f.first, f.seq, f.scan, f.t_adv)
+            if s.flow.first_tx_ns is None and s.acked_payload == 0:
+                # fresh flow: restarted via the packet start path below,
+                # its fluid window was never real — don't sync it back
+                continue
+            cwnd_out = f.cwnd
+            if f.rate < f.cap * 0.999:
+                # network-limited: hand back a window matched to the
+                # allocated rate so the resumed DES does not burst
+                cwnd_out = min(cwnd_out, f.rate * s.base_rtt + 2.0 * s.mtu)
+            s.cc.fluid_sync(cwnd_out)
         self.phase = _PACKET
         self._flows = []
         self._groups = {}
         self._link_group = {}
-        self._pending_admits = []
-        self._held = []
         self._last_exit = now
         self._back_off(reason.startswith("contention") and epoch_ns < _SHORT_EPOCH_NS)
         self.stats["fluid_ns"] += epoch_ns

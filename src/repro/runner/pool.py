@@ -22,8 +22,9 @@ Determinism contract:
 
 * every point result is normalized through a JSON round-trip before it is
   cached or reduced, so fresh and cached results are indistinguishable;
-* a ``"telemetry"`` key attached by a point runner is stripped (telemetry is
-  per-process observability, not part of the simulation result);
+* a point result is simulation output only: no point runner embeds
+  telemetry, and the CLI's ``--metrics`` / ``--profile`` /
+  ``--trace-packets`` add their sink's snapshot to the reduced result;
 * workers run with telemetry disabled; the parent-side flight recorder (when
   one is active) receives the runner's own counters instead:
   ``runner.points``, ``runner.cache_hits``, ``runner.cache_misses``,

@@ -44,8 +44,7 @@ class RunnerError(RuntimeError):
 
 def worker_init() -> None:
     # Workers never observe: the sinks of the parent's probe (inherited on
-    # fork) would otherwise collect per-child data nobody can read back, and
-    # point runners that embed telemetry would poison the result cache.  One
+    # fork) would otherwise collect per-child data nobody can read back.  One
     # reset covers every sink — a per-point auditor is installed afresh by
     # execute_point.
     probe.reset()
@@ -90,10 +89,6 @@ def execute_point(
             f"{exp.name}:{point.name}: run_point must return a dict, "
             f"got {type(result).__name__}"
         )
-    # per-process observability never belongs in a cached simulation result
-    result.pop("telemetry", None)
-    result.pop("packet_traces", None)
-    result.pop("profile", None)
     if audit_mode is not None:
         result["audit"] = aud.report.to_dict()
     return result

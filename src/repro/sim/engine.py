@@ -13,7 +13,7 @@ cancel-heavy workloads (pacing, RTO re-arms) cannot bloat it.
 
 The vast majority of events in a packet simulation — port tx completions and
 propagation deliveries — are never cancelled.  :meth:`Simulator.call_at` /
-:meth:`Simulator.call_after` schedule those without constructing an
+:meth:`Simulator.call_at2` schedule those without constructing an
 :class:`EventHandle` at all: the heap entry is a bare ``(time, seq, fn, args)``
 tuple.  Both entry shapes share one heap; ``run()`` tells them apart by tuple
 length, and ordering is unaffected because the unique ``seq`` in slot 1 means
@@ -146,15 +146,6 @@ class Simulator:
         """
         tick = int(time)
         time = self._to_tick(time) if tick < self.now else tick
-        self._seq += 1
-        self._live += 1
-        heapq.heappush(self._heap, (time, self._seq, fn, args))
-
-    def call_after(self, delay: int, fn: Callable, *args: Any) -> None:
-        """Allocation-free :meth:`after` (see :meth:`call_at`)."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        time = self.now + int(delay)
         self._seq += 1
         self._live += 1
         heapq.heappush(self._heap, (time, self._seq, fn, args))

@@ -278,7 +278,7 @@ def test_audited_run_loop_matches_plain_run():
         order = []
         sim = Simulator(2)
         for i in range(50):
-            sim.call_after(i * 10, order.append, i)
+            sim.call_at(i * 10, order.append, i)
         doomed = sim.at(123, order.append, "cancelled")
         sim.at(125, order.append, "kept")
         doomed.cancel()

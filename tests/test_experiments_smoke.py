@@ -18,6 +18,7 @@ from repro.experiments.fig8_testbed import _run_fig8, run_staircase
 from repro.experiments.fig9_fluct import _run_fig9
 from repro.experiments.fig10_micro import _run_fig10b, _run_fig10c
 from repro.experiments.fig13_noncongestive import fig13_gaps, fig13_spec
+from repro.experiments.fig14_breakdown import run_fig14
 from repro.experiments.flowsched import FlowSchedConfig, run_flowsched, size_group_boundaries
 from repro.experiments.coflow_scenario import CoflowConfig, build_workload, run_coflow_mode
 from repro.experiments.mltrain import MlTrainConfig, run_mltrain_mode
@@ -110,6 +111,23 @@ def test_flowsched_smoke_all_modes():
         r = run_flowsched(mode, 4, cfg)
         assert r["all_done"], mode
         assert r["fct"]["all"]["count"] == r["n_done"]
+
+
+def test_fig14_draws_its_configs_workload():
+    """Fig 14 takes its size distribution from ``cfg.cdf_factory``, as
+    ``run_flowsched`` does, instead of a hard-wired WebSearch."""
+    scales = []
+
+    def cdf_factory(scale):
+        scales.append(scale)
+        return websearch(scale)
+
+    cfg = FlowSchedConfig(
+        rate_bps=25e9, duration_ns=20_000, size_scale=0.05, seed=9, cdf_factory=cdf_factory
+    )
+    r = run_fig14(Mode.PRIOPLUS, 4, cfg)
+    assert scales == [0.05]
+    assert r["n_flows"] > 0
 
 
 def test_size_group_boundaries_monotone():

@@ -1,11 +1,11 @@
 """Hot-path tests: engine fast path, fused tx/delivery, the per-hop common
 case, packet pool.
 
-Covers the allocation-free scheduling API (`call_at` / `call_after` /
-`call_at2`), the fused transmission+propagation event on `Port`, the inline
-common case of `Switch.receive` / `_on_port_dequeue` / `Port.enqueue` against
-the general path every hop takes once a sink listens (`probe.on`), the
-calls-per-event budget that common case buys, the packet free-list pool, and
+Covers the allocation-free scheduling API (`call_at` / `call_at2`), the
+fused transmission+propagation event on `Port`, the inline common case of
+`Switch.receive` / `_on_port_dequeue` / `Port.enqueue` against the general
+path every hop takes once a sink listens (`probe.on`), the calls-per-event
+budget that common case buys, the packet free-list pool, and
 the satellite fixes that rode along (float clamping in `Simulator.at`,
 `set_paused` range validation, `cut()` telemetry, the ECMP pick cache bound).
 """
@@ -47,11 +47,11 @@ def test_call_at_interleaves_with_classic_in_schedule_order():
     assert fired == ["classic1", "fast1", "classic2", "fast2"]
 
 
-def test_call_after_fires_at_offset_and_counts():
+def test_call_at_fires_at_time_and_counts():
     sim = Simulator()
     fired = []
-    sim.call_after(10, fired.append, "a")
-    sim.call_after(30, fired.append, "b")
+    sim.call_at(10, fired.append, "a")
+    sim.call_at(30, fired.append, "b")
     assert sim.pending == 2
     n = sim.run()
     assert n == 2
@@ -60,14 +60,12 @@ def test_call_after_fires_at_offset_and_counts():
     assert sim.now == 30
 
 
-def test_call_at_past_raises_call_after_negative_raises():
+def test_call_at_past_raises():
     sim = Simulator()
     sim.at(100, lambda: None)
     sim.run()
     with pytest.raises(ValueError):
         sim.call_at(50, lambda: None)
-    with pytest.raises(ValueError):
-        sim.call_after(-1, lambda: None)
 
 
 def test_call_at2_orders_fn1_before_fn2_at_same_time():

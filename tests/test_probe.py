@@ -256,7 +256,7 @@ def test_profile_scope_record_rebound_after_entry_sees_every_dispatch():
         sim = Simulator(1)
         fired = []
         for i in range(7):
-            sim.call_after(10 * i, fired.append, i)
+            sim.call_at(10 * i, fired.append, i)
         doomed = sim.at(35, fired.append, "cancelled")
         sim.at(36, fired.append, "handle")
         doomed.cancel()
@@ -343,7 +343,6 @@ def test_snapshot_error_names_live_sinks_and_forks_share_inert_probe():
 # ----------------------------------------------------------------------
 def _battery() -> str:
     result = run_quickstart(low_bytes=300_000, high_bytes=100_000)
-    result.pop("telemetry", None)  # the runner embeds the recorder's snapshot
     return canonical({"quickstart": result, "pfc_incast": pfc_incast()})
 
 

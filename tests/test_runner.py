@@ -289,7 +289,6 @@ def test_paper_scale_quick_variants_keep_their_cut(name, cells, duration_ns):
 def test_runner_matches_legacy_function():
     via_runner = run_experiment(get_experiment("quickstart"))
     legacy = run_quickstart()
-    legacy.pop("telemetry", None)
     assert via_runner == json.loads(json.dumps(json_safe(legacy)))
 
 

@@ -4,7 +4,9 @@ import pytest
 
 from repro.cc.swift import Swift
 from repro.core import StartTier
-from repro.experiments.launch import FlowAdmitter, launch_specs, run_until_flows_done
+from repro.experiments.launch import (
+    _CHECK_EVERY_NS, FlowAdmitter, launch_specs, run_until_flows_done,
+)
 from repro.experiments.modes import CCFactory, Mode
 from repro.experiments.samplers import DelaySampler, RateSampler
 from repro.sim.engine import Simulator
@@ -74,7 +76,8 @@ def test_launch_specs_d2tcp_sets_deadlines():
 
 def test_launch_specs_and_admitter_bind_identically():
     """Up-front and staged admission share one binder: the same specs give
-    the same flow ids, priorities, channels, deadlines and CC types."""
+    the same flow ids (counting from 1), priorities, channels, deadlines and
+    CC types."""
     specs = [
         FlowSpec(0, 2, 50_000, 0, tag="a"),
         FlowSpec(1, 2, 90_000, 2_000, tag="b"),
@@ -97,11 +100,11 @@ def test_launch_specs_and_admitter_bind_identically():
 
     for mode in (Mode.PRIOPLUS, Mode.PRIOPLUS_LEDBAT, Mode.PHYSICAL, Mode.D2TCP):
         eager = bound(mode, lambda sim, net, hosts, fac: launch_specs(
-            sim, net, specs, hosts, fac, group_of, flow_id_start=7))
+            sim, net, specs, hosts, fac, group_of))
         staged = bound(mode, lambda sim, net, hosts, fac: FlowAdmitter(
-            sim, net, specs, hosts, fac, group_of, horizon_ns=1_000_000, flow_id_start=7))
+            sim, net, specs, hosts, fac, group_of, horizon_ns=1_000_000))
         assert eager == staged
-        assert [row[0] for row in eager] == [7, 8, 9]
+        assert [row[0] for row in eager] == [1, 2, 3]
         assert all((row[3] is not None) == (mode == Mode.D2TCP) for row in eager)
 
 
@@ -138,6 +141,24 @@ def test_switch_config_per_mode():
     assert swift.ecn_k_bytes is None
 
 
+def test_dcqcn_mode_is_d2tcp_layout_without_deadlines():
+    """DCQCN runs on D2TCP's single ECN-marked queue; only the CC differs."""
+    from repro.cc import D2tcp, Dcqcn
+
+    dcqcn, d2tcp = (CCFactory(m, n_priorities=2) for m in (Mode.DCQCN, Mode.D2TCP))
+    a, b = dcqcn.switch_config(), d2tcp.switch_config()
+    assert {k: getattr(a, k) for k in a.__slots__ if k != "pfc"} == {
+        k: getattr(b, k) for k in b.__slots__ if k != "pfc"
+    }
+    for g in (0, 1):
+        assert dcqcn.data_priority(g) == d2tcp.data_priority(g)
+        assert dcqcn.ack_priority(g) == d2tcp.ack_priority(g)
+        assert dcqcn.vpriority(g) == d2tcp.vpriority(g)
+    assert dcqcn.deadline_for(100_000, 0, 10e9, 0) is None
+    assert d2tcp.deadline_for(100_000, 0, 10e9, 0) is not None
+    assert type(dcqcn.make(None, 0)) is Dcqcn and type(d2tcp.make(None, 0)) is D2tcp
+
+
 def test_run_until_flows_done_deadline():
     sim, net, senders, recv = _setup(1)
     flow = Flow(1, senders[0], recv, 10_000_000_000)  # can never finish in time
@@ -166,9 +187,11 @@ def test_run_until_flows_done_reads_each_completion_once():
 
     sim = Simulator(1)
     flows = [CountingFlow() for _ in range(200)]
+    # completions spread over ten drive-loop checks
+    step = _CHECK_EVERY_NS // 20
     for i, flow in enumerate(flows):
-        sim.at((i + 1) * 1_000, setattr, flow, "finished_at", (i + 1) * 1_000)
-    check_every_ns = 2_000
-    assert run_until_flows_done(sim, flows, 10_000_000, check_every_ns=check_every_ns)
-    checks = sim.now // check_every_ns + 1
+        sim.at((i + 1) * step, setattr, flow, "finished_at", (i + 1) * step)
+    assert run_until_flows_done(sim, flows, 20 * _CHECK_EVERY_NS)
+    checks = sim.now // _CHECK_EVERY_NS + 1
+    assert checks >= 10
     assert sum(f.reads for f in flows) <= len(flows) + checks
