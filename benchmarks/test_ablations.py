@@ -2,22 +2,24 @@
 
 * Table 2 validated *empirically* (start strategies on a busy link);
 * noise filter, cardinality estimation, probe collision avoidance on/off;
-* Appendix-B prototype: per-priority ECN marking for DCTCP;
-* §7 future work: weighted virtual priority keeps a residual share.
+* Appendix-B prototype: per-priority ECN marking for DCTCP.
 """
 
-from repro.experiments.ablations import (
-    run_cardinality_ablation,
-    run_collision_avoidance_ablation,
-    run_filter_ablation,
-)
-from repro.experiments.ecn_priority import run_ecn_priority
+import pytest
+
+from repro.experiments.registry import get_experiment
 from repro.experiments.report import format_table
-from repro.experiments.table2_validation import run_table2_validation
+from repro.runner import run_experiment
 
 
-def test_table2_empirical_validation(benchmark):
-    r = benchmark.pedantic(run_table2_validation, rounds=1, iterations=1)
+@pytest.fixture(scope="module")
+def ablations():
+    """One ``ablations`` run: the three on/off pairs share it."""
+    return run_experiment(get_experiment("ablations").quick())
+
+
+def test_table2_empirical_validation():
+    r = run_experiment(get_experiment("table2").quick())
     rows = [
         (k, round(v["peak_extra_buffer_bdp"], 3), round(v["fct_ns"] / 1e3, 1))
         for k, v in r.items()
@@ -36,22 +38,16 @@ def test_table2_empirical_validation(benchmark):
     # slow start take two extra doublings beyond the analytical stop point.
 
 
-def test_filter_ablation(benchmark):
-    def both():
-        return run_filter_ablation(2), run_filter_ablation(1)
-
-    with_filter, without = benchmark.pedantic(both, rounds=1, iterations=1)
+def test_filter_ablation(ablations):
+    with_filter, without = ablations["filter"]
     print(f"\nfilter=2: {with_filter}\nfilter=1: {without}")
     # §4.3.1: the two-consecutive filter suppresses spurious relinquishes
     assert with_filter["relinquishes"] < without["relinquishes"] / 3
     assert with_filter["utilization"] > without["utilization"]
 
 
-def test_cardinality_ablation(benchmark):
-    def both():
-        return run_cardinality_ablation(True), run_cardinality_ablation(False)
-
-    with_est, without = benchmark.pedantic(both, rounds=1, iterations=1)
+def test_cardinality_ablation(ablations):
+    with_est, without = ablations["cardinality"]
     print(f"\ncardinality on: {with_est}\ncardinality off: {without}")
     # §4.3.1: without the estimator, the incast repeatedly blows past D_limit
     assert with_est["frac_above_limit"] <= without["frac_above_limit"]
@@ -59,24 +55,16 @@ def test_cardinality_ablation(benchmark):
     assert with_est["max_nflow"] > 10
 
 
-def test_collision_avoidance_ablation(benchmark):
-    def both():
-        return (
-            run_collision_avoidance_ablation(True),
-            run_collision_avoidance_ablation(False),
-        )
-
-    with_ca, without = benchmark.pedantic(both, rounds=1, iterations=1)
+def test_collision_avoidance_ablation(ablations):
+    with_ca, without = ablations["collision_avoidance"]
     print(f"\nCA on:  {with_ca}\nCA off: {without}")
     # §4.2.1: collision avoidance cuts the probe load on the network
     assert with_ca["total_probes"] < without["total_probes"]
 
 
-def test_ecn_priority_extension(benchmark):
-    def both():
-        return run_ecn_priority(False), run_ecn_priority(True)
-
-    uniform, prio = benchmark.pedantic(both, rounds=1, iterations=1)
+def test_ecn_priority_extension():
+    r = run_experiment(get_experiment("ecn-priority").quick())
+    uniform, prio = r["uniform"], r["per_priority"]
     print(f"\nuniform marking: {uniform}\nper-priority marking: {prio}")
     # Appendix B: priority-dependent marking turns DCTCP's fair split into
     # near-strict priority, with no loss of utilisation

@@ -1,21 +1,11 @@
 """Figure 10: PrioPlus micro-benchmarks (§6.1), reduced scale."""
 
-from repro.experiments.fig10_micro import (
-    _run_fig10a,
-    _run_fig10b,
-    _run_fig10c,
-    _run_fig10d,
-)
-from repro.sim.engine import MILLISECOND
+from repro.experiments.registry import get_experiment
+from repro.runner import run_experiment
 
 
-def test_fig10a_eight_priority_staircase(benchmark):
-    r = benchmark.pedantic(
-        _run_fig10a,
-        kwargs=dict(n_priorities=4, flows_per_prio=5, rate=25e9, stagger_ns=1 * MILLISECOND),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig10a_eight_priority_staircase():
+    r = run_experiment(get_experiment("fig10a").quick())
     print(f"\nFig 10a: leak={r['max_leak_share']:.3f} reclaim_us={['%.0f' % t for t in r['reclaim_us']]} "
           f"util={r['utilization']:.3f}")
     # O1: strict yield; O2: fast reclaim and high utilisation
@@ -25,13 +15,8 @@ def test_fig10a_eight_priority_staircase(benchmark):
     assert r["drops"] == 0
 
 
-def test_fig10b_incast_delay_near_target(benchmark):
-    r = benchmark.pedantic(
-        _run_fig10b,
-        kwargs=dict(n_flows=60, rate=25e9, duration_ns=3 * MILLISECOND),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig10b_incast_delay_near_target():
+    r = run_experiment(get_experiment("fig10b").quick())
     print(f"\nFig 10b: {r}")
     # the cardinality estimator pins delay below D_limit despite the incast
     assert r["frac_above_limit"] < 0.05
@@ -39,13 +24,9 @@ def test_fig10b_incast_delay_near_target(benchmark):
     assert 20 <= r["nflow_estimate"] <= 120
 
 
-def test_fig10c_dual_rtt_avoids_overreaction(benchmark):
-    def both():
-        dual = _run_fig10c(True, n_each=5, rate=25e9, duration_ns=2 * MILLISECOND, hi_start_ns=700_000)
-        every = _run_fig10c(False, n_each=5, rate=25e9, duration_ns=2 * MILLISECOND, hi_start_ns=700_000)
-        return dual, every
-
-    dual, every = benchmark.pedantic(both, rounds=1, iterations=1)
+def test_fig10c_dual_rtt_avoids_overreaction():
+    runs = run_experiment(get_experiment("fig10c").quick())
+    dual, every = runs["dual_rtt"], runs["every_rtt"]
     print(f"\nFig 10c dual-RTT: {dual}")
     print(f"Fig 10c every-RTT: {every}")
     # the ablation overshoots the target delay and oscillates in rate
@@ -54,14 +35,9 @@ def test_fig10c_dual_rtt_avoids_overreaction(benchmark):
     assert dual["hi_rate_mean_share"] > 0.85
 
 
-def test_fig10d_channel_width_grows_with_noise(benchmark):
-    r = benchmark.pedantic(
-        _run_fig10d,
-        kwargs=dict(noise_scales=(1.0, 4.0, 8.0), n_flows=3, rate=25e9, duration_ns=1_500_000),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig10d_channel_width_grows_with_noise():
+    r = run_experiment(get_experiment("fig10d").quick())
     print(f"\nFig 10d required noise budget B (us) per noise scale: {r}")
-    assert r[1.0] <= r[4.0] <= r[8.0]
-    assert r[8.0] > r[1.0]
-    assert r[8.0] != float("inf")
+    assert r["1.0"] <= r["4.0"] <= r["8.0"]
+    assert r["8.0"] > r["1.0"]
+    assert r["8.0"] != float("inf")

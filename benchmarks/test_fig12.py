@@ -1,8 +1,7 @@
 """Figures 12a/12b/15 (coflows) and 12c (ML training), reduced scale."""
 
 from repro.experiments.modes import Mode
-from repro.experiments.fig12_coflow import ci_config_kwargs, coflow_spec
-from repro.experiments.registry import FunctionExperiment, get_experiment
+from repro.experiments.registry import get_experiment
 from repro.experiments.report import format_table
 from repro.runner import run_experiment
 
@@ -22,15 +21,8 @@ def _print_speedups(title, result):
     ))
 
 
-def test_fig12a_coflow_speedup_load40(benchmark):
-    # the registered fig12 declaration at 40 % load
-    exp = FunctionExperiment(
-        "fig12a",
-        **coflow_spec(
-            [Mode.PRIOPLUS, Mode.PHYSICAL], ci_config_kwargs(load=0.4, duration_ns=1_500_000)
-        ),
-    )
-    result = benchmark.pedantic(run_experiment, args=(exp,), rounds=1, iterations=1)
+def test_fig12a_coflow_speedup_load40():
+    result = run_experiment(get_experiment("fig12a").quick())
     _print_speedups("Fig 12a: coflow CCT speedup vs Swift baseline (40% load)", result)
     s = result["speedups"]
     # priority scheduling accelerates the small (high-priority) coflows for
@@ -39,10 +31,8 @@ def test_fig12a_coflow_speedup_load40(benchmark):
     assert s[Mode.PHYSICAL]["high4"] > 1.0
 
 
-def test_fig12b_coflow_speedup_load70(benchmark):
-    result = benchmark.pedantic(
-        run_experiment, args=(get_experiment("fig12"),), rounds=1, iterations=1
-    )
+def test_fig12b_coflow_speedup_load70():
+    result = run_experiment(get_experiment("fig12").quick())
     _print_speedups("Fig 12b/15: coflow CCT speedup vs Swift baseline (70% load)", result)
     s = result["speedups"]
     assert s[Mode.PRIOPLUS]["high4"] > 1.0
@@ -51,10 +41,8 @@ def test_fig12b_coflow_speedup_load70(benchmark):
     assert s[Mode.PRIOPLUS]["completed"] == s[Mode.PHYSICAL]["completed"]
 
 
-def test_fig12c_mltrain_speedup(benchmark):
-    result = benchmark.pedantic(
-        run_experiment, args=(get_experiment("fig12c"),), rounds=1, iterations=1
-    )
+def test_fig12c_mltrain_speedup():
+    result = run_experiment(get_experiment("fig12c").quick())
     rows = []
     for mode, s in result["speedups"].items():
         rows.append([mode] + [round(s.get(k, float("nan")), 3) for k in ("resnet", "vgg", "overall")])

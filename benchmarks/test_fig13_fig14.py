@@ -1,17 +1,14 @@
 """Figure 13 (non-congestive delay) and Figure 14 (per-priority breakdown)."""
 
 from repro.experiments.modes import Mode
-from repro.experiments.fig14_breakdown import fig14_normalized, fig14_point
-from repro.experiments.registry import FunctionExperiment, get_experiment
+from repro.experiments.registry import get_experiment
 from repro.experiments.report import format_table
 from repro.runner import run_experiment
 
 
-def test_fig13_tolerance_absorbs_noncongestive_delay(benchmark):
-    # the registered declaration: tolerance 10 us, ranges 6 and 40 us
-    gaps = benchmark.pedantic(
-        run_experiment, args=(get_experiment("fig13"),), rounds=1, iterations=1
-    )
+def test_fig13_tolerance_absorbs_noncongestive_delay():
+    # tolerance 10 us, ranges 6 and 40 us
+    gaps = run_experiment(get_experiment("fig13").quick())
     within, beyond = gaps["gap@6us"], gaps["gap@40us"]
     print(f"\nFig 13 (tolerance 10us): gap@range6us={within:.3f} gap@range40us={beyond:.3f}")
     # ranges inside the configured tolerance barely move the FCT gap;
@@ -19,18 +16,9 @@ def test_fig13_tolerance_absorbs_noncongestive_delay(benchmark):
     assert beyond > within * 1.5
 
 
-def test_fig14_priority_level_breakdown(benchmark):
-    cfg = {"rate_bps": 100e9, "duration_ns": 400_000, "size_scale": 0.1, "load": 0.5}
-    # the fig14 declaration cut to two modes x six levels on a shorter trace
-    exp = FunctionExperiment(
-        "fig14-ci",
-        {
-            mode: (fig14_point, {"mode": mode, "n_priorities": 6, "cfg": cfg})
-            for mode in (Mode.PRIOPLUS, Mode.PHYSICAL_IDEAL)
-        },
-        reduce_fn=fig14_normalized,
-    )
-    out = benchmark.pedantic(run_experiment, args=(exp,), rounds=1, iterations=1)
+def test_fig14_priority_level_breakdown():
+    # PrioPlus and Physical* at six levels on a shorter trace
+    out = run_experiment(get_experiment("fig14").quick())
     results, norm = out["results"], out["normalized_to_physical"]
     rows = []
     for key, ratio in sorted(norm[Mode.PRIOPLUS].items()):

@@ -1,16 +1,21 @@
 """Figures 16, 17, 18: ACK priority sensitivity, lossy operation, HPCC/no-CC."""
 
+import pytest
+
 from repro.experiments.modes import Mode
-from repro.experiments.fig12_coflow import ci_config_kwargs, coflow_spec
-from repro.experiments.registry import FunctionExperiment, get_experiment
+from repro.experiments.registry import get_experiment
 from repro.experiments.report import format_table
 from repro.runner import run_experiment
 
 
-def test_fig16_ack_priority_and_hpcc(benchmark):
-    result = benchmark.pedantic(
-        run_experiment, args=(get_experiment("fig16"),), rounds=1, iterations=1
-    )
+@pytest.fixture(scope="module")
+def fig18():
+    """One fig18 run, shared: its PrioPlus point is Fig 17's lossless twin."""
+    return run_experiment(get_experiment("fig18").quick())
+
+
+def test_fig16_ack_priority_and_hpcc():
+    result = run_experiment(get_experiment("fig16").quick())
     by_mode = {r["mode"]: r for r in result["rows"]}
     rows = [
         [m, round(r["fct"]["all"]["mean_us"], 1), round(r["fct"]["all"]["p99_us"], 1)]
@@ -32,19 +37,11 @@ def test_fig16_ack_priority_and_hpcc(benchmark):
     assert hpcc <= pp * 2.0
 
 
-def test_fig17_lossy_environment(benchmark):
-    # fig17 is the lossy declaration; its lossless twin differs in one knob
-    lossless = FunctionExperiment(
-        "fig17-lossless",
-        **coflow_spec([Mode.PRIOPLUS], ci_config_kwargs(load=0.7, duration_ns=1_200_000)),
-    )
-
-    def both():
-        return run_experiment(get_experiment("fig17")), run_experiment(lossless)
-
-    lossy_res, lossless_res = benchmark.pedantic(both, rounds=1, iterations=1)
-    s_lossy = lossy_res["speedups"][Mode.PRIOPLUS]
-    s_lossless = lossless_res["speedups"][Mode.PRIOPLUS]
+def test_fig17_lossy_environment(fig18):
+    # fig17 is fig18's 70 % coflow config with PFC off; the lossless
+    # PrioPlus speedup is fig18's, over the same Swift baseline
+    s_lossy = run_experiment(get_experiment("fig17").quick())["speedups"][Mode.PRIOPLUS]
+    s_lossless = fig18["speedups"][Mode.PRIOPLUS]
     print(f"\nFig 17 PrioPlus speedup lossy={s_lossy['overall']:.3f} "
           f"lossless={s_lossless['overall']:.3f}")
     # the paper: PrioPlus behaves nearly the same without PFC (IRN recovery),
@@ -54,16 +51,13 @@ def test_fig17_lossy_environment(benchmark):
     assert abs(s_lossy["overall"] - s_lossless["overall"]) / s_lossless["overall"] < 0.35
 
 
-def test_fig18_hpcc_and_nocc_coflows(benchmark):
-    result = benchmark.pedantic(
-        run_experiment, args=(get_experiment("fig18"),), rounds=1, iterations=1
-    )
+def test_fig18_hpcc_and_nocc_coflows(fig18):
     rows = []
-    for mode, s in result["speedups"].items():
+    for mode, s in fig18["speedups"].items():
         rows.append([mode, round(s["overall"], 3), round(s.get("high4", float("nan")), 3),
                      round(s.get("low4", float("nan")), 3)])
     print("\n" + format_table(["mode", "overall", "high-4", "low-4"], rows,
                               title="Fig 18: coflow speedups incl. HPCC and Physical w/o CC"))
-    s = result["speedups"]
+    s = fig18["speedups"]
     # PrioPlus beats HPCC on average CCT (paper: HPCC 24% worse)
     assert s[Mode.PRIOPLUS]["overall"] > s[Mode.HPCC]["overall"]

@@ -1,25 +1,18 @@
 """Figures 6, 8, 9: dual-RTT observability and the testbed experiments."""
 
-from repro.experiments.modes import Mode
-from repro.experiments.fig6_dualrtt import _run_fig6
-from repro.experiments.fig8_testbed import _run_fig8
-from repro.experiments.fig9_fluct import _run_fig9
-from repro.sim.engine import MILLISECOND
+from repro.experiments.registry import get_experiment
+from repro.runner import run_experiment
 
 
-def test_fig6_increase_visible_after_two_rtts(benchmark):
-    r = benchmark.pedantic(_run_fig6, rounds=1, iterations=1)
+def test_fig6_increase_visible_after_two_rtts():
+    r = run_experiment(get_experiment("fig6").quick())
     print(f"\nFig 6: {r}")
     assert r["lag_rtts"] == 2.0
 
 
-def test_fig8_prioplus_vs_swift_staircase(benchmark):
-    def both():
-        pp = _run_fig8(Mode.PRIOPLUS, stagger_ns=2 * MILLISECOND)
-        sw = _run_fig8(Mode.SWIFT_TARGETS, stagger_ns=2 * MILLISECOND)
-        return pp, sw
-
-    pp, sw = benchmark.pedantic(both, rounds=1, iterations=1)
+def test_fig8_prioplus_vs_swift_staircase():
+    runs = run_experiment(get_experiment("fig8").quick())
+    pp, sw = runs["prioplus"], runs["swift_targets"]
     for r in (pp, sw):
         print(f"\nFig 8 [{r['mode']}]: takeover_us={['%.0f' % t for t in r['takeover_us']]} "
               f"reclaim_us={['%.0f' % t for t in r['reclaim_us']]} "
@@ -34,13 +27,9 @@ def test_fig8_prioplus_vs_swift_staircase(benchmark):
     assert pp["drops"] == 0
 
 
-def test_fig9_cardinality_estimation_tames_fluctuations(benchmark):
-    def both():
-        pp = _run_fig9(Mode.PRIOPLUS, duration_ns=6 * MILLISECOND)
-        sw = _run_fig9(Mode.SWIFT_TARGETS, duration_ns=6 * MILLISECOND)
-        return pp, sw
-
-    pp, sw = benchmark.pedantic(both, rounds=1, iterations=1)
+def test_fig9_cardinality_estimation_tames_fluctuations():
+    runs = run_experiment(get_experiment("fig9").quick())
+    pp, sw = runs["prioplus"], runs["swift_targets"]
     for r in (pp, sw):
         print(f"\nFig 9 [{r['mode']}]: mean={r['mean_delay_us']:.1f}us "
               f"std={r['std_delay_us']:.2f}us frac<=limit={r['frac_below_limit']:.4f}")

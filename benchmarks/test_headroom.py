@@ -5,12 +5,10 @@ from repro.experiments.report import format_table
 from repro.runner import run_experiment
 
 
-def test_headroom_starves_shared_pool(benchmark):
-    # the registered sweep: PrioPlus@8, then Physical at 2/4/6/8 priorities,
+def test_headroom_starves_shared_pool():
+    # PrioPlus@8, then Physical at 2/4/6/8 priorities,
     # 32 senders on a 2.0 MB/Tbps buffer with 12 kB headroom
-    rows = benchmark.pedantic(
-        run_experiment, args=(get_experiment("headroom"),), rounds=1, iterations=1
-    )["rows"]
+    rows = run_experiment(get_experiment("headroom").quick())["rows"]
     print("\n" + format_table(
         ["mode", "#prios", "shared pool (KB)", "PFC pauses", "drops", "small mean (us)", "small p99 (us)"],
         [

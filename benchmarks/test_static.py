@@ -7,7 +7,6 @@ directly from the analysis modules (no packet simulation involved).
 import random
 
 from repro.analysis import (
-    SWITCH_CHIPS,
     buffer_bandwidth_ratios,
     channel_width_ns,
     linear_start_is_optimal,
@@ -18,8 +17,8 @@ from repro.experiments.report import format_table
 from repro.noise import paper_noise
 
 
-def test_fig2_buffer_bandwidth_ratio_declines(benchmark):
-    ratios = benchmark.pedantic(buffer_bandwidth_ratios, rounds=1, iterations=1)
+def test_fig2_buffer_bandwidth_ratio_declines():
+    ratios = buffer_bandwidth_ratios()
     print("\n" + format_table(
         ["chip", "year", "MB/Tbps"],
         [(n, y, round(r, 1)) for n, y, r in ratios],
@@ -32,8 +31,8 @@ def test_fig2_buffer_bandwidth_ratio_declines(benchmark):
     assert by_name["Tomahawk4"] < by_name["Trident2"] / 2
 
 
-def test_table2_start_strategies(benchmark):
-    costs = benchmark.pedantic(start_strategy_costs, args=(8,), rounds=1, iterations=1)
+def test_table2_start_strategies():
+    costs = start_strategy_costs(8)
     rows = [
         (name, c["bytes_delayed_bdp"], c["max_extra_buffer_bdp"])
         for name, c in costs.items()
@@ -50,28 +49,17 @@ def test_table2_start_strategies(benchmark):
     assert costs["exponential"]["bytes_delayed_bdp"] == 6.5
 
 
-def test_appendix_c_linear_start_optimality(benchmark):
-    linear, best_alt = benchmark.pedantic(
-        linear_start_is_optimal, rounds=1, iterations=1
-    )
+def test_appendix_c_linear_start_optimality():
+    linear, best_alt = linear_start_is_optimal()
     print(f"\nApp C: linear backlog={linear:.4f}, best alternative={best_alt:.4f}")
     assert linear <= best_alt * 1.001  # Theorem 4.1
 
 
-def test_fig7_delay_noise_statistics(benchmark):
+def test_fig7_delay_noise_statistics():
     noise = paper_noise()
-
-    def sample_stats():
-        rng = random.Random(123)
-        xs = [noise.sample(rng) for _ in range(40_000)]
-        xs.sort()
-        return (
-            sum(xs) / len(xs),
-            xs[int(0.999 * len(xs))],
-            min(xs),
-        )
-
-    mean, p999, minimum = benchmark.pedantic(sample_stats, rounds=1, iterations=1)
+    rng = random.Random(123)
+    xs = sorted(noise.sample(rng) for _ in range(40_000))
+    mean, p999, minimum = sum(xs) / len(xs), xs[int(0.999 * len(xs))], min(xs)
     print(f"\nFig 7: mean={mean:.0f}ns p99.9={p999:.0f}ns min={minimum}ns")
     # paper: mean ~0.3 us, <0.1% above 1 us, additive (non-negative)
     assert 200 <= mean <= 400
@@ -79,15 +67,9 @@ def test_fig7_delay_noise_statistics(benchmark):
     assert minimum >= 0
 
 
-def test_fig19_swift_fluctuation_bound(benchmark):
-    def rows():
-        out = []
-        for n in (1, 10, 50, 150):
-            f = swift_fluctuation_ns(n, 150.0, 100e9, 20_000)
-            out.append((n, round(f / 1000, 2)))
-        return out
-
-    table = benchmark.pedantic(rows, rounds=1, iterations=1)
+def test_fig19_swift_fluctuation_bound():
+    table = [(n, round(swift_fluctuation_ns(n, 150.0, 100e9, 20_000) / 1000, 2))
+             for n in (1, 10, 50, 150)]
     print("\n" + format_table(["flows", "fluctuation (us)"], table,
                               title="App D: Swift worst-case fluctuation"))
     values = dict(table)

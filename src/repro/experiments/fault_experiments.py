@@ -27,8 +27,8 @@ and everything reconverges within a bounded number of RTTs after repair.
   from the routing reaction.
 
 Each point reports per-group goodput timelines, window averages, the fault
-injector's stats, and three smoke-level invariants (asserted for PrioPlus in
-``tests/test_faults.py``):
+injector's stats, and three smoke-level invariants (the whole per-mode table
+of both ``--quick`` runs is asserted in ``tests/test_faults.py``):
 
 * ``high_retains_residual`` — high-priority goodput during the fault window
   is at least half the residual capacity;

@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Dict
 
 from ..cc import Swift, SwiftParams
 from ..core import ChannelConfig, PrioPlusCC, StartTier
@@ -155,7 +155,7 @@ def _run_fig10c(
 
 
 def _run_fig10d(
-    noise_scales: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
+    noise_scale: float = 1.0,
     n_flows: int = 5,
     rate: float = 100e9,
     duration_ns: int = 2 * MILLISECOND,
@@ -167,21 +167,10 @@ def _run_fig10d(
     Returns {noise_scale: required_B_us}; the paper observes the requirement
     growing linearly with the noise magnitude.
     """
-    ladder = [0.2 * k for k in range(1, 65)]  # 0.2 .. 12.8 us
-    required: Dict[float, float] = {}
-    start = 0
-    for scale in sorted(noise_scales):
-        budget = None
-        # required width is monotone in the noise scale: resume the search
-        # where the previous scale succeeded
-        for idx in range(start, len(ladder)):
-            util = _fig10d_util(scale, ladder[idx], n_flows, rate, duration_ns, seed)
-            if util >= util_goal:
-                budget = ladder[idx]
-                start = idx
-                break
-        required[scale] = budget if budget is not None else float("inf")
-    return required
+    for k in range(1, 65):  # 0.2 .. 12.8 us
+        if _fig10d_util(noise_scale, 0.2 * k, n_flows, rate, duration_ns, seed) >= util_goal:
+            return {noise_scale: 0.2 * k}
+    return {noise_scale: float("inf")}
 
 
 def _fig10d_util(
@@ -228,6 +217,9 @@ register(
         "fig10a",
         {"fig10a": (_run_fig10a, {"seed": 1})},
         description="eight-priority staircase at 100 Gbps (O1/O2)",
+        quick_spec={"fig10a": (_run_fig10a, dict(
+            n_priorities=4, flows_per_prio=5, rate=25e9, stagger_ns=1 * MILLISECOND, seed=1
+        ))},
     )
 )
 register(
@@ -235,8 +227,12 @@ register(
         "fig10b",
         {"fig10b": (_run_fig10b, {"seed": 1})},
         description="300-flow incast: delay pinned near D_target",
+        quick_spec={"fig10b": (_run_fig10b, dict(
+            n_flows=60, rate=25e9, duration_ns=3 * MILLISECOND, seed=1
+        ))},
     )
 )
+_FIG10C_QUICK = dict(n_each=5, rate=25e9, duration_ns=2 * MILLISECOND, hi_start_ns=700_000, seed=1)
 register(
     FunctionExperiment(
         "fig10c",
@@ -245,16 +241,24 @@ register(
             "every_rtt": (_run_fig10c, {"dual_rtt": False, "seed": 1}),
         },
         description="high-priority preemption with vs without the dual-RTT guard",
+        quick_spec={
+            "dual_rtt": (_run_fig10c, dict(_FIG10C_QUICK, dual_rtt=True)),
+            "every_rtt": (_run_fig10c, dict(_FIG10C_QUICK, dual_rtt=False)),
+        },
     )
 )
 register(
     FunctionExperiment(
         "fig10d",
-        {
-            f"scale{_s:g}": (_run_fig10d, {"noise_scales": (_s,), "seed": 1})
-            for _s in (1.0, 2.0, 4.0, 8.0)
-        },
+        {f"scale{_s:g}": (_run_fig10d, {"noise_scale": _s, "seed": 1}) for _s in (1.0, 2.0, 4.0, 8.0)},
         description="channel-width noise budget vs noise scale",
         reduce_fn=_merge_fig10d,
+        quick_spec={
+            f"scale{_s:g}": (
+                _run_fig10d,
+                dict(noise_scale=_s, n_flows=3, rate=25e9, duration_ns=1_500_000, seed=1),
+            )
+            for _s in (1.0, 4.0, 8.0)
+        },
     )
 )

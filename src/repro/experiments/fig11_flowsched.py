@@ -29,19 +29,24 @@ FIG11_MODES = (
 )
 
 
+_CFG = {"rate_bps": 100e9, "duration_ns": 600_000, "size_scale": 0.1}
+_FIG11 = grid_spec(
+    [
+        (mode, n)
+        for n in (2, 4, 6, 8, 10, 12)
+        for mode in FIG11_MODES
+        # the protocol/hardware ceiling (§2.2)
+        if not (mode == Mode.PHYSICAL and n > MAX_PHYSICAL_PRIORITIES)
+    ],
+    _CFG,
+)
+# --quick: the four systems at the paper's headline 8 priorities, shorter trace
+_FIG11["quick_spec"] = grid_spec(
+    [(mode, 8) for mode in FIG11_MODES], dict(_CFG, duration_ns=500_000)
+)["spec"]
+
 register(
     FunctionExperiment(
-        "fig11",
-        description="flow-scheduling FCT vs number of priorities, four systems",
-        **grid_spec(
-            [
-                (mode, n)
-                for n in (2, 4, 6, 8, 10, 12)
-                for mode in FIG11_MODES
-                # the protocol/hardware ceiling (§2.2)
-                if not (mode == Mode.PHYSICAL and n > MAX_PHYSICAL_PRIORITIES)
-            ],
-            {"rate_bps": 100e9, "duration_ns": 600_000, "size_scale": 0.1},
-        ),
+        "fig11", description="flow-scheduling FCT vs number of priorities, four systems", **_FIG11
     )
 )

@@ -5,7 +5,7 @@ Declarations over :mod:`repro.experiments.coflow_scenario`, each one
 
 * ``fig12`` — PrioPlus+Swift vs Physical+Swift at 70 % load (speedup over
   the no-priority Swift baseline, high-4/low-4 split); the same result dict
-  carries the p99 tail numbers used by Fig 15.
+  carries the p99 tail numbers used by Fig 15; ``fig12a`` is the same at 40 %.
 * ``fig17`` — the 70 % point with PFC disabled and IRN-style loss recovery
   (fast retransmit + short RTO).
 * ``fig18`` — adds HPCC and Physical* w/o CC.
@@ -31,7 +31,6 @@ from .paper_scale import paper_topology
 from .registry import FunctionExperiment, register
 
 __all__ = [
-    "ci_config",
     "ci_config_kwargs",
     "paper_config_kwargs",
     "coflow_point",
@@ -61,11 +60,6 @@ def ci_config_kwargs(load: float = 0.7, lossy: bool = False, **overrides) -> Dic
     )
     params.update(overrides)
     return params
-
-
-def ci_config(load: float = 0.7, lossy: bool = False, **overrides) -> CoflowConfig:
-    """The reduced-scale coflow preset used by the benchmarks."""
-    return CoflowConfig(**ci_config_kwargs(load=load, lossy=lossy, **overrides))
 
 
 def paper_config_kwargs(**overrides) -> Dict[str, object]:
@@ -159,6 +153,16 @@ def coflow_spec(
     }
 
 
+register(
+    FunctionExperiment(
+        "fig12a",
+        description="coflow speedups over the no-priority Swift baseline (40% load)",
+        **coflow_spec(
+            [Mode.PRIOPLUS, Mode.PHYSICAL],
+            ci_config_kwargs(load=0.4, duration_ns=1_500_000),
+        ),
+    )
+)
 register(
     FunctionExperiment(
         "fig12",

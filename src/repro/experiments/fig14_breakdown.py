@@ -144,6 +144,7 @@ def fig14_normalized(results: Mapping[str, dict]) -> Dict[str, object]:
 
 
 _CFG = {"rate_bps": 100e9, "duration_ns": 700_000, "size_scale": 0.1, "load": 0.5}
+_QUICK_CFG = dict(_CFG, duration_ns=400_000)
 
 register(
     FunctionExperiment(
@@ -154,5 +155,10 @@ register(
         },
         description="FCT breakdown by priority level and size, normalised to Physical*",
         reduce_fn=fig14_normalized,
+        # --quick: PrioPlus and its Physical* reference at six levels, shorter trace
+        quick_spec={
+            mode: (fig14_point, {"mode": mode, "n_priorities": 6, "cfg": _QUICK_CFG})
+            for mode in (Mode.PRIOPLUS, Mode.PHYSICAL_IDEAL)
+        },
     )
 )

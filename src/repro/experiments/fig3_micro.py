@@ -176,10 +176,16 @@ def _run_fig3d(
     }
 
 
-for _name, _fn, _desc in (
-    ("fig3a", _run_fig3a, "two D2TCP flows, 1x vs 2x deadlines (Fig 1/3a)"),
-    ("fig3b", _run_fig3b, "Swift + target scaling converges to weighted sharing"),
-    ("fig3c", _run_fig3c, "Swift w/o scaling: underutilisation + hi-flow deceleration"),
-    ("fig3d", _run_fig3d, "Swift w/o scaling: min-rate floor and slow reclaim"),
+for _name, _fn, _desc, _quick in (
+    ("fig3a", _run_fig3a, "two D2TCP flows, 1x vs 2x deadlines (Fig 1/3a)",
+     {"size_bytes": 1_000_000}),
+    ("fig3b", _run_fig3b, "Swift + target scaling converges to weighted sharing",
+     {"duration_ns": 2 * MILLISECOND}),
+    ("fig3c", _run_fig3c, "Swift w/o scaling: underutilisation + hi-flow deceleration",
+     {"n_low": 100, "duration_ns": 3 * MILLISECOND}),
+    ("fig3d", _run_fig3d, "Swift w/o scaling: min-rate floor and slow reclaim", None),
 ):
-    register(FunctionExperiment(_name, {_name: (_fn, {"seed": 1})}, description=_desc))
+    register(FunctionExperiment(
+        _name, {_name: (_fn, {"seed": 1})}, description=_desc,
+        quick_spec=_quick and {_name: (_fn, dict(_quick, seed=1))},
+    ))

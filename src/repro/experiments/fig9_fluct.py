@@ -102,5 +102,9 @@ register(
             "swift_targets": (_run_fig9, {"mode": Mode.SWIFT_TARGETS, "seed": 1}),
         },
         description="delay-fluctuation management via flow-cardinality estimation",
+        quick_spec={
+            m: (_run_fig9, {"mode": m, "duration_ns": 6 * MILLISECOND, "seed": 1})
+            for m in (Mode.PRIOPLUS, Mode.SWIFT_TARGETS)
+        },
     )
 )

@@ -28,8 +28,6 @@ from ..transport.flow import Flow
 from ..transport.sender import FlowSender
 from .registry import FunctionExperiment, register
 
-__all__ = ["run_table2_validation"]
-
 
 def _one_strategy(
     strategy: str, n_rtts: int, rate: float, link_delay_ns: int, seed: int
@@ -69,21 +67,10 @@ def _one_strategy(
     return peak["q"] / bdp, join.fct_ns()
 
 
-def run_table2_validation(
-    n_rtts: int = 8, rate: float = 10e9, link_delay_ns: int = 2_000, seed: int = 1
-) -> Dict[str, Dict[str, float]]:
-    """Measured peak-extra-buffer (BDP) and FCT per start strategy."""
-    out: Dict[str, Dict[str, float]] = {}
-    for strategy in (LINE_RATE, EXPONENTIAL, LINEAR):
-        peak_bdp, fct = _one_strategy(strategy, n_rtts, rate, link_delay_ns, seed)
-        out[strategy] = {"peak_extra_buffer_bdp": peak_bdp, "fct_ns": float(fct)}
-    return out
-
-
 def _table2_strategy(
     strategy: str, n_rtts: int = 8, rate: float = 10e9, link_delay_ns: int = 2_000, seed: int = 1
 ) -> Dict[str, float]:
-    """One Table 2 row, shaped like ``run_table2_validation()[strategy]``."""
+    """One Table 2 row: measured peak extra buffer (BDP) and FCT of a start strategy."""
     peak_bdp, fct = _one_strategy(strategy, n_rtts, rate, link_delay_ns, seed)
     return {"peak_extra_buffer_bdp": peak_bdp, "fct_ns": float(fct)}
 

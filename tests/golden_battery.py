@@ -32,10 +32,10 @@ from repro.experiments.ablations import (
     run_collision_avoidance_ablation,
     run_filter_ablation,
 )
-from repro.experiments.coflow_scenario import build_workload, run_coflow_mode
+from repro.experiments.coflow_scenario import CoflowConfig, build_workload, run_coflow_mode
 from repro.experiments.fig8_testbed import run_staircase
 from repro.experiments.fig10_micro import _run_fig10c
-from repro.experiments.fig12_coflow import ci_config
+from repro.experiments.fig12_coflow import ci_config_kwargs
 from repro.experiments.flowsched import FlowSchedConfig, run_flowsched
 from repro.experiments.modes import Mode
 from repro.experiments.quickstart import run_quickstart
@@ -199,7 +199,7 @@ def _flowsched(mode: str, streaming: bool) -> dict:
 
 
 def _coflow(mode: str, lossy: bool) -> dict:
-    cfg = ci_config(duration_ns=400_000, lossy=lossy)
+    cfg = CoflowConfig(**ci_config_kwargs(duration_ns=400_000, lossy=lossy))
     jobs, groups = build_workload(cfg)
     return run_coflow_mode(mode, cfg, jobs, groups)
 

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.cc.base import CongestionControl
-from repro.experiments.registry import FunctionExperiment
+from repro.experiments.registry import FunctionExperiment, get_experiment
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -384,16 +384,22 @@ def test_cached_faulted_results_do_not_alias_healthy(tmp_path):
 # ----------------------------------------------------------------------
 # experiment smoke: the paper-facing headline invariant
 # ----------------------------------------------------------------------
-def test_fault_flap_prioplus_invariants_quick():
-    from repro.experiments.fault_experiments import run_fault_flap
-
-    result = run_fault_flap("prioplus", rate=5e9, flaps=1, seed=1)
-    inv = result["invariants"]
-    assert inv["high_retains_residual"], result["rates"]
-    assert inv["low_backs_off"], result["rates"]
-    assert inv["reconverges"], result["rates"]
-    assert result["faults"]["injected"] == 1
-    assert result["faults"]["reconverges"] == 2  # cut + restore
+def test_fault_invariant_tables_quick():
+    """The whole invariants table of both registered ``--quick`` runs: the
+    priority-aware modes hold every invariant, priority-blind DCQCN fails
+    to keep the high class on the residual (and, on degrade, to make low yield)."""
+    flap = run_experiment(get_experiment("fault_flap").quick())
+    degrade = run_experiment(get_experiment("fault_degrade").quick())
+    every = {"high_retains_residual": True, "low_backs_off": True, "reconverges": True}
+    for result in (flap, degrade):
+        assert result["invariants"]["prioplus"] == every
+        assert result["invariants"]["swift_targets"] == every
+    assert flap["invariants"]["dcqcn"] == dict(every, high_retains_residual=False)
+    assert degrade["invariants"]["dcqcn"] == dict(
+        every, high_retains_residual=False, low_backs_off=False
+    )
+    assert flap["faults"]["injected"] == 1
+    assert flap["faults"]["reconverges"] == 2  # cut + restore
 
 
 def test_cli_lists_fault_experiments():

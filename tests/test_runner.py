@@ -250,7 +250,7 @@ def test_registered_experiments_have_unique_point_identities():
 def test_every_registered_experiment_is_a_function_experiment():
     """One way to declare an experiment: name -> (function, kwargs) as data."""
     experiments = REGISTRY.experiments()
-    assert len(experiments) == 32
+    assert len(experiments) == 33
     for exp in experiments:
         assert type(exp) is FunctionExperiment, exp.name
         assert type(exp.quick()) is FunctionExperiment, exp.name
