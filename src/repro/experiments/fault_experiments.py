@@ -48,7 +48,9 @@ from typing import Dict, List, Mapping, Tuple
 from ..analysis.export import write_series_csv
 from ..faults import FaultInjector, FaultPlan, FaultSpec, Schedule
 from ..sim.engine import MICROSECOND, MILLISECOND, Simulator
+from ..sim.host import Host
 from ..sim.network import Network
+from ..sim.switch import Switch, SwitchConfig
 from ..workloads.generators import FlowSpec
 from .launch import launch_specs
 from .modes import CCFactory, Mode
@@ -153,6 +155,32 @@ def _result(
 # ----------------------------------------------------------------------
 # fault_flap: spine-link flap on a 2-ToR / 2-spine fabric
 # ----------------------------------------------------------------------
+def _attach_groups(net: Network, send_sw: Switch, recv_sw: Switch, rate: float) -> List[Host]:
+    """Two quarter-rate high senders and two line-rate low senders on
+    ``send_sw``, the receiver last on ``recv_sw``; builds the routes."""
+    hosts = []
+    for name, nic_rate in (("hi0", rate / 4), ("hi1", rate / 4), ("lo0", rate), ("lo1", rate)):
+        hosts.append(net.add_host(name))
+        net.connect(hosts[-1], send_sw, nic_rate, _LINK_DELAY_NS)
+    hosts.append(net.add_host("recv"))
+    net.connect(hosts[-1], recv_sw, rate, _LINK_DELAY_NS)
+    net.build_routes()
+    return hosts
+
+
+def _flap_fabric(sim: Simulator, cfg: SwitchConfig, rate: float) -> Tuple[Network, List[Host]]:
+    """2 ToRs under 2 spines at half rate; senders on ``tor0``, receiver on ``tor1``."""
+    net = Network(sim, cfg)
+    tor0 = net.add_switch("tor0")
+    tor1 = net.add_switch("tor1")
+    spine0 = net.add_switch("spine0")
+    spine1 = net.add_switch("spine1")
+    for tor in (tor0, tor1):
+        net.connect(tor, spine0, rate / 2, _LINK_DELAY_NS)
+        net.connect(tor, spine1, rate / 2, _LINK_DELAY_NS)
+    return net, _attach_groups(net, tor0, tor1, rate)
+
+
 def _flap_plan(flaps: int, seed: int) -> FaultPlan:
     return FaultPlan(
         [
@@ -187,27 +215,7 @@ def run_fault_flap(
     """
     sim = Simulator(seed)
     factory = _factory(mode, channels=channels)
-    net = Network(sim, factory.switch_config())
-    tor0 = net.add_switch("tor0")
-    tor1 = net.add_switch("tor1")
-    spine0 = net.add_switch("spine0")
-    spine1 = net.add_switch("spine1")
-    for tor in (tor0, tor1):
-        net.connect(tor, spine0, rate / 2, _LINK_DELAY_NS)
-        net.connect(tor, spine1, rate / 2, _LINK_DELAY_NS)
-    hosts = []
-    for i in range(2):
-        h = net.add_host(f"hi{i}")
-        net.connect(h, tor0, rate / 4, _LINK_DELAY_NS)
-        hosts.append(h)
-    for i in range(2):
-        h = net.add_host(f"lo{i}")
-        net.connect(h, tor0, rate, _LINK_DELAY_NS)
-        hosts.append(h)
-    recv = net.add_host("recv")
-    net.connect(recv, tor1, rate, _LINK_DELAY_NS)
-    hosts.append(recv)
-    net.build_routes()
+    net, hosts = _flap_fabric(sim, factory.switch_config(), rate)
 
     plan = _flap_plan(flaps, seed)
     injector = FaultInjector(sim, net, plan).arm()
@@ -234,6 +242,13 @@ def run_fault_flap(
 # ----------------------------------------------------------------------
 # fault_degrade: the star bottleneck drops to half rate + lossy wire
 # ----------------------------------------------------------------------
+def _degrade_fabric(sim: Simulator, cfg: SwitchConfig, rate: float) -> Tuple[Network, List[Host]]:
+    """Every host on one ``core`` switch; the receiver's downlink is the bottleneck."""
+    net = Network(sim, cfg)
+    core = net.add_switch("core")
+    return net, _attach_groups(net, core, core, rate)
+
+
 def _degrade_plan(rate_factor: float, drop_prob: float, spike_ns: int, seed: int) -> FaultPlan:
     return FaultPlan(
         [
@@ -263,21 +278,7 @@ def run_fault_degrade(
     """One mode through the degraded-bottleneck scenario."""
     sim = Simulator(seed)
     factory = _factory(mode, channels=channels)
-    net = Network(sim, factory.switch_config())
-    core = net.add_switch("core")
-    hosts = []
-    for i in range(2):
-        h = net.add_host(f"hi{i}")
-        net.connect(h, core, rate / 4, _LINK_DELAY_NS)
-        hosts.append(h)
-    for i in range(2):
-        h = net.add_host(f"lo{i}")
-        net.connect(h, core, rate, _LINK_DELAY_NS)
-        hosts.append(h)
-    recv = net.add_host("recv")
-    net.connect(recv, core, rate, _LINK_DELAY_NS)
-    hosts.append(recv)
-    net.build_routes()
+    net, hosts = _degrade_fabric(sim, factory.switch_config(), rate)
 
     plan = _degrade_plan(rate_factor, drop_prob, spike_ns, seed)
     injector = FaultInjector(sim, net, plan).arm()

@@ -36,8 +36,7 @@ def _one_strategy(
     sim = Simulator(seed)
     cfg = SwitchConfig(n_queues=2, buffer_bytes=16 * 1024 * 1024)
     net, senders, recv = star(sim, 2, rate_bps=rate, link_delay_ns=link_delay_ns, switch_cfg=cfg)
-    sw = net.switches[0]
-    bottleneck = sw.ports[net._port_index(sw, net.path_ports(senders[0], recv)[-1])]
+    bottleneck = net.path_ports(senders[0], recv)[-1]  # the switch's port to recv
 
     # background flow pinned at three quarters of the line rate
     base_rtt = net.base_rtt_ns(senders[0], recv)

@@ -101,8 +101,7 @@ class Network:
             for port, peer in self._adj[node.node_id]:
                 if isinstance(peer, Switch):
                     peer.register_ingress(port.peer_in_idx, port, port.prop_delay_ns)
-        for host in self.hosts:
-            self._build_routes_to(host)
+        self._build_all_routes()
         self._routes_built = True
         # arm the process-default fault plan (if any) against this fabric;
         # a no-op one-call check when fault injection is off
@@ -115,40 +114,59 @@ class Network:
             self.fault_injector = FaultInjector(self.sim, self, plan)
             self.fault_injector.arm()
 
-    def _build_routes_to(self, dst: Host) -> None:
-        """BFS from ``dst`` over the node graph; ECMP keeps all shortest hops.
+    def _build_all_routes(self) -> None:
+        """Fill every switch's ECMP table: all shortest next hops to each host.
 
-        Links whose egress port is down are excluded (failure handling).
+        Hosts are single-homed and never relay, so the shortest paths to a host
+        are those to its attachment switch plus the last hop: one BFS per
+        attachment switch serves every host under it, and the other switches
+        share one next-hop list for all of them.  Links whose egress port is
+        down are excluded (failure handling); a host whose NIC is down, or
+        that hangs off another host, gets no routes.
         """
-        dist: Dict[int, int] = {dst.node_id: 0}
-        frontier = deque([dst.node_id])
-        while frontier:
-            nid = frontier.popleft()
-            for port, peer in self._adj[nid]:
-                if port.down:
-                    continue
-                if peer.node_id not in dist:
-                    dist[peer.node_id] = dist[nid] + 1
-                    frontier.append(peer.node_id)
+        adj = self._adj
         for switch in self.switches:
-            if switch.node_id not in dist:
+            assert [port for port, _ in adj[switch.node_id]] == switch.ports
+        attached = [
+            (host, host.port.peer)
+            for host in self.hosts
+            if host.port is not None and not host.port.down
+            and isinstance(host.port.peer, Switch)
+        ]
+        tables: Dict[int, List[Tuple[Switch, List[int]]]] = {}
+        for _, edge in attached:
+            if edge.node_id in tables:
                 continue
-            best = dist[switch.node_id] - 1
-            next_hops: List[int] = []
-            for idx, (port, peer) in enumerate(self._adj[switch.node_id]):
-                if port.down:
+            dist: Dict[int, int] = {edge.node_id: 0}
+            frontier = deque([edge.node_id])
+            while frontier:
+                nid = frontier.popleft()
+                for port, peer in adj[nid]:
+                    if not port.down and peer.node_id not in dist:
+                        dist[peer.node_id] = dist[nid] + 1
+                        frontier.append(peer.node_id)
+            table = tables[edge.node_id] = []
+            for switch in self.switches:
+                if switch is edge or switch.node_id not in dist:
                     continue
-                if dist.get(peer.node_id, 1 << 30) == best:
-                    next_hops.append(self._port_index(switch, port))
-            if next_hops:
-                switch.routes[dst.node_id] = next_hops
-
-    @staticmethod
-    def _port_index(switch: Switch, port: Port) -> int:
-        for i, p in enumerate(switch.ports):
-            if p is port:
-                return i
-        raise RuntimeError("port not found on switch")
+                best = dist[switch.node_id] - 1
+                hops = [
+                    idx
+                    for idx, (port, peer) in enumerate(adj[switch.node_id])
+                    if not port.down and dist.get(peer.node_id, -1) == best
+                ]
+                if hops:
+                    table.append((switch, hops))
+        for host, edge in attached:
+            for switch, hops in tables[edge.node_id]:
+                switch.routes[host.node_id] = hops
+            hops = [
+                idx
+                for idx, (port, peer) in enumerate(adj[edge.node_id])
+                if peer is host and not port.down
+            ]
+            if hops:
+                edge.routes[host.node_id] = hops
 
     # ------------------------------------------------------------------
     # path math
@@ -247,8 +265,7 @@ class Network:
         for switch in self.switches:
             switch.routes.clear()
             switch._route_cache.clear()
-        for host in self.hosts:
-            self._build_routes_to(host)
+        self._build_all_routes()
 
     def total_drops(self) -> int:
         return sum(s.drops for s in self.switches)

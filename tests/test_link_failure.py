@@ -135,6 +135,6 @@ def test_reroute_excludes_down_links():
     routes_before = len(agg.routes[dst.node_id])
     net.set_link_state(agg, core, up=False)
     net.rebuild_routes()
-    down_idx = net._port_index(agg, agg_port)
+    down_idx = agg.ports.index(agg_port)
     assert down_idx not in agg.routes.get(dst.node_id, [])
     assert len(agg.routes[dst.node_id]) == routes_before - 1
