@@ -106,10 +106,6 @@ def main(argv=None) -> int:
         from .serve import serve_main
 
         return serve_main(argv[1:])
-    if argv and argv[0] == "tune":
-        from .tune.cli import tune_main
-
-        return tune_main(argv[1:])
     if argv and argv[0] == "submit":
         return _submit_main(argv[1:])
     if argv and argv[0] == "status":

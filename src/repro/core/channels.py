@@ -189,8 +189,8 @@ class ChannelConfig:
                 raise AssertionError(f"degenerate channel at priority {i}")
 
     # ------------------------------------------------------------------
-    # JSON round-trip (tuned placements travel through Point configs,
-    # checkpoints and the result cache as plain data)
+    # JSON round-trip (tuned placements travel through Point configs
+    # and the result cache as plain data)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         if self._bands is not None:

@@ -1,6 +1,6 @@
 """The uniform Experiment protocol and the process-wide registry.
 
-``runner/``, ``serve/``, ``api.py``, the CLI and ``tune/search.py`` reach
+``runner/``, ``serve/``, ``api.py`` and the CLI reach
 ``repro.experiments`` only through this module, so it imports nothing from
 ``repro``: naming an experiment never drags in the simulator.  Figure
 modules register into :data:`REGISTRY` at import time (see docs/RUNNER.md).

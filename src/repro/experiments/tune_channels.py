@@ -1,45 +1,34 @@
 """``tune_channels``: auto-tuned vs paper-default PrioPlus channel placement.
 
-One point per workload; each point runs a full deterministic
-:func:`repro.tune.search.run_search` (CEM by default) and reports the tuned
-placement next to the paper default.  The reduce step emits a verdict per
-workload — ``tuned_beats_default`` plus the improvement — which is what
-EXPERIMENTS.md records and the CI ``tune-smoke`` job asserts.
+One point per workload; each point runs a full deterministic CEM search
+(:func:`repro.tune.search.run_search`) and reports the tuned placement next
+to the paper default.  The reduce step emits a verdict per workload —
+``tuned_beats_default`` plus the improvement — which is what EXPERIMENTS.md
+records and ``benchmarks/test_tune_channels.py`` asserts.
 
-The search inside a point is serial (``jobs=1``): points are already the
-runner's parallelism unit, and nesting a fleet inside a fleet worker would
-oversubscribe.  Use ``python -m repro tune --jobs N`` for fleet-parallel
-generations of a single search.
+The search inside a point is serial: points are the runner's parallelism
+unit, so ``python -m repro run tune_channels --jobs 2`` runs the two
+workloads' searches side by side.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+from ..tune import WORKLOADS, run_search
 from .registry import FunctionExperiment, register
 
 __all__ = ["tune_point", "tune_verdicts"]
 
 
-def tune_point(
-    workload: str, optimizer: str, budget: int, pop_size: int, seed: int, quick: bool
-) -> dict:
-    from ..tune import make_spec, run_search
-
-    res = run_search(
-        make_spec(workload, seed=seed, quick=quick),
-        optimizer=optimizer,
-        budget=budget,
-        pop_size=pop_size,
-        seed=seed,
-        jobs=1,
-    )
-    res.pop("history", None)  # keep cached results compact
-    return res
+def tune_point(workload: str, budget: int, pop_size: int, seed: int) -> dict:
+    spec = {"workload": workload, "n_priorities": WORKLOADS[workload]["n_priorities"],
+            "seed": seed}
+    return run_search(spec, budget=budget, pop_size=pop_size, seed=seed)
 
 
 def tune_verdicts(results: Mapping[str, dict]) -> dict:
-    first = next(iter(results.values()))  # every search shares optimizer and seed
+    first = next(iter(results.values()))  # every search shares its seed
     verdicts = {}
     for workload, res in results.items():
         default_u = res["default"]["utility"]
@@ -56,7 +45,6 @@ def tune_verdicts(results: Mapping[str, dict]) -> dict:
             "evaluations": res["evaluations"],
         }
     return {
-        "optimizer": first["optimizer"],
         "seed": first["seed"],
         "verdict": all(v["tuned_beats_default"] for v in verdicts.values()),
         "workloads": verdicts,
@@ -64,18 +52,11 @@ def tune_verdicts(results: Mapping[str, dict]) -> dict:
     }
 
 
-def _spec(workloads, budget: int, pop_size: int, quick: bool) -> dict:
+def _spec(workloads, budget: int, pop_size: int) -> dict:
     return {
         workload: (
             tune_point,
-            {
-                "workload": workload,
-                "optimizer": "cem",
-                "budget": budget,
-                "pop_size": pop_size,
-                "seed": 0,
-                "quick": quick,
-            },
+            {"workload": workload, "budget": budget, "pop_size": pop_size, "seed": 0},
         )
         for workload in workloads
     }
@@ -84,9 +65,9 @@ def _spec(workloads, budget: int, pop_size: int, quick: bool) -> dict:
 register(
     FunctionExperiment(
         "tune_channels",
-        _spec(("flowsched", "fault_flap"), budget=24, pop_size=6, quick=False),
+        _spec(("flowsched", "fault_flap"), budget=24, pop_size=6),
         description="black-box search over PrioPlus [D_target, D_limit] bands vs paper default",
         reduce_fn=tune_verdicts,
-        quick_spec=_spec(("flowsched_micro", "fault_flap"), budget=12, pop_size=4, quick=True),
+        quick_spec=_spec(("flowsched_micro", "fault_flap"), budget=12, pop_size=4),
     )
 )

@@ -14,12 +14,12 @@ waste evaluations on rejected configs.  The paper default is itself a
 theta (``gap_1 = A+B``, ``width = A/2+B``, ``gap_{i>1} = A/2``), which
 search loops use as the incumbent seed.
 
-**Evaluation.**  :func:`evaluate_candidate` is a module-level pure
-function of ``(spec_dict, theta)`` — picklable, so pool workers evaluate
-candidates bit-identically to the serial path.  Workloads:
+**Evaluation.**  :func:`evaluate_candidate` is a pure function of
+``(spec, theta)``, where ``spec`` is ``{"workload", "n_priorities",
+"seed"}``.  Workloads:
 
 * ``flowsched_micro`` — tiny fig11-style WebSearch run (~1 s/eval), the
-  CI smoke workload; utility = -mean FCT (µs).
+  ``--quick`` workload; utility = -mean FCT (µs).
 * ``flowsched`` — a fuller fig11-style run; utility = -mean FCT (µs).
 * ``fault_flap`` — the spine-flap fault scenario; utility =
   high-priority goodput retained during the fault (Gbit/s).
@@ -27,15 +27,13 @@ candidates bit-identically to the serial path.  Workloads:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.channels import PAPER_A_NS, PAPER_B_NS, ChannelConfig
-from .spaces import BoxSpace
 
 __all__ = [
-    "TuneSpec",
     "WORKLOADS",
-    "make_spec",
+    "theta_bounds",
     "default_theta",
     "theta_to_bands",
     "theta_to_channels",
@@ -47,64 +45,12 @@ GAP_MIN_NS, GAP_MAX_NS = 200, 16_000
 WIDTH_MIN_NS, WIDTH_MAX_NS = 200, 12_000
 
 
-class TuneSpec:
-    """What to tune: workload, channel count, evaluation scale, seed.
-
-    JSON round-trips through :meth:`to_dict`/:meth:`from_dict` so specs
-    travel inside experiment Point configs and search checkpoints.
-    """
-
-    __slots__ = ("workload", "n_priorities", "seed", "quick")
-
-    def __init__(self, workload: str, n_priorities: int, seed: int = 0, quick: bool = False):
-        if workload not in WORKLOADS:
-            raise ValueError(f"unknown workload {workload!r}; choose from {sorted(WORKLOADS)}")
-        if n_priorities < 1:
-            raise ValueError("need at least one priority")
-        self.workload = workload
-        self.n_priorities = n_priorities
-        self.seed = seed
-        self.quick = quick
-
-    def space(self) -> BoxSpace:
-        low = [GAP_MIN_NS, WIDTH_MIN_NS] * self.n_priorities
-        high = [GAP_MAX_NS, WIDTH_MAX_NS] * self.n_priorities
-        return BoxSpace(low, high)
-
-    def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "n_priorities": self.n_priorities,
-            "seed": self.seed,
-            "quick": self.quick,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TuneSpec":
-        return cls(
-            data["workload"],
-            data["n_priorities"],
-            seed=data.get("seed", 0),
-            quick=data.get("quick", False),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"TuneSpec({self.workload!r}, n={self.n_priorities}, "
-            f"seed={self.seed}, quick={self.quick})"
-        )
-
-
-def make_spec(
-    workload: str,
-    n_priorities: Optional[int] = None,
-    seed: int = 0,
-    quick: bool = False,
-) -> TuneSpec:
-    """Spec with the workload's natural channel count when not given."""
-    if n_priorities is None:
-        n_priorities = WORKLOADS[workload]["n_priorities"]
-    return TuneSpec(workload, n_priorities, seed=seed, quick=quick)
+def theta_bounds(n_priorities: int) -> Tuple[List[int], List[int]]:
+    """Per-dimension ``(low, high)`` of a theta for ``n_priorities`` channels."""
+    return (
+        [GAP_MIN_NS, WIDTH_MIN_NS] * n_priorities,
+        [GAP_MAX_NS, WIDTH_MAX_NS] * n_priorities,
+    )
 
 
 def default_theta(n_priorities: int) -> List[float]:
@@ -141,7 +87,7 @@ def theta_to_channels(theta: Sequence[float], noise_ns: int = PAPER_B_NS) -> Cha
 
 
 # ----------------------------------------------------------------------
-# workload evaluators (module-level and pure: picklable for fleet workers)
+# workload evaluators (pure functions of spec and channels)
 # ----------------------------------------------------------------------
 def _eval_flowsched(spec: dict, channels: ChannelConfig, scale: dict) -> dict:
     from ..experiments.modes import Mode
@@ -176,12 +122,9 @@ def _eval_flowsched_micro(spec: dict, channels: ChannelConfig) -> dict:
 
 
 def _eval_flowsched_full(spec: dict, channels: ChannelConfig) -> dict:
-    scale = (
-        {"rate_bps": 40e9, "duration_ns": 200_000, "size_scale": 0.05}
-        if spec.get("quick")
-        else {"rate_bps": 10e9, "duration_ns": 1_000_000, "size_scale": 0.1}
+    return _eval_flowsched(
+        spec, channels, {"rate_bps": 10e9, "duration_ns": 1_000_000, "size_scale": 0.1}
     )
-    return _eval_flowsched(spec, channels, scale)
 
 
 def _eval_fault_flap(spec: dict, channels: ChannelConfig) -> dict:
@@ -214,16 +157,11 @@ WORKLOADS: Dict[str, dict] = {
 }
 
 
-def evaluate_candidate(spec_dict: dict, theta: Sequence[float]) -> dict:
-    """Score one placement: ``{"utility", "metrics", "bands"}`` (higher is better).
-
-    Pure function of its arguments (all JSON-serialisable), evaluated
-    identically in-process and in pool workers — the ``jobs=1`` vs
-    ``jobs=2`` search test in ``tests/test_tune_optim.py`` relies on this.
-    """
-    workload = WORKLOADS[spec_dict["workload"]]
+def evaluate_candidate(spec: dict, theta: Sequence[float]) -> dict:
+    """Score one placement: ``{"utility", "metrics", "bands"}`` (higher is better)."""
+    workload = WORKLOADS[spec["workload"]]
     channels = theta_to_channels(theta)
-    out = workload["fn"](spec_dict, channels)
+    out = workload["fn"](spec, channels)
     out["bands"] = channels.bands()
     return out
 

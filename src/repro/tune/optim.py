@@ -1,53 +1,51 @@
-"""Black-box optimizers for channel placement: CEM and random search.
+"""The cross-entropy method (CEM) optimizer for channel placement.
 
-Both speak ask/tell: ``ask()`` yields one generation of candidate thetas,
+It speaks ask/tell: ``ask()`` yields one generation of candidate thetas,
 ``tell(thetas, utilities)`` updates the search state (higher utility is
 better).  Stdlib ``random.Random`` only, deterministically seeded — the
 same seed replays the exact candidate sequence (pinned by
-``tests/test_tune_optim.py``) — and the whole search state round-trips
-through JSON (:meth:`state`/:meth:`load`) so searches checkpoint/resume
-bit-identically.
+``tests/test_tune_optim.py``).
 
 When an ``init_theta`` incumbent is given (the paper-default placement),
 generation 0 evaluates it first — the reported best can therefore never be
-worse than the default, which the CI ``tune-smoke`` gate asserts.
+worse than the default.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Type
+from typing import List, Optional, Sequence
 
-from .spaces import BoxSpace
+__all__ = ["CEM"]
 
-__all__ = ["RandomSearch", "CEM", "OPTIMIZERS"]
-
-
-def _rng_state_to_json(state) -> list:
-    version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
+#: share of each generation the distribution is refitted to
+ELITE_FRAC = 0.3
+#: initial sigma as a share of each dimension's range
+SIGMA_FRAC = 0.25
 
 
-def _rng_state_from_json(state) -> tuple:
-    version, internal, gauss_next = state
-    return (version, tuple(internal), gauss_next)
+class CEM:
+    """Cross-entropy method: fit a diagonal Gaussian to the elite fraction.
 
-
-class _Optimizer:
-    """Shared ask/tell bookkeeping; subclasses implement the sampling."""
-
-    name = "base"
+    Candidates live in the box ``[low_i, high_i]``.  The sampling
+    distribution starts at ``init_theta`` (or the box midpoint) with sigma =
+    ``SIGMA_FRAC`` of each dimension's range, and contracts toward the
+    elites each generation; a sigma floor of 1 % of the range keeps late
+    generations exploring.
+    """
 
     def __init__(
         self,
-        space: BoxSpace,
+        low: Sequence[float],
+        high: Sequence[float],
         seed: int = 0,
         pop_size: int = 8,
         init_theta: Optional[Sequence[float]] = None,
     ):
         if pop_size < 2:
             raise ValueError("population size must be >= 2")
-        self.space = space
+        self.low = [float(x) for x in low]
+        self.high = [float(x) for x in high]
         self.pop_size = pop_size
         self.rng = random.Random(seed)
         self.init_theta = list(init_theta) if init_theta is not None else None
@@ -55,19 +53,25 @@ class _Optimizer:
         self.evaluations = 0
         self.best_theta: Optional[List[float]] = None
         self.best_utility = float("-inf")
+        self.n_elite = max(2, int(round(ELITE_FRAC * pop_size)))
+        ranges = [hi - lo for lo, hi in zip(self.low, self.high)]
+        if init_theta is not None:
+            self.mean = self._clip(init_theta)
+        else:
+            self.mean = [(lo + hi) / 2 for lo, hi in zip(self.low, self.high)]
+        self.sigma = [SIGMA_FRAC * r for r in ranges]
+        self._sigma_floor = [0.01 * r for r in ranges]
 
-    # -- subclass hooks -------------------------------------------------
-    def _sample(self) -> List[float]:
-        raise NotImplementedError
+    def _clip(self, x: Sequence[float]) -> List[float]:
+        return [min(max(float(v), lo), hi) for v, lo, hi in zip(x, self.low, self.high)]
 
-    def _update(self, thetas: List[List[float]], utilities: List[float]) -> None:
-        """Distribution update; default none (pure random search)."""
-
-    # -- ask/tell -------------------------------------------------------
     def ask(self) -> List[List[float]]:
-        pop = [self._sample() for _ in range(self.pop_size)]
+        pop = [
+            self._clip([self.rng.gauss(m, s) for m, s in zip(self.mean, self.sigma)])
+            for _ in range(self.pop_size)
+        ]
         if self.generation == 0 and self.init_theta is not None:
-            pop[0] = self.space.clip(self.init_theta)
+            pop[0] = self._clip(self.init_theta)
         return pop
 
     def tell(self, thetas: List[List[float]], utilities: List[float]) -> None:
@@ -78,93 +82,6 @@ class _Optimizer:
             if utility > self.best_utility:
                 self.best_utility = utility
                 self.best_theta = list(theta)
-        self._update(thetas, utilities)
-        self.generation += 1
-
-    # -- checkpointing --------------------------------------------------
-    def state(self) -> dict:
-        return {
-            "optimizer": self.name,
-            "pop_size": self.pop_size,
-            "space": {"low": self.space.low, "high": self.space.high},
-            "rng": _rng_state_to_json(self.rng.getstate()),
-            "init_theta": self.init_theta,
-            "generation": self.generation,
-            "evaluations": self.evaluations,
-            "best_theta": self.best_theta,
-            "best_utility": (
-                self.best_utility if self.best_utility != float("-inf") else None
-            ),
-        }
-
-    @classmethod
-    def load(cls, state: dict) -> "_Optimizer":
-        if state.get("optimizer") != cls.name:
-            raise ValueError(
-                f"checkpoint is for optimizer {state.get('optimizer')!r}, "
-                f"not {cls.name!r}"
-            )
-        space = BoxSpace(state["space"]["low"], state["space"]["high"])
-        opt = cls(space, pop_size=state["pop_size"], init_theta=state["init_theta"])
-        opt._restore(state)
-        return opt
-
-    def _restore(self, state: dict) -> None:
-        self.rng.setstate(_rng_state_from_json(state["rng"]))
-        self.generation = state["generation"]
-        self.evaluations = state["evaluations"]
-        self.best_theta = state["best_theta"]
-        self.best_utility = (
-            state["best_utility"] if state["best_utility"] is not None else float("-inf")
-        )
-
-
-class RandomSearch(_Optimizer):
-    """Uniform sampling over the box — the honest baseline optimizer."""
-
-    name = "random"
-
-    def _sample(self) -> List[float]:
-        return self.space.sample(self.rng)
-
-
-class CEM(_Optimizer):
-    """Cross-entropy method: fit a diagonal Gaussian to the elite fraction.
-
-    The sampling distribution starts at ``init_theta`` (or the box
-    midpoint) with sigma = ``sigma_frac`` of each dimension's range, and
-    contracts toward the elites each generation; a sigma floor of 1 % of
-    the range keeps late generations exploring.
-    """
-
-    name = "cem"
-
-    def __init__(
-        self,
-        space: BoxSpace,
-        seed: int = 0,
-        pop_size: int = 8,
-        init_theta: Optional[Sequence[float]] = None,
-        elite_frac: float = 0.3,
-        sigma_frac: float = 0.25,
-    ):
-        super().__init__(space, seed=seed, pop_size=pop_size, init_theta=init_theta)
-        self.elite_frac = elite_frac
-        self.n_elite = max(2, int(round(elite_frac * pop_size)))
-        ranges = [hi - lo for lo, hi in zip(space.low, space.high)]
-        if init_theta is not None:
-            self.mean = space.clip(init_theta)
-        else:
-            self.mean = [(lo + hi) / 2 for lo, hi in zip(space.low, space.high)]
-        self.sigma = [sigma_frac * r for r in ranges]
-        self._sigma_floor = [0.01 * r for r in ranges]
-
-    def _sample(self) -> List[float]:
-        return self.space.clip(
-            [self.rng.gauss(m, s) for m, s in zip(self.mean, self.sigma)]
-        )
-
-    def _update(self, thetas: List[List[float]], utilities: List[float]) -> None:
         order = sorted(range(len(thetas)), key=lambda i: utilities[i], reverse=True)
         elites = [thetas[i] for i in order[: self.n_elite]]
         n = len(elites)
@@ -173,34 +90,4 @@ class CEM(_Optimizer):
             max(floor, (sum((x - m) ** 2 for x in col) / n) ** 0.5)
             for col, m, floor in zip(zip(*elites), self.mean, self._sigma_floor)
         ]
-
-    def state(self) -> dict:
-        out = super().state()
-        out.update(
-            {"elite_frac": self.elite_frac, "mean": self.mean, "sigma": self.sigma}
-        )
-        return out
-
-    @classmethod
-    def load(cls, state: dict) -> "CEM":
-        if state.get("optimizer") != cls.name:
-            raise ValueError(
-                f"checkpoint is for optimizer {state.get('optimizer')!r}, not 'cem'"
-            )
-        space = BoxSpace(state["space"]["low"], state["space"]["high"])
-        opt = cls(
-            space,
-            pop_size=state["pop_size"],
-            init_theta=state["init_theta"],
-            elite_frac=state["elite_frac"],
-        )
-        opt._restore(state)
-        opt.mean = list(state["mean"])
-        opt.sigma = list(state["sigma"])
-        return opt
-
-
-OPTIMIZERS: Dict[str, Type[_Optimizer]] = {
-    RandomSearch.name: RandomSearch,
-    CEM.name: CEM,
-}
+        self.generation += 1

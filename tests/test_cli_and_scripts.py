@@ -5,8 +5,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 from repro.__main__ import main
 from repro.experiments.registry import REGISTRY
 
@@ -83,14 +81,12 @@ def test_cache_flag_round_trip(tmp_path, capsys):
 
 
 def test_retired_bench_entry_points_stay_retired(capsys):
-    """Speed is measured in benchmarks/perf only: no stub, no forwarding flag."""
-    from repro.tune.cli import tune_main
-
+    """Speed is measured in benchmarks/perf only, and channel tuning is the
+    registered ``tune_channels`` experiment: neither has a verb of its own."""
     assert main(["bench"]) == 2  # falls through to "unknown experiment"
     assert "unknown experiment 'bench'" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exit_info:
-        tune_main(["--bench"])
-    assert exit_info.value.code == 2
+    assert main(["tune"]) == 2
+    assert "unknown experiment 'tune'" in capsys.readouterr().err
 
 
 def test_run_all_experiments_script(tmp_path):

@@ -91,15 +91,15 @@ def test_src_never_imports_numpy():
 def test_runner_imports_no_figure_module():
     """The dispatch layer runs experiments; it never names one.
 
-    The only door from ``runner/``, ``serve/``, ``api.py``, ``client.py``
-    and ``tune/search.py`` into ``repro.experiments`` is ``registry`` (the
+    The only door from ``runner/``, ``serve/``, ``api.py`` and
+    ``client.py`` into ``repro.experiments`` is ``registry`` (the
     Experiment / Point types and REGISTRY).  Importing a figure module is
     how a timing harness would grow back inside ``src/repro``; speed is
     measured in ``benchmarks/perf``.
     """
     allowed = ("repro.experiments", "repro.experiments.registry")
     paths = sorted((SRC / "runner").rglob("*.py")) + sorted((SRC / "serve").rglob("*.py"))
-    paths += [SRC / "api.py", SRC / "client.py", SRC / "tune" / "search.py"]
+    paths += [SRC / "api.py", SRC / "client.py"]
     offenders = []
     for path in paths:
         for module in _imported_modules(path):

@@ -1,34 +1,29 @@
-"""Channel tuner: deterministic seeded search, checkpoint/resume, worker parity.
+"""Channel tuner: theta encoding, deterministic seeded CEM search.
 
-Pins the ISSUE 9 acceptance properties: the search replays bit-identically
-under a fixed seed, resuming from a checkpoint continues the exact same
-candidate sequence, a search over worker processes matches the serial one,
-and the reported best placement can never be worse than the paper default.
+Pins the tuner's properties: every theta decodes to a valid placement, the
+search replays bit-identically under a fixed seed, the reported best
+placement can never be worse than the paper default, and a tuning point
+counts as one point in the runner's counters.
 """
 
-import json
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.registry import FunctionExperiment
+from repro.experiments.tune_channels import tune_point
+from repro.probe import installed
 from repro.runner import run_experiment
+from repro.telemetry import Recorder
 from repro.tune import (
     CEM,
-    OPTIMIZERS,
-    RandomSearch,
     default_theta,
-    make_spec,
     run_search,
+    theta_bounds,
     theta_to_bands,
+    theta_to_channels,
 )
-from repro.tune.channel_env import theta_to_channels
 
-QUICK = dict(workload="fault_flap", seed=0, quick=True)  # ~50 ms per evaluation
-
-
-def _spec():
-    return make_spec(**QUICK)
+SPEC = {"workload": "fault_flap", "n_priorities": 2, "seed": 0}  # ~50 ms per evaluation
 
 
 # ----------------------------------------------------------------------
@@ -54,12 +49,11 @@ def test_default_theta_is_the_paper_placement():
 # ----------------------------------------------------------------------
 # optimizer determinism across seeds
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
-def test_seed_sweep_same_seed_replays_candidates(name):
-    spec = _spec()
+def test_seed_sweep_same_seed_replays_candidates():
+    bounds = theta_bounds(SPEC["n_priorities"])
     for seed in (0, 1, 7, 1234):
-        a = OPTIMIZERS[name](spec.space(), seed=seed, pop_size=4)
-        b = OPTIMIZERS[name](spec.space(), seed=seed, pop_size=4)
+        a = CEM(*bounds, seed=seed, pop_size=4)
+        b = CEM(*bounds, seed=seed, pop_size=4)
         for _ in range(3):
             pa, pb = a.ask(), b.ask()
             assert pa == pb
@@ -67,22 +61,20 @@ def test_seed_sweep_same_seed_replays_candidates(name):
             a.tell(pa, utils)
             b.tell(pb, utils)
     # distinct seeds explore distinct candidates
-    c = OPTIMIZERS[name](spec.space(), seed=0, pop_size=4)
-    d = OPTIMIZERS[name](spec.space(), seed=1, pop_size=4)
+    c = CEM(*bounds, seed=0, pop_size=4)
+    d = CEM(*bounds, seed=1, pop_size=4)
     assert c.ask() != d.ask()
 
 
 def test_incumbent_seeds_generation_zero():
-    spec = _spec()
-    inc = default_theta(spec.n_priorities)
-    for name in OPTIMIZERS:
-        opt = OPTIMIZERS[name](spec.space(), seed=3, pop_size=4, init_theta=inc)
-        assert opt.ask()[0] == inc
+    inc = default_theta(SPEC["n_priorities"])
+    opt = CEM(*theta_bounds(SPEC["n_priorities"]), seed=3, pop_size=4, init_theta=inc)
+    assert opt.ask()[0] == inc
 
 
 def test_cem_contracts_toward_elites():
-    spec = _spec()
-    opt = CEM(spec.space(), seed=5, pop_size=8, init_theta=default_theta(spec.n_priorities))
+    n = SPEC["n_priorities"]
+    opt = CEM(*theta_bounds(n), seed=5, pop_size=8, init_theta=default_theta(n))
     pop = opt.ask()
     # reward proximity to a fixed target point
     target = pop[3]
@@ -94,87 +86,26 @@ def test_cem_contracts_toward_elites():
 
 
 # ----------------------------------------------------------------------
-# checkpoint round-trips
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
-def test_optimizer_state_json_roundtrip_resumes_identically(name):
-    spec = _spec()
-    opt = OPTIMIZERS[name](
-        spec.space(), seed=9, pop_size=4, init_theta=default_theta(spec.n_priorities)
-    )
-    pop = opt.ask()
-    opt.tell(pop, [1.0, 3.0, 2.0, 0.5])
-    state = json.loads(json.dumps(opt.state()))  # force a real JSON round-trip
-    clone = OPTIMIZERS[name].load(state)
-    assert clone.best_theta == opt.best_theta
-    assert clone.best_utility == opt.best_utility
-    for _ in range(2):
-        pa, pb = opt.ask(), clone.ask()
-        assert pa == pb
-        opt.tell(pa, [0.0] * 4)
-        clone.tell(pb, [0.0] * 4)
-
-
-def test_optimizer_load_rejects_wrong_kind():
-    spec = _spec()
-    state = RandomSearch(spec.space(), seed=0).state()
-    with pytest.raises(ValueError, match="checkpoint is for optimizer"):
-        CEM.load(state)
-
-
-def test_run_search_checkpoint_resume_matches_uninterrupted(tmp_path):
-    spec = _spec()
-    kwargs = dict(optimizer="cem", pop_size=4, seed=21)
-    straight = run_search(spec, budget=12, **kwargs)
-
-    ck = str(tmp_path / "ck.json")
-    run_search(spec, budget=8, checkpoint_path=ck, **kwargs)
-    resumed = run_search(spec, budget=12, checkpoint_path=ck, **kwargs)
-
-    assert resumed["best"]["theta"] == straight["best"]["theta"]
-    assert resumed["best"]["utility"] == straight["best"]["utility"]
-    assert resumed["history"] == straight["history"]
-    assert resumed["default"] == straight["default"]
-
-
-def test_checkpoint_spec_mismatch_fails_fast(tmp_path):
-    ck = str(tmp_path / "ck.json")
-    run_search(_spec(), optimizer="cem", budget=4, pop_size=4, seed=0, checkpoint_path=ck)
-    other = make_spec("flowsched_micro", seed=0, quick=True)
-    with pytest.raises(ValueError, match="checkpoint .* was written for"):
-        run_search(other, optimizer="cem", budget=4, pop_size=4, seed=0, checkpoint_path=ck)
-
-
-# ----------------------------------------------------------------------
-# generations run through the runner: serial vs worker-pool parity
-# ----------------------------------------------------------------------
-def test_search_is_identical_at_jobs_1_and_2():
-    kwargs = dict(optimizer="random", budget=8, pop_size=4, seed=2)
-    serial = run_search(_spec(), jobs=1, **kwargs)
-    pooled = run_search(_spec(), jobs=2, **kwargs)
-    assert json.dumps(pooled, sort_keys=True) == json.dumps(serial, sort_keys=True)
-
-
-def test_equal_candidates_in_one_generation_are_distinct_points():
-    """Two clipped samples can coincide; each slot still gets its own point."""
-    from repro.tune.search import _generation
-
-    theta = default_theta(2)
-    exp = _generation(_spec().to_dict(), [theta, theta], 0)
-    assert [p.name for p in exp.points()] == ["g0c0", "g0c1"]
-    out = run_experiment(exp)
-    assert out["g0c0"] == out["g0c1"]
-
-
-# ----------------------------------------------------------------------
 # tuned >= default, search determinism end to end
 # ----------------------------------------------------------------------
 def test_search_is_deterministic_and_never_worse_than_default():
-    spec = _spec()
-    a = run_search(spec, optimizer="cem", budget=8, pop_size=4, seed=7)
-    b = run_search(spec, optimizer="cem", budget=8, pop_size=4, seed=7)
-    assert a["best"] == b["best"] and a["history"] == b["history"]
+    a = run_search(SPEC, budget=8, pop_size=4, seed=7)
+    b = run_search(SPEC, budget=8, pop_size=4, seed=7)
+    assert a == b
     # generation 0 evaluates the paper default, so best can never be worse
     assert a["best"]["utility"] >= a["default"]["utility"]
-    assert a["default"]["bands"] == theta_to_bands(default_theta(spec.n_priorities))
+    assert a["default"]["bands"] == theta_to_bands(default_theta(SPEC["n_priorities"]))
+
+
+def test_tune_point_counts_as_one_runner_point():
+    """The search scores candidates in-process: no nested runner inflates
+    the active recorder's ``runner.*`` counters."""
+    kwargs = {"workload": "fault_flap", "budget": 4, "pop_size": 2, "seed": 0}
+    exp = FunctionExperiment("tune_one", {"fault_flap": (tune_point, kwargs)})
+    rec = Recorder()
+    with installed(rec):
+        run_experiment(exp)
+    counters = rec.snapshot()["metrics"]["counters"]
+    assert counters["runner.points"] == 1
+    assert counters["runner.points_executed"] == 1
 
