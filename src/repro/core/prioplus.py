@@ -57,6 +57,39 @@ class PrioPlusCC:
 
     needs_int = False
 
+    __slots__ = (
+        "inner",
+        "channels",
+        "vpriority",
+        "tier",
+        "_w_ls_cfg",
+        "probe_first",
+        "filter_consecutive",
+        "dual_rtt",
+        "cardinality_estimation",
+        "collision_avoidance",
+        "_empty_eps_cfg",
+        "sender",
+        "d_target",
+        "d_limit",
+        "base_rtt",
+        "empty_eps",
+        "w_ls",
+        "w_ai_origin",
+        "base_bdp",
+        "_line_rate_bpns",
+        "nflow",
+        "consec",
+        "countdown",
+        "rtt_end_seq",
+        "rtt_pass",
+        "dual_rtt_pass",
+        "relinquish_count",
+        "linear_start_steps",
+        "adaptive_increases",
+        "_probe",
+    )
+
     def __init__(
         self,
         inner,

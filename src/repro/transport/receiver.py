@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-
 from ..sim.engine import Simulator
 from ..sim.packet import (
     ACK,
@@ -15,7 +14,35 @@ from ..sim.packet import (
 )
 from .flow import Flow
 
-__all__ = ["FlowReceiver"]
+__all__ = ["FlowReceiver", "Filled"]
+
+
+class Filled:
+    """A per-packet bitmap outside its flow's live window: ``n`` equal bytes,
+    all 0 before the flow starts and all 1 once it has finished.
+
+    It reads like the ``bytearray`` it stands in for (index, ``len``,
+    iteration, ``bytes()``) but has no item assignment, so any write raises
+    ``TypeError``.  One instance is shared by a flow's ``sent``, ``acked``
+    and ``received``; it deep-copies and pickles by value.
+    """
+
+    __slots__ = ("n", "bit")
+
+    def __init__(self, n: int, bit: int):
+        self.n = n
+        self.bit = bit
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> int:
+        if -self.n <= i < self.n:
+            return self.bit
+        raise IndexError("bitmap index out of range")
+
+    def __reduce__(self):
+        return Filled, (self.n, self.bit)
 
 
 class FlowReceiver:
@@ -34,7 +61,7 @@ class FlowReceiver:
         self.flow = flow
         self.host = flow.dst
         self.n_packets = n_packets
-        self.received = bytearray(n_packets)
+        self.received = Filled(n_packets, 0)
         self.rx_count = 0
         self.cum_seq = 0
         self.ack_priority = ack_priority
@@ -47,16 +74,26 @@ class FlowReceiver:
         if pkt.kind != DATA:  # pragma: no cover - host dispatch guarantees this
             raise RuntimeError(f"receiver got unexpected packet kind {pkt.kind}")
         seq = pkt.seq
-        if not self.received[seq]:
-            self.received[seq] = 1
+        received = self.received
+        if not received[seq]:
+            if received.__class__ is Filled:
+                received = self.open_bitmap()
+            received[seq] = 1
             self.rx_count += 1
-            while self.cum_seq < self.n_packets and self.received[self.cum_seq]:
+            while self.cum_seq < self.n_packets and received[self.cum_seq]:
                 self.cum_seq += 1
             if self.rx_count == self.n_packets and self.flow.completion_ns is None:
                 self.flow.completion_ns = self.sim.now
                 if self.on_complete is not None:
                     self.on_complete(self.flow)
         self._echo(pkt, ACK)
+
+    def open_bitmap(self) -> bytearray:
+        """The live bitmap, allocated at the flow's start or, for a receiver
+        written without a sender's start, at its first delivery."""
+        if self.received.__class__ is Filled:
+            self.received = bytearray(self.n_packets)
+        return self.received
 
     def _echo(self, pkt: Packet, kind: int) -> None:
         ack = PACKET_POOL.acquire(

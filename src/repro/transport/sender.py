@@ -21,7 +21,7 @@ from ..sim.engine import Simulator
 from ..sim.network import Network
 from ..sim.packet import DATA, HEADER_BYTES, MIN_PACKET_BYTES, PACKET_POOL, PROBE, PROBE_ACK, Packet
 from .flow import AckInfo, Flow
-from .receiver import FlowReceiver
+from .receiver import Filled, FlowReceiver
 
 __all__ = ["FlowSender", "DEFAULT_MTU"]
 
@@ -73,15 +73,13 @@ class FlowSender:
         self.bdp_bytes = self.line_rate_bps * self.base_rtt / 8e9
         self.rto_ns = rto_ns if rto_ns is not None else max(16 * self.base_rtt, 500_000)
 
-        # reliability state
-        self.sent = bytearray(self.n_packets)
-        self.acked = bytearray(self.n_packets)
+        # reliability state; the per-packet bitmaps (``sent``, ``acked``)
+        # and the retransmit containers exist only while the flow is live
         self.acked_count = 0
         self.acked_payload = 0
         self.next_new_seq = 0
         self.inflight_bytes = 0
-        self._retx_queue: deque = deque()
-        self._retx_pending = set()
+        self._retx_queue = self._retx_pending = ()
         self._cum_watch = 0
         self._dup = 0
         self._retx_scan = 0
@@ -106,6 +104,8 @@ class FlowSender:
         if on_receive_done is not None:
             self.receiver.on_complete = on_receive_done
         dst.receivers[flow.flow_id] = self.receiver
+        # until _start: one read-only all-0 sequence for all three bitmaps
+        self.sent = self.acked = self.receiver.received
 
         cc.attach(self)
         sim.at(max(flow.start_ns, sim.now), self._start)
@@ -115,6 +115,7 @@ class FlowSender:
     # ------------------------------------------------------------------
     def _start(self) -> None:
         self.started = True
+        self._open()
         fd = self.sim.fluid_driver
         if fd is not None and fd.absorbing:
             # the fabric is in a fluid epoch: this flow is carried by the
@@ -138,8 +139,20 @@ class FlowSender:
             if ev is not None:
                 ev.cancel()
                 setattr(self, ev_name, None)
+        # every packet is acked: one read-only all-1 sequence stands in for
+        # the three bitmaps, and the retransmit containers go
+        self.sent = self.acked = self.receiver.received = Filled(self.n_packets, 1)
+        self._retx_queue = self._retx_pending = ()
         if self.on_done is not None:
             self.on_done(self.flow)
+
+    def _open(self) -> None:
+        """Allocate the flow's bitmaps: at ``_start``, or at a write-back
+        that comes before it."""
+        if self.sent.__class__ is Filled:
+            self.sent = bytearray(self.n_packets)
+            self.acked = bytearray(self.n_packets)
+        self.receiver.open_bitmap()
 
     # ------------------------------------------------------------------
     # sending
@@ -299,6 +312,9 @@ class FlowSender:
     def _queue_retx(self, seq: int) -> None:
         if seq in self._retx_pending or self.acked[seq]:
             return
+        if self._retx_pending.__class__ is tuple:  # the flow's first retransmit
+            self._retx_queue = deque()
+            self._retx_pending = set()
         self._retx_pending.add(seq)
         self._retx_queue.append(seq)
 
@@ -420,6 +436,7 @@ class FlowSender:
         """
         if self.completed:
             raise AssertionError(f"flow {self.flow.flow_id}: fluid write-back to a completed sender")
+        self._open()
         ones = b"\x01" * (end - first)
         self.sent[first:end] = ones
         self.acked[first:end] = ones

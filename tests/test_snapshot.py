@@ -8,6 +8,9 @@ The property pinned here backs two features:
   checkpointed and replayed at packet level from the same instant.
 """
 
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +20,7 @@ from repro.sim.snapshot import fork_world, snapshot_world
 from repro.sim.switch import SwitchConfig
 from repro.topology import star
 from repro.transport.flow import Flow
+from repro.transport.receiver import Filled
 from repro.transport.sender import FlowSender
 
 
@@ -95,6 +99,40 @@ def test_property_fork_world_isolates_the_clone(n_flows, kb, seed):
     assert _fingerprint(sim, flows, snds) == _fingerprint(sim2, flows2, snds2)
 
 
+def test_fork_holds_unstarted_live_and_finished_flows():
+    """A flow's bitmaps are one shared read-only sequence before its start
+    and after its finish, and real ones in between; a fork taken with all
+    three kinds reruns exactly like the original, and the shared sequence
+    stays shared and read-only in the copy."""
+    sim = Simulator(11)
+    cfg = SwitchConfig(n_queues=2, buffer_bytes=4 * 1024 * 1024)
+    net, hosts, recv = star(sim, 3, rate_bps=10e9, link_delay_ns=500, switch_cfg=cfg)
+    shapes = [(2_000, 0), (300_000, 0), (50_000, 1_000_000)]  # (bytes, start)
+    flows = [Flow(i + 1, hosts[i], recv, size, start_ns=t) for i, (size, t) in enumerate(shapes)]
+    snds = [FlowSender(sim, net, f, Swift(SwiftParams(target_scaling=False))) for f in flows]
+    sim.run(until=100_000)
+    finished, live, unstarted = snds
+    assert finished.completed and live.started and not live.completed and not unstarted.started
+
+    sim2, _net2, flows2, snds2 = fork_world(sim, net, flows, snds)
+    finished2, live2, unstarted2 = snds2
+    for s, bit in ((finished2, 1), (unstarted2, 0)):
+        assert s.sent is s.acked is s.receiver.received
+        assert isinstance(s.sent, Filled) and bytes(s.sent) == bytes((bit,)) * s.n_packets
+        with pytest.raises(TypeError):
+            s.sent[0] = 1 - bit
+        with pytest.raises(TypeError):
+            s.receiver.received[0:2] = b"\x00\x00"
+    assert bytes(pickle.loads(pickle.dumps(unstarted2.acked))) == bytes(unstarted.acked)
+    assert bytes(live2.sent) == bytes(live.sent) and live2.sent is not live.sent
+    assert isinstance(live2.receiver.received, bytearray)
+
+    _run_out(sim2)
+    _run_out(sim)
+    assert _fingerprint(sim2, flows2, snds2) == _fingerprint(sim, flows, snds)
+    assert all(f.done for f in flows2)
+
+
 def test_snapshot_as_topology_reset_cache():
     """ROADMAP item 3: materialise-per-run beats rebuild-per-run and is
     deterministic — two runs from one pristine snapshot agree exactly."""
@@ -113,8 +151,6 @@ def test_snapshot_as_topology_reset_cache():
 # live observability hooks: fail fast unless explicitly allowed
 # ----------------------------------------------------------------------
 def test_snapshot_with_live_recorder_fails_fast():
-    import pytest
-
     from repro.probe import installed
     from repro.sim.snapshot import SnapshotHookError
     from repro.telemetry import Recorder

@@ -1,14 +1,19 @@
 """Transport-layer tests: reliability, FCT sanity, pacing, probes, loss."""
 
+import tracemalloc
+from collections import deque
+
 import pytest
 
 from repro.cc.base import CongestionControl
-from repro.cc.swift import Swift
+from repro.cc.swift import Swift, SwiftParams
+from repro.core import ChannelConfig, PrioPlusCC
 from repro.sim.engine import Simulator
 from repro.sim.pfc import PfcConfig
 from repro.sim.switch import SwitchConfig
 from repro.topology import star
 from repro.transport.flow import Flow
+from repro.transport.receiver import Filled
 from repro.transport.sender import FlowSender
 
 from tests.helpers import tiny_star
@@ -192,3 +197,59 @@ def test_fct_before_completion_raises():
     flow = Flow(1, senders[0], recv, 10_000)
     with pytest.raises(RuntimeError):
         flow.fct_ns()
+
+
+def _per_flow_containers(sender):
+    """Names of the bytearrays, deques and sets a sender and its receiver hold."""
+    rcv = sender.receiver
+    held = list(vars(sender).items()) + [(n, getattr(rcv, n)) for n in rcv.__slots__]
+    return [n for n, v in held if isinstance(v, (bytearray, deque, set))]
+
+
+def test_per_packet_state_lives_with_the_flow():
+    """Per-packet bitmaps and retransmit containers exist only between a
+    flow's start and finish: an idle 2 MB flow costs a fraction of its three
+    2 KB bitmaps, a finished one holds none, and a go-back-N retransmit still
+    gets its queue."""
+    sim, net, hosts, recv = tiny_star(1)
+    channels = ChannelConfig()
+
+    def build(fid):
+        cc = PrioPlusCC(Swift(SwiftParams(target_scaling=False)), channels, vpriority=1, probe_first=False)
+        return FlowSender(sim, net, Flow(fid, hosts[0], recv, 2_000_000), cc)
+
+    build(0)  # first-use caches stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        idle = [build(fid) for fid in range(1, 1001)]
+        per_flow = (tracemalloc.get_traced_memory()[0] - before) / len(idle)
+    finally:
+        tracemalloc.stop()
+    assert per_flow < 5_000, per_flow  # ~11.7 KB when every sender held its bitmaps
+    s = idle[0]
+    assert s.sent is s.acked is s.receiver.received
+    assert len(s.sent) == s.n_packets == 2_000 and not any(s.sent)
+    assert _per_flow_containers(s) == []
+    with pytest.raises(TypeError):
+        s.acked[0] = 1
+
+    # go-back-N: a cut link silences the flow for a full RTO
+    sim = Simulator(5)
+    cfg = SwitchConfig(n_queues=2, buffer_bytes=8 * 1024 * 1024)
+    net, hosts, recv = star(sim, 1, rate_bps=10e9, link_delay_ns=1_000, switch_cfg=cfg)
+    flow = Flow(1, hosts[0], recv, 10_000)
+    s = FlowSender(sim, net, flow, CongestionControl(init_cwnd_bytes=20_000), rto_ns=100_000)
+    sim.run(until=2_000)  # packets on the wire, none delivered yet
+    assert sorted(_per_flow_containers(s)) == ["acked", "received", "sent"]
+    net.set_link_state(net.switches[0], recv, up=False)
+    sim.run(until=150_000)  # the RTO fired and queued every lost packet
+    assert flow.retransmits > 0
+    assert isinstance(s._retx_queue, deque) and isinstance(s._retx_pending, set)
+    net.set_link_state(net.switches[0], recv, up=True)
+    sim.run(until=100_000_000)
+    assert flow.done and s.completed
+    assert _per_flow_containers(s) == []
+    assert s.sent is s.acked is s.receiver.received and all(s.sent)
+    assert bytes(s.receiver.received) == b"\x01" * s.n_packets
+    assert isinstance(s.sent, Filled)
