@@ -14,8 +14,8 @@ a time, and runs per setting:
   workload.  Each is compared with its pure-packet twin per size group, as
   the ledger's ``fidelity`` does;
 * ``midscale_contended`` — 12 × 1 MB two-rank PrioPlus flows staggered 50 µs
-  on a k=4 / 100G fat-tree (``tests/test_fluid.py``'s
-  ``_midscale_world(12, 1_000_000, 50_000)``) — whose mean FCT is compared
+  on a k=4 / 100G fat-tree (``tests/hybrid_twins.py``'s
+  ``midscale_world(12, 1_000_000, 50_000)``) — whose mean FCT is compared
   with its packet twin.
 
 A setting is ``BASE:THRESHOLD:CAP`` in µs; ``CAP`` equal to ``BASE`` turns

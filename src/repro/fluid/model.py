@@ -14,9 +14,9 @@ PrioPlus's delay channels (and physical strict-priority queues) converge to:
 
 Because every allocation is capacity-feasible, queues stay empty by
 construction throughout a fluid epoch; the error envelope this buys is
-documented in docs/PERFORMANCE.md and bounded empirically by the
-hybrid-vs-packet agreement scenario in
-``tests/test_fluid.py::test_hybrid_midscale_agreement``.
+documented in docs/PERFORMANCE.md and bounded, per world and per group
+of flows, against committed pure-packet twins by
+``tests/test_fluid.py::test_hybrid_golden_stays_within_its_twin_bounds``.
 
 Plain Python on the lists the driver already holds: the solves this repo
 issues are 1–120 flows wide, where array dispatch costs more than the

@@ -238,6 +238,9 @@ class WorkerFleet:
     def _on_inner_done(self, task: _Task, generation: int, inner: Future) -> None:
         if task.outer.done():  # caller cancelled; drop the result on the floor
             return
+        if inner.cancelled():  # the fleet shut down with cancel_futures=True
+            task.outer.cancel()
+            return
         exc = inner.exception()
         if exc is None:
             self.stats["completed"] += 1

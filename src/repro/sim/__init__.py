@@ -7,7 +7,6 @@ from .network import Network
 from .packet import ACK, DATA, HEADER_BYTES, MIN_PACKET_BYTES, PROBE, PROBE_ACK, IntHop, Packet
 from .pfc import PfcConfig, PfcIngressState
 from .port import Port
-from .snapshot import SnapshotHookError, WorldSnapshot, fork_world, snapshot_world
 from .switch import Switch, SwitchConfig, ecmp_hash
 
 __all__ = [
@@ -34,8 +33,4 @@ __all__ = [
     "ecmp_hash",
     "Host",
     "Network",
-    "WorldSnapshot",
-    "SnapshotHookError",
-    "snapshot_world",
-    "fork_world",
 ]

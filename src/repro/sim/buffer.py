@@ -109,8 +109,7 @@ class SharedBuffer:
 
         The hybrid core (:mod:`repro.fluid.hybrid`) only enters a fluid
         epoch once both pools read zero, so there is never buffer state to
-        import back; whole-world checkpointing goes through
-        :mod:`repro.sim.snapshot`.
+        import back.
         """
         return {
             "name": self.name,

@@ -183,8 +183,7 @@ class Port:
 
         Import is deliberately not offered: the hybrid core only hands off
         on an *empty* port (see :attr:`is_idle`), so there is never packet
-        state to restore; whole-world checkpointing goes through
-        :mod:`repro.sim.snapshot` instead.
+        state to restore.
         """
         return {
             "name": self.name,

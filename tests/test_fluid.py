@@ -1,10 +1,8 @@
 """Hybrid fluid/packet core: solver, laws, gating, parity and agreement."""
 
 import json
-import random
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,23 +11,28 @@ from hypothesis import strategies as st
 
 from repro.cc import Swift, SwiftParams
 from repro.core import ChannelConfig, PrioPlusCC
-from repro.experiments.flowsched import FlowSchedConfig
 from repro.experiments.launch import run_until_flows_done
-from repro.experiments.modes import Mode
-from repro.experiments.paper_scale import PAPER_LONG_CFG, run_paper_scale
 from repro.fluid import FluidConfig, HybridDriver, model
 from repro.fluid.hybrid import _SAT_THRESHOLD, _FluidFlow
 from repro.fluid.laws import law_for
 from repro.fluid.model import classify_contention, solve_rates
 from repro.sim.engine import Simulator
-from repro.sim.switch import SwitchConfig
-from repro.topology import fat_tree, paper_fabric, star
-from repro.transport.flow import Flow
+from repro.topology import fat_tree, star
 from repro.transport.sender import FlowSender
 
 from tests.golden_battery import canonical
-
-HYBRID_GOLDEN_PATH = Path(__file__).parent / "golden" / "hybrid_results.json"
+from tests.hybrid_twins import (
+    HYBRID_GOLDEN_PATH,
+    HYBRID_WORLDS,
+    TWINS_PATH,
+    breaches,
+    bulk_waves_world,
+    measured,
+    midscale_world,
+    run_packet,
+    run_twin,
+    star_world,
+)
 
 
 # ----------------------------------------------------------------------
@@ -281,41 +284,12 @@ def test_swift_fluid_law_uses_ai_and_target():
 # ----------------------------------------------------------------------
 # hybrid driver end-to-end
 # ----------------------------------------------------------------------
-def _star_world(n_flows, size_bytes, stagger_ns, seed=3, ranks=(1,)):
-    """``n_flows`` PrioPlus flows into one receiver, ``stagger_ns`` apart;
-    flow i holds virtual priority ``ranks[i % len(ranks)]``."""
-    sim = Simulator(seed)
-    cfg = SwitchConfig(n_queues=4, buffer_bytes=8 * 1024 * 1024)
-    net, senders, recv = star(sim, n_flows, rate_bps=10e9, link_delay_ns=1000, switch_cfg=cfg)
-    channels = ChannelConfig(n_priorities=2)
-    flows = []
-    for i in range(n_flows):
-        vprio = ranks[i % len(ranks)]
-        f = Flow(i + 1, senders[i], recv, size_bytes, vpriority=vprio, start_ns=i * stagger_ns)
-        cc = PrioPlusCC(
-            Swift(SwiftParams(target_scaling=False)), channels, vpriority=vprio, probe_first=False
-        )
-        FlowSender(sim, net, f, cc, rto_ns=10**10)
-        flows.append(f)
-    return sim, net, flows
-
-
-def _run_packet(sim, flows, deadline=2_000_000_000):
-    while sim.now < deadline:
-        sim.run(until=min(sim.now + 1_000_000, deadline))
-        if all(f.done for f in flows):
-            break
-        if sim.peek_time() is None:
-            break
-    return [f.fct_ns() for f in flows]
-
-
 def test_driver_attached_but_packet_only_is_byte_identical():
     """With quiescence disabled the driver must be a pure pass-through."""
-    sim_a, _, flows_a = _star_world(3, 200_000, 150_000)
-    base = _run_packet(sim_a, flows_a)
+    sim_a, _, flows_a = star_world(3, 200_000, 150_000)
+    base = run_packet(sim_a, flows_a)
 
-    sim_b, net_b, flows_b = _star_world(3, 200_000, 150_000)
+    sim_b, net_b, flows_b = star_world(3, 200_000, 150_000)
     driver = HybridDriver(sim_b, net_b)
     driver.quiet_backlog_bytes = -1  # the quiescence predicate never holds
     assert run_until_flows_done(sim_b, flows_b, 2_000_000_000, driver=driver)
@@ -332,10 +306,10 @@ def test_driver_attached_but_packet_only_is_byte_identical():
 
 def test_hybrid_star_agreement_and_speed():
     """Staggered solo flows: hybrid FCTs within 5% at far fewer events."""
-    sim_p, _, flows_p = _star_world(5, 300_000, 600_000)
-    packet_fcts = _run_packet(sim_p, flows_p)
+    sim_p, _, flows_p = star_world(5, 300_000, 600_000)
+    packet_fcts = run_packet(sim_p, flows_p)
 
-    sim_h, net_h, flows_h = _star_world(5, 300_000, 600_000)
+    sim_h, net_h, flows_h = star_world(5, 300_000, 600_000)
     driver = HybridDriver(sim_h, net_h)
     assert run_until_flows_done(sim_h, flows_h, 2_000_000_000, driver=driver)
     hybrid_fcts = [f.fct_ns() for f in flows_h]
@@ -349,7 +323,7 @@ def test_hybrid_star_agreement_and_speed():
 def test_fluid_admission_is_gated_by_pipe_fill_delay():
     """A flow starting inside an epoch completes ~one-way-delay later than
     the pure send-side staircase would predict (the pipe-fill gate)."""
-    sim, net, flows = _star_world(2, 300_000, 600_000)
+    sim, net, flows = star_world(2, 300_000, 600_000)
     driver = HybridDriver(sim, net)
     seen = []
     orig = driver._absorb
@@ -374,7 +348,7 @@ def test_regime_telemetry_and_sampler_rows():
     rec = Recorder(events=True)
     with installed(rec):
         with sample_scope(stride_ns=100_000) as smp:
-            sim, net, flows = _star_world(3, 300_000, 600_000)
+            sim, net, flows = star_world(3, 300_000, 600_000)
             driver = HybridDriver(sim, net)
             assert run_until_flows_done(sim, flows, 2_000_000_000, driver=driver)
     modes = [ev[1] for ev in rec.events["regime"]]
@@ -390,7 +364,7 @@ def test_star_exits_fluid_only_on_cross_rank_contention(ranks):
     bottleneck.  Two same-rank flows share it and stay fluid, with no
     ``contention:*`` exit; a lower rank arriving under a higher one sends
     the fabric back to packets on ``contention:priority``."""
-    sim, net, flows = _star_world(2, 400_000, 150_000, ranks=ranks)
+    sim, net, flows = star_world(2, 400_000, 150_000, ranks=ranks)
     driver = HybridDriver(sim, net)
     assert run_until_flows_done(sim, flows, 2_000_000_000, driver=driver)
     st = driver.stats
@@ -449,62 +423,9 @@ def test_prioplus_fluid_sync_resets_transition_state():
     assert cc.rtt_end_seq == sender.snd_nxt
 
 
-def _midscale_world(n_flows, flow_bytes, stagger_ns):
-    """Staggered two-rank PrioPlus flows crossing a k=4 / 100G fat-tree."""
-    sim = Simulator(11)
-    net, hosts = fat_tree(sim, k=4, rate_bps=100e9)
-    half = len(hosts) // 2
-    channels = ChannelConfig(n_priorities=2)
-    flows = []
-    for i in range(n_flows):
-        vprio = 1 + (i % 2)
-        f = Flow(
-            i + 1,
-            hosts[i % half],
-            hosts[half + (i * 3) % half],
-            flow_bytes,
-            vpriority=vprio,
-            start_ns=i * stagger_ns,
-        )
-        cc = PrioPlusCC(
-            Swift(SwiftParams(target_scaling=False)), channels, vpriority=vprio, probe_first=False
-        )
-        FlowSender(sim, net, f, cc, rto_ns=10**10)
-        flows.append(f)
-    return sim, net, flows
-
-
-def _bulk_waves_world(waves=20, per_wave=8, flow_bytes=2_000_000, gap_ns=50_000):
-    """Waves of ``per_wave`` ~2 MB single-rank transfers on the 320-host
-    paper fabric, each host to the host half the fabric away (always across
-    the core).  Several waves overlap and hash onto different core links,
-    so the live flows fall into several connected components."""
-    sim = Simulator(7)
-    rng = random.Random(42)
-    net, hosts = paper_fabric(sim)
-    channels = ChannelConfig(n_priorities=1)
-    half = len(hosts) // 2
-    wave_span_ns = int(flow_bytes * 8e9 / 100e9) + gap_ns
-    flows = []
-    for w in range(waves):
-        for j in range(per_wave):
-            slot = (w * per_wave + j) % half
-            size = flow_bytes + rng.randrange(-flow_bytes // 100, flow_bytes // 100 + 1)
-            f = Flow(
-                len(flows) + 1, hosts[slot], hosts[half + slot], size,
-                vpriority=1, start_ns=w * wave_span_ns,
-            )
-            cc = PrioPlusCC(
-                Swift(SwiftParams(target_scaling=False)), channels, vpriority=1, probe_first=False
-            )
-            FlowSender(sim, net, f, cc, rto_ns=10**10)
-            flows.append(f)
-    return sim, net, flows
-
-
 def test_hybrid_on_fat_tree_mixed_ranks_completes():
     """Cross-rank contention forces exits; results stay sane end-to-end."""
-    sim, net, flows = _midscale_world(6, 300_000, 150_000)
+    sim, net, flows = midscale_world(6, 300_000, 150_000)
     driver = HybridDriver(sim, net)
     assert run_until_flows_done(sim, flows, 10_000_000_000, driver=driver)
     assert all(f.done for f in flows)
@@ -516,12 +437,14 @@ def test_hybrid_midscale_agreement():
     Flow sizes sit inside the ramp/transition regime (the window never rests
     long against its delay-channel ceiling): that is the regime the hybrid
     core actually runs fluid, and where its error envelope is tightest.
-    Ceiling-bound flows deviate more; docs/PERFORMANCE.md has both envelopes.
+    Ceiling-bound flows deviate more; docs/PERFORMANCE.md has both envelopes,
+    and :func:`test_hybrid_golden_stays_within_its_twin_bounds` holds every
+    golden world to its committed twin bound.
     """
-    sim_p, _, flows_p = _midscale_world(6, 400_000, 400_000)
-    _run_packet(sim_p, flows_p, deadline=10_000_000_000)
+    sim_p, _, flows_p = midscale_world(6, 400_000, 400_000)
+    run_packet(sim_p, flows_p, deadline=10_000_000_000)
     assert all(f.done for f in flows_p)
-    sim_h, net_h, flows_h = _midscale_world(6, 400_000, 400_000)
+    sim_h, net_h, flows_h = midscale_world(6, 400_000, 400_000)
     driver = HybridDriver(sim_h, net_h)
     assert run_until_flows_done(sim_h, flows_h, 10_000_000_000, driver=driver)
     assert driver.stats["fluid_epochs"] >= 1
@@ -589,7 +512,7 @@ def _count_solves(world, monkeypatch):
 
 
 def test_solves_never_exceed_segments_midscale(monkeypatch):
-    counts = _count_solves(_midscale_world(6, 400_000, 400_000), monkeypatch)
+    counts = _count_solves(midscale_world(6, 400_000, 400_000), monkeypatch)
     assert 0 < counts["solved"] <= counts["live"]
 
 
@@ -597,7 +520,7 @@ def test_unchanged_inputs_reuse_the_last_allocation(monkeypatch):
     """Staggered single-rank bulk flows sit against their window ceiling:
     between two check boundaries they re-present the same cap rates on the
     same flow set, and those segments must not solve again."""
-    counts = _count_solves(_star_world(5, 300_000, 600_000), monkeypatch)
+    counts = _count_solves(star_world(5, 300_000, 600_000), monkeypatch)
     assert 0 < counts["solved"] < counts["live"]
 
 
@@ -605,7 +528,7 @@ def test_bulk_waves_split_into_components(monkeypatch):
     """The golden ``bulk_waves`` world exercises the split: on average a
     segment's live flows form at least two components, and far fewer flows
     are solved than are live."""
-    counts = _count_solves(_bulk_waves_world(), monkeypatch)
+    counts = _count_solves(bulk_waves_world(), monkeypatch)
     assert counts["components"] >= 2 * counts["segments"]
     assert counts["solved"] < counts["live"] / 2
 
@@ -688,36 +611,8 @@ def test_completion_that_disconnects_a_group_splits_it(monkeypatch):
 # ----------------------------------------------------------------------
 # hybrid goldens
 # ----------------------------------------------------------------------
-def _hybrid_point(world, deadline_ns):
-    sim, net, flows = world
-    driver = HybridDriver(sim, net)
-    assert run_until_flows_done(sim, flows, deadline_ns, driver=driver)
-    return {
-        "fct_ns": [f.fct_ns() for f in flows],
-        "now": sim.now,
-        "events": sim.events_processed,
-        "driver": driver.stats,
-    }
-
-
-_LONG_20MS_CFG = FlowSchedConfig(**dict(PAPER_LONG_CFG, duration_ns=20_000_000))
-
-#: the five golden worlds, each a thunk that builds, runs and reports
-_HYBRID_WORLDS = {
-    "star": lambda: _hybrid_point(_star_world(3, 200_000, 150_000), 2_000_000_000),
-    "midscale": lambda: _hybrid_point(_midscale_world(6, 400_000, 400_000), 10_000_000_000),
-    "midscale_contended": lambda: _hybrid_point(
-        _midscale_world(12, 1_000_000, 50_000), 10_000_000_000
-    ),
-    "paper_long_20ms": lambda: run_paper_scale(
-        Mode.PRIOPLUS, 8, _LONG_20MS_CFG, streaming=True
-    ),
-    "bulk_waves": lambda: _hybrid_point(_bulk_waves_world(), 100_000_000),
-}
-
-
 def _hybrid_canonical():
-    return canonical({name: run() for name, run in _HYBRID_WORLDS.items()}) + "\n"
+    return canonical({name: run() for name, run in HYBRID_WORLDS.items()}) + "\n"
 
 
 def test_hybrid_runs_match_committed_golden_results():
@@ -727,14 +622,17 @@ def test_hybrid_runs_match_committed_golden_results():
     ``tests/golden/hybrid_results.json`` was first written at d78b1bc, when
     the fluid rates still came from the numpy solver, and held byte for byte
     through the plain-Python solver and the array-free segment loop.  It was
-    regenerated once since, when packet phases stopped ending on the
-    ``check_every_ns`` grid and started ending when the fabric goes quiet
-    (every world enters fluid earlier; CHANGES.md PR 21 has the per-world
-    diff).  ``bulk_waves``, the one world whose live set splits into several
-    components, was written by the monolithic solve at 3e68ed8 and holds
-    under the per-component one.  Regenerate (only for a *deliberate* change
-    of the fluid model or of when the regimes switch) with
-    ``HYBRID_GOLDEN_PATH.write_text(_hybrid_canonical())``.
+    regenerated since when packet phases started ending when the fabric
+    goes quiet instead of on the ``check_every_ns`` grid, and when the
+    packet floor started backing off.  ``bulk_waves``, the one world whose
+    live set splits into several components, was written by the monolithic
+    solve at 3e68ed8 and holds under the per-component one.  Regenerate
+    (only for a *deliberate* change of the fluid model or of when the
+    regimes switch) with ``HYBRID_GOLDEN_PATH.write_text(_hybrid_canonical())``,
+    and land it only with
+    :func:`test_hybrid_golden_stays_within_its_twin_bounds` green: the bytes
+    say what the hybrid core produces, the twin bounds how far that may sit
+    from packets.
     """
     expected = HYBRID_GOLDEN_PATH.read_text()
     actual = _hybrid_canonical()
@@ -743,6 +641,28 @@ def test_hybrid_runs_match_committed_golden_results():
         for name in exp:
             assert act.get(name) == exp[name], f"hybrid world {name!r} diverged"
     assert actual == expected
+
+
+def test_hybrid_golden_stays_within_its_twin_bounds():
+    """The fidelity ratchet: every group of every golden world sits within
+    its committed bound of its pure-packet twin, on mean and p99 FCT.
+
+    Static: the byte golden above holds ``hybrid_results.json`` equal to a
+    live run, and the twins are committed (``tests/hybrid_twins.py``), so a
+    regeneration that worsens fidelity fails here even with its bytes
+    rewritten.  A bound only ever goes down."""
+    twins = json.loads(TWINS_PATH.read_text())
+    hybrid = json.loads(HYBRID_GOLDEN_PATH.read_text())
+    assert sorted(twins) == sorted(hybrid) == sorted(HYBRID_WORLDS)
+    assert breaches(twins, hybrid) == []
+
+
+@pytest.mark.parametrize("world", ["star", "midscale", "midscale_contended"])
+def test_cheap_twins_match_the_committed_twins(world):
+    """The three twins that take under a second are re-run on every tier-1
+    pass and must equal the committed file; ``hybrid_twins.py --check``
+    re-runs all five."""
+    assert run_twin(world) == measured(json.loads(TWINS_PATH.read_text())[world])
 
 
 # ----------------------------------------------------------------------
@@ -783,7 +703,7 @@ def test_packet_phase_ends_when_the_fabric_goes_quiet():
                 sim.at(now + driver._floor_ns, watch, now)
 
     with installed(Regimes()):
-        sim, net, flows = _midscale_world(12, 1_000_000, 50_000)
+        sim, net, flows = midscale_world(12, 1_000_000, 50_000)
     driver = HybridDriver(sim, net)
     quiescent = driver._quiescent
 
@@ -820,7 +740,7 @@ def test_packet_floor_backs_off_after_short_contention_epochs(monkeypatch):
 
     base, cap = hybrid._MIN_PACKET_NS, 4 * hybrid._MIN_PACKET_NS
     monkeypatch.setattr(hybrid, "_MAX_PACKET_NS", cap)
-    sim, net, flows = _midscale_world(12, 1_000_000, 50_000)
+    sim, net, flows = midscale_world(12, 1_000_000, 50_000)
     driver = HybridDriver(sim, net)
     exits = []  # per fluid exit: (reason, epoch length, floor before, floor after)
     exit_fluid = driver._exit_fluid
@@ -846,16 +766,16 @@ def test_midscale_contended_mean_fct_against_its_packet_twin():
     the hybrid mean FCT read +25.6 % against the packet twin under a fixed
     100 µs floor (+58 % under a fixed 25 µs one); the back-off must keep it
     below that."""
-    sim_p, _, flows_p = _midscale_world(12, 1_000_000, 50_000)
-    _run_packet(sim_p, flows_p, deadline=10_000_000_000)
-    result = _HYBRID_WORLDS["midscale_contended"]()
+    sim_p, _, flows_p = midscale_world(12, 1_000_000, 50_000)
+    run_packet(sim_p, flows_p, deadline=10_000_000_000)
+    result = HYBRID_WORLDS["midscale_contended"]()
     packet_mean = sum(f.fct_ns() for f in flows_p) / len(flows_p)
     hybrid_mean = sum(result["fct_ns"]) / len(result["fct_ns"])
     assert all(f.done for f in flows_p)
     assert hybrid_mean / packet_mean - 1 < 0.25
 
 
-@pytest.mark.parametrize("world", sorted(_HYBRID_WORLDS))
+@pytest.mark.parametrize("world", sorted(HYBRID_WORLDS))
 def test_bytes_are_conserved_across_handoffs(world, monkeypatch):
     """Per flow, bytes credited in fluid + bytes acked in packets = flow size
     (a flow counted in two regimes would exceed it), the driver's
@@ -883,8 +803,8 @@ def test_bytes_are_conserved_across_handoffs(world, monkeypatch):
 
     monkeypatch.setattr(FlowSender, "fluid_advance", counting_advance)
     monkeypatch.setattr(FlowSender, "on_packet", counting_on_packet)
-    result = _HYBRID_WORLDS[world]()
-    # _hybrid_point and run_paper_scale report under different keys
+    result = HYBRID_WORLDS[world]()
+    # hybrid_point and run_paper_scale report under different keys
     stats = result["driver"] if "driver" in result else result["fluid"]
     n_flows = len(result["fct_ns"]) if "fct_ns" in result else result["n_flows"]
 
@@ -905,7 +825,7 @@ def test_write_back_checks_its_own_ledger():
     """The write-back raises when the sender's acked count (kept by the driver
     segment by segment) disagrees with where the ledger ends, and when the
     sender has already finished."""
-    sim, _, (flow,) = _star_world(1, 10_000, 0)
+    sim, _, (flow,) = star_world(1, 10_000, 0)
     s = flow.src.senders[flow.flow_id]
     s.acked_count = 3
     with pytest.raises(AssertionError, match="3 packets acked, fluid ledger ends at 2"):
@@ -965,11 +885,11 @@ def _state_log(world, reference):
             m.setattr(credit_reference, "fluid_advance", counting_advance)
         else:
             m.setattr(FlowSender, "fluid_advance", counting_advance)
-        result = _HYBRID_WORLDS[world]()
+        result = HYBRID_WORLDS[world]()
     return result, writes[0], log
 
 
-@pytest.mark.parametrize("world", sorted(_HYBRID_WORLDS))
+@pytest.mark.parametrize("world", sorted(HYBRID_WORLDS))
 def test_one_write_back_leaves_the_state_per_segment_credit_did(world):
     """Differential against the per-segment credit the ledger replaced: at
     every fluid exit each survivor, and at every completion the finishing

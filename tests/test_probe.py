@@ -6,8 +6,8 @@ Pins what every consumer of the seam relies on:
   ``runner/`` names no figure module;
 * the engine's per-dispatch hook is selected apart from ``probe.on``, and the
   profiler contract ``benchmarks/perf/tracing.py`` builds on holds;
-* snapshot-at-construction: a simulator keeps the probe it was built with;
-* world forks share the inert probe and refuse live sinks by name;
+* snapshot-at-construction: a simulator keeps the probe it was built with,
+  and a deep copy of an uninstrumented one shares the inert probe;
 * zero feedback, for every sink set at once: results are byte-identical
   whatever is installed (the per-subsystem copies of this test used to live
   in test_telemetry / test_audit / test_obs);
@@ -17,6 +17,7 @@ Pins what every consumer of the seam relies on:
 from __future__ import annotations
 
 import ast
+import copy
 import importlib.util
 import pathlib
 
@@ -38,7 +39,6 @@ from repro.obs.profiler import current_profiler
 from repro.probe import INERT, Probe, installed
 from repro.runner import run_experiment
 from repro.sim.engine import Simulator
-from repro.sim.snapshot import SnapshotHookError, fork_world, snapshot_world
 from repro.telemetry import Recorder
 
 from tests.golden_battery import canonical, pfc_incast
@@ -314,28 +314,11 @@ def test_simulator_keeps_its_probe_after_the_scope_exits():
     assert sim.probe is live
     late = Simulator(1)
     assert late.probe is INERT
+    assert copy.deepcopy(late).probe is INERT  # a world copy shares the inert probe
     for s in (sim, late):
         s.at(10, lambda: None)
         s.run()
     assert rec.metrics.counter("sim.events").value == 1  # only the early sim reports
-
-
-# ----------------------------------------------------------------------
-# (e) world forks
-# ----------------------------------------------------------------------
-def test_snapshot_error_names_live_sinks_and_forks_share_inert_probe():
-    with installed(Recorder(), Auditor("warn")):
-        sim = Simulator(1)
-    with pytest.raises(SnapshotHookError, match=r"\(Recorder, Auditor\)"):
-        snapshot_world(sim)
-    with pytest.raises(SnapshotHookError, match="allow_hooks=True"):
-        fork_world(sim)
-
-    plain = Simulator(1)
-    (fork,) = fork_world(plain)
-    assert fork.probe is plain.probe is INERT
-    (again,) = snapshot_world(plain).materialize()
-    assert again.probe is INERT
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ The hard guarantees under test:
 import json
 import os
 import pathlib
+import time
 
 import pytest
 
@@ -80,6 +81,11 @@ def _always_crash(seed=0):
 
 def _raise(seed=0):
     raise ValueError("deterministic failure")
+
+
+def _slow(seed=0):
+    time.sleep(0.2)
+    return {"seed": seed}
 
 
 # ----------------------------------------------------------------------
@@ -217,12 +223,19 @@ def test_worker_crash_retry_exhausted():
         run_experiment(exp, jobs=2, max_retries=1, retry_backoff_s=0.01)
 
 
-def test_deterministic_exception_fails_fast():
+def test_deterministic_exception_fails_fast(caplog):
+    """A raising point ends the run; its slow siblings still queued in the
+    pool are cancelled, and a cancelled point logs no callback traceback."""
     exp = FunctionExperiment("raiser", {"p": (_raise, {"seed": 0})})
     with pytest.raises(RunnerError, match="ValueError"):
         run_experiment(exp, jobs=2, retry_backoff_s=0.01)
     with pytest.raises(RunnerError, match="ValueError"):
         run_experiment(exp, jobs=1)
+    points = {f"s{i}": (_slow, {"seed": i}) for i in range(12)}
+    points["s1"] = (_raise, {"seed": 1})
+    with pytest.raises(RunnerError, match="raiser:s1 raised ValueError"):
+        run_experiment(FunctionExperiment("raiser", points), jobs=2, retry_backoff_s=0.01)
+    assert not [r for r in caplog.records if "exception calling callback" in r.getMessage()]
 
 
 # ----------------------------------------------------------------------

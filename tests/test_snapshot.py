@@ -1,13 +1,14 @@
-"""Snapshot/restore determinism: a materialised clone continues byte-identically.
+"""World copies: ``copy.deepcopy((sim, roots))`` continues byte-identically.
 
-The property pinned here backs two features:
-
-* cheap world ``reset()`` — build a topology once, snapshot it, and
-  materialise per run instead of rebuilding (ROADMAP item 3);
-* hybrid-core auditability — a fluid epoch's entry state can be
-  checkpointed and replayed at packet level from the same instant.
+A deep copy of a simulator and every object reachable from the roots
+(network, flows, senders) is an independent, runnable world: the engine's
+state is plain data (an integer clock, a heap ordered by ``(time, seq)``,
+a ``random.Random``), dict order survives the copy, and the inert probe
+copies to itself.  These properties pin that a copy taken mid-flight runs
+on exactly like the original and never perturbs it.
 """
 
+import copy
 import pickle
 
 import pytest
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.cc.swift import Swift, SwiftParams
 from repro.sim.engine import Simulator
-from repro.sim.snapshot import fork_world, snapshot_world
 from repro.sim.switch import SwitchConfig
 from repro.topology import star
 from repro.transport.flow import Flow
@@ -52,6 +52,12 @@ def _run_out(sim, until=2_000_000_000):
     return sim
 
 
+def _copy(sim, *roots):
+    """One deep copy of ``sim`` and ``roots``, as ``(sim, *roots)``."""
+    sim2, roots2 = copy.deepcopy((sim, roots))
+    return (sim2,) + roots2
+
+
 @given(
     n_flows=st.integers(1, 4),
     kb=st.integers(2, 120),
@@ -62,35 +68,35 @@ def _run_out(sim, until=2_000_000_000):
 def test_property_snapshot_restore_rerun_is_byte_identical(
     n_flows, kb, seed, prefix_events
 ):
-    """snapshot → run → restore → rerun reproduces the original exactly."""
+    """copy → run → copy the copy → rerun reproduces the original exactly."""
     sim, net, flows, snds = _world(n_flows, kb, seed)
     sim.run(max_events=prefix_events)  # arbitrary mid-flight instant
 
-    snap = snapshot_world(sim, net, flows, snds)
+    snap = _copy(sim, net, flows, snds)
 
     # run the original to completion
     _run_out(sim)
     want = _fingerprint(sim, flows, snds)
 
-    # first clone: must land on the identical fingerprint
-    sim2, _net2, flows2, snds2 = snap.materialize()
+    # first clone of the kept copy: must land on the identical fingerprint
+    sim2, _net2, flows2, snds2 = _copy(*snap)
     _run_out(sim2)
     assert _fingerprint(sim2, flows2, snds2) == want
 
-    # the snapshot is not consumed: a second clone agrees byte-for-byte
-    sim3, _net3, flows3, snds3 = snap.materialize()
+    # the kept copy is not consumed: a second clone agrees byte-for-byte
+    sim3, _net3, flows3, snds3 = _copy(*snap)
     _run_out(sim3)
     assert _fingerprint(sim3, flows3, snds3) == want
 
 
 @given(n_flows=st.integers(1, 3), kb=st.integers(2, 60), seed=st.integers(0, 2**31))
 @settings(max_examples=10, deadline=None)
-def test_property_fork_world_isolates_the_clone(n_flows, kb, seed):
+def test_property_world_copy_isolates_the_clone(n_flows, kb, seed):
     """Running a fork never perturbs the original (and vice versa)."""
     sim, net, flows, snds = _world(n_flows, kb, seed)
     sim.run(max_events=500)
 
-    sim2, _net2, flows2, snds2 = fork_world(sim, net, flows, snds)
+    sim2, _net2, flows2, snds2 = _copy(sim, net, flows, snds)
     before = (sim.now, sim.events_processed)
     _run_out(sim2)  # drive only the clone
     assert (sim.now, sim.events_processed) == before  # original untouched
@@ -114,7 +120,7 @@ def test_fork_holds_unstarted_live_and_finished_flows():
     finished, live, unstarted = snds
     assert finished.completed and live.started and not live.completed and not unstarted.started
 
-    sim2, _net2, flows2, snds2 = fork_world(sim, net, flows, snds)
+    sim2, _net2, flows2, snds2 = _copy(sim, net, flows, snds)
     finished2, live2, unstarted2 = snds2
     for s, bit in ((finished2, 1), (unstarted2, 0)):
         assert s.sent is s.acked is s.receiver.received
@@ -134,57 +140,13 @@ def test_fork_holds_unstarted_live_and_finished_flows():
 
 
 def test_snapshot_as_topology_reset_cache():
-    """ROADMAP item 3: materialise-per-run beats rebuild-per-run and is
-    deterministic — two runs from one pristine snapshot agree exactly."""
-    sim, net, flows, snds = _world(3, 40, 7)
-    snap = snapshot_world(sim, net, flows, snds)
+    """Copy-per-run of one pristine world is deterministic: two runs from
+    one kept copy agree exactly."""
+    snap = _world(3, 40, 7)
     runs = []
     for _ in range(2):
-        s, _n, fl, sn = snap.materialize()
+        s, _n, fl, sn = _copy(*snap)
         _run_out(s)
         runs.append(_fingerprint(s, fl, sn))
     assert runs[0] == runs[1]
     assert all(done for done, _ in runs[0][3])
-
-
-# ----------------------------------------------------------------------
-# live observability hooks: fail fast unless explicitly allowed
-# ----------------------------------------------------------------------
-def test_snapshot_with_live_recorder_fails_fast():
-    from repro.probe import installed
-    from repro.sim.snapshot import SnapshotHookError
-    from repro.telemetry import Recorder
-
-    with installed(Recorder()):
-        sim, net, flows, snds = _world(1, 10, 0)
-    assert sim.probe.on
-    with pytest.raises(SnapshotHookError, match="Recorder"):
-        snapshot_world(sim, net, flows, snds)
-    with pytest.raises(SnapshotHookError, match="allow_hooks=True"):
-        fork_world(sim, net, flows, snds)
-
-
-def test_snapshot_allow_hooks_gives_forks_independent_recorders():
-    from repro.probe import installed
-    from repro.telemetry import Recorder
-
-    rec = Recorder()
-    with installed(rec):
-        sim, net, flows, snds = _world(1, 10, 0)
-    sim2, _net2, _flows2, snds2 = fork_world(sim, net, flows, snds, allow_hooks=True)
-    (rec2,) = sim2.probe.sinks
-    assert rec2 is not rec  # private copy, not a shared ring
-    assert snds2[0].probe is sim2.probe  # components follow the fork's probe
-    _run_out(sim2)
-    # the fork recorded into its own copy; the original's recorder saw none of it
-    assert rec2.event_counts()["cwnd"] > 0
-    assert rec.event_counts().get("cwnd", 0) == 0
-    assert sim.events_processed == 0
-
-
-def test_snapshot_with_inert_hooks_needs_no_opt_in():
-    sim, net, flows, snds = _world(1, 10, 0)
-    snap = snapshot_world(sim, net, flows, snds)  # the inert probe has no sinks
-    sim2, _net2, flows2, snds2 = snap.materialize()
-    _run_out(sim2)
-    assert all(f.done for f in flows2)
