@@ -106,7 +106,7 @@ def main() -> int:
         t0 = time.time()
         try:
             if args.server:
-                result = api.run(name, server=args.server, report=report, tag="run_all")
+                result = api.run(name, server=args.server, report=report)
             else:
                 result = api.run(
                     name, jobs=jobs, cache=args.cache, progress=True, report=report

@@ -8,12 +8,12 @@ Lists and runs individual paper experiments without writing a script:
     python -m repro run fig12 --jobs 4 --cache .cache/repro
 
 Serving (see docs/SERVE.md): a long-running daemon keeps a warm worker fleet
-and dedupes work across clients; ``run``/``submit``/``status`` talk to it:
+and dedupes work across clients; ``run --server`` runs on it and ``status``
+prints its stats:
 
     python -m repro serve --unix /tmp/repro.sock --cache .cache/repro &
     python -m repro run fig10c --server /tmp/repro.sock
-    python -m repro submit fig12 --server /tmp/repro.sock
-    python -m repro status --server /tmp/repro.sock [job-000001]
+    python -m repro status --server /tmp/repro.sock
 
 All execution goes through :mod:`repro.api`, the stable programmatic facade
 (the CLI is a thin shell around it).
@@ -56,43 +56,16 @@ from .telemetry import JsonlEventStream, Recorder, write_events_jsonl, write_per
 REGISTRY.load_all()
 
 
-def _submit_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro submit",
-        description="Submit an experiment to a running daemon without waiting.",
-    )
-    parser.add_argument("experiment", help="experiment name (see --list)")
-    parser.add_argument("--server", required=True, metavar="ADDR",
-                        help="daemon address: host:port or a unix socket path")
-    parser.add_argument("--quick", action="store_true", help="CI-scale variant")
-    parser.add_argument("--faults", metavar="PLAN", help="fault plan JSON path")
-    parser.add_argument("--audit", nargs="?", const="strict", choices=("strict", "warn"),
-                        default=None, help="run points under the invariant auditor")
-    parser.add_argument("--tag", default="", help="free-form label shown in status")
-    args = parser.parse_args(argv)
-    try:
-        job_id = api.submit(
-            args.experiment, server=args.server, quick=args.quick,
-            faults=args.faults, audit=args.audit, tag=args.tag,
-        )
-    except (ServeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(job_id)
-    return 0
-
-
 def _status_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro status",
-        description="Server-wide stats, or one job's point-granular status.",
+        description="A running daemon's server-wide stats.",
     )
-    parser.add_argument("job", nargs="?", help="job id (omit for server stats)")
     parser.add_argument("--server", required=True, metavar="ADDR",
                         help="daemon address: host:port or a unix socket path")
     args = parser.parse_args(argv)
     try:
-        payload = api.status(args.server, args.job)
+        payload = api.status(args.server)
     except (ServeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -106,8 +79,6 @@ def main(argv=None) -> int:
         from .serve import serve_main
 
         return serve_main(argv[1:])
-    if argv and argv[0] == "submit":
-        return _submit_main(argv[1:])
     if argv and argv[0] == "status":
         return _status_main(argv[1:])
     if argv and argv[0] == "report":
@@ -117,6 +88,11 @@ def main(argv=None) -> int:
     if argv and argv[0] == "run":
         # `run` is an optional explicit subcommand: `repro run fig8 --jobs 4`
         argv = argv[1:]
+    if argv and not argv[0].startswith("-") and argv[0] not in REGISTRY.names():
+        # checked before parsing, so a retired verb reads the same whatever
+        # arguments follow it (`repro submit fig6 --server ADDR`)
+        print(f"unknown experiment {argv[0]!r}; use --list", file=sys.stderr)
+        return 2
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -228,6 +204,8 @@ def main(argv=None) -> int:
         "virtual-priority inversions; structured report written to PATH",
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
     if args.list or not args.experiment:
         for name in REGISTRY.names():

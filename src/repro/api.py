@@ -2,12 +2,12 @@
 
 Everything a user of this package needs for *executing* experiments —
 locally or against a serving daemon — goes through this module.  The CLI
-(``python -m repro``), ``scripts/run_all_experiments.py`` and the load-test
-harness are all built on it; anything not exported here (runner internals,
-server internals, per-figure ``run_figX`` functions) is an implementation
-detail with no stability promise.  Requests and responses are the versioned
-dataclasses from :mod:`repro.serve.protocol`, re-exported here, so the
-programmatic surface and the wire protocol never drift apart.
+(``python -m repro``) and ``scripts/run_all_experiments.py`` are built on
+it; anything not exported here (runner internals, server internals,
+per-figure ``run_figX`` functions) is an implementation detail with no
+stability promise.  Requests and responses are the versioned dataclasses
+from :mod:`repro.serve.protocol`, re-exported here, so the programmatic
+surface and the wire protocol never drift apart.
 
 Local (in-process, via the sharded runner)::
 
@@ -20,11 +20,7 @@ Local (in-process, via the sharded runner)::
 Remote (against ``python -m repro serve``)::
 
     result = api.run("fig10c", server="/tmp/repro.sock")
-
-    job_id = api.submit("fig12", server="/tmp/repro.sock")
-    for event in api.stream(job_id, server="/tmp/repro.sock"):
-        print(event)
-    result = api.result(job_id, server="/tmp/repro.sock")
+    stats = api.status("/tmp/repro.sock")
 
 The remote path produces byte-identical results to the local serial path:
 the daemon runs the batch runner's own plan, settle and reduce steps.
@@ -32,25 +28,18 @@ the daemon runs the batch runner's own plan, settle and reduce steps.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
-from .client import ServeClient, ServeError, connect
+from .client import ServeClient, ServeError
 from .experiments.registry import REGISTRY, Experiment
 from .faults.plan import FaultPlan, plan_dict
 from .runner import ResultCache, RunnerError, run_experiment
-from .serve.protocol import (
-    PROTOCOL_VERSION,
-    JobStatus,
-    ProtocolError,
-    ServerStats,
-    SubmitRequest,
-)
+from .serve.protocol import PROTOCOL_VERSION, ProtocolError, ServerStats, SubmitRequest
 
 __all__ = [
     # versioned schema (shared with the wire protocol)
     "PROTOCOL_VERSION",
     "SubmitRequest",
-    "JobStatus",
     "ServerStats",
     "ProtocolError",
     # errors
@@ -58,16 +47,12 @@ __all__ = [
     "ServeError",
     # execution
     "run",
-    "submit",
     "status",
-    "stream",
-    "result",
     # discovery + cache inspection
     "experiments",
     "describe",
     "get_experiment",
     "cache_info",
-    "connect",
 ]
 
 _ExperimentLike = Union[str, Experiment]
@@ -79,17 +64,13 @@ def get_experiment(experiment: _ExperimentLike, quick: bool = False) -> Experime
     return exp.quick() if quick else exp
 
 
-def experiments(server: Optional[str] = None) -> List[str]:
-    """Registered experiment names — from the local registry or a daemon."""
-    if server is not None:
-        return sorted(ServeClient(server).experiments())
+def experiments() -> List[str]:
+    """Registered experiment names."""
     return REGISTRY.names()
 
 
-def describe(server: Optional[str] = None) -> Dict[str, str]:
+def describe() -> Dict[str, str]:
     """``{name: description}`` for every registered experiment."""
-    if server is not None:
-        return ServeClient(server).experiments()
     return {e.name: e.description for e in REGISTRY.experiments()}
 
 
@@ -103,9 +84,6 @@ def run(
     audit: Optional[str] = None,
     report: Optional[dict] = None,
     server: Optional[str] = None,
-    tag: str = "",
-    max_retries: int = 2,
-    retry_backoff_s: float = 0.25,
 ) -> dict:
     """Run one experiment to completion and return its reduced result.
 
@@ -137,7 +115,6 @@ def run(
             quick=quick,
             faults=faults,
             audit=audit,
-            tag=tag,
             on_progress=on_progress,
             report=report,
         )
@@ -147,54 +124,19 @@ def run(
         jobs=jobs,
         cache=cache,
         progress=progress,
-        max_retries=max_retries,
-        retry_backoff_s=retry_backoff_s,
         report=report,
         faults=faults,
         audit=audit,
     )
 
 
-def submit(
-    experiment: str,
-    server: str,
-    quick: bool = False,
-    faults: Union[str, FaultPlan, dict, None] = None,
-    audit: Optional[str] = None,
-    tag: str = "",
-) -> str:
-    """Submit an experiment to a daemon without waiting; returns the job id."""
-    return ServeClient(server).submit(
-        experiment, quick=quick, faults=plan_dict(faults), audit=audit, tag=tag
-    )
+def status(server: str) -> ServerStats:
+    """The daemon's whole-server stats (fleet, run and hit-ratio counters)."""
+    return ServeClient(server).server_status()
 
 
-def status(
-    server: str, job_id: Optional[str] = None
-) -> Union[ServerStats, JobStatus]:
-    """Whole-server stats, or one job's point-granular status."""
-    client = ServeClient(server)
-    if job_id is None:
-        return client.server_status()
-    return client.job_status(job_id)
-
-
-def stream(job_id: str, server: str, start: int = 0) -> Iterator[dict]:
-    """A job's JSONL event stream (replay from ``start``, then follow live)."""
-    return ServeClient(server).stream(job_id, start=start)
-
-
-def result(job_id: str, server: str, wait: bool = True) -> dict:
-    """A job's final reduced result (streams to completion when ``wait``)."""
-    return ServeClient(server).result(job_id, wait=wait)
-
-
-def cache_info(
-    cache: Union[str, ResultCache, None] = None, server: Optional[str] = None
-) -> Optional[dict]:
-    """Inspect a content-addressed result cache (local dir or the daemon's)."""
-    if server is not None:
-        return ServeClient(server).cache_info()
+def cache_info(cache: Union[str, ResultCache, None] = None) -> Optional[dict]:
+    """Inspect a local content-addressed result cache directory."""
     if cache is None:
         return None
     store = cache if isinstance(cache, ResultCache) else ResultCache(cache)

@@ -1,10 +1,11 @@
 """Synchronous client for the experiment-serving daemon.
 
 :class:`ServeClient` speaks the versioned JSON protocol from
-:mod:`repro.serve.protocol` over TCP or a unix socket, stdlib-only.  It is
-the transport behind :mod:`repro.api`'s remote paths — application code
-should normally go through ``repro.api`` rather than construct a client
-directly.
+:mod:`repro.serve.protocol` over TCP or a unix socket, stdlib-only: ``run``
+(one blocking ``POST /v1/run``), ``server_status`` and ``shutdown``.  It is
+the transport behind ``repro.api.run(..., server=...)`` and
+``repro.api.status`` — application code should normally go through
+``repro.api`` rather than construct a client directly.
 
 Addresses: ``"host:port"`` for TCP, anything containing a path separator
 (or prefixed ``"unix:"``) for a unix socket::
@@ -12,10 +13,6 @@ Addresses: ``"host:port"`` for TCP, anything containing a path separator
     client = ServeClient("127.0.0.1:8642")
     client = ServeClient("/tmp/repro.sock")
     client = ServeClient("unix:/tmp/repro.sock")
-
-Streaming responses are plain iterators of decoded JSONL events; a dropped
-connection can be resumed losslessly with ``stream(job_id, start=n)``
-because the server keeps every job's full event log.
 """
 
 from __future__ import annotations
@@ -24,20 +21,13 @@ import json
 import socket
 from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
-from .serve.protocol import (
-    PROTOCOL_VERSION,
-    JobStatus,
-    ProtocolError,
-    ServerStats,
-    SubmitRequest,
-    check_version,
-)
+from .serve.protocol import ServerStats, SubmitRequest, check_version
 
 __all__ = ["ServeClient", "ServeError", "parse_address"]
 
 
 class ServeError(RuntimeError):
-    """The server rejected a request or a job failed remotely."""
+    """The server rejected a request or a run failed remotely."""
 
     def __init__(self, message: str, status: Optional[int] = None):
         super().__init__(message)
@@ -116,10 +106,10 @@ class ServeClient:
     def _request_json(self, method: str, path: str, body: Optional[dict] = None) -> dict:
         with self._connect() as sock:
             self._send_request(sock, method, path, body)
-            fh = sock.makefile("rb")
-            status, headers = self._read_head(fh)
-            length = headers.get("content-length")
-            raw = fh.read(int(length)) if length is not None else fh.read()
+            with sock.makefile("rb") as fh:
+                status, headers = self._read_head(fh)
+                length = headers.get("content-length")
+                raw = fh.read(int(length)) if length is not None else fh.read()
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except ValueError:
@@ -132,9 +122,9 @@ class ServeClient:
 
     def _stream_jsonl(self, method: str, path: str, body: Optional[dict] = None) -> Iterator[dict]:
         sock = self._connect()
+        fh = sock.makefile("rb")
         try:
             self._send_request(sock, method, path, body)
-            fh = sock.makefile("rb")
             status, _headers = self._read_head(fh)
             if status >= 400:
                 raw = fh.read()
@@ -150,73 +140,21 @@ class ServeClient:
                     continue
                 event = json.loads(line.decode("utf-8"))
                 yield event
-                # Job streams are close-delimited, but a worker process forked
+                # Run streams are close-delimited, but a worker process forked
                 # while some *other* stream was open can inherit (and pin) this
                 # connection's fd on the server side — so never rely on EOF:
                 # the terminal event is the authoritative end of stream.
                 if event.get("type") in ("done", "error"):
                     return
         finally:
+            fh.close()
             sock.close()
 
     # ------------------------------------------------------------------
     # protocol surface
     # ------------------------------------------------------------------
-    def health(self) -> dict:
-        return self._request_json("GET", "/v1/health")
-
-    def experiments(self) -> Dict[str, str]:
-        return self._request_json("GET", "/v1/experiments")["experiments"]
-
     def server_status(self) -> ServerStats:
         return ServerStats.from_dict(self._request_json("GET", "/v1/status"))
-
-    def job_status(self, job_id: str) -> JobStatus:
-        return JobStatus.from_dict(self._request_json("GET", f"/v1/status?job={job_id}"))
-
-    def cache_info(self) -> Optional[dict]:
-        return self._request_json("GET", "/v1/cache")["cache"]
-
-    def submit(
-        self,
-        experiment: str,
-        quick: bool = False,
-        faults: Optional[dict] = None,
-        audit: Optional[str] = None,
-        tag: str = "",
-    ) -> str:
-        """Submit without waiting; returns the job id."""
-        request = SubmitRequest(
-            experiment=experiment, quick=quick, faults=faults, audit=audit, tag=tag
-        )
-        payload = self._request_json("POST", "/v1/submit", request.to_dict())
-        return str(payload["job_id"])
-
-    def stream(self, job_id: str, start: int = 0) -> Iterator[dict]:
-        """Replay a job's event log from index ``start``, then follow live.
-
-        Yields version-stamped event dicts and ends after the terminal
-        ``done``/``error`` event.  Reconnect after a dropped connection by
-        calling again — with ``start=0`` for a full replay or the next
-        unseen index to resume.
-        """
-        for event in self._stream_jsonl("GET", f"/v1/stream?job={job_id}&from={start}"):
-            check_version(event, "stream event")
-            yield event
-
-    def result(self, job_id: str, wait: bool = True) -> dict:
-        """The job's final reduced result; streams to completion if ``wait``.
-
-        Raises :class:`ServeError` if the job failed (or, with
-        ``wait=False``, if it is still running).
-        """
-        if wait:
-            for event in self.stream(job_id):
-                if event["type"] == "error":
-                    raise ServeError(event["error"])
-            # fall through to /v1/result for the canonical payload
-        payload = self._request_json("GET", f"/v1/result?job={job_id}")
-        return payload["result"]
 
     def run(
         self,
@@ -224,20 +162,17 @@ class ServeClient:
         quick: bool = False,
         faults: Optional[dict] = None,
         audit: Optional[str] = None,
-        tag: str = "",
         on_progress: Optional[Callable[[str, str], None]] = None,
         report: Optional[dict] = None,
     ) -> dict:
-        """Submit and stream to completion in one call; returns the result.
+        """Run ``experiment`` on the daemon and return its reduced result.
 
         ``on_progress`` mirrors :func:`repro.runner.run_experiment`'s
         callback signature ``(point_name, source)`` with source one of
         ``"cache"``/``"inflight"``/``"run"``.  ``report``, when given, is
         filled in place with the server-side run statistics.
         """
-        request = SubmitRequest(
-            experiment=experiment, quick=quick, faults=faults, audit=audit, tag=tag
-        )
+        request = SubmitRequest(experiment=experiment, quick=quick, faults=faults, audit=audit)
         result = None
         failed: Optional[str] = None
         for event in self._stream_jsonl("POST", "/v1/run", request.to_dict()):
@@ -260,16 +195,3 @@ class ServeClient:
     def shutdown(self) -> None:
         """Ask the daemon to stop; in-flight work is dropped."""
         self._request_json("POST", "/v1/shutdown")
-
-
-# keep the facade import sites short: repro.api.connect(...)
-def connect(address: Union[str, Tuple[str, int]], timeout: float = 600.0) -> ServeClient:
-    """Open a client for a running daemon and verify protocol compatibility."""
-    client = ServeClient(address, timeout=timeout)
-    payload = client.health()
-    if payload.get("version") != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"server at {address!r} speaks protocol {payload.get('version')!r}, "
-            f"this client speaks {PROTOCOL_VERSION}"
-        )
-    return client

@@ -99,9 +99,8 @@ class ResultCache:
     def info(self) -> dict:
         """Inspect the store: entry/byte counts, per experiment and total.
 
-        Powers ``repro.api.cache_info`` and the daemon's ``GET /v1/cache``
-        endpoint.  Cheap (one directory walk, no JSON parsing) so it is safe
-        to call from a serving hot path.
+        Powers ``repro.api.cache_info``.  Cheap: one directory walk, no JSON
+        parsing.
         """
         per_experiment: dict = {}
         total_entries = 0

@@ -169,14 +169,13 @@ def _progress_printer(exp_name: str, total: int) -> Callable[[str, str], None]:
 
 
 def _executed(exp: Experiment, points: List[Point], jobs: int, audit: Optional[str],
-              faults_dict: Optional[dict], max_retries: int, retry_backoff_s: float,
-              counters: _Counters) -> Iterator[Tuple[Point, dict]]:
+              faults_dict: Optional[dict], counters: _Counters) -> Iterator[Tuple[Point, dict]]:
     """Yield ``(point, raw result)`` as points finish.
 
     ``jobs <= 1`` runs them inline, in order; otherwise they fan out over a
     one-shot :class:`WorkerFleet`, whose retry semantics apply: a dying
     worker (segfault, OOM-kill, ``os._exit``) rebuilds the pool and its
-    points are resubmitted with exponential backoff, up to ``max_retries``
+    points are resubmitted with exponential backoff, up to ``MAX_RETRIES``
     times each.  A point that raises ends the run at once — a
     deterministic error will not succeed on retry.
     """
@@ -189,10 +188,7 @@ def _executed(exp: Experiment, points: List[Point], jobs: int, audit: Optional[s
             yield p, raw
         return
     fleet = WorkerFleet(
-        min(jobs, len(points)),
-        max_retries=max_retries,
-        retry_backoff_s=retry_backoff_s,
-        on_crash=lambda: counters.inc("runner.worker_crashes"),
+        min(jobs, len(points)), on_crash=lambda: counters.inc("runner.worker_crashes")
     )
     try:
         futures = {fleet.submit(exp, p, audit, faults_dict): p for p in points}
@@ -212,8 +208,6 @@ def run_experiment(
     jobs: int = 1,
     cache: Union[str, ResultCache, None] = None,
     progress: Union[bool, Callable[[str, str], None]] = False,
-    max_retries: int = 2,
-    retry_backoff_s: float = 0.25,
     report: Optional[dict] = None,
     faults: Union[str, FaultPlan, dict, None] = None,
     audit: Optional[str] = None,
@@ -232,8 +226,6 @@ def run_experiment(
     progress:
         ``True`` prints per-point progress/ETA lines to stderr; a callable
         receives ``(point_name, source)`` with source ``"cache"``/``"run"``.
-    max_retries / retry_backoff_s:
-        Worker-crash retry budget (see :class:`~repro.runner.scheduler.WorkerFleet`).
     report:
         Optional dict filled in place with run statistics
         (``points``, ``cache_hits``, ``executed``, ``jobs``, ``wall_s``).
@@ -283,9 +275,7 @@ def run_experiment(
             pending.append(p)
     counters.inc("runner.cache_misses", len(pending))
 
-    executed = _executed(
-        exp, pending, jobs, audit, faults_dict, max_retries, retry_backoff_s, counters
-    )
+    executed = _executed(exp, pending, jobs, audit, faults_dict, counters)
     with contextlib.closing(executed):  # a failing settle still shuts the pool down
         for p, raw in executed:
             results[p.name] = settle_point(exp, p, keys[p.name], raw, store, audit_reports)

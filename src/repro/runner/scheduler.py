@@ -13,7 +13,7 @@ A worker death (segfault, OOM-kill, ``os._exit``) surfaces as
 ``BrokenProcessPool`` on every in-flight future of that executor.  The fleet
 then rotates the executor (one rebuild per crash event, guarded by a
 generation counter) and resubmits each affected task with exponential
-backoff, up to ``max_retries`` resubmissions per task.  Tasks that raise an
+backoff, up to :data:`MAX_RETRIES` resubmissions per task.  Tasks that raise an
 *ordinary* exception fail immediately — a deterministic error will not
 succeed on retry.  A worker death therefore degrades throughput but never
 fails a request until the retry budget is exhausted.
@@ -36,6 +36,12 @@ from ..experiments.registry import Experiment, Point
 from ..faults.plan import FaultPlan, current_fault_plan, set_default_fault_plan
 
 __all__ = ["RunnerError", "WorkerFleet", "execute_point", "worker_init"]
+
+#: crash-resubmissions per point before it fails with :class:`RunnerError`
+MAX_RETRIES = 2
+#: base of the exponential crash-retry backoff: the n-th resubmission of a
+#: point waits ``RETRY_BACKOFF_S * 2**(n-1)`` seconds
+RETRY_BACKOFF_S = 0.25
 
 
 class RunnerError(RuntimeError):
@@ -118,7 +124,7 @@ class WorkerFleet:
 
     ``submit`` returns a *retrying* future: it resolves with the point's raw
     result dict once some worker generation produced it, or fails with
-    :class:`RunnerError` after ``max_retries`` crash-resubmissions (ordinary
+    :class:`RunnerError` after :data:`MAX_RETRIES` crash-resubmissions (ordinary
     exceptions propagate as-is, immediately).  The fleet stays warm between
     submissions — the daemon keeps one for its whole lifetime.
 
@@ -130,15 +136,11 @@ class WorkerFleet:
     def __init__(
         self,
         jobs: int,
-        max_retries: int = 2,
-        retry_backoff_s: float = 0.25,
         on_crash: Optional[Callable[[], None]] = None,
     ):
         if jobs < 1:
             raise ValueError("fleet needs at least one worker")
         self.jobs = jobs
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         self._on_crash = on_crash
         self._lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -161,8 +163,8 @@ class WorkerFleet:
     def worker_pids(self) -> List[int]:
         """PIDs of the live worker processes (spawned lazily on first submit).
 
-        Used by the load-test harness's chaos mode and surfaced by the
-        daemon's status endpoint; an idle never-used fleet reports ``[]``.
+        Surfaced by the daemon's status endpoint; an idle never-used fleet
+        reports ``[]``.
         """
         with self._lock:
             pool = self._pool
@@ -252,7 +254,7 @@ class WorkerFleet:
             return
         self._rotate_pool(generation)
         task.attempts += 1
-        if task.attempts > self.max_retries:
+        if task.attempts > MAX_RETRIES:
             task.outer.set_exception(
                 RunnerError(
                     f"{task.exp.name}:{task.point.name}: worker crashed "
@@ -260,7 +262,7 @@ class WorkerFleet:
                 )
             )
             return
-        delay = self.retry_backoff_s * (2 ** (task.attempts - 1))
+        delay = RETRY_BACKOFF_S * (2 ** (task.attempts - 1))
         timer = threading.Timer(delay, self._submit_inner, args=(task,))
         timer.daemon = True
         with self._lock:

@@ -1,10 +1,10 @@
 """Versioned request/response schema for the experiment-serving daemon.
 
-Every payload that crosses the wire — submit requests, status snapshots,
-streamed progress events — is one of the dataclasses below, serialized as
-JSON and stamped with :data:`PROTOCOL_VERSION`.  Server, client, CLI and
-the runner all share these types (re-exported through :mod:`repro.api`),
-so the wire format is defined in exactly one place.
+Every payload that crosses the wire — the run request, the server-stats
+snapshot, streamed progress events — is one of the dataclasses or event
+constructors below, serialized as JSON and stamped with
+:data:`PROTOCOL_VERSION`.  Server, client and :mod:`repro.api` share these
+types, so the wire format is defined in exactly one place.
 
 Versioning contract:
 
@@ -15,32 +15,30 @@ Versioning contract:
 * *unknown extra keys* are ignored on decode, so additive evolution within
   a version is safe; removals or semantic changes bump the version.
 
-Streamed progress rides as JSONL (``application/x-ndjson``): one event
-object per line, ``"type"`` discriminated — ``accepted``, ``point``,
-``done``, ``error``.  The full event log of a job is replayable, which is
-what makes client reconnect (`GET /v1/stream?job=…&from=N`) lossless.
+A run's progress rides in its ``POST /v1/run`` response as JSONL
+(``application/x-ndjson``): one event object per line, ``"type"``
+discriminated — ``point`` per finished point, then a terminal ``done`` or
+``error``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "SubmitRequest",
-    "JobStatus",
     "ServerStats",
     "check_version",
-    "accepted_event",
     "point_event",
     "done_event",
     "error_event",
 ]
 
 #: the one protocol version this tree speaks
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: progress-event sources, in "how much work was saved" order
 SOURCES = ("cache", "inflight", "run")
@@ -70,14 +68,13 @@ class SubmitRequest:
     ``None``); it enters every point's cache key exactly as in the batch
     runner, so faulted and healthy results never alias.  ``audit`` is
     ``"strict"``/``"warn"``/``None`` with :func:`repro.runner.run_experiment`
-    semantics.  ``tag`` is an opaque client label echoed in status output.
+    semantics.
     """
 
     experiment: str
     quick: bool = False
     faults: Optional[dict] = None
     audit: Optional[str] = None
-    tag: str = ""
     version: int = PROTOCOL_VERSION
 
     def to_dict(self) -> dict:
@@ -102,41 +99,6 @@ class SubmitRequest:
             quick=bool(payload.get("quick", False)),
             faults=faults,
             audit=audit,
-            tag=str(payload.get("tag", "")),
-        )
-
-
-@dataclass(frozen=True)
-class JobStatus:
-    """Point-granular progress of one submitted job."""
-
-    job_id: str
-    experiment: str
-    state: str  # "running" | "done" | "error"
-    points_total: int
-    points_done: int
-    sources: Dict[str, int] = field(default_factory=dict)  # cache/inflight/run counts
-    tag: str = ""
-    wall_s: float = 0.0
-    error: Optional[str] = None
-    version: int = PROTOCOL_VERSION
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JobStatus":
-        check_version(payload, "job status")
-        return cls(
-            job_id=str(payload["job_id"]),
-            experiment=str(payload["experiment"]),
-            state=str(payload["state"]),
-            points_total=int(payload["points_total"]),
-            points_done=int(payload["points_done"]),
-            sources={str(k): int(v) for k, v in dict(payload.get("sources", {})).items()},
-            tag=str(payload.get("tag", "")),
-            wall_s=float(payload.get("wall_s", 0.0)),
-            error=payload.get("error"),
         )
 
 
@@ -192,23 +154,12 @@ class ServerStats:
 # ----------------------------------------------------------------------
 # streamed progress events (JSONL lines; plain dicts, version-stamped)
 # ----------------------------------------------------------------------
-def accepted_event(job_id: str, experiment: str, points_total: int) -> dict:
-    return {
-        "type": "accepted",
-        "version": PROTOCOL_VERSION,
-        "job_id": job_id,
-        "experiment": experiment,
-        "points_total": points_total,
-    }
-
-
-def point_event(job_id: str, point: str, source: str, done: int, total: int) -> dict:
+def point_event(point: str, source: str, done: int, total: int) -> dict:
     if source not in SOURCES:
         raise ProtocolError(f"point event: unknown source {source!r}")
     return {
         "type": "point",
         "version": PROTOCOL_VERSION,
-        "job_id": job_id,
         "point": point,
         "source": source,
         "done": done,
@@ -216,20 +167,18 @@ def point_event(job_id: str, point: str, source: str, done: int, total: int) -> 
     }
 
 
-def done_event(job_id: str, result: dict, report: dict) -> dict:
+def done_event(result: dict, report: dict) -> dict:
     return {
         "type": "done",
         "version": PROTOCOL_VERSION,
-        "job_id": job_id,
         "result": result,
         "report": report,
     }
 
 
-def error_event(job_id: str, message: str) -> dict:
+def error_event(message: str) -> dict:
     return {
         "type": "error",
         "version": PROTOCOL_VERSION,
-        "job_id": job_id,
         "error": message,
     }

@@ -1,6 +1,6 @@
 """``python -m repro serve`` — the experiment-serving daemon.
 
-A single-process asyncio server that accepts experiment requests over HTTP
+A single-process asyncio server that runs experiments on request over HTTP
 (TCP or a unix socket), schedules their points across one persistent
 crash-tolerant :class:`~repro.runner.scheduler.WorkerFleet`, dedupes work
 against both the on-disk content-addressed cache and a live
@@ -8,30 +8,25 @@ against both the on-disk content-addressed cache and a live
 progress as JSONL.  Many concurrent sweep clients, one warm fleet, zero
 redundant simulation.
 
-Endpoints (all JSON; streams are ``application/x-ndjson``, close-delimited):
+Endpoints (all JSON; the run stream is ``application/x-ndjson``):
 
-================================  =============================================
-``GET  /v1/health``               liveness + protocol version
-``GET  /v1/experiments``          registered experiment names + descriptions
-``GET  /v1/status``               whole-server :class:`ServerStats`
-``GET  /v1/status?job=ID``        one job's :class:`JobStatus`
-``GET  /v1/result?job=ID``        final reduced result (409 while running)
-``GET  /v1/stream?job=ID&from=N`` replay the job's event log from index N, then
-                                  follow live until ``done``/``error``
-``POST /v1/submit``               :class:`SubmitRequest` body → ``{"job_id"}``
-``POST /v1/run``                  submit + stream in one response
-``GET  /v1/cache``                cache inspection (entries per experiment)
-``POST /v1/shutdown``             stop the daemon
-================================  =============================================
+======================  ====================================================
+``POST /v1/run``        :class:`SubmitRequest` body → the run's events,
+                        ``point`` per finished point, then ``done`` (result
+                        and report) or ``error``; the response ends with it
+``GET  /v1/status``     whole-server :class:`ServerStats`
+``POST /v1/shutdown``   stop the daemon
+======================  ====================================================
 
-Determinism: a job runs the batch runner's own plan, settle and reduce steps
-(:mod:`repro.runner.pool`) around ``execute_point`` — so a served result is
-byte-identical to ``run_experiment(exp, jobs=1)``.  The event *order* within
-a stream reflects completion order and is not deterministic; the result is.
+Determinism: a run goes through the batch runner's own plan, settle and
+reduce steps (:mod:`repro.runner.pool`) around ``execute_point`` — so a
+served result is byte-identical to ``run_experiment(exp, jobs=1)``.  The
+event *order* within a stream reflects completion order and is not
+deterministic; the result is.
 
-Every job keeps its full event log in memory, which is what makes
-``/v1/stream`` reconnectable: a client that lost its connection re-attaches
-with ``from=<next index>`` (or 0 for a full replay) and misses nothing.
+A run lives as long as its execution and its response: a client that hangs
+up does not stop it (its points still fill the cache and resolve any
+concurrent run waiting on them), and a finished run leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ import sys
 import threading
 import time
 from typing import AsyncIterator, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from ..experiments.registry import REGISTRY, Experiment, Point
 from ..faults.plan import plan_dict
@@ -54,12 +49,9 @@ from ..runner.pool import plan_points, point_error, reduce_points, settle_point
 from ..runner.scheduler import RunnerError, WorkerFleet
 from .inflight import InflightTable
 from .protocol import (
-    PROTOCOL_VERSION,
-    JobStatus,
     ProtocolError,
     ServerStats,
     SubmitRequest,
-    accepted_event,
     done_event,
     error_event,
     point_event,
@@ -89,77 +81,44 @@ class _RequestRejected(Exception):
 
 
 class Job:
-    """One accepted submit request and its replayable event log."""
+    """One accepted run request: its plan, its progress and its event queue.
 
-    def __init__(self, job_id: str, request: SubmitRequest, exp: Experiment, points: List[Point],
+    Only the job's execution task and its response hold it, so it is freed
+    once both are done.
+    """
+
+    def __init__(self, request: SubmitRequest, exp: Experiment, points: List[Point],
                  keys: Dict[str, str], faults_dict: Optional[dict]):
-        self.job_id = job_id
         self.request = request
         self.exp = exp
         self.points = points
         self.keys = keys
         self.faults_dict = faults_dict
-        self.state = "running"
-        self.result: Optional[dict] = None
-        self.report: Dict[str, object] = {}
-        self.error: Optional[str] = None
         self.sources: Dict[str, int] = {"cache": 0, "inflight": 0, "run": 0}
         self.t0 = time.monotonic()
-        self.wall_s = 0.0
-        self.events: List[dict] = []
-        self._changed = asyncio.Condition()
+        self.events: asyncio.Queue = asyncio.Queue()
 
-    async def append(self, event: dict) -> None:
-        async with self._changed:
-            self.events.append(event)
-            self._changed.notify_all()
-
-    async def follow(self, start: int = 0) -> AsyncIterator[dict]:
-        """Replay the event log from ``start``, then follow live to the end."""
-        i = max(0, start)
+    async def follow(self) -> AsyncIterator[dict]:
+        """The job's events as they happen, through ``done``/``error``."""
         while True:
-            while i < len(self.events):
-                event = self.events[i]
-                i += 1
-                yield event
-                if event["type"] in _TERMINAL:
-                    return
-            async with self._changed:
-                if i >= len(self.events):
-                    await self._changed.wait()
-
-    def status(self) -> JobStatus:
-        return JobStatus(
-            job_id=self.job_id,
-            experiment=self.request.experiment,
-            state=self.state,
-            points_total=len(self.points),
-            points_done=sum(self.sources.values()),
-            sources=dict(self.sources),
-            tag=self.request.tag,
-            wall_s=self.wall_s if self.state != "running" else time.monotonic() - self.t0,
-            error=self.error,
-        )
+            event = await self.events.get()
+            yield event
+            if event["type"] in _TERMINAL:
+                return
 
 
 class ExperimentServer:
-    """The daemon core: fleet + dedupe + job book-keeping + HTTP front end."""
+    """The daemon core: fleet + dedupe + run counters + HTTP front end."""
 
     def __init__(
         self,
         jobs: Optional[int] = None,
         cache: Optional[str] = None,
-        max_retries: int = 2,
-        retry_backoff_s: float = 0.25,
         registry=REGISTRY,
     ):
         self.registry = registry
         self.registry.load_all()
-        self.fleet = WorkerFleet(
-            jobs or os.cpu_count() or 1,
-            max_retries=max_retries,
-            retry_backoff_s=retry_backoff_s,
-        )
+        self.fleet = WorkerFleet((os.cpu_count() or 1) if jobs is None else jobs)
         # Fork the workers *now*, before any listening or connection sockets
         # exist.  Forked children inherit every open fd; a worker forked while
         # a close-delimited stream response is in flight would hold that
@@ -169,13 +128,14 @@ class ExperimentServer:
         self.cache = ResultCache(cache) if cache else None
         self.cache_dir = str(self.cache.root) if self.cache else None
         self.inflight = InflightTable()
-        self.jobs: Dict[str, Job] = {}
-        self._job_seq = 0
         self._job_tasks: set = set()
         self._t_start = time.monotonic()
         self._stopping: Optional[asyncio.Event] = None
         self._servers: List[asyncio.AbstractServer] = []
-        #: lifetime point counters across all jobs
+        #: lifetime counters: run requests accepted / still running, and
+        #: points across all of them
+        self.jobs_total = 0
+        self.jobs_active = 0
         self.points_total = 0
         self.cache_hits = 0
         self.executed = 0
@@ -216,8 +176,8 @@ class ExperimentServer:
     def stats(self) -> ServerStats:
         return ServerStats(
             uptime_s=time.monotonic() - self._t_start,
-            jobs_total=len(self.jobs),
-            jobs_active=sum(1 for j in self.jobs.values() if j.state == "running"),
+            jobs_total=self.jobs_total,
+            jobs_active=self.jobs_active,
             points_total=self.points_total,
             cache_hits=self.cache_hits,
             inflight_hits=self.inflight.hits,
@@ -242,19 +202,15 @@ class ExperimentServer:
         except ValueError as exc:
             raise RunnerError(f"{exp.name}: {exc}") from None
         points, keys = plan_points(exp, faults_dict)
-        self._job_seq += 1
-        job = Job(f"job-{self._job_seq:06d}", request, exp, points, keys, faults_dict)
-        self.jobs[job.job_id] = job
-        return job
+        return Job(request, exp, points, keys, faults_dict)
 
-    async def _start_job(self, request: SubmitRequest) -> Job:
+    def _start_job(self, request: SubmitRequest) -> Job:
         job = self._make_job(request)
-        await job.append(
-            accepted_event(job.job_id, request.experiment, len(job.points))
-        )
+        self.jobs_total += 1
+        self.jobs_active += 1
         task = asyncio.get_running_loop().create_task(self._execute_job(job))
         # hold a strong reference: the loop keeps only a weak one, and a
-        # mid-flight GC of the task would silently strand the job as "running"
+        # mid-flight GC of the task would silently drop the run
         self._job_tasks.add(task)
         task.add_done_callback(self._job_tasks.discard)
         return job
@@ -262,16 +218,11 @@ class ExperimentServer:
     async def _execute_job(self, job: Job) -> None:
         try:
             result, report = await self._execute(job)
-            job.result = result
-            job.report = report
-            job.state = "done"
-            job.wall_s = time.monotonic() - job.t0
-            await job.append(done_event(job.job_id, json_safe(result), report))
+            job.events.put_nowait(done_event(json_safe(result), report))
         except Exception as exc:
-            job.state = "error"
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.wall_s = time.monotonic() - job.t0
-            await job.append(error_event(job.job_id, job.error))
+            job.events.put_nowait(error_event(f"{type(exc).__name__}: {exc}"))
+        finally:
+            self.jobs_active -= 1
 
     async def _execute(self, job: Job):
         """Resolve every point through cache → inflight table → fleet.
@@ -283,7 +234,7 @@ class ExperimentServer:
         results: Dict[str, dict] = {}
         audit_reports: Dict[str, dict] = {}
 
-        async def record(point: Point, source: str, result: dict) -> None:
+        def record(point: Point, source: str, result: dict) -> None:
             results[point.name] = result
             job.sources[source] += 1
             self.points_total += 1
@@ -291,23 +242,20 @@ class ExperimentServer:
                 self.cache_hits += 1
             elif source == "run":
                 self.executed += 1
-            await job.append(
-                point_event(
-                    job.job_id, point.name, source,
-                    sum(job.sources.values()), len(job.points),
-                )
+            job.events.put_nowait(
+                point_event(point.name, source, sum(job.sources.values()), len(job.points))
             )
 
         async def one(point: Point) -> None:
             key = job.keys[point.name]
             entry = self.cache.get(exp.name, key) if self.cache is not None else None
             if entry is not None:
-                await record(point, "cache", entry["result"])
+                record(point, "cache", entry["result"])
                 return
             fut, owner = self.inflight.claim(key)
             if not owner:
                 # someone else (this job or a concurrent one) is computing it
-                await record(point, "inflight", await fut)
+                record(point, "inflight", await fut)
                 return
             try:
                 raw = await asyncio.wrap_future(
@@ -322,7 +270,7 @@ class ExperimentServer:
                 self.inflight.release(key)
             result = settle_point(exp, point, key, raw, self.cache, audit_reports)
             fut.set_result(result)
-            await record(point, "run", result)
+            record(point, "run", result)
 
         await asyncio.gather(*(one(p) for p in job.points))
 
@@ -347,7 +295,7 @@ class ExperimentServer:
         try:
             await self._handle_request(reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError, BrokenPipeError):
-            pass  # client went away; jobs keep running, streams are replayable
+            pass  # client went away; its run still finishes and fills the cache
         except Exception as exc:  # pragma: no cover - last-resort 500
             try:
                 await self._respond_json(
@@ -376,9 +324,7 @@ class ExperimentServer:
         if request is None:
             return
         method, target, body = request
-        parts = urlsplit(target)
-        params = {k: v[-1] for k, v in parse_qs(parts.query).items()}
-        await self._route(writer, method.upper(), parts.path, params, body)
+        await self._route(writer, method.upper(), urlsplit(target).path, body)
 
     async def _read_request(self, reader) -> Optional[Tuple[str, str, bytes]]:
         """Request line + headers + body; ``None`` when the client sent nothing.
@@ -414,75 +360,17 @@ class ExperimentServer:
         body = await reader.readexactly(content_length) if content_length else b""
         return method, target, body
 
-    async def _route(self, writer, method: str, path: str, params: Dict[str, str], body: bytes):
-        if method == "GET" and path == "/v1/health":
-            await self._respond_json(
-                writer, 200, {"ok": True, "version": PROTOCOL_VERSION}
-            )
-        elif method == "GET" and path == "/v1/experiments":
-            await self._respond_json(
-                writer,
-                200,
-                {
-                    "version": PROTOCOL_VERSION,
-                    "experiments": {
-                        e.name: e.description for e in self.registry.experiments()
-                    },
-                },
-            )
-        elif method == "GET" and path == "/v1/status":
-            job_id = params.get("job")
-            if job_id is None:
-                await self._respond_json(writer, 200, self.stats().to_dict())
-                return
-            job = self.jobs.get(job_id)
-            if job is None:
-                await self._respond_json(writer, 404, {"error": f"unknown job {job_id!r}"})
-                return
-            await self._respond_json(writer, 200, job.status().to_dict())
-        elif method == "GET" and path == "/v1/result":
-            job = self.jobs.get(params.get("job", ""))
-            if job is None:
-                await self._respond_json(writer, 404, {"error": "unknown job"})
-            elif job.state == "running":
-                await self._respond_json(
-                    writer, 409, {"error": f"job {job.job_id} still running"}
-                )
-            elif job.state == "error":
-                await self._respond_json(
-                    writer, 500, {"error": job.error, "job_id": job.job_id}
-                )
-            else:
-                await self._respond_json(
-                    writer,
-                    200,
-                    {
-                        "version": PROTOCOL_VERSION,
-                        "job_id": job.job_id,
-                        "result": json_safe(job.result),
-                        "report": job.report,
-                    },
-                )
-        elif method == "GET" and path == "/v1/stream":
-            job = self.jobs.get(params.get("job", ""))
-            if job is None:
-                await self._respond_json(writer, 404, {"error": "unknown job"})
-                return
-            start = int(params.get("from", 0))
-            await self._stream_events(writer, job.follow(start))
-        elif method == "GET" and path == "/v1/cache":
-            info = self.cache.info() if self.cache is not None else None
-            await self._respond_json(
-                writer, 200, {"version": PROTOCOL_VERSION, "cache": info}
-            )
-        elif method == "POST" and path in ("/v1/submit", "/v1/run"):
+    async def _route(self, writer, method: str, path: str, body: bytes):
+        if method == "GET" and path == "/v1/status":
+            await self._respond_json(writer, 200, self.stats().to_dict())
+        elif method == "POST" and path == "/v1/run":
             try:
                 request = SubmitRequest.from_dict(json.loads(body.decode("utf-8")))
             except (ValueError, ProtocolError) as exc:
                 await self._respond_json(writer, 400, {"error": str(exc)})
                 return
             try:
-                job = await self._start_job(request)
+                job = self._start_job(request)
             except KeyError:
                 await self._respond_json(
                     writer,
@@ -493,18 +381,7 @@ class ExperimentServer:
             except RunnerError as exc:
                 await self._respond_json(writer, 400, {"error": str(exc)})
                 return
-            if path == "/v1/submit":
-                await self._respond_json(
-                    writer,
-                    202,
-                    {
-                        "version": PROTOCOL_VERSION,
-                        "job_id": job.job_id,
-                        "points_total": len(job.points),
-                    },
-                )
-            else:
-                await self._stream_events(writer, job.follow(0))
+            await self._stream_events(writer, job.follow())
         elif method == "POST" and path == "/v1/shutdown":
             await self._respond_json(writer, 200, {"ok": True, "stopping": True})
             self.request_stop()
@@ -515,9 +392,8 @@ class ExperimentServer:
 
     async def _respond_json(self, writer, status: int, payload: dict) -> None:
         body = (json.dumps(json_safe(payload)) + "\n").encode("utf-8")
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-                  408: "Request Timeout", 409: "Conflict", 413: "Payload Too Large",
-                  500: "Internal Server Error"}.get(status, "OK")
+        reason = {200: "OK", 400: "Bad Request", 404: "Not Found", 408: "Request Timeout",
+                  413: "Payload Too Large", 500: "Internal Server Error"}.get(status, "OK")
         writer.write(
             (
                 f"HTTP/1.1 {status} {reason}\r\n"
@@ -544,7 +420,7 @@ class ExperimentServer:
 
 
 # ----------------------------------------------------------------------
-# embedding: run a server on a background thread (tests, load harness)
+# embedding: run a server on a background thread (tests)
 # ----------------------------------------------------------------------
 class BackgroundServer:
     """An :class:`ExperimentServer` on its own thread + event loop.
@@ -640,19 +516,11 @@ def serve_main(argv=None) -> int:
         "--cache", metavar="DIR", default=None,
         help="content-addressed result cache directory (strongly recommended)",
     )
-    parser.add_argument("--max-retries", type=int, default=2, help="crash retries per point")
-    parser.add_argument(
-        "--retry-backoff", type=float, default=0.25, metavar="S",
-        help="base crash-retry backoff in seconds",
-    )
     args = parser.parse_args(argv)
+    if args.jobs is not None and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
-    server = ExperimentServer(
-        jobs=args.jobs,
-        cache=args.cache,
-        max_retries=args.max_retries,
-        retry_backoff_s=args.retry_backoff,
-    )
+    server = ExperimentServer(jobs=args.jobs, cache=args.cache)
 
     async def main() -> None:
         if args.unix:

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from repro.__main__ import main
 from repro.experiments.registry import REGISTRY
 
@@ -87,6 +89,29 @@ def test_retired_bench_entry_points_stay_retired(capsys):
     assert "unknown experiment 'bench'" in capsys.readouterr().err
     assert main(["tune"]) == 2
     assert "unknown experiment 'tune'" in capsys.readouterr().err
+
+
+def test_submit_verb_is_gone(capsys):
+    """The daemon runs experiments through ``run --server`` only."""
+    assert main(["submit", "fig6", "--server", "x"]) == 2
+    assert "unknown experiment 'submit'" in capsys.readouterr().err
+
+
+def test_run_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "quickstart", "--jobs", jobs])
+        assert exit_.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_serve_rejects_jobs_below_one(tmp_path, capsys):
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--unix", str(tmp_path / "s.sock"), "--jobs", jobs])
+        assert exit_.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "s.sock").exists()
 
 
 def test_run_all_experiments_script(tmp_path):

@@ -20,7 +20,7 @@ from repro.experiments.registry import REGISTRY, Experiment, FunctionExperiment,
 from repro.experiments.fig8_testbed import run_staircase
 from repro.experiments.fig10_micro import _run_fig10c
 from repro.experiments.quickstart import run_quickstart
-from repro.runner import ResultCache, RunnerError, cache_key, json_safe, run_experiment
+from repro.runner import ResultCache, RunnerError, cache_key, json_safe, run_experiment, scheduler
 from repro.probe import installed
 from repro.telemetry import Recorder
 
@@ -206,35 +206,40 @@ def test_json_safe_round_trip():
 # ----------------------------------------------------------------------
 # crash retry
 # ----------------------------------------------------------------------
-def test_worker_crash_retried(tmp_path):
+@pytest.fixture
+def fast_retry(monkeypatch):
+    monkeypatch.setattr(scheduler, "RETRY_BACKOFF_S", 0.01)
+
+
+def test_worker_crash_retried(tmp_path, fast_retry):
     marker = str(tmp_path / "crashed_once")
     exp = FunctionExperiment("crashy", {"p": (_crash_once, {"marker": marker, "seed": 0})})
     rec = Recorder(events=False)
     with installed(rec):
-        result = run_experiment(exp, jobs=2, retry_backoff_s=0.01)
+        result = run_experiment(exp, jobs=2)
     assert result == {"ok": True}
     assert os.path.exists(marker)
     assert rec.snapshot()["metrics"]["counters"]["runner.worker_crashes"] == 1
 
 
-def test_worker_crash_retry_exhausted():
+def test_worker_crash_retry_exhausted(fast_retry):
     exp = FunctionExperiment("doomed", {"p": (_always_crash, {"seed": 0})})
-    with pytest.raises(RunnerError, match="crashed"):
-        run_experiment(exp, jobs=2, max_retries=1, retry_backoff_s=0.01)
+    with pytest.raises(RunnerError, match=f"crashed {scheduler.MAX_RETRIES + 1} times"):
+        run_experiment(exp, jobs=2)
 
 
-def test_deterministic_exception_fails_fast(caplog):
+def test_deterministic_exception_fails_fast(caplog, fast_retry):
     """A raising point ends the run; its slow siblings still queued in the
     pool are cancelled, and a cancelled point logs no callback traceback."""
     exp = FunctionExperiment("raiser", {"p": (_raise, {"seed": 0})})
     with pytest.raises(RunnerError, match="ValueError"):
-        run_experiment(exp, jobs=2, retry_backoff_s=0.01)
+        run_experiment(exp, jobs=2)
     with pytest.raises(RunnerError, match="ValueError"):
         run_experiment(exp, jobs=1)
     points = {f"s{i}": (_slow, {"seed": i}) for i in range(12)}
     points["s1"] = (_raise, {"seed": 1})
     with pytest.raises(RunnerError, match="raiser:s1 raised ValueError"):
-        run_experiment(FunctionExperiment("raiser", points), jobs=2, retry_backoff_s=0.01)
+        run_experiment(FunctionExperiment("raiser", points), jobs=2)
     assert not [r for r in caplog.records if "exception calling callback" in r.getMessage()]
 
 

@@ -1,4 +1,4 @@
-"""The serving daemon: protocol schema, dedupe, crash tolerance, reconnect.
+"""The serving daemon: protocol schema, dedupe, crash tolerance, bounded reads.
 
 Each test boots a real :class:`BackgroundServer` on a unix socket in
 ``tmp_path`` and talks to it through the public client — no mocked
@@ -7,6 +7,7 @@ point functions are module-level so the fleet's forked workers can unpickle
 them by reference (same contract as ``tests/test_runner.py``).
 """
 
+import gc
 import json
 import os
 import socket
@@ -16,20 +17,25 @@ import time
 import pytest
 
 from repro import api
-from repro.client import ServeClient, ServeError, connect, parse_address
+from repro.client import ServeClient, ServeError, parse_address
 from repro.experiments.registry import ExperimentRegistry, FunctionExperiment
-from repro.runner import RunnerError, run_experiment
+from repro.runner import RunnerError, run_experiment, scheduler
 from repro.serve import BackgroundServer
 from repro.serve.inflight import InflightTable
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
-    JobStatus,
     ProtocolError,
     ServerStats,
     SubmitRequest,
     check_version,
     point_event,
 )
+from repro.serve.server import Job
+
+
+@pytest.fixture(autouse=True)
+def _fast_crash_retry(monkeypatch):
+    monkeypatch.setattr(scheduler, "RETRY_BACKOFF_S", 0.05)
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +68,6 @@ def _make_server(tmp_path, experiments=(), cache=True, **kwargs):
         jobs=2,
         cache=str(tmp_path / "cache") if cache else None,
         registry=registry,
-        retry_backoff_s=0.05,
         **kwargs,
     )
 
@@ -73,7 +78,7 @@ def _make_server(tmp_path, experiments=(), cache=True, **kwargs):
 def test_submit_request_round_trip():
     req = SubmitRequest(
         experiment="fig6", quick=True, faults={"seed": 7, "faults": []},
-        audit="warn", tag="t1",
+        audit="warn",
     )
     decoded = SubmitRequest.from_dict(json.loads(json.dumps(req.to_dict())))
     assert decoded == req
@@ -81,13 +86,6 @@ def test_submit_request_round_trip():
 
 
 def test_status_round_trip():
-    status = JobStatus(
-        job_id="job-000001", experiment="fig6", state="done",
-        points_total=3, points_done=3,
-        sources={"cache": 1, "inflight": 0, "run": 2}, tag="x", wall_s=1.5,
-    )
-    assert JobStatus.from_dict(json.loads(json.dumps(status.to_dict()))) == status
-
     stats = ServerStats(
         uptime_s=10.0, jobs_total=2, jobs_active=0, points_total=4,
         cache_hits=1, inflight_hits=1, executed=2, worker_crashes=0,
@@ -126,7 +124,7 @@ def test_invalid_submit_fields_rejected():
 
 def test_point_event_rejects_unknown_source():
     with pytest.raises(ProtocolError, match="source"):
-        point_event("job-1", "p", "telepathy", 1, 1)
+        point_event("p", "telepathy", 1, 1)
 
 
 def test_parse_address_forms():
@@ -145,17 +143,19 @@ def test_wrong_version_rejected_by_server(tmp_path):
         payload = SubmitRequest(experiment="tiny").to_dict()
         payload["version"] = 999
         with pytest.raises(ServeError, match="version 999") as err:
-            client._request_json("POST", "/v1/submit", payload)
+            client._request_json("POST", "/v1/run", payload)
         assert err.value.status == 400
 
 
 # ----------------------------------------------------------------------
-# basic serving: health, discovery, run, errors
+# basic serving: status, run, errors
 # ----------------------------------------------------------------------
 def test_health_and_connect(tmp_path):
+    """``status`` is the liveness check: a fresh daemon answers it."""
     with _make_server(tmp_path, []) as srv:
-        client = connect(srv.address)
-        assert client.health()["ok"] is True
+        stats = ServeClient(srv.address).server_status()
+        assert stats.version == PROTOCOL_VERSION
+        assert stats.jobs_total == 0 and stats.fleet_jobs == 2
 
 
 def test_run_and_result_and_status(tmp_path):
@@ -164,8 +164,7 @@ def test_run_and_result_and_status(tmp_path):
                  "b": (_quick_point, {"value": 2, "seed": 1})},
     )
     with _make_server(tmp_path, [exp]) as srv:
-        client = connect(srv.address)
-        assert list(client.experiments()) == ["tiny"]
+        client = ServeClient(srv.address)
 
         seen = []
         report = {}
@@ -174,11 +173,7 @@ def test_run_and_result_and_status(tmp_path):
         assert sorted(p for p, _ in seen) == ["a", "b"]
         assert report["executed"] == 2 and report["points"] == 2
 
-        job_id = client.submit("tiny", tag="again")
-        status = client.job_status(job_id)
-        assert status.experiment == "tiny" and status.tag == "again"
-        result2 = client.result(job_id)
-        assert result2 == result
+        assert client.run("tiny") == result
 
         stats = client.server_status()
         assert stats.points_total == 4 and stats.cache_hits >= 2
@@ -188,10 +183,7 @@ def test_unknown_experiment_and_job_404(tmp_path):
     with _make_server(tmp_path, []) as srv:
         client = ServeClient(srv.address)
         with pytest.raises(ServeError) as err:
-            client.submit("no-such-experiment")
-        assert err.value.status == 404
-        with pytest.raises(ServeError) as err:
-            client.job_status("job-999999")
+            client.run("no-such-experiment")
         assert err.value.status == 404
 
 
@@ -200,7 +192,7 @@ def test_served_result_identical_to_local_runner(tmp_path):
     with BackgroundServer(
         unix_path=str(tmp_path / "serve.sock"), jobs=2, cache=str(tmp_path / "cache")
     ) as srv:  # the real registry, with every paper experiment
-        remote = connect(srv.address).run("fig6", quick=True)
+        remote = ServeClient(srv.address).run("fig6", quick=True)
     local = api.run("fig6", quick=True)
     assert json.dumps(remote, sort_keys=True) == json.dumps(local, sort_keys=True)
 
@@ -218,7 +210,7 @@ def test_cache_hit_fast_path(tmp_path):
         assert r1 == r2
         assert rep1["executed"] == 1 and rep1["cache_hits"] == 0
         assert rep2["executed"] == 0 and rep2["cache_hits"] == 1
-        info = client.cache_info()
+        info = api.cache_info(str(tmp_path / "cache"))
         assert info["entries"] == 1 and "tiny" in info["experiments"]
 
 
@@ -243,7 +235,7 @@ def test_concurrent_identical_sweeps_share_execution(tmp_path):
         shared = sum(r["cache_hits"] + r["inflight_hits"] for r in reports)
         assert executed == 1, f"point ran {executed} times across two sweeps"
         assert shared == 1
-        stats = connect(srv.address).server_status()
+        stats = ServeClient(srv.address).server_status()
         assert stats.executed == 1 and stats.points_total == 2
         assert stats.hit_ratio >= 0.5  # the acceptance threshold
 
@@ -276,71 +268,34 @@ def test_worker_crash_during_request_is_retried(tmp_path):
         result = client.run("crashy")
         assert result == {"recovered": True}
         assert os.path.exists(marker)
-        stats = connect(srv.address).server_status()
+        stats = ServeClient(srv.address).server_status()
         assert stats.worker_crashes >= 1
         # the fleet rebuilt: the daemon still serves fresh work afterwards
         assert client.run("crashy") == {"recovered": True}
 
 
 # ----------------------------------------------------------------------
-# streaming: replay, resume, reconnect
+# a run lives as long as its response
 # ----------------------------------------------------------------------
-def test_stream_replay_and_resume(tmp_path):
-    exp = FunctionExperiment(
-        "tiny", {"a": (_quick_point, {"value": 1, "seed": 0}),
-                 "b": (_quick_point, {"value": 2, "seed": 1})},
-    )
+def _live_jobs():
+    gc.collect()  # count only what something still refers to
+    return [o for o in gc.get_objects() if isinstance(o, Job)]
+
+
+def test_a_served_run_leaves_no_job_behind(tmp_path):
+    exp = FunctionExperiment("tiny", {"p": (_quick_point, {"value": 5, "seed": 0})})
     with _make_server(tmp_path, [exp]) as srv:
         client = ServeClient(srv.address)
-        job_id = client.submit("tiny")
-        client.result(job_id)  # wait for completion
-
-        events = list(client.stream(job_id))
-        assert events[0]["type"] == "accepted"
-        assert [e["type"] for e in events].count("point") == 2
-        assert events[-1]["type"] == "done"
-
-        # resume from an offset: exactly the tail, terminal event included
-        tail = list(client.stream(job_id, start=len(events) - 2))
-        assert tail == events[-2:]
-
-
-def test_client_reconnect_mid_job(tmp_path):
-    """Dropping the streaming connection loses nothing: reattach and replay."""
-    exp = FunctionExperiment(
-        "slow2", {"a": (_slow_point, {"delay_s": 0.6, "seed": 0}),
-                  "b": (_slow_point, {"delay_s": 0.6, "seed": 1})},
-    )
-    with _make_server(tmp_path, [exp]) as srv:
-        client = ServeClient(srv.address)
-        job_id = client.submit("slow2")
-
-        # first connection: read only the accepted event, then drop the link
-        stream = client.stream(job_id)
-        first = next(stream)
-        assert first["type"] == "accepted"
-        stream.close()  # closes the underlying socket mid-job
-
-        # reconnect from the start: full replay, followed live to the end
-        events = list(client.stream(job_id, start=0))
-        assert events[0] == first
-        assert events[-1]["type"] == "done"
-        assert [e["type"] for e in events].count("point") == 2
-        assert client.result(job_id) == {
-            "a": {"ok": True, "seed": 0},
-            "b": {"ok": True, "seed": 1},
-        }
-
-
-def test_result_conflict_while_running(tmp_path):
-    exp = FunctionExperiment("slow3", {"p": (_slow_point, {"delay_s": 1.0, "seed": 0})})
-    with _make_server(tmp_path, [exp]) as srv:
-        client = ServeClient(srv.address)
-        job_id = client.submit("slow3")
-        with pytest.raises(ServeError) as err:
-            client.result(job_id, wait=False)
-        assert err.value.status == 409
-        assert client.result(job_id, wait=True) == {"ok": True, "seed": 0}
+        for _ in range(5):
+            assert client.run("tiny") == {"value": 5, "seed": 0}
+        # the done event reaches the client a moment before the server's
+        # task and handler let go of the job
+        deadline = time.monotonic() + 5.0
+        while _live_jobs():
+            assert time.monotonic() < deadline, "a finished run's Job is still held"
+            time.sleep(0.05)
+        stats = client.server_status()
+        assert stats.jobs_total == 5 and stats.jobs_active == 0
 
 
 def test_failed_job_is_reported_not_crashing_the_server(tmp_path):
@@ -349,8 +304,8 @@ def test_failed_job_is_reported_not_crashing_the_server(tmp_path):
         client = ServeClient(srv.address)
         with pytest.raises(ServeError, match="ValueError"):
             client.run("raiser")
-        # the daemon survives a failed job
-        assert connect(srv.address).health()["ok"] is True
+        # the daemon survives a failed run
+        assert ServeClient(srv.address).server_status().jobs_active == 0
 
 
 def _raise_point(seed=0):
@@ -368,11 +323,9 @@ def test_a_failing_point_reads_the_same_everywhere(tmp_path):
             run_experiment(exp, jobs=jobs)
         texts.append(str(err.value))
     with _make_server(tmp_path, [exp]) as srv:
-        client = ServeClient(srv.address)
-        job_id = client.submit("raiser")
-        with pytest.raises(ServeError):
-            client.result(job_id)
-        served = client.job_status(job_id).error
+        with pytest.raises(ServeError) as err:
+            ServeClient(srv.address).run("raiser")
+        served = str(err.value)
     assert texts == ["raiser:p raised ValueError: deterministic failure"] * 2
     assert served == f"RunnerError: {texts[0]}"
 
@@ -392,7 +345,7 @@ def test_served_audit_block_identical_to_local(tmp_path):
 # daemon caps both (raw socket: the public client never sends these)
 # ----------------------------------------------------------------------
 def _raw_request(address, data: bytes):
-    """Send ``data`` verbatim, read to EOF; returns (status, JSON body)."""
+    """Send ``data`` verbatim, read to EOF; returns (status, JSON lines)."""
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
         sock.settimeout(5.0)
         sock.connect(address)
@@ -401,13 +354,13 @@ def _raw_request(address, data: bytes):
         while chunk := sock.recv(65536):
             reply += chunk
     head, _, body = reply.partition(b"\r\n\r\n")
-    return int(head.split()[1]), json.loads(body)
+    return int(head.split()[1]), [json.loads(line) for line in body.splitlines() if line.strip()]
 
 
 def test_negative_content_length_is_a_400(tmp_path):
     with _make_server(tmp_path, []) as srv:
-        status, payload = _raw_request(
-            srv.address, b"POST /v1/submit HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        status, (payload,) = _raw_request(
+            srv.address, b"POST /v1/run HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
         )
         assert status == 400 and "content-length" in payload["error"]
 
@@ -417,12 +370,12 @@ def test_oversized_body_is_refused_before_it_is_read(tmp_path):
 
     with _make_server(tmp_path, []) as srv:
         # headers only: the 413 must arrive without a single body byte sent
-        status, payload = _raw_request(
+        status, (payload,) = _raw_request(
             srv.address,
-            f"POST /v1/submit HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
+            f"POST /v1/run HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
         )
         assert status == 413 and str(MAX_BODY_BYTES) in payload["error"]
-        assert connect(srv.address).health()["ok"] is True
+        assert ServeClient(srv.address).server_status().jobs_total == 0
 
 
 def test_silent_client_is_timed_out(tmp_path, monkeypatch):
@@ -433,7 +386,7 @@ def test_silent_client_is_timed_out(tmp_path, monkeypatch):
         status, _ = _raw_request(srv.address, b"")
         assert status == 408
         # a request that stalls half way through its headers is cut off too
-        status, _ = _raw_request(srv.address, b"GET /v1/health HTTP/1.1\r\n")
+        status, _ = _raw_request(srv.address, b"GET /v1/status HTTP/1.1\r\n")
         assert status == 408
 
 
@@ -441,12 +394,13 @@ def test_raw_submit_within_the_bounds_round_trips(tmp_path):
     exp = FunctionExperiment("tiny", {"p": (_quick_point, {"value": 9, "seed": 0})})
     with _make_server(tmp_path, [exp]) as srv:
         body = json.dumps(SubmitRequest(experiment="tiny").to_dict()).encode()
-        status, payload = _raw_request(
+        status, events = _raw_request(
             srv.address,
-            b"POST /v1/submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body,
+            b"POST /v1/run HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body,
         )
-        assert status == 202
-        assert connect(srv.address).result(payload["job_id"]) == {"value": 9, "seed": 0}
+        assert status == 200
+        assert [e["type"] for e in events] == ["point", "done"]
+        assert events[-1]["result"] == {"value": 9, "seed": 0}
 
 
 def test_raw_submit_with_a_malformed_fault_plan_is_a_400(tmp_path):
@@ -454,12 +408,12 @@ def test_raw_submit_with_a_malformed_fault_plan_is_a_400(tmp_path):
     with _make_server(tmp_path, [exp]) as srv:
         plan = {"specs": [{"kind": "link_down", "target": ["tor0", "spine0"]}]}  # no schedule
         body = json.dumps(SubmitRequest(experiment="tiny", faults=plan).to_dict()).encode()
-        status, payload = _raw_request(
+        status, (payload,) = _raw_request(
             srv.address,
-            b"POST /v1/submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body,
+            b"POST /v1/run HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body,
         )
         assert status == 400 and "fault plan" in payload["error"]
-        assert connect(srv.address).server_status().jobs_total == 0
+        assert ServeClient(srv.address).server_status().jobs_total == 0
 
 
 # ----------------------------------------------------------------------
@@ -470,12 +424,10 @@ def test_api_local_and_remote_agree(tmp_path):
     with _make_server(tmp_path, [exp]) as srv:
         remote = api.run("tiny", server=srv.address)
         assert remote == {"value": 1, "seed": 3}
-        assert api.experiments(server=srv.address) == ["tiny"]
-        job_id = api.submit("tiny", server=srv.address)
-        assert api.result(job_id, server=srv.address) == remote
+        assert api.run("tiny", server=srv.address) == remote
         stats = api.status(srv.address)
         assert isinstance(stats, ServerStats)
-        info = api.cache_info(server=srv.address)
+        info = api.cache_info(str(tmp_path / "cache"))
         assert info["entries"] == 1
 
 
