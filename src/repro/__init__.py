@@ -24,7 +24,7 @@ Quick taste::
     print(flow.fct_ns() / 1e3, "us")
 """
 
-from .cc import CongestionControl, D2tcp, Dcqcn, Dctcp, Hpcc, Ledbat, NoCC, Swift, SwiftParams, Timely
+from .cc import CongestionControl, D2tcp, Dcqcn, Dctcp, Hpcc, Ledbat, NoCC, Swift, SwiftParams
 from .core import ChannelConfig, PrioPlusCC, StartTier
 from .noise import LognormalNoise, NoNoise, UniformNoise, paper_noise
 from .sim import (
@@ -67,7 +67,6 @@ __all__ = [
     "Hpcc",
     "NoCC",
     "Dcqcn",
-    "Timely",
     "ChannelConfig",
     "PrioPlusCC",
     "StartTier",

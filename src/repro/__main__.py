@@ -204,8 +204,10 @@ def main(argv=None) -> int:
         "virtual-priority inversions; structured report written to PATH",
     )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+    for flag, value in (("--jobs", args.jobs), ("--trace-every", args.trace_every),
+                        ("--sample-stride", args.sample_stride)):
+        if value < 1:
+            parser.error(f"{flag} must be at least 1")
 
     if args.list or not args.experiment:
         for name in REGISTRY.names():
@@ -220,10 +222,11 @@ def main(argv=None) -> int:
         experiment = experiment.quick()
 
     obs_requested = bool(args.trace_packets or args.sample or args.profile or args.inspect)
-    if args.server and (args.trace or args.events or obs_requested):
+    if args.server and (args.trace or args.events or args.metrics or obs_requested):
         print(
-            "error: --trace/--events/--trace-packets/--sample/--profile/--inspect "
-            "record in-process simulator state and cannot be combined with --server",
+            "error: --trace/--events/--metrics/--trace-packets/--sample/--profile/"
+            "--inspect record in-process simulator state and cannot be combined "
+            "with --server",
             file=sys.stderr,
         )
         return 2
@@ -245,11 +248,11 @@ def main(argv=None) -> int:
             stream = JsonlEventStream(recorder, args.events)
     tracer = inspector = sampler = profiler = None
     if args.trace_packets:
-        tracer = PacketTracer(sample_every=max(1, args.trace_every))
+        tracer = PacketTracer(sample_every=args.trace_every)
     if args.inspect:
         inspector = ChannelInspector()
     if args.sample:
-        sampler = TimeSeriesSampler(stride_ns=max(1, args.sample_stride))
+        sampler = TimeSeriesSampler(stride_ns=args.sample_stride)
     if args.profile:
         profiler = EngineProfiler()
     sinks = [s for s in (recorder, tracer, inspector, sampler, profiler) if s is not None]

@@ -1,7 +1,7 @@
 """Congestion-control algorithms.
 
 Delay-based (PrioPlus-wrappable): Swift, LEDBAT.
-Delay-gradient: TIMELY.  ECN-based: DCTCP, D2TCP, DCQCN.  INT-based: HPCC.
+ECN-based: DCTCP, D2TCP, DCQCN.  INT-based: HPCC.
 Uncontrolled: NoCC.
 """
 
@@ -11,9 +11,7 @@ from .dctcp import D2tcp, Dctcp
 from .hpcc import Hpcc
 from .ledbat import Ledbat
 from .nocc import NoCC
-from .powertcp import PowerTcp
 from .swift import Swift, SwiftParams
-from .timely import Timely
 
 __all__ = [
     "CongestionControl",
@@ -22,9 +20,7 @@ __all__ = [
     "Dctcp",
     "D2tcp",
     "Dcqcn",
-    "Timely",
     "Ledbat",
     "Hpcc",
-    "PowerTcp",
     "NoCC",
 ]

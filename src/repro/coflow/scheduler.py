@@ -73,8 +73,5 @@ class CoflowTracker:
             raise RuntimeError(f"coflow {coflow_id} has not completed")
         return self._done_at[coflow_id] - self._start[coflow_id]
 
-    def completed_ids(self) -> List[int]:
-        return sorted(self._done_at)
-
     def all_ccts(self) -> Dict[int, int]:
         return {cid: self.cct_ns(cid) for cid in self._done_at}

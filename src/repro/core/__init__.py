@@ -7,7 +7,7 @@ behind Table 2.
 """
 
 from .channels import PAPER_A_NS, PAPER_B_NS, ChannelConfig
-from .ecn_extension import EcnPriorityConfig, install_priority_marking, thresholds_for
+from .ecn_extension import EcnPriorityConfig, install_priority_marking
 from .prioplus import W_LS_FRACTION, PrioPlusCC, StartTier
 from .start_strategies import EXPONENTIAL, LINEAR, LINE_RATE, StartRampCC
 from .planner import PlanError, QueuePlan, TrafficClass, plan_queues
@@ -24,7 +24,6 @@ __all__ = [
     "aggregate_floor_share",
     "EcnPriorityConfig",
     "install_priority_marking",
-    "thresholds_for",
     "StartRampCC",
     "LINE_RATE",
     "EXPONENTIAL",

@@ -189,8 +189,8 @@ class ChannelConfig:
                 raise AssertionError(f"degenerate channel at priority {i}")
 
     # ------------------------------------------------------------------
-    # JSON round-trip (tuned placements travel through Point configs
-    # and the result cache as plain data)
+    # JSON round-trip and value equality: no workload calls them (the
+    # tuner hands placements over as theta vectors); ROADMAP item 18
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         if self._bands is not None:

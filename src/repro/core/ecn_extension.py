@@ -21,13 +21,11 @@ PrioPlus's strict channels.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..sim.network import Network
 from ..sim.packet import Packet
 from ..sim.port import Port
 
-__all__ = ["EcnPriorityConfig", "install_priority_marking", "thresholds_for"]
+__all__ = ["EcnPriorityConfig", "install_priority_marking"]
 
 
 class EcnPriorityConfig:
@@ -48,11 +46,6 @@ class EcnPriorityConfig:
             raise ValueError("virtual priorities are 1-based")
         steps = max(0, self.n_priorities - min(vpriority, self.n_priorities))
         return self.k_top_bytes * (self.ratio**steps)
-
-
-def thresholds_for(cfg: EcnPriorityConfig) -> List[float]:
-    """Thresholds for priorities 1..n (ascending priority)."""
-    return [cfg.threshold(i) for i in range(1, cfg.n_priorities + 1)]
 
 
 def install_priority_marking(net: Network, cfg: EcnPriorityConfig) -> int:

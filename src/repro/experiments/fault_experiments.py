@@ -36,16 +36,12 @@ of both ``--quick`` runs is asserted in ``tests/test_faults.py``):
   half its pre-fault level;
 * ``reconverges`` — total goodput shortly after repair recovers to at least
   70 % of the pre-fault level.
-
-Use :func:`export_fault_timelines` to dump the per-priority timelines as
-long-format CSV via :mod:`repro.analysis.export`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
-from ..analysis.export import write_series_csv
 from ..faults import FaultInjector, FaultPlan, FaultSpec, Schedule
 from ..sim.engine import MICROSECOND, MILLISECOND, Simulator
 from ..sim.host import Host
@@ -57,7 +53,7 @@ from .modes import CCFactory, Mode
 from .registry import FunctionExperiment, register
 from .samplers import RateSampler
 
-__all__ = ["run_fault_flap", "run_fault_degrade", "export_fault_timelines"]
+__all__ = ["run_fault_flap", "run_fault_degrade"]
 
 _LINK_DELAY_NS = 1_000
 _SAMPLE_NS = 50 * MICROSECOND
@@ -311,27 +307,6 @@ def _reduce_fault(results: Mapping[str, dict]) -> dict:
         "faults": next(iter(results.values()))["faults"],
         "modes": dict(results),
     }
-
-
-def export_fault_timelines(result: dict, out_dir, experiment: str = "fault") -> List[str]:
-    """Write each mode's per-priority goodput timeline as long-format CSV.
-
-    ``result`` is a reduced ``fault_flap``/``fault_degrade`` result (or a
-    single point result).  Returns the written paths.
-    """
-    import os
-
-    modes = result.get("modes") or {result.get("mode", "point"): result}
-    paths = []
-    for name, r in modes.items():
-        path = os.path.join(str(out_dir), f"{experiment}_{r.get('mode', name)}_goodput.csv")
-        write_series_csv(
-            {group: [tuple(p) for p in series] for group, series in r["series"].items()},
-            path,
-            value_name="goodput_bps",
-        )
-        paths.append(path)
-    return paths
 
 
 register(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..cc import D2tcp, Dcqcn, Hpcc, Ledbat, NoCC, PowerTcp, Swift, SwiftParams
+from ..cc import D2tcp, Dcqcn, Hpcc, Ledbat, NoCC, Swift, SwiftParams
 from ..core import ChannelConfig, PrioPlusCC, StartTier
 from ..sim.engine import MICROSECOND
 from ..sim.pfc import PfcConfig
@@ -34,11 +34,9 @@ class Mode:
     PHYSICAL_IDEAL_NOCC = "physical_ideal_nocc"  # Physical* without CC
     SWIFT = "swift"  # Swift, no prioritisation (baseline for speedups)
     SWIFT_TARGETS = "swift_targets"  # Swift w/o scaling, per-priority targets (§3.2)
-    LEDBAT_TARGETS = "ledbat_targets"  # LEDBAT with per-priority targets
     D2TCP = "d2tcp"  # single queue, deadline-weighted ECN backoff (§3.1)
     DCQCN = "dcqcn"  # single ECN-marked queue, no deadlines (fault experiments)
     HPCC = "hpcc"  # HPCC + physical priority queues
-    POWERTCP = "powertcp"  # PowerTCP + physical priority queues
 
     ALL = (
         PRIOPLUS,
@@ -49,24 +47,21 @@ class Mode:
         PHYSICAL_IDEAL_NOCC,
         SWIFT,
         SWIFT_TARGETS,
-        LEDBAT_TARGETS,
         D2TCP,
         DCQCN,
         HPCC,
-        POWERTCP,
     )
 
     ECN_MODES = (D2TCP, DCQCN, HPCC)
     SINGLE_QUEUE_MODES = (
-        PRIOPLUS, PRIOPLUS_LEDBAT, PRIOPLUS_SAME_ACK, SWIFT, SWIFT_TARGETS, LEDBAT_TARGETS,
-        D2TCP, DCQCN,
+        PRIOPLUS, PRIOPLUS_LEDBAT, PRIOPLUS_SAME_ACK, SWIFT, SWIFT_TARGETS, D2TCP, DCQCN,
     )
 
 
 #: the physical-queue ceiling the paper cites (8 lossless priorities via PFC)
 MAX_PHYSICAL_PRIORITIES = 8
 
-#: per-priority target step of the SWIFT_TARGETS / LEDBAT_TARGETS baselines
+#: per-priority target step of the SWIFT_TARGETS baseline
 _TARGET_STEP_NS = 4 * MICROSECOND
 #: D2TCP deadlines span this multiple of the ideal FCT, highest to lowest group
 _DDL_FACTOR_RANGE = (1.5, 12.0)
@@ -199,8 +194,6 @@ class CCFactory:
             return self._swift(
                 scaling=False, base_target_ns=_TARGET_STEP_NS * self.vpriority(group)
             )
-        if mode == Mode.LEDBAT_TARGETS:
-            return Ledbat(target_queuing_ns=_TARGET_STEP_NS * self.vpriority(group))
         if mode == Mode.PHYSICAL_IDEAL_NOCC:
             return NoCC()
         if mode == Mode.D2TCP:
@@ -209,8 +202,6 @@ class CCFactory:
             return Dcqcn()
         if mode == Mode.HPCC:
             return Hpcc()
-        if mode == Mode.POWERTCP:
-            return PowerTcp()
         raise AssertionError(f"unhandled mode {mode}")
 
     def deadline_for(self, flow_size: int, group: int, line_rate_bps: float, start_ns: int) -> Optional[int]:

@@ -81,7 +81,7 @@ def _ramp_and_targets(sender) -> Tuple[float, float, float]:
         # queue above one BDP — approximate with 1.5 RTTs worth of data
         return max(float(cc.cwnd), mtu), max(ramp, 1.0), _target_ceiling(sender, 1.5 * base_rtt)
 
-    # Generic fallback (HPCC, PowerTCP, NoCC, ...): hold the current window
+    # Generic fallback (HPCC, NoCC, ...): hold the current window
     # and let it drift one MTU per RTT up to the scheme's own max.
     ceil = float(getattr(cc, "max_cwnd", sender.bdp_bytes * 2))
     return max(float(cc.cwnd), mtu), mtu, ceil

@@ -100,10 +100,3 @@ class Host:
         # the host is the packet's terminal owner: endpoints read fields
         # synchronously in on_packet and never retain the object
         PACKET_POOL.release(pkt)
-
-    # ------------------------------------------------------------------
-    @property
-    def link_rate_bps(self) -> float:
-        if self.port is None:
-            raise RuntimeError(f"{self.name} is not connected")
-        return self.port.rate_bps

@@ -122,11 +122,6 @@ class Packet:
         self.trace: Any = None
         self._in_pool = False
 
-    @property
-    def is_control(self) -> bool:
-        """ACKs and probe echoes are control traffic (may be prioritised)."""
-        return self.kind in (ACK, PROBE_ACK)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = {DATA: "DATA", ACK: "ACK", PROBE: "PROBE", PROBE_ACK: "PROBE_ACK"}
         return (

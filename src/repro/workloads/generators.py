@@ -21,7 +21,7 @@ are reproducible and baselines see the *identical* workload.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from .distributions import EmpiricalCdf
 
@@ -75,23 +75,46 @@ def poisson_flows_iter(
         raise ValueError("need at least two hosts")
     mean_size_bits = cdf.mean() * 8
     lam_per_ns = load * n_hosts * host_rate_bps / mean_size_bits / 1e9  # arrivals per ns
-
-    def generate() -> Iterator[FlowSpec]:
-        t = float(start_ns)
-        end = start_ns + duration_ns
-        while True:
-            t += rng.expovariate(lam_per_ns)
-            if t >= end:
-                return
-            src = rng.randrange(n_hosts)
-            dst = rng.randrange(n_hosts - 1)
-            if dst >= src:
-                dst += 1
-            yield FlowSpec(src, dst, max(1, cdf.sample(rng)), int(t))
-
     # validate eagerly (above), generate lazily: callers get argument errors
     # at call time, not at the first next()
-    return generate()
+    return _PoissonArrivals(rng, n_hosts, cdf, lam_per_ns, start_ns, start_ns + duration_ns)
+
+
+class _PoissonArrivals:
+    """The :func:`poisson_flows_iter` stream: its rng and clock are plain
+    attributes, so a world holding one can be deep-copied mid-run (a
+    generator cannot be)."""
+
+    __slots__ = ("rng", "n_hosts", "cdf", "lam_per_ns", "t", "end")
+
+    def __init__(self, rng: random.Random, n_hosts: int, cdf: EmpiricalCdf,
+                 lam_per_ns: float, start_ns: int, end_ns: int):
+        self.rng = rng
+        self.n_hosts = n_hosts
+        self.cdf = cdf
+        self.lam_per_ns = lam_per_ns
+        self.t: Optional[float] = float(start_ns)  # None once the window is passed
+        self.end = end_ns
+
+    def __iter__(self) -> "_PoissonArrivals":
+        return self
+
+    def __next__(self) -> FlowSpec:
+        t = self.t
+        if t is None:
+            raise StopIteration
+        rng = self.rng
+        t += rng.expovariate(self.lam_per_ns)
+        if t >= self.end:
+            self.t = None
+            raise StopIteration
+        self.t = t
+        n_hosts = self.n_hosts
+        src = rng.randrange(n_hosts)
+        dst = rng.randrange(n_hosts - 1)
+        if dst >= src:
+            dst += 1
+        return FlowSpec(src, dst, max(1, self.cdf.sample(rng)), int(t))
 
 
 def poisson_flows(

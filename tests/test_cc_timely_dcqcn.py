@@ -1,8 +1,8 @@
-"""Unit + integration tests for TIMELY and DCQCN."""
+"""Unit + integration tests for DCQCN."""
 
 import pytest
 
-from repro.cc import Dcqcn, Timely
+from repro.cc import Dcqcn
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
 from repro.topology import star
@@ -10,68 +10,6 @@ from repro.transport.flow import AckInfo, Flow
 from repro.transport.sender import FlowSender
 
 from tests.helpers import FakeSender
-
-
-# ----------------------------------------------------------------------
-# TIMELY
-# ----------------------------------------------------------------------
-def make_timely(**kw):
-    cc = Timely(**kw)
-    cc.attach(FakeSender())
-    return cc
-
-
-def _feed(cc, delays):
-    sender = cc.sender
-    for d in delays:
-        sender.sim.now += cc.base_rtt + 1
-        cc.on_ack(AckInfo(sender.sim.now, d, False, 1000, sender.next_new_seq))
-        sender.next_new_seq += 1
-
-
-def test_timely_grows_at_low_rtt():
-    cc = make_timely()
-    w0 = cc.cwnd
-    _feed(cc, [cc.base_rtt + 1_000] * 5)
-    assert cc.cwnd > w0
-
-
-def test_timely_cuts_on_high_rtt():
-    cc = make_timely(t_high_ns=50_000)
-    w0 = cc.cwnd
-    _feed(cc, [cc.base_rtt + 500_000] * 4)
-    assert cc.cwnd < w0
-
-
-def test_timely_gradient_mode_reacts_to_slope():
-    cc = make_timely(t_low_ns=5_000, t_high_ns=10_000_000)
-    mid = cc.base_rtt + 100_000
-    _feed(cc, [mid] * 3)
-    w_flat = cc.cwnd
-    # rising RTTs inside the band -> positive gradient -> decrease
-    _feed(cc, [mid + 50_000 * i for i in range(1, 5)])
-    assert cc.cwnd < w_flat + 5 * cc.ai_bytes  # not pure additive growth
-
-
-def test_timely_hyperactive_increase():
-    cc = make_timely(t_low_ns=5_000, t_high_ns=10_000_000, hai_thresh=2)
-    mid = cc.base_rtt + 200_000
-    # falling RTTs -> negative gradient; after hai_thresh, increase is 5x
-    _feed(cc, [mid, mid - 1_000, mid - 2_000])
-    w = cc.cwnd
-    _feed(cc, [mid - 3_000])
-    assert cc.cwnd - w >= 4 * cc.ai_bytes
-
-
-def test_timely_flow_completes():
-    sim = Simulator(1)
-    net, senders, recv = star(sim, 2, rate_bps=10e9, switch_cfg=SwitchConfig(n_queues=2))
-    f1 = Flow(1, senders[0], recv, 400_000)
-    f2 = Flow(2, senders[1], recv, 400_000)
-    FlowSender(sim, net, f1, Timely())
-    FlowSender(sim, net, f2, Timely())
-    sim.run(until=500_000_000)
-    assert f1.done and f2.done
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,25 @@ def test_run_rejects_jobs_below_one(capsys):
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
+def test_run_rejects_trace_every_and_sample_stride_below_one(capsys):
+    for flag in ("--trace-every", "--sample-stride"):
+        for value in ("0", "-2"):
+            with pytest.raises(SystemExit) as exit_:
+                main(["run", "quickstart", flag, value])
+            assert exit_.value.code == 2
+            assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+
+def test_metrics_cannot_be_combined_with_server(capsys):
+    """The recorder only hears in-process runs: a served run has no
+    telemetry to embed, so ``--metrics --server`` is refused before any
+    connection is made, like ``--trace`` / ``--events`` / ``--profile``."""
+    assert main(["run", "quickstart", "--metrics", "--server", "/nonexistent.sock"]) == 2
+    captured = capsys.readouterr()
+    assert "--metrics" in captured.err and "cannot be combined with --server" in captured.err
+    assert captured.out == ""
+
+
 def test_serve_rejects_jobs_below_one(tmp_path, capsys):
     for jobs in ("0", "-1"):
         with pytest.raises(SystemExit) as exit_:

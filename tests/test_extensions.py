@@ -14,7 +14,6 @@ from repro.core import (
     WeightedPrioPlusCC,
     aggregate_floor_share,
     install_priority_marking,
-    thresholds_for,
 )
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
@@ -130,7 +129,7 @@ def test_weighted_end_to_end_keeps_residual_share():
 # ----------------------------------------------------------------------
 def test_ecn_threshold_geometry():
     cfg = EcnPriorityConfig(k_top_bytes=80_000, ratio=0.5, n_priorities=8)
-    ks = thresholds_for(cfg)
+    ks = [cfg.threshold(i) for i in range(1, cfg.n_priorities + 1)]
     assert len(ks) == 8
     assert ks[-1] == 80_000  # highest priority gets the full threshold
     for lower, higher in zip(ks, ks[1:]):

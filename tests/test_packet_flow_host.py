@@ -16,9 +16,8 @@ def test_packet_defaults():
     assert not p.ecn and not p.ecn_echo
     assert p.int_hops is None
     assert p.local_prio == -1
-    assert not p.is_control
     ack = Packet(ACK, MIN_PACKET_BYTES, src=2, dst=1, flow_id=9)
-    assert ack.is_control
+    assert ack.kind == ACK and ack.size == MIN_PACKET_BYTES
     assert "DATA" in repr(p)
 
 
@@ -53,8 +52,6 @@ def test_host_unconnected_errors():
     host = Host(sim, 0)
     with pytest.raises(RuntimeError):
         host.send(Packet(DATA, 100, 0, 1, 1))
-    with pytest.raises(RuntimeError):
-        host.link_rate_bps
     with pytest.raises(RuntimeError):
         host.local_data_queue(1)
     with pytest.raises(RuntimeError):

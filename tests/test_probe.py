@@ -174,6 +174,93 @@ def test_no_builtin_hash_where_results_are_made():
     assert not offenders, offenders
 
 
+#: public top-level names that nothing outside tests/ calls, by module, and
+#: why each stays; the list only shrinks (a stale entry fails too)
+_NO_CALLER_YET = {
+    # the census's remainder: cut deferred to ROADMAP item 18, one slice
+    # of tests at a time
+    "analysis/convergence.py": {"jain_index", "time_to_share", "utilization", "stability"},
+    "analysis/export.py": {"write_series_csv", "write_rows_csv", "flatten_result"},
+    "analysis/fct.py": {"FctStats", "summarize", "group_by", "size_class", "speedup"},
+    "noise/delay_noise.py": {"NoNoise"},
+    "workloads/generators.py": {"incast_flows", "file_requests", "file_requests_iter"},
+    "workloads/trace_io.py": {"load_trace", "save_trace", "TraceFormatError"},
+    # the documented library form of the CLI's sink flags (docs/API.md);
+    # the CLI itself installs sinks with probe.installed
+    "obs/tracer.py": {"trace_scope"},
+    "obs/inspector.py": {"inspect_scope"},
+    "obs/sampler.py": {"sample_scope"},
+    "audit/auditor.py": {"current_auditor"},
+    # the facade's local-cache inspection (docs/API.md)
+    "api.py": {"cache_info"},
+    # the in-process daemon the serve tests boot; leaves with the serve
+    # cut (ROADMAP item 12)
+    "serve/server.py": {"BackgroundServer"},
+}
+
+
+def _identifiers(tree) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def _uncalled_public_names() -> set:
+    """``module::name`` of every public top-level def or class under
+    ``src/repro`` that no code outside ``tests/`` reaches: not ``src/``
+    (package re-exports do not count), ``scripts/``, ``examples/`` or
+    ``benchmarks/``, nor its own module's code other than uncalled names."""
+    root = SRC.parents[1]
+    outside = {
+        path: _identifiers(ast.parse(path.read_text()))
+        for top in ("src", "scripts", "examples", "benchmarks")
+        for path in sorted((root / top).rglob("*.py"))
+        if not (top == "src" and path.name == "__init__.py")
+    }
+    # candidate -> its own module's top-level statements that name it, as
+    # their def/class name (None: a module-level statement, which is a caller)
+    owners = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        body = ast.parse(path.read_text()).body
+        tops = [(getattr(node, "name", None), _identifiers(node)) for node in body]
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if any(node.name in ids for other, ids in outside.items() if other != path):
+                continue
+            module = str(path.relative_to(SRC))
+            owners[f"{module}::{node.name}"] = {
+                None if name is None else f"{module}::{name}"
+                for name, ids in tops
+                if name != node.name and node.name in ids
+            }
+    uncalled = set()
+    while True:
+        more = {key for key, users in owners.items() if key not in uncalled and users <= uncalled}
+        if not more:
+            return uncalled
+        uncalled |= more
+
+
+def test_every_public_name_has_a_caller():
+    """A public function or class exists because a workload, script,
+    example or benchmark runs it.  Code only tests call is how TIMELY,
+    PowerTCP and a trace format nothing loaded grew: a new one fails here,
+    as does an allowlist entry that has been cut or gained a caller."""
+    uncalled = _uncalled_public_names()
+    allowed = {f"{module}::{name}" for module, names in _NO_CALLER_YET.items() for name in names}
+    assert sorted(uncalled - allowed) == [], "no caller outside tests/"
+    assert sorted(allowed - uncalled) == [], "stale _NO_CALLER_YET entry"
+
+
 # ----------------------------------------------------------------------
 # subscription: a sink is whatever defines a method named after an event
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """World copies: ``copy.deepcopy((sim, roots))`` continues byte-identically.
 
 A deep copy of a simulator and every object reachable from the roots
-(network, flows, senders) is an independent, runnable world: the engine's
+(network, flows, senders, a staged admitter and the workload stream it
+still draws from) is an independent, runnable world: the engine's
 state is plain data (an integer clock, a heap ordered by ``(time, seq)``,
 a ``random.Random``), dict order survives the copy, and the inert probe
 copies to itself.  These properties pin that a copy taken mid-flight runs
@@ -10,18 +11,23 @@ on exactly like the original and never perturbs it.
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cc.swift import Swift, SwiftParams
+from repro.experiments.launch import FlowAdmitter, run_admitter
+from repro.experiments.modes import CCFactory, Mode
+from repro.noise import paper_noise
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
-from repro.topology import star
+from repro.topology import fat_tree, star
 from repro.transport.flow import Flow
 from repro.transport.receiver import Filled
 from repro.transport.sender import FlowSender
+from repro.workloads import poisson_flows_iter, websearch
 
 
 def _world(n_flows: int, kb: int, seed: int):
@@ -150,3 +156,49 @@ def test_snapshot_as_topology_reset_cache():
         runs.append(_fingerprint(s, fl, sn))
     assert runs[0] == runs[1]
     assert all(done for done, _ in runs[0][3])
+
+
+class _Completions:
+    """The admitter's ``on_flow_done`` sink; a plain object, so a fork
+    records into its own copy."""
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, flow):
+        self.rows.append((flow.flow_id, flow.src.node_id, flow.size_bytes, flow.fct_ns()))
+
+
+def _streaming_world():
+    """A k=4 fat-tree fed by a lazily drawn Poisson stream through the
+    staged admitter: the shape of the streaming experiments."""
+    sim = Simulator(5)
+    factory = CCFactory(Mode.PRIOPLUS, n_priorities=4)
+    net, hosts = fat_tree(sim, k=4, rate_bps=10e9, switch_cfg=factory.switch_config())
+    cdf = websearch(0.05)
+    stream = poisson_flows_iter(random.Random(3), len(hosts), cdf, 0.6, 10e9, 200_000)
+    done = _Completions()
+    admitter = FlowAdmitter(
+        sim, net, stream, hosts, factory, lambda spec: spec.size_bytes % 4,
+        noise=paper_noise(), horizon_ns=20_000, on_flow_done=done.add,
+    )
+    return sim, net, admitter, done
+
+
+def test_fork_a_streaming_world_mid_run():
+    """A world whose workload is still being drawn forks like any other:
+    the fork and the original admit the same remaining arrivals and
+    finish byte-identically."""
+    sim, net, admitter, done = _streaming_world()
+    sim.run(until=100_000)
+    assert 0 < admitter.n_admitted and not admitter.exhausted
+
+    sim2, net2, admitter2, done2 = _copy(sim, net, admitter, done)
+    assert run_admitter(sim2, admitter2, 50_000_000)
+    assert run_admitter(sim, admitter, 50_000_000)
+    assert admitter2.n_done == admitter.n_done == admitter.n_admitted == len(done.rows)
+    assert done2.rows == done.rows and done2.rows is not done.rows
+    assert (sim2.now, sim2.events_processed, sim2.rng.random()) == (
+        sim.now, sim.events_processed, sim.rng.random()
+    )
+    assert net2.total_drops() == net.total_drops()
