@@ -26,7 +26,7 @@ Quick taste::
 
 from .cc import CongestionControl, D2tcp, Dcqcn, Dctcp, Hpcc, Ledbat, NoCC, Swift, SwiftParams
 from .core import ChannelConfig, PrioPlusCC, StartTier
-from .noise import LognormalNoise, NoNoise, UniformNoise, paper_noise
+from .noise import LognormalNoise, UniformNoise, paper_noise
 from .sim import (
     MICROSECOND,
     MILLISECOND,
@@ -72,7 +72,6 @@ __all__ = [
     "StartTier",
     "LognormalNoise",
     "UniformNoise",
-    "NoNoise",
     "paper_noise",
     "star",
     "fat_tree",

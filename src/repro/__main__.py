@@ -51,7 +51,7 @@ from .obs import ChannelInspector, EngineProfiler, PacketTracer, TimeSeriesSampl
 from .probe import installed
 from .runner import RunnerError
 from .runner.cache import json_safe
-from .telemetry import JsonlEventStream, Recorder, write_events_jsonl, write_perfetto
+from .telemetry import JsonlWriter, PerfettoWriter, Recorder
 
 REGISTRY.load_all()
 
@@ -238,17 +238,17 @@ def main(argv=None) -> int:
         )
         args.jobs = 1
 
-    recorder = None
-    stream = None
-    if args.trace or args.events or args.metrics:
-        # event lists are only needed when a trace/event dump was requested
-        recorder = Recorder(events=bool(args.trace or args.events))
-        if args.events and not args.trace:
-            # no in-memory consumer: stream events to disk as they happen
-            stream = JsonlEventStream(recorder, args.events)
     tracer = inspector = sampler = profiler = None
     if args.trace_packets:
         tracer = PacketTracer(sample_every=args.trace_every)
+    recorder = jsonl = perfetto = None
+    if args.trace or args.events or args.metrics:
+        # one recording pass feeds both files as it goes
+        if args.events:
+            jsonl = JsonlWriter(args.events)
+        if args.trace:
+            perfetto = PerfettoWriter(args.trace, tracer=tracer)
+        recorder = Recorder(*(w for w in (jsonl, perfetto) if w is not None))
     if args.inspect:
         inspector = ChannelInspector()
     if args.sample:
@@ -284,19 +284,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        for sink in (stream, tracer, sampler, profiler):
+        for sink in (tracer, sampler, profiler):
             if sink is not None:
                 sink.finalize()
+        if recorder is not None:
+            recorder.close()  # after the tracer: the trace draws its packets
     if recorder is not None:
-        if args.trace:
-            n = write_perfetto(recorder, args.trace, tracer=tracer)
-            print(f"wrote {n} trace events to {args.trace}", file=sys.stderr)
-        if args.events:
-            if stream is not None:
-                n = stream.lines
-            else:
-                n = write_events_jsonl(recorder, args.events)
-            print(f"wrote {n} events to {args.events}", file=sys.stderr)
+        if perfetto is not None:
+            print(f"wrote {perfetto.count} trace events to {args.trace}", file=sys.stderr)
+        if jsonl is not None:
+            print(f"wrote {jsonl.count} events to {args.events}", file=sys.stderr)
         if args.metrics and isinstance(result, dict):
             result = dict(result)
             result["telemetry"] = recorder.snapshot()

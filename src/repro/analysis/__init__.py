@@ -2,8 +2,6 @@
 
 from .fct import SIZE_CLASSES, FctStats, group_by, percentile, size_class, speedup, summarize
 from .streaming import P2Quantile, StreamingStats
-from .export import flatten_result, write_rows_csv, write_series_csv
-from .convergence import jain_index, stability, time_to_share, utilization
 from .switch_chips import SWITCH_CHIPS, buffer_bandwidth_ratios
 from .theory import (
     channel_width_ns,
@@ -25,13 +23,6 @@ __all__ = [
     "StreamingStats",
     "SWITCH_CHIPS",
     "buffer_bandwidth_ratios",
-    "write_series_csv",
-    "write_rows_csv",
-    "flatten_result",
-    "jain_index",
-    "time_to_share",
-    "utilization",
-    "stability",
     "start_strategy_costs",
     "potential_backlog",
     "linear_start_is_optimal",

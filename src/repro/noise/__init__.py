@@ -1,5 +1,5 @@
 """Delay-measurement noise models."""
 
-from .delay_noise import CompositeNoise, LognormalNoise, NoNoise, UniformNoise, paper_noise
+from .delay_noise import CompositeNoise, LognormalNoise, UniformNoise, paper_noise
 
-__all__ = ["LognormalNoise", "UniformNoise", "CompositeNoise", "NoNoise", "paper_noise"]
+__all__ = ["LognormalNoise", "UniformNoise", "CompositeNoise", "paper_noise"]

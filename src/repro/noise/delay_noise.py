@@ -16,17 +16,7 @@ from __future__ import annotations
 import math
 import random
 
-__all__ = ["LognormalNoise", "UniformNoise", "CompositeNoise", "NoNoise", "paper_noise"]
-
-
-class NoNoise:
-    """Zero noise (ideal measurement)."""
-
-    def sample(self, rng: random.Random) -> int:
-        return 0
-
-    def percentile(self, p: float) -> float:
-        return 0.0
+__all__ = ["LognormalNoise", "UniformNoise", "CompositeNoise", "paper_noise"]
 
 
 class LognormalNoise:

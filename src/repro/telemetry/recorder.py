@@ -7,9 +7,13 @@ the probe events it defines a handler for.  Design constraints:
 1. **No feedback into the simulation.**  The recorder never touches the
    event heap or the simulation RNG; installing it must leave results
    byte-identical (tested in ``tests/test_probe.py``).
-2. **Structured, not stringly.**  Each channel stores fixed-shape tuples
-   (documented per method) that the exporters and metrics consume without
+2. **Structured, not stringly.**  Each channel event is a fixed-shape tuple
+   (field names in :data:`CHANNEL_FIELDS`) that the writers consume without
    parsing.
+3. **Nothing kept.**  Each tuple goes to the attached writers
+   (:mod:`repro.telemetry.export`) the moment it is recorded; the recorder
+   itself keeps only per-channel counts and metrics, so memory does not
+   grow with the run.
 
 Event taxonomy (channel → tuple layout):
 
@@ -31,52 +35,62 @@ audit      ``(t, invariant, message)`` — invariant violations (repro.audit,
 regime     ``(t, mode, reason, n_flows)`` — hybrid-core regime switches
            (mode: ``packet`` / ``fluid``, see repro.fluid.hybrid)
 ========== =============================================================
+
+Every ``Simulator`` built under the recorder starts a new *run* (its clock
+restarts at zero): writers hear ``end_run(t)`` with the previous run's last
+timestamp, so a trace can keep the runs of one experiment apart.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..probe import current
 from ..sim.packet import PROBE
 from .metrics import Gauge, MetricsRegistry
 
-__all__ = ["CHANNELS", "Recorder", "current_recorder"]
+__all__ = ["CHANNELS", "CHANNEL_FIELDS", "Recorder", "current_recorder"]
 
-#: every event channel a :class:`Recorder` can populate
-CHANNELS: Tuple[str, ...] = (
-    "flow_state",
-    "cwnd",
-    "probe",
-    "cc",
-    "ecn",
-    "pfc",
-    "queue",
-    "link",
-    "buffer",
-    "drop",
-    "fault",
-    "audit",
-    "regime",
-)
+#: channel -> the field names of its tuples (also the JSONL keys)
+CHANNEL_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "flow_state": ("t", "flow_id", "state"),
+    "cwnd": ("t", "flow_id", "cwnd_bytes", "delay_ns"),
+    "probe": ("t", "flow_id", "kind"),
+    "cc": ("t", "flow_id", "kind"),
+    "ecn": ("t", "port", "queue"),
+    "pfc": ("t", "switch", "in_idx", "prio", "paused", "backlog_bytes"),
+    "queue": ("t", "port", "queue", "queue_bytes", "total_bytes"),
+    "link": ("t", "port", "busy"),
+    "buffer": ("t", "switch", "shared_used", "headroom_used"),
+    "drop": ("t", "switch", "size", "priority", "reason"),
+    "fault": ("t", "kind", "target", "phase"),
+    "audit": ("t", "invariant", "message"),
+    "regime": ("t", "mode", "reason", "n_flows"),
+}
+
+#: every event channel a :class:`Recorder` can record
+CHANNELS: Tuple[str, ...] = tuple(CHANNEL_FIELDS)
 
 
 class Recorder:
-    """Collects structured events and aggregate metrics from a simulation.
+    """Turns probe events into channel tuples and aggregate metrics.
 
-    Parameters
-    ----------
-    events:
-        Keep per-channel event lists (required for trace export).  Disable
-        to collect aggregate metrics only, at much lower memory cost.
+    Each tuple goes, as it is recorded, to every writer passed in: an object
+    with ``write(channel, tuple)``, ``end_run(t)`` and ``close()``, such as
+    :class:`~repro.telemetry.export.JsonlWriter` or
+    :class:`~repro.telemetry.export.PerfettoWriter`.  With none the recorder
+    keeps metrics and per-channel counts only.  :meth:`close` ends the last
+    run and closes the writers.
     """
 
-    def __init__(self, events: bool = True):
-        self.keep_events = events
-        #: channel name -> list of event tuples (see module docstring)
-        self.events: Dict[str, List[tuple]] = {ch: [] for ch in CHANNELS}
+    def __init__(self, *writers):
+        self.writers = writers
+        #: channel -> tuples recorded, whatever the writers
+        self.counts: Dict[str, int] = dict.fromkeys(CHANNELS, 0)
         self.metrics = MetricsRegistry()
-        self.max_ts = 0
+        #: the latest timestamp of the current run, and of the runs before it
+        self._run_ts = 0
+        self._past_ts = 0
         # hot-path metric handles (avoid name lookups per event)
         m = self.metrics
         self._c_ecn = m.counter("ecn.marks")
@@ -92,30 +106,44 @@ class Recorder:
         self._port_gauges: Dict[str, Gauge] = {}
         self._buffer_gauges: Dict[str, Gauge] = {}
 
-    def _note(self, t: int) -> None:
-        if t > self.max_ts:
-            self.max_ts = t
+    @property
+    def max_ts(self) -> int:
+        """The latest timestamp recorded in any run."""
+        return max(self._past_ts, self._run_ts)
+
+    def _record(self, ch: str, ev: tuple) -> None:
+        t = ev[0]
+        if t > self._run_ts:
+            self._run_ts = t
+        self.counts[ch] += 1
+        for writer in self.writers:
+            writer.write(ch, ev)
+
+    def register(self, kind: str, obj) -> None:
+        """A new simulator starts a new run: its clock restarts at zero."""
+        if kind == "sim":
+            self._end_run()
+
+    def _end_run(self) -> None:
+        for writer in self.writers:
+            writer.end_run(self._run_ts)
+        self._past_ts = self.max_ts
+        self._run_ts = 0
 
     # ------------------------------------------------------------------
     # typed channels (probe event handlers, plus the writers they share)
     # ------------------------------------------------------------------
     def flow_state(self, t: int, flow_id: int, state: str, sender=None) -> None:
-        self._note(t)
-        if self.keep_events:
-            self.events["flow_state"].append((t, flow_id, state))
+        self._record("flow_state", (t, flow_id, state))
         self.metrics.counter(f"flow_state.{state}").inc()
 
     def cwnd_update(self, t: int, flow_id: int, cwnd_bytes: float, delay_ns: int) -> None:
-        self._note(t)
-        if self.keep_events:
-            self.events["cwnd"].append((t, flow_id, cwnd_bytes, delay_ns))
+        self._record("cwnd", (t, flow_id, cwnd_bytes, delay_ns))
         self._h_delay.observe(delay_ns)
         self._h_cwnd.observe(cwnd_bytes)
 
     def probe(self, t: int, flow_id: int, kind: str) -> None:
-        self._note(t)
-        if self.keep_events:
-            self.events["probe"].append((t, flow_id, kind))
+        self._record("probe", (t, flow_id, kind))
         (self._c_probe_send if kind == "send" else self._c_probe_ack).inc()
 
     def ack(self, t: int, sender, acked_bytes: int, delay_ns: int, is_probe: bool) -> None:
@@ -129,15 +157,11 @@ class Recorder:
             self.probe(t, pkt.flow_id, "send")
 
     def cc_event(self, t: int, flow_id: int, kind: str) -> None:
-        self._note(t)
-        if self.keep_events:
-            self.events["cc"].append((t, flow_id, kind))
+        self._record("cc", (t, flow_id, kind))
         self.metrics.counter(f"cc.{kind}").inc()
 
     def ecn_mark(self, t: int, port: str, queue: int) -> None:
-        self._note(t)
-        if self.keep_events:
-            self.events["ecn"].append((t, port, queue))
+        self._record("ecn", (t, port, queue))
         self._c_ecn.inc()
 
     def pfc(
@@ -146,15 +170,11 @@ class Recorder:
     ) -> None:
         """One PAUSE/RESUME; ``upstream_port`` feeds the auditor's wait
         graph and is not part of the channel tuple."""
-        self._note(t)
-        if self.keep_events:
-            self.events["pfc"].append((t, switch, in_idx, prio, paused, backlog))
+        self._record("pfc", (t, switch, in_idx, prio, paused, backlog))
         (self._c_pause if paused else self._c_resume).inc()
 
     def queue_depth(self, t: int, port: str, queue: int, qbytes: int, total: int) -> None:
-        self._note(t)
-        if self.keep_events:
-            self.events["queue"].append((t, port, queue, qbytes, total))
+        self._record("queue", (t, port, queue, qbytes, total))
         g = self._port_gauges.get(port)
         if g is None:
             g = self._port_gauges[port] = self.metrics.gauge(f"queue_bytes.{port}")
@@ -170,9 +190,7 @@ class Recorder:
         self.link(t, port, True)
 
     def link(self, t: int, port: str, busy: bool) -> None:
-        self._note(t)
-        if self.keep_events:
-            self.events["link"].append((t, port, busy))
+        self._record("link", (t, port, busy))
 
     def buffer(self, t: int, buf, from_headroom: bool, delta: int) -> None:
         """``buf``'s occupancy after an admit/release of ``delta`` bytes."""
@@ -181,10 +199,8 @@ class Recorder:
                 "SharedBuffer reports to a live recorder but has no clock or "
                 "name: call bind_telemetry(sim, name) before admitting packets"
             )
-        self._note(t)
         switch, shared_used, headroom_used = buf.name, buf.shared_used, buf.headroom_used
-        if self.keep_events:
-            self.events["buffer"].append((t, switch, shared_used, headroom_used))
+        self._record("buffer", (t, switch, shared_used, headroom_used))
         g = self._buffer_gauges.get(switch)
         if g is None:
             g = self._buffer_gauges[switch] = self.metrics.gauge(f"buffer_bytes.{switch}")
@@ -196,7 +212,8 @@ class Recorder:
         cheaply answers "did any simulation run?", which is how the runner's
         cache tests prove a warm rerun skips the simulator entirely."""
         if n:
-            self._note(sim.now)
+            if sim.now > self._run_ts:
+                self._run_ts = sim.now
             self._c_sim_events.inc(n)
 
     def fault(self, t: int, kind: str, target: str, phase: str) -> None:
@@ -206,9 +223,7 @@ class Recorder:
         ``switch_reboot`` / ``pfc_storm``), ``target`` the affected link or
         node, ``phase`` one of ``inject`` / ``clear`` / ``reconverge``.
         """
-        self._note(t)
-        if self.keep_events:
-            self.events["fault"].append((t, kind, target, phase))
+        self._record("fault", (t, kind, target, phase))
         self.metrics.counter(f"faults.{phase}").inc()
 
     def buffer_drop(
@@ -217,18 +232,14 @@ class Recorder:
         """One rejected packet; ``reason`` matches the audit ledger's taxonomy
         (``buffer_shared`` / ``buffer_headroom`` / ``switch_dead`` /
         ``blackhole``)."""
-        self._note(t)
-        if self.keep_events:
-            self.events["drop"].append((t, switch, size, priority, reason))
+        self._record("drop", (t, switch, size, priority, reason))
         self._c_drop.inc()
         self._c_drop_bytes.inc(size)
         self.metrics.counter(f"buffer.drops.{reason}").inc()
 
     def audit_violation(self, t: int, invariant: str, message: str) -> None:
         """One invariant violation surfaced by :mod:`repro.audit` (warn mode)."""
-        self._note(t)
-        if self.keep_events:
-            self.events["audit"].append((t, invariant, message))
+        self._record("audit", (t, invariant, message))
         self.metrics.counter(f"audit.{invariant}").inc()
 
     def regime(self, t: int, mode: str, reason: str, n_flows: int) -> None:
@@ -239,9 +250,7 @@ class Recorder:
         ``"contention:..."``, ``"deadline"``, ...), ``n_flows`` the number of
         flows handed across the boundary.
         """
-        self._note(t)
-        if self.keep_events:
-            self.events["regime"].append((t, mode, reason, n_flows))
+        self._record("regime", (t, mode, reason, n_flows))
         self.metrics.counter(f"regime.{mode}").inc()
 
     # ------------------------------------------------------------------
@@ -249,7 +258,7 @@ class Recorder:
     # ------------------------------------------------------------------
     def event_counts(self) -> Dict[str, int]:
         # sorted by channel name so dumps/goldens diff stably
-        return {ch: len(self.events[ch]) for ch in sorted(self.events) if self.events[ch]}
+        return {ch: n for ch, n in sorted(self.counts.items()) if n}
 
     def snapshot(self) -> dict:
         """Per-run summary, safe to embed in an experiment's result dict."""
@@ -258,10 +267,11 @@ class Recorder:
             "metrics": self.metrics.snapshot(until_t=self.max_ts),
         }
 
-    def clear(self) -> None:
-        """Drop recorded events (metrics are kept)."""
-        for evs in self.events.values():
-            evs.clear()
+    def close(self) -> None:
+        """End the last run and close every writer."""
+        self._end_run()
+        for writer in self.writers:
+            writer.close()
 
 
 def current_recorder() -> Optional[Recorder]:

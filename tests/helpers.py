@@ -8,6 +8,7 @@ from typing import List, Optional
 from repro.probe import INERT
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
+from repro.telemetry import CHANNELS
 from repro.topology import star
 from repro.transport.flow import AckInfo, Flow
 from repro.transport.sender import FlowSender
@@ -84,3 +85,23 @@ def run_flow(sim, net, flow: Flow, cc, until: int = 200_000_000, **kwargs) -> Fl
     sender = FlowSender(sim, net, flow, cc, **kwargs)
     sim.run(until=until)
     return sender
+
+
+class ChannelLog:
+    """A recorder writer that keeps every channel tuple, for tests to read:
+    ``Recorder(log := ChannelLog())``, then ``log.events["pfc"]`` in
+    recording order.  ``max_ts`` is the latest run end the recorder reported
+    (what ``tests/perfetto_reference.py`` closes open spans at)."""
+
+    def __init__(self):
+        self.events = {ch: [] for ch in CHANNELS}
+        self.max_ts = 0
+
+    def write(self, ch: str, ev: tuple) -> None:
+        self.events[ch].append(ev)
+
+    def end_run(self, t: int) -> None:
+        self.max_ts = max(self.max_ts, t)
+
+    def close(self) -> None:
+        pass

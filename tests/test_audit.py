@@ -41,10 +41,11 @@ from repro.sim.packet import DATA, PACKET_POOL
 from repro.sim.pfc import PfcConfig
 from repro.sim.switch import SwitchConfig
 from repro.probe import installed
-from repro.telemetry import Recorder, write_events_jsonl
+from repro.telemetry import JsonlWriter, Recorder
 from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
+from tests.helpers import ChannelLog
 
 
 
@@ -126,14 +127,15 @@ def test_report_caps_recorded_violations():
 
 
 def test_warn_violations_mirror_to_recorder_and_jsonl(tmp_path):
-    rec = Recorder(events=True)
+    path = tmp_path / "events.jsonl"
+    log, jsonl = ChannelLog(), JsonlWriter(str(path))
+    rec = Recorder(log, jsonl)
     aud = Auditor(mode="warn", recorder=rec)
     aud.violation(7, "demo", "boom")
-    assert rec.events["audit"] == [(7, "demo", "boom")]
+    assert log.events["audit"] == [(7, "demo", "boom")]
     assert rec.metrics.counter("audit.demo").value == 1
-    path = tmp_path / "events.jsonl"
-    n = write_events_jsonl(rec, str(path))
-    assert n == 1
+    rec.close()
+    assert jsonl.count == 1
     row = json.loads(path.read_text().splitlines()[0])
     assert row == {"ch": "audit", "t": 7, "invariant": "demo", "message": "boom"}
 
@@ -356,7 +358,7 @@ def test_unbound_buffer_with_enabled_recorder_fails_fast():
     # AttributeError on self.sim.now at the first admitted packet; the
     # recorder (the one sink that needs the clock and the switch name) now
     # raises a diagnostic RuntimeError instead
-    with installed(Recorder(events=True)):
+    with installed(Recorder()):
         buf = SharedBuffer(16_000, headroom_bytes=4_000)
     with pytest.raises(RuntimeError, match="bind_telemetry"):
         buf.try_admit_shared(0, 1_000)
@@ -367,13 +369,13 @@ def test_unbound_buffer_with_enabled_recorder_fails_fast():
 
 
 def test_bound_buffer_emits_with_clock():
-    rec = Recorder(events=True)
-    with installed(rec):
+    log = ChannelLog()
+    with installed(Recorder(log)):
         sim = Simulator(1)
         buf = SharedBuffer(16_000)
         buf.bind_telemetry(sim, "sw0")
         assert buf.try_admit_shared(0, 1_000)
-    assert rec.events["buffer"] == [(0, "sw0", 1_000, 0)]
+    assert log.events["buffer"] == [(0, "sw0", 1_000, 0)]
 
 
 def test_release_negative_raises_on_both_pools():
@@ -488,11 +490,12 @@ def test_legacy_double_drop_count_is_flagged(monkeypatch):
 
 
 def test_drop_telemetry_carries_matching_reason():
-    rec = Recorder(events=True)
+    log = ChannelLog()
+    rec = Recorder(log)
     with installed(rec):
         _aud, net, _flows = _lossy_overload()
     stats = net.switches[0].buffer.stats
-    drops = rec.events["drop"]
+    drops = log.events["drop"]
     assert len(drops) == stats.dropped
     by_reason = {}
     for _t, _sw, _size, _prio, reason in drops:

@@ -124,6 +124,22 @@ def test_metrics_cannot_be_combined_with_server(capsys):
     assert captured.out == ""
 
 
+def test_telemetry_is_the_same_whichever_files_are_written(tmp_path, capsys):
+    """The recorder counts every channel with or without a writer attached,
+    so ``--metrics`` reports the same telemetry alone or beside ``--events``
+    and ``--trace``; one recording pass feeds both files."""
+    telemetry = []
+    for files in ([], ["--events", str(tmp_path / "e.jsonl")],
+                  ["--events", str(tmp_path / "b.jsonl"), "--trace", str(tmp_path / "b.json")]):
+        assert main(["quickstart", "--metrics", *files]) == 0
+        telemetry.append(json.loads(capsys.readouterr().out)["telemetry"])
+    assert telemetry[0]["event_counts"]["cwnd"] > 0
+    assert telemetry[0] == telemetry[1] == telemetry[2]
+    lines = (tmp_path / "e.jsonl").read_text().splitlines()
+    assert len(lines) == sum(telemetry[0]["event_counts"].values())
+    assert (tmp_path / "b.jsonl").read_text().splitlines() == lines
+
+
 def test_serve_rejects_jobs_below_one(tmp_path, capsys):
     for jobs in ("0", "-1"):
         with pytest.raises(SystemExit) as exit_:

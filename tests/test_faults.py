@@ -36,6 +36,7 @@ from repro.telemetry import Recorder
 from repro.topology import leaf_spine, star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
+from tests.helpers import ChannelLog
 
 
 # ----------------------------------------------------------------------
@@ -328,12 +329,12 @@ def test_parallel_matches_serial_with_faults():
 
 def test_telemetry_on_off_identical_with_faults():
     baseline = run_experiment(MINI_FAULTS, jobs=1, faults=_MINI_PLAN)
-    rec = Recorder(events=True)
-    with installed(rec):
+    log = ChannelLog()
+    with installed(Recorder(log)):
         traced = run_experiment(MINI_FAULTS, jobs=1, faults=_MINI_PLAN)
     assert _canon(baseline) == _canon(traced)
     # the recorder saw the fault channel
-    assert rec.events["fault"]
+    assert log.events["fault"]
 
 
 def test_no_plan_means_no_injector():

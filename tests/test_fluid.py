@@ -344,14 +344,16 @@ def test_regime_telemetry_and_sampler_rows():
     from repro.obs.sampler import sample_scope
     from repro.probe import installed
     from repro.telemetry import Recorder
+    from tests.helpers import ChannelLog
 
-    rec = Recorder(events=True)
+    log = ChannelLog()
+    rec = Recorder(log)
     with installed(rec):
         with sample_scope(stride_ns=100_000) as smp:
             sim, net, flows = star_world(3, 300_000, 600_000)
             driver = HybridDriver(sim, net)
             assert run_until_flows_done(sim, flows, 2_000_000_000, driver=driver)
-    modes = [ev[1] for ev in rec.events["regime"]]
+    modes = [ev[1] for ev in log.events["regime"]]
     assert "fluid" in modes and "packet" in modes
     assert rec.metrics.counter("regime.fluid").value >= 1
     assert any(r["mode"] == "fluid" for r in smp.regimes.rows)

@@ -31,6 +31,7 @@ from repro.telemetry import Recorder
 from repro.topology import fat_tree, star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
+from tests.helpers import ChannelLog
 
 
 # ----------------------------------------------------------------------
@@ -513,29 +514,29 @@ def test_set_paused_out_of_range_raises():
 # satellite: cut() telemetry
 # ----------------------------------------------------------------------
 def test_cut_reports_only_drained_queues_and_link_idle():
-    rec = Recorder()
-    with installed(rec):
+    log = ChannelLog()
+    with installed(Recorder(log)):
         sim, port, sink = make_port(n_queues=4)
         port.enqueue(pkt(size=500, seq=1, prio=1))
         port.enqueue(pkt(size=500, seq=2, prio=1))
         sim.at(200, port.cut)  # mid-transmission of seq 1
         sim.run()
-    cut_queue_events = [e for e in rec.events["queue"] if e[0] == 200]
+    cut_queue_events = [e for e in log.events["queue"] if e[0] == 200]
     # only queue 1 held packets: untouched queues must not be reported
     assert cut_queue_events == [(200, "p", 1, 0, 0)]
-    assert (200, "p", False) in rec.events["link"]
+    assert (200, "p", False) in log.events["link"]
 
 
 def test_cut_when_idle_emits_no_link_event():
-    rec = Recorder()
-    with installed(rec):
+    log = ChannelLog()
+    with installed(Recorder(log)):
         sim, port, sink = make_port(n_queues=4)
         port.enqueue(pkt(size=100, seq=1))  # tx ends at 100, delivery at 200
         sim.run()  # drain completely: port idle again
         assert not port.busy
         port.cut()
     # idle-at-cut: the only idle link event is the end-of-tx one at t=100
-    assert [e for e in rec.events["link"] if e[2] is False] == [(100, "p", False)]
+    assert [e for e in log.events["link"] if e[2] is False] == [(100, "p", False)]
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noise import CompositeNoise, LognormalNoise, NoNoise, UniformNoise, paper_noise
+from repro.noise import CompositeNoise, LognormalNoise, UniformNoise, paper_noise
 
 
 def test_paper_noise_matches_reported_statistics():
@@ -70,11 +70,6 @@ def test_composite_sums_components():
     a = comp.sample(rng1)
     b = single.sample(rng2) + single.sample(rng2)
     assert a == b
-
-
-def test_no_noise():
-    assert NoNoise().sample(random.Random()) == 0
-    assert NoNoise().percentile(0.99) == 0.0
 
 
 def test_invalid_parameters():

@@ -22,10 +22,11 @@ from repro.obs import (
 from repro.probe import installed
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
-from repro.telemetry import JsonlEventStream, Recorder
+from repro.telemetry import JsonlWriter, PerfettoWriter, Recorder
 from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
+from tests.helpers import ChannelLog
 
 
 def _quickstart_scenario(sim):
@@ -152,17 +153,18 @@ def test_spans_jsonl_roundtrip(tmp_path):
                        for r in mine) == s["e2e_ns"]
 
 
-def test_perfetto_gains_packet_process():
-    from repro.telemetry import to_perfetto
-
-    rec = Recorder()
-    with installed(rec):
-        with trace_scope(sample_every=8) as trc:
-            sim = Simulator(1)
-            _net, _flows, _ = _quickstart_scenario(sim)
-            sim.run(until=50_000_000)
-    plain = to_perfetto(rec)
-    traced = to_perfetto(rec, tracer=trc)
+def test_perfetto_gains_packet_process(tmp_path):
+    plain_path, traced_path = tmp_path / "plain.json", tmp_path / "traced.json"
+    trc = PacketTracer(sample_every=8)
+    rec = Recorder(PerfettoWriter(str(plain_path)), PerfettoWriter(str(traced_path), tracer=trc))
+    with installed(rec, trc):
+        sim = Simulator(1)
+        _net, _flows, _ = _quickstart_scenario(sim)
+        sim.run(until=50_000_000)
+    trc.finalize()  # before the writers close: the trace draws its hops
+    rec.close()
+    plain = json.loads(plain_path.read_text())
+    traced = json.loads(traced_path.read_text())
     packets = [e for e in traced["traceEvents"] if e.get("pid") == 6]
     assert not [e for e in plain["traceEvents"] if e.get("pid") == 6]
     x_spans = [e for e in packets if e.get("ph") == "X"]
@@ -180,8 +182,8 @@ def test_perfetto_gains_packet_process():
 # inspector: transcript fidelity
 # ----------------------------------------------------------------------
 def test_inspector_matches_telemetry_flow_state():
-    rec = Recorder()
-    with installed(rec):
+    log = ChannelLog()
+    with installed(Recorder(log)):
         with inspect_scope() as insp:
             sim = Simulator(1)
             _net, flows, _ = _quickstart_scenario(sim)
@@ -190,7 +192,7 @@ def test_inspector_matches_telemetry_flow_state():
     # the inspector's per-flow transcripts, flattened, are exactly the
     # flow_state channel
     flat = [(t, fid, s) for fid, r in insp.flows.items() for t, s in r.transitions]
-    assert sorted(flat) == sorted(rec.events["flow_state"])
+    assert sorted(flat) == sorted(log.events["flow_state"])
 
 
 def test_inspector_quickstart_transcript():
@@ -364,32 +366,26 @@ def test_profiler_accounts_every_event():
 
 
 # ----------------------------------------------------------------------
-# streaming JSONL exporter (satellite)
+# streaming JSONL writer
 # ----------------------------------------------------------------------
 def test_jsonl_event_stream(tmp_path):
     path = tmp_path / "events.jsonl"
-    rec = Recorder()
-    with JsonlEventStream(rec, str(path)) as stream:
-        with installed(rec):
-            sim = Simulator(1)
-            _net, _flows, _ = _quickstart_scenario(sim)
-            sim.run(until=50_000_000)
-        # counts work while streaming; iteration is refused loudly
-        counts = rec.event_counts()
-        assert counts and list(counts) == sorted(counts)
-        with pytest.raises(RuntimeError):
-            list(rec.events["cwnd"])
-    assert stream.finalized
-    assert stream.finalize() == stream.lines  # idempotent
+    stream = JsonlWriter(str(path))
+    rec = Recorder(stream)
+    with installed(rec):
+        sim = Simulator(1)
+        _net, _flows, _ = _quickstart_scenario(sim)
+        sim.run(until=50_000_000)
+    rec.close()
+    counts = rec.event_counts()
+    assert counts and list(counts) == sorted(counts)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(rows) == stream.lines == sum(counts.values())
+    assert len(rows) == stream.count == sum(counts.values())
     assert {r["ch"] for r in rows} >= {"flow_state", "cwnd", "queue"}
     # timestamps appear in recording order per channel
     for ch in ("flow_state", "cwnd"):
         ts = [r["t"] for r in rows if r["ch"] == ch]
         assert ts == sorted(ts)
-    # the recorder is detached and usable again after finalize
-    assert rec.events["cwnd"] == []
 
 
 def test_report_dashboard(tmp_path):

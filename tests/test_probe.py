@@ -179,10 +179,7 @@ def test_no_builtin_hash_where_results_are_made():
 _NO_CALLER_YET = {
     # the census's remainder: cut deferred to ROADMAP item 18, one slice
     # of tests at a time
-    "analysis/convergence.py": {"jain_index", "time_to_share", "utilization", "stability"},
-    "analysis/export.py": {"write_series_csv", "write_rows_csv", "flatten_result"},
     "analysis/fct.py": {"FctStats", "summarize", "group_by", "size_class", "speedup"},
-    "noise/delay_noise.py": {"NoNoise"},
     "workloads/generators.py": {"incast_flows", "file_requests", "file_requests_iter"},
     "workloads/trace_io.py": {"load_trace", "save_trace", "TraceFormatError"},
     # the documented library form of the CLI's sink flags (docs/API.md);
@@ -475,7 +472,7 @@ def _report_worker_probe(seed=0):
 
 def test_worker_under_live_recorder_and_auditor_adopts_inert_probe():
     exp = FunctionExperiment("probe-in-worker", {"p": (_report_worker_probe, {"seed": 0})})
-    with installed(Recorder(events=False), Auditor("warn")):
+    with installed(Recorder(), Auditor("warn")):
         assert _report_worker_probe()["sim_sinks"] == ["Recorder", "Auditor"]
         result = run_experiment(exp, jobs=2)  # one point, executed in a forked worker
     assert result == {"active_is_inert": True, "sim_sinks": []}

@@ -112,7 +112,7 @@ def test_cache_hit_skips_simulation(tmp_path):
     exp = SMALL_FIG10C
     cache = tmp_path / "cache"
 
-    rec_cold = Recorder(events=False)
+    rec_cold = Recorder()
     with installed(rec_cold):
         cold = run_experiment(exp, cache=str(cache))
     counters = rec_cold.snapshot()["metrics"]["counters"]
@@ -121,7 +121,7 @@ def test_cache_hit_skips_simulation(tmp_path):
     assert counters["runner.points_executed"] == 2
     assert counters["sim.events"] > 0
 
-    rec_warm = Recorder(events=False)
+    rec_warm = Recorder()
     with installed(rec_warm):
         warm = run_experiment(exp, cache=str(cache))
     counters = rec_warm.snapshot()["metrics"]["counters"]
@@ -214,7 +214,7 @@ def fast_retry(monkeypatch):
 def test_worker_crash_retried(tmp_path, fast_retry):
     marker = str(tmp_path / "crashed_once")
     exp = FunctionExperiment("crashy", {"p": (_crash_once, {"marker": marker, "seed": 0})})
-    rec = Recorder(events=False)
+    rec = Recorder()
     with installed(rec):
         result = run_experiment(exp, jobs=2)
     assert result == {"ok": True}

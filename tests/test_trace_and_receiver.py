@@ -12,14 +12,15 @@ from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.receiver import FlowReceiver
 from repro.transport.sender import FlowSender
+from tests.helpers import ChannelLog
 
 
 # ----------------------------------------------------------------------
 # PFC pause counts and paused time
 # ----------------------------------------------------------------------
 def test_pfc_logger_counts_and_duration():
-    rec = Recorder()
-    with installed(rec):
+    log = ChannelLog()
+    with installed(Recorder(log)):
         sim = Simulator(3)
     cfg = SwitchConfig(
         n_queues=2,
@@ -34,7 +35,7 @@ def test_pfc_logger_counts_and_duration():
     FlowSender(sim, net, f, CongestionControl(init_cwnd_bytes=100_000))
     sim.run(until=2_000_000_000)
     assert f.done
-    records = rec.events["pfc"]  # (t, switch, in_idx, prio, paused, backlog)
+    records = log.events["pfc"]  # (t, switch, in_idx, prio, paused, backlog)
     pauses = sum(1 for r in records if r[4])
     resumes = len(records) - pauses
     assert pauses >= 1

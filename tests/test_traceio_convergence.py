@@ -1,8 +1,7 @@
-"""Tests for trace file I/O and convergence metrics."""
+"""Tests for trace file I/O, and fair convergence of same-priority flows."""
 
 import pytest
 
-from repro.analysis import jain_index, stability, time_to_share, utilization
 from repro.workloads import FlowSpec, TraceFormatError, load_trace, save_trace
 
 
@@ -68,45 +67,8 @@ def test_save_priority_of_override(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# convergence metrics
+# convergence on a real run
 # ----------------------------------------------------------------------
-def test_jain_perfect_and_hog():
-    assert jain_index([1, 1, 1, 1]) == pytest.approx(1.0)
-    assert jain_index([4, 0, 0, 0]) == pytest.approx(0.25)
-    assert jain_index([0, 0]) == 1.0
-    with pytest.raises(ValueError):
-        jain_index([])
-    with pytest.raises(ValueError):
-        jain_index([-1, 1])
-
-
-def test_time_to_share():
-    series = [(0, 10.0), (10, 40.0), (20, 95.0)]
-    assert time_to_share(series, capacity=100, share=0.9) == 20
-    assert time_to_share(series, capacity=100, share=0.3, t_from=5) == 10
-    assert time_to_share(series, capacity=100, share=0.99) is None
-    with pytest.raises(ValueError):
-        time_to_share(series, 100, 0)
-
-
-def test_utilization_aggregates_entities():
-    a = [(0, 30.0), (10, 30.0)]
-    b = [(0, 50.0), (10, 70.0)]
-    assert utilization([a, b], capacity=100) == pytest.approx(0.9)
-    assert utilization([], capacity=100) == 0.0
-    with pytest.raises(ValueError):
-        utilization([a], capacity=0)
-
-
-def test_stability():
-    assert stability([(0, 5.0), (1, 5.0), (2, 5.0)]) == 0.0
-    assert stability([(0, 0.0), (1, 0.0)]) == 0.0
-    wobbly = stability([(0, 1.0), (1, 9.0)])
-    assert wobbly > 0.5
-    with pytest.raises(ValueError):
-        stability([], 0, 10)
-
-
 def test_metrics_on_real_prioplus_run():
     """Same-priority PrioPlus flows converge to a fair share."""
     from repro.cc import Swift, SwiftParams
@@ -131,5 +93,13 @@ def test_metrics_on_real_prioplus_run():
     sampler = RateSampler(sim, snds, key=lambda s: s.flow.flow_id, interval_ns=200_000)
     sim.run(until=4_000_000)
     allocations = [sampler.average_rate_bps(i + 1, 1_000_000, 4_000_000) for i in range(3)]
-    assert jain_index(allocations) > 0.85
-    assert utilization([sampler.series[i + 1] for i in range(3)], 10e9, 1_000_000) > 0.85
+    # Jain's fairness index: 1 = perfectly fair, 1/3 = one flow takes all
+    jain = sum(allocations) ** 2 / (len(allocations) * sum(a * a for a in allocations))
+    assert jain > 0.85
+    # utilisation: the mean aggregate rate over the window, as a share of the link
+    aggregate = {}
+    for i in range(3):
+        for t, rate in sampler.series[i + 1]:
+            if t >= 1_000_000:
+                aggregate[t] = aggregate.get(t, 0.0) + rate
+    assert sum(aggregate.values()) / len(aggregate) / 10e9 > 0.85
