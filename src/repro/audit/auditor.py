@@ -475,7 +475,7 @@ class Auditor:
         """(packets in registered port queues, packets in pending events)."""
         queued = 0
         for port in self._ports:
-            for queue in port.queues:
+            for queue in port.queues.values():
                 queued += len(queue)
         in_events = 0
         for sim in self._sims:
@@ -608,7 +608,9 @@ class Auditor:
                     f"{port.name}: total_bytes={port.total_bytes} but per-queue "
                     f"bytes sum to {qbytes_sum}",
                 )
-            for q, queue in enumerate(port.queues):
+            for q in range(port.n_queues):
+                # read, never create: a queue exists from its first enqueue
+                queue = port.queues.get(q, ())
                 actual = sum(p.size for p in queue)
                 if actual != port.qbytes[q]:
                     self.violation(

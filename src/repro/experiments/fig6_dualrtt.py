@@ -34,6 +34,16 @@ class _FixedWindow(CongestionControl):
         pass
 
 
+class _TappedSender(FlowSender):
+    """A sender that hands every packet it has handled to ``tap``."""
+
+    __slots__ = ("tap",)
+
+    def on_packet(self, pkt) -> None:
+        super().on_packet(pkt)
+        self.tap(pkt)
+
+
 def _run_fig6(
     rate: float = 1e9,
     link_delay_ns: int = 10 * MICROSECOND,
@@ -48,21 +58,18 @@ def _run_fig6(
     cc = _FixedWindow(window_pkts * mtu)
     size = 4000 * mtu
     flow = Flow(1, senders[0], recv, size, start_ns=0)
-    sender = FlowSender(sim, net, flow, cc, mtu=mtu)
+    sender = _TappedSender(sim, net, flow, cc, mtu=mtu)
 
     # Sample delay exactly the way Algorithm 1 does: once per RTT, at the
     # ACK of the first packet sent after the previous boundary.
     state = {"bumped": False, "rtt_end_seq": 0, "boundaries": []}
-    orig_on_packet = sender.on_packet
 
     def tap(pkt):
-        orig_on_packet(pkt)
         if state["bumped"] and pkt.seq >= state["rtt_end_seq"]:
             state["boundaries"].append(sender.last_rtt)
             state["rtt_end_seq"] = sender.snd_nxt
 
-    # instance attribute shadows the method for the host dispatch as well
-    sender.on_packet = tap
+    sender.tap = tap
 
     # let the queue reach steady state, then bump the window by one packet
     warmup = 60 * sender.base_rtt

@@ -123,7 +123,7 @@ class TimeSeriesSampler:
             self.ports.append({
                 "t": boundary,
                 "port": port.name,
-                "queued_pkts": sum(len(q) for q in port.queues),
+                "queued_pkts": sum(len(q) for q in port.queues.values()),
                 "backlog_bytes": port.total_bytes,
                 "busy": int(port.busy),
                 "paused_mask": sum(1 << p for p, v in enumerate(port.paused) if v),

@@ -27,6 +27,12 @@ switch port, whose inline common case also appends to ``queues`` and keeps
 With a sink installed every packet takes ``enqueue`` → ``_kick``, which is the
 reference the common case is tested against (``tests/test_hot_path.py``).
 
+``queues`` maps a queue index to its FIFO and creates the FIFO at the first
+enqueue (a ``defaultdict``, so the append costs what a list index did): a
+320-host fabric holds ~10 k per-priority queues, almost all of which never see
+a packet.  Readers that only look (``cut``, ``export_state``, the sampler and
+the auditor) read a missing queue as empty and must not create it.
+
 PFC/cut semantics are unchanged: a pause or ``cut()`` landing between
 start-of-tx and delivery still only gates the *next* dequeue (the in-flight
 packet keeps its delivery, exactly as before), because pause/down checks
@@ -35,8 +41,8 @@ always run at dequeue time.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, List, Optional
+from collections import defaultdict, deque
+from typing import Any, Callable, DefaultDict, List, Optional
 
 from .engine import Simulator
 from .packet import PACKET_POOL, IntHop, Packet
@@ -96,7 +102,8 @@ class Port:
         self._ns_per_byte = 8e9 / rate_bps
         self._tx_cache = {}
         self.n_queues = n_queues
-        self.queues: List[deque] = [deque() for _ in range(n_queues)]
+        #: queue index -> FIFO, created by the first enqueue into it
+        self.queues: DefaultDict[int, deque] = defaultdict(deque)
         self.qbytes = [0] * n_queues
         #: bitmask of non-empty queues: the scheduler finds the highest
         #: candidate with one bit_length() instead of scanning 18 deques
@@ -189,7 +196,7 @@ class Port:
             "name": self.name,
             "total_bytes": self.total_bytes,
             "qbytes": list(self.qbytes),
-            "queued_packets": sum(len(q) for q in self.queues),
+            "queued_packets": sum(len(q) for q in self.queues.values()),
             "busy": self.busy,
             "paused": list(self.paused),
             "down": self.down,
@@ -293,7 +300,7 @@ class Port:
         p = self.probe
         now = self.sim.now
         for q in range(self.n_queues):
-            queue = self.queues[q]
+            queue = self.queues.get(q)
             if not queue:
                 continue
             drained.append(q)

@@ -34,6 +34,19 @@ _DUP_THRESH = 3
 class FlowSender:
     """Sends one flow from its source host, driven by a CC object."""
 
+    # slotted: a paper-scale trace holds thousands of idle senders at once;
+    # a caller that needs more state subclasses (fig6_dualrtt does)
+    __slots__ = (
+        "sim", "net", "flow", "cc", "mtu", "noise", "on_done", "probe",
+        "n_packets", "_last_payload", "ack_priority", "base_rtt",
+        "_probe_base_adjust", "line_rate_bps", "bdp_bytes", "rto_ns",
+        "acked_count", "acked_payload", "next_new_seq", "inflight_bytes",
+        "_retx_queue", "_retx_pending", "_cum_watch", "_dup", "_retx_scan",
+        "started", "stopped", "completed", "fluid_held", "last_rtt",
+        "next_send_time", "_pace_ev", "_rto_ev", "_last_activity", "_probe_ev",
+        "probe_outstanding", "receiver", "sent", "acked",
+    )
+
     def __init__(
         self,
         sim: Simulator,

@@ -1,0 +1,319 @@
+"""The cost ratchet: bytecodes per simulated event, per ledger layer.
+
+Wall time on a small shared host cannot resolve a change under ~20 %, and the
+ledger's per-layer shares are shares of wall.  This script counts instead:
+it runs five tiny worlds — one per ledger workload shape — under
+``sys.settrace`` with ``f_trace_opcodes`` and attributes every executed
+bytecode and every Python call to the ledger layer of the module whose code
+ran.  Code outside ``src/repro`` (the standard library, generated
+``dataclass`` methods) counts toward the layer that called it; the harness
+itself (``tests/``, ``benchmarks/``) is ``harness``.  Two layers extend the
+ledger's list: ``runner`` (runner, cache, daemon) and ``instrumentation``
+(probe, sinks, auditor).
+
+Every world runs in a fresh interpreter with ``PYTHONHASHSEED=0`` and the
+cyclic collector off, because a second run in one process reads fewer
+bytecodes (process-wide caches are warm).  The counts are then exact: two
+runs give the same numbers.  They depend on the interpreter's minor version,
+so ``tests/golden/cost_ratchet.json`` holds one section per version.
+
+The four simulation worlds are the ledger's own builders
+(``benchmarks/perf/workloads.py``, imported read-only) at a tiny scale; the
+fifth is one ``sweep_runner`` point run through ``execute_point``.  Set-up
+and run are both counted, as the ledger's ``setup_s`` and ``wall_s`` are.
+
+Usage::
+
+    PYTHONPATH=src python tests/cost_ratchet.py --check [WORLD ...]
+    PYTHONPATH=src python tests/cost_ratchet.py --write [--allow-rise] [WORLD ...]
+
+``--check`` fails when any layer's bytecodes per event rose by more than
+0.5 % against the committed counts.  ``--write`` records a world only if no
+layer's bytecodes per event rose; ``--allow-rise`` records it anyway (say
+why in CHANGES.md: a correctness fix may cost bytecodes, a refactor may
+not).  Bytecodes miss C-level work (heap operations, allocation), so a speed
+claim quotes this count for the direction and interleaved wall for the size.
+
+All five worlds take ~20 s per interpreter on one core of a Xeon VM;
+``sweep_point``, the cheapest (~1 s), is the one tier-1 checks.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PERF = ROOT / "benchmarks" / "perf"
+GOLDEN_PATH = Path(__file__).parent / "golden" / "cost_ratchet.json"
+
+#: a layer's bytecodes per event may rise by this share before --check fails
+TOLERANCE = 0.005
+
+#: (module prefix, layer), longest prefix first wins; the ledger's layer names
+#: (``benchmarks/perf/tracing.py``) plus runner and instrumentation
+_LAYER_OF_MODULE = (
+    ("repro.sim.engine", "engine"),
+    ("repro.sim.port", "port"),
+    ("repro.sim.packet", "port"),
+    ("repro.sim.switch", "switch"),
+    ("repro.sim.network", "switch"),
+    ("repro.sim.buffer", "buffer_pfc"),
+    ("repro.sim.pfc", "buffer_pfc"),
+    ("repro.sim.host", "host"),
+    ("repro.transport", "transport"),
+    ("repro.noise", "transport"),
+    ("repro.cc", "cc"),
+    ("repro.core", "cc"),
+    ("repro.fluid.model", "fluid_solver"),
+    ("repro.fluid", "fluid_driver"),
+    ("repro.experiments.launch", "admission"),
+    ("repro.analysis.streaming", "reduction"),
+    ("repro.workloads", "workload"),
+    ("repro.runner", "runner"),
+    ("repro.serve", "runner"),
+    ("repro.api", "runner"),
+    ("repro.probe", "instrumentation"),
+    ("repro.obs", "instrumentation"),
+    ("repro.telemetry", "instrumentation"),
+    ("repro.audit", "instrumentation"),
+    ("repro", "harness"),
+)
+LAYERS = tuple(dict.fromkeys(layer for _, layer in _LAYER_OF_MODULE))
+
+#: world -> (ledger workload, scale); ``sweep_point`` is the sweep's point
+WORLDS = {
+    "sweep_point": None,
+    "flowsched_packet": ("flowsched_packet", 0.07),
+    "incast_pfc": ("incast_pfc", 0.05),
+    "longtrace_hybrid": ("longtrace_hybrid", 0.01),
+    "bulk_fluid": ("bulk_fluid", 0.05),
+}
+#: the sweep_runner point: the cheapest of its ten point functions
+SWEEP_POINT = "cardinality_on#1"
+
+
+# ----------------------------------------------------------------------
+# counting (runs in the child process)
+# ----------------------------------------------------------------------
+def _own_layer(filename: str):
+    """The layer index of a code object's file, or None if it inherits."""
+    path = Path(filename)
+    try:
+        rel = path.relative_to(SRC)
+    except ValueError:
+        if path.is_relative_to(ROOT):
+            return LAYERS.index("harness")
+        return None  # the standard library, or generated code: the caller's
+    module = ".".join(rel.with_suffix("").parts)
+    for prefix, layer in _LAYER_OF_MODULE:
+        if module == prefix or module.startswith(prefix + "."):
+            return LAYERS.index(layer)
+    return LAYERS.index("harness")
+
+
+def _traced(fn):
+    """Run ``fn()`` under the opcode tracer: (bytecodes, calls) per layer."""
+    n = len(LAYERS)
+    harness = LAYERS.index("harness")
+    ops = [0] * n
+    calls = [0] * n
+
+    def local_for(i):
+        def local(frame, event, arg):
+            if event == "opcode":
+                ops[i] += 1
+            return local
+
+        return local
+
+    locals_ = [local_for(i) for i in range(n)]
+    index_of = {f: i for i, f in enumerate(locals_)}
+    layer_of_code = {}
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code in layer_of_code:
+            i = layer_of_code[code]
+        else:
+            i = layer_of_code[code] = _own_layer(code.co_filename)
+        if i is None:
+            back = frame.f_back
+            i = index_of.get(back.f_trace if back is not None else None, harness)
+        calls[i] += 1
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return locals_[i]
+
+    # Python 3.12 turns opcode events on at settrace() only if some frame
+    # asked for them before
+    sys._getframe().f_trace_opcodes = True
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return ops, calls
+
+
+def _world(name: str):
+    """A zero-argument callable that builds and runs world ``name``.
+
+    Every module of the package is imported first, so no import runs inside
+    the count."""
+    import pkgutil
+
+    import repro
+
+    for mod in pkgutil.walk_packages(repro.__path__, "repro."):
+        __import__(mod.name)
+    sys.path.insert(0, str(PERF))
+    spec = WORLDS[name]
+    if spec is None:
+        import sweep_exp
+
+        from repro.runner.scheduler import execute_point
+
+        exp = sweep_exp.sweep_experiment(42)
+        (point,) = [p for p in exp.points() if p.name == SWEEP_POINT]
+        return lambda: execute_point(exp, point)
+    import workloads
+
+    workload = workloads.SIM_WORKLOADS[spec[0]]
+
+    def run():
+        world = workload.build(42, spec[1])
+        if not workload.run(world):
+            raise RuntimeError(f"{name}: flows left unfinished")
+
+    return run
+
+
+def count_world(name: str) -> dict:
+    """Bytecodes and Python calls per layer, and engine events, of one world."""
+    from repro.sim.engine import Simulator
+
+    run = _world(name)
+    sims = []
+    init = Simulator.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(self)
+
+    Simulator.__init__ = counted_init
+    gc.collect()
+    gc.disable()
+    try:
+        ops, calls = _traced(run)
+    finally:
+        gc.enable()
+        Simulator.__init__ = init
+    return {
+        "events": sum(sim.events_processed for sim in sims),
+        "layers": {
+            layer: {"bytecodes": ops[i], "calls": calls[i]}
+            for i, layer in enumerate(LAYERS)
+            if ops[i] or calls[i]
+        },
+    }
+
+
+# ----------------------------------------------------------------------
+# comparing (runs in the parent)
+# ----------------------------------------------------------------------
+def version_key() -> str:
+    return "%d.%d" % sys.version_info[:2]
+
+
+def measure(name: str) -> dict:
+    """:func:`count_world` in a fresh interpreter with ``PYTHONHASHSEED=0``."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+        f"from cost_ratchet import count_world; print(json.dumps(count_world({name!r})))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True)
+    if out.returncode:
+        raise RuntimeError(f"counting {name} failed:\n{out.stderr}")
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def per_event(record: dict) -> dict:
+    """Bytecodes per event, per layer."""
+    events = record["events"]
+    return {layer: c["bytecodes"] / events for layer, c in record["layers"].items()}
+
+
+def rises(committed: dict, now: dict, tolerance: float = TOLERANCE) -> list:
+    """``(layer, committed per event, current per event)`` for every layer whose
+    bytecodes per event rose by more than ``tolerance``."""
+    old, new = per_event(committed), per_event(now)
+    return [
+        (layer, old.get(layer, 0.0), value)
+        for layer, value in sorted(new.items())
+        if value > old.get(layer, 0.0) * (1 + tolerance)
+    ]
+
+
+def table(name: str, committed, now: dict) -> str:
+    old = per_event(committed) if committed else {}
+    new = per_event(now)
+    lines = [f"{name}: {now['events']} events"]
+    for layer in LAYERS:
+        if layer not in old and layer not in new:
+            continue
+        a, b = old.get(layer), new.get(layer, 0.0)
+        delta = "" if not a else f"  {100 * (b / a - 1):+.2f} %"
+        was = "-" if a is None else f"{a:.2f}"
+        lines.append(f"  {layer:16s} {was:>10s} -> {b:10.2f} bytecodes/event{delta}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true", help="fail on a rise over 0.5 %% per event")
+    mode.add_argument("--write", action="store_true", help=f"record falls in {GOLDEN_PATH.name}")
+    parser.add_argument("--allow-rise", action="store_true", help="with --write: record rises too")
+    parser.add_argument("worlds", nargs="*", metavar="WORLD", help=f"default: all of {', '.join(WORLDS)}")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.worlds) - set(WORLDS))
+    if unknown:
+        parser.error(f"unknown world(s): {', '.join(unknown)}")
+    golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    section = golden.setdefault(version_key(), {})
+    failed = False
+    for name in args.worlds or WORLDS:
+        now = measure(name)
+        committed = section.get(name)
+        print(table(name, committed, now))
+        rose = rises(committed, now, 0.0 if args.write else TOLERANCE) if committed else []
+        for layer, a, b in rose:
+            print(f"  rise: {layer} {a:.2f} -> {b:.2f} bytecodes/event", file=sys.stderr)
+        if args.check:
+            if committed is None:
+                print(f"{name}: no committed counts for Python {version_key()}", file=sys.stderr)
+            failed |= committed is None or bool(rose)
+        elif not rose or args.allow_rise:
+            section[name] = now
+        else:
+            failed |= bool(rises(committed, now))
+            print(f"{name}: kept the committed counts (--allow-rise records a rise)", file=sys.stderr)
+    if args.write:
+        GOLDEN_PATH.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -10,6 +10,7 @@ the satellite fixes that rode along (float clamping in `Simulator.at`,
 `set_paused` range validation, `cut()` telemetry, the ECMP pick cache bound).
 """
 
+import json
 import random
 import sys
 
@@ -471,6 +472,19 @@ def test_hop_call_budget():
         sys.setprofile(None)
     assert all(f.done for f in flows)
     assert calls / sim.events_processed <= _HOP_CALL_BUDGET
+
+
+def test_cost_ratchet_holds_on_the_cheapest_world():
+    """No layer's bytecodes per event rose against ``tests/golden/cost_ratchet.json``
+    (CI ``scale-smoke`` checks all five worlds with ``tests/cost_ratchet.py``)."""
+    from tests import cost_ratchet
+
+    committed = json.loads(cost_ratchet.GOLDEN_PATH.read_text()).get(cost_ratchet.version_key())
+    if committed is None:
+        pytest.skip(f"no committed counts for Python {cost_ratchet.version_key()}")
+    now = cost_ratchet.measure("sweep_point")
+    assert now["events"] == committed["sweep_point"]["events"]
+    assert cost_ratchet.rises(committed["sweep_point"], now) == []
 
 
 # ----------------------------------------------------------------------

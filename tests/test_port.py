@@ -1,8 +1,13 @@
 """Unit tests for the strict-priority output port."""
 
+import tracemalloc
+
+from repro.audit.auditor import Auditor
+from repro.obs.sampler import TimeSeriesSampler
 from repro.sim.engine import Simulator
 from repro.sim.packet import ACK, DATA, Packet
 from repro.sim.port import Port
+from repro.topology import paper_fabric
 
 
 class SinkNode:
@@ -144,3 +149,39 @@ def test_queue_byte_accounting():
     assert port.total_bytes == 0
     assert port.tx_bytes_total == 1700
     assert port.tx_packets_total == 3
+
+
+def test_paper_fabric_ports_hold_no_queue_before_their_first_enqueue():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        net, hosts = paper_fabric(Simulator(1))
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    ports = [p for sw in net.switches for p in sw.ports] + [h.port for h in hosts]
+    assert len(ports) == 856
+    # ~11.1 kB a port when each built its 8 (switch) or 18 (NIC) deques up front
+    assert used / len(ports) <= 2_500, used / len(ports)
+    assert not any(p.queues for p in ports)
+
+
+def test_readers_see_a_never_used_queue_as_empty_without_creating_it():
+    sim, port, sink = make_port(n_queues=4)
+    sampler, auditor = TimeSeriesSampler(), Auditor("warn")
+    sampler.register("port", port)
+    auditor.register("port", port)
+    sampler.sample(0)
+    (row,) = sampler.ports.rows
+    assert row["queued_pkts"] == 0
+    assert auditor._resident_packets()[0] == 0
+    auditor._finalize_ports(0)
+    assert auditor.report.violations == []
+    assert port.export_state()["queued_packets"] == 0
+    assert port.cut() == 0
+    assert not port.queues
+    port.restore()
+    port.enqueue(pkt(prio=2, seq=1))  # idle port: straight onto the wire
+    port.enqueue(pkt(prio=2, seq=2))
+    assert list(port.queues) == [2]
+    assert port.cut() == 1
