@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Integrating PrioPlus with a different delay-based CC (LEDBAT, §4.4).
 
-PrioPlus is a *wrapper*: any CC that exposes ``target_delay_ns``,
-``ai_bytes`` and ``set_target_scaling`` can gain virtual priority.  This
+PrioPlus is a *wrapper*: any CC that exposes ``target_delay_ns`` (set
+through ``pin_target``, inherited from ``CongestionControl``), ``ai_bytes``
+and ``set_target_scaling`` can gain virtual priority.  This
 example wraps LEDBAT — a scavenger transport that normally supports only
 "one priority below best effort" — and shows it suddenly supporting a
 ladder of strict priorities, then does the same with a custom toy CC to

@@ -7,7 +7,9 @@ point where rate/RTT-dependent defaults get resolved.
 
 Delay-based CCs that PrioPlus can wrap must additionally expose:
 
-* ``target_delay_ns`` — the absolute RTT the CC steers toward, settable;
+* ``target_delay_ns`` — the absolute RTT the CC steers toward, written
+  through :meth:`CongestionControl.pin_target` (a CC that keys its law off
+  something else, as LEDBAT does off the queuing delay, overrides it);
 * ``ai_bytes`` — the per-RTT additive-increase step, settable;
 * a way to disable any target-scaling heuristic (PrioPlus requires a fixed
   per-priority target, paper §4.1).
@@ -60,6 +62,11 @@ class CongestionControl:
 
     def configure(self) -> None:
         """Hook for subclasses to resolve rate/RTT-dependent parameters."""
+
+    def pin_target(self, target_ns: int) -> None:
+        """Steer toward the absolute RTT ``target_ns`` (PrioPlus's channel
+        target, set once at attach)."""
+        self.target_delay_ns = target_ns
 
     def default_init_cwnd(self) -> float:
         """RDMA-style line-rate start: one BDP (paper §3.3)."""

@@ -20,17 +20,13 @@ __all__ = ["Ledbat"]
 
 
 class Ledbat(CongestionControl):
-    def __init__(
-        self,
-        target_queuing_ns: int = 20_000,
-        gain: float = 1.0,
-        max_decrease_per_rtt: float = 0.5,
-        init_cwnd_bytes: float = None,
-    ):
+    def __init__(self, gain: float = 1.0, init_cwnd_bytes: float = None):
         super().__init__(init_cwnd_bytes)
-        self.target_queuing_ns = target_queuing_ns
+        #: the queuing-delay target; PrioPlus derives it from its channel
+        #: target (:meth:`pin_target`)
+        self.target_queuing_ns = 20_000
         self.gain = gain
-        self.max_decrease_per_rtt = max_decrease_per_rtt
+        self.max_decrease_per_rtt = 0.5
         self.target_delay_ns = 0
         self.ai_bytes = 0.0  # resolved at attach; exposed for PrioPlus
         self._min_cwnd_floor = 0.0
@@ -41,6 +37,11 @@ class Ledbat(CongestionControl):
 
     def set_target_scaling(self, enabled: bool) -> None:
         """LEDBAT has no target scaling; present for interface parity."""
+
+    def pin_target(self, target_ns: int) -> None:
+        # LEDBAT keys its controller off the queuing component
+        self.target_delay_ns = target_ns
+        self.target_queuing_ns = max(target_ns - self.base_rtt, 1)
 
     def on_ack(self, info: AckInfo) -> None:
         if info.acked_bytes <= 0:

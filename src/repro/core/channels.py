@@ -36,9 +36,14 @@ PAPER_B_NS = 800
 
 
 class ChannelConfig:
-    """Computes per-priority delay thresholds (offsets above base RTT)."""
+    """Computes per-priority delay thresholds (offsets above base RTT).
 
-    __slots__ = ("fluctuation_ns", "noise_ns", "n_priorities", "_bands")
+    Immutable: every sender's attach reads its priority's two offsets, so
+    they are resolved once at construction, and the parameters they come
+    from are read-only.
+    """
+
+    __slots__ = ("_fluctuation_ns", "_noise_ns", "_n_priorities", "_bands", "_offsets")
 
     def __init__(
         self,
@@ -49,24 +54,44 @@ class ChannelConfig:
     ):
         if noise_ns < 0:
             raise ValueError("noise tolerance B cannot be negative")
-        self.noise_ns = noise_ns
+        self._noise_ns = noise_ns
         if bands is not None:
             if n_priorities is not None and n_priorities != len(bands):
                 raise ValueError(
                     f"n_priorities={n_priorities} contradicts the {len(bands)} "
                     f"explicit bands; drop one of the two"
                 )
-            self.fluctuation_ns = None
+            self._fluctuation_ns = None
             self._bands = self._validated_bands(bands)
-            self.n_priorities = len(self._bands)
+            self._n_priorities = len(self._bands)
+            offsets = [(0, 0)] + self._bands
         else:
             if fluctuation_ns <= 0:
                 raise ValueError("CC fluctuation budget A must be positive")
-            self.fluctuation_ns = fluctuation_ns
-            self.n_priorities = 8 if n_priorities is None else n_priorities
-            if self.n_priorities < 1:
+            self._fluctuation_ns = fluctuation_ns
+            self._n_priorities = 8 if n_priorities is None else n_priorities
+            if self._n_priorities < 1:
                 raise ValueError("need at least one priority")
             self._bands = None
+            step = fluctuation_ns + noise_ns
+            margin = max(1, fluctuation_ns // 2 + noise_ns)
+            offsets = [(i * step, i * step + margin) for i in range(self._n_priorities + 1)]
+        #: priority 0..n -> (target offset, limit offset)
+        self._offsets = tuple(offsets)
+
+    @property
+    def fluctuation_ns(self) -> Optional[int]:
+        """A, the wrapped CC's fluctuation budget (None for explicit bands)."""
+        return self._fluctuation_ns
+
+    @property
+    def noise_ns(self) -> int:
+        """B, the tolerable delay-measurement noise."""
+        return self._noise_ns
+
+    @property
+    def n_priorities(self) -> int:
+        return self._n_priorities
 
     @staticmethod
     def _validated_bands(bands: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
@@ -142,34 +167,31 @@ class ChannelConfig:
             for i in range(1, self.n_priorities + 1)
         ]
 
+    def offsets_ns(self, priority: int) -> Tuple[int, int]:
+        """``(D_target^i - BaseRtt, D_limit^i - BaseRtt)``.
+
+        Channel indices are 1-based in the paper's evaluation (D_target =
+        4*i µs for i = 1..n); index 0 would put the target *at* base RTT.
+        """
+        if not 0 <= priority <= self._n_priorities:
+            raise ValueError(
+                f"priority {priority} out of range [0, {self._n_priorities}]"
+            )
+        return self._offsets[priority]
+
     def target_offset_ns(self, priority: int) -> int:
         """D_target^i - BaseRtt."""
-        self._check(priority)
-        if self._bands is not None:
-            return 0 if priority == 0 else self._bands[priority - 1][0]
-        return priority * self.step_ns
+        return self.offsets_ns(priority)[0]
 
     def limit_offset_ns(self, priority: int) -> int:
         """D_limit^i - BaseRtt (always strictly above the target)."""
-        self._check(priority)
-        if self._bands is not None:
-            return 0 if priority == 0 else self._bands[priority - 1][1]
-        margin = max(1, self.fluctuation_ns // 2 + self.noise_ns)
-        return self.target_offset_ns(priority) + margin
+        return self.offsets_ns(priority)[1]
 
     def target_ns(self, priority: int, base_rtt_ns: int) -> int:
-        return base_rtt_ns + self.target_offset_ns(priority)
+        return base_rtt_ns + self.offsets_ns(priority)[0]
 
     def limit_ns(self, priority: int, base_rtt_ns: int) -> int:
-        return base_rtt_ns + self.limit_offset_ns(priority)
-
-    def _check(self, priority: int) -> None:
-        # Channel indices are 1-based in the paper's evaluation (D_target =
-        # 4*i µs for i = 1..n); index 0 would put the target *at* base RTT.
-        if not 0 <= priority <= self.n_priorities:
-            raise ValueError(
-                f"priority {priority} out of range [0, {self.n_priorities}]"
-            )
+        return base_rtt_ns + self.offsets_ns(priority)[1]
 
     def validate(self) -> None:
         """Assert the ordering invariant D_limit^{i-1} < D_target^i < D_limit^i.

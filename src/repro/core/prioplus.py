@@ -1,6 +1,7 @@
 """PrioPlus: the paper's Algorithm 1 as a CC wrapper.
 
-``PrioPlusCC`` wraps any delay-based CC that exposes ``target_delay_ns``,
+``PrioPlusCC`` wraps any delay-based CC that exposes ``target_delay_ns``
+(set through ``pin_target``, which the ``CongestionControl`` base provides),
 ``ai_bytes`` and ``set_target_scaling`` (Swift and LEDBAT here).  The wrapper
 implements the full state machine:
 
@@ -164,8 +165,9 @@ class PrioPlusCC:
         self.base_rtt = sender.base_rtt
         self.base_bdp = sender.bdp_bytes
         self._line_rate_bpns = sender.line_rate_bps / 8e9
-        self.d_target = self.channels.target_ns(self.vpriority, self.base_rtt)
-        self.d_limit = self.channels.limit_ns(self.vpriority, self.base_rtt)
+        target_offset, limit_offset = self.channels.offsets_ns(self.vpriority)
+        self.d_target = self.base_rtt + target_offset
+        self.d_limit = self.base_rtt + limit_offset
         self.empty_eps = (
             self._empty_eps_cfg
             if self._empty_eps_cfg is not None
@@ -179,17 +181,11 @@ class PrioPlusCC:
         # PrioPlus pins the wrapped CC to the channel target and disables any
         # target-scaling heuristic (§4.1).
         self.inner.set_target_scaling(False)
-        self._set_inner_target(self.d_target)
+        self.inner.pin_target(self.d_target)
         self.w_ai_origin = self.inner.ai_bytes
         self._probe = sender.probe
         if self._probe.on:
             self._probe.register("prioplus", self)
-
-    def _set_inner_target(self, target_ns: int) -> None:
-        self.inner.target_delay_ns = target_ns
-        # LEDBAT keys its controller off the queuing component.
-        if hasattr(self.inner, "target_queuing_ns"):
-            self.inner.target_queuing_ns = max(target_ns - self.base_rtt, 1)
 
     # ------------------------------------------------------------------
     # lifecycle

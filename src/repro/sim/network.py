@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -28,6 +29,18 @@ class Network:
         net.connect(h1, sw, rate_bps=100e9, prop_delay_ns=1000)
         net.connect(h2, sw, rate_bps=100e9, prop_delay_ns=1000)
         net.build_routes()
+
+    Path timing (:meth:`base_rtt_ns`, :meth:`bottleneck_rate_bps`) is
+    memoised by the fabric's structure, not per host pair: every host's NIC
+    hop and its attachment switch's hop into it, and the switch-to-switch
+    middle of the canonical path per pair of attachment switches (all hosts
+    under one switch share its route tables).  The memo is exact because
+    every input of the walk changes only through two writers, and both
+    clear it: routes change only in :meth:`_build_all_routes` (so
+    :meth:`build_routes` and :meth:`rebuild_routes`), and serialisation
+    rates only through the :attr:`Port.ns_per_byte
+    <repro.sim.port.Port.ns_per_byte>` setter (a link degrade).
+    Propagation delays are fixed once :meth:`connect` has run.
     """
 
     def __init__(self, sim: Simulator, switch_cfg: Optional[SwitchConfig] = None):
@@ -39,6 +52,13 @@ class Network:
         #: adjacency: node_id -> list of (egress Port, peer node)
         self._adj: Dict[int, List[Tuple[Port, Node]]] = {}
         self._routes_built = False
+        #: path timing by fabric structure (see the class docstring), keyed
+        #: by node ids: ``(switch, switch)`` -> (the middle's ports, their
+        #: least rate); ``(switch, switch, data, ack)`` -> the middle's
+        #: share of an RTT; ``(host, out, in)`` -> the host's NIC hop
+        #: carrying ``out`` bytes plus the hop into it carrying ``in``;
+        #: ``host`` -> (NIC rate, rate of the hop into it)
+        self._path_memo: Dict[object, object] = {}
         #: armed by :meth:`build_routes` when a default fault plan is active
         #: (see repro.faults.set_default_fault_plan), or set explicitly by
         #: constructing a FaultInjector against this network
@@ -124,6 +144,7 @@ class Network:
         down are excluded (failure handling); a host whose NIC is down, or
         that hangs off another host, gets no routes.
         """
+        self._path_memo.clear()
         adj = self._adj
         for switch in self.switches:
             assert [port for port, _ in adj[switch.node_id]] == switch.ports
@@ -176,7 +197,6 @@ class Network:
         src: Host,
         dst: Host,
         flow_id: Optional[int] = None,
-        hash_salt: int = 0,
     ) -> List[Port]:
         """One concrete shortest path (egress ports traversed src -> dst).
 
@@ -195,7 +215,7 @@ class Network:
             if not routes:
                 raise RuntimeError(f"no route from {node.name} to {dst.name}")
             if flow_id is not None and len(routes) > 1:
-                idx = routes[ecmp_hash(flow_id, node.node_id, hash_salt) % len(routes)]
+                idx = routes[ecmp_hash(flow_id, node.node_id) % len(routes)]
             else:
                 idx = routes[0]
             port = node.ports[idx]
@@ -217,19 +237,103 @@ class Network:
 
         Sum of per-hop propagation plus store-and-forward serialisation in
         both directions (the reverse path is assumed symmetric, which holds
-        for every topology in this repo).
+        for every topology in this repo), over :meth:`path_ports`'s
+        canonical paths.  Served from the path memo as three integer sums,
+        so exactly the walk's total: the middle between the two attachment
+        switches, both ways, and each host's share — its NIC hop out plus
+        its switch's hop into it.
         """
-        fwd = self.path_ports(src, dst)
-        rtt = 0
-        for port in fwd:
-            rtt += port.prop_delay_ns + port.tx_time_ns(data_bytes)
-        rev = self.path_ports(dst, src)
-        for port in rev:
-            rtt += port.prop_delay_ns + port.tx_time_ns(ack_bytes)
-        return rtt
+        memo = self._path_memo
+        # the data leaves src's NIC and enters dst, the ACK the other way
+        s = memo.get((src.node_id, data_bytes, ack_bytes))
+        if s is None:
+            s = self._host_share(src, data_bytes, ack_bytes)
+        d = memo.get((dst.node_id, ack_bytes, data_bytes))
+        if d is None:
+            d = self._host_share(dst, ack_bytes, data_bytes)
+        if s is None or d is None:
+            # a host off any switch, or one no route leads to: walk
+            fwd = self.path_ports(src, dst)
+            rtt = sum(port.prop_delay_ns + port.tx_time_ns(data_bytes) for port in fwd)
+            rev = self.path_ports(dst, src)
+            return rtt + sum(port.prop_delay_ns + port.tx_time_ns(ack_bytes) for port in rev)
+        mid = memo.get((src.port.peer.node_id, dst.port.peer.node_id, data_bytes, ack_bytes))
+        if mid is None:
+            mid = self._time_middle(src, dst, data_bytes, ack_bytes)
+        return s + mid + d
 
     def bottleneck_rate_bps(self, src: Host, dst: Host) -> float:
-        return min(p.rate_bps for p in self.path_ports(src, dst))
+        """Least link rate on the canonical path ``src`` -> ``dst``."""
+        memo = self._path_memo
+        s = memo.get(src.node_id) or self._host_rates(src)
+        d = memo.get(dst.node_id) or self._host_rates(dst)
+        if s is None or d is None:
+            return min(port.rate_bps for port in self.path_ports(src, dst))
+        middle = memo.get((src.port.peer.node_id, dst.port.peer.node_id)) or self._middle(src, dst)
+        # min keeps the first of equal rates in path order, as the walk does
+        return min(s[0], middle[1], d[1])
+
+    def _middle(self, src: Host, dst: Host) -> Tuple[List[Port], float]:
+        """Memoise the canonical path's ports from ``src``'s attachment switch
+        to ``dst``'s (none under one switch) and their least rate."""
+        ports = self.path_ports(src, dst)[1:-1]
+        middle = self._path_memo[src.port.peer.node_id, dst.port.peer.node_id] = (
+            ports,
+            min((port.rate_bps for port in ports), default=math.inf),
+        )
+        return middle
+
+    def _time_middle(self, src: Host, dst: Host, data_bytes: int, ack_bytes: int) -> int:
+        """Memoise the middle's share of an RTT, data there and ACK back."""
+        memo = self._path_memo
+        src_id = src.port.peer.node_id
+        dst_id = dst.port.peer.node_id
+        there = memo.get((src_id, dst_id)) or self._middle(src, dst)
+        back = memo.get((dst_id, src_id)) or self._middle(dst, src)
+        rtt = 0
+        for port in there[0]:
+            port.path_memo = memo
+            rtt += port.prop_delay_ns + port.tx_time_ns(data_bytes)
+        for port in back[0]:
+            port.path_memo = memo
+            rtt += port.prop_delay_ns + port.tx_time_ns(ack_bytes)
+        memo[src_id, dst_id, data_bytes, ack_bytes] = rtt
+        return rtt
+
+    @staticmethod
+    def _end_hops(host: Host) -> Optional[Tuple[Port, Port]]:
+        """``host``'s NIC port and its switch's port into it, the first and
+        last hop of every path from and to it; None for a host on no switch
+        or one its switch has no route to (its NIC is down)."""
+        nic = host.port
+        edge = nic.peer if nic is not None else None
+        if not isinstance(edge, Switch):
+            return None
+        routes = edge.routes.get(host.node_id)
+        if not routes:
+            return None
+        return nic, edge.ports[routes[0]]
+
+    def _host_share(self, host: Host, out_bytes: int, in_bytes: int) -> Optional[int]:
+        """Memoise ``host``'s NIC hop carrying ``out_bytes`` plus its switch's
+        hop into it carrying ``in_bytes``."""
+        hops = self._end_hops(host)
+        if hops is None:
+            return None
+        nic, into = hops
+        memo = nic.path_memo = into.path_memo = self._path_memo
+        share = memo[host.node_id, out_bytes, in_bytes] = (
+            nic.prop_delay_ns + nic.tx_time_ns(out_bytes) + into.prop_delay_ns + into.tx_time_ns(in_bytes)
+        )
+        return share
+
+    def _host_rates(self, host: Host) -> Optional[Tuple[float, float]]:
+        """Memoise (NIC rate, rate of the hop into ``host``)."""
+        hops = self._end_hops(host)
+        if hops is None:
+            return None
+        rates = self._path_memo[host.node_id] = (hops[0].rate_bps, hops[1].rate_bps)
+        return rates
 
     # ------------------------------------------------------------------
     # failures
@@ -272,3 +376,4 @@ class Network:
 
     def total_pfc_pauses(self) -> int:
         return sum(s.pfc_pause_count() for s in self.switches)
+

@@ -76,7 +76,6 @@ class Packet:
         "int_hops",
         "ack_seq",
         "sack",
-        "hash_salt",
         "ctx",
         "trace",
         "_in_pool",
@@ -113,7 +112,6 @@ class Packet:
         self.int_hops: Optional[List[IntHop]] = None
         self.ack_seq = 0
         self.sack: Optional[Tuple[int, int]] = None
-        self.hash_salt = 0
         #: per-hop owner context folded into the packet (what ports used to
         #: carry as a separate ``(pkt, ctx)`` queue-entry tuple)
         self.ctx: Any = None
@@ -194,7 +192,6 @@ class PacketPool:
             pkt.int_hops = None
             pkt.ack_seq = 0
             pkt.sack = None
-            pkt.hash_salt = 0
             pkt.ctx = None
             pkt.trace = None
             return pkt

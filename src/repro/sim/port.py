@@ -59,6 +59,7 @@ class Port:
         "rate_bps",
         "_ns_per_byte",
         "_tx_cache",
+        "path_memo",
         "n_queues",
         "queues",
         "qbytes",
@@ -154,9 +155,14 @@ class Port:
 
     @ns_per_byte.setter
     def ns_per_byte(self, value: float) -> None:
-        # rate changes invalidate the memoised serialisation times
+        # rate changes invalidate the memoised serialisation times, here and
+        # in the path timings of a network that memoised a path through this
+        # port (it sets ``path_memo``; the slot stays unset on the others)
         self._ns_per_byte = value
         self._tx_cache.clear()
+        memo = getattr(self, "path_memo", None)
+        if memo is not None:
+            memo.clear()
 
     def connect(self, peer, prop_delay_ns: int, peer_in_idx: int = 0) -> None:
         """Attach the downstream node reached through this port."""

@@ -22,9 +22,9 @@ _MIX = 0x85EBCA77
 _ROUTE_CACHE_MAX = 65536
 
 
-def ecmp_hash(flow_id: int, node_id: int, salt: int = 0) -> int:
+def ecmp_hash(flow_id: int, node_id: int) -> int:
     """Deterministic per-flow hash used for ECMP next-hop selection."""
-    h = (flow_id * _GOLDEN) ^ (node_id * _MIX) ^ (salt * 0xC2B2AE35)
+    h = (flow_id * _GOLDEN) ^ (node_id * _MIX)
     h ^= h >> 13
     h = (h * 0x27D4EB2F) & 0xFFFFFFFF
     return h ^ (h >> 16)
@@ -116,7 +116,7 @@ class Switch:
         self._pfc_on = cfg.pfc.enabled
         self._n_lossless = cfg.n_lossless
         self._nq = cfg.n_queues
-        #: (dst, flow_id, salt) -> egress index; ecmp_hash is pure, routes are
+        #: (dst, flow_id) -> egress index; ecmp_hash is pure, routes are
         #: fixed after topology build, so the pick per flow never changes
         #: (at most ``_ROUTE_CACHE_MAX`` entries)
         self._route_cache: Dict[tuple, int] = {}
@@ -191,13 +191,11 @@ class Switch:
         if len(routes) == 1:
             out_idx = routes[0]
         else:
-            rkey = (pkt.dst, pkt.flow_id, pkt.hash_salt)
+            rkey = (pkt.dst, pkt.flow_id)
             try:
                 out_idx = self._route_cache[rkey]
             except KeyError:
-                out_idx = routes[
-                    ecmp_hash(pkt.flow_id, self.node_id, pkt.hash_salt) % len(routes)
-                ]
+                out_idx = routes[ecmp_hash(pkt.flow_id, self.node_id) % len(routes)]
                 if len(self._route_cache) >= _ROUTE_CACHE_MAX:
                     self._route_cache.clear()
                 self._route_cache[rkey] = out_idx

@@ -108,7 +108,8 @@ def test_d2tcp_without_deadline_behaves_like_dctcp():
 # LEDBAT
 # ----------------------------------------------------------------------
 def test_ledbat_grows_below_target_shrinks_above():
-    cc = Ledbat(target_queuing_ns=20_000)
+    cc = Ledbat()
+    cc.target_queuing_ns = 20_000
     cc.attach(FakeSender())
     w0 = cc.cwnd
     cc.on_ack(AckInfo(0, cc.base_rtt + 1_000, False, 1000, 0))
@@ -119,7 +120,9 @@ def test_ledbat_grows_below_target_shrinks_above():
 
 
 def test_ledbat_decrease_bounded_per_ack():
-    cc = Ledbat(target_queuing_ns=10_000, max_decrease_per_rtt=0.5)
+    cc = Ledbat()
+    cc.target_queuing_ns = 10_000
+    cc.max_decrease_per_rtt = 0.5
     cc.attach(FakeSender())
     cc.cwnd = 10_000.0
     cc.on_ack(AckInfo(0, cc.base_rtt + 10_000_000, False, 1000, 0))
@@ -128,7 +131,8 @@ def test_ledbat_decrease_bounded_per_ack():
 
 
 def test_ledbat_target_delay_property():
-    cc = Ledbat(target_queuing_ns=7_000)
+    cc = Ledbat()
+    cc.target_queuing_ns = 7_000
     cc.attach(FakeSender(base_rtt=10_000))
     assert cc.target_delay_ns == 17_000
 

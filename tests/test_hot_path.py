@@ -475,8 +475,9 @@ def test_hop_call_budget():
 
 
 def test_cost_ratchet_holds_on_the_cheapest_world():
-    """No layer's bytecodes per event rose against ``tests/golden/cost_ratchet.json``
-    (CI ``scale-smoke`` checks all five worlds with ``tests/cost_ratchet.py``)."""
+    """No layer's count rose, in set-up or per event in the run, against
+    ``tests/golden/cost_ratchet.json`` (CI ``scale-smoke`` checks all five
+    worlds with ``tests/cost_ratchet.py``)."""
     from tests import cost_ratchet
 
     committed = json.loads(cost_ratchet.GOLDEN_PATH.read_text()).get(cost_ratchet.version_key())
@@ -502,11 +503,10 @@ def test_route_cache_is_bounded_and_picks_stay_the_hash(monkeypatch):
     want = [0] * len(edge.ports)
     for fid in range(1, 10 * cap):
         packet = Packet(DATA, 100, src.node_id, dst.node_id, flow_id=fid)
-        packet.hash_salt = salt = fid % 3
         edge.receive(packet, 0)
-        pick = routes[ecmp_hash(fid, edge.node_id, salt) % len(routes)]
+        pick = routes[ecmp_hash(fid, edge.node_id) % len(routes)]
         want[pick] += 1
-        assert edge._route_cache[(dst.node_id, fid, salt)] == pick
+        assert edge._route_cache[(dst.node_id, fid)] == pick
         assert len(edge._route_cache) <= cap
     got = [p.tx_packets_total + p.export_state()["queued_packets"] for p in edge.ports]
     assert got == want
@@ -565,7 +565,6 @@ def test_pool_acquire_resets_every_slot():
     p.echo_ts = 123
     p.ack_seq = 9
     p.sack = (1, 2)
-    p.hash_salt = 42
     p.ctx = object()
     p.int_hops = [IntHop(1, 2, 3, 4.0)]
     pool.release(p)
@@ -574,7 +573,7 @@ def test_pool_acquire_resets_every_slot():
     assert q.size == 64 and q.src == 9 and q.dst == 8 and q.flow_id == 7
     assert q.seq == 0 and q.priority == 0 and q.local_prio == -1
     assert q.ecn is False and q.ecn_echo is False
-    assert q.echo_ts == 0 and q.ack_seq == 0 and q.hash_salt == 0
+    assert q.echo_ts == 0 and q.ack_seq == 0
     assert q.sack is None and q.ctx is None and q.int_hops is None
     assert pool.live == 1 and pool.reused == 1
 
