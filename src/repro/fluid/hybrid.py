@@ -18,20 +18,28 @@ not until a polling boundary.
 **drain → fluid** — when the predicate holds, every active sender is
 parked (``fluid_hold``, window state untouched) and the DES runs on until
 the last in-flight packet and ACK has landed.  From that point *no packet
-exists anywhere in the fabric*, and the driver advances the whole fabric
-in fluid timesteps: per-flow rates come from strict-priority max-min
-water-filling over the link-capacity matrix (:mod:`repro.fluid.model`),
-solved per connected component of the flow–link graph and only for the
-components whose members or caps moved, windows ramp per the scheme's fluid
-law (:mod:`repro.fluid.laws`), and delivered bytes are credited as whole
-packets to a per-flow byte ledger.  Only the senders' acked counters move
-per segment; each flow's sender/receiver sequence state is written back
-once (``FlowSender.fluid_advance``), when its last packet is credited or
-at the epoch's exit, so completions, telemetry and results read exactly
-as if the packets had flown.  The wall clock of
-the DES still advances through :meth:`Simulator.run`, so residual timers
-(RTOs, experiment samplers) fire normally; flows that *start* during a
-fluid epoch are absorbed directly into the fluid model.
+exists anywhere in the fabric*, and the driver advances the fabric in
+fluid segments, one per connected component of the flow–link graph:
+per-flow rates come from strict-priority max-min water-filling over the
+link-capacity matrix (:mod:`repro.fluid.model`), solved per component and
+only for the components whose members or caps moved, windows ramp per the
+scheme's fluid law (:mod:`repro.fluid.laws`), and delivered bytes are
+credited as whole packets to a per-flow byte ledger.  A component is
+*settled* (credited, ramped, its completions reaped) only at its own
+events — a completion, a gate, a merge or split — or at every step while a
+window in it ramps; a steady component skips the steps other components
+and the time boundaries make.  Only the senders' acked counters move per
+settlement; while a sink listens (``probe.on``) the counters of the steady
+components are brought up to each step too, count only, so samplers read
+them as fresh as per-step credit would.  Each flow's sender/receiver
+sequence state is written back once (``FlowSender.fluid_advance``), when
+its last packet is credited or at the epoch's exit, so completions,
+telemetry and results read exactly as if the packets had flown.  The wall
+clock of the DES still advances through :meth:`Simulator.run`, so residual
+timers (RTOs, experiment samplers) fire normally; an in-simulation reader
+of the acked counters (an experiment's ``RateSampler``) sees a steady
+component's as of its last settlement.  Flows that *start* during a fluid
+epoch are absorbed directly into the fluid model.
 
 **handoff** — on exit (contention, deadline, or drain failure) each
 surviving flow's ledger is written back, its congestion window is
@@ -40,7 +48,7 @@ re-synchronised to its fluid state (``cc.fluid_sync``), capped near
 burst, and the senders are released.  Re-materialised packet state is
 exact by construction: in fluid mode the network is empty, so the only
 state to restore is sequence/window state, which the write-back sets to
-what per-segment credit would have left.
+what direct credit at every settlement would have left.
 
 Error envelope (documented in docs/PERFORMANCE.md): fluid epochs model
 steady-state scheduling but approximate away standing-queue delay and
@@ -62,14 +70,11 @@ _PACKET = "packet"
 _DRAIN = "drain"
 _FLUID = "fluid"
 
-#: per-flow ECMP path cache ceiling: a multi-second trace creates millions
-#: of flow ids, each a distinct cache key; past this the cache is cleared
-#: wholesale (completed flows are never looked up again, so the only cost
-#: is re-deriving the paths of currently-live flows at the next epoch)
-_PATH_CACHE_MAX = 65536
-
-#: fluid timestep ceiling; segments also break at every completion
+#: fluid step ceiling: no step runs the DES further (a steady group's
+#: segment is not bounded by it)
 _DT_MAX_NS = 50_000
+#: the end of a segment nothing in it bounds (every member held at rate 0)
+_NEVER = 1 << 62
 #: give up draining after this many times the slowest held sender's base
 #: RTT plus the slack (the quiescence predicate lied, e.g. an RTO in flight)
 _DRAIN_TIMEOUT_RTTS = 6
@@ -103,7 +108,7 @@ class FluidConfig:
             # a non-advancing horizon would spin the drive loop forever
             raise ValueError(f"check_every_ns must be a positive int, got {check_every_ns!r}")
         #: how often ``done()`` and the deadline are looked at from inside a
-        #: fluid epoch (the segment loop's outer horizon).  Not the length of
+        #: fluid epoch (the step loop's outer horizon).  Not the length of
         #: a packet phase: those end when the fabric goes quiet
         self.check_every_ns = check_every_ns
 
@@ -115,7 +120,7 @@ class _FluidFlow:
 
     __slots__ = (
         "sender", "links", "rank", "cwnd", "ramp", "ceil", "rtt", "credit", "rate", "cap",
-        "gate_ns", "group", "seq", "first", "scan", "t_adv", "left",
+        "gate_ns", "group", "seq", "first", "scan", "t_adv", "left", "t_seg",
     )
 
     def __init__(self, sender, links: List[int], rank: int, cwnd: float, ramp: float, ceil: float):
@@ -129,10 +134,11 @@ class _FluidFlow:
         self.credit = 0.0  # fractional payload bytes not yet a whole packet
         self.rate = 0.0  # bytes/ns, in force this segment
         self.cap = 0.0  # bytes/ns, window-limited cap this segment
+        self.t_seg = 0  # credited up to here: the start of its open segment
         self.gate_ns = 0  # no credit before this time (pipe-fill delay)
         self.group = None  # the _Group holding it while live
         # the ledger: packets [first, seq) credited this epoch, the last
-        # segment that credited any began at packet scan, at time t_adv
+        # settlement that credited any began at packet scan, at time t_adv
         self.seq = self.first = self.scan = sender.next_new_seq
         self.t_adv = 0
         self.left = sender.remaining_bytes  # payload bytes not yet credited
@@ -140,9 +146,10 @@ class _FluidFlow:
 
 class _Group:
     """Live flows forming one connected component of the flow–link graph,
-    in ``_flows`` (absorb) order, and the allocation last solved for them."""
+    in ``_flows`` (absorb) order, the allocation last solved for them, and
+    when their open segment is next settled."""
 
-    __slots__ = ("flows", "caps", "rates", "label", "split")
+    __slots__ = ("flows", "caps", "rates", "label", "split", "due")
 
     def __init__(self, flows: List[_FluidFlow]):
         self.flows = flows
@@ -150,6 +157,10 @@ class _Group:
         self.rates: List[float] = []
         self.label = "none"
         self.split = False  # a member completed: re-split before the next solve
+        #: settled at the first step ending at or after this: the segment's
+        #: end while steady, its start while ramping (every step), 0 once
+        #: formed, merged or split (settle and reopen at the next step)
+        self.due = 0
 
 
 class HybridDriver:
@@ -173,7 +184,6 @@ class HybridDriver:
         # persistent link index: Port -> dense link id (grows across epochs)
         self._link_index = {}
         self._link_caps: List[float] = []
-        self._path_cache = {}
         # fluid-epoch state: the live flows in absorb order, the same flows
         # as connected components (a dict used as an ordered set), and each
         # link a live flow crosses -> its group (stale entries name groups
@@ -181,6 +191,8 @@ class HybridDriver:
         self._flows: List[_FluidFlow] = []
         self._groups: Dict[_Group, None] = {}
         self._link_group: Dict[int, _Group] = {}
+        # (sender, packets) whose acked counters _show ran ahead of the ledger
+        self._shown: List = []
         # senders parked by the drain in progress, then those admitted
         # during it, in that order
         self._held: List = []
@@ -196,7 +208,6 @@ class HybridDriver:
             "drain_failures": 0,
             "exit_reasons": {},
             "handoff_fresh_starts": 0,
-            "path_cache_evictions": 0,
         }
         if getattr(sim, "fluid_driver", None) is not None:
             raise RuntimeError("simulator already has a fluid driver attached")
@@ -318,20 +329,6 @@ class HybridDriver:
             self._link_caps.append(port.rate_bps / 8e9)  # bytes per ns
         return idx
 
-    def _flow_links(self, flow) -> List[int]:
-        key = (flow.src.node_id, flow.dst.node_id, flow.flow_id)
-        links = self._path_cache.get(key)
-        if links is None:
-            if len(self._path_cache) >= _PATH_CACHE_MAX:
-                self._path_cache.clear()
-                self.stats["path_cache_evictions"] += 1
-            # the flow's exact ECMP forward data path — flows that hash onto
-            # disjoint core links must not share fluid capacity (the reverse
-            # path only carries 64 B ACKs and is ignored)
-            ports = self.net.path_ports(flow.src, flow.dst, flow_id=flow.flow_id)
-            links = self._path_cache[key] = [self._link_id(p) for p in ports]
-        return links
-
     def _absorb(self, sender) -> None:
         law = law_for(sender)
         cwnd = float(sender.cc.cwnd)
@@ -339,10 +336,16 @@ class HybridDriver:
         if fresh:
             # starting inside the epoch: window comes from the fluid law
             cwnd = law.init
+        # the flow's exact ECMP forward data path under the routes in force,
+        # walked per absorption — flows that hash onto disjoint core links
+        # must not share fluid capacity (the reverse path only carries 64 B
+        # ACKs and is ignored)
+        spec = sender.flow
+        ports = self.net.path_ports(spec.src, spec.dst, flow_id=spec.flow_id)
         flow = _FluidFlow(
             sender,
-            self._flow_links(sender.flow),
-            max(int(getattr(sender.flow, "vpriority", 0)), 0),
+            [self._link_id(p) for p in ports],
+            max(int(getattr(spec, "vpriority", 0)), 0),
             min(max(cwnd, 1.0), law.ceil),
             law.ramp,
             law.ceil,
@@ -352,6 +355,7 @@ class HybridDriver:
             # one-way delay in flight before any byte lands at the receiver,
             # so delivery (and therefore completion) starts ~RTT/2 late
             flow.gate_ns = self.sim.now + sender.base_rtt // 2
+        flow.t_seg = self.sim.now
         self._flows.append(flow)
         self._join(flow)
 
@@ -385,7 +389,7 @@ class HybridDriver:
             g.flows.append(flow)  # the newest flow is last in absorb order
         for link in flow.links:
             link_group[link] = g
-        g.caps = None
+        g.due = 0
 
     def _enter_fluid(self, held) -> None:
         sim = self.sim
@@ -435,8 +439,8 @@ class HybridDriver:
                     link_group[link] = part
 
     def _allocate(self, now: int) -> str:
-        """Solve each group whose members or caps changed; returns the
-        segment's contention label, the most severe of the groups'.
+        """Solve each group settled at ``now`` whose members or caps changed;
+        returns the step's contention label, the most severe of the groups'.
 
         Max-min filling never moves capacity between components, so every
         group's ``rates`` equal a solve of all live flows at once, bit for bit
@@ -447,33 +451,36 @@ class HybridDriver:
             self._split(g)
         worst = "none"
         for g in groups:
-            flows = g.flows
-            # a freshly started flow's bytes only begin landing after one
-            # one-way delay; until its gate passes it holds no capacity,
-            # does not ramp, and its whole trajectory shifts by ~RTT/2
-            caps = [0.0 if f.gate_ns > now else f.cwnd / f.rtt for f in flows]
-            # same members, same caps (ceiling-bound or network-limited
-            # flows between two check boundaries): the last allocation holds
-            if caps != g.caps:
-                ranks = [f.rank for f in flows]
-                paths = [f.links for f in flows]
-                # looked up on the module per call: the perf ledger's tracer
-                # wraps these two names from outside
-                rates, load = model.solve_rates(caps, ranks, paths, link_caps)
-                g.label = model.classify_contention(
-                    rates, caps, ranks, paths, link_caps, load, _SAT_THRESHOLD
-                )
-                g.caps, g.rates = caps, rates
+            # a group in mid-segment holds its members and caps, so its
+            # allocation and label stand
+            if g.due <= now:
+                flows = g.flows
+                # a freshly started flow's bytes only begin landing after one
+                # one-way delay; until its gate passes it holds no capacity,
+                # does not ramp, and its whole trajectory shifts by ~RTT/2
+                caps = [0.0 if f.gate_ns > now else f.cwnd / f.rtt for f in flows]
+                # same members, same caps: the last allocation holds
+                if caps != g.caps:
+                    ranks = [f.rank for f in flows]
+                    paths = [f.links for f in flows]
+                    # looked up on the module per call: the perf ledger's
+                    # tracer wraps these two names from outside
+                    rates, load = model.solve_rates(caps, ranks, paths, link_caps)
+                    g.label = model.classify_contention(
+                        rates, caps, ranks, paths, link_caps, load, _SAT_THRESHOLD
+                    )
+                    g.caps, g.rates = caps, rates
             if _SEVERITY[g.label] > _SEVERITY[worst]:
                 worst = g.label
         return worst
 
     def _fluid_run(self, until: int) -> None:
-        """Advance in fluid segments until ``until`` or a regime exit."""
+        """Advance in fluid steps until ``until`` or a regime exit."""
         sim = self.sim
+        show = sim.probe.on
         while self.phase == _FLUID and sim.now < until:
-            flows = self._flows
-            if not flows:
+            now = sim.now
+            if not self._flows:
                 # empty fabric: no rates to solve.  Step to the next event
                 # (not to the horizon!) so a flow start that admits into the
                 # epoch resumes fluid integration immediately instead of
@@ -481,98 +488,158 @@ class HybridDriver:
                 nxt = sim.peek_time()
                 sim.run(until=until if nxt is None or nxt >= until else nxt)
                 continue
-            seg_start = sim.now
-            contention = self._allocate(seg_start)
-            # the exit hands back the previous segment's f.rate / f.cap, so
-            # this segment's are written only once it is known to run
-            if contention == "priority" and seg_start - self._fluid_entered >= _MIN_FLUID_NS:
+            contention = self._allocate(now)
+            # the exit settles every group at the rates it ran at, so the
+            # reopened groups' new ones are written only once the step runs
+            if contention == "priority" and now - self._fluid_entered >= _MIN_FLUID_NS:
                 self._exit_fluid("contention:" + contention)
                 return
-            # segment horizon: Δt cap, caller horizon, and per flow the
-            # earliest of gate expiry (re-solve as soon as a pipe fills), one
-            # RTT while its window is still ramping (the packet-level laws
-            # update once per RTT; a coarser explicit step would hold a
-            # growing flow at its stale rate for several) and completion
-            horizon = min(until, seg_start + _DT_MAX_NS)
-            for g in self._groups:
-                for f, cap, r in zip(g.flows, g.caps, g.rates):
-                    f.rate = r
-                    f.cap = cap
-                    if f.gate_ns > seg_start:
-                        horizon = min(horizon, f.gate_ns)
-                    elif r >= cap * 0.999 and f.cwnd < f.ceil:
-                        horizon = min(horizon, seg_start + max(int(f.rtt), 1))
-                    if r > 0.0:
-                        left = f.left - f.credit
-                        t_done = seg_start + int(left / r) + 1
-                        if t_done < horizon:
-                            horizon = t_done
-            if horizon <= seg_start:
-                horizon = seg_start + 1
-            sim.run(until=horizon)  # fires timers; may admit new flows
-            dt = sim.now - seg_start
-            if dt <= 0:
+            sim.run(until=self._open(now, min(until, now + _DT_MAX_NS)))  # may admit flows
+            if sim.now <= now:
                 break
-            self._credit(dt)
+            self._settle(sim.now)
+            if show:
+                self._show(sim.now)
 
-    def _credit(self, dt: int) -> None:
-        """Apply one segment: deliver bytes, ramp windows, reap completions.
+    def _open(self, now: int, step: int) -> int:
+        """Open a segment for every group settled at ``now``: its members'
+        rates and caps come into force.  Returns where the step ends: at
+        ``step`` or at the earliest end of any group's segment.
+
+        A group's segment ends at the earliest of its members' gate expiry
+        (re-solve as soon as a pipe fills), completion and, while a window is
+        still ramping, one RTT (the packet-level laws update once per RTT; a
+        coarser explicit step would hold a growing flow at its stale rate for
+        several).  A ramping group is due again at every step, whatever
+        ends it; a steady one only at its own segment's end."""
+        for g in self._groups:
+            due = g.due
+            if due > now:  # steady, in mid-segment: due is the segment's end
+                if due < step:
+                    step = due
+                continue
+            end = _NEVER
+            ramping = False
+            for f, cap, r in zip(g.flows, g.caps, g.rates):
+                f.rate = r
+                f.cap = cap
+                if f.gate_ns > now:
+                    if f.gate_ns < end:
+                        end = f.gate_ns
+                elif r >= cap * 0.999 and f.cwnd < f.ceil:
+                    ramping = True
+                    t = now + max(int(f.rtt), 1)
+                    if t < end:
+                        end = t
+                if r > 0.0:
+                    t = now + int((f.left - f.credit) / r) + 1
+                    if t < end:
+                        end = t
+            g.due = now if ramping else end
+            if end < step:
+                step = end
+        return step
+
+    def _settle(self, now: int) -> None:
+        """Settle every group that is due: credit each member's bytes from
+        the start of its segment (``t_seg``) to ``now``, ramp its window, reap
+        completions.  A group is due at its segment's end, at every step while
+        it ramps, and at the first step after a merge or split (``due`` 0); a
+        group in mid-segment costs one comparison.
 
         Whole packets go on each flow's ledger; of the sender only the acked
-        counters (read by samplers mid-epoch) move.  A flow whose last packet
-        is credited is written back and completes here, in flow order."""
-        sim = self.sim
-        now = sim.now
-        done = False
+        counters move.  A flow whose last packet is credited is written back
+        and completes here; flows finishing at one instant complete in
+        ``_flows`` (absorb) order."""
+        if self._shown:
+            self._unshow()
+        done = []
+        reaped = False
         delivered = 0
-        for f in self._flows:
-            s = f.sender
-            if s.completed:  # finished by a stray packet-path event
-                done = True
+        for g in self._groups:
+            if g.due > now:
                 continue
-            if f.rate > 0.0:
-                if s.flow.first_tx_ns is None:
-                    s.flow.first_tx_ns = now - dt
-                eff_dt = dt if f.gate_ns <= now - dt else max(now - f.gate_ns, 0)
-                credit = f.credit + f.rate * eff_dt
-                mtu = s.mtu
-                if credit >= mtu or credit >= f.left:
-                    a = f.seq
-                    last = s.n_packets - 1
-                    b = min(last, a + int(credit // mtu))
-                    consumed = (b - a) * mtu
-                    if b == last and credit - consumed >= s._last_payload:
-                        consumed += s._last_payload
-                        b += 1
-                    credit -= consumed
-                    if b > a:
-                        f.seq, f.scan, f.t_adv = b, a, now
-                        f.left -= consumed
-                        s.acked_count += b - a
-                        s.acked_payload += consumed
-                        delivered += consumed
-                        if b > last:
-                            s.fluid_advance(f.first, b, a, now)
-                            self.stats["fluid_completions"] += 1
-                            done = True
-                            continue
-                f.credit = credit
-            # window ramp: only cap-limited flows grow (a network-limited
-            # flow would be sitting at its scheme's delay target instead);
-            # gated flows (cap forced to 0) hold their window too
-            if f.cap > 0.0 and f.rate >= f.cap * 0.999 and f.cwnd < f.ceil:
-                f.cwnd = min(f.cwnd + f.ramp * dt / f.sender.base_rtt, f.ceil)
+            for f in g.flows:
+                s = f.sender
+                if s.completed:  # finished by a stray packet-path event
+                    reaped = True
+                    continue
+                dt = now - f.t_seg
+                f.t_seg = now
+                if f.rate > 0.0:
+                    # a flow with a rate has a cap, so its gate had passed
+                    # when the segment opened
+                    if s.flow.first_tx_ns is None:
+                        s.flow.first_tx_ns = now - dt
+                    credit = f.credit + f.rate * dt
+                    mtu = s.mtu
+                    if credit >= mtu or credit >= f.left:
+                        a = f.seq
+                        last = s.n_packets - 1
+                        b = min(last, a + int(credit // mtu))
+                        consumed = (b - a) * mtu
+                        if b == last and credit - consumed >= s._last_payload:
+                            consumed += s._last_payload
+                            b += 1
+                        credit -= consumed
+                        if b > a:
+                            f.seq, f.scan, f.t_adv = b, a, now
+                            f.left -= consumed
+                            s.acked_count += b - a
+                            s.acked_payload += consumed
+                            delivered += consumed
+                            if b > last:
+                                done.append(f)
+                                continue
+                    f.credit = credit
+                # window ramp: only cap-limited flows grow (a network-limited
+                # flow would be sitting at its scheme's delay target instead);
+                # gated flows (cap forced to 0) hold their window too
+                if f.cap > 0.0 and f.rate >= f.cap * 0.999 and f.cwnd < f.ceil:
+                    f.cwnd = min(f.cwnd + f.ramp * dt / f.rtt, f.ceil)
         self.stats["fluid_bytes"] += delivered
-        if done:
+        if done or reaped:
+            if len(done) > 1:
+                done.sort(key=self._flows.index)
+            for f in done:
+                f.sender.fluid_advance(f.first, f.seq, f.scan, now)
+            self.stats["fluid_completions"] += len(done)
             live = []
             for f in self._flows:
-                if f.sender.completed:
-                    g = f.group
+                g = f.group
+                if g.due <= now and f.sender.completed:
                     g.flows.remove(f)
                     g.split = True
                 else:
                     live.append(f)
             self._flows = live
+
+    def _show(self, now: int) -> None:
+        """Bring the acked counters of every group in mid-segment up to
+        ``now``, for the sinks that read them between steps.  Count only: no
+        ledger moves, the last packet is never shown, and the next
+        ``_settle`` takes the shown packets back before it credits."""
+        shown = self._shown
+        for g in self._groups:
+            if g.due <= now:
+                continue
+            for f in g.flows:
+                r = f.rate
+                if r > 0.0:
+                    s = f.sender
+                    mtu = s.mtu
+                    credit = f.credit + r * (now - f.t_seg)
+                    n = min(s.n_packets - 1, f.seq + int(credit // mtu)) - f.seq
+                    if n > 0:
+                        s.acked_count += n
+                        s.acked_payload += n * mtu
+                        shown.append((s, n))
+
+    def _unshow(self) -> None:
+        for s, n in self._shown:
+            s.acked_count -= n
+            s.acked_payload -= n * s.mtu
+        self._shown = []
 
     # ------------------------------------------------------------------
     # handoff back to packets
@@ -604,6 +671,9 @@ class HybridDriver:
         sim = self.sim
         now = sim.now
         epoch_ns = now - self._fluid_entered
+        for g in self._groups:
+            g.due = 0  # every group settles on the segment it is in
+        self._settle(now)
         survivors = [f.sender for f in self._flows]
         for f in self._flows:
             s = f.sender

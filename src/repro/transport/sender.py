@@ -442,10 +442,11 @@ class FlowSender:
         completion or at the epoch's exit, while the network is empty and
         this sender is held: sequence state has no holes, so delivery is a
         contiguous slice extension on both endpoints.  The driver kept
-        ``acked_count`` / ``acked_payload`` current segment by segment;
-        ``scan`` is where its last non-empty segment began and ``now`` that
-        segment's time.  Handles flow completion exactly like the packet
-        path (receiver completion callback first, then sender finish).
+        ``acked_count`` / ``acked_payload`` current settlement by settlement;
+        ``scan`` is the packet its last crediting settlement began at and
+        ``now`` that settlement's time.  Handles flow completion exactly like
+        the packet path (receiver completion callback first, then sender
+        finish).
         """
         if self.completed:
             raise AssertionError(f"flow {self.flow.flow_id}: fluid write-back to a completed sender")

@@ -1,15 +1,18 @@
-"""The per-segment fluid credit, kept as the byte ledger's oracle.
+"""The direct fluid credit, kept as the byte ledger's oracle.
 
-Before each fluid flow kept a byte ledger, ``HybridDriver._credit`` wrote
-every segment's whole packets straight into the sender and receiver with
-``FlowSender.fluid_advance(payload_budget, now)``.  Both are here as they
-stood at c78cbd9, as plain functions: ``credit`` is that ``_credit``, and
-``fluid_advance`` that method.  Patched in as ``HybridDriver._credit``,
-``credit`` runs a fluid epoch the old way.  It moves no flow's ledger
-sequence (only its remaining bytes, which the segment horizon reads), so
-the driver's exit finds nothing to write back.  ``tests/test_fluid.py``
-holds the shipped write-back to it: every survivor's sequence state must
-be equal at every handoff.
+Before each fluid flow kept a byte ledger, the driver wrote every segment's
+whole packets straight into the sender and receiver with
+``FlowSender.fluid_advance(payload_budget, now)``.  That method is here as
+it stood at c78cbd9, as a plain function, and ``settle`` is
+``HybridDriver._settle`` crediting through it: the same groups settle at
+the same steps (a group is due at its segment's end, at every step while it
+ramps, and after a merge or split), each flow credited from its ``t_seg``,
+in ``_flows`` (absorb) order.  Patched in as ``HybridDriver._settle``,
+``settle`` runs a fluid epoch the old way.  It moves no flow's ledger
+sequence (only its remaining bytes, which the segment ends read), so the
+driver's exit finds nothing to write back.  ``tests/test_fluid.py`` holds
+the shipped write-back to it: every survivor's sequence state must be equal
+at every handoff.
 """
 
 from __future__ import annotations
@@ -53,21 +56,25 @@ def fluid_advance(s, payload_budget: float, now: int) -> int:
     return consumed
 
 
-def credit(driver, dt: int) -> None:
-    """Apply one segment: deliver bytes, ramp windows, reap completions."""
-    now = driver.sim.now
+def settle(driver, now: int) -> None:
+    """Settle every due group: deliver bytes, ramp windows, reap completions."""
+    if driver._shown:
+        driver._unshow()
     done = False
     delivered = 0
     for f in driver._flows:
+        if f.group.due > now:
+            continue
         s = f.sender
         if s.completed:  # finished by a stray packet-path event
             done = True
             continue
+        dt = now - f.t_seg
+        f.t_seg = now
         if f.rate > 0.0:
             if s.flow.first_tx_ns is None:
                 s.flow.first_tx_ns = now - dt
-            eff_dt = dt if f.gate_ns <= now - dt else max(now - f.gate_ns, 0)
-            f.credit += f.rate * eff_dt
+            f.credit += f.rate * dt
             if f.credit >= s.mtu or f.credit >= s.remaining_bytes:
                 consumed = fluid_advance(s, f.credit, now)
                 f.credit -= consumed
@@ -83,8 +90,8 @@ def credit(driver, dt: int) -> None:
     if done:
         live = []
         for f in driver._flows:
-            if f.sender.completed:
-                g = f.group
+            g = f.group
+            if g.due <= now and f.sender.completed:
                 g.flows.remove(f)
                 g.split = True
             else:

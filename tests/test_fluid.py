@@ -13,11 +13,14 @@ from repro.cc import Swift, SwiftParams
 from repro.core import ChannelConfig, PrioPlusCC
 from repro.experiments.launch import run_until_flows_done
 from repro.fluid import FluidConfig, HybridDriver, model
-from repro.fluid.hybrid import _SAT_THRESHOLD, _FluidFlow
+from repro.fluid.hybrid import _DT_MAX_NS, _SAT_THRESHOLD, _FluidFlow
 from repro.fluid.laws import law_for
 from repro.fluid.model import classify_contention, solve_rates
+from repro.obs import TimeSeriesSampler
+from repro.probe import installed
 from repro.sim.engine import Simulator
 from repro.topology import fat_tree, star
+from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
 
 from tests.golden_battery import canonical
@@ -590,7 +593,7 @@ def test_completion_that_disconnects_a_group_splits_it(monkeypatch):
     assert sorted(solved) == [1, 3]
 
     bridge.sender.completed = True
-    driver._credit(1)
+    driver._settle(driver.sim.now)  # every group is due: none has opened a segment
     # removed at once, marked, and re-split before the next solve
     assert _group_members(driver) == [[0, 1], [2]]
     assert sorted(g.split for g in driver._groups) == [False, True]
@@ -608,6 +611,111 @@ def test_completion_that_disconnects_a_group_splits_it(monkeypatch):
     # link 2 was the finished flow's alone: a flow there joins nobody
     absorb(2)
     assert _group_members(driver) == [[0], [1], [2], [3]]
+
+
+def test_a_route_rebuild_reroutes_a_flow_absorbed_again():
+    """A flow absorbed before a link cut and ``rebuild_routes`` is credited
+    over its new path when it is absorbed again: the driver walks each
+    flow's path per absorption, under the routes in force."""
+    sim = Simulator(1)
+    net, hosts = fat_tree(sim, k=4, rate_bps=100e9)
+    flow = Flow(1, hosts[0], hosts[-1], 1_000_000)
+    sender = FlowSender(sim, net, flow, Swift(), rto_ns=10**10)
+    driver = HybridDriver(sim, net)
+    driver._enter_fluid([sender])
+    (before,) = driver._flows
+    ports = net.path_ports(flow.src, flow.dst, flow_id=flow.flow_id)
+    assert before.links == [driver._link_index[p] for p in ports]
+
+    uplink = ports[1]  # edge -> aggregation: the edge switch has another
+    net.set_link_state(ports[0].peer, uplink.peer, up=False)
+    net.rebuild_routes()
+    driver._enter_fluid([sender])  # the next epoch absorbs it again
+    (after,) = driver._flows
+    rerouted = net.path_ports(flow.src, flow.dst, flow_id=flow.flow_id)
+    assert uplink not in rerouted
+    assert driver._link_index[uplink] not in after.links
+    assert after.links == [driver._link_index[p] for p in rerouted]
+
+
+class _StepLog(Simulator):
+    """A simulator that logs, at the start of every ``run`` call, the clock
+    and what ``observe()`` returns."""
+
+    def __init__(self, seed, observe):
+        super().__init__(seed)
+        self.observe = observe
+        self.log = []
+
+    def run(self, *args, **kwargs):
+        self.log.append((self.now, self.observe()))
+        return super().run(*args, **kwargs)
+
+
+def _steady_and_ramping(observe):
+    """Two disjoint one-flow components inside one fluid epoch on a k=4
+    fat-tree: a 4 MB flow that ramps to line rate within ~20 µs and then
+    holds it, and a 300 kB flow starting at 100 µs that ramps and completes
+    while the first is steady.  Both start inside the epoch.  Returns the
+    simulator (its step log of ``observe(senders)``), the flows and the
+    driver."""
+    senders = []
+    sim = _StepLog(1, lambda: observe(senders))
+    net, hosts = fat_tree(sim, k=4, rate_bps=100e9)
+    channels = ChannelConfig(n_priorities=1)
+    flows = [
+        Flow(1, hosts[0], hosts[1], 4_000_000, vpriority=1, start_ns=0),
+        Flow(2, hosts[2], hosts[3], 300_000, vpriority=1, start_ns=100_000),
+    ]
+    for f in flows:
+        cc = PrioPlusCC(
+            Swift(SwiftParams(target_scaling=False)), channels, vpriority=1, probe_first=False
+        )
+        senders.append(FlowSender(sim, net, f, cc, rto_ns=10**10))
+    driver = HybridDriver(sim, net)
+    driver._enter_fluid([])
+    assert run_until_flows_done(sim, flows, 10**9, driver=driver)
+    return sim, flows, driver
+
+
+def test_a_steady_component_is_settled_only_at_its_own_events():
+    """While a disjoint component ramps (a step per RTT) and completes, a
+    steady component is not credited: its sender's acked counter holds
+    still at every step, and it still completes with every byte."""
+    sim, (steady, ramping), driver = _steady_and_ramping(
+        lambda senders: (senders[0].acked_count, senders[1].started, senders[1].completed)
+    )
+    during = [acked for _, (acked, started, done) in sim.log if started and not done]
+    assert len(during) >= 5, sim.log  # the ramping flow was stepped per RTT
+    assert len(set(during)) == 1, during
+    assert 0 < during[0] < steady.size_bytes // 1000
+    assert driver.stats["fluid_completions"] == 2
+    assert driver.stats["exit_reasons"] == {"deadline": 1}
+    assert steady.completion_ns > ramping.completion_ns
+
+
+def test_sinks_read_steady_counters_at_every_step_and_change_nothing():
+    """With a sampler attached, a steady flow's sampled ``acked_bytes`` moves
+    at every sample (the stride is longer than the longest step), as fresh
+    as crediting it at every step would leave it; the run is the same
+    without the sampler."""
+    stride = _DT_MAX_NS + 10_000
+    sampler = TimeSeriesSampler(stride_ns=stride)
+    with installed(sampler):
+        sim, flows, driver = _steady_and_ramping(lambda senders: None)
+    plain_sim, plain_flows, plain_driver = _steady_and_ramping(lambda senders: None)
+    assert [f.fct_ns() for f in flows] == [f.fct_ns() for f in plain_flows]
+    assert driver.stats == plain_driver.stats
+    assert (sim.now, sim.events_processed) == (plain_sim.now, plain_sim.events_processed)
+    assert sim.log == plain_sim.log
+
+    steady = flows[0]
+    acked = [
+        row["acked_bytes"] for row in sampler.flows.rows
+        if row["flow"] == 1 and row["t"] < steady.completion_ns
+    ]
+    assert len(acked) >= 4
+    assert all(a < b for a, b in zip(acked, acked[1:])), acked
 
 
 # ----------------------------------------------------------------------
@@ -844,7 +952,7 @@ def _state_log(world, reference):
     write-backs, and a log of every fluid exit ``(now, reason)``, every
     sender handed back (with the sequence state it holds before it sends
     again) and every sender finishing (with its state then).
-    ``reference`` runs every epoch with the per-segment credit of
+    ``reference`` runs every epoch with the direct per-settlement credit of
     ``tests/credit_reference.py``."""
     from tests import credit_reference
 
@@ -883,7 +991,7 @@ def _state_log(world, reference):
         m.setattr(HybridDriver, "_release_or_start", recording_release)
         m.setattr(FlowSender, "_finish", recording_finish)
         if reference:
-            m.setattr(HybridDriver, "_credit", credit_reference.credit)
+            m.setattr(HybridDriver, "_settle", credit_reference.settle)
             m.setattr(credit_reference, "fluid_advance", counting_advance)
         else:
             m.setattr(FlowSender, "fluid_advance", counting_advance)
@@ -893,12 +1001,13 @@ def _state_log(world, reference):
 
 @pytest.mark.parametrize("world", sorted(HYBRID_WORLDS))
 def test_one_write_back_leaves_the_state_per_segment_credit_did(world):
-    """Differential against the per-segment credit the ledger replaced: at
-    every fluid exit each survivor, and at every completion the finishing
-    sender, holds the same ``sent`` / ``acked`` / ``received`` arrays,
-    counters and cursors, and the run ends on the same results.  Every
-    write-back is a fluid completion or a handoff, where the reference
-    wrote once per crediting segment."""
+    """Differential against the direct credit the ledger replaced, settled
+    group by group as the driver settles: at every fluid exit each
+    survivor, and at every completion the finishing sender, holds the same
+    ``sent`` / ``acked`` / ``received`` arrays, counters and cursors, and
+    the run ends on the same results.  Every write-back is a fluid
+    completion or a handoff, where the reference wrote once per crediting
+    settlement."""
     result, writes, log = _state_log(world, reference=False)
     ref_result, ref_writes, ref_log = _state_log(world, reference=True)
     assert writes > 0, "the ledger was never written back"

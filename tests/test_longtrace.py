@@ -159,9 +159,8 @@ def _by_src_parity(spec) -> int:
     return spec.src_idx % 2
 
 
-def _hybrid_streaming_run(n_flows: int, gap_ns: int, path_cache_max=None):
+def _hybrid_streaming_run(n_flows: int, gap_ns: int):
     from repro.fluid import FluidConfig, HybridDriver
-    from repro.fluid import hybrid as hybrid_mod
 
     sim, net, hosts, _ = _small_world(seed=9)
     # two-flow bursts of two ranks sharing a destination: each burst is
@@ -175,15 +174,7 @@ def _hybrid_streaming_run(n_flows: int, gap_ns: int, path_cache_max=None):
         sim, net, specs, hosts, _TWO_RANKS, group_of=_by_src_parity, horizon_ns=50_000
     )
     driver = HybridDriver(sim, net, FluidConfig(check_every_ns=50_000))
-    if path_cache_max is not None:
-        old = hybrid_mod._PATH_CACHE_MAX
-        hybrid_mod._PATH_CACHE_MAX = path_cache_max
-        try:
-            ok = run_admitter(sim, admitter, 10**10, driver=driver)
-        finally:
-            hybrid_mod._PATH_CACHE_MAX = old
-    else:
-        ok = run_admitter(sim, admitter, 10**10, driver=driver)
+    ok = run_admitter(sim, admitter, 10**10, driver=driver)
     return ok, admitter, driver
 
 
@@ -203,15 +194,6 @@ def test_hybrid_run_until_done_with_streaming_admission():
     assert st["handoff_fresh_starts"] >= 1
     # fluid epochs carried real work on this workload
     assert st["fluid_ns"] > 0
-
-
-def test_hybrid_path_cache_bounded():
-    ok, admitter, driver = _hybrid_streaming_run(
-        n_flows=30, gap_ns=400_000, path_cache_max=8
-    )
-    assert ok and admitter.n_done == 30
-    assert driver.stats["path_cache_evictions"] >= 1
-    assert len(driver._path_cache) <= 8
 
 
 def test_hybrid_fresh_start_handoff_runs_cc_start():
