@@ -11,8 +11,9 @@ and to the engine's per-dispatch hook for the clock check.
 Invariants (see docs/AUDIT.md for the full semantics):
 
 1. **Packet conservation ledger** — every packet acquired from the pool is
-   eventually delivered, dropped (with a reason) or corrupted; unaccounted
-   releases and leaked packets are reconciled at :meth:`Auditor.finalize`.
+   eventually delivered, dropped (with a reason), corrupted or withdrawn
+   from the fabric at a fluid entry; unaccounted releases and leaked
+   packets are reconciled at :meth:`Auditor.finalize`.
 2. **Buffer byte reconciliation** — ``shared_used`` / ``headroom_used``
    always match an independently-maintained shadow ledger, never go
    negative, never exceed capacity; at finalize they equal the bytes
@@ -25,6 +26,12 @@ Invariants (see docs/AUDIT.md for the full semantics):
    with pending (re)transmissions always has a timer armed.
 5. **Clock monotonicity** — no event executes at a time before the clock
    (checked per event through the engine's dispatch hook).
+6. **Fluid byte ledger** — a flow handed to the hybrid core's fluid regime
+   has no packet in flight; its fluid credit (the withdrawn window as it
+   lands, then the rate's) plus what packets had acked is its sender's
+   acked payload at every credit and at the handoff back, and its size
+   when it completes; and no sender is in both regimes (a packet sent or
+   an ACK taken while its flow is fluid).
 
 The auditor never feeds back into the simulation: it schedules no events,
 draws from no RNG and mutates no component state, so an audited run produces
@@ -149,8 +156,13 @@ class Auditor:
         self.delivered = 0
         self.delivered_bytes = 0
         self.corrupted = 0
+        self.withdrawn = 0
         self.dropped: Dict[str, int] = {}
         self.dropped_total = 0
+
+        # (6) fluid byte ledger: flow id -> [payload acked by packets at the
+        # handoff to fluid, payload credited in fluid since]
+        self._fluid: Dict[int, List[int]] = {}
 
         # (2) buffer shadows: id(buffer) -> [shared, headroom]
         self._buf_shadow: Dict[int, List[int]] = {}
@@ -215,6 +227,9 @@ class Auditor:
 
     def pkt_corrupted(self, t: int, pkt) -> None:
         self.corrupted += 1
+
+    def withdraw(self, t: int, pkt) -> None:
+        self.withdrawn += 1
 
     # ------------------------------------------------------------------
     # (2) buffer byte reconciliation
@@ -390,6 +405,8 @@ class Auditor:
         """Reconcile ``inflight_bytes`` after an ACK/RTO/go-back-N event."""
         if sender.completed:
             return
+        if self._fluid:
+            self._packet_path(t, sender.flow.flow_id, "took an ACK")
         self._count("sender_window")
         sent = sender.sent
         acked = sender.acked
@@ -440,7 +457,13 @@ class Auditor:
         self.sender_event(t, sender)
 
     def flow_state(self, t: int, flow_id: int, state: str, sender) -> None:
-        """A relinquished flow must own a probe (its only path back)."""
+        """A relinquished flow must own a probe (its only path back); a flow
+        finishing in fluid closes its byte ledger at its size."""
+        if state == "done":
+            entry = self._fluid.pop(flow_id, None)
+            if entry is not None:
+                self._fluid_check(t, sender, entry, sender.flow.size_bytes, "completes")
+            return
         if state != "relinquished":
             return
         self._count("prioplus_probe")
@@ -451,6 +474,65 @@ class Auditor:
                 f"flow {sender.flow.flow_id}: relinquished without an armed "
                 f"probe — the flow can never resume",
             )
+
+    # ------------------------------------------------------------------
+    # (6) fluid byte ledger (hybrid core)
+    # ------------------------------------------------------------------
+    def handoff(self, t: int, sender, regime: str) -> None:
+        """``sender`` crosses to ``regime`` (``"fluid"`` / ``"packet"``)."""
+        self._count("fluid_ledger")
+        fid = sender.flow.flow_id
+        if regime == "fluid":
+            if fid in self._fluid:
+                self.violation(t, "fluid_ledger", f"flow {fid}: handed to fluid twice")
+            if sender.inflight_bytes or sender.probe_outstanding:
+                self.violation(
+                    t,
+                    "fluid_ledger",
+                    f"flow {fid}: handed to fluid with {sender.inflight_bytes} bytes in "
+                    f"flight (probe outstanding: {sender.probe_outstanding})",
+                )
+            self._fluid[fid] = [sender.acked_payload, 0]
+            return
+        entry = self._fluid.pop(fid, None)
+        if entry is None:
+            self.violation(t, "fluid_ledger", f"flow {fid}: handed back to packets, never to fluid")
+            return
+        self._fluid_check(t, sender, entry, sender.acked_payload, "is handed back")
+
+    def fluid_credit(self, t: int, sender, payload_bytes: int) -> None:
+        """One settlement's credit to a fluid flow, after its acked counters
+        moved (never the counters ``_show`` runs ahead)."""
+        self._count("fluid_ledger")
+        fid = sender.flow.flow_id
+        entry = self._fluid.get(fid)
+        if entry is None:
+            self.violation(t, "fluid_ledger", f"flow {fid}: fluid credit outside fluid")
+            return
+        entry[1] += payload_bytes
+        self._fluid_check(t, sender, entry, sender.acked_payload, "is credited")
+
+    def _fluid_check(self, t: int, sender, entry: List[int], want: int, when: str) -> None:
+        acked, credited = entry
+        size = sender.flow.size_bytes
+        if acked + credited != want or sender.acked_payload > size:
+            self.violation(
+                t,
+                "fluid_ledger",
+                f"flow {sender.flow.flow_id} {when}: {acked} bytes acked by packets + "
+                f"{credited} credited in fluid != {want} (acked payload "
+                f"{sender.acked_payload}, size {size})",
+            )
+
+    def _packet_path(self, t: int, flow_id: int, what: str) -> None:
+        if flow_id in self._fluid:
+            self.violation(
+                t, "fluid_ledger", f"flow {flow_id} {what} on the packet path while fluid"
+            )
+
+    def pkt_sent(self, t: int, pkt) -> None:
+        if self._fluid:
+            self._packet_path(t, pkt.flow_id, "sent a packet")
 
     # ------------------------------------------------------------------
     # (5) clock monotonicity (the engine's per-dispatch hook)
@@ -494,15 +576,15 @@ class Auditor:
 
     def _finalize_ledger(self, t: int) -> None:
         self._count("packet_ledger")
-        classified = self.delivered + self.dropped_total + self.corrupted
+        classified = self.delivered + self.dropped_total + self.corrupted + self.withdrawn
         if classified != self.released:
             self.violation(
                 t,
                 "packet_ledger",
                 f"{self.released} packets released but {classified} classified "
                 f"(delivered={self.delivered}, dropped={self.dropped_total}, "
-                f"corrupted={self.corrupted}) — a release site is missing its "
-                f"delivery/drop classification",
+                f"corrupted={self.corrupted}, withdrawn={self.withdrawn}) — a "
+                f"release site is missing its delivery/drop classification",
             )
         residual = self.acquired - self.released
         if residual < 0:
@@ -535,6 +617,7 @@ class Auditor:
             "delivered": self.delivered,
             "delivered_bytes": self.delivered_bytes,
             "corrupted": self.corrupted,
+            "withdrawn": self.withdrawn,
             "dropped": dict(sorted(self.dropped.items())),
             "dropped_total": self.dropped_total,
             "residual": residual,

@@ -6,18 +6,33 @@ regimes per epoch:
 **packet** — the simulator runs exactly as without the driver.  After a
 fluid exit it runs straight through the hysteresis floor in force.  The
 floor is short (``_MIN_PACKET_NS``) and backs off: a contention exit from an
-epoch shorter than ``_SHORT_EPOCH_NS``, or a drain failure, doubles it up to
-``_MAX_PACKET_NS``, so persistent contention is not re-entered every few
-tens of µs; any other exit resets it.  Past the floor the phase is stepped
-on the ``_DRAIN_STEP_NS`` grid and the *quiescence predicate* is evaluated
-after every step: fabric backlog below a threshold, no PFC pause asserted,
-and no flow inside a PrioPlus transition window (stopped / probe
-outstanding / ``consec > 0``) or loss recovery.  A packet phase therefore lasts as long as the fabric is busy,
-not until a polling boundary.
+epoch shorter than ``_SHORT_EPOCH_NS`` doubles it up to ``_MAX_PACKET_NS``,
+so persistent contention is not re-entered every few tens of µs; any other
+exit resets it.  Past the floor the phase is stepped on the
+``_QUIET_STEP_NS`` grid and the *quiescence predicate* is evaluated after
+every step: fabric backlog below a threshold, no PFC pause asserted, and no
+flow inside a PrioPlus transition window (stopped / probe outstanding /
+``consec > 0``) or loss recovery.  A packet phase therefore lasts as long
+as the fabric is busy, not until a polling boundary.
 
-**drain → fluid** — when the predicate holds, every active sender is
-parked (``fluid_hold``, window state untouched) and the DES runs on until
-the last in-flight packet and ACK has landed.  From that point *no packet
+**withdraw → fluid** — when the predicate holds, every active sender is
+parked (``fluid_hold``, window state untouched) and every packet in the
+fabric is taken out in one pass (:meth:`HybridDriver._withdraw`): the port
+queues, the frames in service, the buffer and PFC-ingress bytes the queued
+ones hold, and their deliveries and tx wake-ups in the heap
+(:meth:`Simulator.withdraw <repro.sim.engine.Simulator.withdraw>`).  No
+event runs between the decision and the first solve.  The withdrawn
+packets are timed over the rest of their paths through the ports' FIFOs (a
+data packet echoed back as its ACK) without the engine, and each held
+flow's in-flight window — its packets ``[acked, next_new_seq)`` — becomes
+ledger credit that lands when its ACK would have reached the sender; the
+ACKs reach the congestion control then, and a held sender's PrioPlus probe
+crosses the fabric the same way (``fly_probe``).  No byte is credited by
+rate before the epoch *opens*: at the first point of the quiet grid at which
+every held window has landed, every port is idle and no probe is out —
+where running the packets out on the engine would have left the fabric.
+A flow whose whole rest was in flight completes as its last ACK lands, its
+receiver where its last data would have.  From the decision on *no packet
 exists anywhere in the fabric*, and the driver advances the fabric in
 fluid segments, one per connected component of the flow–link graph:
 per-flow rates come from strict-priority max-min water-filling over the
@@ -41,14 +56,15 @@ of the acked counters (an experiment's ``RateSampler``) sees a steady
 component's as of its last settlement.  Flows that *start* during a fluid
 epoch are absorbed directly into the fluid model.
 
-**handoff** — on exit (contention, deadline, or drain failure) each
-surviving flow's ledger is written back, its congestion window is
-re-synchronised to its fluid state (``cc.fluid_sync``), capped near
-``rate × base_rtt`` for network-limited flows so the resumed DES does not
-burst, and the senders are released.  Re-materialised packet state is
-exact by construction: in fluid mode the network is empty, so the only
-state to restore is sequence/window state, which the write-back sets to
-what direct credit at every settlement would have left.
+**handoff** — on exit (contention or deadline) each surviving flow's ledger
+is written back (in-flight credit that has not landed yet lands at the
+exit), its congestion window is re-synchronised to its fluid state
+(``cc.fluid_sync``), capped near ``rate × base_rtt`` for network-limited
+flows so the resumed DES does not burst, and the senders are released.
+Re-materialised packet state is exact by construction: in fluid mode the
+network is empty, so the only state to restore is sequence/window state,
+which the write-back sets to what direct credit at every settlement would
+have left.
 
 Error envelope (documented in docs/PERFORMANCE.md): fluid epochs model
 steady-state scheduling but approximate away standing-queue delay and
@@ -61,13 +77,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..sim.packet import ACK, DATA, PACKET_POOL
+from ..transport.flow import AckInfo
 from . import model
 from .laws import law_for
+from .withdraw import FlightPlan
 
 __all__ = ["FluidConfig", "HybridDriver"]
 
 _PACKET = "packet"
-_DRAIN = "drain"
 _FLUID = "fluid"
 
 #: fluid step ceiling: no step runs the DES further (a steady group's
@@ -75,18 +93,14 @@ _FLUID = "fluid"
 _DT_MAX_NS = 50_000
 #: the end of a segment nothing in it bounds (every member held at rate 0)
 _NEVER = 1 << 62
-#: give up draining after this many times the slowest held sender's base
-#: RTT plus the slack (the quiescence predicate lied, e.g. an RTO in flight)
-_DRAIN_TIMEOUT_RTTS = 6
-_DRAIN_TIMEOUT_SLACK_NS = 20_000
-#: the one packet-side step: DES chunk between "quiet?" checks in a packet
-#: phase and between "drained?" checks while draining
-_DRAIN_STEP_NS = 5_000
+#: the one packet-side step: DES chunk between "quiet?" checks past the
+#: floor of a packet phase
+_QUIET_STEP_NS = 5_000
 #: hysteresis: after a fluid exit stay in packet mode at least the floor in
 #: force (``HybridDriver._floor_ns``), which starts and resets at this base
 _MIN_PACKET_NS = 15_000
-#: a contention exit (or drain failure) from an epoch shorter than this
-#: doubles the next floor: the contention outlived the last one
+#: a contention exit from an epoch shorter than this doubles the next
+#: floor: the contention outlived the last one
 _SHORT_EPOCH_NS = 100_000
 #: the floor backs off no further than this
 _MAX_PACKET_NS = 800_000
@@ -116,11 +130,13 @@ class FluidConfig:
 class _FluidFlow:
     """One sender absorbed into the fluid model, with the epoch's byte
     ledger: whole packets credited since ``first`` run to ``seq``, and the
-    sender's sequence state catches up once (``FlowSender.fluid_advance``)."""
+    sender's sequence state catches up once (``FlowSender.fluid_advance``).
+    The packets of its window withdrawn at entry sit in ``lands`` until
+    they land."""
 
     __slots__ = (
         "sender", "links", "rank", "cwnd", "ramp", "ceil", "rtt", "credit", "rate", "cap",
-        "gate_ns", "group", "seq", "first", "scan", "t_adv", "left", "t_seg",
+        "gate_ns", "group", "seq", "first", "scan", "t_adv", "left", "t_seg", "lands", "done_ns",
     )
 
     def __init__(self, sender, links: List[int], rank: int, cwnd: float, ramp: float, ceil: float):
@@ -142,6 +158,16 @@ class _FluidFlow:
         self.seq = self.first = self.scan = sender.next_new_seq
         self.t_adv = 0
         self.left = sender.remaining_bytes  # payload bytes not yet credited
+        #: the withdrawn window: ``(landing ns, payload)`` per packet, latest
+        #: first (credited from the end), and when the receiver would have
+        #: held the last of them
+        self.lands = ()
+        self.done_ns = 0
+
+
+def _fresh(sender) -> bool:
+    """Not a byte moved yet, by packets or by fluid credit."""
+    return sender.flow.first_tx_ns is None and sender.acked_payload == 0
 
 
 class _Group:
@@ -181,9 +207,12 @@ class HybridDriver:
         #: fabric-wide backlog below which a fluid epoch may be attempted:
         #: 8 wire-MTUs per port of this driver's own fabric
         self.quiet_backlog_bytes = 8 * 1540 * max(len(self._ports), 1)
-        # persistent link index: Port -> dense link id (grows across epochs)
+        # persistent link index: Port -> dense link id (grows across epochs);
+        # every indexed port's ``cap_memo`` is this one list, which a rate
+        # write empties: the caps are re-read once it is
         self._link_index = {}
         self._link_caps: List[float] = []
+        self._caps_fresh = [True]
         # fluid-epoch state: the live flows in absorb order, the same flows
         # as connected components (a dict used as an ordered set), and each
         # link a live flow crosses -> its group (stale entries name groups
@@ -193,10 +222,20 @@ class HybridDriver:
         self._link_group: Dict[int, _Group] = {}
         # (sender, packets) whose acked counters _show ran ahead of the ledger
         self._shown: List = []
-        # senders parked by the drain in progress, then those admitted
-        # during it, in that order
-        self._held: List = []
+        # the callbacks of the fabric's packet events, withdrawn at entry:
+        # every port's delivery and tx wake-up (built at the first entry)
+        self._fabric_fns = None
+        # the last entry's flight plan: a probe sent before the opening
+        # queues behind the withdrawn frames it meets
+        self._plan: Optional[FlightPlan] = None
         self._fluid_entered = 0
+        #: the last quiescence decision, and when that epoch's first byte may
+        #: be credited by rate (``_withdraw``)
+        self._decided = self._opened = 0
+        # the flows held at the last entry, until the epoch opens, and those
+        # of them whose withdrawn window has not all landed
+        self._unopened: List[_FluidFlow] = []
+        self._landing: List[_FluidFlow] = []
         self._last_exit = -(1 << 62)
         self._floor_ns = _MIN_PACKET_NS  # the packet-phase floor in force
         self.stats = {
@@ -205,9 +244,13 @@ class HybridDriver:
             "fluid_bytes": 0,
             "fluid_completions": 0,
             "admitted_in_fluid": 0,
+            # kept at 0 for the readers of this key: entry withdraws the
+            # packets in flight instead of draining them, so it cannot fail
             "drain_failures": 0,
             "exit_reasons": {},
             "handoff_fresh_starts": 0,
+            "withdrawn_packets": 0,
+            "withdrawn_bytes": 0,
         }
         if getattr(sim, "fluid_driver", None) is not None:
             raise RuntimeError("simulator already has a fluid driver attached")
@@ -237,17 +280,19 @@ class HybridDriver:
                 break
             if self.phase == _PACKET:
                 # hysteresis: a check before the floor could only say no, so
-                # run straight to it; past it, ask on the drain grid — resumed
+                # run straight to it; past it, ask on the quiet grid — resumed
                 # flows are back at line rate, the expensive way to wait
                 floor = self._last_exit + self._floor_ns
-                until = floor if sim.now < floor else sim.now + _DRAIN_STEP_NS
+                until = floor if sim.now < floor else sim.now + _QUIET_STEP_NS
                 sim.run(until=min(until, hard_deadline_ns))
                 if sim.now >= hard_deadline_ns or done():
                     break
                 if self._quiescent():
-                    self._try_enter_fluid()
+                    self._enter_fluid(self._active_senders())
             else:
-                self._fluid_run(min(sim.now + cfg.check_every_ns, hard_deadline_ns))
+                # the outer horizon counts from the epoch's opening
+                start = max(sim.now, self._opened)
+                self._fluid_run(min(start + cfg.check_every_ns, hard_deadline_ns))
         if self.phase != _PACKET:
             self._exit_fluid("deadline")
         return done()
@@ -257,7 +302,7 @@ class HybridDriver:
         self.run_until_done(lambda: False, until)
 
     # ------------------------------------------------------------------
-    # quiescence predicate + drain
+    # quiescence predicate + withdrawal
     # ------------------------------------------------------------------
     def _active_senders(self) -> list:
         out = []
@@ -285,39 +330,183 @@ class HybridDriver:
                     return False
         return True
 
-    def _drained(self, held) -> bool:
-        for s in held:
-            if not s.completed and (s.inflight_bytes or s.probe_outstanding or s._retx_queue):
-                return False
-        for port in self._ports:
-            if port.total_bytes or port.busy:
-                return False
-        return True
+    def _withdraw(self, held) -> Dict:
+        """Take every packet out of the fabric in one pass; returns each held
+        sender's in-flight window as landings, ``{sender: (first,
+        [(landing ns, payload), ...], done_ns)}``, and sets ``_opened``.
 
-    def _try_enter_fluid(self) -> bool:
+        Withdrawn are the deliveries and tx wake-ups in the heap (one
+        :meth:`Simulator.withdraw`), then every port's queues, in service
+        order, with the buffer and PFC-ingress bytes they hold
+        (:meth:`Port.withdraw <repro.sim.port.Port.withdraw>`); each packet
+        goes back to ``PACKET_POOL``.  A
+        :class:`~repro.fluid.withdraw.FlightPlan` does the taking and times
+        every withdrawn packet over the rest of its path, a data packet
+        echoed at its receiver, without the engine.  A held sender's
+        packet lands when its ACK would have reached the sender, so one
+        whose data has landed and whose ACK is in flight credits the sender
+        only, and at that time its ACK reaches the congestion control
+        (``_echo``).  Every packet of a held sender's window ``[acked,
+        next_new_seq)`` lands, in flight or not (one the fabric lost lands
+        at ``_opened``).  ``done_ns`` is when the receiver would have held
+        the whole window.
+
+        ``_opened`` is the first point of the ``_QUIET_STEP_NS`` grid from
+        now at which every held sender's window has landed and every port is
+        idle (a probe sent before it moves it, ``fly_probe``): where running
+        the packets out on the engine would have left the fabric.  No byte
+        is credited by rate before it."""
         sim = self.sim
-        held = self._active_senders()
-        self.phase = _DRAIN  # flow starts from here on are absorbed
-        self._held = held
+        now = sim.now
+        fns = self._fabric_fns
+        if fns is None:
+            fns = self._fabric_fns = {port._wake for port in self._ports} | {
+                port._deliver for port in self._ports if port._deliver is not None
+            }
+        plan = self._plan = FlightPlan(sim, self.net, fns, self._ports)
+        pkts, rx, land = plan.pkts, plan.rx, plan.land
+        by_id = {s.flow.flow_id: s for s in held}
+        landed = {}  # sender -> {seq: (ACK at the sender, data at the receiver, echo)}
+        quiet = plan.idle  # the last port goes idle ...
+        p = sim.probe
+        for i, pkt in enumerate(pkts):
+            s = by_id.get(pkt.flow_id)
+            kind = pkt.kind
+            if s is not None and (kind == DATA or kind == ACK):
+                t = land[i]
+                if t > quiet:
+                    quiet = t  # ... and the last held ACK lands
+                if kind == DATA:
+                    echo = (t - pkt.send_ts, pkt.ecn, pkt.int_hops)
+                else:
+                    echo = (t - pkt.echo_ts, pkt.ecn_echo, pkt.int_hops)
+                seqs = landed.setdefault(s, {})
+                old = seqs.get(pkt.seq)
+                if old is None or t < old[0]:
+                    seqs[pkt.seq] = (t, rx.get(i), echo)
+            if p.on:
+                p.withdraw(now, pkt)
+            PACKET_POOL.release(pkt)
+        self.stats["withdrawn_packets"] += len(pkts)
+        step = _QUIET_STEP_NS
+        self._decided = now
+        self._opened = opened = now + step * -(-(quiet - now) // step)
+        out = {}
+        for s in held:
+            if not s.inflight_bytes:
+                continue  # no packet sent and unacked: nothing in flight
+            nns = s.next_new_seq
+            acked, sent = s.acked, s.sent
+            first = acked.find(0, 0, nns)
+            if first < 0:
+                continue
+            seqs = landed.get(s, {})
+            lands = []
+            done_ns = now
+            for q in range(first, nns):
+                if acked[q]:
+                    continue
+                payload = s.payload_of(q)
+                ack, rx_ns, echo = seqs.get(q, (opened, opened, None))
+                lands.append((ack, payload))
+                if echo is not None:
+                    # its ACK reaches the congestion control when it would have
+                    sim.call_at(ack, self._echo, s, q, payload, echo, now)
+                if rx_ns is not None and rx_ns > done_ns:
+                    done_ns = rx_ns
+                if sent[q]:
+                    s.inflight_bytes -= payload
+                self.stats["withdrawn_bytes"] += payload
+            lands.sort(reverse=True)
+            out[s] = (first, lands, done_ns)
+        return out
+
+    def _echo(self, s, seq: int, payload: int, echo, decided: int) -> None:
+        """A withdrawn packet's ACK reaches its held sender's congestion
+        control, as ``FlowSender.on_packet`` would hand it over (the ledger
+        credits the bytes)."""
+        if self._decided != decided or self.phase != _FLUID or s.completed:
+            return  # handed back before it landed: the write-back took it
+        delay, ecn, hops = echo
+        if s.noise is not None:
+            delay += s.noise.sample(self.sim.rng)
+        s.last_rtt = delay
+        s.cc.on_ack(AckInfo(self.sim.now, delay, ecn, payload, seq, hops, cum_seq=seq + 1))
+
+    def fly_probe(self, s) -> None:
+        """A held sender's PrioPlus probe crosses the fabric without a
+        packet (``FlowSender._send_probe`` hands it here): it and its echo
+        queue behind the withdrawn packets they meet (``FlightPlan.fly``),
+        and the echo reaches the sender as a PROBE_ACK would.  One sent
+        before the epoch opens delays the opening to the first point of the
+        quiet grid after it returns: the fabric is not empty until it is
+        back."""
+        sim = self.sim
+        now = sim.now
+        s.probe_outstanding = True
+        s.flow.probes_sent += 1
+        src, dst, fid = s.flow.src.node_id, s.flow.dst.node_id, s.flow.flow_id
+        back = self._plan.fly(dst, src, fid, self._plan.fly(src, dst, fid, now))
+        sim.call_at(back, self._probe_echo, s, now)
+        if now <= self._opened:
+            step = _QUIET_STEP_NS
+            opened = self._decided + step * -(-(back - self._decided) // step)
+            if opened > self._opened:
+                shift = opened - self._opened
+                for f in self._flows:
+                    if f.left and f.gate_ns >= self._opened:
+                        f.gate_ns += shift
+                self._opened = opened
+
+    def _probe_echo(self, s, sent_ns: int) -> None:
+        """A flown probe's echo reaches its sender, as ``on_packet`` would
+        hand a PROBE_ACK over."""
+        if s.completed:
+            return
+        delay = self.sim.now - sent_ns + s._probe_base_adjust
+        if s.noise is not None:
+            delay += s.noise.sample(self.sim.rng)
+        s.last_rtt = delay
+        s.probe_outstanding = False
+        s._disarm_rto_if_idle()
+        s.cc.on_probe_ack(AckInfo(self.sim.now, delay, False, 0, 0, None, is_probe=True))
+
+    def _enter_fluid(self, held) -> None:
+        """Park ``held``, withdraw the fabric's packets and open an epoch
+        at once: no event runs between the decision and the first solve."""
+        sim = self.sim
         for s in held:
             s.fluid_hold()
-        max_rtt = max((s.base_rtt for s in held), default=10_000)
-        deadline = sim.now + _DRAIN_TIMEOUT_RTTS * max_rtt + _DRAIN_TIMEOUT_SLACK_NS
-        while not self._drained(held):
-            if sim.now >= deadline:
-                # predicate lied (e.g. a long RTO in flight): back out
-                self.phase = _PACKET
-                for s in held:
-                    if not s.completed:
-                        self._release_or_start(s)
-                self._held = []
-                self.stats["drain_failures"] += 1
-                self._last_exit = sim.now
-                self._back_off(True)
-                return False
-            sim.run(until=min(sim.now + _DRAIN_STEP_NS, deadline))
-        self._enter_fluid(held)
-        return True
+        before = self.stats["withdrawn_packets"]
+        windows = self._withdraw(held)
+        self.phase = _FLUID  # flow starts from here on are absorbed
+        self._fluid_entered = sim.now
+        self._flows = []
+        self._groups = {}
+        self._link_group = {}
+        self._landing = []
+        for s in held:
+            if not s.completed:
+                self._absorb(s)
+                window = windows.get(s)
+                if window is not None:
+                    # the withdrawn window lands first: the ledger starts at
+                    # its lowest packet
+                    f = self._flows[-1]
+                    f.first, f.lands, f.done_ns = window
+                    f.scan = f.first
+                    f.left -= sum(payload for _, payload in f.lands)
+                    if not f.left:
+                        # all of it was in flight: it completes as its last
+                        # ACK lands, so its group settles then
+                        f.gate_ns = f.lands[0][0]
+                    self._landing.append(f)
+        self._unopened = list(self._flows)
+        self.stats["fluid_epochs"] += 1
+        p = sim.probe
+        if p.on:
+            withdrawn = self.stats["withdrawn_packets"] - before
+            p.regime(sim.now, "fluid", "quiescent", len(self._flows), withdrawn)
 
     # ------------------------------------------------------------------
     # fluid epoch
@@ -327,12 +516,29 @@ class HybridDriver:
         if idx is None:
             idx = self._link_index[port] = len(self._link_caps)
             self._link_caps.append(port.rate_bps / 8e9)  # bytes per ns
+            port.cap_memo = self._caps_fresh
         return idx
+
+    def _reread_caps(self) -> None:
+        """A port's rate moved (its ``cap_memo`` was cleared): settle every
+        group at the rates it ran at, then re-read every link's capacity and
+        re-solve every group at its next segment."""
+        now = self.sim.now
+        for g in self._groups:
+            g.due = 0
+        if self._groups:
+            self._settle(now)
+        for g in self._groups:
+            g.caps = None
+        caps = self._link_caps
+        for port, idx in self._link_index.items():
+            caps[idx] = port.rate_bps / 8e9
+        self._caps_fresh.append(True)
 
     def _absorb(self, sender) -> None:
         law = law_for(sender)
         cwnd = float(sender.cc.cwnd)
-        fresh = sender.flow.first_tx_ns is None and sender.acked_payload == 0
+        fresh = _fresh(sender)
         if fresh:
             # starting inside the epoch: window comes from the fluid law
             cwnd = law.init
@@ -350,14 +556,22 @@ class HybridDriver:
             law.ramp,
             law.ceil,
         )
+        # no byte is credited by rate before the epoch opens
+        now = self.sim.now
+        opened = self._opened
         if fresh:
             # pipe-fill delay: at packet level the first window spends one
             # one-way delay in flight before any byte lands at the receiver,
             # so delivery (and therefore completion) starts ~RTT/2 late
-            flow.gate_ns = self.sim.now + sender.base_rtt // 2
-        flow.t_seg = self.sim.now
+            flow.gate_ns = max(now, opened) + sender.base_rtt // 2
+        elif opened > now:
+            flow.gate_ns = opened
+        flow.t_seg = now
         self._flows.append(flow)
         self._join(flow)
+        p = self.sim.probe
+        if p.on:
+            p.handoff(now, sender, _FLUID)
 
     def _join(self, flow: _FluidFlow) -> None:
         """Group a newly absorbed flow with every live group it shares a link
@@ -391,24 +605,21 @@ class HybridDriver:
             link_group[link] = g
         g.due = 0
 
-    def _enter_fluid(self, held) -> None:
-        sim = self.sim
-        self.phase = _FLUID
-        self._fluid_entered = sim.now
-        self._flows = []
-        self._groups = {}
-        self._link_group = {}
-        for s in held:
-            if not s.completed:
-                self._absorb(s)
-        self._held = []
-        self.stats["fluid_epochs"] += 1
-        p = sim.probe
-        if p.on:
-            p.regime(sim.now, "fluid", "quiescent", len(self._flows))
+    def _open_held(self) -> None:
+        """The epoch opens: the held flows take their windows from their
+        congestion control, which has seen their withdrawn ACKs land (a
+        fresh one keeps its fluid law's)."""
+        for f in self._unopened:
+            s = f.sender
+            if not s.completed and not _fresh(s):
+                law = law_for(s)
+                f.cwnd = min(max(float(s.cc.cwnd), 1.0), law.ceil)
+                f.ramp = law.ramp
+                f.ceil = law.ceil
+        self._unopened = []
 
     def admit(self, sender) -> None:
-        """A flow started while the fabric is drained/fluid: absorb it.
+        """A flow started inside a fluid epoch: absorb it.
 
         Called from ``FlowSender._start`` via the ``sim.fluid_driver`` hook
         instead of the packet-mode start path.
@@ -419,10 +630,7 @@ class HybridDriver:
             p.flow_state(sim.now, sender.flow.flow_id, "running", sender)
         sender.fluid_held = True
         self.stats["admitted_in_fluid"] += 1
-        if self.phase == _FLUID:
-            self._absorb(sender)
-        else:
-            self._held.append(sender)
+        self._absorb(sender)
 
     def _split(self, g: _Group) -> None:
         """Replace a group a completion may have disconnected by its
@@ -475,11 +683,18 @@ class HybridDriver:
         return worst
 
     def _fluid_run(self, until: int) -> None:
-        """Advance in fluid steps until ``until`` or a regime exit."""
+        """Advance in fluid steps until ``until``, a regime exit or a flown
+        probe delaying the epoch's opening (the caller's horizon counts from
+        the opening)."""
         sim = self.sim
         show = sim.probe.on
-        while self.phase == _FLUID and sim.now < until:
+        opened = self._opened
+        while self.phase == _FLUID and sim.now < until and self._opened == opened:
             now = sim.now
+            if not self._caps_fresh:
+                self._reread_caps()
+            if self._unopened and now >= self._opened:
+                self._open_held()
             if not self._flows:
                 # empty fabric: no rates to solve.  Step to the next event
                 # (not to the horizon!) so a flow start that admits into the
@@ -491,7 +706,7 @@ class HybridDriver:
             contention = self._allocate(now)
             # the exit settles every group at the rates it ran at, so the
             # reopened groups' new ones are written only once the step runs
-            if contention == "priority" and now - self._fluid_entered >= _MIN_FLUID_NS:
+            if contention == "priority" and now - self._opened >= _MIN_FLUID_NS:
                 self._exit_fluid("contention:" + contention)
                 return
             sim.run(until=self._open(now, min(until, now + _DT_MAX_NS)))  # may admit flows
@@ -548,14 +763,19 @@ class HybridDriver:
         group in mid-segment costs one comparison.
 
         Whole packets go on each flow's ledger; of the sender only the acked
-        counters move.  A flow whose last packet is credited is written back
-        and completes here; flows finishing at one instant complete in
-        ``_flows`` (absorb) order."""
+        counters move.  The packets of a withdrawn window are credited as
+        they land, all before the epoch opens and any rate credit.  A
+        flow whose last packet is credited is written back and completes
+        here; flows finishing at one instant complete in ``_flows`` (absorb)
+        order."""
         if self._shown:
             self._unshow()
         done = []
+        if self._landing:
+            self._land(now, done)
         reaped = False
         delivered = 0
+        p = self.sim.probe
         for g in self._groups:
             if g.due > now:
                 continue
@@ -588,13 +808,17 @@ class HybridDriver:
                             s.acked_count += b - a
                             s.acked_payload += consumed
                             delivered += consumed
+                            if p.on:
+                                p.fluid_credit(now, s, consumed)
                             if b > last:
+                                f.done_ns = now
                                 done.append(f)
                                 continue
                     f.credit = credit
                 # window ramp: only cap-limited flows grow (a network-limited
                 # flow would be sitting at its scheme's delay target instead);
-                # gated flows (cap forced to 0) hold their window too
+                # gated flows (cap forced to 0) hold their window too, except
+                # while a withdrawn window lands: its ACKs drive the window
                 if f.cap > 0.0 and f.rate >= f.cap * 0.999 and f.cwnd < f.ceil:
                     f.cwnd = min(f.cwnd + f.ramp * dt / f.rtt, f.ceil)
         self.stats["fluid_bytes"] += delivered
@@ -602,7 +826,7 @@ class HybridDriver:
             if len(done) > 1:
                 done.sort(key=self._flows.index)
             for f in done:
-                f.sender.fluid_advance(f.first, f.seq, f.scan, now)
+                f.sender.fluid_advance(f.first, f.seq, f.scan, f.done_ns)
             self.stats["fluid_completions"] += len(done)
             live = []
             for f in self._flows:
@@ -613,6 +837,34 @@ class HybridDriver:
                 else:
                     live.append(f)
             self._flows = live
+
+    def _land(self, now: int, done: List[_FluidFlow]) -> None:
+        """Credit, to each flow of a group due at ``now``, the packets of its
+        withdrawn window that have landed; one whose rest was all in flight
+        joins ``done``: it completes where the receiver would have held its
+        last packet (``done_ns``)."""
+        p = self.sim.probe
+        landing = []
+        for f in self._landing:
+            s, lands = f.sender, f.lands
+            if s.completed:
+                continue
+            if f.group.due <= now and lands[-1][0] <= now:
+                n = got = 0
+                while lands and lands[-1][0] <= now:
+                    got += lands.pop()[1]
+                    n += 1
+                f.scan, f.t_adv = f.first, now
+                s.acked_count += n
+                s.acked_payload += got
+                if p.on:
+                    p.fluid_credit(now, s, got)
+                if not lands:
+                    if f.left == 0:
+                        done.append(f)
+                    continue
+            landing.append(f)
+        self._landing = landing
 
     def _show(self, now: int) -> None:
         """Bring the acked counters of every group in mid-segment up to
@@ -653,7 +905,10 @@ class HybridDriver:
         logic (PrioPlus probe / linear-start tier selection, initial
         window) that ``fluid_release`` deliberately does not.
         """
-        if s.flow.first_tx_ns is None and s.acked_payload == 0:
+        p = self.sim.probe
+        if p.on:
+            p.handoff(self.sim.now, s, _PACKET)
+        if _fresh(s):
             s.fluid_held = False
             s.cc.on_start()
             s.try_send()
@@ -670,9 +925,13 @@ class HybridDriver:
     def _exit_fluid(self, reason: str) -> None:
         sim = self.sim
         now = sim.now
-        epoch_ns = now - self._fluid_entered
+        if self._unopened:
+            self._open_held()  # the deadline came before the opening
         for g in self._groups:
             g.due = 0  # every group settles on the segment it is in
+        for f in self._landing:  # in flight at entry, not landed yet: it lands now
+            f.lands = [(now, payload) for _, payload in f.lands]
+            f.done_ns = min(f.done_ns, now)
         self._settle(now)
         survivors = [f.sender for f in self._flows]
         for f in self._flows:
@@ -681,7 +940,7 @@ class HybridDriver:
                 continue
             if f.seq > f.first:
                 s.fluid_advance(f.first, f.seq, f.scan, f.t_adv)
-            if s.flow.first_tx_ns is None and s.acked_payload == 0:
+            if _fresh(s):
                 # fresh flow: restarted via the packet start path below,
                 # its fluid window was never real — don't sync it back
                 continue
@@ -695,9 +954,10 @@ class HybridDriver:
         self._flows = []
         self._groups = {}
         self._link_group = {}
+        self._landing = []
         self._last_exit = now
-        self._back_off(reason.startswith("contention") and epoch_ns < _SHORT_EPOCH_NS)
-        self.stats["fluid_ns"] += epoch_ns
+        self._back_off(reason.startswith("contention") and now - self._opened < _SHORT_EPOCH_NS)
+        self.stats["fluid_ns"] += now - self._fluid_entered
         reasons = self.stats["exit_reasons"]
         reasons[reason] = reasons.get(reason, 0) + 1
         for s in survivors:
@@ -705,4 +965,4 @@ class HybridDriver:
                 self._release_or_start(s)
         p = sim.probe
         if p.on:
-            p.regime(now, "packet", reason, len(survivors))
+            p.regime(now, "packet", reason, len(survivors), 0)

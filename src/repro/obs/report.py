@@ -477,13 +477,16 @@ def build_dashboard(result: Optional[dict] = None,
         regime_rows = [r for r in samples if r.get("kind") == "regime"]
         if regime_rows:
             n_fluid = sum(1 for r in regime_rows if r.get("mode") == "fluid")
+            n_withdrawn = sum(int(r.get("withdrawn", 0)) for r in regime_rows)
             tiles.append(("fluid epochs", _fmt(n_fluid)))
-            rows = [[r["t"] / 1e6, str(r.get("mode", "")), str(r.get("reason", ""))]
+            rows = [[r["t"] / 1e6, str(r.get("mode", "")), str(r.get("reason", "")),
+                     int(r.get("withdrawn", 0))]
                     for r in regime_rows]
             sections.append(
                 '<div class="card"><h2>Hybrid regime switches</h2>'
-                + _table(["t (ms)", "entered", "reason"], rows,
-                         f"{len(regime_rows)} switches, {n_fluid} fluid epochs")
+                + _table(["t (ms)", "entered", "reason", "packets withdrawn"], rows,
+                         f"{len(regime_rows)} switches, {n_fluid} fluid epochs, "
+                         f"{n_withdrawn} packets withdrawn")
                 + "</div>")
 
     if spans:

@@ -173,12 +173,12 @@ class TimeSeriesSampler:
         self._last_t = boundary
         return boundary + self.stride_ns
 
-    def regime(self, t: int, mode: str, reason: str, n_flows: int) -> None:
+    def regime(self, t: int, mode: str, reason: str, n_flows: int, n_withdrawn: int) -> None:
         """One hybrid-core regime switch (:mod:`repro.fluid.hybrid`).
 
         Event-driven, not stride-driven: switches are rare and their exact
         boundaries matter, so each is stored at its true timestamp."""
-        self.regimes.append({"t": t, "mode": mode, "reason": reason})
+        self.regimes.append({"t": t, "mode": mode, "reason": reason, "withdrawn": n_withdrawn})
 
     # ------------------------------------------------------------------
     # reporting / export

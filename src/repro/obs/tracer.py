@@ -97,7 +97,8 @@ class PacketTrace:
         self.size = size
         self.birth_ns = birth_ns
         self.end_ns: Optional[int] = None
-        #: ``delivered`` / ``dropped:<reason>`` / ``corrupted`` / ``in_flight``
+        #: ``delivered`` / ``dropped:<reason>`` / ``corrupted`` /
+        #: ``withdrawn`` (taken out at a fluid entry) / ``in_flight``
         self.disposition = "in_flight"
         self.hops: List[HopRecord] = []
         self.open_hop: Optional[HopRecord] = None
@@ -145,6 +146,7 @@ class PacketTracer:
         self.delivered = 0
         self.dropped = 0
         self.corrupted = 0
+        self.withdrawn = 0
         self.overflow = 0  # completed traces discarded beyond max_traces
         self._next_id = 0
         self._live: Dict[int, PacketTrace] = {}
@@ -206,14 +208,21 @@ class PacketTracer:
             self.wire_delay(pkt, 0)
             self._finish(pkt.trace, now, "corrupted")
 
+    def withdraw(self, now: int, pkt) -> None:
+        """Taken out of the fabric at a fluid entry (repro.fluid.hybrid)."""
+        if pkt.trace is not None:
+            self._finish(pkt.trace, now, "withdrawn")
+
     def _finish(self, trace: PacketTrace, now: int, disposition: str) -> None:
-        """Terminal event: delivery, drop or wire corruption."""
+        """Terminal event: delivery, drop, wire corruption or withdrawal."""
         trace.end_ns = now
         trace.disposition = disposition
         if disposition == "delivered":
             self.delivered += 1
         elif disposition == "corrupted":
             self.corrupted += 1
+        elif disposition == "withdrawn":
+            self.withdrawn += 1
         else:
             self.dropped += 1
         self._live.pop(trace.trace_id, None)
@@ -280,6 +289,7 @@ class PacketTracer:
             "recorded": len(self.traces),
             "sample_every": self.sample_every,
             "started": self.started,
+            "withdrawn": self.withdrawn,
         }
 
     def write_spans_jsonl(self, path: str) -> int:

@@ -72,7 +72,10 @@ EVENTS = {
     "cc_event": "(t, flow_id, kind)",
     "probe_rejected": "(t, flow_id)",
     # hybrid core + fault injection
-    "regime": "(t, mode, reason, n_flows)",
+    "regime": "(t, mode, reason, n_flows, n_withdrawn)",
+    "withdraw": "(t, pkt)",
+    "handoff": "(t, sender, regime)",
+    "fluid_credit": "(t, sender, payload_bytes)",
     "fault": "(t, kind, target, phase)",
 }
 

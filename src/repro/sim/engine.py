@@ -250,6 +250,31 @@ class Simulator:
             probe.run_end(self, processed)
         return processed
 
+    def withdraw(self, fns) -> List[tuple]:
+        """Take every pending allocation-free event whose callback is in
+        ``fns`` out of the heap; returns those ``(time, seq, fn, args)``
+        entries in firing order.
+
+        One pass and one re-heapify, whatever the count (cancelled entries
+        go too), so a caller removing a whole class of events — the hybrid
+        core withdrawing every packet in the fabric — pays once, outside
+        :meth:`run`, instead of simulating them.
+        """
+        if self._running:
+            raise RuntimeError("withdraw() inside run(): the loop holds the heap")
+        keep, out = [], []
+        for entry in self._heap:
+            if len(entry) == 4:
+                (out if entry[2] in fns else keep).append(entry)
+            elif not entry[2].cancelled:
+                keep.append(entry)
+        heapq.heapify(keep)
+        self._heap[:] = keep
+        self._cancelled = 0
+        self._live -= len(out)
+        out.sort()  # seq is unique: never compares past slot 1
+        return out
+
     def peek_time(self) -> Optional[int]:
         """Time of the next pending event, or ``None`` when idle."""
         heap = self._heap

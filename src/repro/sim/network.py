@@ -276,11 +276,14 @@ class Network:
     def _middle(self, src: Host, dst: Host) -> Tuple[List[Port], float]:
         """Memoise the canonical path's ports from ``src``'s attachment switch
         to ``dst``'s (none under one switch) and their least rate."""
+        memo = self._path_memo
         ports = self.path_ports(src, dst)[1:-1]
-        middle = self._path_memo[src.port.peer.node_id, dst.port.peer.node_id] = (
-            ports,
-            min((port.rate_bps for port in ports), default=math.inf),
-        )
+        rate = math.inf
+        for port in ports:
+            port.path_memo = memo  # a rate write clears what it fed
+            if port.rate_bps < rate:
+                rate = port.rate_bps
+        middle = memo[src.port.peer.node_id, dst.port.peer.node_id] = (ports, rate)
         return middle
 
     def _time_middle(self, src: Host, dst: Host, data_bytes: int, ack_bytes: int) -> int:
@@ -292,10 +295,8 @@ class Network:
         back = memo.get((dst_id, src_id)) or self._middle(dst, src)
         rtt = 0
         for port in there[0]:
-            port.path_memo = memo
             rtt += port.prop_delay_ns + port.tx_time_ns(data_bytes)
         for port in back[0]:
-            port.path_memo = memo
             rtt += port.prop_delay_ns + port.tx_time_ns(ack_bytes)
         memo[src_id, dst_id, data_bytes, ack_bytes] = rtt
         return rtt
@@ -332,7 +333,8 @@ class Network:
         hops = self._end_hops(host)
         if hops is None:
             return None
-        rates = self._path_memo[host.node_id] = (hops[0].rate_bps, hops[1].rate_bps)
+        memo = hops[0].path_memo = hops[1].path_memo = self._path_memo
+        rates = memo[host.node_id] = (hops[0].rate_bps, hops[1].rate_bps)
         return rates
 
     # ------------------------------------------------------------------

@@ -60,6 +60,7 @@ class Port:
         "_ns_per_byte",
         "_tx_cache",
         "path_memo",
+        "cap_memo",
         "n_queues",
         "queues",
         "qbytes",
@@ -155,14 +156,18 @@ class Port:
 
     @ns_per_byte.setter
     def ns_per_byte(self, value: float) -> None:
-        # rate changes invalidate the memoised serialisation times, here and
-        # in the path timings of a network that memoised a path through this
-        # port (it sets ``path_memo``; the slot stays unset on the others)
+        # the one writer of a port's rate after construction: ``rate_bps``
+        # follows, and so do the memoised serialisation times here, the path
+        # timings of a network that memoised a path through this port (it
+        # sets ``path_memo``) and the link capacities of a fluid driver that
+        # read this port's rate (it sets ``cap_memo``); both slots stay unset
+        # on the other ports
         self._ns_per_byte = value
+        self.rate_bps = 8e9 / value
         self._tx_cache.clear()
-        memo = getattr(self, "path_memo", None)
-        if memo is not None:
-            memo.clear()
+        for memo in (getattr(self, "path_memo", None), getattr(self, "cap_memo", None)):
+            if memo is not None:
+                memo.clear()
 
     def connect(self, peer, prop_delay_ns: int, peer_in_idx: int = 0) -> None:
         """Attach the downstream node reached through this port."""
@@ -184,8 +189,8 @@ class Port:
     def is_idle(self) -> bool:
         """No packet queued or on the wire from this port.
 
-        The fluid fast path (:mod:`repro.fluid.hybrid`) drains the fabric
-        until every port is idle before a fluid epoch, which is what makes
+        The fluid fast path (:mod:`repro.fluid.hybrid`) withdraws every
+        packet (:meth:`withdraw`) before a fluid epoch, which is what makes
         the fluid→packet handoff exact: an empty network has no in-flight
         packet state to re-materialise.
         """
@@ -194,9 +199,9 @@ class Port:
     def export_state(self) -> dict:
         """Bulk occupancy/throughput snapshot (introspection + handoff checks).
 
-        Import is deliberately not offered: the hybrid core only hands off
-        on an *empty* port (see :attr:`is_idle`), so there is never packet
-        state to restore.
+        Import is deliberately not offered: the hybrid core hands back to
+        packets only from an *empty* fabric (see :attr:`is_idle`), so there
+        is never packet state to restore.
         """
         return {
             "name": self.name,
@@ -344,6 +349,38 @@ class Port:
         if not self.busy:
             self._kick()
         return 0
+
+    def withdraw(self) -> List[Packet]:
+        """Empty the port for a fluid epoch (:mod:`repro.fluid.hybrid`):
+        returns every queued packet in service order — strict priority,
+        FIFO within a queue.  The owner's buffer and PFC accounting is
+        released through ``on_dequeue`` as at a dequeue.  The frame in
+        service is the caller's: its delivery and this port's wake-up are in
+        the heap, and the port reads idle from here on."""
+        p = self.probe
+        now = self.sim.now
+        if self.busy:
+            self.busy = False
+            if p.on and not self.down:
+                p.link(now, self.name, False)
+        out = []
+        qbytes = self.qbytes
+        for q in sorted(self.queues, reverse=True):
+            queue = self.queues[q]
+            if not queue:
+                continue
+            while queue:
+                pkt = queue.popleft()
+                size = pkt.size
+                qbytes[q] -= size
+                self.total_bytes -= size
+                if self.on_dequeue is not None:
+                    self.on_dequeue(pkt, pkt.ctx)
+                out.append(pkt)
+            if p.on:
+                p.queue_depth(now, self.name, q, qbytes[q], self.total_bytes)
+        self._active = 0
+        return out
 
     def _kick(self) -> None:
         if self.down or not self.total_bytes:

@@ -295,7 +295,7 @@ class PerfettoWriter:
         else:
             self._instant(t, _FAULTS_PID, tid, phase, "fault", {"target": target})
 
-    def _regime(self, t, mode, reason, n_flows) -> None:
+    def _regime(self, t, mode, reason, n_flows, n_withdrawn) -> None:
         # one span per mode stretch: from the run's first switch on, one is open
         if not self._regimes_named:
             self._put(_process_name(_REGIME_PID, "regimes"))
@@ -305,7 +305,8 @@ class PerfettoWriter:
             self._end(t, _REGIME_PID, tid)
         else:
             tid = self._track(self._regime_tids, _REGIME_PID, "mode", "mode")
-        self._begin(t, _REGIME_PID, tid, mode, "regime", {"reason": reason, "n_flows": n_flows})
+        args = {"reason": reason, "n_flows": n_flows, "n_withdrawn": n_withdrawn}
+        self._begin(t, _REGIME_PID, tid, mode, "regime", args)
 
 
 def _process_name(pid: int, name: str) -> dict:

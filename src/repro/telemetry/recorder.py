@@ -32,8 +32,8 @@ fault      ``(t, kind, target, phase)`` — fault-injection lifecycle
            (phase: ``inject`` / ``clear`` / ``reconverge``, see repro.faults)
 audit      ``(t, invariant, message)`` — invariant violations (repro.audit,
            warn mode; strict mode aborts at the first violation instead)
-regime     ``(t, mode, reason, n_flows)`` — hybrid-core regime switches
-           (mode: ``packet`` / ``fluid``, see repro.fluid.hybrid)
+regime     ``(t, mode, reason, n_flows, n_withdrawn)`` — hybrid-core regime
+           switches (mode: ``packet`` / ``fluid``, see repro.fluid.hybrid)
 ========== =============================================================
 
 Every ``Simulator`` built under the recorder starts a new *run* (its clock
@@ -65,7 +65,7 @@ CHANNEL_FIELDS: Dict[str, Tuple[str, ...]] = {
     "drop": ("t", "switch", "size", "priority", "reason"),
     "fault": ("t", "kind", "target", "phase"),
     "audit": ("t", "invariant", "message"),
-    "regime": ("t", "mode", "reason", "n_flows"),
+    "regime": ("t", "mode", "reason", "n_flows", "n_withdrawn"),
 }
 
 #: every event channel a :class:`Recorder` can record
@@ -242,15 +242,16 @@ class Recorder:
         self._record("audit", (t, invariant, message))
         self.metrics.counter(f"audit.{invariant}").inc()
 
-    def regime(self, t: int, mode: str, reason: str, n_flows: int) -> None:
+    def regime(self, t: int, mode: str, reason: str, n_flows: int, n_withdrawn: int) -> None:
         """One hybrid-core regime switch (:mod:`repro.fluid.hybrid`).
 
         ``mode`` is the regime being *entered* (``"fluid"`` / ``"packet"``),
         ``reason`` why the previous one ended (``"quiescent"``,
         ``"contention:..."``, ``"deadline"``, ...), ``n_flows`` the number of
-        flows handed across the boundary.
+        flows handed across the boundary, ``n_withdrawn`` the packets taken
+        out of the fabric to enter fluid (0 entering packets).
         """
-        self._record("regime", (t, mode, reason, n_flows))
+        self._record("regime", (t, mode, reason, n_flows, n_withdrawn))
         self.metrics.counter(f"regime.{mode}").inc()
 
     # ------------------------------------------------------------------

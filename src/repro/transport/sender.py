@@ -420,8 +420,9 @@ class FlowSender:
         """Park the sender for a fluid epoch.
 
         Unlike :meth:`stop_sending` this does not represent a CC decision:
-        window and PrioPlus state are left untouched, and in-flight packets
-        keep draining (the driver waits for ``inflight_bytes == 0``).
+        window and PrioPlus state are left untouched.  The driver then
+        withdraws the packets in flight and credits them to its ledger as
+        they would have landed, taking them off ``inflight_bytes``.
         """
         self.fluid_held = True
         if self._pace_ev is not None:
@@ -440,12 +441,15 @@ class FlowSender:
 
         Called by the fluid driver once per flow per epoch, at the flow's
         completion or at the epoch's exit, while the network is empty and
-        this sender is held: sequence state has no holes, so delivery is a
-        contiguous slice extension on both endpoints.  The driver kept
-        ``acked_count`` / ``acked_payload`` current settlement by settlement;
-        ``scan`` is the packet its last crediting settlement began at and
-        ``now`` that settlement's time.  Handles flow completion exactly like
-        the packet path (receiver completion callback first, then sender
+        this sender is held: every packet below ``first`` is acked, so
+        delivery is a contiguous slice extension on both endpoints (the
+        receiver may already hold some of the slice: the data of a packet
+        whose ACK was withdrawn in flight).  The driver kept ``acked_count``
+        / ``acked_payload`` current settlement by settlement; ``scan`` is
+        the packet its last crediting settlement began at and ``now`` that
+        settlement's time, or when the receiver would have held the flow's
+        last withdrawn packet.  Handles flow completion exactly like the
+        packet path (receiver completion callback first, then sender
         finish).
         """
         if self.completed:
@@ -459,8 +463,7 @@ class FlowSender:
         self._last_activity = now
         rcv = self.receiver
         rcv.received[first:end] = ones
-        rcv.rx_count += end - first
-        rcv.cum_seq = end
+        rcv.rx_count = rcv.cum_seq = end
         if self.acked_count != end:
             raise AssertionError(
                 f"flow {self.flow.flow_id}: {self.acked_count} packets acked, fluid ledger ends at {end}"
@@ -497,6 +500,11 @@ class FlowSender:
     def _send_probe(self) -> None:
         self._probe_ev = None
         if self.completed:
+            return
+        if self.fluid_held:
+            # parked for a fluid epoch: the fabric carries no packet
+            self.sim.fluid_driver.fly_probe(self)
+            self._arm_rto()
             return
         pkt = PACKET_POOL.acquire(
             PROBE,

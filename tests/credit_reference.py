@@ -10,9 +10,12 @@ ramps, and after a merge or split), each flow credited from its ``t_seg``,
 in ``_flows`` (absorb) order.  Patched in as ``HybridDriver._settle``,
 ``settle`` runs a fluid epoch the old way.  It moves no flow's ledger
 sequence (only its remaining bytes, which the segment ends read), so the
-driver's exit finds nothing to write back.  ``tests/test_fluid.py`` holds
-the shipped write-back to it: every survivor's sequence state must be equal
-at every handoff.
+driver's exit finds nothing to write back.  A window withdrawn at entry is
+written the old way too: its packets move the acked counters as they land,
+and once the last has landed ``land_window`` writes the whole window into
+both endpoints, as the drain it replaced left them.  ``tests/test_fluid.py``
+holds the shipped write-back to it: every survivor's sequence state must be
+equal at every handoff.
 """
 
 from __future__ import annotations
@@ -56,6 +59,21 @@ def fluid_advance(s, payload_budget: float, now: int) -> int:
     return consumed
 
 
+def land_window(s, first: int, now: int) -> None:
+    """The withdrawn window ``[first, next_new_seq)`` has landed: sent and
+    acked at the sender, held at the receiver."""
+    end = s.next_new_seq
+    ones = b"\x01" * (end - first)
+    s.sent[first:end] = ones
+    s.acked[first:end] = ones
+    s._cum_watch = end
+    s._retx_scan = max(s._retx_scan, first)
+    s._last_activity = now
+    rcv = s.receiver
+    rcv.received[first:end] = ones
+    rcv.rx_count = rcv.cum_seq = end
+
+
 def settle(driver, now: int) -> None:
     """Settle every due group: deliver bytes, ramp windows, reap completions."""
     if driver._shown:
@@ -69,6 +87,25 @@ def settle(driver, now: int) -> None:
         if s.completed:  # finished by a stray packet-path event
             done = True
             continue
+        lands = f.lands
+        if lands and lands[-1][0] <= now:
+            while lands and lands[-1][0] <= now:
+                s.acked_count += 1
+                s.acked_payload += lands.pop()[1]
+            if not lands:
+                land_window(s, f.first, now)
+                f.first = f.seq  # written: the exit finds nothing to write back
+                if s.acked_count == s.n_packets:
+                    s._last_activity = f.done_ns
+                    flow = s.flow
+                    if flow.completion_ns is None:
+                        flow.completion_ns = f.done_ns
+                        if s.receiver.on_complete is not None:
+                            s.receiver.on_complete(flow)
+                    s._finish()
+                    driver.stats["fluid_completions"] += 1
+                    done = True
+                    continue
         dt = now - f.t_seg
         f.t_seg = now
         if f.rate > 0.0:

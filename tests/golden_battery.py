@@ -190,8 +190,8 @@ def paused_priority_star() -> dict:
 
 # ----------------------------------------------------------------------
 # scenario layer: workload -> binder -> drive loop -> reduction (packet-only:
-# this battery also runs under --audit, and the auditor does not know the
-# fluid regime yet — hybrid worlds are pinned by tests/golden/hybrid_results.json)
+# hybrid worlds are pinned by tests/golden/hybrid_results.json, and CI
+# audit-smoke audits them on their own)
 # ----------------------------------------------------------------------
 def _flowsched(mode: str, streaming: bool) -> dict:
     cfg = FlowSchedConfig(rate_bps=100e9, duration_ns=60_000, size_scale=0.1)

@@ -195,12 +195,11 @@ def to_perfetto(recorder, tracer=None) -> dict:
         tb.meta(_REGIME_PID, "regimes")
         tid = tb.tid_for(_REGIME_PID, "__regime__", "mode")
         regime_open = False
-        for t, mode, reason, n_flows in regime_events:
+        for t, mode, reason, n_flows, n_withdrawn in regime_events:
             if regime_open:
                 tb.span_end(t, _REGIME_PID, tid)
-            tb.span_begin(
-                t, _REGIME_PID, tid, mode, "regime", {"reason": reason, "n_flows": n_flows}
-            )
+            args = {"reason": reason, "n_flows": n_flows, "n_withdrawn": n_withdrawn}
+            tb.span_begin(t, _REGIME_PID, tid, mode, "regime", args)
             regime_open = True
         if regime_open:
             tb.span_end(end_ts, _REGIME_PID, tid)

@@ -19,6 +19,7 @@ from repro.fluid.model import classify_contention, solve_rates
 from repro.obs import TimeSeriesSampler
 from repro.probe import installed
 from repro.sim.engine import Simulator
+from repro.sim.packet import PACKET_POOL
 from repro.topology import fat_tree, star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
@@ -298,7 +299,7 @@ def test_driver_attached_but_packet_only_is_byte_identical():
     assert run_until_flows_done(sim_b, flows_b, 2_000_000_000, driver=driver)
     assert [f.fct_ns() for f in flows_b] == base
     assert driver.stats["fluid_epochs"] == 0
-    # the two drive loops stop on different grids (1 ms / one drain step past
+    # the two drive loops stop on different grids (1 ms / one quiet step past
     # the last completion), so the trailing events each has processed differ:
     # count events on one common clock
     clock = max(sim_a.now, sim_b.now)
@@ -344,6 +345,9 @@ def test_fluid_admission_is_gated_by_pipe_fill_delay():
 
 
 def test_regime_telemetry_and_sampler_rows():
+    """Regime switches reach the recorder and the sampler, each fluid entry
+    with the packets it withdrew, and ``repro report``'s card totals them."""
+    from repro.obs.report import build_dashboard
     from repro.obs.sampler import sample_scope
     from repro.probe import installed
     from repro.telemetry import Recorder
@@ -361,6 +365,11 @@ def test_regime_telemetry_and_sampler_rows():
     assert rec.metrics.counter("regime.fluid").value >= 1
     assert any(r["mode"] == "fluid" for r in smp.regimes.rows)
     assert any(r["kind"] == "regime" for r in smp.rows())
+    withdrawn = driver.stats["withdrawn_packets"]
+    assert withdrawn > 0
+    assert sum(ev[4] for ev in log.events["regime"] if ev[1] == "fluid") == withdrawn
+    assert sum(r["withdrawn"] for r in smp.regimes.rows) == withdrawn
+    assert f"{withdrawn} packets withdrawn" in build_dashboard(samples=smp.rows())
 
 
 @pytest.mark.parametrize("ranks", [(1,), (2, 1)], ids=["same_rank", "two_ranks"])
@@ -734,7 +743,11 @@ def test_hybrid_runs_match_committed_golden_results():
     through the plain-Python solver and the array-free segment loop.  It was
     regenerated since when packet phases started ending when the fabric
     goes quiet instead of on the ``check_every_ns`` grid, and when the
-    packet floor started backing off.  ``bulk_waves``, the one world whose
+    packet floor started backing off, and once more when entry started
+    withdrawing the packets in flight instead of draining them: every FCT
+    held, and the event counts, ``fluid_ns`` (which now counts from the
+    quiescence decision), one ``fluid_completions`` and the new
+    ``withdrawn_*`` counters moved.  ``bulk_waves``, the one world whose
     live set splits into several components, was written by the monolithic
     solve at 3e68ed8 and holds under the per-component one.  Regenerate
     (only for a *deliberate* change of the fluid model or of when the
@@ -780,13 +793,13 @@ def test_cheap_twins_match_the_committed_twins(world):
 # ----------------------------------------------------------------------
 def test_packet_phase_ends_when_the_fabric_goes_quiet():
     """After a fluid exit the driver asks "quiet?" first at the hysteresis
-    floor in force for that phase, then on the drain grid, and parks the
+    floor in force for that phase, then on the quiet grid, and parks the
     senders within one step of the first grid instant past the floor at
     which the predicate holds — not at a polling boundary.
 
     The test evaluates the predicate itself, from a timer chain on the same
     grid started at each floor, and compares with what the driver did."""
-    from repro.fluid.hybrid import _DRAIN_STEP_NS
+    from repro.fluid.hybrid import _QUIET_STEP_NS
     from repro.probe import installed
 
     exits = []  # fluid → packet instants
@@ -801,10 +814,10 @@ def test_packet_phase_ends_when_the_fabric_goes_quiet():
         if quiescent():
             first_quiet[exit_ns] = sim.now
         else:
-            sim.at(sim.now + _DRAIN_STEP_NS, watch, exit_ns)
+            sim.at(sim.now + _QUIET_STEP_NS, watch, exit_ns)
 
     class Regimes:
-        def regime(self, now, mode, reason, n_flows):
+        def regime(self, now, mode, reason, n_flows, n_withdrawn):
             if mode == "fluid":
                 entries.append(now)
             else:
@@ -835,11 +848,11 @@ def test_packet_phase_ends_when_the_fabric_goes_quiet():
         phase = [(t, yes) for t, yes in asked if exit_ns < t <= entry_ns]
         # never asked before the floor, first asked exactly at it, then on
         # the grid; the one yes is the last: the senders are held there and
-        # the epoch opens one drain later
+        # the epoch starts there
         assert phase[0][0] == floor
-        assert all(b - a == _DRAIN_STEP_NS for (a, _), (b, _) in zip(phase, phase[1:]))
+        assert all(b - a == _QUIET_STEP_NS for (a, _), (b, _) in zip(phase, phase[1:]))
         assert [yes for _, yes in phase] == [False] * (len(phase) - 1) + [True]
-        assert floor <= first_quiet[exit_ns] <= phase[-1][0] <= first_quiet[exit_ns] + _DRAIN_STEP_NS
+        assert floor <= first_quiet[exit_ns] <= phase[-1][0] <= first_quiet[exit_ns] + _QUIET_STEP_NS
 
 
 def test_packet_floor_backs_off_after_short_contention_epochs(monkeypatch):
@@ -856,7 +869,7 @@ def test_packet_floor_backs_off_after_short_contention_epochs(monkeypatch):
     exit_fluid = driver._exit_fluid
 
     def recording_exit(reason):
-        before, entered = driver._floor_ns, driver._fluid_entered
+        before, entered = driver._floor_ns, driver._opened
         exit_fluid(reason)
         exits.append((reason, sim.now - entered, before, driver._floor_ns))
 
@@ -889,14 +902,32 @@ def test_midscale_contended_mean_fct_against_its_packet_twin():
 def test_bytes_are_conserved_across_handoffs(world, monkeypatch):
     """Per flow, bytes credited in fluid + bytes acked in packets = flow size
     (a flow counted in two regimes would exceed it), the driver's
-    ``fluid_bytes`` is the sum of the credits, and the receiver holds every
-    packet.  Fluid credit is counted where it reaches the sender, at the
-    write-back, and no sender is written back twice in one epoch.  The
-    test-level half of ROADMAP item 4a."""
+    ``fluid_bytes`` plus ``withdrawn_bytes`` is the sum of the credits, and
+    the receiver holds every packet.  Fluid credit is counted where it
+    reaches the sender, at the write-back, and no sender is written back
+    twice in one epoch.  The packets of a window withdrawn at entry are
+    counted once each: no packet is in two windows, and the windows sum to
+    ``withdrawn_bytes``.  The test-level half of ROADMAP item 4a."""
     credited = {}  # sender → payload written back by fluid_advance
     written = set()  # (sender, epoch) of every write-back
     packet_acked = {}  # sender → payload acked on the packet path
+    withdrawn = {}  # sender → payload of its windows withdrawn at entry
+    windows = set()  # (sender, seq) of every withdrawn window's packets
     fluid_advance, on_packet = FlowSender.fluid_advance, FlowSender.on_packet
+    withdraw = HybridDriver._withdraw
+
+    def counting_withdraw(self, held):
+        unacked = {
+            s: [q for q in range(s.next_new_seq) if not s.acked[q]]
+            for s in held
+            if s.inflight_bytes
+        }
+        out = withdraw(self, held)
+        for s, seqs in unacked.items():
+            assert not windows & {(s, q) for q in seqs}, f"flow {s.flow.flow_id}: withdrawn twice"
+            windows.update((s, q) for q in seqs)
+            withdrawn[s] = withdrawn.get(s, 0) + sum(s.payload_of(q) for q in seqs)
+        return out
 
     def counting_advance(self, first, end, scan, now):
         key = (self, self.sim.fluid_driver.stats["fluid_epochs"])
@@ -913,6 +944,7 @@ def test_bytes_are_conserved_across_handoffs(world, monkeypatch):
 
     monkeypatch.setattr(FlowSender, "fluid_advance", counting_advance)
     monkeypatch.setattr(FlowSender, "on_packet", counting_on_packet)
+    monkeypatch.setattr(HybridDriver, "_withdraw", counting_withdraw)
     result = HYBRID_WORLDS[world]()
     # hybrid_point and run_paper_scale report under different keys
     stats = result["driver"] if "driver" in result else result["fluid"]
@@ -925,10 +957,150 @@ def test_bytes_are_conserved_across_handoffs(world, monkeypatch):
         in_fluid, in_packets = credited.get(s, 0), packet_acked.get(s, 0)
         assert in_fluid + in_packets == s.flow.size_bytes, s.flow.flow_id
         assert s.receiver.rx_count == s.n_packets and all(s.receiver.received)
+        assert withdrawn.get(s, 0) <= in_fluid
         crossed += bool(in_fluid and in_packets)
-    assert sum(credited.values()) == stats["fluid_bytes"]
+    assert sum(withdrawn.values()) == stats["withdrawn_bytes"] > 0
+    assert sum(credited.values()) == stats["fluid_bytes"] + stats["withdrawn_bytes"]
     if any(reason.startswith("contention") for reason in stats["exit_reasons"]):
         assert crossed > 0  # live flows were handed back: the sum had two terms
+
+
+def test_entry_runs_no_event_before_the_first_solve(monkeypatch):
+    """From the quiescence decision to the epoch's first solve the engine
+    runs no event: the packets in flight are withdrawn, not drained, and
+    every one of them is back in the pool by then."""
+    sim, net, flows = midscale_world(12, 1_000_000, 50_000)
+    driver = HybridDriver(sim, net)
+    live = PACKET_POOL.live  # no packet exists before the first send
+    entries = []  # per entry: [events at the decision, at the first solve, pool live then]
+    quiescent, solve = driver._quiescent, model.solve_rates
+
+    def recording_quiescent():
+        yes = quiescent()
+        if yes:
+            entries.append([sim.events_processed, None, None])
+        return yes
+
+    def recording_solve(*args):
+        if entries and entries[-1][1] is None:
+            entries[-1][1:] = sim.events_processed, PACKET_POOL.live
+        return solve(*args)
+
+    driver._quiescent = recording_quiescent
+    monkeypatch.setattr(model, "solve_rates", recording_solve)
+    assert run_until_flows_done(sim, flows, 10_000_000_000, driver=driver)
+    assert len(entries) >= 3
+    for at_decision, at_solve, pool_live in entries:
+        assert at_solve == at_decision
+        assert pool_live == live
+    assert driver.stats["withdrawn_packets"] > 0
+
+
+def _last_ack_world():
+    """Two Swift flows on a star with 1.5 µs links: flow 1 (3 kB) has all
+    its data at the receiver and its ACKs in flight at the first quiescence
+    decision, 5 µs in; flow 2 starts later and runs fluid."""
+    sim = Simulator(1)
+    net, (a, b), dst = star(sim, 2, rate_bps=100e9, link_delay_ns=1_500)
+    flows = [Flow(1, a, dst, 3_000), Flow(2, b, dst, 400_000, start_ns=20_000)]
+    for f in flows:
+        FlowSender(sim, net, f, Swift(), rto_ns=10**10)
+    return sim, net, flows
+
+
+def test_a_flow_whose_last_ack_is_in_flight_completes_as_in_packets():
+    """Withdrawn with only its ACKs in flight, a flow keeps the completion
+    its receiver already recorded, and its sender finishes when the last
+    ACK would have landed: both as the pure-packet run (which is what the
+    drained entry gave too)."""
+    sim_p, _, flows_p = _last_ack_world()
+    run_packet(sim_p, flows_p)
+    sim, net, flows = _last_ack_world()
+    driver = HybridDriver(sim, net)
+    at_entry = []
+    withdraw = driver._withdraw
+
+    def recording_withdraw(held):
+        at_entry.append([(s.flow.completion_ns, s.completed) for s in held])
+        return withdraw(held)
+
+    driver._withdraw = recording_withdraw
+    assert run_until_flows_done(sim, flows, 10**9, driver=driver)
+    assert at_entry[0] == [(flows_p[0].completion_ns, False)]  # received, not yet acked
+    assert driver.stats["fluid_completions"] >= 1
+    assert flows[0].completion_ns == flows_p[0].completion_ns
+    assert flows[0].sender_done_ns == flows_p[0].sender_done_ns
+
+
+def test_hybrid_worlds_hold_under_the_strict_auditor():
+    """The withdraw event, the fluid byte ledger and every packet-core
+    invariant hold on the three cheap hybrid worlds, and auditing moves no
+    result (CI ``audit-smoke`` runs all five)."""
+    from repro.audit import audit_scope
+
+    golden = json.loads(HYBRID_GOLDEN_PATH.read_text())
+    for name in ("star", "midscale", "midscale_contended"):
+        with audit_scope("strict") as aud:
+            result = HYBRID_WORLDS[name]()
+        assert aud.report.ok
+        assert aud.report.checks["fluid_ledger"] > 0
+        assert aud.report.ledger["withdrawn"] == result["driver"]["withdrawn_packets"] > 0
+        assert json.loads(canonical(result)) == golden[name]
+
+
+def test_a_traced_hybrid_run_closes_every_withdrawn_trace():
+    """A packet taken out at a fluid entry ends its causal trace there
+    (``withdrawn``) instead of staying in flight for the rest of the run."""
+    from repro.obs import PacketTracer
+
+    tracer = PacketTracer(sample_every=1)
+    with installed(tracer):
+        HYBRID_WORLDS["midscale_contended"]()
+    tracer.finalize()
+    snap = tracer.snapshot()
+    assert snap["withdrawn"] > 0 and snap["in_flight"] == 0
+    assert snap["started"] == snap["delivered"] + snap["dropped"] + snap["corrupted"] + snap["withdrawn"]
+    assert {tr.disposition for tr in tracer.traces} == {"delivered", "withdrawn"}
+
+
+def test_a_degraded_link_reads_its_degraded_rate_everywhere():
+    """One rate per port: under a driver, a link degraded before a flow
+    starts caps its fluid flows at the degraded rate, and the path timing
+    and an HPCC flow's INT hops read it too; restoring the link moves the
+    driver's capacity back.  ``rate_bps`` used to keep the nominal rate."""
+    import random
+
+    from repro.cc import Hpcc
+    from repro.faults.actors import LinkDegradeActor
+
+    sim = Simulator(1)
+    net, (src,), dst = star(sim, 1, rate_bps=100e9)
+    port = net.path_ports(src, dst)[-1]
+    assert net.bottleneck_rate_bps(src, dst) == 100e9  # memoised at the nominal rate
+    degrade = LinkDegradeActor([port], 0.25, 0.0, 0, random.Random(1))
+    degrade.inject()
+    flow = Flow(1, src, dst, 2_000_000)
+    sender = FlowSender(sim, net, flow, Hpcc(), rto_ns=10**10)
+    hops = []
+    on_ack = sender.cc.on_ack
+
+    def recording_on_ack(info):
+        hops.extend(info.int_hops or ())
+        on_ack(info)
+
+    sender.cc.on_ack = recording_on_ack
+    driver = HybridDriver(sim, net)
+    assert run_until_flows_done(sim, [flow], 10**9, driver=driver)
+    assert driver.stats["fluid_epochs"] >= 1 and hops
+    assert net.bottleneck_rate_bps(src, dst) == sender.line_rate_bps == 25e9
+    assert {h.rate_bps for h in hops} == {100e9, 25e9}  # the NIC, then the bottleneck
+    link = driver._link_index[port]
+    assert driver._link_caps[link] == 25e9 / 8e9
+    degrade.clear()
+    assert not driver._caps_fresh  # the rate write emptied it: the driver will re-read
+    driver._reread_caps()
+    assert driver._link_caps[link] == 100e9 / 8e9
+    assert net.bottleneck_rate_bps(src, dst) == 100e9
 
 
 def test_write_back_checks_its_own_ledger():

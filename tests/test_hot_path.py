@@ -229,7 +229,7 @@ class _Listener:
     every hop takes receive -> try_admit_shared -> on_enqueue -> enqueue ->
     _kick -> _on_port_dequeue -> release -> on_dequeue."""
 
-    def regime(self, t, mode, reason, n_flows):  # a pure-packet run never emits it
+    def regime(self, t, mode, reason, n_flows, n_withdrawn):  # a pure-packet run never emits it
         pass
 
 
