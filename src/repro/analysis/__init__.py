@@ -1,6 +1,6 @@
 """Statistics and closed-form analysis used by the experiment harness."""
 
-from .fct import SIZE_CLASSES, FctStats, group_by, percentile, size_class, speedup, summarize
+from .fct import percentile
 from .streaming import P2Quantile, StreamingStats
 from .switch_chips import SWITCH_CHIPS, buffer_bandwidth_ratios
 from .theory import (
@@ -12,13 +12,7 @@ from .theory import (
 )
 
 __all__ = [
-    "FctStats",
-    "summarize",
-    "group_by",
     "percentile",
-    "speedup",
-    "SIZE_CLASSES",
-    "size_class",
     "P2Quantile",
     "StreamingStats",
     "SWITCH_CHIPS",

@@ -1,27 +1,11 @@
-"""Flow/coflow completion-time statistics used across all experiments."""
+"""Percentiles of completion times, shared by every experiment's reduction."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Sequence
 
-from ..transport.flow import Flow
-
-__all__ = ["percentile", "FctStats", "summarize", "group_by", "speedup", "SIZE_CLASSES", "size_class"]
-
-#: the paper's flow-size breakdown (Fig 11): small / middle / large
-SIZE_CLASSES = (
-    ("small", 0, 300 * 1000),
-    ("middle", 300 * 1000, 6 * 1000 * 1000),
-    ("large", 6 * 1000 * 1000, 1 << 62),
-)
-
-
-def size_class(size_bytes: int) -> str:
-    for name, lo, hi in SIZE_CLASSES:
-        if lo <= size_bytes < hi:
-            return name
-    return "large"
+__all__ = ["percentile"]
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -40,62 +24,3 @@ def percentile(values: Sequence[float], p: float) -> float:
         return ordered[lo]
     frac = rank - lo
     return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-
-class FctStats:
-    """Mean / median / tail summary of a set of completion times (ns)."""
-
-    __slots__ = ("count", "mean", "p50", "p95", "p99", "max")
-
-    def __init__(self, values: Sequence[float]):
-        if not values:
-            raise ValueError("no completion times to summarise")
-        self.count = len(values)
-        self.mean = sum(values) / len(values)
-        self.p50 = percentile(values, 50)
-        self.p95 = percentile(values, 95)
-        self.p99 = percentile(values, 99)
-        self.max = max(values)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.max,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"FctStats(n={self.count}, mean={self.mean / 1e3:.1f}us, "
-            f"p99={self.p99 / 1e3:.1f}us)"
-        )
-
-
-def summarize(flows: Iterable[Flow], require_done: bool = True) -> FctStats:
-    values: List[float] = []
-    unfinished = 0
-    for f in flows:
-        if f.done:
-            values.append(f.fct_ns())
-        else:
-            unfinished += 1
-    if unfinished and require_done:
-        raise RuntimeError(f"{unfinished} flows did not complete")
-    return FctStats(values)
-
-
-def group_by(flows: Iterable[Flow], key: Callable[[Flow], object]) -> Dict[object, List[Flow]]:
-    groups: Dict[object, List[Flow]] = {}
-    for f in flows:
-        groups.setdefault(key(f), []).append(f)
-    return groups
-
-
-def speedup(baseline_ns: float, measured_ns: float) -> float:
-    """Paper's speedup ratio: baseline time / measured time (>1 is faster)."""
-    if measured_ns <= 0:
-        raise ValueError("measured time must be positive")
-    return baseline_ns / measured_ns

@@ -13,9 +13,9 @@ Priority ``i`` (larger = higher, Table 1) owns the channel
   ``(target_offset, limit_offset)`` pairs above base RTT, one per priority.
   This is the representation :mod:`repro.tune` searches over when
   auto-tuning channel placement per workload; both placements share one
-  validation path, JSON round-trip and the :class:`ChannelConfig` API, so a
-  tuned placement is a drop-in replacement anywhere the paper default is
-  accepted (:class:`~repro.experiments.modes.CCFactory`,
+  validation path and the :class:`ChannelConfig` API, so a tuned placement
+  is a drop-in replacement anywhere the paper default is accepted
+  (:class:`~repro.experiments.modes.CCFactory`,
   :class:`~repro.core.prioplus.PrioPlusCC`).
 
 Every configuration is validated at construction: bands must be strictly
@@ -26,7 +26,6 @@ priorities instead of silently mis-classifying delay samples mid-run.
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["ChannelConfig", "PAPER_A_NS", "PAPER_B_NS"]
@@ -209,52 +208,6 @@ class ChannelConfig:
         for i in range(1, self.n_priorities + 1):
             if not self.target_offset_ns(i) < self.limit_offset_ns(i):
                 raise AssertionError(f"degenerate channel at priority {i}")
-
-    # ------------------------------------------------------------------
-    # JSON round-trip and value equality: no workload calls them (the
-    # tuner hands placements over as theta vectors); ROADMAP item 18
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        if self._bands is not None:
-            return {
-                "kind": "bands",
-                "bands": [[t, l] for (t, l) in self._bands],
-                "noise_ns": self.noise_ns,
-            }
-        return {
-            "kind": "uniform",
-            "fluctuation_ns": self.fluctuation_ns,
-            "noise_ns": self.noise_ns,
-            "n_priorities": self.n_priorities,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChannelConfig":
-        kind = data.get("kind", "uniform")
-        if kind == "bands":
-            return cls(noise_ns=data.get("noise_ns", PAPER_B_NS), bands=data["bands"])
-        if kind == "uniform":
-            return cls(
-                fluctuation_ns=data.get("fluctuation_ns", PAPER_A_NS),
-                noise_ns=data.get("noise_ns", PAPER_B_NS),
-                n_priorities=data.get("n_priorities", 8),
-            )
-        raise ValueError(f"unknown channel config kind {kind!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelConfig":
-        return cls.from_dict(json.loads(text))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChannelConfig):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __hash__(self) -> int:
-        return hash(self.to_json())
 
     def __repr__(self) -> str:  # pragma: no cover
         if self._bands is not None:

@@ -3,8 +3,8 @@
 A :class:`FaultPlan` is data, not behaviour: a list of :class:`FaultSpec`
 entries (what breaks) each carrying a :class:`Schedule` (when it breaks), plus
 a plan-level RNG seed and the control plane's failure-detection latency.  The
-plan round-trips through JSON (``to_dict``/``from_dict``, ``save``/``load``)
-so it can ride the CLI (``--faults plan.json``), enter the runner's cache key
+plan round-trips through JSON (``to_dict``/``from_dict``, and ``load`` of a
+file) so it can ride the CLI (``--faults plan.json``), enter the runner's cache key
 (:meth:`FaultPlan.plan_hash`), and cross process-pool boundaries.
 
 Nothing here reads the wall clock.  Stochastic schedules are expanded into
@@ -270,12 +270,6 @@ class FaultPlan:
     def plan_hash(self) -> str:
         """Short content hash; enters the runner's result-cache key."""
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
-
-    # ------------------------------------------------------------------
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":

@@ -108,8 +108,6 @@ _MAX_PACKET_NS = 800_000
 _MIN_FLUID_NS = 20_000
 #: a link loaded past this share of its capacity counts as saturated
 _SAT_THRESHOLD = 0.98
-#: contention labels, least to most severe: a segment reads its worst group's
-_SEVERITY = {"none": 0, "single": 1, "shared": 2, "priority": 3}
 
 
 class FluidConfig:
@@ -175,13 +173,13 @@ class _Group:
     in ``_flows`` (absorb) order, the allocation last solved for them, and
     when their open segment is next settled."""
 
-    __slots__ = ("flows", "caps", "rates", "label", "split", "due")
+    __slots__ = ("flows", "caps", "rates", "contended", "split", "due")
 
     def __init__(self, flows: List[_FluidFlow]):
         self.flows = flows
         self.caps: Optional[List[float]] = None  # None: solve at the next segment
         self.rates: List[float] = []
-        self.label = "none"
+        self.contended = False  # two ranks meet on a saturated link
         self.split = False  # a member completed: re-split before the next solve
         #: settled at the first step ending at or after this: the segment's
         #: end while steady, its start while ramping (every step), 0 once
@@ -646,9 +644,9 @@ class HybridDriver:
                 for link in f.links:
                     link_group[link] = part
 
-    def _allocate(self, now: int) -> str:
+    def _allocate(self, now: int) -> bool:
         """Solve each group settled at ``now`` whose members or caps changed;
-        returns the step's contention label, the most severe of the groups'.
+        returns whether any group is contended (``model.classify_contention``).
 
         Max-min filling never moves capacity between components, so every
         group's ``rates`` equal a solve of all live flows at once, bit for bit
@@ -657,10 +655,10 @@ class HybridDriver:
         groups, link_caps = self._groups, self._link_caps
         for g in [g for g in groups if g.split]:
             self._split(g)
-        worst = "none"
+        contended = False
         for g in groups:
             # a group in mid-segment holds its members and caps, so its
-            # allocation and label stand
+            # allocation and contention stand
             if g.due <= now:
                 flows = g.flows
                 # a freshly started flow's bytes only begin landing after one
@@ -674,13 +672,13 @@ class HybridDriver:
                     # looked up on the module per call: the perf ledger's
                     # tracer wraps these two names from outside
                     rates, load = model.solve_rates(caps, ranks, paths, link_caps)
-                    g.label = model.classify_contention(
+                    g.contended = model.classify_contention(
                         rates, caps, ranks, paths, link_caps, load, _SAT_THRESHOLD
                     )
                     g.caps, g.rates = caps, rates
-            if _SEVERITY[g.label] > _SEVERITY[worst]:
-                worst = g.label
-        return worst
+            if g.contended:
+                contended = True
+        return contended
 
     def _fluid_run(self, until: int) -> None:
         """Advance in fluid steps until ``until``, a regime exit or a flown
@@ -703,11 +701,11 @@ class HybridDriver:
                 nxt = sim.peek_time()
                 sim.run(until=until if nxt is None or nxt >= until else nxt)
                 continue
-            contention = self._allocate(now)
+            contended = self._allocate(now)
             # the exit settles every group at the rates it ran at, so the
             # reopened groups' new ones are written only once the step runs
-            if contention == "priority" and now - self._opened >= _MIN_FLUID_NS:
-                self._exit_fluid("contention:" + contention)
+            if contended and now - self._opened >= _MIN_FLUID_NS:
+                self._exit_fluid("contention:priority")
                 return
             sim.run(until=self._open(now, min(until, now + _DT_MAX_NS)))  # may admit flows
             if sim.now <= now:

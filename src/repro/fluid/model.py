@@ -149,43 +149,32 @@ def classify_contention(
     link_cap: Sequence[float],
     link_load: Dict[int, float],
     sat_threshold: float = 0.98,
-) -> str:
-    """Classify link contention in the current allocation.
+) -> bool:
+    """Whether network-limited flows of different ranks meet on a saturated
+    link in the current allocation: PrioPlus preemption, the one contention
+    the fluid model hands back to packets.
 
     ``link_load`` is :func:`solve_rates`'s; ``sat_threshold`` is a positive
-    share of capacity.  Returns one of:
-
-    * ``"none"``     — no saturated link carries a network-limited flow;
-    * ``"single"``   — saturated links exist but each is filled by one flow
-      (line-rate transfer: queues still cannot build);
-    * ``"shared"``   — ≥ 2 network-limited flows of the *same* rank share a
-      saturated link (max-min sharing; standing-queue delay is approximated
-      away);
-    * ``"priority"`` — network-limited flows of *different* ranks meet on a
-      saturated link (PrioPlus preemption / delay-channel dynamics active).
+    share of capacity.  Flows of one rank cannot preempt each other, so a
+    single-rank set reads ``False`` without looking at a link.
     """
+    if len(set(ranks)) < 2:
+        return False
     hot = {
         link
         for link, load in link_load.items()
         if link_cap[link] > 0 and load / link_cap[link] >= sat_threshold
     }
     if not hot:
-        return "none"
+        return False
     rank_on: Dict[int, int] = {}  # hot link -> rank of a network-limited flow on it
-    shared = False
     for f, path in enumerate(flow_links):
         if rate[f] < cap_rate[f] * _CAP_SLACK:
             r = ranks[f]
             for link in path:
-                if link in hot:
-                    seen = rank_on.get(link)
-                    if seen is None:
-                        rank_on[link] = r
-                    elif seen != r:
-                        return "priority"
-                    else:
-                        shared = True
-    return "shared" if shared else "single"
+                if link in hot and rank_on.setdefault(link, r) != r:
+                    return True
+    return False
 
 
 def components(flow_links: Sequence[Sequence[int]]) -> List[List[int]]:

@@ -32,9 +32,6 @@ class LognormalNoise:
     def sample(self, rng: random.Random) -> int:
         return int(self.scale * rng.lognormvariate(self.mu, self.sigma))
 
-    def mean_ns(self) -> float:
-        return self.scale * math.exp(self.mu + self.sigma**2 / 2.0)
-
     def percentile(self, p: float) -> float:
         """Analytic quantile (p in (0, 1))."""
         if not 0.0 < p < 1.0:

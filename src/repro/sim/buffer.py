@@ -104,38 +104,16 @@ class SharedBuffer:
         return sim.now if sim is not None else 0
 
     # ------------------------------------------------------------------
-    def export_state(self) -> dict:
-        """Bulk occupancy snapshot (introspection + fluid handoff checks).
-
-        The hybrid core (:mod:`repro.fluid.hybrid`) only enters a fluid
-        epoch once both pools read zero, so there is never buffer state to
-        import back.
-        """
-        return {
-            "name": self.name,
-            "shared_used": self.shared_used,
-            "headroom_used": self.headroom_used,
-            "shared_capacity": self.shared_capacity,
-            "headroom_capacity": self.headroom_capacity,
-            "peak_shared": self.stats.peak_shared,
-            "peak_headroom": self.stats.peak_headroom,
-            "dropped": self.stats.dropped,
-        }
-
     @property
     def free_shared(self) -> int:
         return self.shared_capacity - self.shared_used
-
-    def shared_threshold(self) -> float:
-        """Current dynamic per-queue admission threshold."""
-        return self.dt_alpha * self.free_shared
 
     def try_admit_shared(self, queue_bytes: int, size: int) -> bool:
         """Admit ``size`` bytes into a queue currently holding ``queue_bytes``."""
         used = self.shared_used
         cap = self.shared_capacity
         new_used = used + size
-        # inline free_shared/shared_threshold: this runs once per forwarded packet
+        # inline free_shared: this runs once per forwarded packet
         if new_used > cap or queue_bytes >= self.dt_alpha * (cap - used):
             return False
         self.shared_used = new_used

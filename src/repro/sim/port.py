@@ -30,8 +30,8 @@ reference the common case is tested against (``tests/test_hot_path.py``).
 ``queues`` maps a queue index to its FIFO and creates the FIFO at the first
 enqueue (a ``defaultdict``, so the append costs what a list index did): a
 320-host fabric holds ~10 k per-priority queues, almost all of which never see
-a packet.  Readers that only look (``cut``, ``export_state``, the sampler and
-the auditor) read a missing queue as empty and must not create it.
+a packet.  Readers that only look (``cut``, the sampler and the auditor)
+read a missing queue as empty and must not create it.
 
 PFC/cut semantics are unchanged: a pause or ``cut()`` landing between
 start-of-tx and delivery still only gates the *next* dequeue (the in-flight
@@ -185,36 +185,6 @@ class Port:
         return t
 
     # ------------------------------------------------------------------
-    @property
-    def is_idle(self) -> bool:
-        """No packet queued or on the wire from this port.
-
-        The fluid fast path (:mod:`repro.fluid.hybrid`) withdraws every
-        packet (:meth:`withdraw`) before a fluid epoch, which is what makes
-        the fluid→packet handoff exact: an empty network has no in-flight
-        packet state to re-materialise.
-        """
-        return not self.total_bytes and not self.busy
-
-    def export_state(self) -> dict:
-        """Bulk occupancy/throughput snapshot (introspection + handoff checks).
-
-        Import is deliberately not offered: the hybrid core hands back to
-        packets only from an *empty* fabric (see :attr:`is_idle`), so there
-        is never packet state to restore.
-        """
-        return {
-            "name": self.name,
-            "total_bytes": self.total_bytes,
-            "qbytes": list(self.qbytes),
-            "queued_packets": sum(len(q) for q in self.queues.values()),
-            "busy": self.busy,
-            "paused": list(self.paused),
-            "down": self.down,
-            "tx_bytes_total": self.tx_bytes_total,
-            "tx_packets_total": self.tx_packets_total,
-        }
-
     def enqueue(self, pkt: Packet, ctx: Any = None) -> None:
         """Queue a packet for transmission (admission already decided).
 

@@ -9,7 +9,7 @@ numbers, safe to embed in experiment result dicts and ``json.dumps`` output.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -125,11 +125,6 @@ class Histogram:
             cum += w
         return float(self.max if self.max is not None else 0.0)
 
-    def buckets(self) -> List[Tuple[float, float]]:
-        """Sorted (upper_bound, weight) pairs."""
-        return [
-            (1.0 if i == 0 else float(1 << i), self._buckets[i]) for i in sorted(self._buckets)
-        ]
 
 
 class MetricsRegistry:

@@ -74,13 +74,6 @@ class Flow:
             raise RuntimeError(f"flow {self.flow_id} has not completed")
         return self.completion_ns - self.start_ns
 
-    def ideal_fct_ns(self, bottleneck_bps: float, base_rtt_ns: int = 0) -> float:
-        """size/bandwidth plus the propagation component, the paper's 'ideal FCT'."""
-        return self.size_bytes * 8e9 / bottleneck_bps + base_rtt_ns
-
-    def slowdown(self, bottleneck_bps: float, base_rtt_ns: int = 0) -> float:
-        return self.fct_ns() / self.ideal_fct_ns(bottleneck_bps, base_rtt_ns)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<Flow {self.flow_id} {self.size_bytes}B prio={self.priority} "

@@ -1,11 +1,9 @@
-"""Workload generators: WebSearch, Poisson arrivals, incast, coflows."""
+"""Workload generators: WebSearch, Poisson arrivals, coflows."""
 
 from .coflow_trace import CoflowSpec, synthesize_coflows
 from .distributions import (ALI_STORAGE_CDF, HADOOP_CDF, WEBSEARCH_CDF,
                             EmpiricalCdf, ali_storage, hadoop, websearch)
-from .generators import (FlowSpec, file_requests, file_requests_iter,
-                         incast_flows, poisson_flows, poisson_flows_iter)
-from .trace_io import TraceFormatError, load_trace, save_trace
+from .generators import FlowSpec, poisson_flows, poisson_flows_iter
 
 __all__ = [
     "EmpiricalCdf",
@@ -18,12 +16,6 @@ __all__ = [
     "FlowSpec",
     "poisson_flows",
     "poisson_flows_iter",
-    "incast_flows",
-    "file_requests",
-    "file_requests_iter",
     "CoflowSpec",
     "synthesize_coflows",
-    "load_trace",
-    "save_trace",
-    "TraceFormatError",
 ]

@@ -1,20 +1,19 @@
-"""Flow-arrival generators: Poisson open-loop traffic, incast, file requests.
+"""Flow-arrival generators: open-loop Poisson traffic.
 
-Every generator exists in two shapes sharing one draw sequence:
+The generator exists in two shapes sharing one draw sequence:
 
-* an **iterator** variant (``poisson_flows_iter``, ``file_requests_iter``)
-  that lazily yields :class:`FlowSpec` objects **in non-decreasing
-  ``start_ns`` order** — the *streaming-generator contract* the experiment
-  layer's staged admission (:class:`repro.experiments.launch.FlowAdmitter`)
-  relies on.  Memory stays bounded by the live window, not the trace
-  length, which is what makes multi-second paper-scale traces feasible
-  (millions of arrivals never exist as objects simultaneously);
-* the historical **list** API (``poisson_flows``, ``file_requests``),
-  now a thin ``list(...)`` over the iterator so both paths are
-  byte-identical on identical seeds (pinned by
+* an **iterator** (``poisson_flows_iter``) that lazily yields
+  :class:`FlowSpec` objects **in non-decreasing ``start_ns`` order** — the
+  *streaming-generator contract* the experiment layer's staged admission
+  (:class:`repro.experiments.launch.FlowAdmitter`) relies on.  Memory stays
+  bounded by the live window, not the trace length, which is what makes
+  multi-second paper-scale traces feasible (millions of arrivals never
+  exist as objects simultaneously);
+* the **list** API (``poisson_flows``), a thin ``list(...)`` over the
+  iterator so both paths are byte-identical on identical seeds (pinned by
   ``tests/test_workloads.py::test_poisson_stream_list_identical``).
 
-All generators draw from a caller-provided ``random.Random`` so experiments
+Generators draw from a caller-provided ``random.Random`` so experiments
 are reproducible and baselines see the *identical* workload.
 """
 
@@ -29,9 +28,6 @@ __all__ = [
     "FlowSpec",
     "poisson_flows",
     "poisson_flows_iter",
-    "incast_flows",
-    "file_requests",
-    "file_requests_iter",
 ]
 
 
@@ -135,76 +131,3 @@ def poisson_flows(
         poisson_flows_iter(rng, n_hosts, cdf, load, host_rate_bps, duration_ns, start_ns)
     )
 
-
-def incast_flows(
-    n_senders: int,
-    size_bytes: int,
-    start_ns: int = 0,
-    dst_idx: int = -1,
-    tag=None,
-) -> List[FlowSpec]:
-    """Synchronous incast: every sender ships ``size_bytes`` to one receiver."""
-    return [
-        FlowSpec(i, dst_idx, size_bytes, start_ns, tag=tag) for i in range(n_senders)
-    ]
-
-
-def file_requests_iter(
-    rng: random.Random,
-    n_hosts: int,
-    n_requests: int,
-    fanout: int,
-    piece_bytes: int,
-    duration_ns: int,
-    start_ns: int = 0,
-) -> Iterator[FlowSpec]:
-    """The coflow scenario's file-request traffic (§6.2), in start-time order.
-
-    Each request picks ``fanout`` random source nodes that each send one
-    piece to a random destination node — the classic distributed-storage
-    read / incast pattern.
-
-    The RNG draw order is per-request (time, destination, sources), exactly
-    as the historical list API, so seeds produce the identical traffic; the
-    requests are then *yielded* sorted by arrival time (stable in request
-    order) to satisfy the streaming contract.  Memory is O(n_requests)
-    compact request tuples; the ``fanout`` :class:`FlowSpec` objects per
-    request are only created as the stream is consumed.
-    """
-    if fanout >= n_hosts:
-        raise ValueError("fanout must be smaller than the host count")
-    requests = []
-    for r in range(n_requests):
-        t = start_ns + rng.randrange(max(1, duration_ns))
-        dst = rng.randrange(n_hosts)
-        sources = rng.sample([h for h in range(n_hosts) if h != dst], fanout)
-        requests.append((t, r, dst, sources))
-    requests.sort(key=lambda req: (req[0], req[1]))
-
-    def generate() -> Iterator[FlowSpec]:
-        for t, r, dst, sources in requests:
-            for s in sources:
-                yield FlowSpec(s, dst, piece_bytes, t, tag=("file", r))
-
-    return generate()
-
-
-def file_requests(
-    rng: random.Random,
-    n_hosts: int,
-    n_requests: int,
-    fanout: int,
-    piece_bytes: int,
-    duration_ns: int,
-    start_ns: int = 0,
-) -> List[FlowSpec]:
-    """List form of :func:`file_requests_iter` (identical draw sequence).
-
-    Flows are returned sorted by ``start_ns`` (stable in request order).
-    Historically this returned request-loop order — unsorted in time — so
-    admission order depended on the request permutation; sorted output makes
-    admission deterministic and matches the streaming-generator contract.
-    """
-    return list(
-        file_requests_iter(rng, n_hosts, n_requests, fanout, piece_bytes, duration_ns, start_ns)
-    )

@@ -1,24 +1,21 @@
-"""Analysis-module tests: percentiles, FCT stats, theory results."""
+"""Analysis-module tests: percentiles, the paper's size classes and speedup
+ratio, theory results."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
-    FctStats,
     buffer_bandwidth_ratios,
     channel_width_ns,
-    group_by,
     linear_start_is_optimal,
     percentile,
     potential_backlog,
-    size_class,
-    speedup,
     start_strategy_costs,
-    summarize,
     swift_fluctuation_ns,
 )
-from repro.transport.flow import Flow
+from repro.experiments.coflow_scenario import speedup_summary
+from repro.experiments.flowsched import FlowSchedConfig
 
 
 def test_percentile_basics():
@@ -44,35 +41,13 @@ def test_property_percentile_bounded_and_monotone(xs):
     assert percentile(xs, 10) <= percentile(xs, 90)
 
 
-def test_fct_stats():
-    s = FctStats([100, 200, 300, 400])
-    assert s.count == 4
-    assert s.mean == 250
-    assert s.p50 == 250
-    assert s.max == 400
-    d = s.as_dict()
-    assert d["count"] == 4
-
-
-def test_summarize_and_grouping():
-    flows = []
-    for i, size in enumerate([100, 400_000, 10_000_000]):
-        f = Flow(i + 1, None, None, size, start_ns=0)
-        f.completion_ns = 1000 * (i + 1)
-        flows.append(f)
-    stats = summarize(flows)
-    assert stats.count == 3
-    groups = group_by(flows, lambda f: size_class(f.size_bytes))
-    assert set(groups) == {"small", "middle", "large"}
-
-
-def test_summarize_unfinished_raises():
-    f = Flow(1, None, None, 100)
-    with pytest.raises(RuntimeError):
-        summarize([f])
-
-
 def test_size_classes_match_paper_boundaries():
+    """Fig 11's small / middle / large split falls at 300 KB and 6 MB."""
+    classes = FlowSchedConfig(size_scale=1.0).size_classes()
+
+    def size_class(size_bytes):
+        return next(name for name, lo, hi in classes if lo <= size_bytes < hi)
+
     assert size_class(299_999) == "small"
     assert size_class(300_000) == "middle"
     assert size_class(5_999_999) == "middle"
@@ -80,9 +55,13 @@ def test_size_classes_match_paper_boundaries():
 
 
 def test_speedup():
-    assert speedup(200, 100) == 2.0
-    with pytest.raises(ValueError):
-        speedup(100, 0)
+    """The paper's speedup ratio is baseline CCT / measured CCT (>1 is
+    faster), averaged overall and per high-4 / low-4 half of the groups."""
+    summary = speedup_summary({1: 200, 2: 300}, {1: 100, 2: 300}, {1: 0, 2: 7})
+    assert summary["overall"] == 1.5
+    assert summary["high4"] == 2.0
+    assert summary["low4"] == 1.0
+    assert summary["completed"] == 2
 
 
 # ----------------------------------------------------------------------

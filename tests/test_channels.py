@@ -101,25 +101,6 @@ def test_band_validation_errors_name_offending_priorities():
         ChannelConfig(n_priorities=3, bands=[(1000, 2000)])
 
 
-def test_json_roundtrip_both_kinds():
-    for ch in (
-        ChannelConfig(n_priorities=4),
-        ChannelConfig(fluctuation_ns=6400, noise_ns=1600, n_priorities=2),
-        ChannelConfig.from_bands([(3000, 5000), (9000, 12000)], noise_ns=500),
-    ):
-        clone = ChannelConfig.from_json(ch.to_json())
-        assert clone == ch
-        assert hash(clone) == hash(ch)
-        for i in range(0, ch.n_priorities + 1):
-            assert clone.target_offset_ns(i) == ch.target_offset_ns(i)
-            assert clone.limit_offset_ns(i) == ch.limit_offset_ns(i)
-
-
-def test_from_dict_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown channel config kind"):
-        ChannelConfig.from_dict({"kind": "nope"})
-
-
 @given(
     gaps=st.lists(st.integers(1, 10_000), min_size=1, max_size=8),
     widths=st.lists(st.integers(1, 10_000), min_size=8, max_size=8),

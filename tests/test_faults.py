@@ -77,7 +77,8 @@ def test_plan_json_round_trip_and_hash():
 def test_plan_save_load(tmp_path):
     path = str(tmp_path / "plan.json")
     plan = _plan()
-    plan.save(path)
+    with open(path, "w") as fh:
+        json.dump(plan.to_dict(), fh)
     assert FaultPlan.load(path).canonical() == plan.canonical()
 
 
@@ -354,8 +355,9 @@ def test_default_plan_is_restored_after_run_experiment():
 
 
 def test_faults_path_argument(tmp_path):
-    path = str(tmp_path / "plan.json")
-    _MINI_PLAN.save(path)
+    path = tmp_path / "plan.json"
+    path.write_text(_MINI_PLAN.canonical())
+    path = str(path)
     from_path = run_experiment(MINI_FAULTS, jobs=1, faults=path)
     from_plan = run_experiment(MINI_FAULTS, jobs=1, faults=_MINI_PLAN)
     assert _canon(from_path) == _canon(from_plan)

@@ -104,20 +104,18 @@ def test_contention_classification():
     cap = [10.0, 10.0]
     link = [1.0]
 
+    # one rank sharing a saturated link: max-min sharing stays fluid
     rate, load = solve_rates(cap, ranks_same, paths, link)
-    assert classify_contention(rate, cap, ranks_same, paths, link, load) == "shared"
+    assert classify_contention(rate, cap, ranks_same, paths, link, load) is False
 
+    # two ranks meet on it: preemption, handed back to packets
     rate, load = solve_rates(cap, ranks_cross, paths, link)
-    assert classify_contention(rate, cap, ranks_cross, paths, link, load) == "priority"
+    assert classify_contention(rate, cap, ranks_cross, paths, link, load) is True
 
-    # one cap-limited flow alone on a saturated link: queues cannot build
-    rate, load = solve_rates([1.0], [1], [[0]], link)
-    assert classify_contention(rate, [1.0], [1], [[0]], link, load) == "single"
-
-    # under-subscribed link
+    # two ranks on an under-subscribed link
     cap_lo = [0.3, 0.3]
-    rate, load = solve_rates(cap_lo, ranks_same, paths, link)
-    assert classify_contention(rate, cap_lo, ranks_same, paths, link, load) == "none"
+    rate, load = solve_rates(cap_lo, ranks_cross, paths, link)
+    assert classify_contention(rate, cap_lo, ranks_cross, paths, link, load) is False
 
 
 # ----------------------------------------------------------------------
@@ -145,12 +143,12 @@ def _oracle_solve(oracle, cap_rate, ranks, paths, link_cap):
 
 def _assert_matches_oracle(oracle, cap_rate, ranks, paths, link_cap):
     rate, load = solve_rates(cap_rate, ranks, paths, link_cap)
-    label = classify_contention(rate, cap_rate, ranks, paths, link_cap, load)
+    contended = classify_contention(rate, cap_rate, ranks, paths, link_cap, load)
     ref_rate, ref_load, ref_label = _oracle_solve(oracle, cap_rate, ranks, paths, link_cap)
     # ==, not approx: same IEEE-754 operations in the same order
     assert rate == ref_rate
     assert [load.get(link, 0.0) for link in range(len(link_cap))] == ref_load
-    assert label == ref_label
+    assert contended == (ref_label == "priority")
 
 
 #: few distinct values, so flows meet caps that equal a fair share and links
@@ -185,6 +183,9 @@ def _solver_inputs(draw):
 # (cap - residual) / cap lands one ulp under the 0.98 saturation threshold
 # where 1 - residual / cap lands on it: "none", not "single"
 @example(([0.98 * 17.3125], [0], [[0]], [17.3125]))
+# the same ulp on link 0, which network-limited flows of two ranks cross:
+# not contended
+@example(([100.0, 100.0], [1, 0], [[0, 1], [0, 2]], [17.3125, 0.5, 0.98 * 17.3125 - 0.5]))
 def test_solver_matches_numpy_oracle_bit_for_bit(oracle, inputs):
     _assert_matches_oracle(oracle, *inputs)
 
@@ -192,25 +193,22 @@ def test_solver_matches_numpy_oracle_bit_for_bit(oracle, inputs):
 # ----------------------------------------------------------------------
 # one solve per component equals one solve of everything, bit for bit
 # ----------------------------------------------------------------------
-#: contention labels, least to most severe
-_LABEL_ORDER = ["none", "single", "shared", "priority"]
-
-
 def _solve_per_component(cap_rate, ranks, paths, link_cap):
-    """``(rates, link_load, label)`` composed from one solve per
-    ``model.components`` group, scattered back: the most severe label wins."""
+    """``(rates, link_load, contended)`` composed from one solve per
+    ``model.components`` group, scattered back: contended if any group is."""
     rate = [None] * len(cap_rate)
     load = {}
-    labels = ["none"]
+    contended = False
     for members in model.components(paths):
         sub = [[column[i] for i in members] for column in (cap_rate, ranks, paths)]
         sub_rate, sub_load = solve_rates(*sub, link_cap)
-        labels.append(classify_contention(sub_rate, *sub, link_cap, sub_load))
+        if classify_contention(sub_rate, *sub, link_cap, sub_load):
+            contended = True
         for i, r in zip(members, sub_rate):
             rate[i] = r
         assert not sub_load.keys() & load.keys()  # a link lies in one component
         load.update(sub_load)
-    return rate, load, max(labels, key=_LABEL_ORDER.index)
+    return rate, load, contended
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,9 +221,9 @@ def _solve_per_component(cap_rate, ranks, paths, link_cap):
 def test_solving_per_component_equals_one_solve(inputs):
     cap_rate, ranks, paths, link_cap = inputs
     rate, load = solve_rates(cap_rate, ranks, paths, link_cap)
-    label = classify_contention(rate, cap_rate, ranks, paths, link_cap, load)
+    contended = classify_contention(rate, cap_rate, ranks, paths, link_cap, load)
     # ==, not approx: the same operations in the same order per link
-    assert _solve_per_component(cap_rate, ranks, paths, link_cap) == (rate, load, label)
+    assert _solve_per_component(cap_rate, ranks, paths, link_cap) == (rate, load, contended)
 
 
 @settings(max_examples=200, deadline=None)
@@ -484,7 +482,7 @@ def _count_solves(world, monkeypatch):
     """Run ``world`` hybrid; returns per-segment sums of live flows, of flows
     solved (the sizes of the groups solved) and of connected components of
     the live set, checking on every segment that the groups are exactly
-    those components and that the rates and label in force ``==`` one
+    those components and that the rates and contention in force ``==`` one
     monolithic solve of the whole live set."""
     sim, net, flows = world
     driver = HybridDriver(sim, net)
@@ -498,7 +496,7 @@ def _count_solves(world, monkeypatch):
     allocate = driver._allocate
 
     def checked_allocate(now):
-        contention = allocate(now)
+        contended = allocate(now)
         live, link_caps = driver._flows, driver._link_caps
         caps = [0.0 if f.gate_ns > now else f.cwnd / f.sender.base_rtt for f in live]
         ranks, paths = [f.rank for f in live], [f.links for f in live]
@@ -512,11 +510,11 @@ def _count_solves(world, monkeypatch):
         )
         assert held == list(zip(range(len(live)), caps, rate))
         want = fresh_classify(rate, caps, ranks, paths, link_caps, load, _SAT_THRESHOLD)
-        assert contention == want
+        assert contended == want
         counts["segments"] += 1
         counts["live"] += len(live)
         counts["components"] += len(comps)
-        return contention
+        return contended
 
     monkeypatch.setattr(model, "solve_rates", counting_solve)
     monkeypatch.setattr(driver, "_allocate", checked_allocate)

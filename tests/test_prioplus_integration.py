@@ -4,6 +4,7 @@
 from repro.cc.ledbat import Ledbat
 from repro.cc.swift import Swift, SwiftParams
 from repro.core import ChannelConfig, PrioPlusCC, StartTier
+from repro.experiments.samplers import RateSampler
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
 from repro.topology import star
@@ -186,3 +187,30 @@ def test_prioplus_under_heavy_noise_still_completes():
         flows.append(f)
     sim.run(until=500_000_000)
     assert all(f.done for f in flows)
+
+
+def test_metrics_on_real_prioplus_run():
+    """Same-priority PrioPlus flows converge to a fair share."""
+    sim = Simulator(2)
+    cfg = SwitchConfig(n_queues=2, buffer_bytes=8 * 1024 * 1024)
+    net, senders, recv = star(sim, 3, rate_bps=10e9, link_delay_ns=1000, switch_cfg=cfg)
+    ch = ChannelConfig(n_priorities=4)
+    snds = []
+    for i in range(3):
+        f = Flow(i + 1, senders[i], recv, 4_000_000, vpriority=2, start_ns=0)
+        cc = PrioPlusCC(Swift(SwiftParams(target_scaling=False)), ch, 2,
+                        tier=StartTier.MEDIUM, probe_first=False)
+        snds.append(FlowSender(sim, net, f, cc))
+    sampler = RateSampler(sim, snds, key=lambda s: s.flow.flow_id, interval_ns=200_000)
+    sim.run(until=4_000_000)
+    allocations = [sampler.average_rate_bps(i + 1, 1_000_000, 4_000_000) for i in range(3)]
+    # Jain's fairness index: 1 = perfectly fair, 1/3 = one flow takes all
+    jain = sum(allocations) ** 2 / (len(allocations) * sum(a * a for a in allocations))
+    assert jain > 0.85
+    # utilisation: the mean aggregate rate over the window, as a share of the link
+    aggregate = {}
+    for i in range(3):
+        for t, rate in sampler.series[i + 1]:
+            if t >= 1_000_000:
+                aggregate[t] = aggregate.get(t, 0.0) + rate
+    assert sum(aggregate.values()) / len(aggregate) / 10e9 > 0.85

@@ -174,14 +174,10 @@ def test_no_builtin_hash_where_results_are_made():
     assert not offenders, offenders
 
 
-#: public top-level names that nothing outside tests/ calls, by module, and
-#: why each stays; the list only shrinks (a stale entry fails too)
+#: public names (top-level, or ``Class.method`` for a public method or
+#: property of a public class) that nothing outside tests/ calls, by module,
+#: and why each stays; the list only shrinks (a stale entry fails too)
 _NO_CALLER_YET = {
-    # the census's remainder: cut deferred to ROADMAP item 18, one slice
-    # of tests at a time
-    "analysis/fct.py": {"FctStats", "summarize", "group_by", "size_class", "speedup"},
-    "workloads/generators.py": {"incast_flows", "file_requests", "file_requests_iter"},
-    "workloads/trace_io.py": {"load_trace", "save_trace", "TraceFormatError"},
     # the documented library form of the CLI's sink flags (docs/API.md);
     # the CLI itself installs sinks with probe.installed
     "obs/tracer.py": {"trace_scope"},
@@ -196,39 +192,69 @@ _NO_CALLER_YET = {
 }
 
 
-def _identifiers(tree) -> set:
+def _identifiers(tree, skip=()) -> set:
+    """Every name ``tree`` mentions outside the nodes in ``skip``: as a name,
+    an attribute, an import, or a string equal to it (``getattr`` dispatch,
+    or a patch by name as the perf ledger's tracer wraps ``Port.kick``).
+    ``__all__`` lists export, they do not call."""
     names = set()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip or (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ):
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
-def _uncalled_public_names() -> set:
-    """``module::name`` of every public top-level def or class under
-    ``src/repro`` that no code outside ``tests/`` reaches: not ``src/``
-    (package re-exports do not count), ``scripts/``, ``examples/`` or
-    ``benchmarks/``, nor its own module's code other than uncalled names."""
+def _outside_tests() -> dict:
+    """Path -> parsed module of the code that may call a public name: ``src/``
+    (package re-exports do not count), ``scripts/``, ``examples/`` and
+    ``benchmarks/``."""
     root = SRC.parents[1]
-    outside = {
-        path: _identifiers(ast.parse(path.read_text()))
+    return {
+        path: ast.parse(path.read_text())
         for top in ("src", "scripts", "examples", "benchmarks")
         for path in sorted((root / top).rglob("*.py"))
         if not (top == "src" and path.name == "__init__.py")
     }
+
+
+def _fixpoint(users: dict) -> set:
+    """The keys whose every user is itself such a key (``None``, a caller
+    that is not a candidate, never is)."""
+    uncalled = set()
+    while True:
+        more = {key for key, by in users.items() if key not in uncalled and by <= uncalled}
+        if not more:
+            return uncalled
+        uncalled |= more
+
+
+def _uncalled_public_names(trees) -> set:
+    """``module::name`` of every public top-level def or class under
+    ``src/repro`` that no code outside ``tests/`` reaches, nor its own
+    module's code other than uncalled names."""
+    outside = {path: _identifiers(tree) for path, tree in trees.items()}
     # candidate -> its own module's top-level statements that name it, as
     # their def/class name (None: a module-level statement, which is a caller)
     owners = {}
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py":
+    for path, tree in trees.items():
+        if SRC not in path.parents:
             continue
-        body = ast.parse(path.read_text()).body
-        tops = [(getattr(node, "name", None), _identifiers(node)) for node in body]
-        for node in body:
+        tops = [(getattr(node, "name", None), _identifiers(node)) for node in tree.body]
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             if any(node.name in ids for other, ids in outside.items() if other != path):
@@ -239,20 +265,48 @@ def _uncalled_public_names() -> set:
                 for name, ids in tops
                 if name != node.name and node.name in ids
             }
-    uncalled = set()
-    while True:
-        more = {key for key, users in owners.items() if key not in uncalled and users <= uncalled}
-        if not more:
-            return uncalled
-        uncalled |= more
+    return _fixpoint(owners)
+
+
+def _uncalled_public_methods(trees) -> set:
+    """``module::Class.method`` of every public method or property of a
+    public class under ``src/repro`` whose name no code outside ``tests/``
+    mentions, other than its own definitions and uncalled methods.  By name,
+    not by type: every method of one name shares that name's callers."""
+    defs = {}  # key -> its def nodes (a property's setter shares its key)
+    for path, tree in trees.items():
+        if SRC not in path.parents:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                    key = f"{path.relative_to(SRC)}::{cls.name}.{node.name}"
+                    defs.setdefault(key, []).append(node)
+    bodies = {node for nodes in defs.values() for node in nodes}
+    free = set().union(*(_identifiers(tree, skip=bodies) for tree in trees.values()))
+    by_name = {}
+    for key in defs:
+        by_name.setdefault(key.rpartition(".")[2], []).append(key)
+    # method -> the methods whose bodies name it (None: any other code)
+    users = {key: {None} if key.rpartition(".")[2] in free else set() for key in defs}
+    for key, nodes in defs.items():
+        for name in set().union(*map(_identifiers, nodes)) & by_name.keys():
+            for other in by_name[name]:
+                if other != key:
+                    users[other].add(key)
+    return _fixpoint(users)
 
 
 def test_every_public_name_has_a_caller():
-    """A public function or class exists because a workload, script,
-    example or benchmark runs it.  Code only tests call is how TIMELY,
-    PowerTCP and a trace format nothing loaded grew: a new one fails here,
-    as does an allowlist entry that has been cut or gained a caller."""
-    uncalled = _uncalled_public_names()
+    """A public function, class, method or property exists because a
+    workload, script, example or benchmark runs it.  Code only tests call is
+    how TIMELY, PowerTCP and a trace format nothing loaded grew: a new one
+    fails here, as does an allowlist entry that has been cut or gained a
+    caller."""
+    trees = _outside_tests()
+    uncalled = _uncalled_public_names(trees) | _uncalled_public_methods(trees)
     allowed = {f"{module}::{name}" for module, names in _NO_CALLER_YET.items() for name in names}
     assert sorted(uncalled - allowed) == [], "no caller outside tests/"
     assert sorted(allowed - uncalled) == [], "stale _NO_CALLER_YET entry"

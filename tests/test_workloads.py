@@ -1,4 +1,4 @@
-"""Workload-generator tests: CDFs, Poisson arrivals, incast, coflows."""
+"""Workload-generator tests: CDFs, Poisson arrivals, coflows."""
 
 import random
 
@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from repro.workloads import (
     WEBSEARCH_CDF,
     EmpiricalCdf,
-    file_requests,
-    file_requests_iter,
-    incast_flows,
     poisson_flows,
     poisson_flows_iter,
     synthesize_coflows,
@@ -145,86 +142,6 @@ def test_poisson_zero_and_one_arrival_durations():
     specs = poisson_flows(random.Random(1), 4, websearch(0.1), 0.1, 1e9, duration)
     streamed = list(poisson_flows_iter(random.Random(1), 4, websearch(0.1), 0.1, 1e9, duration))
     assert [_spec_tuple(s) for s in specs] == [_spec_tuple(s) for s in streamed]
-
-
-# ----------------------------------------------------------------------
-# incast / file requests
-# ----------------------------------------------------------------------
-def test_incast_specs():
-    specs = incast_flows(10, 5000, start_ns=77, dst_idx=10)
-    assert len(specs) == 10
-    assert all(s.dst_idx == 10 and s.size_bytes == 5000 and s.start_ns == 77 for s in specs)
-    assert sorted(s.src_idx for s in specs) == list(range(10))
-
-
-def test_file_requests_fanout_and_no_self():
-    rng = random.Random(6)
-    specs = file_requests(rng, 10, n_requests=5, fanout=3, piece_bytes=1000, duration_ns=1000)
-    assert len(specs) == 15
-    by_req = {}
-    for s in specs:
-        by_req.setdefault(s.tag, []).append(s)
-    for flows in by_req.values():
-        assert len(flows) == 3
-        dst = flows[0].dst_idx
-        assert all(f.dst_idx == dst and f.src_idx != dst for f in flows)
-
-
-def test_file_requests_fanout_too_large():
-    with pytest.raises(ValueError):
-        file_requests(random.Random(), 4, 1, fanout=4, piece_bytes=10, duration_ns=10)
-    with pytest.raises(ValueError):
-        file_requests_iter(random.Random(), 4, 1, fanout=4, piece_bytes=10, duration_ns=10)
-
-
-def test_file_requests_sorted_by_start():
-    """Flows come back in arrival order (the streaming-admission contract)."""
-    rng = random.Random(6)
-    specs = file_requests(rng, 10, n_requests=40, fanout=3, piece_bytes=1000,
-                          duration_ns=100_000)
-    starts = [s.start_ns for s in specs]
-    assert starts == sorted(starts)
-    # ties between requests keep request order (stable sort): pieces of one
-    # request stay contiguous
-    seen = []
-    for s in specs:
-        if not seen or seen[-1] != s.tag:
-            seen.append(s.tag)
-    assert len(seen) == 40  # no request's pieces are interleaved with another's
-
-
-def test_file_requests_same_traffic_as_unsorted_draws():
-    """Sorting changed the order, not the traffic: the (src, dst, size, t,
-    tag) multiset is exactly what the historical per-request draw loop
-    produced from the same seed."""
-    kw = dict(n_hosts=12, n_requests=25, fanout=4, piece_bytes=777, duration_ns=50_000)
-    specs = file_requests(random.Random(123), **kw)
-
-    # the historical draw loop, reproduced verbatim
-    rng = random.Random(123)
-    legacy = []
-    for r in range(kw["n_requests"]):
-        t = rng.randrange(max(1, kw["duration_ns"]))
-        dst = rng.randrange(kw["n_hosts"])
-        sources = rng.sample([h for h in range(kw["n_hosts"]) if h != dst], kw["fanout"])
-        for s in sources:
-            legacy.append((s, dst, kw["piece_bytes"], t, ("file", r)))
-    assert sorted(_spec_tuple(s) for s in specs) == sorted(legacy)
-
-
-def test_file_requests_stream_list_identical():
-    kw = dict(n_hosts=10, n_requests=15, fanout=3, piece_bytes=500, duration_ns=10_000)
-    specs = file_requests(random.Random(77), **kw)
-    streamed = list(file_requests_iter(random.Random(77), **kw))
-    assert [_spec_tuple(s) for s in specs] == [_spec_tuple(s) for s in streamed]
-
-
-def test_incast_placeholder_dst():
-    # dst_idx=-1 is the "receiver chosen later" placeholder; specs must carry
-    # it through untouched so scenario code can rebind it
-    specs = incast_flows(4, 1000)
-    assert all(s.dst_idx == -1 for s in specs)
-    assert sorted(s.src_idx for s in specs) == [0, 1, 2, 3]
 
 
 # ----------------------------------------------------------------------
