@@ -89,31 +89,32 @@ def paper_config_kwargs(**overrides) -> Dict[str, object]:
     return params
 
 
-def coflow_point(mode: str, cfg: Dict[str, object], paper_scale: bool = False) -> dict:
-    """One CC mode over the workload rebuilt deterministically from ``cfg``.
+#: the top-level ``seed`` kwarg of every coflow_spec point, shared by every registered comparison
+_SEED = 7
+
+
+def coflow_point(mode: str, cfg: Dict[str, object], seed: int, paper_scale: bool = False) -> dict:
+    """One CC mode over the workload rebuilt deterministically from ``cfg`` and ``seed``.
 
     ``paper_scale`` runs it through staged admission + the hybrid fluid core
     on :func:`repro.topology.paper_fabric` instead of the reduced multi-rack
     CI fabric.
     """
-    cfg = CoflowConfig(**cfg)
+    cfg = CoflowConfig(seed=seed, **cfg)
     run_kwargs = {}
     if paper_scale:
-        run_kwargs = dict(
-            topology=paper_topology(cfg.host_rate_bps, cfg.link_delay_ns),
-            streaming=True,
-            fluid=True,
-        )
+        topology = paper_topology(cfg.host_rate_bps, cfg.link_delay_ns)
+        run_kwargs = dict(topology=topology, streaming=True, fluid=True)
     jobs, groups = build_workload(cfg)
     cct = run_coflow_mode(mode, cfg, jobs, groups, **run_kwargs)
     return {"cct": {str(cid): ns for cid, ns in cct.items()}}
 
 
 def coflow_speedups(
-    results: Mapping[str, dict], cfg_kwargs: Dict[str, object], baseline: str = Mode.SWIFT
+    results: Mapping[str, dict], cfg_kwargs: Dict[str, object], seed: int, baseline: str = Mode.SWIFT
 ) -> Dict[str, object]:
     """Per-mode speedup summaries over the ``baseline`` point's CCTs."""
-    jobs, groups = build_workload(CoflowConfig(**cfg_kwargs))
+    jobs, groups = build_workload(CoflowConfig(seed=seed, **cfg_kwargs))
     ccts = {
         pname: {int(cid): ns for cid, ns in res["cct"].items()}
         for pname, res in results.items()
@@ -140,16 +141,16 @@ def coflow_spec(
 
     Each mode (baseline included) replays the identical workload in its own
     simulation, so the modes are embarrassingly parallel.  The workload is
-    rebuilt from the config seed both in the points and in the reduction —
-    it is never shipped between processes.
+    rebuilt from ``cfg_kwargs`` and the seed both in the points and in the
+    reduction — it is never shipped between processes.
     """
     point = partial(coflow_point, paper_scale=paper_scale)
     return {
         "spec": {
-            mode: (point, {"mode": mode, "cfg": dict(cfg_kwargs)})
+            mode: (point, {"mode": mode, "cfg": dict(cfg_kwargs), "seed": _SEED})
             for mode in [baseline, *modes]
         },
-        "reduce_fn": partial(coflow_speedups, cfg_kwargs=dict(cfg_kwargs), baseline=baseline),
+        "reduce_fn": partial(coflow_speedups, cfg_kwargs=dict(cfg_kwargs), seed=_SEED, baseline=baseline),
     }
 
 

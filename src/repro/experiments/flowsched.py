@@ -88,7 +88,7 @@ def size_group_boundaries(cdf: EmpiricalCdf, n_groups: int) -> List[float]:
 def run_flowsched(
     mode: str,
     n_priorities: int,
-    cfg: Optional[FlowSchedConfig] = None,
+    cfg: FlowSchedConfig,
     topology=None,
     fluid: bool = False,
     streaming: bool = False,
@@ -110,7 +110,6 @@ def run_flowsched(
     ``live_peak`` and ``streaming=True``); peak memory tracks the
     *concurrent* flow population, so multi-second traces are first-class.
     """
-    cfg = cfg or FlowSchedConfig()
     sim = Simulator(cfg.seed)
     cdf = cfg.cdf_factory(cfg.size_scale)
     boundaries = size_group_boundaries(cdf, n_priorities)
@@ -278,8 +277,12 @@ def _stats(values: List[float]) -> Dict[str, object]:
     }
 
 
-def _grid_point(run, mode: str, n_priorities: int, cfg: Dict[str, object], **run_kwargs) -> dict:
-    return run(mode, n_priorities, FlowSchedConfig(**cfg), **run_kwargs)
+#: the top-level ``seed`` kwarg of every grid_spec cell, shared by every registered grid
+_GRID_SEED = 42
+
+
+def _grid_point(run, mode: str, n_priorities: int, cfg: Dict[str, object], seed: int, **kw) -> dict:
+    return run(mode, n_priorities, FlowSchedConfig(seed=seed, **cfg), **kw)
 
 
 def grid_rows(results: Mapping[str, dict]) -> Dict[str, object]:
@@ -298,18 +301,19 @@ def grid_spec(
     """A grid of ``(mode, n_priorities)`` cells as :class:`FunctionExperiment`
     keywords (``spec``, ``quick_spec``, ``reduce_fn``).
 
-    Every cell replays the identical seeded workload (``cfg_kwargs`` are
-    :class:`FlowSchedConfig` kwargs) through ``run`` with ``run_kwargs``, so
-    the grid parallelises perfectly; the reduction flattens the cells back
-    into ``{"rows": [...]}`` in grid order.  The quick spec is the same grid
-    cut to its first ``quick_cells`` cells with ``quick_cfg`` laid over the
-    config (none when neither is given).
+    Every cell replays the identical workload, drawn from its ``seed`` kwarg
+    (``cfg_kwargs`` are the other :class:`FlowSchedConfig` kwargs), through
+    ``run`` with ``run_kwargs``, so the grid parallelises perfectly; the
+    reduction flattens the cells into ``{"rows": [...]}`` in grid order.
+    The quick spec is the same grid cut to its first ``quick_cells`` cells
+    with ``quick_cfg`` laid over the config (none when neither is given).
     """
     point = partial(_grid_point, run, **run_kwargs)
 
     def spec(cells, cfg):
         return {
-            f"{mode}@{n}": (point, {"mode": str(mode), "n_priorities": int(n), "cfg": dict(cfg)})
+            f"{mode}@{n}": (point, {"mode": str(mode), "n_priorities": int(n), "cfg": dict(cfg),
+                                    "seed": _GRID_SEED})
             for mode, n in cells
         }
 

@@ -17,7 +17,7 @@ avoids thanks to fast reclaim of leftover bandwidth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..mlsim import RESNET50, VGG16, TrainingJob, scaled_model
 from ..noise import paper_noise
@@ -79,9 +79,8 @@ def _ring_hosts(cfg: MlTrainConfig, hosts: List, job_idx: int) -> List:
     return [hosts[(job_idx + k * stride) % n] for k in range(cfg.hosts_per_job)]
 
 
-def run_mltrain_mode(mode: str, cfg: Optional[MlTrainConfig] = None) -> Dict[str, object]:
+def run_mltrain_mode(mode: str, cfg: MlTrainConfig) -> Dict[str, object]:
     """Train all jobs under one mode; returns iterations per job."""
-    cfg = cfg or MlTrainConfig()
     sim = Simulator(cfg.seed)
     n_prios = cfg.n_jobs
     # collective flows are latency-sensitive and recur every phase: start
@@ -149,8 +148,8 @@ def run_mltrain_mode(mode: str, cfg: Optional[MlTrainConfig] = None) -> Dict[str
     }
 
 
-def mltrain_point(mode: str, cfg: Dict[str, object]) -> dict:
-    return run_mltrain_mode(mode, MlTrainConfig(**cfg))
+def mltrain_point(mode: str, cfg: Dict[str, object], seed: int) -> dict:
+    return run_mltrain_mode(mode, MlTrainConfig(seed=seed, **cfg))
 
 
 def mltrain_speedups(results: Mapping[str, dict]) -> Dict[str, object]:
@@ -176,7 +175,7 @@ register(
         "fig12c",
         # baseline first, then the compared modes
         {
-            mode: (mltrain_point, {"mode": mode, "cfg": {}})
+            mode: (mltrain_point, {"mode": mode, "cfg": {}, "seed": 11})
             for mode in (Mode.SWIFT, Mode.PRIOPLUS, Mode.PHYSICAL)
         },
         description="ML-training iteration speedups in a shared cluster",

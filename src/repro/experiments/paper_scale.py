@@ -25,7 +25,7 @@ epochs, why each ended.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..topology import paper_fabric
 from .flowsched import FlowSchedConfig, grid_spec, run_flowsched
@@ -43,7 +43,6 @@ PAPER_SCALE_CFG: Dict[str, object] = {
     "load": 0.5,
     "duration_ns": 60_000,
     "size_scale": 0.1,
-    "seed": 42,
 }
 
 #: knobs for a *long* paper-scale point: full fabric, multi-second trace,
@@ -60,7 +59,6 @@ PAPER_LONG_CFG: Dict[str, object] = {
     "load": 0.002,
     "duration_ns": 2_000_000_000,
     "size_scale": 1.0,
-    "seed": 42,
 }
 
 
@@ -79,7 +77,7 @@ def paper_topology(rate_bps: float, link_delay_ns: int):
 def run_paper_scale(
     mode: str,
     n_priorities: int,
-    cfg: Optional[FlowSchedConfig] = None,
+    cfg: FlowSchedConfig,
     fluid: bool = True,
     streaming: bool = False,
 ) -> Dict[str, object]:
@@ -89,7 +87,6 @@ def run_paper_scale(
     — required for multi-second traces, where materializing the whole
     workload up front would hold every sender live at once.
     """
-    cfg = cfg or FlowSchedConfig(**PAPER_SCALE_CFG)
     result = run_flowsched(
         mode,
         n_priorities,

@@ -9,7 +9,7 @@ modules register into :data:`REGISTRY` at import time (see docs/RUNNER.md).
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
@@ -36,8 +36,8 @@ class Point:
     """
 
     name: str
-    config: Dict[str, object] = field(default_factory=dict)
-    seed: int = 0
+    config: Dict[str, object]
+    seed: int
 
 
 class Experiment:
@@ -92,8 +92,8 @@ class FunctionExperiment(Experiment):
     """Adapter porting plain ``run_*`` functions onto :class:`Experiment`.
 
     ``spec`` maps point name -> ``(function, kwargs)``.  The kwargs become the
-    point's config verbatim (plus its cache identity); ``kwargs["seed"]`` is
-    mirrored into :attr:`Point.seed` when present.  Functions must be
+    point's config verbatim (plus its cache identity); every point's kwargs
+    carry its one ``seed``, mirrored into :attr:`Point.seed`.  Functions must be
     module-level (picklable by reference) for process-pool execution; bind
     experiment-level parameters with :func:`functools.partial`.
     ``quick_spec``, when given, is the spec of the ``--quick`` variant.
@@ -110,12 +110,15 @@ class FunctionExperiment(Experiment):
         self.name = name
         self.description = description
         self._spec = {pname: (fn, dict(kwargs)) for pname, (fn, kwargs) in spec.items()}
+        unseeded = [p for s in (spec, quick_spec or {}) for p, (_, kw) in s.items() if "seed" not in kw]
+        if unseeded:
+            raise ValueError(f"experiment {name!r}: points without a seed kwarg: {unseeded}")
         self._reduce_fn = reduce_fn
         self._quick_spec = quick_spec
 
     def points(self) -> List[Point]:
         return [
-            Point(pname, dict(kwargs), seed=int(kwargs.get("seed", 0)))
+            Point(pname, dict(kwargs), seed=int(kwargs["seed"]))
             for pname, (_, kwargs) in self._spec.items()
         ]
 

@@ -6,13 +6,21 @@ backticks, the registered experiment(s) it reports.  The check fails when a
 named node does not exist, a ✔/◐ (or ablation) row names no node, a verdict
 test in ``benchmarks/`` is named by no row, or a registered experiment other
 than ``quickstart`` appears in no row.
+
+Every registered experiment's points also take their one seed as a
+top-level ``seed`` kwarg (docs/RUNNER.md), so a second draw of any figure
+is a second value of that kwarg.
 """
 
 import ast
 import re
+from dataclasses import replace
 from pathlib import Path
 
-from repro.experiments.registry import REGISTRY
+import pytest
+
+from repro.experiments.registry import REGISTRY, FunctionExperiment
+from repro.sim.engine import Simulator
 
 ROOT = Path(__file__).resolve().parents[1]
 PER_FIGURE, ABLATIONS = "Per-figure record", "Ablations & extensions"
@@ -59,3 +67,36 @@ def record_problems(text):
 
 def test_every_verdict_row_names_its_test_and_every_test_its_row():
     assert record_problems((ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")) == []
+
+
+class _FirstSimulator(Exception):
+    """Raised by the patched ``Simulator.__init__``: no simulation runs."""
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_a_points_top_level_seed_seeds_its_first_simulator(monkeypatch, name, quick):
+    """Two values of the first point's ``seed`` kwarg give its first
+    ``Simulator`` two seeds: no point draws from a config-class default or
+    from a seed nested in its ``cfg``."""
+    seen = []
+
+    def first_simulator(self, seed=0):
+        seen.append(seed)
+        raise _FirstSimulator
+
+    monkeypatch.setattr(Simulator, "__init__", first_simulator)
+    exp = REGISTRY.get(name)
+    exp = exp.quick() if quick else exp
+    point = exp.points()[0]
+    for seed in (1, 2):
+        with pytest.raises(_FirstSimulator):
+            exp.run_point(replace(point, config=dict(point.config, seed=seed), seed=seed))
+    assert seen[0] != seen[1]
+
+
+def test_a_spec_without_a_seed_is_refused():
+    with pytest.raises(ValueError, match="without a seed"):
+        FunctionExperiment("unseeded", {"p": (dict, {"x": 1})})
+    with pytest.raises(ValueError, match=r"\['q'\]"):
+        FunctionExperiment("unseeded", {"p": (dict, {"seed": 1})}, quick_spec={"q": (dict, {})})

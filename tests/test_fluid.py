@@ -1030,16 +1030,33 @@ def test_a_flow_whose_last_ack_is_in_flight_completes_as_in_packets():
     assert flows[0].sender_done_ns == flows_p[0].sender_done_ns
 
 
-def test_hybrid_worlds_hold_under_the_strict_auditor():
+def test_hybrid_worlds_hold_under_the_strict_auditor(monkeypatch):
     """The withdraw event, the fluid byte ledger and every packet-core
-    invariant hold on the three cheap hybrid worlds, and auditing moves no
-    result (CI ``audit-smoke`` runs all five)."""
+    invariant hold on the three cheap hybrid worlds, every solve keeps each
+    link's summed rate within its capacity (ROADMAP item 4(a)), and auditing
+    moves no result (CI ``audit-smoke`` runs all five)."""
     from repro.audit import audit_scope
 
+    solves = []
+
+    def solve_within_capacity(cap_rate, ranks, flow_links, link_cap):
+        rates, load = solve_rates(cap_rate, ranks, flow_links, link_cap)
+        summed = {}
+        for f, path in enumerate(flow_links):
+            for link in path:  # one term per traversal
+                summed[link] = summed.get(link, 0.0) + rates[f]
+        over = {ln: s / link_cap[ln] for ln, s in summed.items() if s > link_cap[ln] * (1 + 1e-12)}
+        assert not over, f"solve {len(solves)}: links over capacity (rate / capacity): {over}"
+        solves.append(len(rates))
+        return rates, load
+
+    monkeypatch.setattr(model, "solve_rates", solve_within_capacity)
     golden = json.loads(HYBRID_GOLDEN_PATH.read_text())
     for name in ("star", "midscale", "midscale_contended"):
+        solves.clear()
         with audit_scope("strict") as aud:
             result = HYBRID_WORLDS[name]()
+        assert solves, f"{name}: no fluid solve ran"
         assert aud.report.ok
         assert aud.report.checks["fluid_ledger"] > 0
         assert aud.report.ledger["withdrawn"] == result["driver"]["withdrawn_packets"] > 0

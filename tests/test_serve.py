@@ -435,7 +435,7 @@ def test_api_rejects_local_knobs_on_remote_runs(tmp_path):
     with pytest.raises(ValueError, match="daemon"):
         api.run("fig6", server="/tmp/nowhere.sock", jobs=4)
     with pytest.raises(ValueError, match="registry name"):
-        api.run(FunctionExperiment("x", {"p": (_quick_point, {})}), server="/tmp/nowhere.sock")
+        api.run(FunctionExperiment("x", {"p": (_quick_point, {"seed": 0})}), server="/tmp/nowhere.sock")
 
 
 def test_api_local_run_matches_run_experiment():
