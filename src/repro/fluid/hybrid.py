@@ -226,9 +226,8 @@ class HybridDriver:
         # the last entry's flight plan: a probe sent before the opening
         # queues behind the withdrawn frames it meets
         self._plan: Optional[FlightPlan] = None
-        self._fluid_entered = 0
-        #: the last quiescence decision, and when that epoch's first byte may
-        #: be credited by rate (``_withdraw``)
+        #: the last quiescence decision (``fluid_ns`` counts from it), and
+        #: when that epoch's first byte may be credited by rate (``_withdraw``)
         self._decided = self._opened = 0
         # the flows held at the last entry, until the epoch opens, and those
         # of them whose withdrawn window has not all landed
@@ -478,7 +477,6 @@ class HybridDriver:
         before = self.stats["withdrawn_packets"]
         windows = self._withdraw(held)
         self.phase = _FLUID  # flow starts from here on are absorbed
-        self._fluid_entered = sim.now
         self._flows = []
         self._groups = {}
         self._link_group = {}
@@ -955,7 +953,7 @@ class HybridDriver:
         self._landing = []
         self._last_exit = now
         self._back_off(reason.startswith("contention") and now - self._opened < _SHORT_EPOCH_NS)
-        self.stats["fluid_ns"] += now - self._fluid_entered
+        self.stats["fluid_ns"] += now - self._decided
         reasons = self.stats["exit_reasons"]
         reasons[reason] = reasons.get(reason, 0) + 1
         for s in survivors:

@@ -36,7 +36,10 @@ phase against the committed counts.  ``--write`` records a world only if no
 count rose; ``--allow-rise`` records it anyway (say why in CHANGES.md: a
 correctness fix may cost bytecodes, a refactor may not).  Bytecodes miss
 C-level work (heap operations, allocation), so a speed claim quotes this
-count for the direction and interleaved wall for the size.
+count for the direction and interleaved wall for the size.  The run-cost
+table in docs/PERFORMANCE.md is the 3.11 section's run phase, and
+``tests/test_experiments_record.py`` fails until a ``--write`` that moves
+it is copied there.
 
 All five worlds take ~20 s per interpreter on one core of a Xeon VM;
 ``sweep_point``, the cheapest (~1 s), is the one tier-1 checks.
