@@ -146,16 +146,6 @@ class StreamingStats:
         self._p50.add(value)
         self._p99.add(value)
 
-    @property
-    def mean(self) -> Optional[float]:
-        return self._sum / self.count if self.count else None
-
-    def p50(self) -> Optional[float]:
-        return self._p50.value()
-
-    def p99(self) -> Optional[float]:
-        return self._p99.value()
-
     def as_dict(self) -> Dict[str, Optional[float]]:
         """The ``_stats`` record shape (µs), with a well-defined n=0 form."""
         if self.count == 0:

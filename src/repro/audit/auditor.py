@@ -61,7 +61,6 @@ __all__ = [
 DROP_REASONS = (
     "buffer_shared",  # rejected by the shared pool (lossy, or headroom full)
     "buffer_headroom",  # lossless packet rejected by both pools
-    "switch_dead",  # arrived at a rebooting switch
     "blackhole",  # routed to a down port inside the detection window
     "link_cut",  # queued on a port when the link was cut
 )
@@ -711,21 +710,6 @@ class Auditor:
                         f"queue has {len(queue)} packets",
                     )
 
-    def _finalize_sims(self, t: int) -> None:
-        for sim in self._sims:
-            self._count("clock")
-            live = 0
-            for entry in sim._heap:
-                if len(entry) == 4 or not entry[2].cancelled:
-                    live += 1
-            if live != sim._live:
-                self.violation(
-                    t,
-                    "clock",
-                    f"simulator live-event counter {sim._live} disagrees with "
-                    f"heap census {live}",
-                )
-
     def finalize(self) -> AuditReport:
         """End-of-run reconciliation.  Idempotent; returns the report."""
         report = self.report
@@ -739,7 +723,6 @@ class Auditor:
             self._check_deadlock(t)
         self._finalize_buffers(t)
         self._finalize_ports(t)
-        self._finalize_sims(t)
         self._finalize_ledger(t)
         return report
 

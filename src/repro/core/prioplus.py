@@ -150,14 +150,6 @@ class PrioPlusCC:
     def cwnd(self) -> float:
         return self.inner.cwnd
 
-    @cwnd.setter
-    def cwnd(self, value: float) -> None:
-        self.inner.cwnd = value
-
-    @property
-    def mtu(self) -> int:
-        return self.inner.mtu
-
     # ------------------------------------------------------------------
     def attach(self, sender) -> None:
         self.sender = sender
@@ -345,13 +337,6 @@ class PrioPlusCC:
     def on_timeout(self) -> None:
         self.inner.on_timeout()
 
-    def clamp(self) -> None:
-        self.inner.clamp()
-
     @property
     def min_cwnd(self) -> float:
         return self.inner.min_cwnd
-
-    @property
-    def max_cwnd(self) -> float:
-        return self.inner.max_cwnd

@@ -15,8 +15,6 @@ from .actors import (
     LinkDegradeActor,
     LinkDownActor,
     LinkImpairment,
-    PfcStormActor,
-    SwitchRebootActor,
     build_actor,
 )
 from .injector import FaultInjector
@@ -40,9 +38,7 @@ __all__ = [
     "LinkDegradeActor",
     "LinkDownActor",
     "LinkImpairment",
-    "PfcStormActor",
     "Schedule",
-    "SwitchRebootActor",
     "build_actor",
     "current_fault_plan",
     "set_default_fault_plan",

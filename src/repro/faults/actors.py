@@ -26,8 +26,6 @@ __all__ = [
     "LinkDegradeActor",
     "LinkDownActor",
     "LinkImpairment",
-    "PfcStormActor",
-    "SwitchRebootActor",
     "build_actor",
 ]
 
@@ -144,76 +142,19 @@ class LinkDegradeActor(FaultActor):
         return 0
 
 
-class SwitchRebootActor(FaultActor):
-    """Power-cycle one switch (see :meth:`repro.sim.switch.Switch.reboot`)."""
-
-    reroutes = True
-
-    def __init__(self, switch):
-        self.switch = switch
-
-    def inject(self) -> int:
-        return self.switch.reboot()
-
-    def clear(self) -> int:
-        self.switch.power_on()
-        return 0
-
-
-class PfcStormActor(FaultActor):
-    """Hold one priority paused on one egress port (a rogue PAUSE flood).
-
-    Models a malfunctioning or malicious neighbour spraying PFC PAUSE frames:
-    the victim port's class stays paused for the whole window regardless of
-    real backlog, so congestion trees grow upstream of it.  Clearing resumes
-    the class; the port re-kicks its scheduler itself.
-    """
-
-    def __init__(self, port, prio: int):
-        self.port = port
-        self.prio = prio
-
-    def inject(self) -> int:
-        self.port.set_paused(self.prio, True)
-        return 0
-
-    def clear(self) -> int:
-        self.port.set_paused(self.prio, False)
-        return 0
-
-
 # ----------------------------------------------------------------------
 def build_actor(net, spec, rng: random.Random) -> FaultActor:
     """Resolve ``spec``'s target against ``net`` and build its actor.
 
-    Raises ``ValueError`` for unknown node names or out-of-range ports, at
-    arm time rather than mid-run.
+    Raises ``ValueError`` for unknown node names or a missing link, at arm
+    time rather than mid-run.
     """
-    if spec.kind in ("link_down", "link_degrade"):
-        a = _node_by_name(net, spec.target[0])
-        b = _node_by_name(net, spec.target[1])
-        ports = _link_ports(net, a, b)  # fail fast: the link must exist
-        if spec.kind == "link_down":
-            return LinkDownActor(net, a, b)
-        return LinkDegradeActor(ports, spec.rate_factor, spec.drop_prob, spec.delay_spike_ns, rng)
-    node = _node_by_name(net, spec.target)
-    if spec.kind == "switch_reboot":
-        if not hasattr(node, "reboot"):
-            raise ValueError(f"switch_reboot target {spec.target!r} is not a switch")
-        return SwitchRebootActor(node)
-    # pfc_storm
-    ports = getattr(node, "ports", None)
-    if ports is not None:  # switch: per-index egress ports
-        if not 0 <= spec.port < len(ports):
-            raise ValueError(f"pfc_storm port {spec.port} out of range for {spec.target!r}")
-        port = ports[spec.port]
-    else:  # host NIC: the single attached port
-        port = getattr(node, "port", None)
-        if port is None:
-            raise ValueError(f"pfc_storm target {spec.target!r} has no attached port")
-    if not 0 <= spec.prio < port.n_queues:
-        raise ValueError(f"pfc_storm prio {spec.prio} out of range for {spec.target!r}")
-    return PfcStormActor(port, spec.prio)
+    a = _node_by_name(net, spec.target[0])
+    b = _node_by_name(net, spec.target[1])
+    ports = _link_ports(net, a, b)  # fail fast: the link must exist
+    if spec.kind == "link_down":
+        return LinkDownActor(net, a, b)
+    return LinkDegradeActor(ports, spec.rate_factor, spec.drop_prob, spec.delay_spike_ns, rng)
 
 
 def _node_by_name(net, name: str):

@@ -8,12 +8,12 @@ seeded by the plan, and plain allocation-free engine events
 RNG the subsystem touches during the run is the per-spec impairment RNG,
 which is driven by packet transmissions — deterministic in the event order.
 
-Reconvergence model: route-affecting edges (``link_down``,
-``switch_reboot`` — both inject *and* clear) do **not** rebuild routes
-immediately.  The control plane notices ``plan.detection_ns`` later and only
-then calls ``Network.rebuild_routes()`` (which also flushes the switches'
-memoised ECMP picks), so traffic blackholes into the failed element for the
-detection window, exactly as in a real fabric.  Each rebuild emits a
+Reconvergence model: route-affecting edges (``link_down``, both inject
+*and* clear) do **not** rebuild routes immediately.  The control plane
+notices ``plan.detection_ns`` later and only then calls
+``Network.rebuild_routes()`` (which also flushes the switches' memoised ECMP
+picks), so traffic blackholes into the failed element for the detection
+window, exactly as in a real fabric.  Each rebuild emits a
 ``reconverge`` telemetry event on the ``fault`` channel.
 """
 

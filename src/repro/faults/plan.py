@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 #: every fault kind an actor exists for (see repro.faults.actors)
-FAULT_KINDS: Tuple[str, ...] = ("link_down", "link_degrade", "switch_reboot", "pfc_storm")
+FAULT_KINDS: Tuple[str, ...] = ("link_down", "link_degrade")
 
 #: supported schedule shapes
 SCHEDULE_KINDS: Tuple[str, ...] = ("oneshot", "flap", "stochastic")
@@ -143,13 +143,9 @@ class FaultSpec:
     """One fault: what breaks (kind + target) and when (:class:`Schedule`).
 
     Targets are resolved by *node name* at arm time, so a spec written for
-    one topology applies to any fabric using the same names:
-
-    * ``link_down`` / ``link_degrade`` — ``target`` is the two endpoint node
-      names of a full-duplex link, e.g. ``["tor0", "spine1"]``;
-    * ``switch_reboot`` — ``target`` is one switch name;
-    * ``pfc_storm`` — ``target`` is the switch name; ``port`` picks the
-      egress port index held paused and ``prio`` the paused priority class.
+    one topology applies to any fabric using the same names: ``target`` is
+    the two endpoint node names of a full-duplex link, e.g.
+    ``["tor0", "spine1"]``.
 
     ``link_degrade`` parameters: ``rate_factor`` scales link capacity (0.5 =
     half rate), ``drop_prob`` corrupts that fraction of packets on the wire,
@@ -157,7 +153,7 @@ class FaultSpec:
     the :mod:`repro.noise` uniform model) with FIFO order preserved.
     """
 
-    __slots__ = ("kind", "target", "schedule", "rate_factor", "drop_prob", "delay_spike_ns", "port", "prio")
+    __slots__ = ("kind", "target", "schedule", "rate_factor", "drop_prob", "delay_spike_ns")
 
     def __init__(
         self,
@@ -167,18 +163,12 @@ class FaultSpec:
         rate_factor: float = 1.0,
         drop_prob: float = 0.0,
         delay_spike_ns: int = 0,
-        port: int = 0,
-        prio: int = 0,
     ):
         if kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {kind!r} (expected one of {FAULT_KINDS})")
-        if kind in ("link_down", "link_degrade"):
-            if isinstance(target, str) or len(target) != 2:
-                raise ValueError(f"{kind} target must be a pair of node names, got {target!r}")
-            target = (str(target[0]), str(target[1]))
-        else:
-            if not isinstance(target, str):
-                raise ValueError(f"{kind} target must be one node name, got {target!r}")
+        if isinstance(target, str) or len(target) != 2:
+            raise ValueError(f"{kind} target must be a pair of node names, got {target!r}")
+        target = (str(target[0]), str(target[1]))
         if not 0.0 < rate_factor <= 1.0:
             raise ValueError("rate_factor must be in (0, 1]")
         if not 0.0 <= drop_prob < 1.0:
@@ -193,31 +183,22 @@ class FaultSpec:
         self.rate_factor = float(rate_factor)
         self.drop_prob = float(drop_prob)
         self.delay_spike_ns = int(delay_spike_ns)
-        self.port = int(port)
-        self.prio = int(prio)
 
     # ------------------------------------------------------------------
     def label(self) -> str:
         """Stable identity used in telemetry events and stats."""
-        if self.kind in ("link_down", "link_degrade"):
-            return f"{self.target[0]}<->{self.target[1]}"
-        if self.kind == "pfc_storm":
-            return f"{self.target}.p{self.port}/q{self.prio}"
-        return self.target
+        return f"{self.target[0]}<->{self.target[1]}"
 
     def to_dict(self) -> dict:
         d: Dict[str, object] = {
             "kind": self.kind,
-            "target": list(self.target) if not isinstance(self.target, str) else self.target,
+            "target": list(self.target),
             "schedule": self.schedule.to_dict(),
         }
         if self.kind == "link_degrade":
             d["rate_factor"] = self.rate_factor
             d["drop_prob"] = self.drop_prob
             d["delay_spike_ns"] = self.delay_spike_ns
-        if self.kind == "pfc_storm":
-            d["port"] = self.port
-            d["prio"] = self.prio
         return d
 
     @classmethod

@@ -63,11 +63,6 @@ class EngineProfiler:
             "wall_s": self.wall_s,
         }
 
-    def top(self, n: int = 10) -> List[tuple]:
-        """``[(name, count, wall_s), ...]`` sorted by wall time descending."""
-        ranked = sorted(self.stats.items(), key=lambda kv: (-kv[1][1], kv[0]))
-        return [(name, int(c), t) for name, (c, t) in ranked[:n]]
-
 
 def current_profiler() -> Optional[EngineProfiler]:
     """The installed :class:`EngineProfiler`, or ``None`` when off."""

@@ -7,9 +7,8 @@ event ordering when micro-second RTTs meet 100 Gbps serialisation times.
 Events are plain callbacks.  :meth:`Simulator.after` / :meth:`Simulator.at`
 return an :class:`EventHandle` that can be cancelled; cancelled events stay in
 the heap but are skipped when popped (lazy deletion), which keeps cancellation
-O(1).  A live-event counter makes :attr:`Simulator.pending` O(1) too, and the
-heap is compacted whenever cancelled entries outnumber live ones, so
-cancel-heavy workloads (pacing, RTO re-arms) cannot bloat it.
+O(1).  The heap is compacted whenever cancelled entries outnumber live ones,
+so cancel-heavy workloads (pacing, RTO re-arms) cannot bloat it.
 
 The vast majority of events in a packet simulation — port tx completions and
 propagation deliveries — are never cancelled.  :meth:`Simulator.call_at` /
@@ -87,7 +86,6 @@ class Simulator:
         self._seq = 0
         self._running = False
         self.events_processed = 0
-        self._live = 0  # scheduled, not yet fired or cancelled
         self._cancelled = 0  # cancelled entries still polluting the heap
         #: instrumentation seam adopted at construction and kept for life
         #: (see repro.probe); components read this one attribute, and the
@@ -126,7 +124,6 @@ class Simulator:
         time = self._to_tick(time) if tick < self.now else tick
         self._seq += 1
         ev = EventHandle(time, self._seq, fn, args, self)
-        self._live += 1
         # heap entries are (time, seq, handle) tuples: comparisons stay in C
         heapq.heappush(self._heap, (time, self._seq, ev))
         return ev
@@ -147,7 +144,6 @@ class Simulator:
         tick = int(time)
         time = self._to_tick(time) if tick < self.now else tick
         self._seq += 1
-        self._live += 1
         heapq.heappush(self._heap, (time, self._seq, fn, args))
 
     def call_at2(
@@ -165,7 +161,6 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past: {min(time1, time2)} < {now}")
         seq = self._seq + 1
         self._seq = seq + 1
-        self._live += 2
         heap = self._heap
         heapq.heappush(heap, (time1, seq, fn1, args1))
         heapq.heappush(heap, (time2, seq + 1, fn2, args2))
@@ -237,10 +232,6 @@ class Simulator:
                 processed += 1
         finally:
             self._running = False
-            # fired events leave the live set in one batched update; pending
-            # is only observed outside run(), so the counter being stale
-            # *during* callbacks is unobservable
-            self._live -= processed
         if exhausted and until is not None and self.now < until:
             # advance the clock to the horizon even when pending events lie
             # beyond it — callers poll in run(until=...) loops
@@ -271,7 +262,6 @@ class Simulator:
         heapq.heapify(keep)
         self._heap[:] = keep
         self._cancelled = 0
-        self._live -= len(out)
         out.sort()  # seq is unique: never compares past slot 1
         return out
 
@@ -287,16 +277,10 @@ class Simulator:
             return entry[0]
         return None
 
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1)."""
-        return self._live
-
     # ------------------------------------------------------------------
     # cancellation bookkeeping (called from EventHandle.cancel)
     # ------------------------------------------------------------------
     def _note_cancel(self) -> None:
-        self._live -= 1
         self._cancelled += 1
         if self._cancelled > self.COMPACT_MIN and self._cancelled * 2 > len(self._heap):
             self._compact()

@@ -218,11 +218,6 @@ class PacketPool:
         """Packets acquired and not yet released (leak metric for tests)."""
         return self.allocated + self.reused - self.released
 
-    def clear(self) -> None:
-        """Drop the free list and zero the counters (test isolation)."""
-        self._free.clear()
-        self.allocated = self.reused = self.released = 0
-
 
 #: process-wide pool used by the transport endpoints; per-process state, so
 #: parallel runner workers each get their own

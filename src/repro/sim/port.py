@@ -270,9 +270,7 @@ class Port:
         returns the number of packets re-admitted — always ``0`` here,
         because a cut *drops* rather than parks.  PFC ``paused`` flags are
         untouched by both: pause state belongs to the PFC control plane and
-        survives a link flap (a rebooting *switch* loses it instead, see
-        :meth:`~repro.sim.switch.Switch.reboot`).  Both operations are
-        idempotent.
+        survives a link flap.  Both operations are idempotent.
         """
         was_busy = self.busy
         self.down = True

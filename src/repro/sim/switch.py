@@ -90,9 +90,6 @@ class Switch:
         "_n_lossless",
         "_nq",
         "_route_cache",
-        "_dead",
-        "_pfc_pauses_archived",
-        "reboots",
         "drops",
         "forwarded",
         "probe",
@@ -120,10 +117,6 @@ class Switch:
         #: fixed after topology build, so the pick per flow never changes
         #: (at most ``_ROUTE_CACHE_MAX`` entries)
         self._route_cache: Dict[tuple, int] = {}
-        #: mid-reboot: every arriving frame dies at the dark port
-        self._dead = False
-        self._pfc_pauses_archived = 0
-        self.reboots = 0
         self.drops = 0
         self.forwarded = 0
         self.probe = sim.probe
@@ -179,11 +172,6 @@ class Switch:
     # data path
     # ------------------------------------------------------------------
     def receive(self, pkt: Packet, in_idx: int) -> None:
-        if self._dead:
-            # frames already on the wire when the switch went down arrive at
-            # a dark port and are lost (see :meth:`reboot`)
-            self._drop(pkt, "switch_dead")
-            return
         try:
             routes = self.routes[pkt.dst]
         except KeyError:
@@ -344,8 +332,7 @@ class Switch:
         def send(paused: bool) -> None:
             p = self.probe
             if p.on:
-                # every PAUSE/RESUME leaves through here, the reboot's too;
-                # the sending state machine is still in ``_pfc`` at this point
+                # every PAUSE/RESUME leaves through here
                 p.pfc(
                     self.sim.now,
                     self.name,
@@ -361,49 +348,5 @@ class Switch:
         return send
 
     # ------------------------------------------------------------------
-    # power cycling (fault injection — see repro.faults)
-    # ------------------------------------------------------------------
-    def reboot(self) -> int:
-        """Power-cycle the switch: every link drops and volatile state dies.
-
-        All egress ports are :meth:`~repro.sim.port.Port.cut` (queued packets
-        are lost; buffer accounting drains through the normal dequeue path,
-        which also lets PFC ingress machines emit their RESUME as backlog
-        empties), then the PFC state machines, any PAUSE asserted *against*
-        this switch, and the memoised ECMP picks are flushed — a rebooted
-        chip comes back cold.  Returns the number of packets dropped.
-
-        While dead, frames already in flight toward the switch are dropped
-        on arrival in :meth:`receive`.  Call :meth:`power_on` to restore the
-        links; route state is the caller's job (``Network.rebuild_routes``).
-        """
-        self._dead = True
-        self.reboots += 1
-        dropped = 0
-        for port in self.ports:
-            dropped += port.cut()
-        for state in self._pfc.values():
-            # defensive: draining the queues should have resumed everything,
-            # but never leave a neighbour paused by a switch that lost its
-            # state (a real MAC simply stops emitting pause frames)
-            if state.pause_sent:
-                state.pause_sent = False
-                state.send_signal(False)
-        self._pfc_pauses_archived += sum(s.pauses_sent for s in self._pfc.values())
-        self._pfc.clear()
-        self._route_cache.clear()
-        for port in self.ports:
-            # PAUSE state asserted against this switch dies with it too
-            for prio in range(len(port.paused)):
-                port.paused[prio] = False
-        return dropped
-
-    def power_on(self) -> None:
-        """Bring a rebooted switch back online: links up, control state cold."""
-        self._dead = False
-        for port in self.ports:
-            port.restore()
-
-    # ------------------------------------------------------------------
     def pfc_pause_count(self) -> int:
-        return self._pfc_pauses_archived + sum(s.pauses_sent for s in self._pfc.values())
+        return sum(s.pauses_sent for s in self._pfc.values())

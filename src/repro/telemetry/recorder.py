@@ -219,9 +219,9 @@ class Recorder:
     def fault(self, t: int, kind: str, target: str, phase: str) -> None:
         """One fault-injection lifecycle transition (see :mod:`repro.faults`).
 
-        ``kind`` is the fault type (``link_down`` / ``link_degrade`` /
-        ``switch_reboot`` / ``pfc_storm``), ``target`` the affected link or
-        node, ``phase`` one of ``inject`` / ``clear`` / ``reconverge``.
+        ``kind`` is the fault type (``link_down`` / ``link_degrade``),
+        ``target`` the affected link, ``phase`` one of ``inject`` / ``clear``
+        / ``reconverge``.
         """
         self._record("fault", (t, kind, target, phase))
         self.metrics.counter(f"faults.{phase}").inc()
@@ -230,8 +230,7 @@ class Recorder:
         self, t: int, switch: str, size: int, priority: int, reason: str = "buffer_shared"
     ) -> None:
         """One rejected packet; ``reason`` matches the audit ledger's taxonomy
-        (``buffer_shared`` / ``buffer_headroom`` / ``switch_dead`` /
-        ``blackhole``)."""
+        (``buffer_shared`` / ``buffer_headroom`` / ``blackhole``)."""
         self._record("drop", (t, switch, size, priority, reason))
         self._c_drop.inc()
         self._c_drop_bytes.inc(size)

@@ -34,10 +34,6 @@ class CoflowSpec:
     def total_bytes(self) -> int:
         return sum(f.size_bytes for f in self.flows)
 
-    @property
-    def width(self) -> int:
-        return len(self.flows)
-
 
 def _pareto_int(rng: random.Random, alpha: float, minimum: float, cap: float) -> int:
     value = minimum * (rng.random() ** (-1.0 / alpha))

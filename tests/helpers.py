@@ -81,6 +81,11 @@ def tiny_star(n_senders: int = 2, rate_bps: float = 10e9, seed: int = 1, n_queue
     return sim, net, senders, recv
 
 
+def live_events(sim: Simulator) -> int:
+    """Events still queued in ``sim``'s heap, cancelled ones aside."""
+    return sum(1 for entry in sim._heap if len(entry) == 4 or not entry[2].cancelled)
+
+
 def run_flow(sim, net, flow: Flow, cc, until: int = 200_000_000, **kwargs) -> FlowSender:
     sender = FlowSender(sim, net, flow, cc, **kwargs)
     sim.run(until=until)

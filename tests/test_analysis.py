@@ -189,4 +189,3 @@ def test_streaming_stats_empty_record():
     empty = StreamingStats().as_dict()
     assert empty == {"count": 0, "mean_us": None, "p50_us": None, "p99_us": None}
     assert _stats([]) == empty
-    assert StreamingStats().mean is None

@@ -269,7 +269,6 @@ def test_clock_regression_detected_on_fused_path():
         # corrupt the heap: a fused (time, seq, fn, args) entry in the past
         sim._seq += 1
         heapq.heappush(sim._heap, (500, sim._seq, lambda: None, ()))
-        sim._live += 1
         sim.run()
     bad = _violations(aud, "clock")
     assert bad and "executed after the clock" in bad[0].message

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import MICROSECOND, MILLISECOND, SECOND, Simulator
+from tests.helpers import live_events
 
 
 def test_events_fire_in_time_order():
@@ -97,7 +98,7 @@ def test_max_events_bound():
         sim.at(i, lambda: None)
     processed = sim.run(max_events=3)
     assert processed == 3
-    assert sim.pending == 7
+    assert live_events(sim) == 7
 
 
 def test_peek_time_skips_cancelled():

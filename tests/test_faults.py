@@ -33,7 +33,7 @@ from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
 from repro.probe import installed
 from repro.telemetry import Recorder
-from repro.topology import leaf_spine, star
+from repro.topology import leaf_spine
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
 from tests.helpers import ChannelLog
@@ -88,8 +88,6 @@ def test_spec_validation():
         FaultSpec("meteor_strike", "tor0", sched)
     with pytest.raises(ValueError):
         FaultSpec("link_down", "tor0", sched)  # pair required
-    with pytest.raises(ValueError):
-        FaultSpec("switch_reboot", ["a", "b"], sched)  # single name required
     with pytest.raises(ValueError):
         FaultSpec("link_degrade", ["a", "b"], sched)  # no-op degrade
     with pytest.raises(ValueError):
@@ -149,51 +147,11 @@ def test_link_impairment_drop_and_spike_deterministic():
     assert delivered == sorted(delivered)
 
 
-def test_switch_reboot_drops_queued_and_blackholes_while_dead():
-    sim = Simulator(1)
-    cfg = SwitchConfig(n_queues=2, buffer_bytes=8 * 1024 * 1024)
-    net, senders, recv = star(sim, 2, rate_bps=10e9, link_delay_ns=1_000, switch_cfg=cfg)
-    flows = [Flow(i + 1, senders[i], recv, 200_000) for i in range(2)]
-    for f in flows:
-        FlowSender(sim, net, f, CongestionControl(init_cwnd_bytes=200_000), rto_ns=200_000)
-    sim.run(until=40_000)  # 2x10G into 1x10G: a queue exists
-    sw = net.switches[0]
-    drops_before = sw.drops
-    dropped = sw.reboot()
-    assert dropped > 0
-    assert sw.buffer.shared_used == 0  # accounting fully released
-    sim.run(until=45_000)  # frames already on the wire still deliver
-    rx_settled = recv.rx_packets
-    sim.run(until=80_000)  # hosts keep transmitting into the dead switch
-    assert sw.drops > drops_before + dropped  # arrivals die at the dark port
-    assert recv.rx_packets == rx_settled  # nothing crosses a dead switch
-    sw.power_on()
-    net.rebuild_routes()
-    sim.run(until=5_000_000_000)
-    assert all(f.done for f in flows)  # RTO recovery completes both flows
-    assert sw.reboots == 1
-
-
-def test_pfc_storm_actor_pauses_and_resumes():
-    sim, net, hosts = _two_spine_net()
-    spec = FaultSpec("pfc_storm", "leaf0", Schedule("oneshot", at_ns=0, duration_ns=10), port=0, prio=0)
-    actor = build_actor(net, spec, random.Random(0))
-    assert not actor.port.paused[0]
-    actor.inject()
-    assert actor.port.paused[0]
-    actor.clear()
-    assert not actor.port.paused[0]
-
-
 def test_build_actor_rejects_bad_targets():
     sim, net, hosts = _two_spine_net()
     sched = Schedule("oneshot", at_ns=0, duration_ns=10)
     with pytest.raises(ValueError, match="not found"):
-        build_actor(net, FaultSpec("switch_reboot", "nope", sched), random.Random(0))
-    with pytest.raises(ValueError, match="not a switch"):
-        build_actor(net, FaultSpec("switch_reboot", hosts[0].name, sched), random.Random(0))
-    with pytest.raises(ValueError, match="out of range"):
-        build_actor(net, FaultSpec("pfc_storm", "leaf0", sched, port=99), random.Random(0))
+        build_actor(net, FaultSpec("link_down", ["nope", "leaf0"], sched), random.Random(0))
     with pytest.raises(ValueError, match="no link"):
         build_actor(
             net, FaultSpec("link_down", [hosts[0].name, hosts[1].name], sched), random.Random(0)

@@ -32,7 +32,7 @@ from repro.telemetry import Recorder
 from repro.topology import fat_tree, star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
-from tests.helpers import ChannelLog
+from tests.helpers import ChannelLog, live_events
 
 
 # ----------------------------------------------------------------------
@@ -54,10 +54,10 @@ def test_call_at_fires_at_time_and_counts():
     fired = []
     sim.call_at(10, fired.append, "a")
     sim.call_at(30, fired.append, "b")
-    assert sim.pending == 2
+    assert live_events(sim) == 2
     n = sim.run()
     assert n == 2
-    assert sim.pending == 0
+    assert live_events(sim) == 0
     assert fired == ["a", "b"]
     assert sim.now == 30
 
@@ -74,7 +74,7 @@ def test_call_at2_orders_fn1_before_fn2_at_same_time():
     sim = Simulator()
     fired = []
     sim.call_at2(100, fired.append, ("first",), 100, fired.append, ("second",))
-    assert sim.pending == 2
+    assert live_events(sim) == 2
     sim.run()
     assert fired == ["first", "second"]
 
@@ -107,10 +107,10 @@ def test_compaction_with_mixed_entry_shapes():
     # bare-tuple fast entries must survive it
     for h in handles[:180]:
         h.cancel()
-    assert sim.pending == 20 + 50
+    assert live_events(sim) == 20 + 50
     sim.run()
     assert len(fired) == 70
-    assert sim.pending == 0
+    assert live_events(sim) == 0
 
 
 def test_peek_time_sees_fast_entries_and_skips_cancelled():
@@ -128,7 +128,7 @@ def test_run_max_events_counts_fast_entries():
         sim.call_at(i + 1, fired.append, i)
     assert sim.run(max_events=4) == 4
     assert fired == [0, 1, 2, 3]
-    assert sim.pending == 6
+    assert live_events(sim) == 6
     sim.run()
     assert len(fired) == 10
 

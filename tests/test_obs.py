@@ -357,12 +357,8 @@ def test_profiler_accounts_every_event():
     assert sum(c["count"] for c in snap["callbacks"].values()) == prof.events
     assert snap["wall_s"] >= 0
     assert list(snap["callbacks"]) == sorted(snap["callbacks"])
-    top = prof.top(3)
-    assert len(top) == 3
-    assert top[0][2] >= top[1][2] >= top[2][2]
     # the hot callbacks of any packet run must show up by name
-    assert any("receive" in name for name, _, _ in top) or \
-        any("receive" in name for name in snap["callbacks"])
+    assert any("receive" in name for name in snap["callbacks"])
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.sim.engine import Simulator
 from repro.telemetry import Recorder
 
 from tests.golden_battery import canonical, pfc_incast
+from tests.hybrid_twins import HYBRID_WORLDS
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -312,6 +313,19 @@ def test_every_public_name_has_a_caller():
     assert sorted(allowed - uncalled) == [], "stale _NO_CALLER_YET entry"
 
 
+def test_every_reach_census_allowlist_entry_names_a_function():
+    """``scripts/reach_census.py`` runs every root hooked (~15 min, CI
+    ``reach-census``); its allowlist is checked here with no root run, so a
+    rename or a cut that leaves an entry behind fails in seconds."""
+    path = SRC.parents[1] / "scripts" / "reach_census.py"
+    spec = importlib.util.spec_from_file_location("_reach_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    names = set(census.named_functions().values())
+    assert sorted(set(census.ALLOWLIST) - names) == [], "allowlist entry naming no function"
+    assert [name for name, why in census.ALLOWLIST.items() if not why.strip()] == []
+
+
 # ----------------------------------------------------------------------
 # subscription: a sink is whatever defines a method named after an event
 # ----------------------------------------------------------------------
@@ -467,6 +481,12 @@ def _battery() -> str:
     return canonical({"quickstart": result, "pfc_incast": pfc_incast()})
 
 
+def _hybrid_battery() -> str:
+    """The three cheap hybrid golden worlds: fluid entries withdraw packets
+    in flight and exits hand flows back, under every sink."""
+    return canonical({name: HYBRID_WORLDS[name]() for name in ("star", "midscale", "midscale_contended")})
+
+
 def _sinks(kinds):
     made = {
         "recorder": Recorder,
@@ -482,34 +502,54 @@ def _sinks(kinds):
 _OBS = ("tracer", "inspector", "sampler", "profiler")
 
 
+_KINDS = {
+    "recorder": ("recorder",),
+    "auditor": ("auditor",),
+    "obs": _OBS,
+    "all": ("recorder", "auditor") + _OBS,
+}
+
+
 @pytest.mark.parametrize(
-    "kinds",
-    [("recorder",), ("auditor",), _OBS, ("recorder", "auditor") + _OBS],
-    ids=["recorder", "auditor", "obs", "all"],
+    "kinds, hybrid",
+    [pytest.param(kinds, False, id=name) for name, kinds in _KINDS.items()]
+    + [pytest.param(kinds, True, id=f"hybrid-{name}") for name, kinds in _KINDS.items()],
 )
-def test_results_byte_identical_with_sinks(kinds):
-    plain = _battery()
+def test_results_byte_identical_with_sinks(kinds, hybrid):
+    battery = _hybrid_battery if hybrid else _battery
+    plain = battery()
     sinks = _sinks(kinds)
     with installed(*sinks.values()):
-        instrumented = _battery()
+        instrumented = battery()
     assert instrumented == plain
     # every sink really observed the run, not skipped it
     if "recorder" in sinks:
         snap = sinks["recorder"].snapshot()
         assert snap["event_counts"]["cwnd"] > 0
-        assert snap["metrics"]["counters"]["probe.sent"] >= 1
-        assert snap["metrics"]["counters"]["pfc.pauses"] >= 1
+        if hybrid:
+            assert snap["event_counts"]["regime"] > 0
+        else:
+            assert snap["metrics"]["counters"]["probe.sent"] >= 1
+            assert snap["metrics"]["counters"]["pfc.pauses"] >= 1
     if "auditor" in sinks:
         report = sinks["auditor"].finalize()
         assert report.ok
-        for invariant in ("clock", "buffer_bytes", "pfc_causality", "sender_window"):
+        invariants = ("fluid_ledger",) if hybrid else ("pfc_causality",)
+        for invariant in ("clock", "buffer_bytes", "sender_window") + invariants:
             assert report.checks[invariant] > 0
+        if hybrid:
+            assert report.ledger["withdrawn"] > 0
     if "tracer" in sinks:
         assert sinks["tracer"].started > 0
+        if hybrid:
+            sinks["tracer"].finalize()
+            assert sinks["tracer"].snapshot()["withdrawn"] > 0
     if "inspector" in sinks:
         assert any(r.transitions for r in sinks["inspector"].flows.values())
     if "sampler" in sinks:
         assert sinks["sampler"].samples_taken > 0
+        if hybrid:
+            assert sinks["sampler"].snapshot()["regime_rows"] > 0
     if "profiler" in sinks:
         assert sinks["profiler"].events > 0
 

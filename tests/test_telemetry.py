@@ -34,7 +34,7 @@ from repro.telemetry import (
 from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
-from tests.helpers import ChannelLog
+from tests.helpers import ChannelLog, live_events
 from tests.hybrid_twins import star_world
 from tests.perfetto_reference import to_perfetto
 from tests.test_faults import _MINI_PLAN, _mini_fault_run
@@ -370,18 +370,18 @@ def test_empty_metrics_are_safe():
 
 
 # ----------------------------------------------------------------------
-# engine: O(1) pending + heap compaction (satellite)
+# engine: cancellation + heap compaction
 # ----------------------------------------------------------------------
 def test_pending_counter_tracks_cancellations():
     sim = Simulator()
     handles = [sim.at(i + 1, lambda: None) for i in range(10)]
-    assert sim.pending == 10
+    assert live_events(sim) == 10
     for h in handles[:4]:
         h.cancel()
         h.cancel()  # idempotent: must not double-decrement
-    assert sim.pending == 6
+    assert live_events(sim) == 6
     sim.run()
-    assert sim.pending == 0
+    assert live_events(sim) == 0
     assert sim.events_processed == 6
 
 
@@ -389,9 +389,10 @@ def test_cancel_after_fire_is_noop_for_counters():
     sim = Simulator()
     h = sim.at(5, lambda: None)
     sim.run()
-    assert sim.pending == 0
+    assert live_events(sim) == 0
     h.cancel()  # already fired: nothing to undo
-    assert sim.pending == 0
+    assert live_events(sim) == 0
+    assert sim._cancelled == 0
 
 
 def test_heap_compaction_bounds_cancelled_entries():
@@ -402,7 +403,7 @@ def test_heap_compaction_bounds_cancelled_entries():
         h.cancel()
     # compaction triggered once cancelled entries exceeded half the heap
     assert len(sim._heap) < 500
-    assert sim.pending == 100
+    assert live_events(sim) == 100
     fired = []
     sim.at(2_000_000, fired.append, "end")
     sim.run()

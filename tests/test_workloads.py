@@ -151,7 +151,7 @@ def test_synthesized_coflows_structure():
     rng = random.Random(7)
     coflows = synthesize_coflows(rng, 20, 50, duration_ns=1_000_000)
     assert len(coflows) == 50
-    widths = [c.width for c in coflows]
+    widths = [len(c.flows) for c in coflows]
     assert min(widths) >= 1
     assert max(widths) > min(widths)  # heavy tail produces variety
     for c in coflows:
