@@ -28,7 +28,9 @@ def main() -> None:
         load=0.6,
         duration_ns=1_500_000,
         mean_flow_bytes=500_000,
+        request_fanout=4,
         request_piece_bytes=300_000,
+        link_delay_ns=300,
     )
     # baseline + one point per mode, each replaying the identical workload
     exp = FunctionExperiment("coflow-example", **coflow_spec([Mode.PRIOPLUS, Mode.PHYSICAL], cfg))

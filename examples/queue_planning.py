@@ -22,9 +22,7 @@ def main() -> None:
             TrafficClass("ml-training", n_virtual_priorities=4, expected_flows=64),
             TrafficClass("latency-rpc", n_virtual_priorities=4, expected_flows=32,
                          max_added_delay_ns=100_000),
-        ],
-        line_rate_bps=100e9,
-        noise_tolerance_ns=800,
+        ]
     )
     print(plan.describe())
 

@@ -47,7 +47,7 @@ def _component_sizes(flows, rate, cap_rate, link_caps):
     hot = {
         comp_of[link]
         for link, ranks in limited_ranks.items()
-        if len(ranks) > 1 and load[link] >= hybrid._SAT_THRESHOLD * link_caps[link]
+        if len(ranks) > 1 and load[link] >= model.SAT_THRESHOLD * link_caps[link]
     }
     return [len(members) for members in comps], hot
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Tuple
 
+from ..cc.swift import BETA, MAX_MDF
+
 __all__ = [
     "start_strategy_costs",
     "potential_backlog",
@@ -53,20 +55,18 @@ def start_strategy_costs(n_rtts: float) -> Dict[str, Dict[str, float]]:
 # ----------------------------------------------------------------------
 # Appendix C — Theorem 4.1
 # ----------------------------------------------------------------------
-def potential_backlog(
-    rate_fn: Callable[[float], float], T: float, tau: float, samples: int = 400
-) -> float:
+def potential_backlog(rate_fn: Callable[[float], float], T: float, tau: float) -> float:
     """Worst-case potential buffer backlog of a start schedule.
 
     ``rate_fn(t)`` gives the send rate at time t (0 <= t <= T), with
     rate_fn(0) = 0 and rate_fn(T) = R.  The backlog sensed one RTT (τ) late
     at time ``a`` is ``∫_a^{a+τ} [r(t) − r(a)] dt``; the theorem concerns its
-    maximum over ``a``.
+    maximum over ``a``, sampled at 401 points.
     """
     if tau <= 0 or T <= tau:
         raise ValueError("need 0 < tau < T")
     worst = 0.0
-    n_inner = 64
+    samples, n_inner = 400, 64
     for i in range(samples + 1):
         a = (T - tau) * i / samples
         r_a = rate_fn(a)
@@ -80,25 +80,24 @@ def potential_backlog(
     return worst
 
 
-def linear_start_is_optimal(
-    T: float = 10.0, tau: float = 1.0, R: float = 1.0, n_alternatives: int = 25, seed: int = 7
-) -> Tuple[float, float]:
-    """Numerically check Theorem 4.1.
+def linear_start_is_optimal() -> Tuple[float, float]:
+    """Numerically check Theorem 4.1 over T = 10 RTTs (τ = 1) to rate R = 1.
 
     Returns ``(linear_backlog, best_alternative_backlog)``; the theorem holds
-    when the first is <= the second (within numeric tolerance).  Alternatives
-    are random monotone schedules through (0,0) and (T,R) built from convex
-    combinations of power curves.
+    when the first is <= the second (within numeric tolerance).  The 25
+    alternatives are seeded random monotone schedules through (0,0) and
+    (T,R) built from convex combinations of power curves.
     """
     import random
 
-    rng = random.Random(seed)
+    T, tau, R = 10.0, 1.0, 1.0
+    rng = random.Random(7)
 
     def linear(t: float) -> float:
         return R * t / T
 
     best_alt = math.inf
-    for _ in range(n_alternatives):
+    for _ in range(25):
         p1 = rng.uniform(0.3, 3.0)
         p2 = rng.uniform(0.3, 3.0)
         w = rng.random()
@@ -119,18 +118,17 @@ def swift_fluctuation_ns(
     ai_bytes: float,
     line_rate_bps: float,
     target_ns: float,
-    beta: float = 0.8,
-    max_mdf: float = 0.5,
 ) -> float:
     """Worst-case (synchronised) Swift delay fluctuation in ns.
 
-    ``n·W_AI/R + max(n·β·W_AI/(R·T), max_mdf) · T``  (Appendix D).
+    ``n·W_AI/R + max(n·β·W_AI/(R·T), max_mdf) · T``  (Appendix D), with
+    Swift's own ``BETA`` and ``MAX_MDF``.
     """
     if n_flows < 1:
         raise ValueError("need at least one flow")
     rate_byte_per_ns = line_rate_bps / 8e9
     above = n_flows * ai_bytes / rate_byte_per_ns
-    below = max(n_flows * beta * ai_bytes / (rate_byte_per_ns * target_ns), max_mdf) * target_ns
+    below = max(n_flows * BETA * ai_bytes / (rate_byte_per_ns * target_ns), MAX_MDF) * target_ns
     return above + below
 
 

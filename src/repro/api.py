@@ -58,7 +58,7 @@ __all__ = [
 _ExperimentLike = Union[str, Experiment]
 
 
-def get_experiment(experiment: _ExperimentLike, quick: bool = False) -> Experiment:
+def get_experiment(experiment: _ExperimentLike, quick: bool) -> Experiment:
     """Resolve a registry name (or pass through an instance), quick-scaled."""
     exp = REGISTRY.get(experiment) if isinstance(experiment, str) else experiment
     return exp.quick() if quick else exp

@@ -20,7 +20,7 @@ Invariants (see docs/AUDIT.md for the full semantics):
    resident in the owning switch's port queues.
 3. **PFC causality + deadlock watchdog** — RESUME never precedes (or
    doubles) its PAUSE, and a cycle of pauses older than
-   ``deadlock_horizon_ns`` raises a diagnostic carrying the pause graph.
+   ``DEADLOCK_HORIZON_NS`` (50 ms) raises a diagnostic carrying the pause graph.
 4. **Sender window accounting** — ``inflight_bytes`` equals the sum of
    sent-unacked payloads after every ACK/RTO/go-back-N event, and a sender
    with pending (re)transmissions always has a timer armed.
@@ -55,15 +55,6 @@ __all__ = [
     "audit_scope",
     "current_auditor",
 ]
-
-#: drop reasons the ledger recognises (free-form strings are still accepted;
-#: these are the ones the simulator itself emits)
-DROP_REASONS = (
-    "buffer_shared",  # rejected by the shared pool (lossy, or headroom full)
-    "buffer_headroom",  # lossless packet rejected by both pools
-    "blackhole",  # routed to a down port inside the detection window
-    "link_cut",  # queued on a port when the link was cut
-)
 
 
 class AuditError(AssertionError):
@@ -127,24 +118,19 @@ class Auditor:
         ``"strict"`` raises :class:`AuditError` at the violation site (the
         stack trace points at the buggy mutation); ``"warn"`` records the
         violation and lets the simulation continue.
-    deadlock_horizon_ns:
-        A cycle in the PFC pause graph whose every edge has been held longer
-        than this raises the deadlock-watchdog diagnostic.
     recorder:
         Optional :class:`repro.telemetry.Recorder`; violations are mirrored
         onto its ``audit`` event channel so they land in JSONL exports.
     """
 
-    def __init__(
-        self,
-        mode: str = "strict",
-        deadlock_horizon_ns: int = 50_000_000,
-        recorder=None,
-    ):
+    #: a cycle in the PFC pause graph whose every edge has been held longer
+    #: than this raises the deadlock-watchdog diagnostic
+    DEADLOCK_HORIZON_NS = 50_000_000
+
+    def __init__(self, mode: str = "strict", recorder=None):
         if mode not in ("strict", "warn"):
             raise ValueError(f"audit mode must be 'strict' or 'warn', got {mode!r}")
         self.mode = mode
-        self.deadlock_horizon_ns = deadlock_horizon_ns
         self.recorder = recorder
         self.report = AuditReport(mode)
         self._checks = self.report.checks
@@ -339,12 +325,12 @@ class Auditor:
                 t, "pfc_causality", f"{key}: ingress backlog negative ({backlog_bytes})"
             )
 
-    def _pause_graph(self, t: int, min_age_ns: int = 0):
-        """Current pause edges ``waiter -> blocker`` at least ``min_age`` old."""
+    def _pause_graph(self, t: int):
+        """Current pause edges ``waiter -> blocker`` held past the horizon."""
         edges: Dict[str, List[str]] = {}
         held = []
         for (switch, in_idx, prio), (since, waiter, blocker) in self._pfc_paused.items():
-            if t - since < min_age_ns or not waiter:
+            if t - since < self.DEADLOCK_HORIZON_NS or not waiter:
                 continue
             edges.setdefault(waiter, []).append(blocker)
             held.append((switch, in_idx, prio, since, waiter))
@@ -380,7 +366,7 @@ class Auditor:
 
     def _check_deadlock(self, t: int) -> None:
         self._count("pfc_deadlock")
-        edges, held = self._pause_graph(t, self.deadlock_horizon_ns)
+        edges, held = self._pause_graph(t)
         if not edges:
             return
         cycle = self._find_cycle(edges)
@@ -394,7 +380,7 @@ class Auditor:
                 t,
                 "pfc_deadlock",
                 f"pause cycle {' -> '.join(cycle)} held beyond "
-                f"{self.deadlock_horizon_ns}ns horizon; pause graph: {graph}",
+                f"{self.DEADLOCK_HORIZON_NS}ns horizon; pause graph: {graph}",
             )
 
     # ------------------------------------------------------------------

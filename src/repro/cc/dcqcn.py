@@ -20,24 +20,21 @@ from .base import CongestionControl
 
 __all__ = ["Dcqcn"]
 
+#: the alpha EWMA gain
+G = 1.0 / 16.0
+#: fast-recovery steps, then as many additive ones, before hyper increase
+RECOVERY_STAGES = 5
+#: hyper increase adds this many additive steps per update
+HYPER_AI_FACTOR = 5.0
+
 
 class Dcqcn(CongestionControl):
-    def __init__(
-        self,
-        g: float = 1.0 / 16.0,
-        ai_bytes: float = None,
-        hyper_ai_factor: float = 5.0,
-        recovery_stages: int = 5,
-        update_interval_ns: int = 50_000,
-        init_cwnd_bytes: float = None,
-    ):
-        super().__init__(init_cwnd_bytes)
-        self.g = g
-        self._ai_cfg = ai_bytes
-        self.ai_bytes = 0.0
-        self.hyper_ai_factor = hyper_ai_factor
-        self.recovery_stages = recovery_stages
-        self.update_interval_ns = update_interval_ns
+    #: one rate update per interval (the fluid law reads it too)
+    update_interval_ns = 50_000
+
+    def __init__(self):
+        super().__init__()
+        self.ai_bytes = 0.0  # half an MTU, resolved at attach
         self.alpha = 1.0
         self.w_target = 0.0
         self._stage = 0
@@ -45,7 +42,7 @@ class Dcqcn(CongestionControl):
         self._interval_end = -(1 << 62)
 
     def configure(self) -> None:
-        self.ai_bytes = self._ai_cfg if self._ai_cfg is not None else float(self.mtu) / 2
+        self.ai_bytes = float(self.mtu) / 2
         self.w_target = self.cwnd
 
     def on_ack(self, info: AckInfo) -> None:
@@ -62,22 +59,22 @@ class Dcqcn(CongestionControl):
         self.clamp()
 
     def _cut(self) -> None:
-        self.alpha = (1 - self.g) * self.alpha + self.g
+        self.alpha = (1 - G) * self.alpha + G
         self.w_target = self.cwnd
         self.cwnd *= max(1 - self.alpha / 2, 0.5)
         self._stage = 0
 
     def _recover(self) -> None:
-        self.alpha *= 1 - self.g
+        self.alpha *= 1 - G
         self._stage += 1
-        if self._stage <= self.recovery_stages:
+        if self._stage <= RECOVERY_STAGES:
             # fast recovery: halve the gap toward the target window
             self.cwnd = (self.cwnd + self.w_target) / 2
-        elif self._stage <= 2 * self.recovery_stages:
+        elif self._stage <= 2 * RECOVERY_STAGES:
             self.w_target += self.ai_bytes
             self.cwnd = (self.cwnd + self.w_target) / 2
         else:
-            self.w_target += self.hyper_ai_factor * self.ai_bytes
+            self.w_target += HYPER_AI_FACTOR * self.ai_bytes
             self.cwnd = (self.cwnd + self.w_target) / 2
 
     def on_timeout(self) -> None:

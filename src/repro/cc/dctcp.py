@@ -18,22 +18,26 @@ from .base import CongestionControl
 
 __all__ = ["Dctcp", "D2tcp"]
 
+#: the alpha EWMA gain
+G = 1.0 / 16.0
+#: D2TCP's clamp on the deadline exponent d
+D_MIN = 0.5
+D_MAX = 2.0
+
 
 class Dctcp(CongestionControl):
     """ECN-fraction window control."""
 
-    def __init__(self, g: float = 1.0 / 16.0, ai_bytes: float = None, init_cwnd_bytes: float = None):
-        super().__init__(init_cwnd_bytes)
-        self.g = g
-        self._ai_bytes_cfg = ai_bytes
-        self.ai_bytes = 0.0
+    def __init__(self):
+        super().__init__()
+        self.ai_bytes = 0.0  # one MTU, resolved at attach
         self.alpha = 0.0
         self._rtt_bytes = 0
         self._rtt_marked = 0
         self._rtt_end = -(1 << 62)
 
     def configure(self) -> None:
-        self.ai_bytes = self._ai_bytes_cfg if self._ai_bytes_cfg is not None else float(self.mtu)
+        self.ai_bytes = float(self.mtu)
 
     # ------------------------------------------------------------------
     def on_ack(self, info: AckInfo) -> None:
@@ -50,7 +54,7 @@ class Dctcp(CongestionControl):
     def _end_of_rtt(self, now: int) -> None:
         if self._rtt_bytes > 0:
             frac = self._rtt_marked / self._rtt_bytes
-            self.alpha = (1.0 - self.g) * self.alpha + self.g * frac
+            self.alpha = (1.0 - G) * self.alpha + G * frac
             if self._rtt_marked > 0:
                 self.cwnd *= 1.0 - self.cut_fraction()
                 self.clamp()
@@ -66,39 +70,26 @@ class Dctcp(CongestionControl):
 
 
 class D2tcp(Dctcp):
-    """Deadline-aware DCTCP: penalty ``alpha ** d`` with d = Tc/D."""
-
-    def __init__(
-        self,
-        deadline_ns: int = None,
-        d_min: float = 0.5,
-        d_max: float = 2.0,
-        g: float = 1.0 / 16.0,
-        ai_bytes: float = None,
-        init_cwnd_bytes: float = None,
-    ):
-        super().__init__(g=g, ai_bytes=ai_bytes, init_cwnd_bytes=init_cwnd_bytes)
-        self._deadline_cfg = deadline_ns
-        self.d_min = d_min
-        self.d_max = d_max
+    """Deadline-aware DCTCP: penalty ``alpha ** d`` with d = Tc/D, D the
+    flow's deadline."""
 
     def urgency(self) -> float:
         """d = Tc / D: how much faster than "on schedule" we must go."""
         sender = self.sender
-        deadline = self._deadline_cfg if self._deadline_cfg is not None else sender.flow.deadline_ns
+        deadline = sender.flow.deadline_ns
         if deadline is None:
             return 1.0
         now = sender.sim.now
         remaining_time = deadline - now
         if remaining_time <= 0:
-            return self.d_max
+            return D_MAX
         rate = max(self.cwnd, self.min_cwnd) / max(self.rtt_estimate(), 1)
         tc = sender.remaining_bytes / max(rate, 1e-12)
         d = tc / remaining_time
-        if d < self.d_min:
-            return self.d_min
-        if d > self.d_max:
-            return self.d_max
+        if d < D_MIN:
+            return D_MIN
+        if d > D_MAX:
+            return D_MAX
         return d
 
     def cut_fraction(self) -> float:

@@ -6,9 +6,9 @@ sender computes per-hop utilisation::
 
     U_j = qlen_j / (B_j * T) + txRate_j / B_j
 
-takes the max across hops and steers it to ``eta`` (0.95): multiplicative
+takes the max across hops and steers it to ``ETA`` (0.95): multiplicative
 adjustment by ``U/eta`` against a per-RTT reference window ``w_ref``, with up
-to ``max_stage`` additive-increase-only stages when under-utilised.
+to ``MAX_STAGE`` additive-increase-only stages when under-utilised.
 """
 
 from __future__ import annotations
@@ -20,22 +20,18 @@ from .base import CongestionControl
 
 __all__ = ["Hpcc"]
 
+#: the utilisation HPCC steers to
+ETA = 0.95
+#: additive-increase-only stages before a multiplicative update
+MAX_STAGE = 5
+
 
 class Hpcc(CongestionControl):
     needs_int = True
 
-    def __init__(
-        self,
-        eta: float = 0.95,
-        max_stage: int = 5,
-        ai_bytes: float = None,
-        init_cwnd_bytes: float = None,
-    ):
-        super().__init__(init_cwnd_bytes)
-        self.eta = eta
-        self.max_stage = max_stage
-        self._ai_cfg = ai_bytes
-        self.ai_bytes = 0.0
+    def __init__(self):
+        super().__init__()
+        self.ai_bytes = 0.0  # one MTU, resolved at attach
         self.w_ref = 0.0
         self.inc_stage = 0
         self._last_update = -(1 << 62)
@@ -44,7 +40,7 @@ class Hpcc(CongestionControl):
         self._u = 0.0
 
     def configure(self) -> None:
-        self.ai_bytes = self._ai_cfg if self._ai_cfg is not None else float(self.mtu)
+        self.ai_bytes = float(self.mtu)
         self.w_ref = self.cwnd
 
     # ------------------------------------------------------------------
@@ -72,8 +68,8 @@ class Hpcc(CongestionControl):
         u = self._max_utilisation(info.int_hops)
         self._u = u
         per_rtt = info.now - self._last_update >= self.sender.last_rtt
-        if u >= self.eta or self.inc_stage >= self.max_stage:
-            new_w = self.w_ref / (u / self.eta) + self.ai_bytes
+        if u >= ETA or self.inc_stage >= MAX_STAGE:
+            new_w = self.w_ref / (u / ETA) + self.ai_bytes
             if per_rtt:
                 self.w_ref = max(new_w, self.min_cwnd)
                 self.inc_stage = 0

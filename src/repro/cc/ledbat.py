@@ -4,7 +4,7 @@ LEDBAT drives the queuing delay toward ``target`` with a proportional
 controller::
 
     off = (target - queuing_delay) / target
-    cwnd += gain * off * acked_bytes / cwnd * mtu
+    cwnd += off * acked_bytes / cwnd * mtu
 
 It was designed as a background (scavenger) transport — one extra priority
 below best-effort — and the paper integrates PrioPlus with it (§4.4, §6.2)
@@ -20,12 +20,11 @@ __all__ = ["Ledbat"]
 
 
 class Ledbat(CongestionControl):
-    def __init__(self, gain: float = 1.0, init_cwnd_bytes: float = None):
-        super().__init__(init_cwnd_bytes)
+    def __init__(self):
+        super().__init__()
         #: the queuing-delay target; PrioPlus derives it from its channel
         #: target (:meth:`pin_target`)
         self.target_queuing_ns = 20_000
-        self.gain = gain
         self.max_decrease_per_rtt = 0.5
         self.target_delay_ns = 0
         self.ai_bytes = 0.0  # resolved at attach; exposed for PrioPlus
@@ -51,9 +50,9 @@ class Ledbat(CongestionControl):
         denom = max(self.cwnd, self.mtu)
         if off >= 0:
             # additive regime, scaled by PrioPlus-adjustable ai_bytes
-            self.cwnd += self.gain * off * (self.ai_bytes * info.acked_bytes / denom)
+            self.cwnd += off * (self.ai_bytes * info.acked_bytes / denom)
         else:
-            delta = self.gain * off * (self.mtu * info.acked_bytes / denom)
+            delta = off * (self.mtu * info.acked_bytes / denom)
             floor = -self.max_decrease_per_rtt * self.cwnd * (info.acked_bytes / denom)
             if delta < floor:
                 delta = floor

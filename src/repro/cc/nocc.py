@@ -12,14 +12,13 @@ from .base import CongestionControl
 
 __all__ = ["NoCC"]
 
+#: the window, in BDPs (or MTUs, whichever is larger)
+BDP_MULTIPLE = 100.0
+
 
 class NoCC(CongestionControl):
-    def __init__(self, bdp_multiple: float = 100.0):
-        super().__init__()
-        self.bdp_multiple = bdp_multiple
-
     def default_init_cwnd(self) -> float:
-        return self.bdp_multiple * max(self.bdp_bytes, self.mtu)
+        return BDP_MULTIPLE * max(self.bdp_bytes, self.mtu)
 
     def default_max_cwnd(self) -> float:
         return self.default_init_cwnd()

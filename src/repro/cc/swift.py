@@ -8,7 +8,7 @@ Swift steers the measured RTT toward ``target = base_rtt + base_target``:
   overshoot, ``cwnd *= max(1 - beta*(delay-target)/delay, 1 - max_mdf)``,
   at most once per RTT;
 * **flow/target scaling** (optional): the target grows as the window shrinks,
-  ``target += clamp(fs_alpha/sqrt(cwnd_pkts) - fs_beta, 0, fs_range)``, which
+  ``target += clamp(fs_alpha/sqrt(cwnd_pkts) - fs_beta, 0, FS_RANGE_NS)``, which
   accommodates many-flow fan-in — and is exactly the mechanism that breaks
   virtual priority in Figure 3b of the PrioPlus paper.
 
@@ -26,70 +26,50 @@ from .base import CongestionControl
 
 __all__ = ["Swift", "SwiftParams"]
 
+#: the MD gain and the largest MD factor per RTT (paper §6)
+BETA = 0.8
+MAX_MDF = 0.5
+#: flow scaling adds up to FS_RANGE_NS to the target as the window falls
+#: from FS_MAX_CWND_PKTS to FS_MIN_CWND_PKTS packets
+FS_RANGE_NS = 50_000
+FS_MIN_CWND_PKTS = 0.1
+FS_MAX_CWND_PKTS = 100.0
+_FS_SQRT_MAX = 1.0 / math.sqrt(FS_MAX_CWND_PKTS)
+_FS_ALPHA = FS_RANGE_NS / (1.0 / math.sqrt(FS_MIN_CWND_PKTS) - _FS_SQRT_MAX)
+_FS_BETA = _FS_ALPHA * _FS_SQRT_MAX
+
 
 class SwiftParams:
     """Tuning knobs for :class:`Swift` (defaults follow the paper's §6)."""
 
-    __slots__ = (
-        "base_target_ns",
-        "ai_bytes",
-        "beta",
-        "max_mdf",
-        "target_scaling",
-        "fs_range_ns",
-        "fs_min_cwnd_pkts",
-        "fs_max_cwnd_pkts",
-    )
+    __slots__ = ("base_target_ns", "ai_bytes", "target_scaling")
 
     def __init__(
         self,
         base_target_ns: int = 20_000,
         ai_bytes: float = 150.0,
-        beta: float = 0.8,
-        max_mdf: float = 0.5,
         target_scaling: bool = True,
-        fs_range_ns: int = 50_000,
-        fs_min_cwnd_pkts: float = 0.1,
-        fs_max_cwnd_pkts: float = 100.0,
     ):
         self.base_target_ns = base_target_ns
         self.ai_bytes = ai_bytes
-        self.beta = beta
-        self.max_mdf = max_mdf
         self.target_scaling = target_scaling
-        self.fs_range_ns = fs_range_ns
-        self.fs_min_cwnd_pkts = fs_min_cwnd_pkts
-        self.fs_max_cwnd_pkts = fs_max_cwnd_pkts
 
 
 class Swift(CongestionControl):
     """Delay-based CC with per-RTT-gated multiplicative decrease."""
 
-    def __init__(
-        self,
-        params: SwiftParams = None,
-        init_cwnd_bytes: float = None,
-        min_cwnd_bytes: float = None,
-    ):
-        super().__init__(init_cwnd_bytes, min_cwnd_bytes)
-        self.params = params if params is not None else SwiftParams()
-        self.ai_bytes = self.params.ai_bytes
+    def __init__(self, params: SwiftParams, min_cwnd_bytes: float = None):
+        super().__init__(None, min_cwnd_bytes)
+        self.params = params
+        self.ai_bytes = params.ai_bytes
         self.target_delay_ns = 0  # resolved at attach
         self._last_decrease = -(1 << 62)
-        self._fs_alpha = 0.0
-        self._fs_beta = 0.0
         self.decreases = 0
         self.increases = 0
 
     # ------------------------------------------------------------------
     def configure(self) -> None:
-        p = self.params
-        self.target_delay_ns = self.base_rtt + p.base_target_ns
-        sqrt_min = 1.0 / math.sqrt(p.fs_min_cwnd_pkts)
-        sqrt_max = 1.0 / math.sqrt(p.fs_max_cwnd_pkts)
-        denom = sqrt_min - sqrt_max
-        self._fs_alpha = p.fs_range_ns / denom if denom > 0 else 0.0
-        self._fs_beta = self._fs_alpha * sqrt_max
+        self.target_delay_ns = self.base_rtt + self.params.base_target_ns
 
     def set_target_scaling(self, enabled: bool) -> None:
         """PrioPlus integration point: fixed per-priority targets need this off."""
@@ -99,11 +79,11 @@ class Swift(CongestionControl):
         target = self.target_delay_ns
         if self.params.target_scaling:
             cwnd_pkts = max(self.cwnd / self.mtu, 1e-6)
-            fs = self._fs_alpha / math.sqrt(cwnd_pkts) - self._fs_beta
+            fs = _FS_ALPHA / math.sqrt(cwnd_pkts) - _FS_BETA
             if fs < 0.0:
                 fs = 0.0
-            elif fs > self.params.fs_range_ns:
-                fs = self.params.fs_range_ns
+            elif fs > FS_RANGE_NS:
+                fs = FS_RANGE_NS
             target += fs
         return target
 
@@ -118,8 +98,8 @@ class Swift(CongestionControl):
                 self.increases += 1
         else:
             if info.now - self._last_decrease >= self.last_rtt():
-                factor = 1.0 - self.params.beta * (delay - target) / delay
-                floor = 1.0 - self.params.max_mdf
+                factor = 1.0 - BETA * (delay - target) / delay
+                floor = 1.0 - MAX_MDF
                 if factor < floor:
                     factor = floor
                 self.cwnd *= factor
@@ -131,5 +111,5 @@ class Swift(CongestionControl):
         return self.sender.last_rtt if self.sender is not None else self.base_rtt
 
     def on_timeout(self) -> None:
-        self.cwnd *= 1.0 - self.params.max_mdf
+        self.cwnd *= 1.0 - MAX_MDF
         self.clamp()

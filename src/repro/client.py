@@ -103,9 +103,9 @@ class ServeClient:
             headers[name.strip().lower()] = value.strip()
         return status, headers
 
-    def _request_json(self, method: str, path: str, body: Optional[dict] = None) -> dict:
+    def _request_json(self, method: str, path: str) -> dict:
         with self._connect() as sock:
-            self._send_request(sock, method, path, body)
+            self._send_request(sock, method, path, None)
             with sock.makefile("rb") as fh:
                 status, headers = self._read_head(fh)
                 length = headers.get("content-length")
@@ -120,7 +120,7 @@ class ServeClient:
             )
         return payload
 
-    def _stream_jsonl(self, method: str, path: str, body: Optional[dict] = None) -> Iterator[dict]:
+    def _stream_jsonl(self, method: str, path: str, body: dict) -> Iterator[dict]:
         sock = self._connect()
         fh = sock.makefile("rb")
         try:

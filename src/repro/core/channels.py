@@ -129,11 +129,10 @@ class ChannelConfig:
         return out
 
     @classmethod
-    def from_bands(
-        cls, bands: Sequence[Sequence[int]], noise_ns: int = PAPER_B_NS
-    ) -> "ChannelConfig":
-        """Explicit placement: one ``(target, limit)`` offset pair per priority."""
-        return cls(noise_ns=noise_ns, bands=bands)
+    def from_bands(cls, bands: Sequence[Sequence[int]]) -> "ChannelConfig":
+        """Explicit placement: one ``(target, limit)`` offset pair per
+        priority, with the paper's noise budget B."""
+        return cls(bands=bands)
 
     # ------------------------------------------------------------------
     @property

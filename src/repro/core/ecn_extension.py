@@ -31,7 +31,7 @@ __all__ = ["EcnPriorityConfig", "install_priority_marking"]
 class EcnPriorityConfig:
     """Marking thresholds per virtual priority."""
 
-    def __init__(self, k_top_bytes: int = 100 * 1024, ratio: float = 0.5, n_priorities: int = 8):
+    def __init__(self, k_top_bytes: int, ratio: float, n_priorities: int):
         if not 0 < ratio <= 1:
             raise ValueError("ratio must be in (0, 1]")
         if k_top_bytes <= 0:

@@ -22,7 +22,12 @@ from .channels import ChannelConfig
 __all__ = ["TrafficClass", "QueuePlan", "PlanError", "plan_queues"]
 
 #: protocol ceiling on lossless physical priorities (§2.2)
-DEFAULT_PHYSICAL_BUDGET = 8
+PHYSICAL_BUDGET = 8
+#: the fabric the plan sizes channels for: line rate, the delay-noise
+#: tolerance B, and Swift's per-RTT additive step W_AI
+LINE_RATE_BPS = 100e9
+NOISE_TOLERANCE_NS = 800
+SWIFT_AI_BYTES = 150.0
 
 
 class PlanError(ValueError):
@@ -82,14 +87,7 @@ class QueuePlan:
         return "\n".join(lines)
 
 
-def plan_queues(
-    classes: Sequence[TrafficClass],
-    line_rate_bps: float = 100e9,
-    noise_tolerance_ns: int = 800,
-    swift_ai_bytes: float = 150.0,
-    swift_target_ns: int = 20_000,
-    physical_budget: int = DEFAULT_PHYSICAL_BUDGET,
-) -> QueuePlan:
+def plan_queues(classes: Sequence[TrafficClass]) -> QueuePlan:
     """Build and validate a physical/virtual queue plan.
 
     Classes are listed lowest-priority-first; they receive physical queues
@@ -101,10 +99,10 @@ def plan_queues(
     if len(set(names)) != len(names):
         raise PlanError("duplicate class names")
     needed = len(classes) + 1  # + ACK queue
-    if needed > physical_budget:
+    if needed > PHYSICAL_BUDGET:
         raise PlanError(
             f"{len(classes)} classes need {needed} physical queues "
-            f"(incl. ACK) but only {physical_budget} exist — merge classes "
+            f"(incl. ACK) but only {PHYSICAL_BUDGET} exist — merge classes "
             f"or move scheduling into virtual priorities"
         )
 
@@ -117,11 +115,11 @@ def plan_queues(
             continue
         # size A from the above-target component of the Appendix-D bound,
         # doubled for headroom, floored at 2 us
-        above_ns = cls.expected_flows * swift_ai_bytes / (line_rate_bps / 8e9)
+        above_ns = cls.expected_flows * SWIFT_AI_BYTES / (LINE_RATE_BPS / 8e9)
         fluctuation_ns = max(int(2 * above_ns), 2_000)
         cfg = ChannelConfig(
             fluctuation_ns=fluctuation_ns,
-            noise_ns=noise_tolerance_ns,
+            noise_ns=NOISE_TOLERANCE_NS,
             n_priorities=cls.n_virtual_priorities,
         )
         cfg.validate()

@@ -30,14 +30,14 @@ _STRATEGIES = (LINE_RATE, EXPONENTIAL, LINEAR)
 class StartRampCC(CongestionControl):
     """Ramp the window to one BDP following a named start strategy."""
 
-    def __init__(self, strategy: str, n_rtts: int = 8):
+    #: RTTs the linear ramp takes to reach one BDP
+    N_RTTS = 8
+
+    def __init__(self, strategy: str):
         if strategy not in _STRATEGIES:
             raise ValueError(f"unknown start strategy {strategy!r}")
-        if n_rtts < 1:
-            raise ValueError("the ramp needs at least one RTT")
         super().__init__()
         self.strategy = strategy
-        self.n_rtts = n_rtts
         self._rtt_end_seq = 0
         self.rtts_elapsed = 0
         self.frozen = False
@@ -48,7 +48,7 @@ class StartRampCC(CongestionControl):
             return max(self.bdp_bytes, self.mtu)
         if self.strategy == EXPONENTIAL:
             return float(self.mtu)
-        return max(self.bdp_bytes / self.n_rtts, self.mtu)
+        return max(self.bdp_bytes / self.N_RTTS, self.mtu)
 
     def default_max_cwnd(self) -> float:
         return max(self.bdp_bytes, 4 * self.mtu)
@@ -73,7 +73,7 @@ class StartRampCC(CongestionControl):
         if self.strategy == EXPONENTIAL:
             self.cwnd *= 2
         elif self.strategy == LINEAR:
-            self.cwnd += self.bdp_bytes / self.n_rtts
+            self.cwnd += self.bdp_bytes / self.N_RTTS
         self.clamp()
 
     def on_timeout(self) -> None:

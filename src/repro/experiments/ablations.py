@@ -87,13 +87,11 @@ def run_collision_avoidance_ablation(
 
 
 def run_filter_ablation(
-    filter_consecutive: int,
-    noise_median_ns: int = 500,
-    duration_ns: int = 3 * MILLISECOND,
-    rate: float = 10e9,
-    seed: int = 5,
+    filter_consecutive: int, duration_ns: int = 3 * MILLISECOND, seed: int = 5
 ) -> Dict[str, float]:
-    """Single flow under heavy noise: count spurious relinquishes."""
+    """Single flow at 10 Gbps under heavy noise (500 ns median): count
+    spurious relinquishes."""
+    rate = 10e9
     sim = Simulator(seed)
     cfg = SwitchConfig(n_queues=2, buffer_bytes=8 * 1024 * 1024)
     net, senders, recv = star(sim, 1, rate_bps=rate, link_delay_ns=1000, switch_cfg=cfg)
@@ -108,7 +106,7 @@ def run_filter_ablation(
         probe_first=False,
         filter_consecutive=filter_consecutive,
     )
-    snd = FlowSender(sim, net, f, cc, noise=LognormalNoise(median_ns=noise_median_ns, sigma=0.5))
+    snd = FlowSender(sim, net, f, cc, noise=LognormalNoise(median_ns=500, sigma=0.5))
     sampler = RateSampler(sim, [snd], key=lambda s: 0, interval_ns=100 * MICROSECOND)
     sim.run(until=duration_ns)
     util = sampler.average_rate_bps(0, duration_ns // 4, duration_ns) / rate

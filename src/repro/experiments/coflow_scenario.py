@@ -20,11 +20,12 @@ from typing import Dict, List, Tuple
 from ..analysis.fct import percentile
 from ..coflow import CoflowTracker, assign_coflow_groups
 from ..noise import paper_noise
-from ..sim.engine import MICROSECOND, MILLISECOND, Simulator
+from ..sim.engine import MICROSECOND, Simulator
 from ..topology import multi_rack
 from ..workloads import CoflowSpec, FlowSpec, synthesize_coflows
 from .launch import FlowAdmitter, launch_specs, run_admitter, run_until_flows_done
 from .modes import CCFactory
+from .paper_scale import paper_topology
 
 __all__ = ["CoflowConfig", "build_workload", "run_coflow_mode", "speedup_summary"]
 
@@ -34,21 +35,22 @@ _MTU = 1000
 
 
 class CoflowConfig:
-    """Scale knobs for the coflow scenario."""
+    """Scale knobs for the coflow scenario (``fig12_coflow``'s presets set
+    every one)."""
 
     def __init__(
         self,
-        n_racks: int = 3,
-        hosts_per_rack: int = 4,
-        host_rate_bps: float = 100e9,
-        core_rate_bps: float = 400e9,
-        load: float = 0.7,
-        duration_ns: int = 2 * MILLISECOND,
-        mean_flow_bytes: int = 100_000,
-        request_fanout: int = 4,
-        request_piece_bytes: int = 40_000,
-        seed: int = 7,
-        link_delay_ns: int = 300,
+        n_racks: int,
+        hosts_per_rack: int,
+        host_rate_bps: float,
+        core_rate_bps: float,
+        load: float,
+        duration_ns: int,
+        mean_flow_bytes: int,
+        request_fanout: int,
+        request_piece_bytes: int,
+        seed: int,
+        link_delay_ns: int,
         lossy: bool = False,
     ):
         self.n_racks = n_racks
@@ -121,21 +123,17 @@ def run_coflow_mode(
     cfg: CoflowConfig,
     jobs: List[CoflowSpec],
     groups: Dict[int, int],
-    topology=None,
-    streaming: bool = False,
-    fluid: bool = False,
+    paper_scale: bool,
 ) -> Dict[int, int]:
     """Run one mode over a pre-built workload; returns coflow_id -> CCT ns.
 
-    ``topology`` (a callable ``(sim, switch_cfg) -> (net, hosts)``) overrides
-    the default :func:`multi_rack` fabric — the paper-scale variants pass a
-    :func:`repro.topology.paper_fabric` wrapper (``cfg.n_hosts`` must match
-    the fabric's host count, since the workload indexes into it).
-    ``streaming=True`` admits senders in stages sorted by start time
-    (:class:`FlowAdmitter`) so live-object count tracks concurrent flows on
-    multi-second traces; ``fluid=True`` attaches a hybrid driver.  CCT
-    bookkeeping is identical on every path: the tracker observes
-    receiver-side flow completions.
+    ``paper_scale`` swaps the :func:`multi_rack` fabric for
+    :func:`repro.topology.paper_fabric` (``cfg.n_hosts`` must match the
+    fabric's host count, since the workload indexes into it), admits
+    senders in stages sorted by start time (:class:`FlowAdmitter`) so the
+    live-object count tracks concurrent flows on multi-second traces, and
+    attaches a hybrid driver.  CCT bookkeeping is identical on every path:
+    the tracker observes receiver-side flow completions.
     """
     sim = Simulator(cfg.seed)
     factory = CCFactory(mode, n_priorities=N_GROUPS)
@@ -145,8 +143,8 @@ def run_coflow_mode(
         headroom_per_port_per_prio=int(2 * link_bdp + 5 * _MTU),
         pfc_enabled=not cfg.lossy,
     )
-    if topology is not None:
-        net, hosts = topology(sim, switch_cfg)
+    if paper_scale:
+        net, hosts = paper_topology(cfg.host_rate_bps, cfg.link_delay_ns)(sim, switch_cfg)
         if len(hosts) != cfg.n_hosts:
             raise ValueError(
                 f"topology provides {len(hosts)} hosts but the workload was "
@@ -169,24 +167,21 @@ def run_coflow_mode(
         specs.extend(job.flows)
 
     group_of = lambda s: groups[s.tag[1]]  # noqa: E731
-    sender_kw = dict(
-        mtu=_MTU,
-        noise=paper_noise(),
-        rto_ns=100 * MICROSECOND if cfg.lossy else None,
-        on_receive_done=tracker.on_flow_done,
-    )
-    if streaming:
+    sender_kw = dict(mtu=_MTU, noise=paper_noise(), on_receive_done=tracker.on_flow_done)
+    driver = None
+    if paper_scale:
+        from ..fluid import HybridDriver
+
         specs.sort(key=lambda s: s.start_ns)  # admitter contract
         admitter = FlowAdmitter(sim, net, specs, hosts, factory, group_of, **sender_kw)
         drive = partial(run_admitter, sim, admitter)
-    else:
-        flows, _ = launch_specs(sim, net, specs, hosts, factory, group_of, **sender_kw)
-        drive = partial(run_until_flows_done, sim, flows)
-    driver = None
-    if fluid:
-        from ..fluid import HybridDriver
-
         driver = HybridDriver(sim, net)
+    else:
+        rto_ns = 100 * MICROSECOND if cfg.lossy else None
+        flows, _ = launch_specs(
+            sim, net, specs, hosts, factory, group_of, rto_ns=rto_ns, **sender_kw
+        )
+        drive = partial(run_until_flows_done, sim, flows)
     drive(cfg.duration_ns * 50, driver=driver)
     return tracker.all_ccts()
 

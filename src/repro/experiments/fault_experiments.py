@@ -245,16 +245,22 @@ def _degrade_fabric(sim: Simulator, cfg: SwitchConfig, rate: float) -> Tuple[Net
     return net, _attach_groups(net, core, core, rate)
 
 
-def _degrade_plan(rate_factor: float, drop_prob: float, spike_ns: int, seed: int) -> FaultPlan:
+#: the degrade window's rate, wire-loss probability and delay spike
+_DEGRADE_RATE_FACTOR = 0.5
+_DEGRADE_DROP_PROB = 0.0005
+_DEGRADE_SPIKE_NS = 2_000
+
+
+def _degrade_plan(seed: int) -> FaultPlan:
     return FaultPlan(
         [
             FaultSpec(
                 "link_degrade",
                 ["core", "recv"],
                 Schedule("oneshot", at_ns=1 * MILLISECOND, duration_ns=int(1.5 * MILLISECOND)),
-                rate_factor=rate_factor,
-                drop_prob=drop_prob,
-                delay_spike_ns=spike_ns,
+                rate_factor=_DEGRADE_RATE_FACTOR,
+                drop_prob=_DEGRADE_DROP_PROB,
+                delay_spike_ns=_DEGRADE_SPIKE_NS,
             )
         ],
         seed=seed,
@@ -262,21 +268,13 @@ def _degrade_plan(rate_factor: float, drop_prob: float, spike_ns: int, seed: int
     )
 
 
-def run_fault_degrade(
-    mode: str = Mode.PRIOPLUS,
-    rate: float = 10e9,
-    rate_factor: float = 0.5,
-    drop_prob: float = 0.0005,
-    spike_ns: int = 2_000,
-    seed: int = 1,
-    channels=None,
-) -> dict:
+def run_fault_degrade(mode: str = Mode.PRIOPLUS, rate: float = 10e9, seed: int = 1) -> dict:
     """One mode through the degraded-bottleneck scenario."""
     sim = Simulator(seed)
-    factory = _factory(mode, channels=channels)
+    factory = _factory(mode)
     net, hosts = _degrade_fabric(sim, factory.switch_config(), rate)
 
-    plan = _degrade_plan(rate_factor, drop_prob, spike_ns, seed)
+    plan = _degrade_plan(seed)
     injector = FaultInjector(sim, net, plan).arm()
 
     duration_ns = 4 * MILLISECOND
@@ -294,7 +292,7 @@ def run_fault_degrade(
         "during": (int(1.4 * MILLISECOND), int(2.5 * MILLISECOND)),
         "post": (3 * MILLISECOND, 4 * MILLISECOND),
     }
-    return _result(mode, rate, rate * rate_factor, windows, sampler, injector, plan)
+    return _result(mode, rate, rate * _DEGRADE_RATE_FACTOR, windows, sampler, injector, plan)
 
 
 # ----------------------------------------------------------------------

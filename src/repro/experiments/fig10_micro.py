@@ -51,13 +51,11 @@ def _run_fig10a(
 
 
 def _run_fig10b(
-    n_flows: int = 300,
-    rate: float = 100e9,
-    duration_ns: int = 4 * MILLISECOND,
-    prio: int = 5,
-    seed: int = 1,
+    n_flows: int = 300, rate: float = 100e9, duration_ns: int = 4 * MILLISECOND, seed: int = 1
 ) -> Dict[str, float]:
-    """Incast: delay stays near D_target despite hundreds of flows."""
+    """Incast at virtual priority 5: delay stays near D_target despite
+    hundreds of flows."""
+    prio = 5
     sim = Simulator(seed)
     cfg = SwitchConfig(n_queues=2, buffer_bytes=32 * 1024 * 1024)
     net, senders, recv = star(sim, n_flows, rate_bps=rate, link_delay_ns=1500, switch_cfg=cfg)
@@ -159,16 +157,15 @@ def _run_fig10d(
     n_flows: int = 5,
     rate: float = 100e9,
     duration_ns: int = 2 * MILLISECOND,
-    util_goal: float = 0.99,
     seed: int = 1,
 ) -> Dict[float, float]:
-    """Minimum channel-width noise budget B for >= util_goal utilisation.
+    """Minimum channel-width noise budget B for >= 99 % utilisation.
 
     Returns {noise_scale: required_B_us}; the paper observes the requirement
     growing linearly with the noise magnitude.
     """
     for k in range(1, 65):  # 0.2 .. 12.8 us
-        if _fig10d_util(noise_scale, 0.2 * k, n_flows, rate, duration_ns, seed) >= util_goal:
+        if _fig10d_util(noise_scale, 0.2 * k, n_flows, rate, duration_ns, seed) >= 0.99:
             return {noise_scale: 0.2 * k}
     return {noise_scale: float("inf")}
 

@@ -27,7 +27,6 @@ from typing import Dict, Mapping, Sequence
 from ..sim.engine import MILLISECOND
 from .coflow_scenario import CoflowConfig, build_workload, run_coflow_mode, speedup_summary
 from .modes import Mode
-from .paper_scale import paper_topology
 from .registry import FunctionExperiment, register
 
 __all__ = [
@@ -101,19 +100,16 @@ def coflow_point(mode: str, cfg: Dict[str, object], seed: int, paper_scale: bool
     CI fabric.
     """
     cfg = CoflowConfig(seed=seed, **cfg)
-    run_kwargs = {}
-    if paper_scale:
-        topology = paper_topology(cfg.host_rate_bps, cfg.link_delay_ns)
-        run_kwargs = dict(topology=topology, streaming=True, fluid=True)
     jobs, groups = build_workload(cfg)
-    cct = run_coflow_mode(mode, cfg, jobs, groups, **run_kwargs)
+    cct = run_coflow_mode(mode, cfg, jobs, groups, paper_scale)
     return {"cct": {str(cid): ns for cid, ns in cct.items()}}
 
 
 def coflow_speedups(
-    results: Mapping[str, dict], cfg_kwargs: Dict[str, object], seed: int, baseline: str = Mode.SWIFT
+    results: Mapping[str, dict], cfg_kwargs: Dict[str, object], seed: int
 ) -> Dict[str, object]:
-    """Per-mode speedup summaries over the ``baseline`` point's CCTs."""
+    """Per-mode speedup summaries over the no-priority Swift baseline's CCTs."""
+    baseline = Mode.SWIFT
     jobs, groups = build_workload(CoflowConfig(seed=seed, **cfg_kwargs))
     ccts = {
         pname: {int(cid): ns for cid, ns in res["cct"].items()}
@@ -133,7 +129,6 @@ def coflow_speedups(
 def coflow_spec(
     modes: Sequence[str],
     cfg_kwargs: Dict[str, object],
-    baseline: str = Mode.SWIFT,
     paper_scale: bool = False,
 ) -> Dict[str, object]:
     """One coflow comparison, sharded per CC mode, as
@@ -148,9 +143,9 @@ def coflow_spec(
     return {
         "spec": {
             mode: (point, {"mode": mode, "cfg": dict(cfg_kwargs), "seed": _SEED})
-            for mode in [baseline, *modes]
+            for mode in [Mode.SWIFT, *modes]
         },
-        "reduce_fn": partial(coflow_speedups, cfg_kwargs=dict(cfg_kwargs), seed=_SEED, baseline=baseline),
+        "reduce_fn": partial(coflow_speedups, cfg_kwargs=dict(cfg_kwargs), seed=_SEED),
     }
 
 

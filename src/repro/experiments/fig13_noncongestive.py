@@ -14,7 +14,7 @@ configured tolerance (within a few µs), then grows — tolerances of 10/20/30
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 from ..cc import Swift, SwiftParams
 from ..core import ChannelConfig, PrioPlusCC, StartTier
@@ -101,32 +101,27 @@ def fig13_gaps(results: Mapping[str, dict]) -> Dict[str, float]:
     return out
 
 
-def fig13_spec(
-    tolerance_us: float = 10.0,
-    ranges_us: Sequence[float] = (6.0, 40.0),
-    rate: float = 10e9,
-    stagger_ns: int = 500_000,
-    seed: int = 1,
-) -> Dict[str, tuple]:
-    """Normalised FCT gap, sharded per (stack, non-congestive range).
+def fig13_spec() -> Dict[str, tuple]:
+    """Normalised FCT gap at a 10 us tolerance, sharded per (stack,
+    non-congestive range of 6 or 40 us).
 
     Each gap hides two full staircase simulations (PrioPlus and the physical
     baseline); as separate points the runner schedules all of them
     concurrently, and :func:`fig13_gaps` pairs them back up.
     """
     return {
-        f"{kind}@{float(rng):g}us": (
+        f"{kind}@{rng:g}us": (
             staircase_fcts,
             {
                 "use_prioplus": use_prioplus,
-                "tolerance_us": float(tolerance_us),
-                "noncongestive_range_us": float(rng),
-                "rate": rate,
-                "stagger_ns": stagger_ns,
-                "seed": seed,
+                "tolerance_us": 10.0,
+                "noncongestive_range_us": rng,
+                "rate": 10e9,
+                "stagger_ns": 500_000,
+                "seed": 1,
             },
         )
-        for rng in ranges_us
+        for rng in (6.0, 40.0)
         for kind, use_prioplus in (("prioplus", True), ("physical", False))
     }
 

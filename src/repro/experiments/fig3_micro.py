@@ -35,20 +35,20 @@ _RATE = 100e9
 _DELAY = 1500  # per-link propagation, ns (base RTT lands near 12 us)
 
 
-def _star(sim: Simulator, n: int, ecn: bool = False, rate: float = _RATE):
+def _star(sim: Simulator, n: int, ecn: bool = False):
     cfg = SwitchConfig(
         n_queues=2,
         buffer_bytes=32 * 1024 * 1024,
         ecn_k_bytes=100 * 1024 if ecn else None,
     )
-    return star(sim, n, rate_bps=rate, link_delay_ns=_DELAY, switch_cfg=cfg)
+    return star(sim, n, rate_bps=_RATE, link_delay_ns=_DELAY, switch_cfg=cfg)
 
 
-def _run_fig3a(size_bytes: int = 2_000_000, rate: float = _RATE, seed: int = 1) -> Dict[str, float]:
+def _run_fig3a(size_bytes: int = 2_000_000, seed: int = 1) -> Dict[str, float]:
     """Two D2TCP flows, deadlines 1x and 2x ideal FCT."""
     sim = Simulator(seed)
-    net, senders, recv = _star(sim, 2, ecn=True, rate=rate)
-    ideal_ns = size_bytes * 8e9 / rate
+    net, senders, recv = _star(sim, 2, ecn=True)
+    ideal_ns = size_bytes * 8e9 / _RATE
     f_hi = Flow(1, senders[0], recv, size_bytes, start_ns=0, deadline_ns=int(ideal_ns))
     f_lo = Flow(2, senders[1], recv, size_bytes, start_ns=0, deadline_ns=int(2 * ideal_ns))
     s_hi = FlowSender(sim, net, f_hi, D2tcp())
@@ -60,18 +60,16 @@ def _run_fig3a(size_bytes: int = 2_000_000, rate: float = _RATE, seed: int = 1) 
     return {
         "hi_fct_over_ideal": f_hi.fct_ns() / ideal_ns,
         "lo_fct_over_ideal": f_lo.fct_ns() / ideal_ns,
-        "lo_share_during_hi": lo_rate_during_hi / rate,
+        "lo_share_during_hi": lo_rate_during_hi / _RATE,
         "hi_met_deadline": float(f_hi.fct_ns() <= ideal_ns * 1.05),
     }
 
 
-def _run_fig3b(
-    duration_ns: int = 4 * MILLISECOND, rate: float = _RATE, seed: int = 1
-) -> Dict[str, float]:
+def _run_fig3b(duration_ns: int = 4 * MILLISECOND, seed: int = 1) -> Dict[str, float]:
     """Swift + target scaling, 2 hi (base+15us) vs 2 lo (base+5us) flows."""
     sim = Simulator(seed)
-    net, senders, recv = _star(sim, 4, rate=rate)
-    big = int(rate * duration_ns / 8e9)  # effectively long-running
+    net, senders, recv = _star(sim, 4)
+    big = int(_RATE * duration_ns / 8e9)  # effectively long-running
     flows, snds = [], []
     for i in range(4):
         target = 15 * MICROSECOND if i < 2 else 5 * MICROSECOND
@@ -85,23 +83,21 @@ def _run_fig3b(
     hi = sampler.average_rate_bps("hi", settle, duration_ns)
     lo = sampler.average_rate_bps("lo", settle, duration_ns)
     return {
-        "hi_share": hi / rate,
-        "lo_share": lo / rate,
-        "utilization": (hi + lo) / rate,
+        "hi_share": hi / _RATE,
+        "lo_share": lo / _RATE,
+        "utilization": (hi + lo) / _RATE,
     }
 
 
 def _run_fig3c(
-    n_low: int = 300,
-    hi_start_ns: int = 2 * MILLISECOND,
-    duration_ns: int = 4 * MILLISECOND,
-    rate: float = _RATE,
-    seed: int = 1,
+    n_low: int = 300, duration_ns: int = 4 * MILLISECOND, seed: int = 1
 ) -> Dict[str, float]:
-    """Swift w/o scaling: many low flows underutilise; late hi flow decelerates."""
+    """Swift w/o scaling: many low flows underutilise; a hi flow starting at
+    2 ms decelerates."""
+    hi_start_ns = 2 * MILLISECOND
     sim = Simulator(seed)
-    net, senders, recv = _star(sim, n_low + 1, rate=rate)
-    big = int(rate * duration_ns / 8e9)
+    net, senders, recv = _star(sim, n_low + 1)
+    big = int(_RATE * duration_ns / 8e9)
     snds, flows = [], []
     for i in range(n_low):
         f = Flow(i + 1, senders[i], recv, max(big // n_low, 100_000), start_ns=0, tag="lo")
@@ -117,24 +113,21 @@ def _run_fig3c(
     sim.run(until=duration_ns)
     util_before = (
         sampler.average_rate_bps("lo", hi_start_ns // 2, hi_start_ns)
-        / rate
+        / _RATE
     )
-    hi_share_after = sampler.average_rate_bps("hi", hi_start_ns + hi_start_ns // 2, duration_ns) / rate
+    hi_share_after = (
+        sampler.average_rate_bps("hi", hi_start_ns + hi_start_ns // 2, duration_ns) / _RATE
+    )
     return {"util_before_hi": util_before, "hi_share_after": hi_share_after}
 
 
-def _run_fig3d(
-    lo_start_ns: int = 100 * MICROSECOND,
-    hi_end_target_ns: int = 1 * MILLISECOND,
-    duration_ns: int = 2 * MILLISECOND,
-    rate: float = _RATE,
-    seed: int = 1,
-) -> Dict[str, float]:
+def _run_fig3d(seed: int = 1) -> Dict[str, float]:
     """Swift w/o scaling: min-rate floor for starved lows, slow reclaim."""
+    lo_start_ns, duration_ns = 100 * MICROSECOND, 2 * MILLISECOND
     sim = Simulator(seed)
-    net, senders, recv = _star(sim, 4, rate=rate)
-    hi_size = int(rate * hi_end_target_ns / 8e9 / 2)  # 2 hi flows fill until ~1 ms
-    lo_size = int(rate * duration_ns / 8e9)
+    net, senders, recv = _star(sim, 4)
+    hi_size = int(_RATE * MILLISECOND / 8e9 / 2)  # 2 hi flows fill until ~1 ms
+    lo_size = int(_RATE * duration_ns / 8e9)
     # the paper's experiment pins the minimum send rate at 100 Mbps
     base_rtt_guess = 12 * MICROSECOND
     min_cwnd = 100e6 * base_rtt_guess / 8e9
@@ -168,9 +161,9 @@ def _run_fig3d(
     lo_min_rate = min(lo_series) if lo_series else 0.0
     # after the hi flows finish, how much of the line do the lows reclaim?
     window_end = min(hi_done + 500 * MICROSECOND, duration_ns)
-    lo_share_after = sampler.average_rate_bps("lo", hi_done, window_end) / rate
+    lo_share_after = sampler.average_rate_bps("lo", hi_done, window_end) / _RATE
     return {
-        "lo_min_rate_share": lo_min_rate / rate,
+        "lo_min_rate_share": lo_min_rate / _RATE,
         "lo_share_after": lo_share_after,
         "hi_done_us": hi_done / 1e3,
     }

@@ -44,18 +44,14 @@ class _TappedSender(FlowSender):
         self.tap(pkt)
 
 
-def _run_fig6(
-    rate: float = 1e9,
-    link_delay_ns: int = 10 * MICROSECOND,
-    window_pkts: int = 12,
-    seed: int = 1,
-) -> Dict[str, float]:
-    """Returns the observed delay-step lag in RTTs (expected ~2)."""
+def _run_fig6(seed: int = 1) -> Dict[str, float]:
+    """One 12-packet fixed window over 1 Gbps with 10 us links; returns the
+    observed delay-step lag in RTTs (expected ~2)."""
     sim = Simulator(seed)
     cfg = SwitchConfig(n_queues=2, buffer_bytes=16 * 1024 * 1024)
-    net, senders, recv = star(sim, 1, rate_bps=rate, link_delay_ns=link_delay_ns, switch_cfg=cfg)
+    net, senders, recv = star(sim, 1, rate_bps=1e9, link_delay_ns=10 * MICROSECOND, switch_cfg=cfg)
     mtu = 1000
-    cc = _FixedWindow(window_pkts * mtu)
+    cc = _FixedWindow(12 * mtu)
     size = 4000 * mtu
     flow = Flow(1, senders[0], recv, size, start_ns=0)
     sender = _TappedSender(sim, net, flow, cc, mtu=mtu)

@@ -34,22 +34,11 @@ _PRIORITIES = (3, 4, 5, 6)
 
 
 def _run_fig8(
-    mode: str = Mode.PRIOPLUS,
-    rate: float = 10e9,
-    stagger_ns: int = 4 * MILLISECOND,
-    flows_per_prio: int = 2,
-    with_noise: bool = True,
-    seed: int = 1,
+    mode: str = Mode.PRIOPLUS, stagger_ns: int = 4 * MILLISECOND, seed: int = 1
 ) -> Dict[str, object]:
-    """The testbed staircase with priorities 3-6 (Fig 8)."""
+    """The testbed staircase with priorities 3-6 (Fig 8), two flows each."""
     return run_staircase(
-        mode,
-        priorities=_PRIORITIES,
-        rate=rate,
-        stagger_ns=stagger_ns,
-        flows_per_prio=flows_per_prio,
-        with_noise=with_noise,
-        seed=seed,
+        mode, priorities=_PRIORITIES, rate=10e9, stagger_ns=stagger_ns, flows_per_prio=2, seed=seed
     )
 
 
@@ -59,10 +48,10 @@ def run_staircase(
     rate: float = 10e9,
     stagger_ns: int = 4 * MILLISECOND,
     flows_per_prio: int = 2,
-    with_noise: bool = True,
     seed: int = 1,
 ) -> Dict[str, object]:
-    """Staggered start/stop staircase over an arbitrary priority ladder.
+    """Staggered start/stop staircase over an arbitrary priority ladder,
+    under the paper's delay noise.
 
     Also drives Fig 10a (8 priorities x 30 flows at 100 Gbps).
     Returns per-priority takeover/reclaim latencies and leak shares.
@@ -73,7 +62,7 @@ def run_staircase(
     n_senders = len(_PRIORITIES) * flows_per_prio
     net, senders, recv = star(sim, n_senders, rate_bps=rate, link_delay_ns=1500, switch_cfg=cfg)
     channels = ChannelConfig(n_priorities=max(_PRIORITIES))
-    noise = paper_noise() if with_noise else None
+    noise = paper_noise()
 
     n_prios = len(_PRIORITIES)
     total_time = (2 * n_prios) * stagger_ns
@@ -113,9 +102,9 @@ def run_staircase(
     sampler = RateSampler(sim, snds, key=lambda s: s.flow.tag, interval_ns=interval)
     sim.run(until=3 * total_time)
 
-    def first_time_above(prio: int, t0: int, frac: float = 0.8) -> Optional[int]:
+    def first_time_above(prio: int, t0: int) -> Optional[int]:
         for t, r in sampler.series.get(prio, []):
-            if t > t0 and r >= frac * rate:
+            if t > t0 and r >= 0.8 * rate:
                 return t
         return None
 

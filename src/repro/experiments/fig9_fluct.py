@@ -30,13 +30,10 @@ from .samplers import DelaySampler
 
 
 def _run_fig9(
-    mode: str = Mode.PRIOPLUS,
-    n_flows: int = 4,
-    rate: float = 10e9,
-    duration_ns: int = 10 * MILLISECOND,
-    w_ai_bytes: float = 750.0,
-    seed: int = 1,
+    mode: str = Mode.PRIOPLUS, duration_ns: int = 10 * MILLISECOND, seed: int = 1
 ) -> Dict[str, float]:
+    """Four flows at 10 Gbps with W_AI = 750 bytes."""
+    n_flows, rate, w_ai_bytes = 4, 10e9, 750.0
     sim = Simulator(seed)
     cfg = SwitchConfig(n_queues=2, buffer_bytes=8 * 1024 * 1024)
     net, senders, recv = star(sim, n_flows, rate_bps=rate, link_delay_ns=1500, switch_cfg=cfg)

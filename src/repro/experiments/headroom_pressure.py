@@ -53,13 +53,13 @@ def run_headroom_point(
     mode: str,
     n_priorities: int,
     n_senders: int = 16,
-    rate: float = 25e9,
     duration_ns: int = 2 * MILLISECOND,
     buffer_mb_per_tbps: float = 4.4,
     headroom_bytes: int = 8_000,
     seed: int = 13,
 ) -> Dict[str, float]:
-    """One (mode, priority-count) point of the sweep."""
+    """One (mode, priority-count) point of the sweep, at 25 Gbps."""
+    rate = 25e9
     sim = Simulator(seed)
     factory = CCFactory(mode, n_priorities=n_priorities)
     n_ports = n_senders + 1

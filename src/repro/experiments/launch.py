@@ -131,7 +131,6 @@ class FlowAdmitter:
         group_of: Callable[[FlowSpec], int],
         mtu: int = 1000,
         noise=None,
-        rto_ns: Optional[int] = None,
         horizon_ns: int = 1_000_000,
         on_flow_done: Optional[Callable[[Flow], None]] = None,
         on_receive_done: Optional[Callable[[Flow], None]] = None,
@@ -143,7 +142,7 @@ class FlowAdmitter:
         self.on_flow_done = on_flow_done
         self._bind = partial(
             bind_flow, sim, net, hosts=hosts, factory=factory, group_of=group_of,
-            mtu=mtu, noise=noise, rto_ns=rto_ns, on_receive_done=on_receive_done,
+            mtu=mtu, noise=noise, on_receive_done=on_receive_done,
         )
         self._iter = iter(spec_iter)
         self._next_spec: Optional[FlowSpec] = None

@@ -29,21 +29,16 @@ def _prioplus(channels: ChannelConfig, vpriority: int, tier: str) -> PrioPlusCC:
     )
 
 
-def run_quickstart(
-    rate_bps: float = 10e9,
-    link_delay_ns: int = 1500,
-    low_bytes: int = 2_000_000,
-    high_bytes: int = 500_000,
-    high_start_ns: int = 300_000,
-    seed: int = 1,
-) -> dict:
-    """Two-flow virtual-priority demo; returns per-flow FCTs and slowdowns."""
+def run_quickstart(low_bytes: int = 2_000_000, high_bytes: int = 500_000, seed: int = 1) -> dict:
+    """Two-flow virtual-priority demo over 10 Gbps with 1.5 us links, the
+    high flow starting at 300 us; returns per-flow FCTs and slowdowns."""
+    rate_bps = 10e9
     sim = Simulator(seed=seed)
-    net, senders, receiver = star(sim, n_senders=2, rate_bps=rate_bps, link_delay_ns=link_delay_ns)
+    net, senders, receiver = star(sim, n_senders=2, rate_bps=rate_bps, link_delay_ns=1500)
     channels = ChannelConfig(n_priorities=8)
 
     low = Flow(1, senders[0], receiver, size_bytes=low_bytes, vpriority=1, start_ns=0)
-    high = Flow(2, senders[1], receiver, size_bytes=high_bytes, vpriority=6, start_ns=high_start_ns)
+    high = Flow(2, senders[1], receiver, size_bytes=high_bytes, vpriority=6, start_ns=300_000)
 
     FlowSender(sim, net, low, _prioplus(channels, 1, StartTier.LOW))
     s_high = FlowSender(sim, net, high, _prioplus(channels, 6, StartTier.HIGH))

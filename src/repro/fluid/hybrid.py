@@ -106,8 +106,6 @@ _SHORT_EPOCH_NS = 100_000
 _MAX_PACKET_NS = 800_000
 #: hysteresis: don't exit a fluid epoch before this (deadline wins)
 _MIN_FLUID_NS = 20_000
-#: a link loaded past this share of its capacity counts as saturated
-_SAT_THRESHOLD = 0.98
 
 
 class FluidConfig:
@@ -671,7 +669,7 @@ class HybridDriver:
                     # tracer wraps these two names from outside
                     rates, load = model.solve_rates(caps, ranks, paths, link_caps)
                     g.contended = model.classify_contention(
-                        rates, caps, ranks, paths, link_caps, load, _SAT_THRESHOLD
+                        rates, caps, ranks, paths, link_caps, load
                     )
                     g.caps, g.rates = caps, rates
             if g.contended:

@@ -41,6 +41,8 @@ __all__ = ["solve_rates", "classify_contention", "components"]
 #: a flow is "network-limited" when its allocation sits measurably below
 #: its window-limited cap (i.e. a link, not the window, is the bottleneck)
 _CAP_SLACK = 0.999
+#: a link is saturated at this share of its capacity
+SAT_THRESHOLD = 0.98
 
 
 def solve_rates(
@@ -148,22 +150,22 @@ def classify_contention(
     flow_links: Sequence[Sequence[int]],
     link_cap: Sequence[float],
     link_load: Dict[int, float],
-    sat_threshold: float = 0.98,
 ) -> bool:
     """Whether network-limited flows of different ranks meet on a saturated
-    link in the current allocation: PrioPlus preemption, the one contention
-    the fluid model hands back to packets.
+    link (load at least ``SAT_THRESHOLD`` of capacity) in the current
+    allocation: PrioPlus preemption, the one contention the fluid model
+    hands back to packets.
 
-    ``link_load`` is :func:`solve_rates`'s; ``sat_threshold`` is a positive
-    share of capacity.  Flows of one rank cannot preempt each other, so a
-    single-rank set reads ``False`` without looking at a link.
+    ``link_load`` is :func:`solve_rates`'s.  Flows of one rank cannot
+    preempt each other, so a single-rank set reads ``False`` without looking
+    at a link.
     """
     if len(set(ranks)) < 2:
         return False
     hot = {
         link
         for link, load in link_load.items()
-        if link_cap[link] > 0 and load / link_cap[link] >= sat_threshold
+        if link_cap[link] > 0 and load / link_cap[link] >= SAT_THRESHOLD
     }
     if not hot:
         return False

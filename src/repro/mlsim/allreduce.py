@@ -14,7 +14,7 @@ exactly the paper's metric (footnote 7).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..sim.engine import Simulator
 from ..sim.host import Host
@@ -37,12 +37,9 @@ class TrainingJob:
         model: ModelProfile,
         cc_factory: Callable[[Flow], object],
         flow_id_start: int,
+        noise,
         priority: int = 0,
         vpriority: int = 1,
-        mtu: int = 1000,
-        noise=None,
-        start_ns: int = 0,
-        max_iterations: Optional[int] = None,
     ):
         if len(hosts) < 2:
             raise ValueError("a ring needs at least two workers")
@@ -53,9 +50,7 @@ class TrainingJob:
         self.cc_factory = cc_factory
         self.priority = priority
         self.vpriority = vpriority
-        self.mtu = mtu
         self.noise = noise
-        self.max_iterations = max_iterations
         self._next_flow_id = flow_id_start
         self.iterations_done = 0
         self.iteration_times_ns: List[int] = []
@@ -65,7 +60,7 @@ class TrainingJob:
         self.n_phases = 2 * (len(hosts) - 1)
         self.chunk_bytes = max(1, model.gradient_bytes // len(hosts))
         self.stopped = False
-        sim.at(max(start_ns, sim.now), self._begin_iteration)
+        sim.at(sim.now, self._begin_iteration)
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
@@ -105,7 +100,6 @@ class TrainingJob:
                 self.net,
                 flow,
                 cc,
-                mtu=self.mtu,
                 noise=self.noise,
                 on_receive_done=self._on_flow_done,
             )
@@ -121,8 +115,6 @@ class TrainingJob:
         # iteration complete
         self.iterations_done += 1
         self.iteration_times_ns.append(self.sim.now - self._iter_start)
-        if self.max_iterations is not None and self.iterations_done >= self.max_iterations:
-            return
         self._begin_iteration()
 
     # ------------------------------------------------------------------

@@ -63,17 +63,13 @@ class _FlowRecord:
 class ChannelInspector:
     """Records PrioPlus channel behaviour for a structured post-run report.
 
-    Parameters
-    ----------
-    window_ns:
-        Width of the fixed windows acked bytes are binned into; occupancy and
-        the inversion detector both operate at this granularity.
+    Acked bytes are binned into fixed windows of ``WINDOW_NS``; occupancy
+    and the inversion detector both operate at this granularity.
     """
 
-    def __init__(self, window_ns: int = 100_000):
-        if window_ns < 1:
-            raise ValueError(f"window_ns must be >= 1, got {window_ns}")
-        self.window_ns = window_ns
+    WINDOW_NS = 100_000
+
+    def __init__(self):
         self.flows: Dict[int, _FlowRecord] = {}
         #: (flow_id, window_index) -> acked bytes in that window
         self._bins: Dict[Tuple[int, int], int] = {}
@@ -106,7 +102,7 @@ class ChannelInspector:
             rec = self.flows[flow_id] = _FlowRecord(flow_id, 0, 0, 0, "", ())
         return rec
 
-    def flow_state(self, t: int, flow_id: int, state: str, sender=None) -> None:
+    def flow_state(self, t: int, flow_id: int, state: str, sender) -> None:
         if t > self.max_ts:
             self.max_ts = t
         self._flow(flow_id).transitions.append((t, state))
@@ -143,7 +139,7 @@ class ChannelInspector:
             return
         if t > self.max_ts:
             self.max_ts = t
-        key = (flow_id, t // self.window_ns)
+        key = (flow_id, t // self.WINDOW_NS)
         self._bins[key] = self._bins.get(key, 0) + acked_bytes
 
     # ------------------------------------------------------------------
@@ -182,8 +178,8 @@ class ChannelInspector:
         flows = sorted(self.flows.values(), key=lambda r: r.flow_id)
         found: List[dict] = []
         for w in windows:
-            t0 = w * self.window_ns
-            t1 = t0 + self.window_ns
+            t0 = w * self.WINDOW_NS
+            t1 = t0 + self.WINDOW_NS
             for hi in flows:
                 if not hi.path_ports:
                     continue
@@ -233,7 +229,7 @@ class ChannelInspector:
             for vprio, steps in self.occupancy().items()
         }
         return {
-            "window_ns": self.window_ns,
+            "window_ns": self.WINDOW_NS,
             "flows": flows,
             "occupancy": occupancy,
             "inversions": self.inversions(),
@@ -247,8 +243,8 @@ class ChannelInspector:
 
 
 @contextmanager
-def inspect_scope(window_ns: int = 100_000, **kwargs):
+def inspect_scope():
     """Install a fresh :class:`ChannelInspector` for the ``with`` block."""
-    insp = ChannelInspector(window_ns=window_ns, **kwargs)
+    insp = ChannelInspector()
     with installed(insp):
         yield insp

@@ -57,11 +57,11 @@ def _fmt(v: float) -> str:
     return f"{v:.1f}"
 
 
-def _ticks(vmax: float, n: int = 4) -> List[float]:
-    """Clean round tick values from 0 up to (at least) vmax."""
+def _ticks(vmax: float) -> List[float]:
+    """Clean round tick values from 0 up to (at least) vmax, about four."""
     if vmax <= 0:
         return [0.0, 1.0]
-    raw = vmax / n
+    raw = vmax / 4
     mag = 10 ** max(0, len(str(int(raw))) - 1) if raw >= 1 else 1
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * mag
@@ -76,14 +76,14 @@ def _ticks(vmax: float, n: int = 4) -> List[float]:
 class _Svg:
     """Accumulates SVG fragments for one chart frame."""
 
-    def __init__(self, width: int = _W, height: int = _H):
-        self.w, self.h = width, height
+    def __init__(self, height: int = _H):
+        self.w, self.h = _W, height
         self.parts: List[str] = []
 
-    def line(self, x1, y1, x2, y2, stroke, width=1, cap="butt"):
+    def line(self, x1, y1, x2, y2, stroke):
         self.parts.append(
             f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-            f'stroke="{stroke}" stroke-width="{width}" stroke-linecap="{cap}"/>'
+            f'stroke="{stroke}" stroke-width="1" stroke-linecap="butt"/>'
         )
 
     def poly(self, pts: Sequence[Tuple[float, float]], stroke: str):
@@ -93,11 +93,10 @@ class _Svg:
             f'stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
         )
 
-    def dot(self, x, y, fill, r=4, tip: Optional[str] = None):
-        t = f' data-tip="{_esc(tip)}"' if tip else ""
+    def dot(self, x, y, fill):
         self.parts.append(
-            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r}" fill="{fill}" '
-            f'stroke="var(--surface)" stroke-width="2"{t}/>'
+            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="{fill}" '
+            f'stroke="var(--surface)" stroke-width="2"/>'
         )
 
     def rect(self, x, y, w, h, fill, rx=0.0, tip: Optional[str] = None):
@@ -113,10 +112,10 @@ class _Svg:
             f'class="{cls}">{_esc(s)}</text>'
         )
 
-    def hit(self, x, y, tip: str, r: int = 10):
+    def hit(self, x, y, tip: str):
         """Invisible hover target, larger than the mark it covers."""
         self.parts.append(
-            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r}" fill="transparent" '
+            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="10" fill="transparent" '
             f'data-tip="{_esc(tip)}"/>'
         )
 
@@ -236,7 +235,7 @@ def _latency_chart(spans: List[dict]) -> str:
     total_max = max(sum(m) for m in means.values())
     bar_h, gap_v = 20, 14
     height = _MT + len(keys) * (bar_h + gap_v) + 26
-    svg = _Svg(_W, height)
+    svg = _Svg(height)
     xticks = _ticks(total_max)
     xmax = xticks[-1]
     label_w = 150
@@ -283,7 +282,7 @@ def _timeline_chart(channel: dict) -> str:
     fids = sorted(flows, key=lambda s: int(s))
     bar_h, gap_v = 18, 12
     height = _MT + len(fids) * (bar_h + gap_v) + 26
-    svg = _Svg(_W, height)
+    svg = _Svg(height)
     label_w = 120
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         x = label_w + frac * (_W - label_w - _MR)

@@ -53,22 +53,20 @@ class TimeSeriesSampler:
         Virtual time between snapshots.  Each row is stamped at the stride
         boundary it represents (``t - t % stride_ns``), so rows from repeated
         runs line up exactly.
-    capacity:
-        Per-ring row budget (ports, buffers and flows each get their own
-        ring); the oldest rows are dropped (and counted) beyond it.
     """
 
-    def __init__(self, stride_ns: int = 100_000, capacity: int = 4096):
+    #: per-ring row budget (ports, buffers and flows each get their own
+    #: ring); the oldest rows are dropped (and counted) beyond it
+    CAPACITY = 4096
+
+    def __init__(self, stride_ns: int = 100_000):
         if stride_ns < 1:
             raise ValueError(f"stride_ns must be >= 1, got {stride_ns}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.stride_ns = stride_ns
-        self.capacity = capacity
-        self.ports = _Ring(capacity)
-        self.buffers = _Ring(capacity)
-        self.flows = _Ring(capacity)
-        self.regimes = _Ring(capacity)
+        self.ports = _Ring(self.CAPACITY)
+        self.buffers = _Ring(self.CAPACITY)
+        self.flows = _Ring(self.CAPACITY)
+        self.regimes = _Ring(self.CAPACITY)
         self.samples_taken = 0
         #: completed senders released after their final "done" row (keeps
         #: per-flow state bounded by *concurrent* flows on long traces)
@@ -255,9 +253,9 @@ class TimeSeriesSampler:
 
 
 @contextmanager
-def sample_scope(stride_ns: int = 100_000, **kwargs):
+def sample_scope(**kwargs):
     """Install a fresh :class:`TimeSeriesSampler` for the ``with`` block."""
-    smp = TimeSeriesSampler(stride_ns=stride_ns, **kwargs)
+    smp = TimeSeriesSampler(**kwargs)
     try:
         with installed(smp):
             yield smp

@@ -131,23 +131,23 @@ class PacketTracer:
         On average one in ``sample_every`` (flow, seq) identities is traced,
         selected by a deterministic integer hash (never the simulation RNG).
         ``1`` traces everything.
-    max_traces:
-        Completed traces kept verbatim; beyond this only counters grow, so a
-        long traced run cannot exhaust memory.
     """
 
-    def __init__(self, sample_every: int = 16, max_traces: int = 100_000):
+    #: completed traces kept verbatim; beyond this only counters grow, so a
+    #: long traced run cannot exhaust memory
+    MAX_TRACES = 100_000
+
+    def __init__(self, sample_every: int = 16):
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         self.sample_every = sample_every
-        self.max_traces = max_traces
         self.traces: List[PacketTrace] = []
         self.started = 0
         self.delivered = 0
         self.dropped = 0
         self.corrupted = 0
         self.withdrawn = 0
-        self.overflow = 0  # completed traces discarded beyond max_traces
+        self.overflow = 0  # completed traces discarded beyond MAX_TRACES
         self._next_id = 0
         self._live: Dict[int, PacketTrace] = {}
         # PFC pause ledger per (port, physical priority): closed intervals +
@@ -226,7 +226,7 @@ class PacketTracer:
         else:
             self.dropped += 1
         self._live.pop(trace.trace_id, None)
-        if len(self.traces) < self.max_traces:
+        if len(self.traces) < self.MAX_TRACES:
             self.traces.append(trace)
         else:
             self.overflow += 1
@@ -271,7 +271,7 @@ class PacketTracer:
         for trace_id in sorted(self._live):
             trace = self._live[trace_id]
             trace.disposition = "in_flight"
-            if len(self.traces) < self.max_traces:
+            if len(self.traces) < self.MAX_TRACES:
                 self.traces.append(trace)
             else:
                 self.overflow += 1
@@ -319,7 +319,7 @@ class PacketTracer:
 
 
 @contextmanager
-def trace_scope(sample_every: int = 16, **kwargs):
+def trace_scope(**kwargs):
     """Install a fresh :class:`PacketTracer` for the ``with`` block.
 
     The previous probe is restored and the tracer finalized on exit::
@@ -329,7 +329,7 @@ def trace_scope(sample_every: int = 16, **kwargs):
             ...
         breakdown = trc.traces[0].hops
     """
-    trc = PacketTracer(sample_every=sample_every, **kwargs)
+    trc = PacketTracer(**kwargs)
     try:
         with installed(trc):
             yield trc

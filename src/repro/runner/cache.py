@@ -51,8 +51,9 @@ def canonical_json(obj) -> str:
     return json.dumps(json_safe(obj), sort_keys=True, separators=(",", ":"))
 
 
-def cache_key(experiment_name: str, point, version: Optional[str] = None, extra=None) -> str:
-    """The content hash identifying one ``(experiment, point)`` result.
+def cache_key(experiment_name: str, point, extra=None) -> str:
+    """The content hash identifying one ``(experiment, point)`` result under
+    this repro version.
 
     ``extra`` folds additional run-shaping state into the key — the runner
     uses it for the active fault plan (``{"faults": plan.to_dict()}``), so a
@@ -61,7 +62,7 @@ def cache_key(experiment_name: str, point, version: Optional[str] = None, extra=
     """
     payload = {
         "experiment": experiment_name,
-        "version": version if version is not None else __version__,
+        "version": __version__,
         "config": json_safe(point.config),
         "seed": point.seed,
     }

@@ -89,8 +89,7 @@ def settle_point(exp: Experiment, point: Point, key: str, raw: dict,
 
 
 def reduce_points(exp: Experiment, points: List[Point], results: Mapping[str, dict], executed: int,
-                  audit: Optional[str] = None, audit_reports: Optional[Mapping[str, dict]] = None,
-                  report: Optional[dict] = None) -> dict:
+                  audit: Optional[str], audit_reports: Mapping[str, dict], report: dict) -> dict:
     """The reduce step: fold ``results`` in ``points()`` order.
 
     Under ``audit`` the per-point reports become ``reduced["audit"]``
@@ -111,8 +110,7 @@ def reduce_points(exp: Experiment, points: List[Point], results: Mapping[str, di
             "points_cached": len(points) - executed,
             "points": audited,
         }
-    if report is not None:
-        report["audit_violations"] = violations
+    report["audit_violations"] = violations
     return reduced
 
 
@@ -200,7 +198,7 @@ def _executed(exp: Experiment, points: List[Point], jobs: int, audit: Optional[s
                 raise point_error(exp, p, exc)
             yield p, raw
     finally:
-        fleet.shutdown(wait=True, cancel_futures=True)
+        fleet.shutdown(wait=True)
 
 
 def run_experiment(

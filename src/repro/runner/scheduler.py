@@ -196,7 +196,8 @@ class WorkerFleet:
                     pool.submit(_prewarm_probe).result()
         return self.worker_pids()
 
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop the pool, cancelling every point not yet started."""
         with self._lock:
             self._closed = True
             pool, self._pool = self._pool, None
@@ -204,7 +205,7 @@ class WorkerFleet:
         for t in timers:
             t.cancel()
         if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+            pool.shutdown(wait=wait, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # submission + retry

@@ -114,10 +114,8 @@ class ExperimentServer:
         self,
         jobs: Optional[int] = None,
         cache: Optional[str] = None,
-        registry=REGISTRY,
     ):
-        self.registry = registry
-        self.registry.load_all()
+        REGISTRY.load_all()
         self.fleet = WorkerFleet((os.cpu_count() or 1) if jobs is None else jobs)
         # Fork the workers *now*, before any listening or connection sockets
         # exist.  Forked children inherit every open fd; a worker forked while
@@ -170,7 +168,7 @@ class ExperimentServer:
         self._servers.clear()
         # the fleet's workers die with the daemon; pending tasks are dropped
         await asyncio.get_running_loop().run_in_executor(
-            None, lambda: self.fleet.shutdown(wait=False, cancel_futures=True)
+            None, lambda: self.fleet.shutdown(wait=False)
         )
 
     def stats(self) -> ServerStats:
@@ -194,7 +192,7 @@ class ExperimentServer:
     # ------------------------------------------------------------------
     def _make_job(self, request: SubmitRequest) -> Job:
         """Resolve, canonicalise and plan a request; a bad one never becomes a job."""
-        exp = self.registry.get(request.experiment)  # KeyError -> 404 upstream
+        exp = REGISTRY.get(request.experiment)  # KeyError -> 404 upstream
         if request.quick:
             exp = exp.quick()
         try:

@@ -58,12 +58,12 @@ class SharedBuffer:
         Total chip buffer.
     headroom_bytes:
         Bytes reserved for PFC headroom (0 for lossy or ``Physical*``).
-    dt_alpha:
-        Dynamic-threshold factor: an egress queue of current length ``q`` may
-        accept a packet only if ``q < dt_alpha * free_shared``.
+
+    Admission is by dynamic threshold with factor 1: an egress queue of
+    current length ``q`` may accept a packet only if ``q < free_shared``.
     """
 
-    def __init__(self, capacity_bytes: int, headroom_bytes: int = 0, dt_alpha: float = 1.0):
+    def __init__(self, capacity_bytes: int, headroom_bytes: int = 0):
         if headroom_bytes > capacity_bytes:
             raise ValueError(
                 f"headroom {headroom_bytes} exceeds buffer capacity {capacity_bytes}"
@@ -71,7 +71,6 @@ class SharedBuffer:
         self.capacity = capacity_bytes
         self.headroom_capacity = headroom_bytes
         self.shared_capacity = capacity_bytes - headroom_bytes
-        self.dt_alpha = dt_alpha
         self.shared_used = 0
         self.headroom_used = 0
         self.stats = BufferStats()
@@ -114,7 +113,7 @@ class SharedBuffer:
         cap = self.shared_capacity
         new_used = used + size
         # inline free_shared: this runs once per forwarded packet
-        if new_used > cap or queue_bytes >= self.dt_alpha * (cap - used):
+        if new_used > cap or queue_bytes >= cap - used:
             return False
         self.shared_used = new_used
         stats = self.stats

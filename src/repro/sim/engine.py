@@ -41,7 +41,7 @@ class EventHandle:
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim")
 
-    def __init__(self, time: int, seq: int, fn: Callable, args: tuple, sim: "Simulator" = None):
+    def __init__(self, time: int, seq: int, fn: Callable, args: tuple, sim: "Simulator"):
         self.time = time
         self.seq = seq
         self.fn = fn
@@ -168,9 +168,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the heap is empty, ``until`` is reached, or
-        ``max_events`` have fired.  Returns the number of events processed.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run events until the heap is empty or ``until`` is reached.
+        Returns the number of events processed.
         """
         probe = self.probe
         # None unless a sink asked for per-dispatch control (audit clock
@@ -180,12 +180,10 @@ class Simulator:
         hook = probe.dispatch_hook(self)
         heap = self._heap
         processed = 0
-        exhausted = True  # no more events at or before `until`
         self._running = True
         pop = heapq.heappop
-        # int sentinels keep the per-event comparisons int-vs-int
+        # an int sentinel keeps the per-event comparison int-vs-int
         horizon = (1 << 63) if until is None else until
-        limit = (1 << 63) if max_events is None else max_events
         try:
             while heap:
                 entry = heap[0]
@@ -195,9 +193,6 @@ class Simulator:
                 if len(entry) == 4:
                     time = entry[0]
                     if time > horizon:
-                        break
-                    if processed >= limit:
-                        exhausted = False
                         break
                     pop(heap)
                     if hook is None:
@@ -215,9 +210,6 @@ class Simulator:
                 time = entry[0]
                 if time > horizon:
                     break
-                if processed >= limit:
-                    exhausted = False
-                    break
                 pop(heap)
                 fn = ev.fn
                 args = ev.args
@@ -232,7 +224,7 @@ class Simulator:
                 processed += 1
         finally:
             self._running = False
-        if exhausted and until is not None and self.now < until:
+        if until is not None and self.now < until:
             # advance the clock to the horizon even when pending events lie
             # beyond it — callers poll in run(until=...) loops
             self.now = until

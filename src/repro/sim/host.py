@@ -82,7 +82,7 @@ class Host:
             raise RuntimeError(f"{self.name} is not connected")
         self.port.enqueue(pkt, None)
 
-    def receive(self, pkt: Packet, in_idx: int = 0) -> None:
+    def receive(self, pkt: Packet, in_idx: int) -> None:
         self.rx_bytes += pkt.size
         self.rx_packets += 1
         kind = pkt.kind

@@ -43,9 +43,9 @@ class Network:
     Propagation delays are fixed once :meth:`connect` has run.
     """
 
-    def __init__(self, sim: Simulator, switch_cfg: Optional[SwitchConfig] = None):
+    def __init__(self, sim: Simulator, switch_cfg: SwitchConfig):
         self.sim = sim
-        self.switch_cfg = switch_cfg if switch_cfg is not None else SwitchConfig()
+        self.switch_cfg = switch_cfg
         self.nodes: List[Node] = []
         self.hosts: List[Host] = []
         self.switches: List[Switch] = []
@@ -75,9 +75,9 @@ class Network:
         self._adj[node_id] = []
         return host
 
-    def add_switch(self, name: str = "", cfg: Optional[SwitchConfig] = None) -> Switch:
+    def add_switch(self, name: str = "") -> Switch:
         node_id = len(self.nodes)
-        switch = Switch(self.sim, node_id, cfg or self.switch_cfg, name=name)
+        switch = Switch(self.sim, node_id, self.switch_cfg, name=name)
         self.nodes.append(switch)
         self.switches.append(switch)
         self._adj[node_id] = []
@@ -226,14 +226,8 @@ class Network:
                 raise RuntimeError("routing loop detected")
         return ports
 
-    def base_rtt_ns(
-        self,
-        src: Host,
-        dst: Host,
-        data_bytes: int = 1000 + HEADER_BYTES,
-        ack_bytes: int = MIN_PACKET_BYTES,
-    ) -> int:
-        """Unloaded RTT for a ``data_bytes`` packet and its ACK.
+    def base_rtt_ns(self, src: Host, dst: Host, data_bytes: int = 1000 + HEADER_BYTES) -> int:
+        """Unloaded RTT for a ``data_bytes`` packet and its minimum-size ACK.
 
         Sum of per-hop propagation plus store-and-forward serialisation in
         both directions (the reverse path is assumed symmetric, which holds
@@ -245,21 +239,21 @@ class Network:
         """
         memo = self._path_memo
         # the data leaves src's NIC and enters dst, the ACK the other way
-        s = memo.get((src.node_id, data_bytes, ack_bytes))
+        s = memo.get((src.node_id, data_bytes, MIN_PACKET_BYTES))
         if s is None:
-            s = self._host_share(src, data_bytes, ack_bytes)
-        d = memo.get((dst.node_id, ack_bytes, data_bytes))
+            s = self._host_share(src, data_bytes, MIN_PACKET_BYTES)
+        d = memo.get((dst.node_id, MIN_PACKET_BYTES, data_bytes))
         if d is None:
-            d = self._host_share(dst, ack_bytes, data_bytes)
+            d = self._host_share(dst, MIN_PACKET_BYTES, data_bytes)
         if s is None or d is None:
             # a host off any switch, or one no route leads to: walk
             fwd = self.path_ports(src, dst)
             rtt = sum(port.prop_delay_ns + port.tx_time_ns(data_bytes) for port in fwd)
             rev = self.path_ports(dst, src)
-            return rtt + sum(port.prop_delay_ns + port.tx_time_ns(ack_bytes) for port in rev)
-        mid = memo.get((src.port.peer.node_id, dst.port.peer.node_id, data_bytes, ack_bytes))
+            return rtt + sum(port.prop_delay_ns + port.tx_time_ns(MIN_PACKET_BYTES) for port in rev)
+        mid = memo.get((src.port.peer.node_id, dst.port.peer.node_id, data_bytes, MIN_PACKET_BYTES))
         if mid is None:
-            mid = self._time_middle(src, dst, data_bytes, ack_bytes)
+            mid = self._time_middle(src, dst, data_bytes, MIN_PACKET_BYTES)
         return s + mid + d
 
     def bottleneck_rate_bps(self, src: Host, dst: Host) -> float:

@@ -14,32 +14,30 @@ large number of lossless priorities expensive (paper §2.2, Fig. 11).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from .buffer import SharedBuffer
 from .engine import Simulator
 
 __all__ = ["PfcIngressState", "PfcConfig"]
 
+#: a dynamic XOFF is at most this share of the free shared pool
+DYN_ALPHA = 0.5
+#: XON sits this far below XOFF
+XON_GAP_BYTES = 4096
+
 
 class PfcConfig:
     """PFC knobs for one switch."""
 
-    __slots__ = ("enabled", "xoff_bytes", "xon_bytes", "dynamic", "dyn_alpha")
+    __slots__ = ("enabled", "xoff_bytes", "xon_bytes", "dynamic")
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        xoff_bytes: int = 100 * 1024,
-        xon_bytes: Optional[int] = None,
-        dynamic: bool = True,
-        dyn_alpha: float = 0.5,
-    ):
+    def __init__(self, enabled: bool = True, xoff_bytes: int = 100 * 1024, dynamic: bool = True):
         self.enabled = enabled
         self.xoff_bytes = xoff_bytes
-        self.xon_bytes = xon_bytes if xon_bytes is not None else max(0, xoff_bytes - 4096)
+        #: RESUME once the backlog is XON_GAP_BYTES below XOFF
+        self.xon_bytes = max(0, xoff_bytes - XON_GAP_BYTES)
         self.dynamic = dynamic
-        self.dyn_alpha = dyn_alpha
 
 
 class PfcIngressState:
@@ -83,7 +81,7 @@ class PfcIngressState:
     def _xoff(self) -> float:
         cfg = self.cfg
         if cfg.dynamic:
-            return min(cfg.xoff_bytes, cfg.dyn_alpha * self.buffer.free_shared)
+            return min(cfg.xoff_bytes, DYN_ALPHA * self.buffer.free_shared)
         return cfg.xoff_bytes
 
     def on_enqueue(self, size: int) -> None:
@@ -98,7 +96,7 @@ class PfcIngressState:
         xoff = cfg.xoff_bytes
         if cfg.dynamic:
             buf = self.buffer
-            dyn = cfg.dyn_alpha * (buf.shared_capacity - buf.shared_used)
+            dyn = DYN_ALPHA * (buf.shared_capacity - buf.shared_used)
             if dyn < xoff:
                 xoff = dyn
         if self.bytes > xoff:

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional
 from .buffer import SharedBuffer
 from .engine import Simulator
 from .packet import PACKET_POOL, Packet
-from .pfc import PfcConfig, PfcIngressState
+from .pfc import DYN_ALPHA, PfcConfig, PfcIngressState
 from .port import Port
 
 __all__ = ["Switch", "SwitchConfig", "ecmp_hash"]
@@ -39,7 +39,6 @@ class SwitchConfig:
         "headroom_per_port_per_prio",
         "n_lossless",
         "ideal_headroom",
-        "dt_alpha",
         "pfc",
         "ecn_k_bytes",
     )
@@ -51,7 +50,6 @@ class SwitchConfig:
         headroom_per_port_per_prio: int = 50 * 1024,
         n_lossless: Optional[int] = None,
         ideal_headroom: bool = False,
-        dt_alpha: float = 1.0,
         pfc: Optional[PfcConfig] = None,
         ecn_k_bytes: Optional[int] = None,
     ):
@@ -62,7 +60,6 @@ class SwitchConfig:
         self.n_lossless = n_lossless if n_lossless is not None else n_queues
         #: Physical* from the paper: headroom does not consume chip buffer
         self.ideal_headroom = ideal_headroom
-        self.dt_alpha = dt_alpha
         self.pfc = pfc if pfc is not None else PfcConfig()
         self.ecn_k_bytes = ecn_k_bytes
 
@@ -161,11 +158,11 @@ class Switch:
         # it just doesn't subtract it from the shared pool: model that as an
         # extra pool on top of the chip buffer.
         if cfg.pfc.enabled and cfg.ideal_headroom:
-            self.buffer = SharedBuffer(cfg.buffer_bytes, 0, cfg.dt_alpha)
+            self.buffer = SharedBuffer(cfg.buffer_bytes, 0)
             extra = cfg.headroom_per_port_per_prio * len(self.ports) * cfg.n_lossless
             self.buffer.headroom_capacity = extra
         else:
-            self.buffer = SharedBuffer(cfg.buffer_bytes, headroom, cfg.dt_alpha)
+            self.buffer = SharedBuffer(cfg.buffer_bytes, headroom)
         self.buffer.bind_telemetry(self.sim, self.name)
 
     # ------------------------------------------------------------------
@@ -175,7 +172,10 @@ class Switch:
         try:
             routes = self.routes[pkt.dst]
         except KeyError:
-            raise RuntimeError(f"{self.name}: no route to node {pkt.dst}") from None
+            # reconvergence left no path to the destination: the frame
+            # blackholes here, as on a down port
+            self._drop(pkt, "blackhole")
+            return
         if len(routes) == 1:
             out_idx = routes[0]
         else:
@@ -209,7 +209,7 @@ class Switch:
             cap = buf.shared_capacity
             new_used = used + size
             qb = port.qbytes[prio]
-            clear = new_used <= cap and qb < buf.dt_alpha * (cap - used)
+            clear = new_used <= cap and qb < cap - used
             state = None
             if clear and lossless:
                 state = self._pfc.get(in_idx * self._nq + prio)
@@ -221,7 +221,7 @@ class Switch:
                     if pfc.dynamic:
                         # against the pool *after* admission, as
                         # PfcIngressState.on_enqueue reads it
-                        dyn = pfc.dyn_alpha * (cap - new_used)
+                        dyn = DYN_ALPHA * (cap - new_used)
                         if dyn < xoff:
                             xoff = dyn
                     clear = state.bytes + size <= xoff

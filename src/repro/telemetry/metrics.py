@@ -70,12 +70,10 @@ class Gauge:
 
 
 class Histogram:
-    """Power-of-two bucketed histogram with optional per-sample weights.
+    """Power-of-two bucketed sample histogram.
 
-    Buckets hold weights, not raw counts, so the same class serves both plain
-    sample histograms (``observe(v)``) and time-weighted ones
-    (``observe(v, weight=dt)``).  Percentiles interpolate within the winning
-    bucket's ``[2^(i-1), 2^i)`` range; exact enough for reporting.
+    Percentiles interpolate within the winning bucket's ``[2^(i-1), 2^i)``
+    range; exact enough for reporting.
     """
 
     __slots__ = ("count", "total", "min", "max", "_buckets")
@@ -87,33 +85,26 @@ class Histogram:
         self.max: Optional[float] = None
         self._buckets: Dict[int, float] = {}
 
-    def observe(self, value: float, weight: float = 1.0) -> None:
-        if weight <= 0:
-            return
+    def observe(self, value: float) -> None:
         self.count += 1
-        self.total += value * weight
+        self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
         idx = max(0, int(value)).bit_length()  # bucket i covers [2^(i-1), 2^i)
-        self._buckets[idx] = self._buckets.get(idx, 0.0) + weight
-
-    @property
-    def weight(self) -> float:
-        return sum(self._buckets.values())
+        self._buckets[idx] = self._buckets.get(idx, 0.0) + 1.0
 
     def mean(self) -> float:
-        w = self.weight
-        return self.total / w if w > 0 else 0.0
+        return self.total / self.count if self.count > 0 else 0.0
 
     def percentile(self, p: float) -> float:
-        """Weighted percentile ``p`` in [0, 100], interpolated in-bucket."""
+        """Percentile ``p`` in [0, 100], interpolated in-bucket."""
         if not 0 <= p <= 100:
             raise ValueError(f"percentile out of range: {p}")
         if not self._buckets:
             return 0.0
-        target = self.weight * p / 100.0
+        target = self.count * p / 100.0
         cum = 0.0
         for idx in sorted(self._buckets):
             w = self._buckets[idx]

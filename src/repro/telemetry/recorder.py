@@ -226,9 +226,7 @@ class Recorder:
         self._record("fault", (t, kind, target, phase))
         self.metrics.counter(f"faults.{phase}").inc()
 
-    def buffer_drop(
-        self, t: int, switch: str, size: int, priority: int, reason: str = "buffer_shared"
-    ) -> None:
+    def buffer_drop(self, t: int, switch: str, size: int, priority: int, reason: str) -> None:
         """One rejected packet; ``reason`` matches the audit ledger's taxonomy
         (``buffer_shared`` / ``buffer_headroom`` / ``blackhole``)."""
         self._record("drop", (t, switch, size, priority, reason))

@@ -27,7 +27,6 @@ def star(
     rate_bps: float = 100e9,
     link_delay_ns: int = 1_000,
     switch_cfg: Optional[SwitchConfig] = None,
-    receiver_delay_ns: Optional[int] = None,
 ) -> Tuple[Network, List[Host], Host]:
     """N senders -> one switch -> one receiver (the bottleneck port).
 
@@ -40,7 +39,7 @@ def star(
     receiver = net.add_host(name="recv")
     for host in senders:
         net.connect(host, sw, rate_bps, link_delay_ns)
-    net.connect(receiver, sw, rate_bps, receiver_delay_ns or link_delay_ns)
+    net.connect(receiver, sw, rate_bps, link_delay_ns)
     net.build_routes()
     return net, senders, receiver
 
@@ -156,13 +155,13 @@ def paper_fabric(
 
 def leaf_spine(
     sim: Simulator,
-    n_leaves: int = 4,
-    hosts_per_leaf: int = 6,
-    n_spines: int = 3,
-    host_rate_bps: float = 100e9,
-    oversubscription: float = 2.0,
-    link_delay_ns: int = 1_000,
-    switch_cfg: Optional[SwitchConfig] = None,
+    n_leaves: int,
+    hosts_per_leaf: int,
+    n_spines: int,
+    host_rate_bps: float,
+    oversubscription: float,
+    link_delay_ns: int,
+    switch_cfg: SwitchConfig,
 ) -> Tuple[Network, List[Host]]:
     """Leaf-spine with a downlink:uplink capacity ratio of ``oversubscription``.
 
@@ -170,7 +169,7 @@ def leaf_spine(
     subscription ratio, i.e. 4 leaves x 6 hosts and uplink capacity equal to
     half the downlink capacity per leaf.
     """
-    net = Network(sim, switch_cfg or SwitchConfig())
+    net = Network(sim, switch_cfg)
     spines = [net.add_switch(name=f"spine{s}") for s in range(n_spines)]
     hosts: List[Host] = []
     uplink_total = hosts_per_leaf * host_rate_bps / oversubscription
@@ -189,20 +188,18 @@ def leaf_spine(
 
 def multi_rack(
     sim: Simulator,
-    n_racks: int = 5,
-    hosts_per_rack: int = 8,
-    host_rate_bps: float = 100e9,
-    core_rate_bps: float = 400e9,
-    link_delay_ns: int = 1_000,
-    switch_cfg: Optional[SwitchConfig] = None,
-    core_count: Optional[int] = None,
+    n_racks: int,
+    hosts_per_rack: int,
+    host_rate_bps: float,
+    core_rate_bps: float,
+    link_delay_ns: int,
+    switch_cfg: SwitchConfig,
 ) -> Tuple[Network, List[Host]]:
     """Non-blocking multi-rack fabric (coflow scenario: 5 pods, 400 G core)."""
-    net = Network(sim, switch_cfg or SwitchConfig())
-    if core_count is None:
-        # enough core links to keep the fabric non-blocking
-        need = hosts_per_rack * host_rate_bps
-        core_count = max(1, int(-(-need // core_rate_bps)))
+    net = Network(sim, switch_cfg)
+    # enough core links to keep the fabric non-blocking
+    need = hosts_per_rack * host_rate_bps
+    core_count = max(1, int(-(-need // core_rate_bps)))
     cores = [net.add_switch(name=f"core{c}") for c in range(core_count)]
     hosts: List[Host] = []
     for r in range(n_racks):

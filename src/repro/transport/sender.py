@@ -79,8 +79,8 @@ class FlowSender:
             ack_priority = src.n_queues - 1
         self.ack_priority = ack_priority
         data_wire = mtu + HEADER_BYTES
-        self.base_rtt = net.base_rtt_ns(src, dst, data_wire, MIN_PACKET_BYTES)
-        probe_rtt = net.base_rtt_ns(src, dst, MIN_PACKET_BYTES, MIN_PACKET_BYTES)
+        self.base_rtt = net.base_rtt_ns(src, dst, data_wire)
+        probe_rtt = net.base_rtt_ns(src, dst, MIN_PACKET_BYTES)
         self._probe_base_adjust = self.base_rtt - probe_rtt
         self.line_rate_bps = net.bottleneck_rate_bps(src, dst)
         self.bdp_bytes = self.line_rate_bps * self.base_rtt / 8e9

@@ -82,8 +82,8 @@ def theta_to_bands(theta: Sequence[float]) -> List[Tuple[int, int]]:
     return bands
 
 
-def theta_to_channels(theta: Sequence[float], noise_ns: int = PAPER_B_NS) -> ChannelConfig:
-    return ChannelConfig.from_bands(theta_to_bands(theta), noise_ns=noise_ns)
+def theta_to_channels(theta: Sequence[float]) -> ChannelConfig:
+    return ChannelConfig.from_bands(theta_to_bands(theta))
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ class CEM:
     """Cross-entropy method: fit a diagonal Gaussian to the elite fraction.
 
     Candidates live in the box ``[low_i, high_i]``.  The sampling
-    distribution starts at ``init_theta`` (or the box midpoint) with sigma =
+    distribution starts at ``init_theta`` with sigma =
     ``SIGMA_FRAC`` of each dimension's range, and contracts toward the
     elites each generation; a sigma floor of 1 % of the range keeps late
     generations exploring.
@@ -38,9 +38,9 @@ class CEM:
         self,
         low: Sequence[float],
         high: Sequence[float],
-        seed: int = 0,
-        pop_size: int = 8,
-        init_theta: Optional[Sequence[float]] = None,
+        seed: int,
+        pop_size: int,
+        init_theta: Sequence[float],
     ):
         if pop_size < 2:
             raise ValueError("population size must be >= 2")
@@ -48,17 +48,14 @@ class CEM:
         self.high = [float(x) for x in high]
         self.pop_size = pop_size
         self.rng = random.Random(seed)
-        self.init_theta = list(init_theta) if init_theta is not None else None
+        self.init_theta = list(init_theta)
         self.generation = 0
         self.evaluations = 0
         self.best_theta: Optional[List[float]] = None
         self.best_utility = float("-inf")
         self.n_elite = max(2, int(round(ELITE_FRAC * pop_size)))
         ranges = [hi - lo for lo, hi in zip(self.low, self.high)]
-        if init_theta is not None:
-            self.mean = self._clip(init_theta)
-        else:
-            self.mean = [(lo + hi) / 2 for lo, hi in zip(self.low, self.high)]
+        self.mean = self._clip(init_theta)
         self.sigma = [SIGMA_FRAC * r for r in ranges]
         self._sigma_floor = [0.01 * r for r in ranges]
 
@@ -70,7 +67,7 @@ class CEM:
             self._clip([self.rng.gauss(m, s) for m, s in zip(self.mean, self.sigma)])
             for _ in range(self.pop_size)
         ]
-        if self.generation == 0 and self.init_theta is not None:
+        if self.generation == 0:
             pop[0] = self._clip(self.init_theta)
         return pop
 

@@ -13,11 +13,15 @@ grouping effective.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from .generators import FlowSpec
 
 __all__ = ["CoflowSpec", "synthesize_coflows"]
+
+#: Pareto shapes of coflow widths and of per-flow sizes
+WIDTH_ALPHA = 1.1
+SIZE_ALPHA = 1.3
 
 
 class CoflowSpec:
@@ -45,25 +49,22 @@ def synthesize_coflows(
     n_hosts: int,
     n_coflows: int,
     duration_ns: int,
-    mean_flow_bytes: int = 1_000_000,
-    width_alpha: float = 1.1,
-    size_alpha: float = 1.3,
-    max_width: Optional[int] = None,
-    start_ns: int = 0,
+    mean_flow_bytes: int,
 ) -> List[CoflowSpec]:
     """Generate ``n_coflows`` with heavy-tailed widths and flow sizes.
 
     Coflow arrivals are uniform over ``duration_ns``; each coflow picks
-    distinct mapper sources and reducer destinations (many-to-many shuffle).
+    distinct mapper sources and reducer destinations (many-to-many shuffle),
+    at most ``max(4, n_hosts)`` flows wide.
     """
     if n_hosts < 4:
         raise ValueError("need at least 4 hosts for a shuffle pattern")
-    max_width = max_width if max_width is not None else max(4, n_hosts)
+    max_width = max(4, n_hosts)
     min_flow = max(1000, mean_flow_bytes // 10)
     coflows: List[CoflowSpec] = []
     for c in range(n_coflows):
-        t = start_ns + rng.randrange(max(1, duration_ns))
-        width = max(1, _pareto_int(rng, width_alpha, 1.0, max_width))
+        t = rng.randrange(max(1, duration_ns))
+        width = max(1, _pareto_int(rng, WIDTH_ALPHA, 1.0, max_width))
         n_src = max(1, min(n_hosts // 2, width))
         n_dst = max(1, min(n_hosts - n_src, max(1, width // n_src)))
         hosts = rng.sample(range(n_hosts), n_src + n_dst)
@@ -72,7 +73,7 @@ def synthesize_coflows(
         for i in range(width):
             src = sources[i % n_src]
             dst = dests[i % n_dst]
-            size = max(min_flow, _pareto_int(rng, size_alpha, min_flow, mean_flow_bytes * 100))
+            size = max(min_flow, _pareto_int(rng, SIZE_ALPHA, min_flow, mean_flow_bytes * 100))
             flows.append(FlowSpec(src, dst, size, t, tag=("coflow", c)))
         coflows.append(CoflowSpec(c, flows, t))
     return coflows

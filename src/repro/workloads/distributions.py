@@ -127,13 +127,15 @@ def websearch(scale: float = 1.0) -> EmpiricalCdf:
     return cdf if scale == 1.0 else cdf.scaled(scale)
 
 
-def hadoop(scale: float = 1.0) -> EmpiricalCdf:
-    """The Facebook-Hadoop flow-size mix (heavier tail than WebSearch)."""
+def hadoop(scale: float) -> EmpiricalCdf:
+    """The Facebook-Hadoop flow-size mix (heavier tail than WebSearch),
+    size-scaled."""
     cdf = EmpiricalCdf(HADOOP_CDF)
     return cdf if scale == 1.0 else cdf.scaled(scale)
 
 
-def ali_storage(scale: float = 1.0) -> EmpiricalCdf:
-    """A cloud-storage style bimodal mix (metadata ops + object segments)."""
+def ali_storage(scale: float) -> EmpiricalCdf:
+    """A cloud-storage style bimodal mix (metadata ops + object segments),
+    size-scaled."""
     cdf = EmpiricalCdf(ALI_STORAGE_CDF)
     return cdf if scale == 1.0 else cdf.scaled(scale)

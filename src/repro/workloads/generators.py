@@ -54,7 +54,6 @@ def poisson_flows_iter(
     load: float,
     host_rate_bps: float,
     duration_ns: int,
-    start_ns: int = 0,
 ) -> Iterator[FlowSpec]:
     """Open-loop Poisson arrivals, yielded one at a time in start-time order.
 
@@ -73,7 +72,7 @@ def poisson_flows_iter(
     lam_per_ns = load * n_hosts * host_rate_bps / mean_size_bits / 1e9  # arrivals per ns
     # validate eagerly (above), generate lazily: callers get argument errors
     # at call time, not at the first next()
-    return _PoissonArrivals(rng, n_hosts, cdf, lam_per_ns, start_ns, start_ns + duration_ns)
+    return _PoissonArrivals(rng, n_hosts, cdf, lam_per_ns, 0, duration_ns)
 
 
 class _PoissonArrivals:
@@ -120,7 +119,6 @@ def poisson_flows(
     load: float,
     host_rate_bps: float,
     duration_ns: int,
-    start_ns: int = 0,
 ) -> List[FlowSpec]:
     """List form of :func:`poisson_flows_iter` (identical draw sequence).
 
@@ -128,6 +126,6 @@ def poisson_flows(
     (millions of specs for multi-second paper-scale durations) up front.
     """
     return list(
-        poisson_flows_iter(rng, n_hosts, cdf, load, host_rate_bps, duration_ns, start_ns)
+        poisson_flows_iter(rng, n_hosts, cdf, load, host_rate_bps, duration_ns)
     )
 

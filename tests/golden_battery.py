@@ -199,9 +199,9 @@ def _flowsched(mode: str, streaming: bool) -> dict:
 
 
 def _coflow(mode: str, lossy: bool) -> dict:
-    cfg = CoflowConfig(**ci_config_kwargs(duration_ns=400_000, lossy=lossy))
+    cfg = CoflowConfig(seed=7, **ci_config_kwargs(duration_ns=400_000, lossy=lossy))
     jobs, groups = build_workload(cfg)
-    return run_coflow_mode(mode, cfg, jobs, groups)
+    return run_coflow_mode(mode, cfg, jobs, groups, False)
 
 
 # ----------------------------------------------------------------------

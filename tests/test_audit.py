@@ -209,23 +209,23 @@ def test_pfc_negative_backlog_detected():
 
 
 def test_pfc_deadlock_cycle_detected_past_horizon():
-    aud = Auditor(mode="warn", deadlock_horizon_ns=1_000)
+    aud = Auditor(mode="warn")
     # A pauses its ingress from B, B pauses its ingress from A: a cycle —
     # but young edges are not a deadlock yet
     aud.pfc(0, "A", "B.p0", 0, 0, True, 0)
     aud.pfc(0, "B", "A.p1", 1, 0, True, 0)
     assert aud.report.ok
     # any later PFC activity re-runs the watchdog; the cycle is now stale
-    aud.pfc(5_000, "C", "D.p0", 0, 0, True, 0)
+    aud.pfc(Auditor.DEADLOCK_HORIZON_NS + 5_000, "C", "D.p0", 0, 0, True, 0)
     dead = _violations(aud, "pfc_deadlock")
     assert len(dead) == 1
     assert "pause cycle" in dead[0].message and "pause graph" in dead[0].message
 
 
 def test_pfc_no_deadlock_without_cycle():
-    aud = Auditor(mode="warn", deadlock_horizon_ns=1_000)
+    aud = Auditor(mode="warn")
     aud.pfc(0, "A", "B.p0", 0, 0, True, 0)  # one-way wait, no cycle
-    aud.pfc(5_000, "C", "D.p0", 0, 0, True, 0)
+    aud.pfc(Auditor.DEADLOCK_HORIZON_NS + 5_000, "C", "D.p0", 0, 0, True, 0)
     assert not _violations(aud, "pfc_deadlock")
 
 
@@ -568,7 +568,7 @@ def test_run_experiment_audit_skips_cached_points(tmp_path):
 def test_property_buffer_ops_reconcile(ops):
     aud = Auditor(mode="strict")  # any inconsistency raises right here
     with installed(aud):
-        buf = SharedBuffer(16_000, headroom_bytes=4_000, dt_alpha=2.0)
+        buf = SharedBuffer(16_000, headroom_bytes=4_000)
     admitted = []
     for kind, size in ops:
         if kind == "shared":

@@ -21,15 +21,16 @@ def test_admission_rejected_when_pool_full():
 
 
 def test_dynamic_threshold_blocks_long_queue():
-    buf = SharedBuffer(10_000, dt_alpha=0.5)
-    # free = 10k, threshold = 5k: a queue already at 6k may not grow
+    buf = SharedBuffer(10_000)
+    assert buf.try_admit_shared(0, 5_000)
+    # free = 5k, threshold = 5k: a queue already at 6k may not grow
     assert not buf.try_admit_shared(6_000, 100)
     # but a short queue may
     assert buf.try_admit_shared(1_000, 100)
 
 
 def test_threshold_shrinks_as_pool_fills():
-    buf = SharedBuffer(10_000, dt_alpha=1.0)
+    buf = SharedBuffer(10_000)
     assert buf.try_admit_shared(0, 8_000)
     # free = 2000 now; a queue at 3000 exceeds the threshold
     assert not buf.try_admit_shared(3_000, 100)

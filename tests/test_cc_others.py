@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cc.base import CongestionControl
-from repro.cc.dctcp import D2tcp, Dctcp
+from repro.cc.dctcp import D_MAX, G, D2tcp, Dctcp
 from repro.cc.hpcc import Hpcc
 from repro.cc.ledbat import Ledbat
 from repro.cc.nocc import NoCC
@@ -16,8 +16,8 @@ from tests.helpers import FakeSender
 # ----------------------------------------------------------------------
 # DCTCP
 # ----------------------------------------------------------------------
-def make_dctcp(**kw):
-    cc = Dctcp(**kw)
+def make_dctcp():
+    cc = Dctcp()
     cc.attach(FakeSender())
     return cc
 
@@ -33,16 +33,18 @@ def feed_rtt(cc, marked_fraction: float, n: int = 10):
 
 
 def test_dctcp_alpha_tracks_mark_fraction():
-    cc = make_dctcp(g=0.5)
+    cc = make_dctcp()
     feed_rtt(cc, 1.0)
-    assert cc.alpha > 0.3
+    # the first ack closes a one-ack RTT (all marked), the closing ack one
+    # of ten with nine marked
+    assert cc.alpha == pytest.approx((1 - G) * G + G * 0.9)
     a1 = cc.alpha
     feed_rtt(cc, 0.0)
     assert cc.alpha < a1  # EWMA decays without marks
 
 
 def test_dctcp_cuts_window_on_marked_rtt():
-    cc = make_dctcp(g=1.0)
+    cc = make_dctcp()
     w0 = cc.cwnd
     feed_rtt(cc, 1.0)
     feed_rtt(cc, 1.0)
@@ -57,8 +59,9 @@ def test_dctcp_grows_without_marks():
 
 
 def test_dctcp_full_marking_halves():
-    cc = make_dctcp(g=1.0)
-    feed_rtt(cc, 1.0)  # alpha -> 1
+    cc = make_dctcp()
+    cc.alpha = 1.0  # a fully marked RTT keeps it there
+    feed_rtt(cc, 1.0)
     w = cc.cwnd
     feed_rtt(cc, 1.0)
     # alpha = 1 -> cut 50% (plus small AI from unmarked closing ack)
@@ -69,29 +72,30 @@ def test_dctcp_full_marking_halves():
 # D2TCP
 # ----------------------------------------------------------------------
 class _FlowStub:
-    deadline_ns = None
+    def __init__(self, deadline_ns):
+        self.deadline_ns = deadline_ns
 
 
 class _D2Sender(FakeSender):
-    def __init__(self, remaining=100_000, **kw):
+    def __init__(self, remaining=100_000, deadline_ns=None, **kw):
         super().__init__(**kw)
         self.remaining_bytes = remaining
-        self.flow = _FlowStub()
+        self.flow = _FlowStub(deadline_ns)
 
 
 def test_d2tcp_urgency_clamps():
-    cc = D2tcp(deadline_ns=1, d_min=0.5, d_max=2.0)
-    cc.attach(_D2Sender())
+    cc = D2tcp()
+    cc.attach(_D2Sender(deadline_ns=1))
     cc.sender.sim.now = 100  # deadline passed
-    assert cc.urgency() == 2.0
+    assert cc.urgency() == D_MAX
 
 
 def test_d2tcp_urgent_cuts_less():
     """Near-deadline (d>1) penalty is smaller than far-deadline (d<1)."""
-    urgent = D2tcp(deadline_ns=10_000)  # almost no time left
-    urgent.attach(_D2Sender(remaining=10_000_000))
-    relaxed = D2tcp(deadline_ns=10_000_000_000)  # all the time in the world
-    relaxed.attach(_D2Sender(remaining=1_000))
+    urgent = D2tcp()
+    urgent.attach(_D2Sender(remaining=10_000_000, deadline_ns=10_000))  # almost no time left
+    relaxed = D2tcp()
+    relaxed.attach(_D2Sender(remaining=1_000, deadline_ns=10_000_000_000))  # all the time in the world
     urgent.alpha = relaxed.alpha = 0.5
     assert urgent.cut_fraction() < relaxed.cut_fraction()
 

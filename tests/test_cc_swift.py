@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.cc.swift import Swift, SwiftParams
+from repro.cc.swift import FS_RANGE_NS, MAX_MDF, Swift, SwiftParams
 from repro.transport.flow import AckInfo
 
 from tests.helpers import FakeSender
@@ -43,7 +43,7 @@ def test_md_above_target_once_per_rtt():
 
 
 def test_md_proportional_to_overshoot_with_floor():
-    p = SwiftParams(base_target_ns=10_000, beta=0.8, max_mdf=0.5, target_scaling=False)
+    p = SwiftParams(base_target_ns=10_000, target_scaling=False)
     cc = attach(p)
     sender = cc.sender
     target = cc.target_delay_ns
@@ -89,7 +89,7 @@ def test_ai_is_about_ai_bytes_per_rtt():
 
 
 def test_target_scaling_raises_target_for_small_windows():
-    p = SwiftParams(base_target_ns=10_000, target_scaling=True, fs_range_ns=40_000)
+    p = SwiftParams(base_target_ns=10_000, target_scaling=True)
     cc = Swift(p)
     cc.attach(FakeSender())
     cc.cwnd = 100_000.0
@@ -97,7 +97,7 @@ def test_target_scaling_raises_target_for_small_windows():
     cc.cwnd = 100.0
     t_small = cc.current_target_ns()
     assert t_small > t_large
-    assert t_small <= cc.target_delay_ns + 40_000 + 1
+    assert t_small <= cc.target_delay_ns + FS_RANGE_NS + 1
 
 
 def test_set_target_scaling_off():
@@ -112,7 +112,7 @@ def test_timeout_backoff():
     cc = attach()
     w0 = cc.cwnd
     cc.on_timeout()
-    assert cc.cwnd == pytest.approx(w0 * (1 - cc.params.max_mdf))
+    assert cc.cwnd == pytest.approx(w0 * (1 - MAX_MDF))
 
 
 def test_probe_ack_default_noop():

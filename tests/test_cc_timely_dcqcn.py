@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cc import Dcqcn
+from repro.cc.dcqcn import HYPER_AI_FACTOR, RECOVERY_STAGES
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
 from repro.topology import star
@@ -15,8 +16,8 @@ from tests.helpers import FakeSender
 # ----------------------------------------------------------------------
 # DCQCN
 # ----------------------------------------------------------------------
-def make_dcqcn(**kw):
-    cc = Dcqcn(**kw)
+def make_dcqcn():
+    cc = Dcqcn()
     cc.attach(FakeSender())
     return cc
 
@@ -44,7 +45,7 @@ def test_dcqcn_fast_recovery_halves_gap():
 
 
 def test_dcqcn_alpha_decays_without_marks():
-    cc = make_dcqcn(g=0.25)
+    cc = make_dcqcn()
     a0 = cc.alpha
     sender = cc.sender
     for i in range(4):
@@ -54,17 +55,18 @@ def test_dcqcn_alpha_decays_without_marks():
 
 
 def test_dcqcn_hyper_increase_after_stages():
-    cc = make_dcqcn(recovery_stages=1, hyper_ai_factor=10.0, ai_bytes=100.0)
+    cc = make_dcqcn()
     sender = cc.sender
     sender.sim.now += cc.update_interval_ns + 1
     cc.on_ack(AckInfo(sender.sim.now, cc.base_rtt, True, 1000, 0))
     targets = []
-    for i in range(4):
+    for i in range(2 * RECOVERY_STAGES + 2):
         sender.sim.now += cc.update_interval_ns + 1
         cc.on_ack(AckInfo(sender.sim.now, cc.base_rtt, False, 1000, i + 1))
         targets.append(cc.w_target)
     # hyper stage grows the target much faster than additive
-    assert targets[-1] - targets[-2] >= 10 * 100.0 - 1
+    assert targets[-1] - targets[-2] == pytest.approx(HYPER_AI_FACTOR * cc.ai_bytes)
+    assert targets[-3] - targets[-4] == pytest.approx(cc.ai_bytes)
 
 
 def test_dcqcn_flow_completes_with_ecn_switch():

@@ -32,7 +32,7 @@ def test_log_boundaries_monotone():
 
 def test_assign_groups_smaller_is_higher_priority():
     rng = random.Random(1)
-    coflows = synthesize_coflows(rng, 16, 60, duration_ns=1000)
+    coflows = synthesize_coflows(rng, 16, 60, duration_ns=1000, mean_flow_bytes=1_000_000)
     groups = assign_coflow_groups(coflows, 8)
     smallest = min(coflows, key=lambda c: c.total_bytes)
     biggest = max(coflows, key=lambda c: c.total_bytes)
@@ -95,11 +95,13 @@ def test_training_job_completes_iterations():
     job = TrainingJob(
         sim, net, hosts, model,
         cc_factory=lambda flow: Swift(SwiftParams(target_scaling=False)),
-        flow_id_start=1, max_iterations=3,
+        flow_id_start=1, noise=None,
     )
+    sim.run(until=1_000_000)
+    job.stop()
     sim.run(until=1_000_000_000)
-    assert job.iterations_done == 3
-    assert len(job.iteration_times_ns) == 3
+    assert job.iterations_done >= 3
+    assert len(job.iteration_times_ns) == job.iterations_done
     assert job.n_phases == 2 * (len(hosts) - 1)
     assert job.chunk_bytes == model.gradient_bytes // len(hosts)
     assert job.iterations_in_window(1_000_000) > 0
@@ -112,9 +114,12 @@ def test_training_job_phases_are_sequential():
     job = TrainingJob(
         sim, net, hosts, model,
         cc_factory=lambda flow: Swift(SwiftParams(target_scaling=False)),
-        flow_id_start=1, max_iterations=1,
+        flow_id_start=1, noise=None,
     )
+    sim.run(until=1)
+    job.stop()  # the first iteration is in flight and finishes
     sim.run(until=1_000_000_000)
+    assert job.iterations_done == 1
     n = len(hosts)
     expected_payload = job.n_phases * n * job.chunk_bytes
     delivered = sum(h.rx_bytes for h in hosts)
@@ -128,7 +133,7 @@ def test_training_job_stop():
     job = TrainingJob(
         sim, net, hosts, model,
         cc_factory=lambda flow: Swift(SwiftParams(target_scaling=False)),
-        flow_id_start=1,
+        flow_id_start=1, noise=None,
     )
     sim.run(until=300_000)
     job.stop()
@@ -140,4 +145,4 @@ def test_training_job_stop():
 def test_training_job_needs_two_hosts():
     sim, net, hosts = _cluster(3)
     with pytest.raises(ValueError):
-        TrainingJob(sim, net, hosts[:1], RESNET50, lambda f: None, flow_id_start=1)
+        TrainingJob(sim, net, hosts[:1], RESNET50, lambda f: None, flow_id_start=1, noise=None)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import MICROSECOND, MILLISECOND, SECOND, Simulator
-from tests.helpers import live_events
 
 
 def test_events_fire_in_time_order():
@@ -92,15 +91,6 @@ def test_events_scheduled_during_run_fire():
     assert fired == [0, 1, 2, 3, 4]
 
 
-def test_max_events_bound():
-    sim = Simulator()
-    for i in range(10):
-        sim.at(i, lambda: None)
-    processed = sim.run(max_events=3)
-    assert processed == 3
-    assert live_events(sim) == 7
-
-
 def test_peek_time_skips_cancelled():
     sim = Simulator()
     h = sim.at(5, lambda: None)
@@ -169,14 +159,3 @@ def test_run_until_advances_clock_past_quiet_window():
     assert sim.now == 2_000
 
 
-def test_max_events_does_not_advance_clock():
-    """Stopping on max_events must preserve causality for unprocessed events."""
-    sim = Simulator()
-    fired = []
-    sim.at(10, fired.append, 1)
-    sim.at(20, fired.append, 2)
-    sim.run(until=100, max_events=1)
-    assert fired == [1]
-    assert sim.now == 10  # NOT 100: event at 20 is still pending
-    sim.run()
-    assert fired == [1, 2]

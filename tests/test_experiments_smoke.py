@@ -20,7 +20,7 @@ from repro.experiments.fig6_dualrtt import _run_fig6
 from repro.experiments.fig8_testbed import _run_fig8, run_staircase
 from repro.experiments.fig9_fluct import _run_fig9
 from repro.experiments.fig10_micro import _run_fig10b, _run_fig10c
-from repro.experiments.fig13_noncongestive import fig13_gaps, fig13_spec
+from repro.experiments.fig13_noncongestive import fig13_gaps, fig13_spec, staircase_fcts
 from repro.experiments.fig14_breakdown import run_fig14
 from repro.experiments.flowsched import FlowSchedConfig, run_flowsched, size_group_boundaries
 from repro.experiments.coflow_scenario import CoflowConfig, build_workload, run_coflow_mode
@@ -32,13 +32,13 @@ from repro.workloads import websearch
 
 
 def test_fig3a_smoke():
-    r = _run_fig3a(size_bytes=200_000, rate=25e9)
+    r = _run_fig3a(size_bytes=200_000)
     assert set(r) >= {"hi_fct_over_ideal", "lo_fct_over_ideal", "lo_share_during_hi"}
     assert r["hi_fct_over_ideal"] >= 1.0
 
 
 def test_fig3b_smoke():
-    r = _run_fig3b(duration_ns=500_000, rate=25e9)
+    r = _run_fig3b(duration_ns=500_000)
     assert 0 <= r["hi_share"] <= 1.1
     assert 0 <= r["lo_share"] <= 1.1
 
@@ -61,7 +61,7 @@ def test_staircase_structure():
 
 
 def test_fig9_smoke():
-    r = _run_fig9(Mode.PRIOPLUS, n_flows=2, duration_ns=1_000_000)
+    r = _run_fig9(Mode.PRIOPLUS, duration_ns=1_000_000)
     assert 0 <= r["frac_below_limit"] <= 1
     assert r["d_limit_us"] > r["d_target_us"]
 
@@ -79,9 +79,13 @@ def test_fig10c_smoke_both_arms():
 
 
 def test_fig13_point_smoke():
-    exp = FunctionExperiment(
-        "fig13-smoke", fig13_spec(10.0, [0.0], stagger_ns=200_000), reduce_fn=fig13_gaps
-    )
+    assert list(fig13_spec()) == ["prioplus@6us", "physical@6us", "prioplus@40us", "physical@40us"]
+    point = dict(tolerance_us=10.0, noncongestive_range_us=0.0, rate=10e9, stagger_ns=200_000, seed=1)
+    spec = {
+        f"{kind}@0us": (staircase_fcts, dict(point, use_prioplus=use_prioplus))
+        for kind, use_prioplus in (("prioplus", True), ("physical", False))
+    }
+    exp = FunctionExperiment("fig13-smoke", spec, reduce_fn=fig13_gaps)
     assert [p.name for p in exp.points()] == ["prioplus@0us", "physical@0us"]
     assert run_experiment(exp)["gap@0us"] >= 0.0
 
@@ -141,22 +145,22 @@ def test_size_group_boundaries_monotone():
 
 def test_coflow_workload_and_one_mode():
     cfg = CoflowConfig(
-        n_racks=2, hosts_per_rack=2, host_rate_bps=10e9, core_rate_bps=40e9,
+        n_racks=2, hosts_per_rack=2, host_rate_bps=10e9, core_rate_bps=40e9, load=0.7,
         duration_ns=300_000, mean_flow_bytes=60_000, request_fanout=2,
-        request_piece_bytes=30_000,
+        request_piece_bytes=30_000, seed=7, link_delay_ns=300,
     )
     jobs, groups = build_workload(cfg)
     assert jobs and set(groups.values()) <= set(range(8))
     total = sum(j.total_bytes for j in jobs)
     budget = cfg.load * cfg.n_hosts * cfg.host_rate_bps * cfg.duration_ns / 8e9
     assert total == pytest.approx(budget, rel=0.6)
-    ccts = run_coflow_mode(Mode.PRIOPLUS, cfg, jobs, groups)
+    ccts = run_coflow_mode(Mode.PRIOPLUS, cfg, jobs, groups, False)
     assert len(ccts) == len(jobs)  # every job completed
     assert all(v > 0 for v in ccts.values())
 
 
 def test_mltrain_one_mode_smoke():
-    cfg = MlTrainConfig(duration_ns=1_500_000, model_scale=0.0005)
+    cfg = MlTrainConfig(seed=11)
     r = run_mltrain_mode(Mode.PRIOPLUS, cfg)
     assert set(r["iters_per_job"]) == {"resnet", "vgg"}
     assert r["total_iters"] >= 0
@@ -210,7 +214,7 @@ def test_table2_validation_smoke():
     from repro.experiments.table2_validation import _table2_strategy
 
     for strategy in ("line_rate", "exponential", "linear"):
-        v = _table2_strategy(strategy, n_rtts=4, rate=10e9)
+        v = _table2_strategy(strategy)
         assert v["peak_extra_buffer_bdp"] >= 0
         assert v["fct_ns"] > 0
 
@@ -218,6 +222,6 @@ def test_table2_validation_smoke():
 def test_ecn_priority_smoke():
     from repro.experiments.ecn_priority import run_ecn_priority
 
-    r = run_ecn_priority(True, duration_ns=600_000)
+    r = run_ecn_priority(True)
     assert 0 <= r["hi_share"] <= 1.1
 

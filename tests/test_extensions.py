@@ -140,15 +140,15 @@ def test_ecn_threshold_geometry():
 
 def test_ecn_config_validation():
     with pytest.raises(ValueError):
-        EcnPriorityConfig(ratio=0.0)
+        EcnPriorityConfig(k_top_bytes=80_000, ratio=0.0, n_priorities=8)
     with pytest.raises(ValueError):
-        EcnPriorityConfig(k_top_bytes=0)
+        EcnPriorityConfig(k_top_bytes=0, ratio=0.5, n_priorities=8)
 
 
 def test_install_patches_all_switch_ports():
     sim = Simulator(1)
     net, senders, recv = star(sim, 3, switch_cfg=SwitchConfig(n_queues=2))
-    n = install_priority_marking(net, EcnPriorityConfig())
+    n = install_priority_marking(net, EcnPriorityConfig(k_top_bytes=80_000, ratio=0.5, n_priorities=8))
     assert n == len(net.switches[0].ports)
     assert all(p.ecn_marker is not None for p in net.switches[0].ports)
     assert all(p.ecn_k is None for p in net.switches[0].ports)
@@ -158,7 +158,7 @@ def test_ecn_extension_orders_dctcp_flows():
     def share(per_priority):
         from repro.experiments.ecn_priority import run_ecn_priority
 
-        return run_ecn_priority(per_priority, duration_ns=1_500_000)
+        return run_ecn_priority(per_priority)
 
     uniform = share(False)
     prio = share(True)
@@ -174,8 +174,6 @@ def test_ecn_extension_orders_dctcp_flows():
 def test_start_strategy_validation():
     with pytest.raises(ValueError):
         StartRampCC("warp")
-    with pytest.raises(ValueError):
-        StartRampCC(LINEAR, n_rtts=0)
 
 
 def test_start_strategy_initial_windows():
@@ -184,14 +182,14 @@ def test_start_strategy_initial_windows():
         (EXPONENTIAL, lambda s: 1000.0),
         (LINEAR, lambda s: s.bdp_bytes / 8),
     ):
-        cc = StartRampCC(strategy, n_rtts=8)
+        cc = StartRampCC(strategy)
         sender = FakeSender()
         cc.attach(sender)
         assert cc.cwnd == pytest.approx(max(expect(sender), 1000.0))
 
 
 def test_exponential_doubles_per_rtt():
-    cc = StartRampCC(EXPONENTIAL, n_rtts=8)
+    cc = StartRampCC(EXPONENTIAL)
     sender = FakeSender()
     cc.attach(sender)
     w0 = cc.cwnd
@@ -201,7 +199,7 @@ def test_exponential_doubles_per_rtt():
 
 
 def test_ramp_freezes_on_queue_buildup():
-    cc = StartRampCC(LINEAR, n_rtts=8)
+    cc = StartRampCC(LINEAR)
     sender = FakeSender()
     cc.attach(sender)
     w = cc.cwnd

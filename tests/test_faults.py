@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.audit import audit_scope
 from repro.cc.base import CongestionControl
 from repro.experiments.registry import FunctionExperiment, get_experiment
 from repro.faults import (
@@ -221,6 +222,26 @@ def test_injector_arm_is_idempotent():
     inj = FaultInjector(sim, net, plan).arm().arm()
     sim.run(until=100_000)
     assert inj.injected == 1 and inj.cleared == 1
+
+
+def test_a_destination_with_no_route_blackholes_instead_of_raising():
+    """Cutting a host's only link leaves the switch no route to it once the
+    control plane reconverges: its frames drop as ``blackhole`` (as on a down
+    port inside the detection window) and the run finishes, with the drop
+    ledger reconciled reason for reason."""
+    plan = FaultPlan(
+        [FaultSpec("link_down", ["s0", "bottleneck"],
+                   Schedule("oneshot", at_ns=200_000, duration_ns=300_000))],
+        seed=1,
+    )
+    with audit_scope("strict") as aud:
+        result = run_experiment(get_experiment("quickstart"), jobs=1, faults=plan)
+    assert result["all_done"]
+    (switch,) = aud._switches
+    assert switch.buffer.stats.dropped_by_reason["blackhole"] > 0
+    report = aud.report
+    assert report.ok and report.checks["drop_accounting"] > 0
+    assert report.ledger["dropped"]["blackhole"] == switch.buffer.stats.dropped_by_reason["blackhole"]
 
 
 # ----------------------------------------------------------------------

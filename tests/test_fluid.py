@@ -13,7 +13,7 @@ from repro.cc import Swift, SwiftParams
 from repro.core import ChannelConfig, PrioPlusCC
 from repro.experiments.launch import run_until_flows_done
 from repro.fluid import FluidConfig, HybridDriver, model
-from repro.fluid.hybrid import _DT_MAX_NS, _SAT_THRESHOLD, _FluidFlow
+from repro.fluid.hybrid import _DT_MAX_NS, _FluidFlow
 from repro.fluid.laws import law_for
 from repro.fluid.model import classify_contention, solve_rates
 from repro.obs import TimeSeriesSampler
@@ -47,7 +47,7 @@ def test_hybrid_world_runs_with_numpy_blocked():
     code = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
-from repro.cc import Swift
+from repro.cc import Swift, SwiftParams
 from repro.experiments.launch import run_until_flows_done
 from repro.fluid import HybridDriver
 from repro.sim.engine import Simulator
@@ -59,7 +59,7 @@ sim = Simulator(3)
 net, senders, recv = star(sim, 3, rate_bps=10e9, link_delay_ns=1000)
 flows = [Flow(i + 1, senders[i], recv, 300_000, start_ns=i * 600_000) for i in range(3)]
 for f in flows:
-    FlowSender(sim, net, f, Swift(), rto_ns=10**10)
+    FlowSender(sim, net, f, Swift(SwiftParams()), rto_ns=10**10)
 driver = HybridDriver(sim, net)
 assert run_until_flows_done(sim, flows, 2_000_000_000, driver=driver)
 assert driver.stats["fluid_epochs"] >= 1, driver.stats
@@ -509,7 +509,7 @@ def _count_solves(world, monkeypatch):
             (pos[f], cap, r) for g in groups for f, cap, r in zip(g.flows, g.caps, g.rates)
         )
         assert held == list(zip(range(len(live)), caps, rate))
-        want = fresh_classify(rate, caps, ranks, paths, link_caps, load, _SAT_THRESHOLD)
+        want = fresh_classify(rate, caps, ranks, paths, link_caps, load)
         assert contended == want
         counts["segments"] += 1
         counts["live"] += len(live)
@@ -627,7 +627,7 @@ def test_a_route_rebuild_reroutes_a_flow_absorbed_again():
     sim = Simulator(1)
     net, hosts = fat_tree(sim, k=4, rate_bps=100e9)
     flow = Flow(1, hosts[0], hosts[-1], 1_000_000)
-    sender = FlowSender(sim, net, flow, Swift(), rto_ns=10**10)
+    sender = FlowSender(sim, net, flow, Swift(SwiftParams()), rto_ns=10**10)
     driver = HybridDriver(sim, net)
     driver._enter_fluid([sender])
     (before,) = driver._flows
@@ -1002,7 +1002,7 @@ def _last_ack_world():
     net, (a, b), dst = star(sim, 2, rate_bps=100e9, link_delay_ns=1_500)
     flows = [Flow(1, a, dst, 3_000), Flow(2, b, dst, 400_000, start_ns=20_000)]
     for f in flows:
-        FlowSender(sim, net, f, Swift(), rto_ns=10**10)
+        FlowSender(sim, net, f, Swift(SwiftParams()), rto_ns=10**10)
     return sim, net, flows
 
 

@@ -121,12 +121,12 @@ def test_peek_time_sees_fast_entries_and_skips_cancelled():
     assert sim.peek_time() == 7
 
 
-def test_run_max_events_counts_fast_entries():
+def test_run_counts_fast_entries():
     sim = Simulator()
     fired = []
     for i in range(10):
         sim.call_at(i + 1, fired.append, i)
-    assert sim.run(max_events=4) == 4
+    assert sim.run(until=4) == 4
     assert fired == [0, 1, 2, 3]
     assert live_events(sim) == 6
     sim.run()
@@ -253,7 +253,6 @@ _WORLDS = st.fixed_dictionaries(
         "n_lossless": st.integers(1, 2),
         "buffer_bytes": st.integers(24_000, 90_000),
         "headroom": st.integers(1_000, 6_000),
-        "dt_alpha": st.sampled_from([0.125, 0.5, 1.0]),
         "xoff": st.integers(2_500, 9_000),
         "dynamic": st.booleans(),
         "ecn_k": st.integers(1_500, 12_000),
@@ -268,7 +267,7 @@ _WORLDS = st.fixed_dictionaries(
 #: a world that crosses every threshold the common case routes away from
 _PINNED_WORLD = {
     "topo": "star", "n_queues": 2, "n_lossless": 1, "buffer_bytes": 30_000, "headroom": 2_000,
-    "dt_alpha": 0.5, "xoff": 4_000, "dynamic": False, "ecn_k": 3_000, "n_flows": 4,
+    "xoff": 4_000, "dynamic": False, "ecn_k": 3_000, "n_flows": 4,
     "flow_kb": 40, "seed": 5, "fault_hop": 1, "t_fault": 40_000,
 }
 
@@ -282,7 +281,6 @@ def _run_world(w):
         buffer_bytes=w["buffer_bytes"],
         headroom_per_port_per_prio=w["headroom"],
         n_lossless=w["n_lossless"],
-        dt_alpha=w["dt_alpha"],
         pfc=PfcConfig(enabled=True, xoff_bytes=w["xoff"], dynamic=w["dynamic"]),
         ecn_k_bytes=w["ecn_k"],
     )

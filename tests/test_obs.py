@@ -14,6 +14,7 @@ from repro import probe
 from repro.obs import (
     ChannelInspector,
     PacketTracer,
+    TimeSeriesSampler,
     inspect_scope,
     profile_scope,
     sample_scope,
@@ -233,47 +234,48 @@ def test_inspector_quickstart_transcript():
 
 
 def test_inversion_detector_positive_and_negative():
-    insp = ChannelInspector(window_ns=100)
+    w = ChannelInspector.WINDOW_NS
+    insp = ChannelInspector()
     insp.register_flow(1, vpriority=1, d_target_ns=0, d_limit_ns=0, tier="low",
                        path_ports=["sw.p0"])
     insp.register_flow(2, vpriority=6, d_target_ns=0, d_limit_ns=0, tier="high",
                        path_ports=["sw.p0"])
-    insp.flow_state(0, 1, "running")
-    insp.flow_state(0, 2, "running")
-    # window [100, 200): the low-channel flow moves more bytes
-    insp.acked(150, 1, 9_000)
-    insp.acked(150, 2, 1_000)
+    insp.flow_state(0, 1, "running", None)
+    insp.flow_state(0, 2, "running", None)
+    # window [w, 2w): the low-channel flow moves more bytes
+    insp.acked(w + w // 2, 1, 9_000)
+    insp.acked(w + w // 2, 2, 1_000)
     # high flow relinquishes after that window closes; the low flow keeps
     # moving bytes, but outpacing an inactive flow is not an inversion
-    insp.flow_state(201, 2, "relinquished")
-    insp.acked(350, 1, 9_000)
+    insp.flow_state(2 * w + 1, 2, "relinquished", None)
+    insp.acked(3 * w + w // 2, 1, 9_000)
     found = insp.inversions()
     assert len(found) == 1
     inv = found[0]
-    assert inv["window_t_ns"] == 100
+    assert inv["window_t_ns"] == w
     assert inv["low_flow"] == 1 and inv["high_flow"] == 2
     assert inv["low_bytes"] == 9_000 and inv["high_bytes"] == 1_000
 
     # no shared bottleneck => never an inversion
-    other = ChannelInspector(window_ns=100)
+    other = ChannelInspector()
     other.register_flow(1, 1, 0, 0, "low", ["sw.p0"])
     other.register_flow(2, 6, 0, 0, "high", ["sw.p1"])
-    other.flow_state(0, 1, "running")
-    other.flow_state(0, 2, "running")
-    other.acked(150, 1, 9_000)
-    other.acked(150, 2, 1_000)
+    other.flow_state(0, 1, "running", None)
+    other.flow_state(0, 2, "running", None)
+    other.acked(w + w // 2, 1, 9_000)
+    other.acked(w + w // 2, 2, 1_000)
     assert other.inversions() == []
 
 
 def test_occupancy_steps():
-    insp = ChannelInspector(window_ns=100)
+    insp = ChannelInspector()
     insp.register_flow(1, 3, 0, 0, "low", ["p"])
     insp.register_flow(2, 3, 0, 0, "low", ["p"])
-    insp.flow_state(0, 1, "running")
-    insp.flow_state(10, 1, "probe_wait")    # vacates
-    insp.flow_state(20, 1, "linear_start")  # re-enters
-    insp.flow_state(30, 2, "running")
-    insp.flow_state(50, 1, "done")
+    insp.flow_state(0, 1, "running", None)
+    insp.flow_state(10, 1, "probe_wait", None)    # vacates
+    insp.flow_state(20, 1, "linear_start", None)  # re-enters
+    insp.flow_state(30, 2, "running", None)
+    insp.flow_state(50, 1, "done", None)
     occ = insp.occupancy()
     assert occ == {3: [(0, 1), (10, 0), (20, 1), (30, 2), (50, 1)]}
 
@@ -314,11 +316,11 @@ def test_sampler_rows_are_stride_aligned_and_deterministic():
 
 
 def test_sampler_ring_bounds_memory():
-    with sample_scope(stride_ns=10_000, capacity=8) as smp:
+    with sample_scope(stride_ns=1_000) as smp:
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
-    assert len(smp.ports.rows) == 8
+    assert len(smp.ports.rows) == TimeSeriesSampler.CAPACITY
     assert smp.ports.dropped > 0
     assert smp.snapshot()["dropped_rows"] > 0
     # the ring keeps the most recent rows

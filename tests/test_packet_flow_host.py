@@ -71,7 +71,7 @@ def test_host_drops_packets_for_unknown_flows():
     sim = Simulator()
     net, senders, recv = star(sim, 1, switch_cfg=SwitchConfig(n_queues=2))
     pkt = Packet(DATA, 100, src=senders[0].node_id, dst=recv.node_id, flow_id=404)
-    recv.receive(pkt)
+    recv.receive(pkt, 0)
     assert recv.rx_packets == 1  # counted, silently ignored
 
 
@@ -89,4 +89,4 @@ def test_unknown_packet_kind_raises():
     net, senders, recv = star(sim, 1, switch_cfg=SwitchConfig(n_queues=2))
     bad = Packet(99, 100, src=0, dst=recv.node_id, flow_id=1)
     with pytest.raises(RuntimeError):
-        recv.receive(bad)
+        recv.receive(bad, 0)

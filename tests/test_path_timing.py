@@ -44,7 +44,7 @@ def _outcome(fn, *args):
 
 
 def _timings(net, src, dst):
-    return [_outcome(net.base_rtt_ns, src, dst, *sizes) for sizes in SIZES] + [
+    return [_outcome(net.base_rtt_ns, src, dst, data) for data, _ in SIZES] + [
         _outcome(net.bottleneck_rate_bps, src, dst)
     ]
 
@@ -141,8 +141,8 @@ def test_path_memo_is_bounded_by_the_fabric_not_the_pairs():
     # network (binding 102 080 senders would hold ~300 MB)
     for src in hosts:
         for dst in hosts:
-            for sizes in SIZES:
-                net.base_rtt_ns(src, dst, *sizes)
+            for data, _ in SIZES:
+                net.base_rtt_ns(src, dst, data)
             net.bottleneck_rate_bps(src, dst)
     # a host's share is keyed by (out, in) sizes, so a host that both sends
     # and receives holds each size pair in both orders; and one rate entry

@@ -2,14 +2,14 @@
 
 from repro.sim.buffer import SharedBuffer
 from repro.sim.engine import Simulator
-from repro.sim.pfc import PfcConfig, PfcIngressState
+from repro.sim.pfc import XON_GAP_BYTES, PfcConfig, PfcIngressState
 
 
-def make_state(xoff=1000, xon=None, dynamic=False, shared=100_000):
+def make_state(xoff=1000, dynamic=False, shared=100_000):
     sim = Simulator()
     buf = SharedBuffer(shared)
     signals = []
-    cfg = PfcConfig(enabled=True, xoff_bytes=xoff, xon_bytes=xon, dynamic=dynamic)
+    cfg = PfcConfig(enabled=True, xoff_bytes=xoff, dynamic=dynamic)
     state = PfcIngressState(sim, cfg, buf, signals.append)
     return state, signals, buf
 
@@ -31,19 +31,19 @@ def test_pause_not_repeated_while_paused():
 
 
 def test_resume_below_xon():
-    state, signals, _ = make_state(xoff=1000, xon=500)
-    state.on_enqueue(1200)
+    state, signals, _ = make_state(xoff=XON_GAP_BYTES + 1000)  # xon = 1000
+    state.on_enqueue(XON_GAP_BYTES + 1200)
     assert signals == [True]
-    state.on_dequeue(600)  # 600 left > 500: still paused
+    state.on_dequeue(XON_GAP_BYTES)  # 1200 left > 1000: still paused
     assert signals == [True]
-    state.on_dequeue(200)  # 400 <= 500: resume
+    state.on_dequeue(200)  # 1000 <= 1000: resume
     assert signals == [True, False]
     assert state.resumes_sent == 1
 
 
 def test_default_xon_close_below_xoff():
     cfg = PfcConfig(xoff_bytes=100_000)
-    assert cfg.xon_bytes == 100_000 - 4096
+    assert cfg.xon_bytes == 100_000 - XON_GAP_BYTES
 
 
 def test_dynamic_threshold_tracks_free_shared():
@@ -74,7 +74,7 @@ def test_negative_accounting_raises():
 
 
 def test_pause_resume_cycles():
-    state, signals, _ = make_state(xoff=1000, xon=400)
+    state, signals, _ = make_state(xoff=1000)
     for _ in range(3):
         state.on_enqueue(1200)
         state.on_dequeue(1200)

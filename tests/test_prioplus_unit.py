@@ -25,7 +25,7 @@ def ack(sender, delay, seq=None, acked=1000):
 
 def test_vpriority_must_be_one_based():
     with pytest.raises(ValueError):
-        PrioPlusCC(Swift(), ChannelConfig(), vpriority=0)
+        PrioPlusCC(Swift(SwiftParams()), ChannelConfig(), vpriority=0)
 
 
 def test_attach_pins_inner_target_and_disables_scaling():

@@ -313,17 +313,32 @@ def test_every_public_name_has_a_caller():
     assert sorted(allowed - uncalled) == [], "stale _NO_CALLER_YET entry"
 
 
-def test_every_reach_census_allowlist_entry_names_a_function():
-    """``scripts/reach_census.py`` runs every root hooked (~15 min, CI
-    ``reach-census``); its allowlist is checked here with no root run, so a
-    rename or a cut that leaves an entry behind fails in seconds."""
+def _reach_census():
     path = SRC.parents[1] / "scripts" / "reach_census.py"
     spec = importlib.util.spec_from_file_location("_reach_census", path)
     census = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(census)
+    return census
+
+
+def test_every_reach_census_allowlist_entry_names_a_function():
+    """``scripts/reach_census.py`` runs every root hooked (~15 min, CI
+    ``reach-census``); its allowlist is checked here with no root run, so a
+    rename or a cut that leaves an entry behind fails in seconds."""
+    census = _reach_census()
     names = set(census.named_functions().values())
     assert sorted(set(census.ALLOWLIST) - names) == [], "allowlist entry naming no function"
     assert [name for name, why in census.ALLOWLIST.items() if not why.strip()] == []
+
+
+def test_every_knob_allowlist_entry_names_a_defaulted_parameter():
+    """The census's knob half keeps a default that every run passes one
+    value only by ``KNOB_ALLOWLIST``; a renamed or cut parameter, or an
+    entry with no reason, fails here without running a root."""
+    census = _reach_census()
+    knobs = {f"{fn}({p})" for fn, params in census.defaulted_params().items() for p in params}
+    assert sorted(set(census.KNOB_ALLOWLIST) - knobs) == [], "entry naming no defaulted parameter"
+    assert [name for name, why in census.KNOB_ALLOWLIST.items() if not why.strip()] == []
 
 
 # ----------------------------------------------------------------------

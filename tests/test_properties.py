@@ -103,7 +103,7 @@ def test_property_same_seed_same_result(seed):
         flows = []
         for i in range(3):
             f = Flow(i + 1, senders[i], recv, 150_000, start_ns=i * 10_000)
-            FlowSender(sim, net, f, Swift())
+            FlowSender(sim, net, f, Swift(SwiftParams()))
             flows.append(f)
         sim.run(until=1_000_000_000)
         return [f.completion_ns for f in flows]

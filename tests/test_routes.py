@@ -38,8 +38,14 @@ FABRICS = {
     "fat_tree4": lambda sim: fat_tree(sim, k=4)[0],
     "fat_tree6": lambda sim: fat_tree(sim, k=6)[0],
     "paper_fabric": lambda sim: paper_fabric(sim)[0],
-    "leaf_spine": lambda sim: leaf_spine(sim)[0],
-    "multi_rack": lambda sim: multi_rack(sim)[0],
+    "leaf_spine": lambda sim: leaf_spine(
+        sim, n_leaves=4, hosts_per_leaf=6, n_spines=3, host_rate_bps=100e9, oversubscription=2.0,
+        link_delay_ns=1_000, switch_cfg=SwitchConfig(),
+    )[0],
+    "multi_rack": lambda sim: multi_rack(
+        sim, n_racks=5, hosts_per_rack=8, host_rate_bps=100e9, core_rate_bps=400e9,
+        link_delay_ns=1_000, switch_cfg=SwitchConfig(),
+    )[0],
     "fault_flap": lambda sim: _flap_fabric(sim, SwitchConfig(), 10e9)[0],
     "fault_degrade": lambda sim: _degrade_fabric(sim, SwitchConfig(), 10e9)[0],
     "back_to_back": _back_to_back,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cc.swift import Swift
+from repro.cc.swift import Swift, SwiftParams
 from repro.core import StartTier
 from repro.experiments.launch import (
     _CHECK_EVERY_NS, FlowAdmitter, launch_specs, run_until_flows_done,
@@ -27,7 +27,7 @@ def _setup(n=2):
 def test_rate_sampler_measures_goodput():
     sim, net, senders, recv = _setup(1)
     flow = Flow(1, senders[0], recv, 500_000)
-    s = FlowSender(sim, net, flow, Swift())
+    s = FlowSender(sim, net, flow, Swift(SwiftParams()))
     sampler = RateSampler(sim, [s], key=lambda s: "f", interval_ns=50_000)
     sim.run(until=1_000_000)
     assert flow.done
@@ -43,7 +43,7 @@ def test_rate_sampler_measures_goodput():
 def test_delay_sampler_records_series():
     sim, net, senders, recv = _setup(1)
     flow = Flow(1, senders[0], recv, 300_000)
-    s = FlowSender(sim, net, flow, Swift())
+    s = FlowSender(sim, net, flow, Swift(SwiftParams()))
     d = DelaySampler(sim, s, interval_ns=20_000)
     sim.run(until=500_000)
     values = d.values()
@@ -162,7 +162,7 @@ def test_dcqcn_mode_is_d2tcp_layout_without_deadlines():
 def test_run_until_flows_done_deadline():
     sim, net, senders, recv = _setup(1)
     flow = Flow(1, senders[0], recv, 10_000_000_000)  # can never finish in time
-    FlowSender(sim, net, flow, Swift())
+    FlowSender(sim, net, flow, Swift(SwiftParams()))
     ok = run_until_flows_done(sim, [flow], hard_deadline_ns=200_000)
     assert not ok
     assert sim.now <= 210_000

@@ -7,6 +7,7 @@ point functions are module-level so the fleet's forked workers can unpickle
 them by reference (same contract as ``tests/test_runner.py``).
 """
 
+import contextlib
 import gc
 import json
 import os
@@ -18,7 +19,7 @@ import pytest
 
 from repro import api
 from repro.client import ServeClient, ServeError, parse_address
-from repro.experiments.registry import ExperimentRegistry, FunctionExperiment
+from repro.experiments.registry import REGISTRY, FunctionExperiment
 from repro.runner import RunnerError, run_experiment, scheduler
 from repro.serve import BackgroundServer
 from repro.serve.inflight import InflightTable
@@ -58,18 +59,24 @@ def _crash_once_point(marker="", seed=0):
     return {"recovered": True}
 
 
+@contextlib.contextmanager
 def _make_server(tmp_path, experiments=(), cache=True, **kwargs):
-    """A BackgroundServer on a unix socket, serving a private registry."""
-    registry = ExperimentRegistry()
+    """A BackgroundServer on a unix socket, serving ``experiments`` from the
+    process registry for its lifetime."""
+    REGISTRY.load_all()
     for exp in experiments:
-        registry.register(exp)
-    return BackgroundServer(
-        unix_path=str(tmp_path / "serve.sock"),
-        jobs=2,
-        cache=str(tmp_path / "cache") if cache else None,
-        registry=registry,
-        **kwargs,
-    )
+        REGISTRY.register(exp)
+    try:
+        with BackgroundServer(
+            unix_path=str(tmp_path / "serve.sock"),
+            jobs=2,
+            cache=str(tmp_path / "cache") if cache else None,
+            **kwargs,
+        ) as srv:
+            yield srv
+    finally:
+        for exp in experiments:
+            del REGISTRY._experiments[exp.name]
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +150,7 @@ def test_wrong_version_rejected_by_server(tmp_path):
         payload = SubmitRequest(experiment="tiny").to_dict()
         payload["version"] = 999
         with pytest.raises(ServeError, match="version 999") as err:
-            client._request_json("POST", "/v1/run", payload)
+            list(client._stream_jsonl("POST", "/v1/run", payload))
         assert err.value.status == 400
 
 

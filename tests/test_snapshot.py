@@ -68,15 +68,15 @@ def _copy(sim, *roots):
     n_flows=st.integers(1, 4),
     kb=st.integers(2, 120),
     seed=st.integers(0, 2**31),
-    prefix_events=st.integers(0, 4000),
+    prefix_ns=st.integers(0, 400_000),
 )
 @settings(max_examples=20, deadline=None)
 def test_property_snapshot_restore_rerun_is_byte_identical(
-    n_flows, kb, seed, prefix_events
+    n_flows, kb, seed, prefix_ns
 ):
     """copy → run → copy the copy → rerun reproduces the original exactly."""
     sim, net, flows, snds = _world(n_flows, kb, seed)
-    sim.run(max_events=prefix_events)  # arbitrary mid-flight instant
+    sim.run(until=prefix_ns)  # arbitrary mid-flight instant
 
     snap = _copy(sim, net, flows, snds)
 
@@ -100,7 +100,7 @@ def test_property_snapshot_restore_rerun_is_byte_identical(
 def test_property_world_copy_isolates_the_clone(n_flows, kb, seed):
     """Running a fork never perturbs the original (and vice versa)."""
     sim, net, flows, snds = _world(n_flows, kb, seed)
-    sim.run(max_events=500)
+    sim.run(until=20_000)
 
     sim2, _net2, flows2, snds2 = _copy(sim, net, flows, snds)
     before = (sim.now, sim.events_processed)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.sim.packet import DATA, Packet
+from repro.sim.packet import DATA, MIN_PACKET_BYTES, Packet
 from repro.sim.pfc import PfcConfig
 from repro.sim.switch import SwitchConfig, ecmp_hash
 from repro.topology import fat_tree, leaf_spine, multi_rack, star
@@ -33,9 +33,10 @@ def test_base_rtt_accounts_for_serialisation_and_propagation():
     net.connect(h1, sw, 8e9, 1000)  # 1 byte/ns
     net.connect(h2, sw, 8e9, 1000)
     net.build_routes()
-    rtt = net.base_rtt_ns(h1, h2, data_bytes=1000, ack_bytes=100)
-    # forward: 2 hops x (1000 prop + 1000 tx); reverse: 2 x (1000 + 100)
-    assert rtt == 2 * 2000 + 2 * 1100
+    rtt = net.base_rtt_ns(h1, h2, data_bytes=1000)
+    # forward: 2 hops x (1000 prop + 1000 tx); reverse: 2 x (1000 + a
+    # minimum-size ACK)
+    assert rtt == 2 * 2000 + 2 * (1000 + MIN_PACKET_BYTES)
 
 
 def test_bottleneck_rate():
@@ -49,7 +50,7 @@ def test_bottleneck_rate():
     assert net.bottleneck_rate_bps(h1, h2) == 10e9
 
 
-def test_unroutable_packet_raises():
+def test_unroutable_packet_blackholes():
     sim = Simulator()
     net = Network(sim, SwitchConfig(n_queues=2))
     sw = net.add_switch()
@@ -58,8 +59,9 @@ def test_unroutable_packet_raises():
     net.build_routes()
     p = Packet(DATA, 100, src=h1.node_id, dst=999, flow_id=1)
     h1.send(p)
-    with pytest.raises(RuntimeError):
-        sim.run()
+    sim.run()
+    assert sw.drops == 1
+    assert sw.buffer.stats.dropped_by_reason == {"blackhole": 1}
 
 
 def test_switch_drops_when_buffer_full_lossy():
@@ -208,7 +210,8 @@ def test_path_ports_flow_id_matches_packet_forwarding():
 def test_leaf_spine_oversubscription():
     sim = Simulator()
     net, hosts = leaf_spine(
-        sim, n_leaves=2, hosts_per_leaf=4, n_spines=2, host_rate_bps=100e9, oversubscription=2.0
+        sim, n_leaves=2, hosts_per_leaf=4, n_spines=2, host_rate_bps=100e9, oversubscription=2.0,
+        link_delay_ns=1_000, switch_cfg=SwitchConfig(),
     )
     assert len(hosts) == 8
     # total uplink per leaf = 4 x 100G / 2 = 200G across 2 spines
@@ -218,7 +221,10 @@ def test_leaf_spine_oversubscription():
 
 def test_multi_rack_routes_and_core_rate():
     sim = Simulator()
-    net, hosts = multi_rack(sim, n_racks=2, hosts_per_rack=3, host_rate_bps=10e9, core_rate_bps=40e9)
+    net, hosts = multi_rack(
+        sim, n_racks=2, hosts_per_rack=3, host_rate_bps=10e9, core_rate_bps=40e9,
+        link_delay_ns=1_000, switch_cfg=SwitchConfig(),
+    )
     assert len(hosts) == 6
     assert net.bottleneck_rate_bps(hosts[0], hosts[3]) == 10e9
 

@@ -352,15 +352,6 @@ def test_histogram_mean_and_percentiles():
         h.percentile(101)
 
 
-def test_histogram_time_weighting():
-    h = Histogram()
-    h.observe(100, weight=9.0)
-    h.observe(1000, weight=1.0)
-    # weighted mean: (100*9 + 1000*1) / 10
-    assert h.mean() == pytest.approx(190.0)
-    assert h.percentile(50) <= 128  # median falls in the 100s bucket
-
-
 def test_empty_metrics_are_safe():
     assert Gauge().time_weighted_mean() == 0.0
     h = Histogram()

@@ -22,7 +22,7 @@ from tests.helpers import tiny_star
 def test_single_flow_completes_and_fct_sane():
     sim, net, senders, recv = tiny_star(1)
     flow = Flow(1, senders[0], recv, 100_000)
-    s = FlowSender(sim, net, flow, Swift())
+    s = FlowSender(sim, net, flow, Swift(SwiftParams()))
     sim.run(until=100_000_000)
     assert flow.done
     assert flow.sender_done_ns is not None
@@ -34,7 +34,7 @@ def test_single_flow_completes_and_fct_sane():
 def test_flow_smaller_than_mtu():
     sim, net, senders, recv = tiny_star(1)
     flow = Flow(1, senders[0], recv, 1)
-    FlowSender(sim, net, flow, Swift())
+    FlowSender(sim, net, flow, Swift(SwiftParams()))
     sim.run(until=10_000_000)
     assert flow.done
 
@@ -42,7 +42,7 @@ def test_flow_smaller_than_mtu():
 def test_flow_exact_mtu_multiple():
     sim, net, senders, recv = tiny_star(1)
     flow = Flow(1, senders[0], recv, 5000)
-    s = FlowSender(sim, net, flow, Swift(), mtu=1000)
+    s = FlowSender(sim, net, flow, Swift(SwiftParams()), mtu=1000)
     assert s.n_packets == 5
     assert s.payload_of(4) == 1000
     sim.run(until=10_000_000)
@@ -52,7 +52,7 @@ def test_flow_exact_mtu_multiple():
 def test_last_packet_partial_payload():
     sim, net, senders, recv = tiny_star(1)
     flow = Flow(1, senders[0], recv, 2500)
-    s = FlowSender(sim, net, flow, Swift(), mtu=1000)
+    s = FlowSender(sim, net, flow, Swift(SwiftParams()), mtu=1000)
     assert s.n_packets == 3
     assert s.payload_of(2) == 500
 
@@ -67,8 +67,8 @@ def test_two_flows_share_bottleneck_fairly():
     sim, net, senders, recv = tiny_star(2)
     f1 = Flow(1, senders[0], recv, 400_000)
     f2 = Flow(2, senders[1], recv, 400_000)
-    FlowSender(sim, net, f1, Swift())
-    FlowSender(sim, net, f2, Swift())
+    FlowSender(sim, net, f1, Swift(SwiftParams()))
+    FlowSender(sim, net, f2, Swift(SwiftParams()))
     sim.run(until=100_000_000)
     assert f1.done and f2.done
     # both roughly 2x the solo time: neither starved
@@ -92,7 +92,7 @@ def test_sub_mtu_window_paces():
 def test_stop_resume():
     sim, net, senders, recv = tiny_star(1)
     flow = Flow(1, senders[0], recv, 1_000_000)
-    s = FlowSender(sim, net, flow, Swift())
+    s = FlowSender(sim, net, flow, Swift(SwiftParams()))
     sim.after(10_000, s.stop_sending)
     sim.run(until=300_000)
     assert not flow.done
@@ -157,7 +157,7 @@ def test_every_byte_delivered_exactly_once():
 def test_rto_rearm_until_done():
     sim, net, senders, recv = tiny_star(1)
     flow = Flow(1, senders[0], recv, 10_000)
-    s = FlowSender(sim, net, flow, Swift())
+    s = FlowSender(sim, net, flow, Swift(SwiftParams()))
     sim.run(until=100_000_000)
     assert s._rto_ev is None  # disarmed after completion
 
@@ -167,7 +167,7 @@ def test_on_done_callbacks():
     flow = Flow(1, senders[0], recv, 10_000)
     sender_done, recv_done = [], []
     FlowSender(
-        sim, net, flow, Swift(), on_done=sender_done.append, on_receive_done=recv_done.append
+        sim, net, flow, Swift(SwiftParams()), on_done=sender_done.append, on_receive_done=recv_done.append
     )
     sim.run(until=10_000_000)
     assert sender_done == [flow]
@@ -178,7 +178,7 @@ def test_on_done_callbacks():
 def test_flow_start_time_respected():
     sim, net, senders, recv = tiny_star(1)
     flow = Flow(1, senders[0], recv, 10_000, start_ns=500_000)
-    FlowSender(sim, net, flow, Swift())
+    FlowSender(sim, net, flow, Swift(SwiftParams()))
     sim.run(until=10_000_000)
     assert flow.first_tx_ns >= 500_000
 
@@ -186,7 +186,7 @@ def test_flow_start_time_respected():
 def test_slowdown_and_ideal_fct_helpers():
     sim, net, senders, recv = tiny_star(1)
     flow = Flow(1, senders[0], recv, 100_000)
-    FlowSender(sim, net, flow, Swift())
+    FlowSender(sim, net, flow, Swift(SwiftParams()))
     sim.run(until=100_000_000)
     # the paper's slowdown, FCT over the ideal FCT (size at the bottleneck
     # rate), cannot fall below 1

@@ -51,9 +51,10 @@ def test_default_theta_is_the_paper_placement():
 # ----------------------------------------------------------------------
 def test_seed_sweep_same_seed_replays_candidates():
     bounds = theta_bounds(SPEC["n_priorities"])
+    inc = default_theta(SPEC["n_priorities"])
     for seed in (0, 1, 7, 1234):
-        a = CEM(*bounds, seed=seed, pop_size=4)
-        b = CEM(*bounds, seed=seed, pop_size=4)
+        a = CEM(*bounds, seed=seed, pop_size=4, init_theta=inc)
+        b = CEM(*bounds, seed=seed, pop_size=4, init_theta=inc)
         for _ in range(3):
             pa, pb = a.ask(), b.ask()
             assert pa == pb
@@ -61,8 +62,8 @@ def test_seed_sweep_same_seed_replays_candidates():
             a.tell(pa, utils)
             b.tell(pb, utils)
     # distinct seeds explore distinct candidates
-    c = CEM(*bounds, seed=0, pop_size=4)
-    d = CEM(*bounds, seed=1, pop_size=4)
+    c = CEM(*bounds, seed=0, pop_size=4, init_theta=inc)
+    d = CEM(*bounds, seed=1, pop_size=4, init_theta=inc)
     assert c.ask() != d.ask()
 
 

@@ -149,7 +149,7 @@ def test_poisson_zero_and_one_arrival_durations():
 # ----------------------------------------------------------------------
 def test_synthesized_coflows_structure():
     rng = random.Random(7)
-    coflows = synthesize_coflows(rng, 20, 50, duration_ns=1_000_000)
+    coflows = synthesize_coflows(rng, 20, 50, duration_ns=1_000_000, mean_flow_bytes=1_000_000)
     assert len(coflows) == 50
     widths = [len(c.flows) for c in coflows]
     assert min(widths) >= 1
@@ -162,7 +162,7 @@ def test_synthesized_coflows_structure():
 
 def test_coflow_sizes_heavy_tailed():
     rng = random.Random(8)
-    coflows = synthesize_coflows(rng, 20, 200, duration_ns=1_000_000)
+    coflows = synthesize_coflows(rng, 20, 200, duration_ns=1_000_000, mean_flow_bytes=1_000_000)
     sizes = sorted(c.total_bytes for c in coflows)
     mean = sum(sizes) / len(sizes)
     median = sizes[len(sizes) // 2]
@@ -171,18 +171,18 @@ def test_coflow_sizes_heavy_tailed():
 
 def test_coflow_needs_enough_hosts():
     with pytest.raises(ValueError):
-        synthesize_coflows(random.Random(), 3, 1, duration_ns=100)
+        synthesize_coflows(random.Random(), 3, 1, duration_ns=100, mean_flow_bytes=1_000_000)
 
 
 def test_hadoop_and_storage_cdfs():
     from repro.workloads import ali_storage, hadoop
 
-    h = hadoop()
+    h = hadoop(1.0)
     # Hadoop: tiny median, enormous tail (mining mix)
     assert h.quantile(0.5) < 2_000
     assert h.quantile(0.99) > 10_000_000
     assert h.mean() > 1000 * h.quantile(0.5)
-    a = ali_storage()
+    a = ali_storage(1.0)
     assert 1_000 <= a.quantile(0.5) <= 256_000
     assert a.quantile(1.0) == 4_000_000
     # both sample within support
