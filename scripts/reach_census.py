@@ -88,7 +88,7 @@ ALLOWLIST = {
     "serve/protocol.py::error_event": "sent only for a failed run",
     "sim/engine.py::Simulator._to_tick": "runs only for a time in the past or not an int",
     # no run degrades a link under the hybrid driver (ROADMAP item 4(c))
-    "fluid/hybrid.py::HybridDriver._reread_caps": "no run degrades a link in a fluid epoch",
+    "fluid/epoch.py::_Epoch._reread_caps": "no run degrades a link in a fluid epoch",
     # timeout and probe hooks no root's flows reach
     "cc/base.py::CongestionControl.on_probe_ack": "default; PrioPlusCC, the one prober, overrides it",
     "cc/base.py::CongestionControl.fluid_sync": "default; every hybrid root drives PrioPlusCC",

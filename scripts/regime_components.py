@@ -8,9 +8,10 @@ connected components of their flow-link graph, and which component holds
 the saturated link that flows of different ranks meet on.  Flows outside
 that component are the *bystanders* a per-component regime would keep fluid.
 
-Measured from outside ``src/`` by wrapping ``HybridDriver._exit_fluid``; the
-components are :func:`repro.fluid.model.components`, the same definition the
-driver allocates by.
+Measured from outside ``src/`` by wrapping ``HybridDriver._exit_fluid`` and
+reading the epoch it ends (``driver.epoch``); the components are
+:func:`repro.fluid.model.components`, the same definition the driver
+allocates by.
 
 Usage:
     python scripts/regime_components.py --load 0.002 --ms 200
@@ -52,11 +53,11 @@ def _component_sizes(flows, rate, cap_rate, link_caps):
     return [len(members) for members in comps], hot
 
 
-def _exit_allocation(driver):
-    """``(cap_rate, rate)`` over ``driver._flows``: the allocation each group
+def _exit_allocation(epoch):
+    """``(cap_rate, rate)`` over ``epoch._flows``: the allocation each group
     holds at the exit, i.e. the one that forced it."""
-    held = {f: (cap, r) for g in driver._groups for f, cap, r in zip(g.flows, g.caps, g.rates)}
-    return [held[f][0] for f in driver._flows], [held[f][1] for f in driver._flows]
+    held = {f: (cap, r) for g in epoch._groups for f, cap, r in zip(g.flows, g.caps, g.rates)}
+    return [held[f][0] for f in epoch._flows], [held[f][1] for f in epoch._flows]
 
 
 def main() -> None:
@@ -70,9 +71,10 @@ def main() -> None:
 
     def measuring_exit(driver, reason):
         if reason.startswith("contention"):
-            cap_rate, rate = _exit_allocation(driver)
-            sizes, hot = _component_sizes(driver._flows, rate, cap_rate, driver._link_caps)
-            exits.append((len(driver._flows), sum(sizes[c] for c in hot), max(sizes)))
+            epoch = driver.epoch  # the epoch it leaves, still in force
+            cap_rate, rate = _exit_allocation(epoch)
+            sizes, hot = _component_sizes(epoch._flows, rate, cap_rate, driver._link_caps)
+            exits.append((len(epoch._flows), sum(sizes[c] for c in hot), max(sizes)))
         exit_fluid(driver, reason)
 
     hybrid.HybridDriver._exit_fluid = measuring_exit

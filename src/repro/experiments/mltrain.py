@@ -93,11 +93,11 @@ def run_mltrain_mode(mode: str, cfg: MlTrainConfig) -> Dict[str, object]:
     profiles += [("vgg", profile(VGG16))] * cfg.n_vgg
     fid = 1
     for j, (family, profile) in enumerate(profiles):
-        # ResNet jobs take the higher priorities (paper: 4 higher to ResNet)
-        group = j if j < cfg.n_resnet else j  # job index = priority group
+        # job index = priority group: ResNet jobs come first and take the
+        # higher priorities (paper: 4 higher to ResNet)
         ring = _ring_hosts(cfg, hosts, j)
 
-        def cc_factory(flow: Flow, group=group):
+        def cc_factory(flow: Flow, group=j):
             return factory.make(flow, group)
 
         job = TrainingJob(
@@ -107,8 +107,8 @@ def run_mltrain_mode(mode: str, cfg: MlTrainConfig) -> Dict[str, object]:
             profile,
             cc_factory,
             flow_id_start=fid,
-            priority=factory.data_priority(group),
-            vpriority=factory.vpriority(group),
+            priority=factory.data_priority(j),
+            vpriority=factory.vpriority(j),
             noise=noise,
         )
         fid += 1_000_000
@@ -130,8 +130,8 @@ def run_mltrain_mode(mode: str, cfg: MlTrainConfig) -> Dict[str, object]:
     }
 
 
-def mltrain_point(mode: str, cfg: Dict[str, object], seed: int) -> dict:
-    return run_mltrain_mode(mode, MlTrainConfig(seed=seed, **cfg))
+def mltrain_point(mode: str, seed: int) -> dict:
+    return run_mltrain_mode(mode, MlTrainConfig(seed=seed))
 
 
 def mltrain_speedups(results: Mapping[str, dict]) -> Dict[str, object]:
@@ -157,7 +157,7 @@ register(
         "fig12c",
         # baseline first, then the compared modes
         {
-            mode: (mltrain_point, {"mode": mode, "cfg": {}, "seed": 11})
+            mode: (mltrain_point, {"mode": mode, "seed": 11})
             for mode in (Mode.SWIFT, Mode.PRIOPLUS, Mode.PHYSICAL)
         },
         description="ML-training iteration speedups in a shared cluster",

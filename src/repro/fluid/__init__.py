@@ -1,11 +1,10 @@
 """The hybrid fluid/packet simulation core (stdlib-only, like the rest of ``repro``).
 
-* :mod:`repro.fluid.model` — strict-priority max-min water-filling rate
-  solver over per-flow link lists;
-* :mod:`repro.fluid.laws` — per-scheme fluid rate laws (window ramp and
-  ceiling for Swift / DCQCN / PrioPlus);
-* :mod:`repro.fluid.hybrid` — :class:`HybridDriver`, which alternates
-  packet-level DES with fixed-Δt fluid epochs under a quiescence predicate.
+* :mod:`repro.fluid.hybrid` — :class:`HybridDriver`: the regime cycle, the
+  entry (with :mod:`repro.fluid.withdraw`) and the exit;
+* :mod:`repro.fluid.epoch` — one fluid epoch's flows and its step loop;
+* :mod:`repro.fluid.model` — the strict-priority max-min rate solver;
+* :mod:`repro.fluid.laws` — per-scheme window ramp and ceiling.
 """
 
 from __future__ import annotations

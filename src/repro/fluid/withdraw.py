@@ -8,7 +8,8 @@ its path — a delivery from its heap time, a queued frame in service order
 behind the frame in service — through every port as a FIFO of the frames
 the plan puts on it, and a data packet is echoed at its receiver as its ACK.
 The plan keeps each port's log of frames, so a probe sent while the
-withdrawn packets would still be flying queues behind the ones it meets.
+withdrawn packets would still be flying queues behind the ones it meets,
+and it tells each held sender where the packets of its window landed.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 import bisect
 import heapq
 from array import array
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from ..sim.packet import DATA, MIN_PACKET_BYTES, PROBE
+from ..sim.packet import ACK, DATA, MIN_PACKET_BYTES, PACKET_POOL, PROBE
 
 __all__ = ["FlightPlan"]
 
@@ -67,8 +68,8 @@ class FlightPlan:
 
     ``pkts`` are the packets taken out, ``rx[i]`` when packet ``i``'s data
     reached its receiver and ``land[i]`` when it, or its echo, reached its
-    sender; ``idle`` is when the last port finished the last frame.  The
-    packets are the caller's to release.
+    sender; ``idle`` is when the last port finished the last frame.
+    ``_landed`` releases the packets.
     """
 
     __slots__ = ("net", "hosts", "paths", "logs", "pkts", "rx", "land", "idle")
@@ -137,6 +138,40 @@ class FlightPlan:
             sent.append(start + tx)
             replace(plan, (start + tx + prop, order, i, steps, hop + 1))
             order += 1
+
+    def _landed(self, sim, held) -> Tuple[int, Dict]:
+        """Release every withdrawn packet (a ``withdraw`` probe event each);
+        returns ``(quiet, landed)``.  ``quiet`` is when the last port goes
+        idle or the last packet of a ``held`` sender lands, and
+        ``landed[s][seq]`` is ``(landing ns, ns its data reached the
+        receiver or None, echo)`` at the earliest landing of each of its
+        packets: when its ACK would have reached the sender, with the
+        ``(delay, ecn, int hops)`` that ACK hands the congestion control."""
+        now = sim.now
+        rx, land = self.rx, self.land
+        by_id = {s.flow.flow_id: s for s in held}
+        landed = {}
+        quiet = self.idle  # the last port goes idle ...
+        p = sim.probe
+        for i, pkt in enumerate(self.pkts):
+            s = by_id.get(pkt.flow_id)
+            kind = pkt.kind
+            if s is not None and (kind == DATA or kind == ACK):
+                t = land[i]
+                if t > quiet:
+                    quiet = t  # ... and the last held ACK lands
+                if kind == DATA:
+                    echo = (t - pkt.send_ts, pkt.ecn, pkt.int_hops)
+                else:
+                    echo = (t - pkt.echo_ts, pkt.ecn_echo, pkt.int_hops)
+                seqs = landed.setdefault(s, {})
+                old = seqs.get(pkt.seq)
+                if old is None or t < old[0]:
+                    seqs[pkt.seq] = (t, rx.get(i), echo)
+            if p.on:
+                p.withdraw(now, pkt)
+            PACKET_POOL.release(pkt)
+        return quiet, landed
 
     def path(self, src: int, dst: int, flow_id: int) -> _Path:
         """The path a packet of ``flow_id`` takes between two hosts (node

@@ -3,11 +3,11 @@
 Before each fluid flow kept a byte ledger, the driver wrote every segment's
 whole packets straight into the sender and receiver with
 ``FlowSender.fluid_advance(payload_budget, now)``.  That method is here as
-it stood at c78cbd9, as a plain function, and ``settle`` is
-``HybridDriver._settle`` crediting through it: the same groups settle at
+it stood at c78cbd9, as a plain function, and ``settle`` is the fluid
+epoch's ``_settle`` crediting through it: the same groups settle at
 the same steps (a group is due at its segment's end, at every step while it
 ramps, and after a merge or split), each flow credited from its ``t_seg``,
-in ``_flows`` (absorb) order.  Patched in as ``HybridDriver._settle``,
+in ``_flows`` (absorb) order.  Patched in as ``_Epoch._settle``,
 ``settle`` runs a fluid epoch the old way.  It moves no flow's ledger
 sequence (only its remaining bytes, which the segment ends read), so the
 driver's exit finds nothing to write back.  A window withdrawn at entry is
@@ -74,13 +74,13 @@ def land_window(s, first: int, now: int) -> None:
     rcv.rx_count = rcv.cum_seq = end
 
 
-def settle(driver, now: int) -> None:
+def settle(epoch, now: int) -> None:
     """Settle every due group: deliver bytes, ramp windows, reap completions."""
-    if driver._shown:
-        driver._unshow()
+    if epoch._shown:
+        epoch._unshow()
     done = False
     delivered = 0
-    for f in driver._flows:
+    for f in epoch._flows:
         if f.group.due > now:
             continue
         s = f.sender
@@ -103,7 +103,7 @@ def settle(driver, now: int) -> None:
                         if s.receiver.on_complete is not None:
                             s.receiver.on_complete(flow)
                     s._finish()
-                    driver.stats["fluid_completions"] += 1
+                    epoch.stats["fluid_completions"] += 1
                     done = True
                     continue
         dt = now - f.t_seg
@@ -118,19 +118,19 @@ def settle(driver, now: int) -> None:
                 f.left -= consumed
                 delivered += consumed
                 if s.completed:
-                    driver.stats["fluid_completions"] += 1
+                    epoch.stats["fluid_completions"] += 1
                     done = True
                     continue
         if f.cap > 0.0 and f.rate >= f.cap * 0.999 and f.cwnd < f.ceil:
             f.cwnd = min(f.cwnd + f.ramp * dt / f.sender.base_rtt, f.ceil)
-    driver.stats["fluid_bytes"] += delivered
+    epoch.stats["fluid_bytes"] += delivered
     if done:
         live = []
-        for f in driver._flows:
+        for f in epoch._flows:
             g = f.group
             if g.due <= now and f.sender.completed:
                 g.flows.remove(f)
                 g.split = True
             else:
                 live.append(f)
-        driver._flows = live
+        epoch._flows = live

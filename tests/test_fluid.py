@@ -13,7 +13,7 @@ from repro.cc import Swift, SwiftParams
 from repro.core import ChannelConfig, PrioPlusCC
 from repro.experiments.launch import run_until_flows_done
 from repro.fluid import FluidConfig, HybridDriver, model
-from repro.fluid.hybrid import _DT_MAX_NS, _FluidFlow
+from repro.fluid.epoch import _DT_MAX_NS, _Epoch, _FluidFlow
 from repro.fluid.laws import law_for
 from repro.fluid.model import classify_contention, solve_rates
 from repro.obs import TimeSeriesSampler
@@ -264,11 +264,11 @@ def test_prioplus_fluid_law_matches_scheme_constants():
     )
     cc.attach(sender)
     sender.cc = cc
-    law = law_for(sender)
-    assert law.init == pytest.approx(max(cc.w_ls, cc.min_cwnd))
-    assert law.ramp == pytest.approx(max(cc.w_ls / max(cc.nflow, 1.0), 1.0))
+    init, ramp, ceil = law_for(sender)
+    assert init == pytest.approx(max(cc.w_ls, cc.min_cwnd))
+    assert ramp == pytest.approx(max(cc.w_ls / max(cc.nflow, 1.0), 1.0))
     line_bpns = sender.line_rate_bps / 8e9
-    assert law.ceil == pytest.approx(max(cc.d_target * line_bpns, sender.bdp_bytes, sender.mtu))
+    assert ceil == pytest.approx(max(cc.d_target * line_bpns, sender.bdp_bytes, sender.mtu))
 
 
 def test_swift_fluid_law_uses_ai_and_target():
@@ -278,9 +278,9 @@ def test_swift_fluid_law_uses_ai_and_target():
     cc = Swift(SwiftParams(target_scaling=False))
     cc.attach(sender)
     sender.cc = cc
-    law = law_for(sender)
-    assert law.ramp == pytest.approx(cc.ai_bytes)
-    assert law.ceil >= sender.bdp_bytes
+    _, ramp, ceil = law_for(sender)
+    assert ramp == pytest.approx(cc.ai_bytes)
+    assert ceil >= sender.bdp_bytes
 
 
 # ----------------------------------------------------------------------
@@ -322,19 +322,19 @@ def test_hybrid_star_agreement_and_speed():
     assert sim_h.events_processed < sim_p.events_processed / 2
 
 
-def test_fluid_admission_is_gated_by_pipe_fill_delay():
+def test_fluid_admission_is_gated_by_pipe_fill_delay(monkeypatch):
     """A flow starting inside an epoch completes ~one-way-delay later than
     the pure send-side staircase would predict (the pipe-fill gate)."""
     sim, net, flows = star_world(2, 300_000, 600_000)
     driver = HybridDriver(sim, net)
     seen = []
-    orig = driver._absorb
+    orig = _Epoch._absorb
 
-    def absorb(sender):
-        orig(sender)
-        seen.append((sender.flow.flow_id, driver._flows[-1].gate_ns, sim.now))
+    def absorb(epoch, sender):
+        orig(epoch, sender)
+        seen.append((sender.flow.flow_id, epoch._flows[-1].gate_ns, sim.now))
 
-    driver._absorb = absorb
+    monkeypatch.setattr(_Epoch, "_absorb", absorb)
     assert run_until_flows_done(sim, flows, 2_000_000_000, driver=driver)
     fresh = [(fid, gate, now) for fid, gate, now in seen if gate > 0]
     assert fresh, "expected at least one fresh in-epoch admission"
@@ -493,15 +493,15 @@ def _count_solves(world, monkeypatch):
         counts["solved"] += len(cap_rate)
         return fresh_solve(cap_rate, *args)
 
-    allocate = driver._allocate
+    allocate = _Epoch._allocate
 
-    def checked_allocate(now):
-        contended = allocate(now)
-        live, link_caps = driver._flows, driver._link_caps
+    def checked_allocate(epoch, now):
+        contended = allocate(epoch, now)
+        live, link_caps = epoch._flows, driver._link_caps
         caps = [0.0 if f.gate_ns > now else f.cwnd / f.sender.base_rtt for f in live]
         ranks, paths = [f.rank for f in live], [f.links for f in live]
         rate, load = fresh_solve(caps, ranks, paths, link_caps)
-        groups = driver._groups
+        groups = epoch._groups
         pos = {f: i for i, f in enumerate(live)}
         comps = model.components(paths)
         assert sorted([pos[f] for f in g.flows] for g in groups) == comps
@@ -517,7 +517,7 @@ def _count_solves(world, monkeypatch):
         return contended
 
     monkeypatch.setattr(model, "solve_rates", counting_solve)
-    monkeypatch.setattr(driver, "_allocate", checked_allocate)
+    monkeypatch.setattr(_Epoch, "_allocate", checked_allocate)
     assert run_until_flows_done(sim, flows, 10_000_000_000, driver=driver)
     assert driver.stats["fluid_epochs"] >= 1
     return counts
@@ -545,13 +545,16 @@ def test_bulk_waves_split_into_components(monkeypatch):
     assert counts["solved"] < counts["live"] / 2
 
 
-def _bare_driver(n_links):
-    """A driver whose groups are driven by hand: ``absorb(*links)`` adds one
-    window-limited flow with that path (unit link capacities)."""
+def _bare_epoch(n_links):
+    """An epoch on an empty fabric whose groups are driven by hand:
+    ``absorb(*links)`` adds one window-limited flow with that path (unit
+    link capacities)."""
     sim = Simulator(1)
     net, _, _ = star(sim, 2, rate_bps=10e9, link_delay_ns=1_000)
     driver = HybridDriver(sim, net)
-    driver._link_caps = [1.0] * n_links
+    driver._link_caps.extend([1.0] * n_links)
+    driver._enter_fluid([])
+    epoch = driver.epoch
 
     def absorb(*links):
         # the fields _FluidFlow's byte ledger opens from: a fresh flow
@@ -559,33 +562,33 @@ def _bare_driver(n_links):
             base_rtt=8_000, completed=False, next_new_seq=0, remaining_bytes=1_000_000
         )
         flow = _FluidFlow(sender, list(links), 0, 800.0, 0.0, 800.0)
-        driver._flows.append(flow)
-        driver._join(flow)
+        epoch._flows.append(flow)
+        epoch._join(flow)
         return flow
 
-    return driver, absorb
+    return epoch, absorb
 
 
-def _group_members(driver):
-    """Each group as positions in ``driver._flows``, in the group's order."""
-    pos = {f: i for i, f in enumerate(driver._flows)}
-    return sorted([pos[f] for f in g.flows] for g in driver._groups)
+def _group_members(epoch):
+    """Each group as positions in ``epoch._flows``, in the group's order."""
+    pos = {f: i for i, f in enumerate(epoch._flows)}
+    return sorted([pos[f] for f in g.flows] for g in epoch._groups)
 
 
 def test_admission_bridging_groups_merges_them_in_absorb_order():
-    driver, absorb = _bare_driver(8)
+    epoch, absorb = _bare_epoch(8)
     for path in ([0, 1], [5], [1, 2], [6], [5, 4], [7]):
         absorb(*path)
-    assert _group_members(driver) == [[0, 2], [1, 4], [3], [5]]
+    assert _group_members(epoch) == [[0, 2], [1, 4], [3], [5]]
     absorb(2, 6, 5)  # bridges the first three groups; [7] stays apart
-    assert _group_members(driver) == [[0, 1, 2, 3, 4, 6], [5]]
-    assert all(f.group is g for g in driver._groups for f in g.flows)
+    assert _group_members(epoch) == [[0, 1, 2, 3, 4, 6], [5]]
+    assert all(f.group is g for g in epoch._groups for f in g.flows)
     absorb(4)  # a link of a merged-away group, off the bridge's path
-    assert _group_members(driver) == [[0, 1, 2, 3, 4, 6, 7], [5]]
+    assert _group_members(epoch) == [[0, 1, 2, 3, 4, 6, 7], [5]]
 
 
 def test_completion_that_disconnects_a_group_splits_it(monkeypatch):
-    driver, absorb = _bare_driver(8)
+    epoch, absorb = _bare_epoch(8)
     solved = []  # sizes of the groups solved
     solve = model.solve_rates
 
@@ -595,29 +598,29 @@ def test_completion_that_disconnects_a_group_splits_it(monkeypatch):
 
     monkeypatch.setattr(model, "solve_rates", counting_solve)
     left, bridge, right, other = absorb(0), absorb(0, 1, 2), absorb(1), absorb(4)
-    driver._allocate(driver.sim.now)
-    assert _group_members(driver) == [[0, 1, 2], [3]]
+    epoch._allocate(epoch.sim.now)
+    assert _group_members(epoch) == [[0, 1, 2], [3]]
     assert sorted(solved) == [1, 3]
 
     bridge.sender.completed = True
-    driver._settle(driver.sim.now)  # every group is due: none has opened a segment
+    epoch._settle(epoch.sim.now)  # every group is due: none has opened a segment
     # removed at once, marked, and re-split before the next solve
-    assert _group_members(driver) == [[0, 1], [2]]
-    assert sorted(g.split for g in driver._groups) == [False, True]
+    assert _group_members(epoch) == [[0, 1], [2]]
+    assert sorted(g.split for g in epoch._groups) == [False, True]
     solved.clear()
-    driver._allocate(driver.sim.now)
-    assert _group_members(driver) == [[0], [1], [2]]
+    epoch._allocate(epoch.sim.now)
+    assert _group_members(epoch) == [[0], [1], [2]]
     assert solved == [1, 1]  # the two halves; `other` kept its allocation
     assert len({left.group, right.group, other.group}) == 3
 
     # a cap that moves re-solves only its own group
     solved.clear()
     other.cwnd = 400.0
-    driver._allocate(driver.sim.now)
+    epoch._allocate(epoch.sim.now)
     assert solved == [1] and other.group.caps == [400.0 / 8_000]
     # link 2 was the finished flow's alone: a flow there joins nobody
     absorb(2)
-    assert _group_members(driver) == [[0], [1], [2], [3]]
+    assert _group_members(epoch) == [[0], [1], [2], [3]]
 
 
 def test_a_route_rebuild_reroutes_a_flow_absorbed_again():
@@ -630,7 +633,7 @@ def test_a_route_rebuild_reroutes_a_flow_absorbed_again():
     sender = FlowSender(sim, net, flow, Swift(SwiftParams()), rto_ns=10**10)
     driver = HybridDriver(sim, net)
     driver._enter_fluid([sender])
-    (before,) = driver._flows
+    (before,) = driver.epoch._flows
     ports = net.path_ports(flow.src, flow.dst, flow_id=flow.flow_id)
     assert before.links == [driver._link_index[p] for p in ports]
 
@@ -638,7 +641,7 @@ def test_a_route_rebuild_reroutes_a_flow_absorbed_again():
     net.set_link_state(ports[0].peer, uplink.peer, up=False)
     net.rebuild_routes()
     driver._enter_fluid([sender])  # the next epoch absorbs it again
-    (after,) = driver._flows
+    (after,) = driver.epoch._flows
     rerouted = net.path_ports(flow.src, flow.dst, flow_id=flow.flow_id)
     assert uplink not in rerouted
     assert driver._link_index[uplink] not in after.links
@@ -807,7 +810,7 @@ def test_packet_phase_ends_when_the_fabric_goes_quiet():
     asked = []  # (instant, answer) of every _quiescent() the driver made
 
     def watch(exit_ns):
-        if driver.phase != "packet" or exits[-1] != exit_ns:
+        if driver.epoch is not None or exits[-1] != exit_ns:
             return
         if quiescent():
             first_quiet[exit_ns] = sim.now
@@ -867,7 +870,7 @@ def test_packet_floor_backs_off_after_short_contention_epochs(monkeypatch):
     exit_fluid = driver._exit_fluid
 
     def recording_exit(reason):
-        before, entered = driver._floor_ns, driver._opened
+        before, entered = driver._floor_ns, driver.epoch._opened
         exit_fluid(reason)
         exits.append((reason, sim.now - entered, before, driver._floor_ns))
 
@@ -1030,6 +1033,60 @@ def test_a_flow_whose_last_ack_is_in_flight_completes_as_in_packets():
     assert flows[0].sender_done_ns == flows_p[0].sender_done_ns
 
 
+@pytest.mark.parametrize("reenter", [False, True], ids=["packets_after", "new_epoch"])
+@pytest.mark.parametrize("reason", ["deadline", "contention:priority"])
+def test_an_ack_withdrawn_into_an_ended_epoch_never_reaches_the_cc(reason, reenter, monkeypatch):
+    """A withdrawn ACK's ``_echo`` is scheduled for when the ACK would have
+    landed.  If its epoch has exited by then, the write-back already took
+    its bytes and its sender is back on packets (or held by a newer epoch):
+    the echo must not reach the congestion control.  Two 4 MB Swift flows
+    over 20 µs links are held 300 µs in, with ACKs landing up to ~185 µs
+    later, and the epoch exits 5 µs after the entry; with ``reenter`` a new
+    epoch opens at the same instant, so every stale echo lands inside it."""
+    ended = set()  # every epoch the driver has exited
+    stale, current = [], []  # per echo to a live sender: ACKs its CC took
+    in_epoch = []  # per stale echo: whether an epoch was in force
+    acks = [0]
+    on_ack, echo, exit_fluid = Swift.on_ack, HybridDriver._echo, HybridDriver._exit_fluid
+
+    def counting_on_ack(self, info):
+        acks[0] += 1
+        on_ack(self, info)
+
+    def recording_echo(self, s, seq, payload, info, epoch):
+        before, live = acks[0], not s.completed
+        echo(self, s, seq, payload, info, epoch)
+        if live:
+            (stale if epoch in ended else current).append(acks[0] - before)
+            if epoch in ended:
+                in_epoch.append(self.epoch is not None)
+
+    def recording_exit(self, reason):
+        ended.add(self.epoch)
+        exit_fluid(self, reason)
+
+    monkeypatch.setattr(Swift, "on_ack", counting_on_ack)
+    monkeypatch.setattr(HybridDriver, "_echo", recording_echo)
+    monkeypatch.setattr(HybridDriver, "_exit_fluid", recording_exit)
+    sim = Simulator(1)
+    net, (a, b), dst = star(sim, 2, rate_bps=100e9, link_delay_ns=20_000)
+    flows = [Flow(1, a, dst, 4_000_000), Flow(2, b, dst, 4_000_000)]
+    for f in flows:
+        FlowSender(sim, net, f, Swift(SwiftParams()), rto_ns=10**10)
+    driver = HybridDriver(sim, net)
+    sim.run(until=300_000)
+    driver._enter_fluid(driver._active_senders())
+    assert driver.epoch._opened > sim.now + 100_000  # ACKs still to land
+    sim.run(until=305_000)
+    driver._exit_fluid(reason)
+    if reenter:
+        driver._enter_fluid(driver._active_senders())
+    assert run_until_flows_done(sim, flows, 10**9, driver=driver)
+    assert current and set(current) == {1}  # an epoch's own echoes reach the CC
+    assert stale and set(stale) == {0}
+    assert all(in_epoch) if reenter else not all(in_epoch)
+
+
 def test_hybrid_worlds_hold_under_the_strict_auditor(monkeypatch):
     """The withdraw event, the fluid byte ledger and every packet-core
     invariant hold on the three cheap hybrid worlds, every solve keeps each
@@ -1112,8 +1169,9 @@ def test_a_degraded_link_reads_its_degraded_rate_everywhere():
     link = driver._link_index[port]
     assert driver._link_caps[link] == 25e9 / 8e9
     degrade.clear()
-    assert not driver._caps_fresh  # the rate write emptied it: the driver will re-read
-    driver._reread_caps()
+    assert not driver._caps_fresh  # the rate write emptied it: an epoch will re-read
+    driver._enter_fluid([])
+    driver.epoch._reread_caps()
     assert driver._link_caps[link] == 100e9 / 8e9
     assert net.bottleneck_rate_bps(src, dst) == 100e9
 
@@ -1178,7 +1236,7 @@ def _state_log(world, reference):
         m.setattr(HybridDriver, "_release_or_start", recording_release)
         m.setattr(FlowSender, "_finish", recording_finish)
         if reference:
-            m.setattr(HybridDriver, "_settle", credit_reference.settle)
+            m.setattr(_Epoch, "_settle", credit_reference.settle)
             m.setattr(credit_reference, "fluid_advance", counting_advance)
         else:
             m.setattr(FlowSender, "fluid_advance", counting_advance)
