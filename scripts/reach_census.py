@@ -397,8 +397,7 @@ ROOTS = {
         _REPRO + ["run", "fig13", "--quick", "--jobs", "2"],
         _REPRO + ["run", "headroom", "--quick", "--jobs", "2"],
         ["{repo}/scripts/regime_components.py", "--load", "0.002", "--ms", "20"],
-        ["{repo}/scripts/packet_floor_sweep.py", "--scale", "0.01",
-         "--settings", "15:100:800,100:100:100"],
+        ["{repo}/tests/hybrid_twins.py", "--sweep", "15:100:800,100:100:100"],
         ["{repo}/scripts/solver_replay.py", "--world", "bulk_fluid", "--scale", "0.05",
          "--rounds", "1"],
         ["{repo}/tests/hybrid_twins.py", "--check"],

@@ -9,48 +9,22 @@ change between benchmark PRs and reaches the layer by this path: it imports
 calls ``common.launch_specs`` / ``run_until_flows_done`` / ``FlowAdmitter`` /
 ``run_admitter`` through it, and ``benchmarks/perf/tracing._targets()``
 patches ``common.launch_specs`` and ``common.FlowAdmitter._on_done`` on it —
-the same arrangement as ``runner/bench_core.calibrate``.  Every name is the
-same object as in its home module (pinned by ``tests/test_probe.py``).
+the same arrangement as ``runner/bench_core.calibrate``.  It offers exactly
+those eight names, each the same object as in its home module (pinned by
+``tests/test_probe.py``).
 """
 
-from .launch import (
-    FlowAdmitter,
-    bind_flow,
-    launch_specs,
-    run_admitter,
-    run_until,
-    run_until_flows_done,
-)
+from .launch import FlowAdmitter, launch_specs, run_admitter, run_until_flows_done
 from .modes import CCFactory, Mode
-from .registry import (
-    REGISTRY,
-    Experiment,
-    ExperimentRegistry,
-    FunctionExperiment,
-    Point,
-    experiment_names,
-    get_experiment,
-    register,
-)
-from .samplers import DelaySampler, RateSampler
+from .registry import REGISTRY, FunctionExperiment
 
 __all__ = [
-    "Mode",
     "CCFactory",
+    "Mode",
+    "REGISTRY",
+    "FunctionExperiment",
     "launch_specs",
+    "run_until_flows_done",
     "FlowAdmitter",
     "run_admitter",
-    "RateSampler",
-    "DelaySampler",
-    "run_until_flows_done",
-    "Point",
-    "Experiment",
-    "FunctionExperiment",
-    "ExperimentRegistry",
-    "REGISTRY",
-    "register",
-    "get_experiment",
-    "experiment_names",
-    "bind_flow",
-    "run_until",
 ]

@@ -62,7 +62,10 @@ __all__ = ["FluidConfig", "HybridDriver"]
 #: floor of a packet phase
 _QUIET_STEP_NS = 5_000
 #: hysteresis: after a fluid exit stay in packet mode at least the floor in
-#: force (``HybridDriver._floor_ns``), which starts and resets at this base
+#: force (``HybridDriver._floor_ns``), which starts and resets at this base.
+#: The three floor constants are judged by the twin ratchet:
+#: ``tests/hybrid_twins.py --sweep BASE:THRESHOLD:CAP`` (µs) runs the
+#: hybrid golden worlds against their twins' bounds at any setting
 _MIN_PACKET_NS = 15_000
 #: a contention exit from an epoch shorter than this doubles the next
 #: floor: the contention outlived the last one

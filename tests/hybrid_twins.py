@@ -1,12 +1,15 @@
-"""The five hybrid golden worlds, their pure-packet twins, and the fidelity ratchet.
+"""The hybrid golden worlds, their pure-packet twins, and the fidelity ratchet.
 
 ``tests/golden/hybrid_results.json`` pins what the hybrid core produces on
-five worlds, byte for byte; it says nothing about how far that sits from
+eight worlds, byte for byte; it says nothing about how far that sits from
 packets.  ``tests/golden/hybrid_twins.json`` does: each world was run once
 with no driver (its *twin*), and for every group of flows — virtual
-priority for the four driver worlds, ``fct_by_group`` for
-``paper_long_20ms``, and ``all`` — the file holds the twin's mean and p99
-FCT (µs) and a bound on ``|hybrid / twin - 1|`` for each.
+priority for the four driver worlds, ``fct_by_group`` for the four trace
+worlds, and ``all`` — the file holds the twin's mean and p99 FCT (µs) and
+a bound on ``|hybrid / twin - 1|`` for each.  The trace worlds are
+``PAPER_LONG_CFG``'s seed-42 trace cut to 20 ms and three traces held out
+from it (seeds 1, 2, 3) cut to 30 ms, where each exits fluid on contention
+(at 20 ms seeds 1 and 2 run one epoch to the deadline).
 
 ``tests/test_fluid.py::test_hybrid_golden_stays_within_its_twin_bounds``
 reads both files and asserts every bound, so a golden regeneration that
@@ -15,14 +18,24 @@ ever goes down: a fix that tightens one lowers it in the same commit, and
 ``--write`` keeps the smaller of the committed bound and the current error
 rounded up to the next 0.01.
 
+This ratchet is the one judge of the hybrid's fidelity, tuned constants
+included.  The rule: a tuned constant takes the cheapest value, counted in
+summed hybrid events over these worlds, at which every twin bound holds.
+``--sweep`` applies it to the packet floor (``_MIN_PACKET_NS`` /
+``_SHORT_EPOCH_NS`` / ``_MAX_PACKET_NS`` of :mod:`repro.fluid.hybrid`,
+given as ``BASE:THRESHOLD:CAP`` in µs): per setting it runs every world
+hybrid against the committed twins and prints the summed events, the
+fluid epochs and every breached bound; no twin is re-simulated.
+
 Usage::
 
-    PYTHONPATH=src python tests/hybrid_twins.py --check   # re-run all five twins, compare ==
+    PYTHONPATH=src python tests/hybrid_twins.py --check   # re-run every twin, compare ==
     PYTHONPATH=src python tests/hybrid_twins.py --write   # rewrite the file (twins + bounds)
+    PYTHONPATH=src python tests/hybrid_twins.py --sweep 15:100:800,100:100:100
 
-A full run takes ~45 s on one core of a Xeon VM (``bulk_waves`` ~32 s,
-``paper_long_20ms`` ~13 s); the other three twins take under a second and
-tier-1 re-runs them.
+``--check`` takes ~60 s on one core of a Xeon VM (``bulk_waves`` ~18 s,
+each trace twin 8-13 s); the three other twins take under a second and
+tier-1 re-runs them.  A ``--sweep`` setting takes ~1.2 s.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ import json
 import math
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 from repro.cc import Swift, SwiftParams
@@ -40,6 +54,7 @@ from repro.experiments.launch import run_until_flows_done
 from repro.experiments.modes import Mode
 from repro.experiments.paper_scale import PAPER_LONG_CFG, run_paper_scale
 from repro.fluid import HybridDriver
+from repro.fluid import hybrid as fluid_hybrid
 from repro.sim.engine import Simulator
 from repro.sim.switch import SwitchConfig
 from repro.topology import fat_tree, paper_fabric, star
@@ -126,17 +141,6 @@ def bulk_waves_world(waves=20, per_wave=8, flow_bytes=2_000_000, gap_ns=50_000):
     return sim, net, flows
 
 
-def run_packet(sim, flows, deadline=2_000_000_000):
-    """Drive a world with no hybrid driver; returns the per-flow FCTs."""
-    while sim.now < deadline:
-        sim.run(until=min(sim.now + 1_000_000, deadline))
-        if all(f.done for f in flows):
-            break
-        if sim.peek_time() is None:
-            break
-    return [f.fct_ns() for f in flows]
-
-
 def hybrid_point(world, deadline_ns):
     sim, net, flows = world
     driver = HybridDriver(sim, net)
@@ -149,7 +153,25 @@ def hybrid_point(world, deadline_ns):
     }
 
 
-LONG_20MS_CFG = FlowSchedConfig(**dict(PAPER_LONG_CFG, duration_ns=20_000_000))
+def run_stats(result):
+    """The driver counters of one hybrid run with its event count, from
+    either shape of result (:func:`hybrid_point`'s or a trace world's)."""
+    if "driver" in result:
+        return dict(result["driver"], events=result["events"])
+    return result["fluid"]
+
+
+def _trace_cfg(ms, seed=42):
+    """``PAPER_LONG_CFG``'s trace ``seed`` cut to ``ms`` milliseconds."""
+    return FlowSchedConfig(**dict(PAPER_LONG_CFG, duration_ns=ms * 1_000_000, seed=seed))
+
+
+#: the trace worlds (PrioPlus × 8, streaming, on the 320-host paper fabric):
+#: the seed-42 trace and three held out from it
+_TRACES = {
+    "paper_long_20ms": _trace_cfg(20),
+    **{f"paper_long_30ms_seed{seed}": _trace_cfg(30, seed) for seed in (1, 2, 3)},
+}
 
 #: world builders of the four driver worlds and their hybrid deadlines
 _BUILDERS = {
@@ -159,13 +181,19 @@ _BUILDERS = {
     "bulk_waves": (bulk_waves_world, 100_000_000),
 }
 
-#: the five golden worlds, each a thunk that builds, runs hybrid and reports
+
+def _trace_point(name, fluid=True):
+    return run_paper_scale(Mode.PRIOPLUS, 8, _TRACES[name], fluid=fluid, streaming=True)
+
+
+#: the eight golden worlds, each a thunk that builds, runs hybrid and reports
 HYBRID_WORLDS = {
     "star": lambda: hybrid_point(*_world("star")),
     "midscale": lambda: hybrid_point(*_world("midscale")),
     "midscale_contended": lambda: hybrid_point(*_world("midscale_contended")),
-    "paper_long_20ms": lambda: run_paper_scale(Mode.PRIOPLUS, 8, LONG_20MS_CFG, streaming=True),
+    "paper_long_20ms": partial(_trace_point, "paper_long_20ms"),
     "bulk_waves": lambda: hybrid_point(*_world("bulk_waves")),
+    **{name: partial(_trace_point, name) for name in _TRACES if name != "paper_long_20ms"},
 }
 
 
@@ -184,11 +212,11 @@ def _stats_us(fcts_ns):
     return {"mean_us": sum(fcts) / len(fcts) / 1e3, "p99_us": p99 / 1e3}
 
 
-def group_stats(name, result, vpriority=None):
-    """``{group: {"mean_us", "p99_us"}}`` of one run of world ``name``: by
-    ``vpriority`` (one entry per flow) for a driver world, from
-    ``fct_by_group`` for ``paper_long_20ms``; ``all`` in both."""
-    if name == "paper_long_20ms":
+def group_stats(result, vpriority=None):
+    """``{group: {"mean_us", "p99_us"}}`` of one run: from ``fct_by_group``
+    for a trace world, else by ``vpriority`` (one entry per flow of
+    ``fct_ns``); ``all`` in both."""
+    if "fct_by_group" in result:
         groups = dict(result["fct_by_group"], all=result["fct"]["all"])
         return {str(g): {k: s[k] for k in ("mean_us", "p99_us")} for g, s in groups.items()}
     fcts = result["fct_ns"]
@@ -201,15 +229,15 @@ def group_stats(name, result, vpriority=None):
 def run_twin(name):
     """World ``name`` with no driver: its ``vpriority`` list (driver worlds
     only) and its per-group twin statistics."""
-    if name == "paper_long_20ms":
-        result = run_paper_scale(Mode.PRIOPLUS, 8, LONG_20MS_CFG, fluid=False, streaming=True)
+    if name in _TRACES:
+        result = _trace_point(name, fluid=False)
         assert result["all_done"], name
-        return {"groups": group_stats(name, result)}
+        return {"groups": group_stats(result)}
     (sim, _, flows), _ = _world(name)
-    fcts = run_packet(sim, flows, deadline=10_000_000_000)
-    assert all(f.done for f in flows), name
+    assert run_until_flows_done(sim, flows, 10_000_000_000), name
     vpriority = [f.vpriority for f in flows]
-    return {"vpriority": vpriority, "groups": group_stats(name, {"fct_ns": fcts}, vpriority)}
+    fcts = [f.fct_ns() for f in flows]
+    return {"vpriority": vpriority, "groups": group_stats({"fct_ns": fcts}, vpriority)}
 
 
 def measured(twin):
@@ -223,7 +251,7 @@ def errors(twins, hybrid):
     hybrid run must have exactly the twin's groups."""
     out = {}
     for name, twin in twins.items():
-        seen = group_stats(name, hybrid[name], twin.get("vpriority"))
+        seen = group_stats(hybrid[name], twin.get("vpriority"))
         assert seen.keys() == twin["groups"].keys(), (name, sorted(seen))
         for group, want in twin["groups"].items():
             for stat in ("mean", "p99"):
@@ -247,6 +275,36 @@ def _ceil_cent(x):
     return math.ceil(round(x * 100, 9)) / 100
 
 
+#: the packet floor's constants in :mod:`repro.fluid.hybrid`, in the order
+#: of a ``BASE:THRESHOLD:CAP`` setting
+FLOOR = ("_MIN_PACKET_NS", "_SHORT_EPOCH_NS", "_MAX_PACKET_NS")
+
+
+def sweep(settings, twins):
+    """Per ``BASE:THRESHOLD:CAP`` setting (µs), the packet floor patched to
+    it and every world run hybrid: ``(setting, events, epochs, breaches)``
+    rows, summed over the worlds, with :func:`breaches` against ``twins``.
+    The constants are restored afterwards."""
+    saved = [getattr(fluid_hybrid, const) for const in FLOOR]
+    rows = []
+    try:
+        for setting in settings:
+            for const, us in zip(FLOOR, setting.split(":"), strict=True):
+                setattr(fluid_hybrid, const, int(us) * 1000)
+            runs = {name: run() for name, run in HYBRID_WORLDS.items()}
+            stats = [run_stats(r) for r in runs.values()]
+            rows.append((
+                setting,
+                sum(s["events"] for s in stats),
+                sum(s["fluid_epochs"] for s in stats),
+                breaches(twins, runs),
+            ))
+    finally:
+        for const, value in zip(FLOOR, saved):
+            setattr(fluid_hybrid, const, value)
+    return rows
+
+
 def main(argv=None) -> int:
     import argparse
 
@@ -254,19 +312,31 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true", help="re-run every twin, compare with ==")
     mode.add_argument("--write", action="store_true", help=f"rewrite {TWINS_PATH.name}")
+    mode.add_argument(
+        "--sweep",
+        metavar="BASE:THRESHOLD:CAP,...",
+        help="run every world hybrid per packet-floor setting (µs) against the committed twins",
+    )
     args = parser.parse_args(argv)
     committed = json.loads(TWINS_PATH.read_text()) if TWINS_PATH.exists() else {}
-    hybrid = json.loads(HYBRID_GOLDEN_PATH.read_text())
+    if args.sweep:
+        print(f"{'setting (µs)':<14} {'events':>9} {'epochs':>6} {'breaches':>8}")
+        for setting, events, epochs, bad in sweep(args.sweep.split(","), committed):
+            print(f"{setting:<14} {events:>9} {epochs:>6} {len(bad):>8}")
+            for row in bad:
+                print("  over bound: %s %s %s %.4f > %.2f" % row)
+        return 0
+    golden = json.loads(HYBRID_GOLDEN_PATH.read_text())
     twins = {name: run_twin(name) for name in HYBRID_WORLDS}
     if args.check:
         drift = [n for n in twins if n not in committed or twins[n] != measured(committed[n])]
-        bad = breaches(committed, hybrid)
+        bad = breaches(committed, golden)
         for row in bad:
             print("over bound: %s %s %s %.4f > %.2f" % row, file=sys.stderr)
         if drift:
             print(f"twins differ from {TWINS_PATH.name}: {', '.join(drift)}", file=sys.stderr)
         return 1 if drift or bad else 0
-    for (name, group, stat), err in errors(twins, hybrid).items():
+    for (name, group, stat), err in errors(twins, golden).items():
         old = committed.get(name, {}).get("groups", {}).get(group, {}).get(f"{stat}_bound")
         bound = _ceil_cent(err) if old is None else min(old, _ceil_cent(err))
         twins[name]["groups"][group][f"{stat}_bound"] = bound

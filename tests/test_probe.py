@@ -131,9 +131,9 @@ def test_common_is_only_the_ledgers_import_surface():
     ]
     assert not importers, importers
 
-    from repro.experiments import common, launch, modes, registry, samplers
+    from repro.experiments import common, launch, modes, registry
 
-    homes = (launch, modes, registry, samplers)
+    homes = (launch, modes, registry)
     for name in common.__all__:
         owners = [home for home in homes if name in home.__all__]
         assert len(owners) == 1, (name, owners)
@@ -142,7 +142,7 @@ def test_common_is_only_the_ledgers_import_surface():
         "CCFactory", "Mode", "REGISTRY", "FunctionExperiment",
         "launch_specs", "run_until_flows_done", "FlowAdmitter", "run_admitter",
     }
-    assert ledger_uses <= set(common.__all__)
+    assert ledger_uses == set(common.__all__)
 
 
 def test_registry_holds_the_only_experiment_class():
