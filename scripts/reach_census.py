@@ -72,6 +72,7 @@ SRC = ROOT / "src" / "repro"
 ALLOWLIST = {
     # the frozen perf ledger names or calls them (ROADMAP item 1)
     "sim/port.py::Port.kick": "the perf ledger's tracer wraps it by name",
+    "obs/profiler.py::profile_scope": "only the perf ledger's tracer (--trace 1) calls it",
     "fluid/hybrid.py::HybridDriver.run": "the perf ledger's tracer wraps it by name; no workload calls it",
     "runner/bench_core.py::calibrate": "only the perf ledger's run.py calls it",
     # they run only on a failure
@@ -99,13 +100,9 @@ ALLOWLIST = {
     # protocol bases: their subclasses run
     "faults/actors.py::FaultActor.inject": "abstract; the link actors run",
     "faults/actors.py::FaultActor.clear": "abstract; the link actors run",
-    "experiments/registry.py::Experiment.points": "abstract; FunctionExperiment runs",
-    "experiments/registry.py::Experiment.run_point": "abstract; FunctionExperiment runs",
-    "experiments/registry.py::Experiment.quick": "abstract; FunctionExperiment runs",
     # full presets: only a run without --quick reaches them
     "tune/channel_env.py::_eval_flowsched_full": "tune_channels' full preset",
     # the library API docs/API.md documents (tests/test_probe.py _NO_CALLER_YET)
-    "audit/auditor.py::current_auditor": "docs/API.md: the installed auditor",
     "obs/profiler.py::current_profiler": "docs/API.md: the installed profiler",
     "api.py::cache_info": "docs/API.md: the facade's local-cache inspection",
     "runner/cache.py::ResultCache.info": "what api.cache_info returns",
@@ -275,39 +272,6 @@ threading.setprofile(_hook)
 # temporary directory with {repo} filled in; a trailing ">", FILE writes
 # the command's stdout to FILE
 # ----------------------------------------------------------------------
-_HYBRID_STRICT = """
-from repro.audit import audit_scope
-from tests.hybrid_twins import HYBRID_WORLDS
-for name, run in HYBRID_WORLDS.items():
-    with audit_scope("strict") as aud:
-        run()
-    assert aud.report.ok and aud.report.checks["fluid_ledger"] > 0, name
-"""
-
-_HYBRID_SINKS = """
-import json
-from repro.audit import Auditor
-from repro.obs import ChannelInspector, EngineProfiler, PacketTracer, TimeSeriesSampler
-from repro.probe import installed
-from repro.telemetry import PerfettoWriter, Recorder
-from tests.golden_battery import canonical
-from tests.hybrid_twins import HYBRID_GOLDEN_PATH, HYBRID_WORLDS
-golden = json.loads(HYBRID_GOLDEN_PATH.read_text())
-for name, run in HYBRID_WORLDS.items():
-    tracer = PacketTracer(sample_every=16)
-    recorder = Recorder(PerfettoWriter(f"hybrid_{name}.json", tracer=tracer))
-    auditor, sampler = Auditor("strict"), TimeSeriesSampler(stride_ns=50_000)
-    with installed(recorder, auditor, tracer, ChannelInspector(), sampler, EngineProfiler()):
-        result = run()
-    tracer.finalize()
-    sampler.finalize()
-    recorder.close()
-    assert json.loads(canonical(result)) == golden[name], name
-    assert auditor.finalize().ok, name
-    assert recorder.snapshot()["event_counts"]["regime"] > 0, name
-    assert sampler.snapshot()["regime_rows"] > 0, name
-"""
-
 _PAPER_POINT = """
 from repro.experiments.registry import REGISTRY
 from repro.runner.scheduler import execute_point
@@ -318,12 +282,9 @@ assert row["fluid"]["fluid_epochs"] >= 1, row["fluid"]
 
 _FAULT_PLANS = """
 import json
-def plan(kind, target, at_ns, duration_ns, seed, **params):
-    schedule = {"kind": "oneshot", "at_ns": at_ns, "duration_ns": duration_ns}
-    return {"seed": seed, "specs": [dict(kind=kind, target=target, schedule=schedule, **params)]}
-json.dump(plan("link_down", ["tor1", "spine1"], 2_200_000, 500_000, 1), open("cut.json", "w"))
-json.dump(plan("link_degrade", ["core", "recv"], 200_000, 700_000, 7, drop_prob=0.02),
-          open("lossy.json", "w"))
+schedule = {"kind": "oneshot", "at_ns": 2_200_000, "duration_ns": 500_000}
+spec = {"kind": "link_down", "target": ["tor1", "spine1"], "schedule": schedule}
+json.dump({"seed": 1, "specs": [spec]}, open("cut.json", "w"))
 """
 
 _SERVE = """
@@ -370,22 +331,19 @@ ROOTS = {
     ],
     "audit-smoke": [
         ["{repo}/tests/golden_battery.py", "--audit=strict"],
-        _py(_HYBRID_STRICT),
         _REPRO + ["run", "fault_flap", "--quick", "--jobs", "2", "--audit=strict"],
     ],
     "obs-smoke": [
         ["{repo}/tests/golden_battery.py", "--obs", "all"],
         ["{repo}/tests/golden_battery.py", "--obs", "profile"],
         ["{repo}/tests/golden_battery.py", "--audit=strict", "--obs", "all"],
-        _py(_HYBRID_SINKS),
         _REPRO + ["quickstart", "--trace", "trace.json", "--trace-packets", "spans.jsonl",
                   "--trace-every", "8", "--sample", "samples.csv", "--inspect", "channel.json",
                   "--profile", ">", "result.json"],
         _REPRO + ["report", "--result", "result.json", "--samples", "samples.csv",
                   "--spans", "spans.jsonl", "--channel", "channel.json", "--out", "dash.html"],
-        _py(_FAULT_PLANS),
-        _REPRO + ["fault_degrade", "--quick", "--faults", "lossy.json", "--trace", "f.json",
-                  "--trace-packets", "s.jsonl", "--trace-every", "1", "--audit=strict"],
+        _REPRO + ["fault_degrade", "--quick", "--trace", "f.json", "--trace-packets", "s.jsonl",
+                  "--trace-every", "1", "--audit=strict"],
         _REPRO + ["fig6", "--quick", "--metrics", "--progress"],
         _REPRO + ["headroom", "--quick", "--trace", "pfc.json", "--audit=strict"],
         _REPRO + ["fig10b", "--quick", "--trace", "fig10b_trace.json"],

@@ -18,10 +18,11 @@ prints its stats:
 All execution goes through :mod:`repro.api`, the stable programmatic facade
 (the CLI is a thin shell around it).
 
-Every experiment is a registered :class:`repro.experiments.registry.Experiment`
-dispatched through :func:`repro.runner.run_experiment`; ``--jobs N`` fans the
-experiment's independent points over a process pool and ``--cache DIR`` skips
-points whose results are already on disk (see docs/RUNNER.md).
+Every experiment is a registered
+:class:`repro.experiments.registry.FunctionExperiment` dispatched through
+:func:`repro.runner.run_experiment`; ``--jobs N`` fans the experiment's
+independent points over a process pool and ``--cache DIR`` skips points whose
+results are already on disk (see docs/RUNNER.md).
 
 Fault injection (see docs/FAULTS.md): any experiment runs under a declarative
 fault plan, and ``--quick`` selects an experiment's CI-scale variant:

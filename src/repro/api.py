@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Union
 
 from .client import ServeClient, ServeError
-from .experiments.registry import REGISTRY, Experiment
+from .experiments.registry import REGISTRY, FunctionExperiment
 from .faults.plan import FaultPlan, plan_dict
 from .runner import ResultCache, RunnerError, run_experiment
 from .serve.protocol import PROTOCOL_VERSION, ProtocolError, ServerStats, SubmitRequest
@@ -55,10 +55,10 @@ __all__ = [
     "cache_info",
 ]
 
-_ExperimentLike = Union[str, Experiment]
+_ExperimentLike = Union[str, FunctionExperiment]
 
 
-def get_experiment(experiment: _ExperimentLike, quick: bool) -> Experiment:
+def get_experiment(experiment: _ExperimentLike, quick: bool) -> FunctionExperiment:
     """Resolve a registry name (or pass through an instance), quick-scaled."""
     exp = REGISTRY.get(experiment) if isinstance(experiment, str) else experiment
     return exp.quick() if quick else exp

@@ -18,7 +18,6 @@ from .auditor import (
     AuditViolation,
     Auditor,
     audit_scope,
-    current_auditor,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "AuditViolation",
     "Auditor",
     "audit_scope",
-    "current_auditor",
 ]

@@ -44,7 +44,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from ..probe import current, installed
+from ..probe import installed
 from ..sim.packet import PACKET_POOL, Packet
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "AuditViolation",
     "Auditor",
     "audit_scope",
-    "current_auditor",
 ]
 
 
@@ -711,11 +710,6 @@ class Auditor:
         self._finalize_ports(t)
         self._finalize_ledger(t)
         return report
-
-
-def current_auditor() -> Optional[Auditor]:
-    """The installed :class:`Auditor`, or ``None`` when auditing is off."""
-    return current(Auditor)
 
 
 @contextmanager

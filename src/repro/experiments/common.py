@@ -1,8 +1,9 @@
 """The import surface ``benchmarks/perf`` was frozen against — nothing lives here.
 
-The experiment machinery is in :mod:`.registry` (``Point`` / ``Experiment`` /
-``REGISTRY``), :mod:`.modes` (``Mode`` / ``CCFactory``), :mod:`.launch`
-(binder, admission, drive loop) and :mod:`.samplers`; no module under
+The experiment machinery is in :mod:`.registry` (``Point`` /
+``FunctionExperiment`` / ``REGISTRY``), :mod:`.modes` (``Mode`` /
+``CCFactory``), :mod:`.launch` (binder, admission, drive loop) and
+:mod:`.samplers`; no module under
 ``src/repro`` imports this one.  It stays because the perf ledger may not
 change between benchmark PRs and reaches the layer by this path: it imports
 ``CCFactory``, ``Mode``, ``REGISTRY`` and ``FunctionExperiment`` from here,

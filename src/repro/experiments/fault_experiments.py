@@ -247,7 +247,7 @@ def _degrade_fabric(sim: Simulator, cfg: SwitchConfig, rate: float) -> Tuple[Net
 
 #: the degrade window's rate, wire-loss probability and delay spike
 _DEGRADE_RATE_FACTOR = 0.5
-_DEGRADE_DROP_PROB = 0.0005
+_DEGRADE_DROP_PROB = 0.02
 _DEGRADE_SPIKE_NS = 2_000
 
 

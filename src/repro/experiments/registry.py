@@ -1,4 +1,4 @@
-"""The uniform Experiment protocol and the process-wide registry.
+"""The one experiment type and the process-wide registry.
 
 ``runner/``, ``serve/``, ``api.py`` and the CLI reach
 ``repro.experiments`` only through this module, so it imports nothing from
@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "Point",
-    "Experiment",
     "FunctionExperiment",
     "ExperimentRegistry",
     "REGISTRY",
@@ -40,8 +39,19 @@ class Point:
     seed: int
 
 
-class Experiment:
-    """Uniform interface every figure/table runner is ported onto.
+#: point name -> (module-level function, its kwargs)
+Spec = Mapping[str, Tuple[Callable[..., dict], Dict[str, object]]]
+
+
+class FunctionExperiment:
+    """The one experiment type: plain ``run_*`` functions, one per point.
+
+    ``spec`` maps point name -> ``(function, kwargs)``.  The kwargs become the
+    point's config verbatim (plus its cache identity); every point's kwargs
+    carry its one ``seed``, mirrored into :attr:`Point.seed`.  Functions must be
+    module-level (picklable by reference) for process-pool execution; bind
+    experiment-level parameters with :func:`functools.partial`.
+    ``quick_spec``, when given, is the spec of the ``--quick`` variant.
 
     * :meth:`points` enumerates the independent simulation points — each one
       builds its own :class:`~repro.sim.engine.Simulator` and shares no state
@@ -51,52 +61,9 @@ class Experiment:
       (tuples are allowed; they round-trip to lists).
     * :meth:`reduce` folds the per-point results (an ordered
       ``{point_name: result}`` mapping, in :meth:`points` order) into the
-      experiment's final result dict.  It runs in the parent process, is
-      never cached, and must be deterministic in its inputs.
-
-    Instances must be picklable (plain top-level classes with plain-data
-    attributes) so worker processes can receive them.
-    """
-
-    name: str = ""
-    description: str = ""
-
-    def points(self) -> List[Point]:
-        raise NotImplementedError
-
-    def run_point(self, point: Point) -> dict:
-        raise NotImplementedError
-
-    def reduce(self, results: Mapping[str, dict]) -> dict:
-        """Default reduction: unwrap a single point, else map by point name."""
-        if len(results) == 1:
-            return next(iter(results.values()))
-        return dict(results)
-
-    def quick(self) -> "Experiment":
-        """A CI-scale variant of this experiment (the CLI's ``--quick``).
-
-        Defaults to ``self``; experiments with an intrinsically cheaper
-        configuration (fewer/shorter points) return a scaled-down instance.
-        The variant must keep a distinct identity in cached results when its
-        points differ (different point configs already guarantee that).
-        """
-        return self
-
-
-#: point name -> (module-level function, its kwargs)
-Spec = Mapping[str, Tuple[Callable[..., dict], Dict[str, object]]]
-
-
-class FunctionExperiment(Experiment):
-    """Adapter porting plain ``run_*`` functions onto :class:`Experiment`.
-
-    ``spec`` maps point name -> ``(function, kwargs)``.  The kwargs become the
-    point's config verbatim (plus its cache identity); every point's kwargs
-    carry its one ``seed``, mirrored into :attr:`Point.seed`.  Functions must be
-    module-level (picklable by reference) for process-pool execution; bind
-    experiment-level parameters with :func:`functools.partial`.
-    ``quick_spec``, when given, is the spec of the ``--quick`` variant.
+      experiment's final result dict with ``reduce_fn``; without one it
+      unwraps a single point, else maps by point name.  It runs in the parent
+      process, is never cached, and must be deterministic in its inputs.
     """
 
     def __init__(
@@ -129,9 +96,13 @@ class FunctionExperiment(Experiment):
     def reduce(self, results: Mapping[str, dict]) -> dict:
         if self._reduce_fn is not None:
             return self._reduce_fn(results)
-        return super().reduce(results)
+        if len(results) == 1:
+            return next(iter(results.values()))
+        return dict(results)
 
-    def quick(self) -> Experiment:
+    def quick(self) -> "FunctionExperiment":
+        """The CI-scale variant (the CLI's ``--quick``): ``quick_spec``'s
+        points, or ``self`` without one."""
         if self._quick_spec is None:
             return self
         return FunctionExperiment(
@@ -140,7 +111,7 @@ class FunctionExperiment(Experiment):
 
 
 #: experiment modules imported by :meth:`ExperimentRegistry.load_all`; each
-#: registers its Experiment instances at import time
+#: registers its experiments at import time
 _EXPERIMENT_MODULES = (
     "ablations",
     "ecn_priority",
@@ -165,13 +136,13 @@ _EXPERIMENT_MODULES = (
 
 
 class ExperimentRegistry:
-    """Name -> :class:`Experiment` lookup driving the CLI and the runner."""
+    """Name -> :class:`FunctionExperiment` lookup driving the CLI and the runner."""
 
     def __init__(self):
-        self._experiments: Dict[str, Experiment] = {}
+        self._experiments: Dict[str, FunctionExperiment] = {}
         self._loaded = False
 
-    def register(self, experiment: Experiment) -> Experiment:
+    def register(self, experiment: FunctionExperiment) -> FunctionExperiment:
         name = experiment.name
         if not name:
             raise ValueError("experiment must set a non-empty name")
@@ -188,7 +159,7 @@ class ExperimentRegistry:
         for mod in _EXPERIMENT_MODULES:
             importlib.import_module(f".{mod}", package=__package__)
 
-    def get(self, name: str) -> Experiment:
+    def get(self, name: str) -> FunctionExperiment:
         self.load_all()
         try:
             return self._experiments[name]
@@ -201,7 +172,7 @@ class ExperimentRegistry:
         self.load_all()
         return sorted(self._experiments)
 
-    def experiments(self) -> List[Experiment]:
+    def experiments(self) -> List[FunctionExperiment]:
         self.load_all()
         return [self._experiments[n] for n in self.names()]
 

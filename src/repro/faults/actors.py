@@ -41,7 +41,7 @@ class LinkImpairment:
 
     __slots__ = ("rng", "drop_prob", "noise", "_last_delivery", "corrupted", "delayed")
 
-    def __init__(self, rng: random.Random, drop_prob: float = 0.0, delay_spike_ns: int = 0):
+    def __init__(self, rng: random.Random, drop_prob: float, delay_spike_ns: int):
         self.rng = rng
         self.drop_prob = drop_prob
         self.noise = UniformNoise(delay_spike_ns) if delay_spike_ns > 0 else None

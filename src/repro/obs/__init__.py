@@ -1,8 +1,7 @@
 """Introspection layer: packet tracing, channel inspection, sampling, profiling.
 
-Four :mod:`repro.probe` sinks, each installed by its ``*_scope`` context
-manager (or together through ``repro.probe.installed``) *before* simulators
-are built, and none feeding back into simulation results:
+Four :mod:`repro.probe` sinks, installed with ``repro.probe.installed``
+*before* simulators are built, and none feeding back into simulation results:
 
 * :mod:`repro.obs.tracer` — causal packet tracing with per-hop latency
   breakdown (queueing vs PFC pause vs serialization vs propagation),
@@ -17,10 +16,10 @@ are built, and none feeding back into simulation results:
 static HTML dashboard (``python -m repro report``).
 """
 
-from .inspector import ChannelInspector, inspect_scope
+from .inspector import ChannelInspector
 from .profiler import EngineProfiler, current_profiler, profile_scope
-from .sampler import TimeSeriesSampler, sample_scope
-from .tracer import HopRecord, PacketTrace, PacketTracer, trace_scope
+from .sampler import TimeSeriesSampler
+from .tracer import HopRecord, PacketTrace, PacketTracer
 
 __all__ = [
     "ChannelInspector",
@@ -30,8 +29,5 @@ __all__ = [
     "PacketTracer",
     "TimeSeriesSampler",
     "current_profiler",
-    "inspect_scope",
     "profile_scope",
-    "sample_scope",
-    "trace_scope",
 ]

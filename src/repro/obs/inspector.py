@@ -20,13 +20,11 @@ byte-identical (golden battery ``--obs inspect``).
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from ..probe import installed
 from ..sim.packet import PROBE
 
-__all__ = ["ChannelInspector", "inspect_scope"]
+__all__ = ["ChannelInspector"]
 
 #: states in which a flow is actively pushing data into its channel
 ACTIVE_STATES = frozenset(("running", "linear_start", "cautious_restart"))
@@ -240,11 +238,3 @@ class ChannelInspector:
     def write_report_json(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.report(), fh, indent=1, sort_keys=True)
-
-
-@contextmanager
-def inspect_scope():
-    """Install a fresh :class:`ChannelInspector` for the ``with`` block."""
-    insp = ChannelInspector()
-    with installed(insp):
-        yield insp

@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from contextlib import contextmanager
 from typing import Deque, Dict, List, Optional
 
-from ..probe import installed
-
-__all__ = ["TimeSeriesSampler", "sample_scope"]
+__all__ = ["TimeSeriesSampler"]
 
 
 class _Ring:
@@ -250,14 +247,3 @@ class TimeSeriesSampler:
                 fh.write("\n")
             fh.flush()
         return len(rows)
-
-
-@contextmanager
-def sample_scope(**kwargs):
-    """Install a fresh :class:`TimeSeriesSampler` for the ``with`` block."""
-    smp = TimeSeriesSampler(**kwargs)
-    try:
-        with installed(smp):
-            yield smp
-    finally:
-        smp.finalize()

@@ -15,12 +15,12 @@ next hop happens in the same event that delivers it), the per-hop components
 of a delivered packet sum *exactly* to its end-to-end latency — pinned by
 ``tests/test_obs.py``.
 
-The tracer is a :mod:`repro.probe` sink (install with :func:`trace_scope`
-*before* building simulators).  It schedules no events and draws from no
-simulation RNG; packets are selected by a *deterministic hash* of
-``(flow_id, seq)`` and every handler ignores packets without a ``pkt.trace``
-tag, so tracing leaves results byte-identical (golden battery ``--obs
-trace``).
+The tracer is a :mod:`repro.probe` sink (install it with
+:func:`repro.probe.installed` *before* building simulators).  It schedules
+no events and draws from no simulation RNG; packets are selected by a
+*deterministic hash* of ``(flow_id, seq)`` and every handler ignores packets
+without a ``pkt.trace`` tag, so tracing leaves results byte-identical
+(golden battery ``--obs trace``).
 
 Only sender-originated packets (DATA and PROBE) are traced; ACKs are control
 traffic created inside the receiver and are not sampled.
@@ -29,12 +29,9 @@ traffic created inside the receiver and are not sampled.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from ..probe import installed
-
-__all__ = ["HopRecord", "PacketTrace", "PacketTracer", "trace_scope"]
+__all__ = ["HopRecord", "PacketTrace", "PacketTracer"]
 
 _HASH_A = 2654435761  # Knuth multiplicative hash constants
 _HASH_B = 2246822519
@@ -316,22 +313,3 @@ class PacketTracer:
                 lines += 1
             fh.flush()
         return lines
-
-
-@contextmanager
-def trace_scope(**kwargs):
-    """Install a fresh :class:`PacketTracer` for the ``with`` block.
-
-    The previous probe is restored and the tracer finalized on exit::
-
-        with trace_scope(sample_every=1) as trc:
-            sim = Simulator(seed=1)   # adopts a probe carrying trc
-            ...
-        breakdown = trc.traces[0].hops
-    """
-    trc = PacketTracer(**kwargs)
-    try:
-        with installed(trc):
-            yield trc
-    finally:
-        trc.finalize()

@@ -1,7 +1,7 @@
 """Process-pool execution of experiment points with caching and retry.
 
 :func:`run_experiment` is the one batch entry point: it enumerates an
-:class:`~repro.experiments.registry.Experiment`'s points, satisfies what it can
+:class:`~repro.experiments.registry.FunctionExperiment`'s points, satisfies what it can
 from the :class:`~repro.runner.cache.ResultCache`, fans the remainder out
 across ``jobs`` worker processes, retries pool crashes with bounded backoff,
 and reduces the per-point results in a deterministic order — so the reduced
@@ -40,7 +40,7 @@ import sys
 import time
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
-from ..experiments.registry import Experiment, Point
+from ..experiments.registry import FunctionExperiment, Point
 from ..faults.plan import FaultPlan, current_fault_plan, plan_dict
 from ..telemetry import current_recorder
 from .cache import ResultCache, cache_key, json_safe
@@ -51,17 +51,14 @@ __all__ = [
 ]
 
 
-def plan_points(exp: Experiment,
+def plan_points(exp: FunctionExperiment,
                 faults_dict: Optional[dict] = None) -> Tuple[List[Point], Dict[str, str]]:
     """The plan step: ``exp``'s points and their cache keys, checked distinct.
 
     ``faults_dict`` (a :func:`~repro.faults.plan.plan_dict`) enters every
     key, so faulted and healthy runs never alias.
     """
-    points = list(exp.points())
-    names = [p.name for p in points]
-    if len(set(names)) != len(names):
-        raise RunnerError(f"{exp.name}: duplicate point names in points()")
+    points = exp.points()
     extra = {"faults": faults_dict} if faults_dict is not None else None
     keys = {p.name: cache_key(exp.name, p, extra=extra) for p in points}
     if len(set(keys.values())) != len(points):
@@ -72,7 +69,7 @@ def plan_points(exp: Experiment,
     return points, keys
 
 
-def settle_point(exp: Experiment, point: Point, key: str, raw: dict,
+def settle_point(exp: FunctionExperiment, point: Point, key: str, raw: dict,
                  store: Optional[ResultCache], audit_reports: Dict[str, dict]) -> dict:
     """The settle step for one executed point: returns the result to reduce.
 
@@ -88,8 +85,9 @@ def settle_point(exp: Experiment, point: Point, key: str, raw: dict,
     return result
 
 
-def reduce_points(exp: Experiment, points: List[Point], results: Mapping[str, dict], executed: int,
-                  audit: Optional[str], audit_reports: Mapping[str, dict], report: dict) -> dict:
+def reduce_points(exp: FunctionExperiment, points: List[Point], results: Mapping[str, dict],
+                  executed: int, audit: Optional[str], audit_reports: Mapping[str, dict],
+                  report: dict) -> dict:
     """The reduce step: fold ``results`` in ``points()`` order.
 
     Under ``audit`` the per-point reports become ``reduced["audit"]``
@@ -114,7 +112,7 @@ def reduce_points(exp: Experiment, points: List[Point], results: Mapping[str, di
     return reduced
 
 
-def point_error(exp: Experiment, point: Point, exc: Exception) -> RunnerError:
+def point_error(exp: FunctionExperiment, point: Point, exc: Exception) -> RunnerError:
     """The one wording of a failed point (a :class:`RunnerError` passes as is)."""
     if isinstance(exc, RunnerError):
         return exc
@@ -166,7 +164,7 @@ def _progress_printer(exp_name: str, total: int) -> Callable[[str, str], None]:
     return tick
 
 
-def _executed(exp: Experiment, points: List[Point], jobs: int, audit: Optional[str],
+def _executed(exp: FunctionExperiment, points: List[Point], jobs: int, audit: Optional[str],
               faults_dict: Optional[dict], counters: _Counters) -> Iterator[Tuple[Point, dict]]:
     """Yield ``(point, raw result)`` as points finish.
 
@@ -202,7 +200,7 @@ def _executed(exp: Experiment, points: List[Point], jobs: int, audit: Optional[s
 
 
 def run_experiment(
-    exp: Experiment,
+    exp: FunctionExperiment,
     jobs: int = 1,
     cache: Union[str, ResultCache, None] = None,
     progress: Union[bool, Callable[[str, str], None]] = False,

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional
 
 from .. import probe
 from ..audit import audit_scope
-from ..experiments.registry import Experiment, Point
+from ..experiments.registry import FunctionExperiment, Point
 from ..faults.plan import FaultPlan, current_fault_plan, set_default_fault_plan
 
 __all__ = ["RunnerError", "WorkerFleet", "execute_point", "worker_init"]
@@ -57,7 +57,7 @@ def worker_init() -> None:
 
 
 def execute_point(
-    exp: Experiment,
+    exp: FunctionExperiment,
     point: Point,
     audit_mode: Optional[str] = None,
     faults_dict: Optional[dict] = None,
@@ -212,7 +212,7 @@ class WorkerFleet:
     # ------------------------------------------------------------------
     def submit(
         self,
-        exp: Experiment,
+        exp: FunctionExperiment,
         point: Point,
         audit_mode: Optional[str] = None,
         faults_dict: Optional[dict] = None,

@@ -42,7 +42,7 @@ import time
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..experiments.registry import REGISTRY, Experiment, Point
+from ..experiments.registry import REGISTRY, FunctionExperiment, Point
 from ..faults.plan import plan_dict
 from ..runner.cache import ResultCache, json_safe
 from ..runner.pool import plan_points, point_error, reduce_points, settle_point
@@ -87,7 +87,7 @@ class Job:
     once both are done.
     """
 
-    def __init__(self, request: SubmitRequest, exp: Experiment, points: List[Point],
+    def __init__(self, request: SubmitRequest, exp: FunctionExperiment, points: List[Point],
                  keys: Dict[str, str], faults_dict: Optional[dict]):
         self.request = request
         self.exp = exp

@@ -1,30 +1,49 @@
-"""Pinned-seed golden battery: proves hot-path changes are byte-identical.
+"""The golden batteries: one harness runs, compares, instruments and rewrites them.
 
-The battery runs a fixed set of small simulation scenarios chosen to cover
-every hot-path mechanism the simulator has — PrioPlus probing, PFC
-pause/resume, ECN marking, INT stamping (HPCC), shared-buffer drops with RTO
-recovery, ECMP multipath on a fat-tree, and a mid-flight link cut — plus four
-points of the scenario layer above it (``run_flowsched`` list / streaming,
-``run_coflow_mode`` lossless / lossy), and canonicalises their result dicts
-to JSON.
+Two pinned world sets, each canonicalised to JSON and compared byte for byte
+with its committed file:
 
-``tests/test_golden_results.py`` compares the battery against the committed
-``tests/golden/core_results.json``.  The committed file was generated from the
-pre-optimisation simulation core, so the test is the proof that the fused
-tx/deliver events, the allocation-free scheduling fast path and packet pooling
-did not change a single reduced result.
+* ``core`` (:data:`BATTERY` -> ``tests/golden/core_results.json``): 17 packet
+  scenarios covering every hot-path mechanism the simulator has -- PrioPlus
+  probing, PFC pause/resume, ECN marking, INT stamping (HPCC), shared-buffer
+  drops with RTO recovery, ECMP multipath on a fat-tree, a mid-flight link
+  cut, a fault plan -- plus four points of the scenario layer above it
+  (``run_flowsched`` list / streaming, ``run_coflow_mode`` lossless / lossy).
+  The file was generated from the pre-optimisation core: it is the proof that
+  the fused tx/deliver events, the allocation-free scheduling fast path and
+  packet pooling changed no reduced result.
+* ``hybrid`` (``tests.hybrid_twins.HYBRID_WORLDS`` ->
+  ``tests/golden/hybrid_results.json``): the eight hybrid fluid/packet worlds
+  whose fidelity the twin ratchet bounds.  The file was first written at
+  d78b1bc by the numpy solver and regenerated when packet phases began ending
+  on the quiet grid, when the packet floor began backing off and when entry
+  began withdrawing the packets in flight (every FCT held each time).
 
-Regenerate (only when a *deliberate* semantic change is made)::
+Every mode runs both batteries.  With ``--audit`` and/or ``--obs`` each world
+runs with fresh sinks from :data:`SINKS` on one probe; its results must stay
+byte-identical (no sink feeds back into the simulation), the audit clean, and
+every live sink must have heard the run (:func:`deaf`).  ``--obs all`` adds a
+:class:`~repro.telemetry.Recorder` streaming Perfetto, with the tracer's
+spans, into a temporary directory.  Usage::
 
-    PYTHONPATH=src python -m tests.golden_battery --write
+    PYTHONPATH=src python tests/golden_battery.py                   # compare
+    PYTHONPATH=src python tests/golden_battery.py --audit=strict --obs all
+    PYTHONPATH=src python tests/golden_battery.py --write           # rewrite both
+
+Rewrite only for a *deliberate* semantic change; a hybrid rewrite lands only
+with the twin ratchet green (``tests/hybrid_twins.py``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+import sys
+import tempfile
+from pathlib import Path
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.audit import Auditor
 from repro.cc import Hpcc, Swift, SwiftParams
 from repro.cc.base import CongestionControl
 from repro.experiments.ablations import (
@@ -39,14 +58,19 @@ from repro.experiments.fig12_coflow import ci_config_kwargs
 from repro.experiments.flowsched import FlowSchedConfig, run_flowsched
 from repro.experiments.modes import Mode
 from repro.experiments.quickstart import run_quickstart
+from repro.obs import ChannelInspector, EngineProfiler, PacketTracer, TimeSeriesSampler
+from repro.probe import installed
+from repro.runner.cache import json_safe
 from repro.sim.engine import Simulator
 from repro.sim.pfc import PfcConfig
 from repro.sim.switch import SwitchConfig
+from repro.telemetry import PerfettoWriter, Recorder
 from repro.topology import fat_tree, leaf_spine, star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "core_results.json")
+ROOT = Path(__file__).resolve().parents[1]
+CORE_PATH = ROOT / "tests" / "golden" / "core_results.json"
 
 
 # ----------------------------------------------------------------------
@@ -189,9 +213,7 @@ def paused_priority_star() -> dict:
 
 
 # ----------------------------------------------------------------------
-# scenario layer: workload -> binder -> drive loop -> reduction (packet-only:
-# hybrid worlds are pinned by tests/golden/hybrid_results.json, and CI
-# audit-smoke audits them on their own)
+# scenario layer: workload -> binder -> drive loop -> reduction
 # ----------------------------------------------------------------------
 def _flowsched(mode: str, streaming: bool) -> dict:
     cfg = FlowSchedConfig(rate_bps=100e9, duration_ns=60_000, size_scale=0.1)
@@ -209,173 +231,218 @@ def _coflow(mode: str, lossy: bool) -> dict:
 # ----------------------------------------------------------------------
 _STAIR = dict(rate=10e9, stagger_ns=300_000, flows_per_prio=2, seed=1)
 
-BATTERY: List[Tuple[str, Callable[[], object]]] = [
-    ("quickstart", lambda: run_quickstart(low_bytes=600_000, high_bytes=200_000)),
-    ("fig8_prioplus", lambda: run_staircase(mode=Mode.PRIOPLUS, priorities=(1, 2, 3, 4), **_STAIR)),
-    (
-        "fig8_swift_targets",
-        lambda: run_staircase(mode=Mode.SWIFT_TARGETS, priorities=(1, 2, 3, 4), **_STAIR),
+#: the core battery: world name -> thunk running it
+BATTERY: Dict[str, Callable[[], object]] = {
+    "quickstart": lambda: run_quickstart(low_bytes=600_000, high_bytes=200_000),
+    "fig8_prioplus": lambda: run_staircase(mode=Mode.PRIOPLUS, priorities=(1, 2, 3, 4), **_STAIR),
+    "fig8_swift_targets": lambda: run_staircase(
+        mode=Mode.SWIFT_TARGETS, priorities=(1, 2, 3, 4), **_STAIR
     ),
-    (
-        "fig10c_dual_rtt",
-        lambda: _run_fig10c(
-            dual_rtt=True, n_each=2, rate=10e9, duration_ns=1_200_000, hi_start_ns=200_000, seed=1
-        ),
+    "fig10c_dual_rtt": lambda: _run_fig10c(
+        dual_rtt=True, n_each=2, rate=10e9, duration_ns=1_200_000, hi_start_ns=200_000, seed=1
     ),
-    (
-        "ablation_collision",
-        lambda: run_collision_avoidance_ablation(
-            collision_avoidance=True, n_low=4, rate=10e9, duration_ns=800_000
-        ),
+    "ablation_collision": lambda: run_collision_avoidance_ablation(
+        collision_avoidance=True, n_low=4, rate=10e9, duration_ns=800_000
     ),
-    ("ablation_filter", lambda: run_filter_ablation(filter_consecutive=2, duration_ns=600_000)),
-    (
-        "ablation_cardinality",
-        lambda: run_cardinality_ablation(
-            cardinality_estimation=True, n_flows=8, rate=10e9, duration_ns=500_000
-        ),
+    "ablation_filter": lambda: run_filter_ablation(filter_consecutive=2, duration_ns=600_000),
+    "ablation_cardinality": lambda: run_cardinality_ablation(
+        cardinality_estimation=True, n_flows=8, rate=10e9, duration_ns=500_000
     ),
-    ("pfc_incast", pfc_incast),
-    ("lossy_rto_recovery", lossy_rto_recovery),
-    ("cut_mid_flight", cut_mid_flight),
-    ("faulted_flap_mid_run", faulted_flap_mid_run),
-    ("hpcc_fat_tree", hpcc_fat_tree),
-    ("paused_priority_star", paused_priority_star),
-    ("flowsched_list", lambda: _flowsched(Mode.PRIOPLUS, streaming=False)),
-    ("flowsched_streaming", lambda: _flowsched(Mode.PRIOPLUS_LEDBAT, streaming=True)),
-    ("coflow_list", lambda: _coflow(Mode.PRIOPLUS, lossy=False)),
+    "pfc_incast": pfc_incast,
+    "lossy_rto_recovery": lossy_rto_recovery,
+    "cut_mid_flight": cut_mid_flight,
+    "faulted_flap_mid_run": faulted_flap_mid_run,
+    "hpcc_fat_tree": hpcc_fat_tree,
+    "paused_priority_star": paused_priority_star,
+    "flowsched_list": lambda: _flowsched(Mode.PRIOPLUS, streaming=False),
+    "flowsched_streaming": lambda: _flowsched(Mode.PRIOPLUS_LEDBAT, streaming=True),
+    "coflow_list": lambda: _coflow(Mode.PRIOPLUS, lossy=False),
     # Physical + short RTO with PFC off: the one cell where lossy != lossless
-    ("coflow_lossy", lambda: _coflow(Mode.PHYSICAL, lossy=True)),
-]
+    "coflow_lossy": lambda: _coflow(Mode.PHYSICAL, lossy=True),
+}
 
 
-def run_battery() -> Dict[str, object]:
-    from repro.runner.cache import json_safe
+def batteries() -> Dict[str, tuple]:
+    """Battery name -> (its worlds, its committed file)."""
+    from tests.hybrid_twins import HYBRID_GOLDEN_PATH, HYBRID_WORLDS
 
-    return {name: json_safe(fn()) for name, fn in BATTERY}
-
-
-#: the --obs kinds and the scope each installs around every scenario
-_OBS_KINDS = ("trace", "sample", "profile", "inspect")
+    return {"core": (BATTERY, CORE_PATH), "hybrid": (HYBRID_WORLDS, HYBRID_GOLDEN_PATH)}
 
 
-def run_battery_instrumented(
-    audit: Optional[str] = None, obs: Optional[str] = None
-) -> Tuple[Dict[str, object], Dict[str, dict], Dict[str, dict]]:
-    """Run every scenario with probe sinks live on one shared probe.
+# ----------------------------------------------------------------------
+# the sinks: one table, one install, one finalize, one "heard the run" check
+# ----------------------------------------------------------------------
+#: kind -> factory(sinks made so far, the world's scratch directory).  The
+#: auditor is keyed by its mode, as ``--audit`` names it; the recorder comes
+#: last so its Perfetto file carries the tracer's spans
+SINKS: Dict[str, Callable[[dict, str], object]] = {
+    "strict": lambda made, tmp: Auditor("strict"),
+    "warn": lambda made, tmp: Auditor("warn"),
+    "trace": lambda made, tmp: PacketTracer(sample_every=1),
+    "inspect": lambda made, tmp: ChannelInspector(),
+    "sample": lambda made, tmp: TimeSeriesSampler(stride_ns=50_000),
+    "profile": lambda made, tmp: EngineProfiler(),
+    "record": lambda made, tmp: Recorder(
+        PerfettoWriter(os.path.join(tmp, "trace.json"), tracer=made.get("trace"))
+    ),
+}
 
-    ``audit`` (``"strict"`` / ``"warn"``) installs a fresh
-    :class:`repro.audit.Auditor` per scenario; ``obs`` is one of ``trace``
-    (packet tracer, sample_every=1), ``sample`` (time-series sampler),
-    ``profile`` (engine self-profiler), ``inspect`` (PrioPlus channel
-    inspector) or ``all`` (all four at once).  Both may be given: every sink
-    then fans out from the same hook sites.  Returns ``(results,
-    audit_reports, obs_stats)``; the results must be byte-identical to the
-    committed goldens — sinks must not feed back into the simulation
-    (``tests/test_probe.py`` and the CI ``audit-smoke`` / ``obs-smoke`` jobs).
-    """
-    from contextlib import ExitStack
+#: the introspection sinks, and what each ``--obs`` choice installs
+OBS = ("trace", "inspect", "sample", "profile")
+OBS_KINDS = {**{kind: (kind,) for kind in OBS}, "all": OBS + ("record",)}
 
-    from repro.audit import audit_scope
-    from repro.obs import inspect_scope, profile_scope, sample_scope, trace_scope
-    from repro.runner.cache import json_safe
 
-    kinds = _OBS_KINDS if obs == "all" else (obs,)
+_AUDITED = ("clock", "buffer_bytes", "sender_window", "pfc_causality", "fluid_ledger")
+_EVERY_BATTERY = ("events", "cwnd", "clock", "buffer_bytes", "sender_window", "traced",
+                  "transitions", "samples", "profiled")
+
+#: battery -> (counters its live sinks must raise summed over its worlds,
+#: counters they must raise in every world)
+HEARD = {
+    "core": (_EVERY_BATTERY + ("pfc_causality", "probe.sent", "pfc.pauses"), ()),
+    "hybrid": (_EVERY_BATTERY + ("traced_withdrawn",),
+               ("regime", "fluid_ledger", "regime_rows", "withdrawn")),
+}
+
+
+def _heard(made: Mapping[str, object]) -> Dict[str, int]:
+    """What the live sinks heard of one world, as counters (a sink that is
+    not live adds none)."""
+    row: Dict[str, int] = {}
+    if "record" in made:
+        snap = made["record"].snapshot()
+        counts, counters = snap["event_counts"], snap["metrics"]["counters"]
+        row.update(events=sum(counts.values()), cwnd=counts.get("cwnd", 0),
+                   regime=counts.get("regime", 0))
+        row.update({name: counters.get(name, 0) for name in ("probe.sent", "pfc.pauses")})
+    auditor = made.get("strict") or made.get("warn")
+    if auditor is not None:
+        report = auditor.report
+        row["violations"] = report.violation_count
+        row["audit_checks"] = sum(report.checks.values())
+        row.update({name: report.checks.get(name, 0) for name in _AUDITED})
+        row["withdrawn"] = report.ledger["withdrawn"]
+    if "trace" in made:
+        snap = made["trace"].snapshot()
+        row.update(traced=snap["started"], traced_withdrawn=snap["withdrawn"])
+    if "inspect" in made:
+        row["transitions"] = sum(len(r.transitions) for r in made["inspect"].flows.values())
+    if "sample" in made:
+        row.update(samples=made["sample"].samples_taken,
+                   regime_rows=made["sample"].snapshot()["regime_rows"])
+    if "profile" in made:
+        row["profiled"] = made["profile"].events
+    return row
+
+
+def deaf(battery: str, heard: Mapping[str, Mapping[str, int]]) -> List[str]:
+    """Every way the sinks failed ``battery``'s run (``[]``: each heard it):
+    a :data:`HEARD` counter of a live sink at 0, or an audit violation."""
+    summed, every = HEARD[battery]
+    total: Dict[str, int] = {}
+    for row in heard.values():
+        for name, n in row.items():
+            total[name] = total.get(name, 0) + n
+    failures = [f"{name} is 0 over the battery" for name in summed if total.get(name) == 0]
+    for world, row in heard.items():
+        failures += [f"{world}: {name} is 0" for name in every if row.get(name) == 0]
+        if row.get("violations"):
+            failures.append(f"{world}: {row['violations']} audit violations")
+    return failures
+
+
+# ----------------------------------------------------------------------
+# the harness
+# ----------------------------------------------------------------------
+def run(battery: Mapping[str, Callable[[], object]], sinks: Sequence[str] = ()):
+    """Run every world of ``battery`` with fresh ``sinks`` (kinds of
+    :data:`SINKS`) live on one probe; ``({world: json_safe result},
+    {world: what the sinks heard})``."""
     results: Dict[str, object] = {}
-    reports: Dict[str, dict] = {}
-    stats: Dict[str, dict] = {}
-    for name, fn in BATTERY:
-        with ExitStack() as stack:
-            enter = stack.enter_context
-            tracer = enter(trace_scope(sample_every=1)) if "trace" in kinds else None
-            sampler = enter(sample_scope(stride_ns=100_000)) if "sample" in kinds else None
-            profiler = enter(profile_scope()) if "profile" in kinds else None
-            inspector = enter(inspect_scope()) if "inspect" in kinds else None
-            auditor = enter(audit_scope(audit)) if audit else None
-            results[name] = json_safe(fn())
-        if auditor is not None:
-            reports[name] = auditor.report.to_dict()
-        row: Dict[str, int] = {}
-        if tracer is not None:
-            row["traced"] = tracer.snapshot()["recorded"]
-        if sampler is not None:
-            row["samples"] = sampler.samples_taken
-        if profiler is not None:
-            row["events_profiled"] = profiler.events
-        if inspector is not None:
-            row["transitions"] = sum(
-                len(rec["transitions"]) for rec in inspector.report()["flows"].values()
-            )
-        stats[name] = row
-    return results, reports, stats
+    heard: Dict[str, Dict[str, int]] = {}
+    for name, world in battery.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            made: Dict[str, object] = {}
+            for kind, make in SINKS.items():
+                if kind in sinks:
+                    made[kind] = make(made, tmp)
+            with installed(*made.values()):
+                results[name] = json_safe(world())
+            for sink in made.values():  # the tracer before the recorder writing its spans
+                if isinstance(sink, Recorder):
+                    sink.close()
+                elif hasattr(sink, "finalize"):
+                    sink.finalize()
+            heard[name] = _heard(made)
+    return results, heard
 
 
-def canonical(results: Dict[str, object]) -> str:
+def canonical(results: Mapping[str, object]) -> str:
     return json.dumps(results, sort_keys=True, indent=1)
 
 
-def main() -> int:
+def diverged(results: Mapping[str, object], path: Path) -> Optional[str]:
+    """``None`` when ``results`` canonicalise to ``path``'s bytes, else the
+    first world that does not (or ``"the world set"``)."""
+    committed = path.read_text()
+    if canonical(results) + "\n" == committed:
+        return None
+    old = json.loads(committed)
+    return next(
+        (name for name, r in results.items() if canonical(r) != canonical(old.get(name))),
+        "the world set",
+    )
+
+
+def main(argv=None) -> int:
     import argparse
 
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--write", action="store_true", help="write tests/golden/core_results.json")
+    parser = argparse.ArgumentParser(
+        description="Compare both golden batteries with their committed files, "
+        "optionally under probe sinks, or rewrite the files."
+    )
+    parser.add_argument("--write", action="store_true",
+                        help="rewrite both committed files from a plain run")
     parser.add_argument(
-        "--audit",
-        nargs="?",
-        const="strict",
-        choices=("strict", "warn"),
-        default=None,
-        help="run under the invariant auditor; fails on any violation and on "
-        "any divergence from the committed goldens (proves audit-on is "
-        "byte-identical); combines with --obs",
+        "--audit", nargs="?", const="strict", choices=("strict", "warn"), default=None,
+        help="run under the invariant auditor: fails on any violation and on any "
+        "divergence from the committed files; combines with --obs",
     )
     parser.add_argument(
-        "--obs",
-        choices=("trace", "sample", "profile", "inspect", "all"),
-        default=None,
-        help="run with a repro.obs sink live; fails on any divergence from "
-        "the committed goldens (proves introspection-on is byte-identical); "
-        "combines with --audit",
+        "--obs", choices=tuple(OBS_KINDS), default=None,
+        help="run with repro.obs sinks live (all: every one plus a Perfetto-streaming "
+        "recorder): fails on any divergence or a sink that heard nothing; combines "
+        "with --audit",
     )
-    args = parser.parse_args()
-    if args.audit or args.obs:
-        results, reports, stats = run_battery_instrumented(args.audit, args.obs)
-        what = " ".join(
-            ([f"--audit={args.audit}"] if args.audit else [])
-            + ([f"--obs {args.obs}"] if args.obs else [])
-        )
-        bad = {name: rep for name, rep in reports.items() if rep["violation_count"]}
-        if bad:
-            print(json.dumps(bad, indent=1))
-            print(f"AUDIT FAILED: violations in {sorted(bad)}")
-            return 1
-        with open(GOLDEN_PATH, encoding="utf-8") as fh:
-            golden = fh.read().rstrip("\n")
-        if canonical(results) != golden:
-            print(f"FAILED: results with {what} diverge from the committed "
-                  "goldens (a probe sink fed back into the simulation)")
-            return 1
-        if args.audit:
-            checks = sum(sum(rep["checks"].values()) for rep in reports.values())
-            print(f"audit OK: {len(results)} scenarios, {checks} checks, 0 violations, "
-                  f"results byte-identical to goldens")
-        if args.obs:
-            touched = sum(sum(row.values()) for row in stats.values())
-            print(f"obs OK ({args.obs}): {len(results)} scenarios, "
-                  f"{touched} introspection records, results byte-identical to goldens")
-        return 0
-    results = run_battery()
-    text = canonical(results)
-    if args.write:
-        os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-        with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-        print(f"wrote {GOLDEN_PATH} ({len(results)} scenarios)")
-    else:
-        print(text)
-    return 0
+    args = parser.parse_args(argv)
+    sinks = ((args.audit,) if args.audit else ()) + (OBS_KINDS[args.obs] if args.obs else ())
+    if args.write and sinks:
+        parser.error("--write rewrites the files from a plain run")
+    under = " ".join(([f"--audit={args.audit}"] if args.audit else [])
+                     + ([f"--obs {args.obs}"] if args.obs else [])) or "no sink"
+    failed = worlds = 0
+    for battery, (world_set, path) in batteries().items():
+        results, heard = run(world_set, sinks)
+        worlds += len(results)
+        if args.write:
+            path.write_text(canonical(results) + "\n")
+            print(f"wrote {path.name} ({len(results)} worlds)")
+            continue
+        problems = deaf(battery, heard)
+        wrong = diverged(results, path)
+        if wrong is not None:
+            problems.append(f"{wrong} diverged from {path.name} under {under}")
+        for problem in problems:
+            print(f"FAILED {battery}: {problem}")
+        failed += bool(problems)
+        checks = sum(row.get("audit_checks", 0) for row in heard.values())
+        print(f"{battery}: {len(results)} worlds under {under}"
+              + (f", {checks} audit checks" if args.audit else "")
+              + ("" if problems else f", byte-identical to {path.name}"))
+    print(f"{'FAILED' if failed else 'OK'}: {worlds} worlds")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT))  # run as a script: make ``tests`` importable
     raise SystemExit(main())

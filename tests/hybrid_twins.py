@@ -1,8 +1,8 @@
 """The hybrid golden worlds, their pure-packet twins, and the fidelity ratchet.
 
 ``tests/golden/hybrid_results.json`` pins what the hybrid core produces on
-eight worlds, byte for byte; it says nothing about how far that sits from
-packets.  ``tests/golden/hybrid_twins.json`` does: each world was run once
+eight worlds, byte for byte (``tests/golden_battery.py`` compares and
+rewrites it); it says nothing about how far that sits from packets.  ``tests/golden/hybrid_twins.json`` does: each world was run once
 with no driver (its *twin*), and for every group of flows — virtual
 priority for the four driver worlds, ``fct_by_group`` for the four trace
 worlds, and ``all`` — the file holds the twin's mean and p99 FCT (µs) and

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import probe
-from repro.audit import AuditError, Auditor, audit_scope, current_auditor
+from repro.audit import AuditError, Auditor, audit_scope
 from repro.cc.base import CongestionControl
 from repro.experiments.registry import FunctionExperiment
 from repro.runner import RunnerError, run_experiment
@@ -72,21 +72,21 @@ def _violations(aud, invariant):
 # ----------------------------------------------------------------------
 def test_audit_is_off_by_default():
     assert probe.active is probe.INERT
-    assert current_auditor() is None
+    assert probe.current(Auditor) is None
     assert Simulator(1).probe is probe.INERT
     assert SharedBuffer(1000).probe is probe.INERT
 
 
 def test_audit_scope_installs_and_restores_default():
     with audit_scope("warn") as aud:
-        assert current_auditor() is aud
+        assert probe.current(Auditor) is aud
         assert probe.active.sinks == (aud,)
         sim = Simulator(1)
         assert sim.probe is probe.active
         buf = SharedBuffer(1000)
         assert buf.probe is probe.active
     assert probe.active is probe.INERT
-    assert current_auditor() is None
+    assert probe.current(Auditor) is None
 
 
 def test_audit_scope_restores_default_on_exception():

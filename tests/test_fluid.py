@@ -350,18 +350,16 @@ def test_regime_telemetry_and_sampler_rows():
     """Regime switches reach the recorder and the sampler, each fluid entry
     with the packets it withdrew, and ``repro report``'s card totals them."""
     from repro.obs.report import build_dashboard
-    from repro.obs.sampler import sample_scope
-    from repro.probe import installed
     from repro.telemetry import Recorder
     from tests.helpers import ChannelLog
 
     log = ChannelLog()
-    rec = Recorder(log)
-    with installed(rec):
-        with sample_scope(stride_ns=100_000) as smp:
-            sim, net, flows = star_world(3, 300_000, 600_000)
-            driver = HybridDriver(sim, net)
-            assert run_until_flows_done(sim, flows, 2_000_000_000, driver=driver)
+    rec, smp = Recorder(log), TimeSeriesSampler(stride_ns=100_000)
+    with installed(rec, smp):
+        sim, net, flows = star_world(3, 300_000, 600_000)
+        driver = HybridDriver(sim, net)
+        assert run_until_flows_done(sim, flows, 2_000_000_000, driver=driver)
+    smp.finalize()
     modes = [ev[1] for ev in log.events["regime"]]
     assert "fluid" in modes and "packet" in modes
     assert rec.metrics.counter("regime.fluid").value >= 1
@@ -734,51 +732,14 @@ def test_sinks_read_steady_counters_at_every_step_and_change_nothing():
 # ----------------------------------------------------------------------
 # hybrid goldens
 # ----------------------------------------------------------------------
-def _hybrid_canonical():
-    return canonical({name: run() for name, run in HYBRID_WORLDS.items()}) + "\n"
-
-
-def test_hybrid_runs_match_committed_golden_results():
-    """Per-flow FCTs, clock, event count and every driver counter of the
-    eight hybrid worlds, byte for byte.
-
-    ``tests/golden/hybrid_results.json`` was first written at d78b1bc, when
-    the fluid rates still came from the numpy solver, and held byte for byte
-    through the plain-Python solver and the array-free segment loop.  It was
-    regenerated since when packet phases started ending when the fabric
-    goes quiet instead of on the ``check_every_ns`` grid, and when the
-    packet floor started backing off, and once more when entry started
-    withdrawing the packets in flight instead of draining them: every FCT
-    held, and the event counts, ``fluid_ns`` (which now counts from the
-    quiescence decision), one ``fluid_completions`` and the new
-    ``withdrawn_*`` counters moved.  ``bulk_waves``, the one world whose
-    live set splits into several components, was written by the monolithic
-    solve at 3e68ed8 and holds under the per-component one.  The three
-    held-out traces were added without moving the other five.  Regenerate
-    (only for a *deliberate* change of the fluid model or of when the
-    regimes switch) with ``HYBRID_GOLDEN_PATH.write_text(_hybrid_canonical())``,
-    and land it only with
-    :func:`test_hybrid_golden_stays_within_its_twin_bounds` green: the bytes
-    say what the hybrid core produces, the twin bounds how far that may sit
-    from packets.
-    """
-    expected = HYBRID_GOLDEN_PATH.read_text()
-    actual = _hybrid_canonical()
-    if actual != expected:
-        exp, act = json.loads(expected), json.loads(actual)
-        for name in exp:
-            assert act.get(name) == exp[name], f"hybrid world {name!r} diverged"
-    assert actual == expected
-
-
 def test_hybrid_golden_stays_within_its_twin_bounds():
     """The fidelity ratchet: every group of every golden world sits within
     its committed bound of its pure-packet twin, on mean and p99 FCT.
 
-    Static: the byte golden above holds ``hybrid_results.json`` equal to a
-    live run, and the twins are committed (``tests/hybrid_twins.py``), so a
-    regeneration that worsens fidelity fails here even with its bytes
-    rewritten.  A bound only ever goes down."""
+    Static: ``tests/test_golden_results.py`` holds ``hybrid_results.json``
+    equal to a live run, and the twins are committed
+    (``tests/hybrid_twins.py``), so a regeneration that worsens fidelity
+    fails here even with its bytes rewritten.  A bound only ever goes down."""
     twins = json.loads(TWINS_PATH.read_text())
     hybrid = json.loads(HYBRID_GOLDEN_PATH.read_text())
     assert sorted(twins) == sorted(hybrid) == sorted(HYBRID_WORLDS)

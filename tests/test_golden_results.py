@@ -1,29 +1,23 @@
-"""Golden-results gate for the simulation core.
+"""Golden-results gate for both pinned batteries.
 
-Re-runs the pinned-seed scenario battery and compares its canonical JSON
-byte-for-byte against ``tests/golden/core_results.json``.  Any hot-path
-change that shifts event ordering, packet fates or flow completion times —
-however subtly — fails here.  Regenerate the reference (only for an
+Re-runs the ``core`` packet battery and the ``hybrid`` worlds and compares
+each canonical JSON byte for byte with its committed file
+(``tests/golden/core_results.json``, ``tests/golden/hybrid_results.json``).
+Any change that shifts event ordering, packet fates, regime switches or flow
+completion times -- however subtly -- fails here.  Rewrite both (only for an
 *intentional* semantic change) with::
 
-    PYTHONPATH=src python -m tests.golden_battery --write
+    PYTHONPATH=src python tests/golden_battery.py --write
 """
 
-import json
-from pathlib import Path
+import pytest
 
-from tests.golden_battery import canonical, run_battery
-
-GOLDEN_PATH = Path(__file__).parent / "golden" / "core_results.json"
+from tests.golden_battery import batteries, diverged, run
 
 
-def test_battery_matches_committed_golden_results():
-    expected = GOLDEN_PATH.read_text()
-    actual = canonical(run_battery()) + "\n"
-    if actual != expected:
-        # pinpoint the first divergent scenario before failing on bytes
-        exp = json.loads(expected)
-        act = json.loads(actual)
-        for name in exp:
-            assert act.get(name) == exp[name], f"scenario {name!r} diverged"
-    assert actual == expected
+@pytest.mark.parametrize("battery", ["core", "hybrid"])
+def test_battery_matches_committed_golden_results(battery):
+    worlds, path = batteries()[battery]
+    results, _ = run(worlds)
+    wrong = diverged(results, path)
+    assert wrong is None, f"{battery} world {wrong!r} diverged from {path.name}"

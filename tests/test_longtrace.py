@@ -126,9 +126,11 @@ def test_flowsched_emits_empty_groups():
 # sampler prunes completed senders
 # ----------------------------------------------------------------------
 def test_sampler_prunes_completed_senders():
-    from repro.obs import sample_scope
+    from repro.obs import TimeSeriesSampler
+    from repro.probe import installed
 
-    with sample_scope(stride_ns=50_000) as smp:
+    smp = TimeSeriesSampler(stride_ns=50_000)
+    with installed(smp):
         sim, net, hosts, factory = _small_world()
         specs = [FlowSpec(i, 8 + i, 30_000, start_ns=i * 200_000) for i in range(4)]
         admitter = FlowAdmitter(

@@ -15,10 +15,7 @@ from repro.obs import (
     ChannelInspector,
     PacketTracer,
     TimeSeriesSampler,
-    inspect_scope,
     profile_scope,
-    sample_scope,
-    trace_scope,
 )
 from repro.probe import installed
 from repro.sim.engine import Simulator
@@ -58,26 +55,28 @@ def test_null_defaults_adopted():
 
 
 def test_scopes_install_and_restore():
-    with trace_scope(sample_every=4) as trc:
+    trc, insp = PacketTracer(sample_every=4), ChannelInspector()
+    with installed(trc):
         assert probe.current(PacketTracer) is trc
         sim = Simulator(1)
         assert sim.probe.sinks == (trc,)
-        with inspect_scope() as insp:  # scopes compose on the one probe
+        with installed(insp):  # installs compose on the one probe
             assert probe.active.sinks == (trc, insp)
         assert probe.active.sinks == (trc,)
     assert probe.current(PacketTracer) is None
     assert probe.active is probe.INERT
-    assert trc.finalized
 
 
 # ----------------------------------------------------------------------
 # tracer: per-hop spans sum exactly to end-to-end latency
 # ----------------------------------------------------------------------
 def test_span_components_sum_to_e2e():
-    with trace_scope(sample_every=1) as trc:
+    trc = PacketTracer(sample_every=1)
+    with installed(trc):
         sim = Simulator(1)
         net, flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
+    trc.finalize()
     assert all(f.done for f in flows)
     delivered = [tr for tr in trc.traces if tr.disposition == "delivered"]
     assert len(delivered) > 100
@@ -94,10 +93,12 @@ def test_span_components_sum_to_e2e():
 
 def test_sampling_is_deterministic_and_respects_rate():
     def run(sample_every):
-        with trace_scope(sample_every=sample_every) as trc:
+        trc = PacketTracer(sample_every=sample_every)
+        with installed(trc):
             sim = Simulator(1)
             _net, flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
+        trc.finalize()
         return trc
 
     a = run(4)
@@ -111,7 +112,8 @@ def test_sampling_is_deterministic_and_respects_rate():
 
 
 def test_pause_time_attributed_to_paused_hop():
-    with trace_scope(sample_every=1) as trc:
+    trc = PacketTracer(sample_every=1)
+    with installed(trc):
         sim = Simulator(13)
         cfg = SwitchConfig(n_queues=4, buffer_bytes=8 * 1024 * 1024)
         net, senders, recv = star(sim, 1, rate_bps=10e9, link_delay_ns=500,
@@ -123,6 +125,7 @@ def test_pause_time_attributed_to_paused_hop():
         sim.at(20_000, bottleneck.set_paused, 0, True)
         sim.at(120_000, bottleneck.set_paused, 0, False)
         sim.run(until=1_000_000_000)
+    trc.finalize()
     assert f.done
     paused_hops = [h for tr in trc.traces for h in tr.hops
                    if h.port == bottleneck.name and h.pause_ns > 0]
@@ -135,7 +138,8 @@ def test_pause_time_attributed_to_paused_hop():
 
 
 def test_spans_jsonl_roundtrip(tmp_path):
-    with trace_scope(sample_every=8) as trc:
+    trc = PacketTracer(sample_every=8)
+    with installed(trc):
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -183,12 +187,11 @@ def test_perfetto_gains_packet_process(tmp_path):
 # inspector: transcript fidelity
 # ----------------------------------------------------------------------
 def test_inspector_matches_telemetry_flow_state():
-    log = ChannelLog()
-    with installed(Recorder(log)):
-        with inspect_scope() as insp:
-            sim = Simulator(1)
-            _net, flows, _ = _quickstart_scenario(sim)
-            sim.run(until=50_000_000)
+    log, insp = ChannelLog(), ChannelInspector()
+    with installed(Recorder(log), insp):
+        sim = Simulator(1)
+        _net, flows, _ = _quickstart_scenario(sim)
+        sim.run(until=50_000_000)
     assert all(f.done for f in flows)
     # the inspector's per-flow transcripts, flattened, are exactly the
     # flow_state channel
@@ -197,7 +200,8 @@ def test_inspector_matches_telemetry_flow_state():
 
 
 def test_inspector_quickstart_transcript():
-    with inspect_scope() as insp:
+    insp = ChannelInspector()
+    with installed(insp):
         sim = Simulator(1)
         _net, flows, ccs = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -281,7 +285,8 @@ def test_occupancy_steps():
 
 
 def test_report_json_roundtrip(tmp_path):
-    with inspect_scope() as insp:
+    insp = ChannelInspector()
+    with installed(insp):
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -296,7 +301,8 @@ def test_report_json_roundtrip(tmp_path):
 # ----------------------------------------------------------------------
 def test_sampler_rows_are_stride_aligned_and_deterministic():
     def run():
-        with sample_scope(stride_ns=50_000) as smp:
+        smp = TimeSeriesSampler(stride_ns=50_000)
+        with installed(smp):
             sim = Simulator(1)
             _net, _flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
@@ -316,7 +322,8 @@ def test_sampler_rows_are_stride_aligned_and_deterministic():
 
 
 def test_sampler_ring_bounds_memory():
-    with sample_scope(stride_ns=1_000) as smp:
+    smp = TimeSeriesSampler(stride_ns=1_000)
+    with installed(smp):
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -329,7 +336,8 @@ def test_sampler_ring_bounds_memory():
 
 
 def test_sampler_csv_and_jsonl_export(tmp_path):
-    with sample_scope(stride_ns=100_000) as smp:
+    smp = TimeSeriesSampler(stride_ns=100_000)
+    with installed(smp):
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -389,8 +397,9 @@ def test_jsonl_event_stream(tmp_path):
 def test_report_dashboard(tmp_path):
     from repro.obs.report import build_dashboard, report_main
 
-    with trace_scope(sample_every=4) as trc, inspect_scope() as insp, \
-            sample_scope(stride_ns=100_000) as smp, profile_scope() as prof:
+    trc, insp = PacketTracer(sample_every=4), ChannelInspector()
+    smp = TimeSeriesSampler(stride_ns=100_000)
+    with installed(trc, insp, smp), profile_scope() as prof:
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.experiments.registry import REGISTRY, Experiment, FunctionExperiment, Point, get_experiment
+from repro.experiments.registry import REGISTRY, FunctionExperiment, Point, get_experiment
 from repro.experiments.fig8_testbed import run_staircase
 from repro.experiments.fig10_micro import _run_fig10c
 from repro.experiments.quickstart import run_quickstart
@@ -310,20 +310,6 @@ def test_runner_matches_legacy_function():
     via_runner = run_experiment(get_experiment("quickstart"))
     legacy = run_quickstart()
     assert via_runner == json.loads(json.dumps(json_safe(legacy)))
-
-
-def test_duplicate_point_names_rejected():
-    class Dup(Experiment):
-        name = "dup-names"
-
-        def points(self):
-            return [Point("p", {"a": 1}, 0), Point("p", {"a": 2}, 0)]
-
-        def run_point(self, point):  # pragma: no cover - never reached
-            return {}
-
-    with pytest.raises(RunnerError, match="duplicate point names"):
-        run_experiment(Dup())
 
 
 # ----------------------------------------------------------------------
