@@ -4,11 +4,12 @@ which of their defaulted parameters does any run set to a second value?
 
 ``tests/test_probe.py::test_every_public_name_has_a_caller`` asks whether a
 name has a caller; a caller that never runs passes it.  This script asks the
-runs themselves.  It runs a fixed list of *roots* — the paper verdict tests,
-every example, every CI command outside tier-1 ``pytest``, the scripts at
-their CI sizes, one untimed rep of each frozen perf-ledger workload — each as
-a subprocess under a profile hook, then lists every function and class body
-in ``src/repro`` that none of them entered.
+runs themselves.  It runs a fixed list of *roots*, each as a subprocess
+under a profile hook: one per CI job, running that job's steps of the gate
+table ``scripts/gates.py`` in order (the paper verdict tests, the smoke jobs,
+the scripts at their CI sizes); every example; ``run_all_experiments.py``;
+and one untimed rep of each frozen perf-ledger workload.  It then lists every
+function and class body in ``src/repro`` that none of them entered.
 
 The hook is a ``sitecustomize`` module put first on ``PYTHONPATH`` in a
 temporary directory, so pool workers, forked children and the serve daemon
@@ -31,11 +32,17 @@ point names is exempt by rule (``tests/golden/experiment_points.json`` and
 the seed contract pin it).  A parameter that took one value is a knob no
 run turns: it becomes a constant, unless ``KNOB_ALLOWLIST`` says why not.
 
-Each root runs in a fresh temporary directory, so every ``--cache`` starts
-empty and no output file lands in the tree.  The perf ledger runs in driver
-mode (``--workload``), which writes no file under ``benchmarks/perf``; a
-full ledger round is not a root, since it rewrites committed files.  Nor is
-``tests/cost_ratchet.py``: it counts bytecodes with its own trace hook.
+Each root runs in a fresh temporary directory (``gates.py --dir .``), so
+every ``--cache`` starts empty and no output file lands in the tree.  A gate
+step with ``census=False`` is no root: tier-1 ``pytest`` (a test may call
+anything; the census asks what runs reach); the full ledger round (it
+rewrites committed files under ``benchmarks/perf``; ``ledger-reps`` runs the
+same workloads in driver mode, which writes none); the ledger self-tests and
+the traced ``bulk_fluid`` write-back run (a traced ledger rep calls the
+ledger's ``calibrate()``, whose ``n`` would then need a ``KNOB_ALLOWLIST``
+entry); ``tests/cost_ratchet.py`` (it counts bytecodes with its own trace
+hook); the census itself; and the ``lint`` steps (they read the tree and run
+no ``repro`` code).
 
 Usage:
     python scripts/reach_census.py            # run every root, print the census
@@ -60,11 +67,14 @@ import os
 import subprocess
 import sys
 import tempfile
-import textwrap
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import gates  # noqa: E402  (the CI gate table)
+
 SRC = ROOT / "src" / "repro"
 
 #: ``module::qualname`` -> why no root reaches it (module relative to
@@ -269,102 +279,18 @@ threading.setprofile(_hook)
 
 # ----------------------------------------------------------------------
 # the roots: name -> interpreter argv lists, run in order in one fresh
-# temporary directory with {repo} filled in; a trailing ">", FILE writes
-# the command's stdout to FILE
+# temporary directory with {repo} filled in
 # ----------------------------------------------------------------------
-_PAPER_POINT = """
-from repro.experiments.registry import REGISTRY
-from repro.runner.scheduler import execute_point
-exp = REGISTRY.get("fig11_paper").quick()
-row = execute_point(exp, exp.points()[0])
-assert row["fluid"]["fluid_epochs"] >= 1, row["fluid"]
-"""
-
-_FAULT_PLANS = """
-import json
-schedule = {"kind": "oneshot", "at_ns": 2_200_000, "duration_ns": 500_000}
-spec = {"kind": "link_down", "target": ["tor1", "spine1"], "schedule": schedule}
-json.dump({"seed": 1, "specs": [spec]}, open("cut.json", "w"))
-"""
-
-_SERVE = """
-import os, signal, subprocess, sys, time
-from repro.client import ServeClient
-repro = [sys.executable, "-m", "repro"]
-daemon = subprocess.Popen(repro + ["serve", "--unix", "./serve.sock", "--jobs", "2",
-                                   "--cache", "serve-cache"], stdout=subprocess.DEVNULL)
-try:
-    deadline = time.monotonic() + 180  # the hook slows the daemon's boot
-    while not os.path.exists("serve.sock"):
-        assert daemon.poll() is None and time.monotonic() < deadline, "daemon did not bind"
-        time.sleep(0.2)
-    served = subprocess.run(repro + ["run", "fig6", "--quick", "--server", "./serve.sock",
-                                     "--progress"], stdout=subprocess.PIPE, check=True).stdout
-    local = subprocess.run(repro + ["run", "fig6", "--quick"],
-                           stdout=subprocess.PIPE, check=True).stdout
-    assert served == local
-    subprocess.run(repro + ["status", "--server", "./serve.sock"], check=True)
-    ServeClient("./serve.sock").shutdown()
-    assert daemon.wait(timeout=60) == 0
-finally:
-    if daemon.poll() is None:
-        daemon.send_signal(signal.SIGTERM)
-        daemon.wait(timeout=60)
-"""
-
-
-def _py(code: str) -> list:
-    return ["-c", textwrap.dedent(code)]
-
-
-_REPRO = ["-m", "repro"]
-
 ROOTS = {
-    "verdicts": [["-m", "pytest", "-q", "-p", "no:cacheprovider",
-                  "{repo}/benchmarks", "--ignore={repo}/benchmarks/perf"]],
+    **{job: [["{repo}/scripts/gates.py", "--dir", ".", job, step.name]
+             for step in steps if step.census]
+       for job, steps in gates.JOBS.items() if any(step.census for step in steps)},
     **{f"examples/{p.name}": [[str(p)]] for p in sorted((ROOT / "examples").glob("*.py"))},
-    "faults-smoke": [
-        _REPRO + ["run", "fault_flap", "--quick", "--jobs", "2", "--cache", "cache-flap"],
-        _REPRO + ["run", "fault_degrade", "--quick", "--jobs", "2", "--cache", "cache-degrade"],
-        _py(_FAULT_PLANS),
-        _REPRO + ["run", "fault_flap", "--quick", "--jobs", "2", "--faults", "cut.json"],
-    ],
-    "audit-smoke": [
-        ["{repo}/tests/golden_battery.py", "--audit=strict"],
-        _REPRO + ["run", "fault_flap", "--quick", "--jobs", "2", "--audit=strict"],
-    ],
-    "obs-smoke": [
-        ["{repo}/tests/golden_battery.py", "--obs", "all"],
-        ["{repo}/tests/golden_battery.py", "--obs", "profile"],
-        ["{repo}/tests/golden_battery.py", "--audit=strict", "--obs", "all"],
-        _REPRO + ["quickstart", "--trace", "trace.json", "--trace-packets", "spans.jsonl",
-                  "--trace-every", "8", "--sample", "samples.csv", "--inspect", "channel.json",
-                  "--profile", ">", "result.json"],
-        _REPRO + ["report", "--result", "result.json", "--samples", "samples.csv",
-                  "--spans", "spans.jsonl", "--channel", "channel.json", "--out", "dash.html"],
-        _REPRO + ["fault_degrade", "--quick", "--trace", "f.json", "--trace-packets", "s.jsonl",
-                  "--trace-every", "1", "--audit=strict"],
-        _REPRO + ["fig6", "--quick", "--metrics", "--progress"],
-        _REPRO + ["headroom", "--quick", "--trace", "pfc.json", "--audit=strict"],
-        _REPRO + ["fig10b", "--quick", "--trace", "fig10b_trace.json"],
-        _REPRO + ["fig10b", "--quick", "--events", "fig10b_events.jsonl"],
-    ],
-    "serve-smoke": [_py(_SERVE)],
-    "scale-smoke": [
-        _py(_PAPER_POINT),
-        _REPRO + ["run", "fig13", "--quick", "--jobs", "2"],
-        _REPRO + ["run", "headroom", "--quick", "--jobs", "2"],
-        ["{repo}/scripts/regime_components.py", "--load", "0.002", "--ms", "20"],
-        ["{repo}/tests/hybrid_twins.py", "--sweep", "15:100:800,100:100:100"],
-        ["{repo}/scripts/solver_replay.py", "--world", "bulk_fluid", "--scale", "0.05",
-         "--rounds", "1"],
-        ["{repo}/tests/hybrid_twins.py", "--check"],
-    ],
     "run_all_experiments": [["{repo}/scripts/run_all_experiments.py", "--only", "quickstart",
                              "--serial", "--out", "results"]],
     # driver mode: one rep of each frozen workload, measured untimed; it
     # writes no file under benchmarks/perf
-    "perf-ledger": [["{repo}/benchmarks/perf/run.py", "--workload", w["name"], "--seconds", "0",
+    "ledger-reps": [["{repo}/benchmarks/perf/run.py", "--workload", w["name"], "--seconds", "0",
                      "--scale", "0.05", "--trace", "0"]
                     for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]],
 }
@@ -391,12 +317,9 @@ def run_roots(roots, out_dir: Path) -> dict:
         os.mkdir(env["REACH_CENSUS_OUT"])
         with tempfile.TemporaryDirectory(prefix="reach-root-") as cwd:
             for argv in commands:
-                stdout = "stdout"
-                if argv[-2:-1] == [">"]:
-                    argv, stdout = argv[:-2], argv[-1]
                 argv = [sys.executable] + [a.replace("{repo}", str(ROOT)) for a in argv]
                 # files, not pipes: a child left running must not hang the census
-                with open(Path(cwd, stdout), "w") as out, open(Path(cwd, "stderr"), "w+") as err:
+                with open(Path(cwd, "stdout"), "w") as out, open(Path(cwd, "stderr"), "w+") as err:
                     code = subprocess.run(argv, cwd=cwd, env=env, stdout=out, stderr=err).returncode
                     if code != 0:
                         failed[name] = f"{' '.join(argv[1:])[:120]} -> exit {code}"

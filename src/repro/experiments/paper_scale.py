@@ -50,9 +50,10 @@ PAPER_SCALE_CFG: Dict[str, object] = {
 #: load; that injects ~17M flows/s into 320 hosts, which no core — fluid or
 #: packet — replays in CI-compatible time, so the long variant trades load
 #: for duration instead of scaling flow sizes down (the honest re-scope
-#: recorded in EXPERIMENTS.md §S1): ~2 % of the paper's arrival rate over a
-#: 2-second trace, enough that low-priority flows live through thousands of
-#: preemption/restart cycles while a run stays inside the CI smoke budget.
+#: recorded in EXPERIMENTS.md §S1): ~0.4 % of the paper's arrival rate (load
+#: 0.002 against 0.5) over a 2-second trace, enough that low-priority flows
+#: live through hundreds of preemption/restart cycles while a run stays
+#: inside the CI smoke budget.
 PAPER_LONG_CFG: Dict[str, object] = {
     "rate_bps": 100e9,
     "link_delay_ns": 1_000,

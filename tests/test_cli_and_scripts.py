@@ -1,7 +1,10 @@
-"""CLI (`python -m repro`) and packaging-surface tests."""
+"""CLI (`python -m repro`), packaging-surface and CI gate-table tests."""
 
+import importlib.util
 import json
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -171,3 +174,93 @@ def test_run_all_experiments_script(tmp_path):
     assert artifact["report"]["points"] == 1
     assert artifact["result"]["all_done"] is True
 
+
+
+# ----------------------------------------------------------------------
+# the gate table: CI and the reach census run scripts/gates.py
+# ----------------------------------------------------------------------
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CI = ROOT / ".github" / "workflows" / "ci.yml"
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(f"_{name}", ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _ci_runs():
+    """``(job, step name, run line)`` of every ``ci.yml`` step with a ``run:``."""
+    job = name = None
+    runs = []
+    for line in CI.read_text().splitlines():
+        if m := re.fullmatch(r"  ([\w-]+):", line):
+            job = m[1]
+        elif m := re.fullmatch(r"\s+- name: (.*)", line):
+            name = m[1]
+        elif re.fullmatch(r"\s+- uses: .*", line):
+            name = None
+        elif m := re.fullmatch(r"\s+run: (.*)", line):
+            runs.append((job, name, m[1]))
+    return runs
+
+
+def test_every_ci_run_installs_or_runs_its_own_table_step():
+    """A CI step installs dependencies or runs ``python scripts/gates.py JOB
+    "STEP"`` for a step of its own job, named as the CI step; no command is
+    kept in the YAML."""
+    jobs = _script("gates").JOBS
+    runs = _ci_runs()
+    assert len(runs) > len(jobs)
+    for job, name, run in runs:
+        if run.startswith("python -m pip install "):
+            continue
+        assert shlex.split(run) == ["python", "scripts/gates.py", job, name], run
+        assert name in [step.name for step in jobs[job]], (job, name)
+
+
+def test_every_table_step_is_one_ci_step():
+    jobs = _script("gates").JOBS
+    called = sorted((job, name) for job, name, run in _ci_runs() if "gates.py" in run)
+    assert called == sorted((job, step.name) for job, steps in jobs.items() for step in steps)
+
+
+def test_the_census_roots_are_the_table_census_steps_and_its_own():
+    """One census root per job runs the job's census steps in order; the
+    steps left out are the ones the census's docstring gives a reason for."""
+    census, jobs = _script("reach_census"), _script("gates").JOBS
+    for job, steps in jobs.items():
+        names = [step.name for step in steps if step.census]
+        assert [argv[-1] for argv in census.ROOTS.get(job, [])] == names, job
+        assert all(argv[:4] == ["{repo}/scripts/gates.py", "--dir", ".", job]
+                   for argv in census.ROOTS.get(job, [])), job
+    examples = {f"examples/{p.name}" for p in (ROOT / "examples").glob("*.py")}
+    assert set(census.ROOTS) - set(jobs) == examples | {"run_all_experiments", "ledger-reps"}
+    left_out = {(job, step.name) for job, steps in jobs.items() for step in steps
+                if not step.census}
+    assert {job for job, _ in left_out} == {"test", "perf-ledger", "scale-smoke",
+                                            "reach-census", "lint"}
+    assert sorted(name for job, name in left_out if job == "scale-smoke") == [
+        "Cost ratchet (ROADMAP item 19)",
+        "One fluid write-back per flow per epoch (traced bulk_fluid)"]
+
+
+def test_ci_holds_no_heredoc_and_the_deleted_names_table_fails_on_one(tmp_path, capsys):
+    gates = _script("gates")
+    assert "<<" not in CI.read_text()
+    workflow = tmp_path / ".github" / "workflows" / "ci.yml"
+    workflow.parent.mkdir(parents=True)
+    workflow.write_text("      - run: |\n          python - <<'EOF'\n          EOF\n")
+    gates.ROOT = tmp_path
+    with pytest.raises(AssertionError, match="1 lines name what was cut"):
+        gates.deleted_names()
+    assert ".github/workflows/ci.yml:2:" in capsys.readouterr().out
+
+
+def test_gates_prints_its_table(capsys):
+    gates = _script("gates")
+    assert gates.main([]) == 0
+    out = capsys.readouterr().out
+    for job, steps in gates.JOBS.items():
+        assert f"{job}\n" in out and all(f"  {step.name}" in out for step in steps)
